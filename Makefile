@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test test-full bench chaos trace-smoke perfdiff-smoke shard-smoke health-smoke load-smoke quality-smoke
+.PHONY: check build vet lint test test-full bench bench-module-test chaos trace-smoke perfdiff-smoke shard-smoke health-smoke load-smoke quality-smoke
 
 check: vet lint test chaos shard-smoke trace-smoke health-smoke load-smoke quality-smoke
 
@@ -78,3 +78,9 @@ perfdiff-smoke:
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/bench/
+
+# Benchmark module tests: statistics, compare bounds, host scaling, spans and
+# a toy-scale smoke of every workload. benchmark/ is its own Go module, so
+# the root `go test ./...` does not reach it.
+bench-module-test:
+	cd benchmark && $(GO) test ./...

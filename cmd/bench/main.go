@@ -34,7 +34,7 @@ func main() {
 	var (
 		experiment  = flag.String("experiment", "all", "experiment id or 'all': "+strings.Join(bench.ExperimentIDs(), ", "))
 		scaleStr    = flag.String("scale", "small", "dataset scale: small, medium, large")
-		reps        = flag.Int("reps", 1, "timing repetitions per cell (minimum kept)")
+		reps        = flag.Int("reps", 1, "timing repetitions per cell (the perf experiment and its -baseline gate keep the median; the figure experiments keep the fastest)")
 		sms         = flag.Int("sms", 0, "simulated streaming multiprocessors (0 = host parallelism)")
 		graphs      = flag.String("graphs", "", "comma-separated dataset names (default: all of Table 1)")
 		out         = flag.String("o", "", "write markdown to this file instead of stdout")

@@ -7,8 +7,9 @@ import (
 	"nulpa/internal/telemetry"
 )
 
-// workBusyKernel is busyKernel plus the work-reporting extension, with
-// counting gated the way real kernels gate it (one bool checked per site).
+// workBusyKernel is busyKernel plus the work-reporting and per-SM tally
+// extensions, with counting gated the way real kernels gate it (one bool
+// checked per site) and lanes adding into their SM's shard.
 type workBusyKernel struct {
 	busyKernel
 	count bool
@@ -18,10 +19,14 @@ type workBusyKernel struct {
 func (k *workBusyKernel) Phase(p int, t *simt.Thread) {
 	k.busyKernel.Phase(p, t)
 	if k.count {
-		k.work.EdgeVisits.Add(1)
-		k.work.ActiveVertices.Add(1)
+		w := k.work.Shard(t.SM)
+		w.EdgeVisits++
+		w.ActiveVertices++
 	}
 }
+
+func (k *workBusyKernel) GrowTallies(sms int) { k.work.Grow(sms) }
+func (k *workBusyKernel) FoldTallies()        {}
 
 func (k *workBusyKernel) TakeWork() (edgeVisits, labelFlips, hashProbes, hashCollisions, activeVertices int64) {
 	return k.work.Take()
@@ -47,7 +52,7 @@ func TestWorkCountingDisabledNoAllocs(t *testing.T) {
 	}
 
 	// The accumulator drain itself is allocation-free, so even the enabled
-	// path adds no garbage — only atomic traffic.
+	// path adds no garbage — only plain per-SM adds.
 	counting.count = true
 	dev.Launch(grid, blockDim, counting)
 	if a := testing.AllocsPerRun(100, func() { counting.TakeWork() }); a > 0 {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"nulpa/internal/simt"
 )
 
 // Micro-benchmarks isolating the hashtable from the LPA loop: the probing
@@ -31,7 +33,7 @@ func BenchmarkAccumulateProbing(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tb.Clear(0, 1)
 				for _, k := range keys {
-					tb.Accumulate(k, 1, false)
+					tb.Accumulate(k, 1, false, nil)
 				}
 			}
 		})
@@ -49,7 +51,7 @@ func BenchmarkAccumulateShared(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tb.Clear(0, 1)
 				for _, k := range keys {
-					tb.Accumulate(k, 1, shared)
+					tb.Accumulate(k, 1, shared, nil)
 				}
 			}
 		})
@@ -67,7 +69,7 @@ func BenchmarkAccumulateValueKind(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tb.Clear(0, 1)
 				for _, k := range keys {
-					tb.Accumulate(k, 1, false)
+					tb.Accumulate(k, 1, false, nil)
 				}
 			}
 		})
@@ -79,7 +81,7 @@ func BenchmarkMaxKey(b *testing.B) {
 	a := NewArena(Float32, 2*deg)
 	tb := a.TableFor(0, deg, QuadraticDouble)
 	for _, k := range benchKeys(deg) {
-		tb.Accumulate(k, 1, false)
+		tb.Accumulate(k, 1, false, nil)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -98,7 +100,46 @@ func BenchmarkCoalescedAccumulate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tb.Clear(0, 1)
 		for _, k := range keys {
-			tb.Accumulate(k, 1, false)
+			tb.Accumulate(k, 1, false, nil)
 		}
+	}
+}
+
+// BenchmarkAccumulateCounted is the contention guard for the lane path:
+// parallel goroutines — stand-ins for SMs — fill their own tables with
+// counting off and on. Each counting goroutine owns a padded Tally and
+// folds it once at the end, as a launch does, so the two cases should sit
+// within noise of each other at any -cpu. A shared atomic reintroduced on
+// the accumulate path shows up as a ns/op gap that widens with -cpu.
+func BenchmarkAccumulateCounted(b *testing.B) {
+	const deg = 256
+	keys := benchKeys(deg)
+	for _, counted := range []bool{false, true} {
+		b.Run(fmt.Sprintf("counted=%v", counted), func(b *testing.B) {
+			stats := &Stats{}
+			b.RunParallel(func(pb *testing.PB) {
+				// Padding keeps neighbouring goroutines' tallies off each
+				// other's cache lines, like the per-SM tallies in a kernel.
+				tl := new(struct {
+					Tally
+					_ [simt.CacheLine]byte
+				})
+				tb := NewArena(Float32, 2*deg).TableFor(0, deg, QuadraticDouble)
+				var counter *Tally
+				if counted {
+					counter = &tl.Tally
+				}
+				for pb.Next() {
+					tb.Clear(0, 1)
+					for _, k := range keys {
+						tb.Accumulate(k, 1, false, counter)
+					}
+				}
+				tl.Fold(stats)
+			})
+			if counted && stats.Accumulates.Load() == 0 {
+				b.Fatal("counted run tallied nothing")
+			}
+		})
 	}
 }

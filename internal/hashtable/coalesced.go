@@ -20,12 +20,11 @@ const noNext = ^uint32(0)
 // CoalescedArena backs per-vertex coalesced-chaining tables: keys, values
 // and next-pointers, each 2·|E| slots.
 type CoalescedArena struct {
-	Kind  ValueKind
-	Keys  []uint32
-	Next  []uint32
-	V32   []uint32
-	V64   []uint64
-	Stats *Stats
+	Kind ValueKind
+	Keys []uint32
+	Next []uint32
+	V32  []uint32
+	V64  []uint64
 }
 
 // NewCoalescedArena allocates storage for `slots` slots.
@@ -87,42 +86,35 @@ func (t CoalescedTable) Clear(lane, stride int) {
 }
 
 // Accumulate adds weight v to key k, inserting it at the tail of its home
-// bucket's chain if absent. shared selects the atomic path.
-func (t CoalescedTable) Accumulate(k uint32, v float64, shared bool) bool {
+// bucket's chain if absent. shared selects the atomic path. Every chain hop
+// counts as a probe and every hop past the home bucket as a collision; the
+// free-slot scan that extends a chain is not counted. Probe accounting goes
+// to tl as in Table.Accumulate.
+func (t CoalescedTable) Accumulate(k uint32, v float64, shared bool, tl *Tally) bool {
 	if t.p1 == 0 {
-		if t.a.Stats != nil {
-			t.a.Stats.Failures.Add(1)
-		}
+		tl.miss(0, 0)
 		return false
-	}
-	if t.a.Stats != nil {
-		t.a.Stats.Accumulates.Add(1)
 	}
 	s := int64(k % t.p1)
 	if shared {
-		return t.accumulateShared(s, k, v)
+		return t.accumulateShared(s, k, v, tl)
 	}
-	return t.accumulatePlain(s, k, v)
+	return t.accumulatePlain(s, k, v, tl)
 }
 
-func (t CoalescedTable) accumulatePlain(s int64, k uint32, v float64) bool {
-	st := t.a.Stats
-	for hops := 0; hops <= int(t.p1); hops++ {
+func (t CoalescedTable) accumulatePlain(s int64, k uint32, v float64, tl *Tally) bool {
+	for hops := int64(0); hops <= int64(t.p1); hops++ {
 		idx := t.base + s
-		if st != nil {
-			st.Probes.Add(1)
-			if hops > 0 {
-				st.Collisions.Add(1)
-			}
-		}
 		cur := t.a.Keys[idx]
 		if cur == EmptyKey {
 			t.a.Keys[idx] = k
 			t.addValue(idx, v)
+			tl.hit(hops+1, hops)
 			return true
 		}
 		if cur == k {
 			t.addValue(idx, v)
+			tl.hit(hops+1, hops)
 			return true
 		}
 		next := t.a.Next[idx]
@@ -133,19 +125,16 @@ func (t CoalescedTable) accumulatePlain(s int64, k uint32, v float64) bool {
 		// Chain ended: claim a free slot by linear scan and link it.
 		free, ok := t.findFreePlain(s)
 		if !ok {
-			if st != nil {
-				st.Failures.Add(1)
-			}
+			tl.miss(hops+1, hops)
 			return false
 		}
 		t.a.Keys[t.base+free] = k
 		t.addValue(t.base+free, v)
 		t.a.Next[idx] = uint32(free)
+		tl.hit(hops+1, hops)
 		return true
 	}
-	if st != nil {
-		st.Failures.Add(1)
-	}
+	tl.miss(int64(t.p1)+1, int64(t.p1))
 	return false
 }
 
@@ -162,20 +151,15 @@ func (t CoalescedTable) findFreePlain(from int64) (int64, bool) {
 	return 0, false
 }
 
-func (t CoalescedTable) accumulateShared(s int64, k uint32, v float64) bool {
-	st := t.a.Stats
+func (t CoalescedTable) accumulateShared(s int64, k uint32, v float64, tl *Tally) bool {
 	// Bounded by slots² in the worst contention case; in practice a few hops.
-	for hops := 0; hops <= 2*int(t.p1)+4; hops++ {
+	maxHops := 2*int64(t.p1) + 4
+	for hops := int64(0); hops <= maxHops; hops++ {
 		idx := t.base + s
-		if st != nil {
-			st.Probes.Add(1)
-			if hops > 0 {
-				st.Collisions.Add(1)
-			}
-		}
 		old := simt.AtomicCASUint32(t.a.Keys, int(idx), EmptyKey, k)
 		if old == EmptyKey || old == k {
 			t.atomicAddValue(idx, v)
+			tl.hit(hops+1, hops)
 			return true
 		}
 		// Occupied by another key: follow or extend the chain.
@@ -186,9 +170,7 @@ func (t CoalescedTable) accumulateShared(s int64, k uint32, v float64) bool {
 		}
 		free, ok := t.claimFreeShared(s, k)
 		if !ok {
-			if st != nil {
-				st.Failures.Add(1)
-			}
+			tl.miss(hops+1, hops)
 			return false
 		}
 		// Link the claimed slot; on race, someone else extended the chain
@@ -199,6 +181,7 @@ func (t CoalescedTable) accumulateShared(s int64, k uint32, v float64) bool {
 		// the walk from the winner's next; our orphan slot keeps key k and
 		// gets the value via the eventual chain... to avoid orphan slots we
 		// retry linking at the chain's new tail.
+		tl.hit(hops+1, hops)
 		for {
 			oldNext := simt.AtomicCASUint32(t.a.Next, int(idx), noNext, uint32(free))
 			if oldNext == noNext {
@@ -215,9 +198,7 @@ func (t CoalescedTable) accumulateShared(s int64, k uint32, v float64) bool {
 			}
 		}
 	}
-	if st != nil {
-		st.Failures.Add(1)
-	}
+	tl.miss(maxHops+1, maxHops)
 	return false
 }
 

@@ -13,9 +13,9 @@ func TestCoalescedSimple(t *testing.T) {
 		a := NewCoalescedArena(kind, 64)
 		tb := a.TableFor(0, 8)
 		tb.Clear(0, 1)
-		tb.Accumulate(3, 1, false)
-		tb.Accumulate(5, 2, false)
-		tb.Accumulate(3, 2, false)
+		tb.Accumulate(3, 1, false, nil)
+		tb.Accumulate(5, 2, false, nil)
+		tb.Accumulate(3, 2, false, nil)
 		k, w, ok := tb.MaxKey()
 		if !ok || k != 3 || w != 3 {
 			t.Errorf("%v: MaxKey = (%d,%g,%v), want (3,3,true)", kind, k, w, ok)
@@ -25,24 +25,24 @@ func TestCoalescedSimple(t *testing.T) {
 
 func TestCoalescedZeroCapacity(t *testing.T) {
 	a := NewCoalescedArena(Float32, 8)
-	a.Stats = &Stats{}
+	tl := &Tally{}
 	tb := a.TableFor(0, 0)
-	if tb.Accumulate(1, 1, false) {
+	if tb.Accumulate(1, 1, false, tl) {
 		t.Error("zero-capacity accumulate succeeded")
 	}
-	if a.Stats.Failures.Load() != 1 {
+	if tl.Failures != 1 {
 		t.Error("failure not counted")
 	}
 }
 
 func TestCoalescedChainCollisions(t *testing.T) {
 	a := NewCoalescedArena(Float64, 64)
-	a.Stats = &Stats{}
+	tl := &Tally{}
 	tb := a.TableFor(0, 8) // capacity 15
 	tb.Clear(0, 1)
 	// Keys 0, 15, 30, 45 all hash to slot 0 and must chain.
 	for i := 0; i < 4; i++ {
-		if !tb.Accumulate(uint32(15*i), float64(i+1), false) {
+		if !tb.Accumulate(uint32(15*i), float64(i+1), false, tl) {
 			t.Fatalf("failed to insert key %d", 15*i)
 		}
 	}
@@ -57,7 +57,7 @@ func TestCoalescedChainCollisions(t *testing.T) {
 			t.Errorf("key %d lost or wrong value", 15*i)
 		}
 	}
-	if a.Stats.Collisions.Load() == 0 {
+	if tl.Collisions == 0 {
 		t.Error("chained inserts counted no collisions")
 	}
 }
@@ -75,7 +75,7 @@ func TestCoalescedMatchesMapOracle(t *testing.T) {
 			for i := 0; i < deg; i++ {
 				k := uint32(rng.Intn(16))
 				w := float64(1 + rng.Intn(4))
-				if !tb.Accumulate(k, w, shared) {
+				if !tb.Accumulate(k, w, shared, nil) {
 					return false
 				}
 				oracle[k] += w
@@ -113,7 +113,7 @@ func TestCoalescedSharedConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < perWorker; i++ {
 				k := uint32(rng.Intn(20))
-				if !tb.Accumulate(k, 1, true) {
+				if !tb.Accumulate(k, 1, true, nil) {
 					t.Errorf("worker %d: accumulate failed", w)
 					return
 				}
@@ -154,7 +154,7 @@ func TestOpenAddressingSharedConcurrent(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(w)))
 				for i := 0; i < perWorker; i++ {
 					k := uint32(rng.Intn(20))
-					if !tb.Accumulate(k, 1, true) {
+					if !tb.Accumulate(k, 1, true, nil) {
 						t.Errorf("worker %d: accumulate failed", w)
 						return
 					}
@@ -194,14 +194,14 @@ func TestCoalescedClear(t *testing.T) {
 	a := NewCoalescedArena(Float32, 64)
 	tb := a.TableFor(0, 8)
 	for i := 0; i < 10; i++ {
-		tb.Accumulate(uint32(15*i), 1, false) // force chains
+		tb.Accumulate(uint32(15*i), 1, false, nil) // force chains
 	}
 	tb.Clear(0, 1)
 	if _, _, ok := tb.MaxKey(); ok {
 		t.Error("table not empty after clear")
 	}
 	// Reuse after clear must work (next pointers reset).
-	if !tb.Accumulate(2, 3, false) {
+	if !tb.Accumulate(2, 3, false, nil) {
 		t.Fatal("accumulate after clear failed")
 	}
 	if k, w, _ := tb.MaxKey(); k != 2 || w != 3 {
@@ -213,8 +213,8 @@ func TestCoalescedMaxKeyStrided(t *testing.T) {
 	a := NewCoalescedArena(Float32, 64)
 	tb := a.TableFor(0, 8)
 	tb.Clear(0, 1)
-	tb.Accumulate(3, 4, false)
-	tb.Accumulate(7, 2, false)
+	tb.Accumulate(3, 4, false, nil)
+	tb.Accumulate(7, 2, false, nil)
 	var bestK uint32 = EmptyKey
 	bestW := -1.0
 	found := false
@@ -244,7 +244,7 @@ func TestCoalescedSharedCollidingChains(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < keys; i++ {
 				k := uint32(9 + 127*i) // all hash to slot 9
-				if !tb.Accumulate(k, 1, true) {
+				if !tb.Accumulate(k, 1, true, nil) {
 					t.Errorf("worker %d: accumulate(%d) failed", w, k)
 					return
 				}

@@ -87,9 +87,11 @@ func (k ValueKind) String() string {
 	return "float"
 }
 
-// Stats counts hashtable activity across all tables of an arena. Counters
-// are updated atomically; attach with Arena.Stats. A nil Stats disables
-// counting.
+// Stats is the read-side aggregate of hashtable activity. Lanes never write
+// it: each SM (or direct-backend worker) counts into its own Tally, and the
+// launching goroutine folds those into Stats once per kernel launch with
+// Tally.Fold, so these atomic totals see one add per fold rather than one per
+// probe.
 type Stats struct {
 	Accumulates atomic.Int64 // accumulate calls
 	Probes      atomic.Int64 // slots inspected, including the first
@@ -105,6 +107,18 @@ func (s *Stats) Reset() {
 	s.Collisions.Store(0)
 	s.Fallbacks.Store(0)
 	s.Failures.Store(0)
+}
+
+// Add folds the delta d into the totals. A nil receiver discards it.
+func (s *Stats) Add(d StatsSnapshot) {
+	if s == nil {
+		return
+	}
+	s.Accumulates.Add(d.Accumulates)
+	s.Probes.Add(d.Probes)
+	s.Collisions.Add(d.Collisions)
+	s.Fallbacks.Add(d.Fallbacks)
+	s.Failures.Add(d.Failures)
 }
 
 // StatsSnapshot is a plain-value copy of Stats. Field names mirror Stats
@@ -145,6 +159,81 @@ func (a StatsSnapshot) Sub(b StatsSnapshot) StatsSnapshot {
 	}
 }
 
+// Tally is single-writer probe accounting: one per SM or per worker, written
+// with plain adds by the only goroutine that passes it to Accumulate (on
+// either table kind). Once that goroutine has joined, Fold moves the counts
+// into a shared Stats and the live metrics. The exported counters mirror
+// StatsSnapshot one-to-one (enforced by a reflection test). A nil *Tally
+// disables counting at the cost of one pointer test per accumulate.
+type Tally struct {
+	Accumulates int64
+	Probes      int64
+	Collisions  int64
+	Fallbacks   int64
+	Failures    int64
+
+	// probeLen counts successful accumulates per hashtable_probe_length
+	// bucket; failedProbes are the probes of failed accumulates, which the
+	// histogram's sum leaves out.
+	probeLen     [probeBuckets + 1]int64
+	failedProbes int64
+}
+
+// hit records a successful accumulate that inspected probes slots, the
+// first collisions of which were taken by other keys.
+func (t *Tally) hit(probes, collisions int64) {
+	if t == nil {
+		return
+	}
+	t.Accumulates++
+	t.Probes += probes
+	t.Collisions += collisions
+	// Bucket i of hashtable_probe_length holds lengths in (2^(i-1), 2^i].
+	b := bits.Len64(uint64(probes - 1))
+	if b > probeBuckets {
+		b = probeBuckets
+	}
+	t.probeLen[b]++
+}
+
+// miss records an accumulate that found no slot after probes probes.
+func (t *Tally) miss(probes, collisions int64) {
+	if t == nil {
+		return
+	}
+	t.Accumulates++
+	t.Probes += probes
+	t.Collisions += collisions
+	t.Failures++
+	t.failedProbes += probes
+}
+
+// Fold adds the tally to s (nil s skips the totals) and to the hashtable_*
+// metrics, zeroes it, and returns the folded counts. The caller must own
+// the tally: every goroutine that counted into it has joined.
+func (t *Tally) Fold(s *Stats) StatsSnapshot {
+	d := StatsSnapshot{
+		Accumulates: t.Accumulates,
+		Probes:      t.Probes,
+		Collisions:  t.Collisions,
+		Fallbacks:   t.Fallbacks,
+		Failures:    t.Failures,
+	}
+	if d == (StatsSnapshot{}) {
+		return d
+	}
+	s.Add(d)
+	mProbeLen.Merge(t.probeLen[:], float64(d.Probes-t.failedProbes))
+	if d.Fallbacks != 0 {
+		mFallbacks.Add(d.Fallbacks)
+	}
+	if d.Failures != 0 {
+		mFailures.Add(d.Failures)
+	}
+	*t = Tally{}
+	return d
+}
+
 // Arena is the backing storage for every per-vertex table: the bufK / bufV
 // buffers of Algorithm 1, each sized 2·|E| slots.
 type Arena struct {
@@ -161,8 +250,6 @@ type Arena struct {
 	// succeeds because capacity ≥ degree. Disable to surface Algorithm 2's
 	// "failed" status.
 	LinearFallback bool
-	// Stats, when non-nil, receives probe accounting.
-	Stats *Stats
 }
 
 // NewArena allocates backing storage for `slots` hashtable slots (2·|E| for
@@ -281,19 +368,12 @@ func (t Table) initialStep(k uint32) uint64 {
 // where many lanes update one table) versus the plain path (thread-per-
 // vertex kernels). It reports whether a slot was found; with the default
 // linear fallback enabled it can only return false for a zero-capacity
-// table.
-func (t Table) Accumulate(k uint32, v float64, shared bool) bool {
+// table. Probe accounting goes to tl, which must have a single writer — the
+// calling goroutine; nil counts nothing.
+func (t Table) Accumulate(k uint32, v float64, shared bool, tl *Tally) bool {
 	if t.p1 == 0 {
-		if t.a.Stats != nil {
-			t.a.Stats.Failures.Add(1)
-			mFailures.Inc()
-		}
+		tl.miss(0, 0)
 		return false
-	}
-	st := t.a.Stats
-	var probes int64 // per-call probe length, fed to the metrics histogram
-	if st != nil {
-		st.Accumulates.Add(1)
 	}
 	maxRetries := t.a.MaxRetries
 	if maxRetries <= 0 {
@@ -303,32 +383,21 @@ func (t Table) Accumulate(k uint32, v float64, shared bool) bool {
 	di := t.initialStep(k)
 	for try := 0; try < maxRetries; try++ {
 		s := int64(i % uint64(t.p1))
-		if st != nil {
-			st.Probes.Add(1)
-			probes++
-			if try > 0 {
-				st.Collisions.Add(1)
-			}
-		}
 		if t.tryslot(s, k, v, shared) {
-			if st != nil {
-				mProbeLen.Observe(float64(probes))
-			}
+			tl.hit(int64(try)+1, int64(try))
 			return true
 		}
 		i += di
 		di = t.step(di, k)
 	}
+	// Every slot of the bounded probe sequence after the first collided.
+	collisions := int64(maxRetries - 1)
 	if !t.a.LinearFallback {
-		if st != nil {
-			st.Failures.Add(1)
-			mFailures.Inc()
-		}
+		tl.miss(int64(maxRetries), collisions)
 		return false
 	}
-	if st != nil {
-		st.Fallbacks.Add(1)
-		mFallbacks.Inc()
+	if tl != nil {
+		tl.Fallbacks++
 	}
 	// Full-circle linear probe: guaranteed to find k's slot or an empty one
 	// because capacity ≥ degree ≥ distinct keys.
@@ -338,21 +407,12 @@ func (t Table) Accumulate(k uint32, v float64, shared bool) bool {
 		if s >= int64(t.p1) {
 			s -= int64(t.p1)
 		}
-		if st != nil {
-			st.Probes.Add(1)
-			probes++
-		}
 		if t.tryslot(s, k, v, shared) {
-			if st != nil {
-				mProbeLen.Observe(float64(probes))
-			}
+			tl.hit(int64(maxRetries)+off+1, collisions)
 			return true
 		}
 	}
-	if st != nil {
-		st.Failures.Add(1)
-		mFailures.Inc()
-	}
+	tl.miss(int64(maxRetries)+int64(t.p1), collisions)
 	return false
 }
 

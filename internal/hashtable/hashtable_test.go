@@ -76,9 +76,9 @@ func TestAccumulateAndMaxSimple(t *testing.T) {
 			a := NewArena(kind, 64)
 			tb := a.TableFor(0, 8, pr) // capacity 15
 			tb.Clear(0, 1)
-			tb.Accumulate(3, 1, false)
-			tb.Accumulate(5, 2, false)
-			tb.Accumulate(3, 2, false) // 3 -> 3.0 total
+			tb.Accumulate(3, 1, false, nil)
+			tb.Accumulate(5, 2, false, nil)
+			tb.Accumulate(3, 2, false, nil) // 3 -> 3.0 total
 			k, w, ok := tb.MaxKey()
 			if !ok || k != 3 || w != 3 {
 				t.Errorf("%v/%v: MaxKey = (%d,%g,%v), want (3,3,true)", kind, pr, k, w, ok)
@@ -104,7 +104,7 @@ func TestZeroCapacityTable(t *testing.T) {
 	if tb.Capacity() != 0 {
 		t.Fatalf("capacity = %d", tb.Capacity())
 	}
-	if tb.Accumulate(1, 1, false) {
+	if tb.Accumulate(1, 1, false, nil) {
 		t.Error("Accumulate succeeded on zero-capacity table")
 	}
 }
@@ -113,8 +113,8 @@ func TestMaxKeyTieBreaks(t *testing.T) {
 	a := NewArena(Float64, 64)
 	tb := a.TableFor(0, 8, QuadraticDouble)
 	tb.Clear(0, 1)
-	tb.Accumulate(9, 2, false)
-	tb.Accumulate(4, 2, false)
+	tb.Accumulate(9, 2, false, nil)
+	tb.Accumulate(4, 2, false, nil)
 	k, _, _ := tb.MaxKeyPreferLow()
 	if k != 4 {
 		t.Errorf("MaxKeyPreferLow tie = %d, want 4", k)
@@ -124,8 +124,8 @@ func TestMaxKeyTieBreaks(t *testing.T) {
 func TestClearStrided(t *testing.T) {
 	a := NewArena(Float32, 64)
 	tb := a.TableFor(0, 8, Linear)
-	tb.Accumulate(1, 5, false)
-	tb.Accumulate(2, 5, false)
+	tb.Accumulate(1, 5, false, nil)
+	tb.Accumulate(2, 5, false, nil)
 	// Strided clear as four lanes would do it.
 	for lane := 0; lane < 4; lane++ {
 		tb.Clear(lane, 4)
@@ -154,7 +154,7 @@ func TestAccumulateMatchesMapOracle(t *testing.T) {
 					for i := 0; i < deg; i++ {
 						k := uint32(rng.Intn(16))
 						w := float64(1 + rng.Intn(4))
-						if !tb.Accumulate(k, w, shared) {
+						if !tb.Accumulate(k, w, shared, nil) {
 							return false
 						}
 						oracle[k] += w
@@ -206,7 +206,7 @@ func TestFullLoad(t *testing.T) {
 			tb := a.TableFor(0, deg, pr)
 			tb.Clear(0, 1)
 			for k := 0; k < deg; k++ {
-				if !tb.Accumulate(uint32(k*1009+7), 1, false) {
+				if !tb.Accumulate(uint32(k*1009+7), 1, false, nil) {
 					t.Fatalf("probing=%v deg=%d: failed to place key %d", pr, deg, k)
 				}
 			}
@@ -234,41 +234,43 @@ func TestFailureWithoutFallback(t *testing.T) {
 	a := NewArena(Float32, 16)
 	a.LinearFallback = false
 	a.MaxRetries = 2
-	a.Stats = &Stats{}
+	tl := &Tally{}
 	tb := a.TableFor(0, 3, Quadratic) // capacity 3
 	tb.Clear(0, 1)
 	failed := false
 	for k := uint32(0); k < 3; k++ {
-		if !tb.Accumulate(k*3, 1, false) { // all keys hash to slot 0
+		if !tb.Accumulate(k*3, 1, false, tl) { // all keys hash to slot 0
 			failed = true
 		}
 	}
 	if !failed {
 		t.Fatal("expected at least one failure with fallback disabled")
 	}
-	if a.Stats.Failures.Load() == 0 {
-		t.Error("failure not counted in stats")
+	if tl.Failures == 0 {
+		t.Error("failure not counted in the tally")
 	}
 }
 
 func TestStatsCounting(t *testing.T) {
 	a := NewArena(Float32, 32)
-	a.Stats = &Stats{}
+	tl := &Tally{}
 	tb := a.TableFor(0, 8, Linear)
 	tb.Clear(0, 1)
-	tb.Accumulate(0, 1, false)
-	tb.Accumulate(15, 1, false) // 15 mod 15 = 0: collides with key 0
-	if got := a.Stats.Accumulates.Load(); got != 2 {
+	tb.Accumulate(0, 1, false, tl)
+	tb.Accumulate(15, 1, false, tl) // 15 mod 15 = 0: collides with key 0
+	stats := &Stats{}
+	tl.Fold(stats)
+	if got := stats.Accumulates.Load(); got != 2 {
 		t.Errorf("Accumulates = %d, want 2", got)
 	}
-	if got := a.Stats.Probes.Load(); got < 3 {
+	if got := stats.Probes.Load(); got < 3 {
 		t.Errorf("Probes = %d, want >= 3", got)
 	}
-	if got := a.Stats.Collisions.Load(); got < 1 {
+	if got := stats.Collisions.Load(); got < 1 {
 		t.Errorf("Collisions = %d, want >= 1", got)
 	}
-	a.Stats.Reset()
-	if a.Stats.Probes.Load() != 0 {
+	stats.Reset()
+	if stats.Probes.Load() != 0 {
 		t.Error("Reset did not zero counters")
 	}
 }
@@ -294,8 +296,8 @@ func TestTablesDoNotOverlap(t *testing.T) {
 	t2 := a.TableFor(8, 8, Linear) // window [16,31)
 	t1.Clear(0, 1)
 	t2.Clear(0, 1)
-	t1.Accumulate(1, 10, false)
-	t2.Accumulate(1, 20, false)
+	t1.Accumulate(1, 10, false, nil)
+	t2.Accumulate(1, 20, false, nil)
 	_, w1, _ := t1.MaxKey()
 	_, w2, _ := t2.MaxKey()
 	if w1 != 10 || w2 != 20 {
@@ -310,7 +312,7 @@ func TestFloat32PrecisionBehaviour(t *testing.T) {
 	tb := a.TableFor(0, 2, Linear)
 	tb.Clear(0, 1)
 	for i := 0; i < 100000; i++ {
-		tb.Accumulate(1, 1, false)
+		tb.Accumulate(1, 1, false, nil)
 	}
 	if _, w, _ := tb.MaxKey(); w != 100000 {
 		t.Errorf("float32 sum = %g, want 100000", w)
@@ -322,9 +324,9 @@ func TestMaxKeyStrided(t *testing.T) {
 	tb := a.TableFor(0, 8, Linear) // capacity 15
 	tb.Clear(0, 1)
 	// Keys land at slot = key mod 15.
-	tb.Accumulate(1, 5, false)  // slot 1
-	tb.Accumulate(2, 9, false)  // slot 2
-	tb.Accumulate(16, 7, false) // slot 1 occupied? 16 mod 15 = 1 -> probes to 2... occupied -> 3
+	tb.Accumulate(1, 5, false, nil)  // slot 1
+	tb.Accumulate(2, 9, false, nil)  // slot 2
+	tb.Accumulate(16, 7, false, nil) // slot 1 occupied? 16 mod 15 = 1 -> probes to 2... occupied -> 3
 	// Combine per-lane partial maxima the way the block kernel does.
 	stride := 4
 	var bestK uint32 = EmptyKey
@@ -363,7 +365,7 @@ func TestSharedCollidingKeys(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i := 0; i < 20; i++ {
-					if !tb.Accumulate(uint32(5+127*i), 1, true) {
+					if !tb.Accumulate(uint32(5+127*i), 1, true, nil) {
 						t.Errorf("probing=%v: accumulate failed", pr)
 						return
 					}

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+
+	"nulpa/internal/metrics"
 )
 
 // TestStatsResetZeroesEveryCounter walks Stats with reflection so a counter
@@ -93,31 +95,124 @@ func TestSnapshotDeltas(t *testing.T) {
 	}
 }
 
-// TestMetricsRideStatsGate pins the metrics bridge to the Stats gate: probe
-// histogram and counters advance only when an Arena carries Stats, so the
-// stats-disabled hot path stays metric-free too.
+// TestTallyMirrorsStatsSnapshot extends the mirror invariant to the
+// single-writer Tally lanes count into: its exported counters must match
+// StatsSnapshot one-to-one, so a counter added to Stats cannot be left
+// uncounted on the lane path.
+func TestTallyMirrorsStatsSnapshot(t *testing.T) {
+	tt := reflect.TypeOf(Tally{})
+	sn := reflect.TypeOf(StatsSnapshot{})
+	var exported []reflect.StructField
+	for i := 0; i < tt.NumField(); i++ {
+		if tt.Field(i).IsExported() {
+			exported = append(exported, tt.Field(i))
+		}
+	}
+	if len(exported) != sn.NumField() {
+		t.Fatalf("Tally has %d exported counters, StatsSnapshot has %d fields", len(exported), sn.NumField())
+	}
+	for i, f := range exported {
+		if f.Name != sn.Field(i).Name {
+			t.Errorf("field %d: Tally.%s vs StatsSnapshot.%s", i, f.Name, sn.Field(i).Name)
+		}
+		if f.Type.Kind() != reflect.Int64 {
+			t.Errorf("Tally.%s is %v, want int64", f.Name, f.Type)
+		}
+	}
+}
+
+// TestTallyFoldCopiesEveryCounter cross-checks Fold against reflection:
+// each tally counter set to a distinct value must reach the matching Stats
+// field and the returned delta, and the fold must leave the tally zeroed.
+func TestTallyFoldCopiesEveryCounter(t *testing.T) {
+	var tl Tally
+	v := reflect.ValueOf(&tl).Elem()
+	want := map[string]int64{}
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Type().Field(i); f.IsExported() {
+			v.Field(i).SetInt(int64(100 + i))
+			want[f.Name] = int64(100 + i)
+		}
+	}
+	s := &Stats{}
+	s.Probes.Store(1) // Fold adds to the totals; it does not overwrite them
+	d := reflect.ValueOf(tl.Fold(s))
+	got := reflect.ValueOf(s.Snapshot())
+	for i := 0; i < got.NumField(); i++ {
+		name := got.Type().Field(i).Name
+		total := want[name]
+		if name == "Probes" {
+			total++
+		}
+		if g := got.Field(i).Int(); g != total {
+			t.Errorf("Stats.%s = %d after Fold, want %d", name, g, total)
+		}
+		if g := d.Field(i).Int(); g != want[name] {
+			t.Errorf("Fold delta %s = %d, want %d", name, g, want[name])
+		}
+	}
+	if tl != (Tally{}) {
+		t.Errorf("Fold left the tally at %+v, want zero", tl)
+	}
+	// A nil Stats still drains the tally (metrics-only accounting).
+	tl.Accumulates = 3
+	if d := tl.Fold(nil); d.Accumulates != 3 || tl.Accumulates != 0 {
+		t.Errorf("Fold(nil) = %+v, tally left %d; want 3 folded and 0 left", d, tl.Accumulates)
+	}
+}
+
+// TestTallyBucketsMatchHistogram pins the tally's plain bucketing to the
+// histogram's own: probe lengths bucketed by Tally and merged in bulk must
+// leave hashtable_probe_length exactly where one Observe per length would.
+func TestTallyBucketsMatchHistogram(t *testing.T) {
+	var tl Tally
+	ref := metrics.NewRegistry().Histogram("ref", "", metrics.ExpBuckets(1, 2, probeBuckets))
+	merged := metrics.NewRegistry().Histogram("merged", "", metrics.ExpBuckets(1, 2, probeBuckets))
+	for p := int64(1); p <= 1500; p++ {
+		tl.hit(p, p-1)
+		ref.Observe(float64(p))
+	}
+	merged.Merge(tl.probeLen[:], float64(tl.Probes-tl.failedProbes))
+	if merged.Count() != ref.Count() || merged.Sum() != ref.Sum() {
+		t.Fatalf("merged count/sum = %d/%v, observed %d/%v", merged.Count(), merged.Sum(), ref.Count(), ref.Sum())
+	}
+	for _, q := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
+		if a, b := merged.Quantile(q), ref.Quantile(q); a != b {
+			t.Errorf("q%.2f: merged %v, observed %v", q, a, b)
+		}
+	}
+}
+
+// TestMetricsRideStatsGate pins the metrics bridge to the counting gate:
+// probe histogram and counters advance only for accumulates given a Tally,
+// and only when that tally is folded, so the uncounted hot path stays
+// metric-free too.
 func TestMetricsRideStatsGate(t *testing.T) {
 	countBefore := func() int64 { return mProbeLen.Count() }
 
 	off := NewArena(Float32, 64)
 	tb := off.TableFor(0, 8, QuadraticDouble)
-	tb.Accumulate(1, 1, false)
+	tb.Accumulate(1, 1, false, nil)
 	c0 := countBefore()
 
 	on := NewArena(Float32, 64)
-	on.Stats = &Stats{}
+	tl := &Tally{}
 	tb = on.TableFor(0, 8, QuadraticDouble)
-	if !tb.Accumulate(1, 1, false) {
+	if !tb.Accumulate(1, 1, false, tl) {
 		t.Fatal("accumulate failed")
 	}
+	if got := countBefore(); got != c0 {
+		t.Fatalf("probe histogram advanced by %d before the fold, want 0", got-c0)
+	}
+	tl.Fold(&Stats{})
 	if got := countBefore(); got != c0+1 {
-		t.Fatalf("probe histogram advanced by %d with Stats attached, want 1", got-c0)
+		t.Fatalf("probe histogram advanced by %d with a Tally folded, want 1", got-c0)
 	}
 
 	off2 := NewArena(Float32, 64)
 	tb = off2.TableFor(0, 8, QuadraticDouble)
-	tb.Accumulate(2, 1, false)
+	tb.Accumulate(2, 1, false, nil)
 	if got := countBefore(); got != c0+1 {
-		t.Fatalf("probe histogram advanced without Stats (count %d, want %d)", got, c0+1)
+		t.Fatalf("probe histogram advanced without a Tally (count %d, want %d)", got, c0+1)
 	}
 }

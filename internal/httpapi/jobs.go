@@ -117,6 +117,7 @@ type job struct {
 	id        int
 	spec      JobSpec
 	state     JobState
+	finishing bool // set by the first finish call; later calls are no-ops
 	err       error
 	submitted time.Time
 	rec       *telemetry.Recorder
@@ -290,7 +291,6 @@ func (s *jobStore) submit(spec JobSpec, tenant string) (*job, error) {
 	s.mu.Lock()
 	j.id = s.next
 	s.next++
-	s.jobs[j.id] = j
 	s.mu.Unlock()
 	// The job's root span: everything the run does — detect, iterations,
 	// kernel launches, fault recovery — nests under it, and its trace id is
@@ -310,6 +310,11 @@ func (s *jobStore) submit(spec JobSpec, tenant string) (*job, error) {
 		Span:     j.span,
 	})
 	j.rec.SetSink(j.health)
+	// Publish only a fully initialized job: list() and byTrace() read
+	// traceID and span without the job's lock.
+	s.mu.Lock()
+	s.jobs[j.id] = j
+	s.mu.Unlock()
 
 	dec, err := s.sched.Submit(&sched.Task{
 		Tenant:   tenant,
@@ -408,27 +413,37 @@ func (j *job) requestCancel() bool {
 // eviction accounting.
 func (j *job) finish(state JobState, err error, res *engine.Result, mod float64) {
 	j.mu.Lock()
-	if j.state.Terminal() {
+	if j.finishing {
 		j.mu.Unlock()
 		return
 	}
-	j.state, j.err, j.res, j.mod = state, err, res, mod
+	j.finishing = true
 	j.mu.Unlock()
-	j.cancel()
 	// Post-mortem capture: faults, deadlines, and backend degradation each
 	// freeze the flight recorder before the monitor closes. A clean finish
 	// keeps the monitor's frames around for an explicit /jobs/{id}/flight.
-	if reason := flightReason(state, err, res); reason != "" {
+	// The bundle is stored in the same critical section that publishes the
+	// terminal state, so a client that sees the job fail always fetches the
+	// fault post-mortem, never a fresh on-request bundle.
+	var flight *health.FlightBundle
+	reason := flightReason(state, err, res)
+	if reason != "" {
 		switch reason {
 		case "degraded":
 			j.health.RecordEvent("fallback:direct", "simt backend degraded to direct")
 		default:
 			j.health.RecordEvent(reason, err.Error())
 		}
-		b := j.health.Flight(reason)
-		j.mu.Lock()
-		j.flight = b
-		j.mu.Unlock()
+		flight = j.health.Flight(reason)
+	}
+	j.mu.Lock()
+	j.state, j.err, j.res, j.mod = state, err, res, mod
+	if flight != nil {
+		j.flight = flight
+	}
+	j.mu.Unlock()
+	j.cancel()
+	if flight != nil {
 		slog.Warn("job flight recorded", "job", j.id, "reason", reason, "trace", j.traceID)
 	}
 	j.health.Close()

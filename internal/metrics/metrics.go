@@ -133,6 +133,35 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
+// Merge folds a batch of pre-bucketed observations in at once: counts[i]
+// observations fell in bucket i (counts has one entry per bound plus the
+// trailing +Inf bucket) and their values sum to sum. It is the bulk form of
+// Observe for hot paths that tally into a private buffer and fold it once,
+// instead of paying one contended update per observation. Merging a zero
+// batch is a no-op.
+func (h *Histogram) Merge(counts []int64, sum float64) {
+	if len(counts) != len(h.counts) {
+		panic(fmt.Sprintf("metrics: Merge of %d buckets into a histogram with %d", len(counts), len(h.counts)))
+	}
+	var n int64
+	for i, c := range counts {
+		if c != 0 {
+			h.counts[i].Add(c)
+			n += c
+		}
+	}
+	if n == 0 {
+		return
+	}
+	h.count.Add(n)
+	for {
+		old := h.sum.Load()
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+sum)) {
+			return
+		}
+	}
+}
+
 // ObserveExemplar records one observation and, when traceID is non-empty,
 // keeps it as the histogram's exemplar. The exemplar is rendered in
 // OpenMetrics style on the +Inf bucket line.

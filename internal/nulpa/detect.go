@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"nulpa/internal/engine"
@@ -123,34 +122,84 @@ type runState struct {
 	processed []uint32 // vertex pruning flags: 1 = skip
 	pickless  bool
 	noPrune   bool  // DisablePruning: skip the processed-flag fast path
-	deltaN    int64 // atomic: label changes this iteration
-	reverts   int64 // atomic: Cross-Check reverts this iteration
+	deltaN    int64 // label changes this iteration, folded from the tallies
+	reverts   int64 // Cross-Check reverts this iteration, folded from the tallies
 
-	// Work accounting. countWork gates the kernels' counter updates — set
-	// when the device profiler consumes work counters (simt.WantsWork).
-	// stats is the hashtable probe source for per-kernel attribution;
-	// lastHash is the snapshot at the previous kernel drain (kernel
-	// launches within a run are serialized, so a plain field suffices).
-	// iterEdges/iterActive accumulate the iteration's totals for the
-	// IterRecord: the simt backend adds from TakeWork on the launching
-	// goroutine, the direct backend adds worker-local sums atomically.
+	// Counting. Lanes on SM s (direct backend: worker s) write only
+	// tallies[s] and work.Shard(s), with plain adds; FoldTallies sums them on
+	// the launching goroutine once the grid has joined, so no lane ever
+	// contends on a shared counter. countWork gates the work counters — set
+	// when the device profiler consumes them (simt.WantsWork); countHash
+	// gates hashtable accounting — set with TrackStats (stats is then the
+	// Result's HashStats) or when work counters want per-kernel probes.
+	// launchHash is the last fold's hashtable counts, reported by TakeWork;
+	// iterEdges/iterActive accumulate the iteration's work totals for the
+	// IterRecord.
+	tallies    []smTally
+	work       simt.WorkAccum
 	countWork  bool
+	countHash  bool
 	stats      *hashtable.Stats
-	lastHash   hashtable.StatsSnapshot
+	launchHash hashtable.StatsSnapshot
 	iterEdges  int64
 	iterActive int64
 }
 
-// takeHashWork drains the hashtable probe/collision deltas since the last
-// kernel drain — the per-kernel attribution of the arena's shared stats.
-func (st *runState) takeHashWork() (probes, collisions int64) {
-	if st.stats == nil {
-		return 0, 0
+// smTally is one SM's (or one direct-backend worker's) single-writer
+// counters, padded so neighbouring SMs never write the same cache line.
+type smTally struct {
+	flips   int64
+	reverts int64
+	hash    hashtable.Tally
+	_       [simt.CacheLine]byte
+}
+
+// GrowTallies implements simt.TallyKernel for every kernel embedding the
+// run state: it makes room for sms per-SM tallies (allocating only when the
+// SM count grows).
+func (st *runState) GrowTallies(sms int) {
+	if sms > len(st.tallies) {
+		grown := make([]smTally, sms)
+		copy(grown, st.tallies)
+		st.tallies = grown
 	}
-	cur := st.stats.Snapshot()
-	d := cur.Sub(st.lastHash)
-	st.lastHash = cur
-	return d.Probes, d.Collisions
+	st.work.Grow(sms)
+}
+
+// FoldTallies implements simt.TallyKernel: it moves every per-SM tally into
+// the run's totals — deltaN, reverts, the hashtable Stats and metrics — and
+// zeroes it. Callers must have joined every goroutine that counts.
+func (st *runState) FoldTallies() {
+	var hash hashtable.StatsSnapshot
+	for i := range st.tallies {
+		tl := &st.tallies[i]
+		st.deltaN += tl.flips
+		st.reverts += tl.reverts
+		tl.flips, tl.reverts = 0, 0
+		d := tl.hash.Fold(st.stats)
+		hash.Probes += d.Probes
+		hash.Collisions += d.Collisions
+	}
+	st.launchHash = hash
+}
+
+// TakeWork implements simt.WorkReportingKernel for every kernel embedding
+// the run state, draining the launch's work counters; hashtable probes come
+// from the launch's fold.
+func (st *runState) TakeWork() (edgeVisits, labelFlips, hashProbes, hashCollisions, activeVertices int64) {
+	ev, lf, _, _, av := st.work.Take()
+	st.iterEdges += ev
+	st.iterActive += av
+	return ev, lf, st.launchHash.Probes, st.launchHash.Collisions, av
+}
+
+// hashTally returns SM sm's hashtable tally, or nil when nothing consumes
+// probe accounting.
+func (st *runState) hashTally(sm int) *hashtable.Tally {
+	if !st.countHash {
+		return nil
+	}
+	return &st.tallies[sm].hash
 }
 
 func detectSIMT(g *graph.CSR, opt Options) (*Result, error) {
@@ -246,16 +295,12 @@ func newDeviceRun(g *graph.CSR, opt Options, dev *simt.Device, view runView) (*d
 	res := &Result{DeviceBytes: bytes}
 	if opt.TrackStats {
 		res.HashStats = &hashtable.Stats{}
-		st.arena.attachStats(res.HashStats)
 	}
-	st.countWork = simt.WantsWork(dev.Prof)
 	st.stats = res.HashStats
-	if st.countWork && st.stats == nil {
-		// Work counters want per-kernel probe attribution even when the
-		// caller did not ask for the Result-level stats.
-		st.stats = &hashtable.Stats{}
-		st.arena.attachStats(st.stats)
-	}
+	st.countWork = simt.WantsWork(dev.Prof)
+	// Work counters want per-kernel probe attribution even when the caller
+	// did not ask for the Result-level stats.
+	st.countHash = st.stats != nil || st.countWork
 
 	st.labels = make([]uint32, n)
 	st.processed = make([]uint32, n)
@@ -342,8 +387,7 @@ func (r *deviceRun) iterate(ctx context.Context, iter int) engine.IterOutcome {
 	var hashBase hashtable.StatsSnapshot
 	var casBase simt.ContentionCounts
 	for attempt := 0; ; attempt++ {
-		atomic.StoreInt64(&st.deltaN, 0)
-		atomic.StoreInt64(&st.reverts, 0)
+		st.deltaN, st.reverts = 0, 0
 		st.iterEdges, st.iterActive = 0, 0
 		if crosscheck {
 			copy(st.prev, st.labels)
@@ -421,8 +465,7 @@ func (r *deviceRun) iterate(ctx context.Context, iter int) engine.IterOutcome {
 		}
 	}
 
-	gross := atomic.LoadInt64(&st.deltaN)
-	reverts := atomic.LoadInt64(&st.reverts)
+	gross, reverts := st.deltaN, st.reverts
 	delta := gross - reverts
 	res.Moves += delta
 	res.Reverts += reverts
@@ -538,23 +581,12 @@ type threadKernel struct {
 	*runState
 	list []graph.Vertex
 	cand []uint32
-	work simt.WorkAccum
 }
 
 func (k *threadKernel) NumPhases() int { return 2 }
 
 // KernelName implements simt.NamedKernel for profiling.
 func (k *threadKernel) KernelName() string { return "thread-per-vertex" }
-
-// TakeWork implements simt.WorkReportingKernel, draining the launch's work
-// counters; hashtable probes are attributed from the arena stats delta.
-func (k *threadKernel) TakeWork() (edgeVisits, labelFlips, hashProbes, hashCollisions, activeVertices int64) {
-	ev, lf, _, _, av := k.work.Take()
-	hp, hc := k.takeHashWork()
-	k.iterEdges += ev
-	k.iterActive += av
-	return ev, lf, hp, hc, av
-}
 
 func (k *threadKernel) Phase(p int, t *simt.Thread) {
 	gid := t.GlobalID()
@@ -573,18 +605,20 @@ func (k *threadKernel) Phase(p int, t *simt.Thread) {
 		}
 		deg := k.g.Degree(i)
 		if k.countWork {
-			k.work.ActiveVertices.Add(1)
-			k.work.EdgeVisits.Add(int64(deg))
+			w := k.work.Shard(t.SM)
+			w.ActiveVertices++
+			w.EdgeVisits += int64(deg)
 		}
 		tb := k.arena.tableFor(k.g.Offset(i), deg)
 		tb.clear(0, 1)
+		tl := k.hashTally(t.SM)
 		ts, ws := k.g.Neighbors(i)
 		for idx, j := range ts {
 			if j == i {
 				continue
 			}
 			cj := simt.AtomicLoadUint32(k.labels, int(j))
-			tb.accumulate(cj, float64(ws[idx]), false)
+			tb.accumulate(cj, float64(ws[idx]), false, tl)
 		}
 		if c, _, ok := tb.best(); ok {
 			k.cand[gid] = c
@@ -599,14 +633,15 @@ func (k *threadKernel) Phase(p int, t *simt.Thread) {
 			return
 		}
 		simt.AtomicStoreUint32(k.labels, int(i), c)
-		atomic.AddInt64(&k.deltaN, 1)
+		k.tallies[t.SM].flips++
 		ts, _ := k.g.Neighbors(i)
 		for _, j := range ts {
 			simt.AtomicStoreUint32(k.processed, int(j), 0)
 		}
 		if k.countWork {
-			k.work.LabelFlips.Add(1)
-			k.work.EdgeVisits.Add(int64(len(ts))) // neighbour wake-up scan
+			w := k.work.Shard(t.SM)
+			w.LabelFlips++
+			w.EdgeVisits += int64(len(ts)) // neighbour wake-up scan
 		}
 	}
 }
@@ -622,7 +657,6 @@ type blockKernel struct {
 	*runState
 	list     []graph.Vertex
 	blockDim int
-	work     simt.WorkAccum
 }
 
 func (k *blockKernel) NumPhases() int     { return 6 }
@@ -630,15 +664,6 @@ func (k *blockKernel) SharedUint64s() int { return 2 + 2*k.blockDim }
 
 // KernelName implements simt.NamedKernel for profiling.
 func (k *blockKernel) KernelName() string { return "block-per-vertex" }
-
-// TakeWork implements simt.WorkReportingKernel; see threadKernel.TakeWork.
-func (k *blockKernel) TakeWork() (edgeVisits, labelFlips, hashProbes, hashCollisions, activeVertices int64) {
-	ev, lf, _, _, av := k.work.Take()
-	hp, hc := k.takeHashWork()
-	k.iterEdges += ev
-	k.iterActive += av
-	return ev, lf, hp, hc, av
-}
 
 func (k *blockKernel) Phase(p int, t *simt.Thread) {
 	if t.Block >= len(k.list) {
@@ -660,8 +685,9 @@ func (k *blockKernel) Phase(p int, t *simt.Thread) {
 			t.Shared[0] = 0
 		}
 		if k.countWork {
-			k.work.ActiveVertices.Add(1)
-			k.work.EdgeVisits.Add(int64(k.g.Degree(i)))
+			w := k.work.Shard(t.SM)
+			w.ActiveVertices++
+			w.EdgeVisits += int64(k.g.Degree(i))
 		}
 	case 1: // strided hashtable clear
 		if t.Shared[0] == 1 {
@@ -674,6 +700,7 @@ func (k *blockKernel) Phase(p int, t *simt.Thread) {
 			return
 		}
 		tb := k.arena.tableFor(k.g.Offset(i), k.g.Degree(i))
+		tl := k.hashTally(t.SM)
 		ts, ws := k.g.Neighbors(i)
 		for idx := t.Lane; idx < len(ts); idx += t.BlockDim {
 			j := ts[idx]
@@ -681,7 +708,7 @@ func (k *blockKernel) Phase(p int, t *simt.Thread) {
 				continue
 			}
 			cj := simt.AtomicLoadUint32(k.labels, int(j))
-			tb.accumulate(cj, float64(ws[idx]), true)
+			tb.accumulate(cj, float64(ws[idx]), true, tl)
 		}
 	case 3: // parallel max-reduce, step 1: per-lane partial maxima
 		if t.Shared[0] == 1 {
@@ -723,13 +750,14 @@ func (k *blockKernel) Phase(p int, t *simt.Thread) {
 			return
 		}
 		simt.AtomicStoreUint32(k.labels, int(i), c)
-		atomic.AddInt64(&k.deltaN, 1)
+		k.tallies[t.SM].flips++
 		t.Shared[1] = 1
 		if k.countWork {
-			k.work.LabelFlips.Add(1)
+			w := k.work.Shard(t.SM)
+			w.LabelFlips++
 			// Phase 5's strided wake-up scans the full neighbourhood;
 			// counted here once rather than per lane.
-			k.work.EdgeVisits.Add(int64(k.g.Degree(i)))
+			w.EdgeVisits += int64(k.g.Degree(i))
 		}
 	case 5: // strided neighbour wake-up on move
 		if t.Shared[0] == 1 || t.Shared[1] == 0 {
@@ -751,7 +779,6 @@ func (k *blockKernel) Phase(p int, t *simt.Thread) {
 // asymmetry arises from asynchronous SM execution.
 type crossCheckKernel struct {
 	*runState
-	work simt.WorkAccum
 }
 
 func (k *crossCheckKernel) NumPhases() int { return 1 }
@@ -759,18 +786,10 @@ func (k *crossCheckKernel) NumPhases() int { return 1 }
 // KernelName implements simt.NamedKernel for profiling.
 func (k *crossCheckKernel) KernelName() string { return "cross-check" }
 
-// TakeWork implements simt.WorkReportingKernel: every vertex is inspected
-// (one leader lookup each, counted as active), and a revert is a label flip
-// back. The kernel does not touch the hashtable, so the probe delta it
-// drains is ~0 and keeps the per-kernel ledger exhaustive.
-func (k *crossCheckKernel) TakeWork() (edgeVisits, labelFlips, hashProbes, hashCollisions, activeVertices int64) {
-	ev, lf, _, _, av := k.work.Take()
-	hp, hc := k.takeHashWork()
-	k.iterEdges += ev
-	k.iterActive += av
-	return ev, lf, hp, hc, av
-}
-
+// Phase checks one vertex. Its work report (through the embedded run
+// state's TakeWork) counts a revert as a label flip back; the kernel does not
+// touch the hashtable, so its probe counts are zero and keep the per-kernel
+// ledger exhaustive.
 func (k *crossCheckKernel) Phase(_ int, t *simt.Thread) {
 	i := t.GlobalID()
 	if i >= len(k.labels) {
@@ -783,11 +802,11 @@ func (k *crossCheckKernel) Phase(_ int, t *simt.Thread) {
 	leader := simt.AtomicLoadUint32(k.labels, int(cur))
 	if leader != cur {
 		simt.AtomicStoreUint32(k.labels, i, k.prev[i])
-		atomic.AddInt64(&k.reverts, 1)
+		k.tallies[t.SM].reverts++
 		// The vertex changed again; let its neighbourhood reconsider.
 		simt.AtomicStoreUint32(k.processed, i, 0)
 		if k.countWork {
-			k.work.LabelFlips.Add(1)
+			k.work.Shard(t.SM).LabelFlips++
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"nulpa/internal/hashtable"
 	"nulpa/internal/quality"
 	"nulpa/internal/simt"
+	"nulpa/internal/telemetry"
 )
 
 func detect(t *testing.T, g *graph.CSR, opt Options) *Result {
@@ -507,5 +508,49 @@ func TestWeightedPickLess(t *testing.T) {
 	res := detect(t, g, DefaultOptions())
 	if res.Labels[2] != res.Labels[1] {
 		t.Errorf("vertex 2 ignored the weight-5 edge: labels=%v", res.Labels)
+	}
+}
+
+// TestProfiledFoldAllocatesNothing pins the per-launch fold of a profiled
+// run — per-SM hashtable tallies into HashStats and the probe-length
+// histogram, flips into deltaN, work shards into the profiler's counts — to
+// zero allocations, so the cost of counting stays a few plain adds per lane
+// and a fixed fold per launch.
+func TestProfiledFoldAllocatesNothing(t *testing.T) {
+	g := gen.ErdosRenyi(200, 1200, 5)
+	opt := DefaultOptions()
+	opt.TrackStats = true
+	opt.Profiler = telemetry.NewRecorder()
+	dev := simt.NewDevice(2)
+	r, err := newDeviceRun(g, opt, dev, runView{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.free()
+	st := r.st
+	if !st.countWork || !st.countHash {
+		t.Fatal("a profiled run must count work and hashtable probes")
+	}
+	dev.Launch1D(len(r.low), 32, r.tk) // ≥ 2 blocks: sizes tallies for both SMs
+	i := r.low[0]
+	lane := func(sm int) {
+		tb := st.arena.tableFor(g.Offset(i), g.Degree(i))
+		tb.clear(0, 1)
+		tb.accumulate(7, 1, false, st.hashTally(sm))
+		st.tallies[sm].flips++
+		st.work.Shard(sm).EdgeVisits += int64(g.Degree(i))
+	}
+	before := st.stats.Snapshot()
+	allocs := testing.AllocsPerRun(100, func() {
+		lane(0)
+		lane(1)
+		st.FoldTallies()
+		st.TakeWork()
+	})
+	if allocs != 0 {
+		t.Errorf("profiled fold allocates %v per launch, want 0", allocs)
+	}
+	if d := st.stats.Snapshot().Sub(before); d.Accumulates != 2*101 {
+		t.Errorf("folded %d accumulates over 101 runs of 2 lanes, want %d", d.Accumulates, 2*101)
 	}
 }

@@ -31,8 +31,12 @@ func detectDirect(g *graph.CSR, opt Options) (*Result, error) {
 	res := &Result{DeviceBytes: st.arena.bytes()}
 	if opt.TrackStats {
 		res.HashStats = &hashtable.Stats{}
-		st.arena.attachStats(res.HashStats)
 	}
+	st.stats = res.HashStats
+	st.countHash = st.stats != nil
+	// One tally per worker: worker w counts into tallies[w] and
+	// work.Shard(w) exactly as SM w does on the simt backend.
+	st.GrowTallies(workers)
 	st.labels = make([]uint32, n)
 	st.processed = make([]uint32, n)
 	for i := range st.labels {
@@ -51,10 +55,8 @@ func detectDirect(g *graph.CSR, opt Options) (*Result, error) {
 	}, func(_ context.Context, iter int) engine.IterOutcome {
 		st.pickless = opt.PickLessEvery > 0 && iter%opt.PickLessEvery == 0
 		crosscheck := opt.CrossCheckEvery > 0 && iter%opt.CrossCheckEvery == 0
-		atomic.StoreInt64(&st.deltaN, 0)
-		atomic.StoreInt64(&st.reverts, 0)
-		atomic.StoreInt64(&st.iterEdges, 0)
-		atomic.StoreInt64(&st.iterActive, 0)
+		st.deltaN, st.reverts = 0, 0
+		st.iterEdges, st.iterActive = 0, 0
 		if crosscheck {
 			copy(st.prev, st.labels)
 		}
@@ -68,10 +70,10 @@ func detectDirect(g *graph.CSR, opt Options) (*Result, error) {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func() {
+			go func(w int) {
 				defer wg.Done()
+				tl, work, htl := &st.tallies[w], st.work.Shard(w), st.hashTally(w)
 				cand := make([]uint32, chunk)
-				var local, edges, active int64
 				for {
 					c := atomic.AddInt64(&cursor, chunk) - chunk
 					if c >= int64(n) {
@@ -88,32 +90,30 @@ func detectDirect(g *graph.CSR, opt Options) (*Result, error) {
 					// small label across a community in a single pass.
 					for v := c; v < hi; v++ {
 						var e int64
-						cand[v-c], e = candidateDirect(st, graph.Vertex(v))
+						cand[v-c], e = candidateDirect(st, graph.Vertex(v), htl)
 						if e > 0 {
-							edges += e
-							active++
+							work.EdgeVisits += e
+							work.ActiveVertices++
 						}
 					}
 					for v := c; v < hi; v++ {
 						if applyMoveDirect(st, graph.Vertex(v), cand[v-c]) {
-							local++
-							edges += int64(st.g.Degree(graph.Vertex(v))) // wake scan
+							tl.flips++
+							work.EdgeVisits += int64(st.g.Degree(graph.Vertex(v))) // wake scan
 						}
 					}
 				}
-				atomic.AddInt64(&st.deltaN, local)
-				atomic.AddInt64(&st.iterEdges, edges)
-				atomic.AddInt64(&st.iterActive, active)
-			}()
+			}(w)
 		}
 		wg.Wait()
 
 		if crosscheck {
 			crossCheckDirect(st, workers)
 		}
+		st.FoldTallies()
+		st.TakeWork()
 
-		gross := atomic.LoadInt64(&st.deltaN)
-		reverts := atomic.LoadInt64(&st.reverts)
+		gross, reverts := st.deltaN, st.reverts
 		delta := gross - reverts
 		res.Moves += delta
 		res.Reverts += reverts
@@ -125,8 +125,8 @@ func detectDirect(g *graph.CSR, opt Options) (*Result, error) {
 			Reverts:        reverts,
 			DeltaN:         delta,
 			Pruned:         pruned,
-			EdgeVisits:     atomic.LoadInt64(&st.iterEdges),
-			ActiveVertices: atomic.LoadInt64(&st.iterActive),
+			EdgeVisits:     st.iterEdges,
+			ActiveVertices: st.iterActive,
 		}
 		if res.HashStats != nil {
 			d := res.HashStats.Snapshot().Sub(hashBase)
@@ -156,8 +156,9 @@ func detectDirect(g *graph.CSR, opt Options) (*Result, error) {
 // candidateDirect computes a vertex's most weighted neighbouring label, or
 // hashtable.EmptyKey when the vertex is skipped (pruned or isolated). The
 // second return is the number of edges scanned — zero exactly when the
-// vertex was skipped, which doubles as the active-vertex signal.
-func candidateDirect(st *runState, i graph.Vertex) (uint32, int64) {
+// vertex was skipped, which doubles as the active-vertex signal. Probe
+// accounting goes to the calling worker's tally tl (nil: not counting).
+func candidateDirect(st *runState, i graph.Vertex, tl *hashtable.Tally) (uint32, int64) {
 	if !st.noPrune && simt.AtomicLoadUint32(st.processed, int(i)) == 1 {
 		return hashtable.EmptyKey, 0
 	}
@@ -176,7 +177,7 @@ func candidateDirect(st *runState, i graph.Vertex) (uint32, int64) {
 			continue
 		}
 		cj := simt.AtomicLoadUint32(st.labels, int(j))
-		tb.accumulate(cj, float64(ws[idx]), false)
+		tb.accumulate(cj, float64(ws[idx]), false, tl)
 	}
 	c, _, ok := tb.best()
 	if !ok {
@@ -204,7 +205,7 @@ func applyMoveDirect(st *runState, i graph.Vertex, c uint32) bool {
 }
 
 // crossCheckDirect applies the Cross-Check revert pass with a parallel
-// chunked loop.
+// chunked loop; worker w counts its reverts into tallies[w].
 func crossCheckDirect(st *runState, workers int) {
 	n := len(st.labels)
 	const chunk = 4096
@@ -212,9 +213,8 @@ func crossCheckDirect(st *runState, workers int) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(tl *smTally) {
 			defer wg.Done()
-			var local int64
 			for {
 				c := atomic.AddInt64(&cursor, chunk) - chunk
 				if c >= int64(n) {
@@ -233,12 +233,11 @@ func crossCheckDirect(st *runState, workers int) {
 					if leader != cur {
 						simt.AtomicStoreUint32(st.labels, int(i), st.prev[i])
 						simt.AtomicStoreUint32(st.processed, int(i), 0)
-						local++
+						tl.reverts++
 					}
 				}
 			}
-			atomic.AddInt64(&st.reverts, local)
-		}()
+		}(&st.tallies[w])
 	}
 	wg.Wait()
 }

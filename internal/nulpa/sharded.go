@@ -189,9 +189,7 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 		res.ShardStats[s].Rollbacks = r.res.Rollbacks
 		res.ShardStats[s].Moves = r.res.Moves
 		mShardMoves.With(strconv.Itoa(s)).Add(r.res.Moves)
-		if res.HashStats != nil {
-			addStats(res.HashStats, r.res.HashStats.Snapshot())
-		}
+		res.HashStats.Add(r.res.HashStats.Snapshot())
 	}
 	for _, rec := range lr.Trace {
 		res.DeltaHistory = append(res.DeltaHistory, rec.DeltaN)
@@ -221,14 +219,4 @@ func wakeGhostNeighbors(st *runState, ghost graph.Vertex) {
 	for _, j := range ts {
 		simt.AtomicStoreUint32(st.processed, int(j), 0)
 	}
-}
-
-// addStats folds a per-shard probe-accounting snapshot into the merged
-// Result-level Stats.
-func addStats(dst *hashtable.Stats, s hashtable.StatsSnapshot) {
-	dst.Accumulates.Add(s.Accumulates)
-	dst.Probes.Add(s.Probes)
-	dst.Collisions.Add(s.Collisions)
-	dst.Fallbacks.Add(s.Fallbacks)
-	dst.Failures.Add(s.Failures)
 }

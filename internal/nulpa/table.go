@@ -29,14 +29,6 @@ func (a anyArena) bytes() int64 {
 	return a.open.Bytes()
 }
 
-func (a anyArena) attachStats(s *hashtable.Stats) {
-	if a.coal != nil {
-		a.coal.Stats = s
-	} else {
-		a.open.Stats = s
-	}
-}
-
 func (a anyArena) tableFor(offset int64, degree int) anyTable {
 	if a.coal != nil {
 		return anyTable{coal: a.coal.TableFor(offset, degree), isCoal: true}
@@ -58,11 +50,13 @@ func (t anyTable) clear(lane, stride int) {
 	t.open.Clear(lane, stride)
 }
 
-func (t anyTable) accumulate(k uint32, v float64, shared bool) bool {
+// accumulate adds v to label k's slot, counting the probes into tl (nil:
+// not counting).
+func (t anyTable) accumulate(k uint32, v float64, shared bool, tl *hashtable.Tally) bool {
 	if t.isCoal {
-		return t.coal.Accumulate(k, v, shared)
+		return t.coal.Accumulate(k, v, shared, tl)
 	}
-	return t.open.Accumulate(k, v, shared)
+	return t.open.Accumulate(k, v, shared, tl)
 }
 
 // BestStrided returns the first label with the highest weight among slots

@@ -86,6 +86,20 @@ type Profiler interface {
 	KernelEnd(launch int, start, end time.Time)
 }
 
+// TallyKernel is the optional Kernel extension for kernels whose lanes
+// count into single-writer per-SM tallies (indexed by Thread.SM) instead of
+// shared atomics. launch() calls GrowTallies with the launch's SM count on
+// the launching goroutine before any block runs, and FoldTallies on the same
+// goroutine after the grid has joined — before TakeWork and KernelEnd — so
+// each shared total advances once per launch, whatever the lane count.
+type TallyKernel interface {
+	Kernel
+	// GrowTallies makes room for sms per-SM tallies.
+	GrowTallies(sms int)
+	// FoldTallies folds and zeroes the per-SM tallies.
+	FoldTallies()
+}
+
 // NamedKernel is implemented by kernels that report a stable name to
 // profilers; others are named by their Go type.
 type NamedKernel interface {
@@ -281,6 +295,10 @@ func (d *Device) launch(ctx context.Context, gridDim, blockDim int, k Kernel, st
 	if nSM > gridDim {
 		nSM = gridDim
 	}
+	tk, _ := k.(TallyKernel)
+	if tk != nil {
+		tk.GrowTallies(nSM)
+	}
 	prof := d.Prof
 	var launch int
 	var kStart time.Time
@@ -359,6 +377,9 @@ func (d *Device) launch(ctx context.Context, gridDim, blockDim int, k Kernel, st
 		}(sm)
 	}
 	wg.Wait()
+	if tk != nil {
+		tk.FoldTallies()
+	}
 	if prof != nil {
 		// Work counters drain before KernelEnd so profilers that drop
 		// launch state on end (MetricsProfiler) still see the kernel name.

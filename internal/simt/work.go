@@ -1,10 +1,6 @@
 package simt
 
-import (
-	"sync/atomic"
-
-	"nulpa/internal/metrics"
-)
+import "nulpa/internal/metrics"
 
 // Work accounting: kernels that can count their algorithmic work — edge
 // visits, label flips, hashtable probes/collisions, active vertices — report
@@ -21,9 +17,11 @@ import (
 // Profiler itself — which is why KernelWork passes flat int64s rather than a
 // shared struct.
 //
-// Counting is gated on the profiler actually wanting the numbers: kernels
-// check WantsWork(dev.Prof) once per run and skip the atomic adds when false,
-// keeping the disabled path allocation- and contention-free.
+// Counting is contention-free: a lane counts into its SM's own shard
+// (WorkAccum.Shard(t.SM)) with plain adds, and nothing is summed until the
+// grid has joined. Kernels still check WantsWork(dev.Prof) once per run and
+// skip counting when false, keeping the disabled path free of even those
+// adds.
 
 // WorkProfiler is the optional Profiler extension receiving per-launch
 // algorithmic work counters. KernelWork is called at most once per launch,
@@ -42,7 +40,7 @@ type WorkReportingKernel interface {
 }
 
 // WantsWork reports whether profiler p consumes work counters — the gate
-// kernels use to decide whether counting is worth the atomic adds. A
+// kernels use to decide whether counting is worth the per-SM adds. A
 // MultiProfiler wants work when any child does.
 func WantsWork(p Profiler) bool {
 	if m, ok := p.(*multiProfiler); ok {
@@ -57,21 +55,61 @@ func WantsWork(p Profiler) bool {
 	return ok
 }
 
-// WorkAccum is a concurrency-safe work-counter accumulator for kernels to
-// embed: lanes add from SM goroutines, TakeWork drains from the launching
-// goroutine. The zero value is ready to use.
-type WorkAccum struct {
-	EdgeVisits     atomic.Int64
-	LabelFlips     atomic.Int64
-	HashProbes     atomic.Int64
-	HashCollisions atomic.Int64
-	ActiveVertices atomic.Int64
+// WorkCounts is one SM's share of a launch's work counters. Only the SM's
+// own goroutine writes it, with plain adds.
+type WorkCounts struct {
+	EdgeVisits     int64
+	LabelFlips     int64
+	HashProbes     int64
+	HashCollisions int64
+	ActiveVertices int64
 }
+
+// CacheLine is the padding that keeps per-SM tallies written by different
+// SM goroutines off each other's cache lines: a full line of trailing
+// padding separates neighbouring tallies whatever the slice's alignment.
+const CacheLine = 64
+
+// workShard is one SM's counters, padded against false sharing.
+type workShard struct {
+	WorkCounts
+	_ [CacheLine]byte
+}
+
+// WorkAccum is a per-SM sharded work-counter accumulator for kernels to
+// embed: a lane adds to Shard(t.SM) from its SM goroutine, and Take sums and
+// drains the shards from the launching goroutine once the grid has joined.
+// Size it with Grow before a launch (TallyKernel.GrowTallies is the hook);
+// the zero value has no shards.
+type WorkAccum struct {
+	shards []workShard
+}
+
+// Grow makes room for sms shards. It allocates only when sms exceeds every
+// earlier size, and must not run concurrently with a launch.
+func (w *WorkAccum) Grow(sms int) {
+	if sms > len(w.shards) {
+		grown := make([]workShard, sms)
+		copy(grown, w.shards)
+		w.shards = grown
+	}
+}
+
+// Shard returns SM sm's counters. Only that SM's goroutine may write them.
+func (w *WorkAccum) Shard(sm int) *WorkCounts { return &w.shards[sm].WorkCounts }
 
 // Take drains the accumulator, returning the counts since the last Take.
 func (w *WorkAccum) Take() (edgeVisits, labelFlips, hashProbes, hashCollisions, activeVertices int64) {
-	return w.EdgeVisits.Swap(0), w.LabelFlips.Swap(0), w.HashProbes.Swap(0),
-		w.HashCollisions.Swap(0), w.ActiveVertices.Swap(0)
+	for i := range w.shards {
+		c := &w.shards[i].WorkCounts
+		edgeVisits += c.EdgeVisits
+		labelFlips += c.LabelFlips
+		hashProbes += c.HashProbes
+		hashCollisions += c.HashCollisions
+		activeVertices += c.ActiveVertices
+		*c = WorkCounts{}
+	}
+	return edgeVisits, labelFlips, hashProbes, hashCollisions, activeVertices
 }
 
 // Metrics-plane export: per-kernel work counters, populated whenever a

@@ -7,18 +7,24 @@ import (
 	"nulpa/internal/metrics"
 )
 
-// workKernel counts one edge visit per lane and reports through TakeWork —
-// the minimal WorkReportingKernel.
+// workKernel counts one edge visit per lane into its SM's shard and reports
+// through TakeWork — the minimal WorkReportingKernel. folds counts the
+// FoldTallies calls, which must happen once per launch.
 type workKernel struct {
-	work WorkAccum
+	work  WorkAccum
+	folds int
 }
 
 func (k *workKernel) NumPhases() int { return 1 }
 
 func (k *workKernel) Phase(p int, t *Thread) {
-	k.work.EdgeVisits.Add(1)
-	k.work.ActiveVertices.Add(1)
+	w := k.work.Shard(t.SM)
+	w.EdgeVisits++
+	w.ActiveVertices++
 }
+
+func (k *workKernel) GrowTallies(sms int) { k.work.Grow(sms) }
+func (k *workKernel) FoldTallies()        { k.folds++ }
 
 func (k *workKernel) TakeWork() (edgeVisits, labelFlips, hashProbes, hashCollisions, activeVertices int64) {
 	ev, lf, hp, hc, av := k.work.Take()
@@ -77,6 +83,33 @@ func TestWorkFlowsToProfiler(t *testing.T) {
 	dev.Launch(grid, blockDim, k)
 	if got := cap.work[1]; got[0] != want {
 		t.Errorf("second launch edgeVisits = %d, want %d (drain must reset)", got[0], want)
+	}
+	if k.folds != 2 {
+		t.Errorf("FoldTallies called %d times over 2 launches, want 2", k.folds)
+	}
+}
+
+// TestWorkAccumShardsSum checks the sharded accumulator: shards written
+// independently sum in Take, Take drains, and Grow keeps counts already
+// tallied.
+func TestWorkAccumShardsSum(t *testing.T) {
+	var w WorkAccum
+	w.Grow(2)
+	w.Shard(0).EdgeVisits = 3
+	w.Shard(1).EdgeVisits = 4
+	w.Shard(1).LabelFlips = 1
+	w.Grow(4)
+	w.Shard(3).ActiveVertices = 5
+	w.Grow(1) // never shrinks
+	ev, lf, hp, hc, av := w.Take()
+	if ev != 7 || lf != 1 || hp != 0 || hc != 0 || av != 5 {
+		t.Errorf("Take = %d %d %d %d %d, want 7 1 0 0 5", ev, lf, hp, hc, av)
+	}
+	if ev, lf, hp, hc, av := w.Take(); ev|lf|hp|hc|av != 0 {
+		t.Errorf("second Take = %d %d %d %d %d, want zeros", ev, lf, hp, hc, av)
+	}
+	if a := testing.AllocsPerRun(100, func() { w.Grow(4); w.Take() }); a != 0 {
+		t.Errorf("Grow to a reached size + Take allocate %v, want 0", a)
 	}
 }
 
