@@ -653,10 +653,28 @@ func (k *threadKernel) Phase(p int, t *simt.Thread) {
 // the partials — the hashtableMaxKey "in parallel" of Algorithm 1), then the
 // move. Shared memory layout: word 0 = skip flag, word 1 = moved flag,
 // words [2, 2+2·blockDim) = per-lane (key, weight-bits) partial maxima.
+//
+// Each phase's lane body lives once, in lane. Phase drives it for one lane;
+// BlockPhase (simt.BlockPhaseKernel) drives it for a whole block, deriving
+// the vertex state once per block and running only the lanes that can have
+// an effect — a vertex of degree 40 on a 256-lane block does its work in
+// 40-odd lanes, not 256.
 type blockKernel struct {
 	*runState
 	list     []graph.Vertex
 	blockDim int
+	cur      []blockVertex // per SM: the block BlockPhase is running
+}
+
+// blockVertex is what every lane of a block derives from its vertex.
+type blockVertex struct {
+	i   graph.Vertex
+	deg int
+	cap int // hashtable capacity: slots [0, cap)
+	tb  anyTable
+	ts  []graph.Vertex
+	ws  []float32
+	tl  *hashtable.Tally
 }
 
 func (k *blockKernel) NumPhases() int     { return 6 }
@@ -665,57 +683,123 @@ func (k *blockKernel) SharedUint64s() int { return 2 + 2*k.blockDim }
 // KernelName implements simt.NamedKernel for profiling.
 func (k *blockKernel) KernelName() string { return "block-per-vertex" }
 
+// GrowTallies implements simt.TallyKernel, adding BlockPhase's per-SM block
+// state to the run state's tallies.
+func (k *blockKernel) GrowTallies(sms int) {
+	k.runState.GrowTallies(sms)
+	if sms > len(k.cur) {
+		k.cur = make([]blockVertex, sms)
+	}
+}
+
+// vertex derives the state of block t.Block's vertex as SM t.SM sees it.
+func (k *blockKernel) vertex(t *simt.Thread) blockVertex {
+	i := k.list[t.Block]
+	deg := k.g.Degree(i)
+	ts, ws := k.g.Neighbors(i)
+	return blockVertex{
+		i:   i,
+		deg: deg,
+		cap: int(hashtable.CapacityFor(deg)),
+		tb:  k.arena.tableFor(k.g.Offset(i), deg),
+		ts:  ts,
+		ws:  ws,
+		tl:  k.hashTally(t.SM),
+	}
+}
+
+// Phase implements simt.Kernel: phase p for the one lane t.
 func (k *blockKernel) Phase(p int, t *simt.Thread) {
 	if t.Block >= len(k.list) {
 		return
 	}
-	i := k.list[t.Block]
+	v := k.vertex(t)
+	k.lane(p, t, &v)
+}
+
+// BlockPhase implements simt.BlockPhaseKernel: phase p for lanes
+// 0..activeLanes-1 of block t.Block. Every lane it skips would have returned
+// from lane without an effect, so the result equals Phase over all
+// t.BlockDim lanes.
+func (k *blockKernel) BlockPhase(p int, t *simt.Thread) int {
+	if t.Block >= len(k.list) {
+		return 0
+	}
+	v := &k.cur[t.SM]
+	if p == 0 {
+		*v = k.vertex(t)
+	} else if t.Shared[0] == 1 {
+		return 0 // pruned: every later phase is a no-op
+	}
+	n := activeLanes(p, t, v)
+	for lane := 0; lane < n; lane++ {
+		t.Lane = lane
+		k.lane(p, t, v)
+	}
+	return n
+}
+
+// activeLanes is how many leading lanes of phase p can have an effect on
+// vertex v; lane returns at once for every lane at or beyond it.
+func activeLanes(p int, t *simt.Thread, v *blockVertex) int {
+	switch p {
+	case 0, 4: // lane 0 only
+		return 1
+	case 1, 3: // one lane per slot
+		return min(v.cap, t.BlockDim)
+	case 5:
+		if t.Shared[1] == 0 {
+			return 0
+		}
+	}
+	return min(v.deg, t.BlockDim) // phases 2 and 5: one lane per neighbour
+}
+
+// lane runs phase p for lane t.Lane of vertex v's block.
+func (k *blockKernel) lane(p int, t *simt.Thread, v *blockVertex) {
 	switch p {
 	case 0: // lane 0 claims the vertex
 		if t.Lane != 0 {
 			return
 		}
 		if !k.noPrune {
-			if simt.AtomicLoadUint32(k.processed, int(i)) == 1 {
+			if simt.AtomicLoadUint32(k.processed, int(v.i)) == 1 {
 				t.Shared[0] = 1
 				return
 			}
-			simt.AtomicStoreUint32(k.processed, int(i), 1)
+			simt.AtomicStoreUint32(k.processed, int(v.i), 1)
 		} else {
 			t.Shared[0] = 0
 		}
 		if k.countWork {
 			w := k.work.Shard(t.SM)
 			w.ActiveVertices++
-			w.EdgeVisits += int64(k.g.Degree(i))
+			w.EdgeVisits += int64(v.deg)
 		}
 	case 1: // strided hashtable clear
 		if t.Shared[0] == 1 {
 			return
 		}
-		tb := k.arena.tableFor(k.g.Offset(i), k.g.Degree(i))
-		tb.clear(t.Lane, t.BlockDim)
+		v.tb.clear(t.Lane, t.BlockDim)
 	case 2: // strided atomic accumulation of neighbour labels
 		if t.Shared[0] == 1 {
 			return
 		}
-		tb := k.arena.tableFor(k.g.Offset(i), k.g.Degree(i))
-		tl := k.hashTally(t.SM)
-		ts, ws := k.g.Neighbors(i)
-		for idx := t.Lane; idx < len(ts); idx += t.BlockDim {
-			j := ts[idx]
-			if j == i {
+		for idx := t.Lane; idx < len(v.ts); idx += t.BlockDim {
+			j := v.ts[idx]
+			if j == v.i {
 				continue
 			}
 			cj := simt.AtomicLoadUint32(k.labels, int(j))
-			tb.accumulate(cj, float64(ws[idx]), true, tl)
+			v.tb.accumulate(cj, float64(v.ws[idx]), true, v.tl)
 		}
 	case 3: // parallel max-reduce, step 1: per-lane partial maxima
-		if t.Shared[0] == 1 {
+		// A lane at or beyond the capacity owns no slot and leaves its
+		// partial unwritten; step 2 scans only the lanes that own slots.
+		if t.Shared[0] == 1 || t.Lane >= v.cap {
 			return
 		}
-		tb := k.arena.tableFor(k.g.Offset(i), k.g.Degree(i))
-		bestK, bestW, ok := tb.BestStrided(t.Lane, t.BlockDim)
+		bestK, bestW, ok := v.tb.BestStrided(t.Lane, t.BlockDim)
 		slot := 2 + 2*t.Lane
 		if !ok {
 			t.Shared[slot] = uint64(hashtable.EmptyKey)
@@ -731,7 +815,7 @@ func (k *blockKernel) Phase(p int, t *simt.Thread) {
 		c := hashtable.EmptyKey
 		var w float64
 		ok := false
-		for lane := 0; lane < t.BlockDim; lane++ {
+		for lane := 0; lane < min(v.cap, t.BlockDim); lane++ {
 			slot := 2 + 2*lane
 			lk := uint32(t.Shared[slot])
 			if lk == hashtable.EmptyKey {
@@ -745,11 +829,11 @@ func (k *blockKernel) Phase(p int, t *simt.Thread) {
 		if !ok {
 			return
 		}
-		cur := simt.AtomicLoadUint32(k.labels, int(i))
+		cur := simt.AtomicLoadUint32(k.labels, int(v.i))
 		if c == cur || (k.pickless && c > cur) {
 			return
 		}
-		simt.AtomicStoreUint32(k.labels, int(i), c)
+		simt.AtomicStoreUint32(k.labels, int(v.i), c)
 		k.tallies[t.SM].flips++
 		t.Shared[1] = 1
 		if k.countWork {
@@ -757,15 +841,14 @@ func (k *blockKernel) Phase(p int, t *simt.Thread) {
 			w.LabelFlips++
 			// Phase 5's strided wake-up scans the full neighbourhood;
 			// counted here once rather than per lane.
-			w.EdgeVisits += int64(k.g.Degree(i))
+			w.EdgeVisits += int64(v.deg)
 		}
 	case 5: // strided neighbour wake-up on move
 		if t.Shared[0] == 1 || t.Shared[1] == 0 {
 			return
 		}
-		ts, _ := k.g.Neighbors(i)
-		for idx := t.Lane; idx < len(ts); idx += t.BlockDim {
-			simt.AtomicStoreUint32(k.processed, int(ts[idx]), 0)
+		for idx := t.Lane; idx < len(v.ts); idx += t.BlockDim {
+			simt.AtomicStoreUint32(k.processed, int(v.ts[idx]), 0)
 		}
 	}
 }

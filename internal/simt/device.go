@@ -12,7 +12,9 @@
 // of the previous boundary's completion, i.e. lockstep. This is the property
 // that makes label swaps between symmetric vertices deterministic on a GPU
 // (both read each other's old label, then both write), and it is reproduced
-// here by construction, not by accident of goroutine scheduling.
+// here by construction, not by accident of goroutine scheduling. A kernel
+// implementing BlockPhaseKernel runs a block's whole phase in one call, with
+// the same effect, and may skip the lanes it knows to be idle.
 //
 // Blocks are assigned to SMs statically — block b runs on SM b mod NumSMs,
 // mirroring the ID-based SM assignment the paper calls out — and the SMs run
@@ -98,6 +100,21 @@ type TallyKernel interface {
 	GrowTallies(sms int)
 	// FoldTallies folds and zeroes the per-SM tallies.
 	FoldTallies()
+}
+
+// BlockPhaseKernel is the optional Kernel extension for kernels that run a
+// whole block's phase in one call. launch() calls BlockPhase(p, t) once per
+// (block, phase) instead of Phase(p, t) once per lane; t carries the block's
+// coordinates with t.BlockDim the full launch width, and t.Lane is the
+// kernel's to set. The contract is that BlockPhase has exactly the effect of
+// Phase(p, t) called for lanes 0..BlockDim-1 in order, so a kernel may skip
+// lanes it knows to be idle. It returns the number of lanes it actually ran;
+// the launch feeds that count, clamped to [0, BlockDim], to LanesRun and the
+// profiler's SMSpan lanes. Every phase barrier still counts in PhasesRun,
+// whatever the count.
+type BlockPhaseKernel interface {
+	Kernel
+	BlockPhase(p int, t *Thread) (lanes int)
 }
 
 // NamedKernel is implemented by kernels that report a stable name to
@@ -295,6 +312,7 @@ func (d *Device) launch(ctx context.Context, gridDim, blockDim int, k Kernel, st
 	if nSM > gridDim {
 		nSM = gridDim
 	}
+	bk, _ := k.(BlockPhaseKernel)
 	tk, _ := k.(TallyKernel)
 	if tk != nil {
 		tk.GrowTallies(nSM)
@@ -359,11 +377,15 @@ func (d *Device) launch(ctx context.Context, gridDim, blockDim int, k Kernel, st
 				}
 				t.Block = b
 				for p := 0; p < phases; p++ {
+					phasesRun++
+					if bk != nil {
+						lanes += int64(min(max(bk.BlockPhase(p, &t), 0), blockDim))
+						continue
+					}
 					for lane := 0; lane < blockDim; lane++ {
 						t.Lane = lane
 						k.Phase(p, &t)
 					}
-					phasesRun++
 					lanes += int64(blockDim)
 				}
 				blocks++
