@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test test-full bench bench-module-test chaos trace-smoke perfdiff-smoke shard-smoke health-smoke load-smoke quality-smoke
+.PHONY: check build vet lint test test-full bench bench-module-test chaos perfdiff-smoke shard-smoke health-smoke load-smoke quality-smoke
 
-check: vet lint test chaos shard-smoke trace-smoke health-smoke load-smoke quality-smoke
+check: vet lint test chaos shard-smoke health-smoke load-smoke quality-smoke
 
 build:
 	$(GO) build ./...
@@ -41,12 +41,6 @@ chaos:
 shard-smoke:
 	$(GO) test -race -count=1 -run 'Shard|Partition|Conformance' \
 		./internal/engine/ ./internal/nulpa/ ./internal/shard/ ./internal/partition/
-
-# Trace smoke: run a small detection with -trace-out and validate the JSONL
-# span export with cmd/tracecheck (schema + run→detect→iteration→kernel
-# connectivity), plus both -log-format modes.
-trace-smoke:
-	sh scripts/trace_smoke.sh
 
 # Health smoke: faulted one-shot must emit per-iteration health lines and a
 # schema-valid flight dump (reason degraded); live server must stream >=1 SSE

@@ -57,15 +57,15 @@ func main() {
 		deg       = flag.Int("deg", 8, "generator average degree parameter")
 		seed      = flag.Int64("seed", 1, "generator / algorithm seed")
 		algo      = flag.String("algo", "nulpa", "registry name of the detector to run, or 'list'")
-		backend   = flag.String("backend", "simt", "nulpa backend: simt, direct, or sharded")
-		shards    = flag.Int("shards", 0, "nulpa sharded backend: number of devices (>0 selects -backend sharded)")
+		backend   = flag.String("backend", "simt", "nulpa backend: simt, direct, or sharded (simt across -shards devices, default 4)")
+		shards    = flag.Int("shards", 0, "nulpa: number of simulated devices; 1 is the single-device run (>0 selects -backend sharded)")
 		pickless  = flag.Int("pickless", -1, "nulpa: apply Pick-Less every N iterations (0 = off, -1 = backend default)")
 		crosschk  = flag.Int("crosscheck", 0, "nulpa: apply Cross-Check every N iterations (0 = off)")
 		probing   = flag.String("probing", "quadratic-double", "nulpa: linear, quadratic, double, quadratic-double")
 		switchDeg = flag.Int("switch", 32, "nulpa: thread/block kernel switch degree")
 		f64       = flag.Bool("f64", false, "nulpa: use float64 hashtable values")
 		sms       = flag.Int("sms", 0, "nulpa simt backend: simulated SMs (0 = host parallelism)")
-		membudget = flag.Int64("membudget", 0, "nulpa simt backend: device memory budget in bytes (0 = unlimited)")
+		membudget = flag.Int64("membudget", 0, "nulpa single-device simt backend: device memory budget in bytes (0 = unlimited)")
 		writeTo   = flag.String("write-labels", "", "write 'vertex label' lines to this file")
 		iterTrace = flag.Bool("trace", false, "print per-iteration telemetry as a table")
 		profileTo = flag.String("profile", "", "write a Chrome trace-event JSON (load in chrome://tracing) to this file")
@@ -160,15 +160,21 @@ func main() {
 		fmt.Fprintf(os.Stderr, "nulpa: -faults applies only to the nulpa simt and sharded backends\n")
 		os.Exit(2)
 	}
+	if *membudget != 0 && name != "nulpa" {
+		fmt.Fprintf(os.Stderr, "nulpa: -membudget applies only to the nulpa single-device simt backend\n")
+		os.Exit(2)
+	}
 	if name == "nulpa" || name == "nulpa-direct" || name == "nulpa-sharded" {
 		// The ν-LPA-specific flags travel through Extra; every other
 		// detector ignores them.
 		nopt := nulpa.DefaultOptions()
 		if name == "nulpa-sharded" {
 			nopt = nulpa.DefaultShardedOptions()
-			if *shards > 0 {
-				nopt.Shards = *shards
-			}
+		}
+		if *shards > 0 {
+			nopt.Shards = *shards
+		}
+		if name != "nulpa-direct" {
 			nopt.Workers = *sms
 		}
 		if *pickless >= 0 {
@@ -192,7 +198,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "nulpa: bad -probing %q\n", *probing)
 			os.Exit(2)
 		}
-		if name == "nulpa" {
+		if *membudget != 0 {
 			nopt.Device = simt.NewDevice(*sms)
 			nopt.Device.MemBudget = *membudget
 		}
@@ -301,7 +307,7 @@ func main() {
 		if nres.Degraded {
 			fmt.Printf("degraded: simt backend faulted beyond recovery; result computed by the direct backend\n")
 		}
-		if len(nres.ShardStats) > 0 {
+		if len(nres.ShardStats) > 1 {
 			fmt.Printf("shards: %d  halo labels: %d  cut arcs: %d\n",
 				len(nres.ShardStats), nres.HaloLabels, nres.CutArcs)
 			for _, ss := range nres.ShardStats {

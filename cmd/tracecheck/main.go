@@ -1,9 +1,10 @@
 // Command tracecheck validates a JSONL span export (the -trace-out format,
-// one trace.SpanData object per line) and is the heart of `make trace-smoke`:
-// it fails unless the file is schema-clean and contains at least one fully
-// connected trace — a parentless root span with a detect descendant, an
-// iteration descendant, and a kernel-launch descendant, each reachable from
-// the root through recorded parent links.
+// one trace.SpanData object per line): it fails unless the file is
+// schema-clean and contains at least one fully connected trace — a
+// parentless root span with a detect descendant, an iteration descendant,
+// and a kernel-launch descendant, each reachable from the root through
+// recorded parent links. The checks are trace.ReadJSONL and
+// trace.ConnectedTrace, which the CLI end-to-end tests call directly.
 //
 // Usage:
 //
@@ -14,12 +15,9 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"nulpa/internal/trace"
 )
@@ -35,102 +33,20 @@ func main() {
 	if flag.NArg() != 1 {
 		fail("usage: tracecheck [-root name] spans.jsonl")
 	}
-	f, err := os.Open(flag.Arg(0))
+	path := flag.Arg(0)
+	f, err := os.Open(path)
 	if err != nil {
 		fail("%v", err)
 	}
 	defer f.Close()
-
-	var spans []trace.SpanData
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var d trace.SpanData
-		dec := json.NewDecoder(strings.NewReader(sc.Text()))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&d); err != nil {
-			fail("line %d: not a span object: %v", line, err)
-		}
-		// Schema: ids are 16 hex digits, the name is present, the start is a
-		// real instant, and the duration is non-negative.
-		if _, err := trace.ParseTraceID(d.Trace); err != nil {
-			fail("line %d: bad trace id %q", line, d.Trace)
-		}
-		if len(d.Span) != 16 {
-			fail("line %d: bad span id %q", line, d.Span)
-		}
-		if d.Parent != "" && len(d.Parent) != 16 {
-			fail("line %d: bad parent id %q", line, d.Parent)
-		}
-		if d.Name == "" {
-			fail("line %d: span has no name", line)
-		}
-		if d.Start.IsZero() {
-			fail("line %d: span has no start time", line)
-		}
-		if d.DurationUS < 0 {
-			fail("line %d: negative duration %g", line, d.DurationUS)
-		}
-		for _, ev := range d.Events {
-			if ev.Name == "" {
-				fail("line %d: event has no name", line)
-			}
-		}
-		spans = append(spans, d)
+	spans, err := trace.ReadJSONL(f)
+	if err != nil {
+		fail("%s: %v", path, err)
 	}
-	if err := sc.Err(); err != nil {
-		fail("%v", err)
+	id, err := trace.ConnectedTrace(spans, *rootName)
+	if err != nil {
+		fail("%s: %v", path, err)
 	}
-	if len(spans) == 0 {
-		fail("%s: no spans", flag.Arg(0))
-	}
-
-	// Connectivity: some trace must link root → detect → iteration → kernel
-	// through parent ids. BuildTree treats orphans as extra roots, so a
-	// broken parent link shows up as the chain not resolving.
-	byTrace := map[string][]trace.SpanData{}
-	for _, d := range spans {
-		byTrace[d.Trace] = append(byTrace[d.Trace], d)
-	}
-	for id, ts := range byTrace {
-		for _, root := range trace.BuildTree(ts) {
-			if root.Name != *rootName || root.Parent != "" {
-				continue
-			}
-			detect := find(root.Children, func(n string) bool { return n == "detect" })
-			if detect == nil {
-				continue
-			}
-			iter := find(detect.Children, func(n string) bool { return n == "iteration" })
-			if iter == nil {
-				continue
-			}
-			if find(iter.Children, func(n string) bool { return strings.HasPrefix(n, "kernel:") }) == nil {
-				continue
-			}
-			fmt.Printf("tracecheck: ok — %d spans, trace %s connects %s → detect → iteration → kernel\n",
-				len(spans), id, *rootName)
-			return
-		}
-	}
-	fail("%s: %d schema-clean spans, but no trace connects %s → detect → iteration → kernel",
-		flag.Arg(0), len(spans), *rootName)
-}
-
-// find walks nodes depth-first for a span whose name satisfies match.
-func find(nodes []*trace.Node, match func(string) bool) *trace.Node {
-	for _, n := range nodes {
-		if match(n.Name) {
-			return n
-		}
-		if hit := find(n.Children, match); hit != nil {
-			return hit
-		}
-	}
-	return nil
+	fmt.Printf("tracecheck: ok — %d spans, trace %s connects %s → detect → iteration → kernel\n",
+		len(spans), id, *rootName)
 }

@@ -25,9 +25,9 @@ import (
 // the direct path, and the shared engine scaffolding.
 var perfMethods = []string{"nulpa", "nulpa-direct", "flpa"}
 
-// perfShardCounts is the shards axis for the sharded backend: shards=1 is
-// the partition-and-remap overhead control, shards=4 the multi-device
-// configuration compared against single-device ν-LPA for attribution.
+// perfShardCounts is the shards axis for the sharded detector: shards=1 is
+// the single-device run under the sharded defaults (ρ = 3), shards=4 the
+// multi-device configuration compared against it for attribution.
 var perfShardCounts = []int{1, 4}
 
 // shardMethod names one sharded perf cell; the @sK suffix keeps each shard
@@ -109,7 +109,7 @@ func perfCell(tbl *Table, cfg Config, g *graph.CSR, det engine.Detector, opt eng
 	// baselines; counters are deterministic enough that one profiled run is
 	// representative.
 	tbl.Series = append(tbl.Series, workSeries(g, det, opt, name, m)...)
-	if nres, ok := last.Extra.(*nulpa.Result); ok && nres.ShardStats != nil {
+	if nres, ok := last.Extra.(*nulpa.Result); ok && det.Name() == "nulpa-sharded" {
 		tbl.Series = append(tbl.Series,
 			Series{Name: "shard-halo-labels", Label: label, Values: []float64{float64(nres.HaloLabels)}},
 			Series{Name: "shard-cut-arcs", Label: label, Values: []float64{float64(nres.CutArcs)}},

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"nulpa/internal/trace"
 )
 
 var binDir string
@@ -83,6 +85,63 @@ func TestNulpaOOMBudget(t *testing.T) {
 	}
 	if !strings.Contains(out, "does not fit on device") {
 		t.Errorf("unexpected OOM message:\n%s", out)
+	}
+}
+
+func TestNulpaMembudgetOnlySingleDevice(t *testing.T) {
+	// Only the single-device simt run has a device whose budget the flag
+	// sets; elsewhere it would be silently ignored, so it is refused.
+	for _, args := range [][]string{
+		{"-backend", "direct"},
+		{"-backend", "sharded"},
+		{"-shards", "2"},
+		{"-algo", "flpa"},
+	} {
+		args = append([]string{"-gen", "er", "-n", "500", "-membudget", "1024"}, args...)
+		out, err := run(t, "nulpa", args...)
+		if err == nil {
+			t.Errorf("nulpa %v succeeded:\n%s", args, out)
+			continue
+		}
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("nulpa %v: %v, want exit status 2", args, err)
+		}
+		if !strings.Contains(out, "-membudget applies only") {
+			t.Errorf("nulpa %v: unexpected message:\n%s", args, out)
+		}
+	}
+}
+
+func TestNulpaTraceExport(t *testing.T) {
+	// -trace-out writes the run's spans as JSONL: every span schema-clean,
+	// and one trace connecting run → detect → iteration → kernel. Both log
+	// formats must report the finished run, the json one naming its trace.
+	dir := t.TempDir()
+	spansPath := filepath.Join(dir, "spans.jsonl")
+	out := mustRun(t, "nulpa", "-gen", "planted", "-n", "2000", "-deg", "8", "-seed", "7",
+		"-trace-out", spansPath, "-log-format", "json")
+	for _, want := range []string{`"msg":"run finished"`, `"trace":"`} {
+		if !strings.Contains(out, want) {
+			t.Errorf("json log output missing %s:\n%s", want, out)
+		}
+	}
+	f, err := os.Open(spansPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	spans, err := trace.ReadJSONL(f)
+	if err != nil {
+		t.Fatalf("span export: %v", err)
+	}
+	if _, err := trace.ConnectedTrace(spans, "run"); err != nil {
+		t.Fatalf("span export: %v", err)
+	}
+
+	out = mustRun(t, "nulpa", "-gen", "planted", "-n", "2000", "-deg", "8", "-seed", "7",
+		"-trace-out", filepath.Join(dir, "spans2.jsonl"), "-log-format", "text")
+	if !strings.Contains(out, `msg="run finished"`) {
+		t.Errorf("text log output missing run finished:\n%s", out)
 	}
 }
 

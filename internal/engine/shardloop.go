@@ -12,7 +12,8 @@ import (
 // ShardLoopConfig parameterizes the multi-device BSP convergence loop.
 type ShardLoopConfig struct {
 	LoopConfig
-	// Shards is the number of concurrent per-superstep bodies (>= 1).
+	// Shards is the number of concurrent per-superstep bodies; 0 and 1 both
+	// mean one.
 	Shards int
 	// OnSuperstep, when non-nil, is called after each superstep's halo
 	// exchange with the per-shard body durations, the barrier wait (total
@@ -37,11 +38,18 @@ type ShardLoopConfig struct {
 // tolerance rule applies to the global ΔN exactly as in the single-device
 // Loop. A failing shard aborts the superstep; typed interrupts win over
 // algorithmic errors so cancellation stays recognizable.
+//
+// A single shard is a plain Loop: its body runs inline on the iteration
+// context, its outcome (labels included) is the iteration's, and there is
+// no barrier — no goroutine, no shard or exchange span, no superstep record,
+// and exchange, OnSuperstep and GatherLabels are never called.
 func ShardLoop(cfg ShardLoopConfig,
 	body func(ctx context.Context, iter, shard int) IterOutcome,
 	exchange func(ctx context.Context, iter int) (int64, error)) LoopResult {
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
+	if cfg.Shards <= 1 {
+		return Loop(cfg.LoopConfig, func(ctx context.Context, iter int) IterOutcome {
+			return body(ctx, iter, 0)
+		})
 	}
 	return Loop(cfg.LoopConfig, func(ctx context.Context, iter int) IterOutcome {
 		outs := make([]IterOutcome, cfg.Shards)

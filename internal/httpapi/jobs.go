@@ -513,16 +513,16 @@ func (j *job) execute(ctx context.Context) (out any, err error) {
 	if j.spec.Quality {
 		opt.Quality = engine.QualityConfig{Enabled: true, SampleEvery: j.spec.QualitySampleEvery}
 	}
-	if j.spec.Algo == "nulpa" || (j.spec.Faults != "" && j.spec.Algo == "nulpa-sharded") {
-		// The SIMT backend's device events feed both the job's recorder and
-		// the live metrics plane through one profiler hook.
+	if j.spec.Algo == "nulpa" || j.spec.Algo == "nulpa-sharded" {
 		nopt := nulpa.DefaultOptions()
 		if j.spec.Algo == "nulpa-sharded" {
 			nopt = nulpa.DefaultShardedOptions()
-		} else {
-			nopt.Device = simt.NewDevice(j.spec.Workers)
-			nopt.Device.Prof = simt.MultiProfiler(j.rec, simt.NewMetricsProfiler())
 		}
+		// A single-device run's device events feed both the job's recorder
+		// and the live metrics plane through one profiler hook. A sharded
+		// run builds one device per shard, reporting to the recorder.
+		nopt.Device = simt.NewDevice(j.spec.Workers)
+		nopt.Device.Prof = simt.MultiProfiler(j.rec, simt.NewMetricsProfiler())
 		nopt.TrackStats = true
 		if j.spec.Faults != "" {
 			fspec, ferr := faults.ParseSpec(j.spec.Faults)

@@ -46,13 +46,7 @@ func Detect(g *graph.CSR, opt Options) (*Result, error) {
 	if opt.Backend == BackendDirect {
 		return detectDirect(g, opt)
 	}
-	var res *Result
-	var err error
-	if opt.Backend == BackendSharded {
-		res, err = detectSharded(g, opt)
-	} else {
-		res, err = detectSIMT(g, opt)
-	}
+	res, err := detectSharded(g, opt)
 	if err != nil && errors.Is(err, ErrFaulted) && !opt.DisableFallback {
 		// The degradation is the run's most important observability moment:
 		// it lands on the run's span as an event, in the log stream with the
@@ -94,42 +88,41 @@ func checkOptions(opt *Options) error {
 	if opt.BlockDim <= 0 {
 		opt.BlockDim = 256
 	}
-	if opt.Backend == BackendSharded {
-		if opt.Shards < 0 {
-			return fmt.Errorf("nulpa: Shards must be non-negative, got %d", opt.Shards)
-		}
-		if opt.Shards == 0 {
-			opt.Shards = DefaultShards
-		}
-		if opt.CrossCheckEvery > 0 {
-			// Cross-Check dereferences a label as a vertex id (leader lookup);
-			// under sharding labels are global ids while kernel arrays are
-			// shard-local, so the lookup has no local meaning. The BSP barrier
-			// already prevents the inter-device swap cycles CC exists for
-			// (semi-synchronous scheduling, Cordasco & Gargano).
-			return fmt.Errorf("nulpa: Cross-Check is not supported on the sharded backend")
-		}
+	if opt.Shards < 0 {
+		return fmt.Errorf("nulpa: Shards must be non-negative, got %d", opt.Shards)
+	}
+	if opt.Backend == BackendSIMT && opt.Shards > 1 && opt.CrossCheckEvery > 0 {
+		// Cross-Check dereferences a label as a vertex id (leader lookup);
+		// under sharding labels are global ids while kernel arrays are
+		// shard-local, so the lookup has no local meaning. (On one device
+		// labels and local ids coincide.) The BSP barrier already prevents
+		// the inter-device swap cycles CC exists for (semi-synchronous
+		// scheduling, Cordasco & Gargano).
+		return fmt.Errorf("nulpa: Cross-Check is not supported on a sharded run")
 	}
 	return nil
 }
 
-// runState is the device-resident state shared by the kernels of one run.
+// runState is the device-resident state shared by the kernels of one run,
+// or by the workers of a direct-backend run.
 type runState struct {
-	g         *graph.CSR
-	arena     anyArena
-	labels    []uint32 // C
-	prev      []uint32 // labels before the current iteration (Cross-Check)
-	processed []uint32 // vertex pruning flags: 1 = skip
-	pickless  bool
-	noPrune   bool  // DisablePruning: skip the processed-flag fast path
-	deltaN    int64 // label changes this iteration, folded from the tallies
-	reverts   int64 // Cross-Check reverts this iteration, folded from the tallies
+	g          *graph.CSR
+	arena      anyArena
+	labels     []uint32 // C
+	prev       []uint32 // labels before the current iteration (Cross-Check)
+	processed  []uint32 // vertex pruning flags: 1 = skip
+	pickless   bool
+	crosscheck bool
+	noPrune    bool  // DisablePruning: skip the processed-flag fast path
+	deltaN     int64 // label changes this iteration, folded from the tallies
+	reverts    int64 // Cross-Check reverts this iteration, folded from the tallies
 
 	// Counting. Lanes on SM s (direct backend: worker s) write only
 	// tallies[s] and work.Shard(s), with plain adds; FoldTallies sums them on
 	// the launching goroutine once the grid has joined, so no lane ever
 	// contends on a shared counter. countWork gates the work counters — set
-	// when the device profiler consumes them (simt.WantsWork); countHash
+	// when the device profiler consumes them (simt.WantsWork), and always on
+	// the direct backend, whose IterRecords they feed; countHash
 	// gates hashtable accounting — set with TrackStats (stats is then the
 	// Result's HashStats) or when work counters want per-kernel probes.
 	// launchHash is the last fold's hashtable counts, reported by TakeWork;
@@ -143,6 +136,34 @@ type runState struct {
 	launchHash hashtable.StatsSnapshot
 	iterEdges  int64
 	iterActive int64
+}
+
+// newRunState allocates the state of a run over g: the hashtable arena, the
+// label array (a copy of labels, or the identity labeling when nil), the
+// pruning flags, and — with TrackStats — the Result's HashStats.
+func newRunState(g *graph.CSR, opt Options, labels []uint32) *runState {
+	n := g.NumVertices()
+	st := &runState{
+		g:         g,
+		arena:     newAnyArena(opt, 2*g.NumArcs()),
+		labels:    make([]uint32, n),
+		processed: make([]uint32, n),
+		noPrune:   opt.DisablePruning,
+	}
+	if opt.TrackStats {
+		st.stats = &hashtable.Stats{}
+	}
+	if labels != nil {
+		copy(st.labels, labels)
+	} else {
+		for i := range st.labels {
+			st.labels[i] = uint32(i)
+		}
+	}
+	if opt.CrossCheckEvery > 0 {
+		st.prev = make([]uint32, n)
+	}
+	return st
 }
 
 // smTally is one SM's (or one direct-backend worker's) single-writer
@@ -202,39 +223,8 @@ func (st *runState) hashTally(sm int) *hashtable.Tally {
 	return &st.tallies[sm].hash
 }
 
-func detectSIMT(g *graph.CSR, opt Options) (*Result, error) {
-	dev := opt.Device
-	if dev == nil {
-		dev = simt.NewDevice(0)
-	}
-	r, err := newDeviceRun(g, opt, dev, runView{})
-	if err != nil {
-		return nil, err
-	}
-	defer r.free()
-	ctx := opt.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	lr := engine.Loop(engine.LoopConfig{
-		MaxIterations: opt.MaxIterations,
-		Threshold:     opt.Tolerance * float64(g.NumVertices()),
-		Ctx:           ctx,
-		Profiler:      opt.Profiler,
-	}, r.iterate)
-	if lr.Err != nil {
-		return nil, lr.Err
-	}
-	r.res.Iterations = lr.Iterations
-	r.res.Converged = lr.Converged
-	r.res.Trace = lr.Trace
-	r.res.Duration = lr.Duration
-	r.res.Labels = r.st.labels
-	return r.res, nil
-}
-
 // runView parameterizes a deviceRun for shard-local execution. The zero
-// value is the whole-graph view the single-device backend uses.
+// value is the whole-graph view of a single-device run.
 type runView struct {
 	// propagate limits the kernel lists to local ids strictly below it —
 	// a shard's owned vertices. Ghost rows beyond it hold halo labels the
@@ -251,9 +241,9 @@ type runView struct {
 
 // deviceRun is one device's share of a ν-LPA run: the kernel state, the
 // degree-partitioned launch lists, the per-iteration checkpoint, and the
-// recovery budget. The single-device backend owns exactly one; the sharded
-// backend owns one per shard and drives them through engine.ShardLoop, so
-// one shard's rollback/retry never restarts its peers.
+// recovery budget. detectSharded owns one per shard (one in all on a
+// single device) and drives them through engine.ShardLoop, so one shard's
+// rollback/retry never restarts its peers.
 type deviceRun struct {
 	st         *runState
 	dev        *simt.Device
@@ -281,7 +271,7 @@ func newDeviceRun(g *graph.CSR, opt Options, dev *simt.Device, view runView) (*d
 	n := g.NumVertices()
 	arcs := g.NumArcs()
 
-	st := &runState{g: g, arena: newAnyArena(opt, 2*arcs), noPrune: opt.DisablePruning}
+	st := newRunState(g, opt, view.labels)
 	// Device memory: CSR (offsets, targets, weights), hashtable arena,
 	// labels, pruning flags, candidate buffer.
 	bytes := int64(len(g.Offsets))*8 + arcs*4 + arcs*4 + st.arena.bytes() + int64(n)*4*3
@@ -292,28 +282,10 @@ func newDeviceRun(g *graph.CSR, opt Options, dev *simt.Device, view runView) (*d
 		return nil, fmt.Errorf("nulpa: graph with %d arcs does not fit on device: %w", arcs, err)
 	}
 
-	res := &Result{DeviceBytes: bytes}
-	if opt.TrackStats {
-		res.HashStats = &hashtable.Stats{}
-	}
-	st.stats = res.HashStats
 	st.countWork = simt.WantsWork(dev.Prof)
 	// Work counters want per-kernel probe attribution even when the caller
 	// did not ask for the Result-level stats.
 	st.countHash = st.stats != nil || st.countWork
-
-	st.labels = make([]uint32, n)
-	st.processed = make([]uint32, n)
-	if view.labels != nil {
-		copy(st.labels, view.labels)
-	} else {
-		for i := range st.labels {
-			st.labels[i] = uint32(i)
-		}
-	}
-	if opt.CrossCheckEvery > 0 {
-		st.prev = make([]uint32, n)
-	}
 
 	limit := view.propagate
 	if limit <= 0 {
@@ -325,7 +297,7 @@ func newDeviceRun(g *graph.CSR, opt Options, dev *simt.Device, view runView) (*d
 		st:   st,
 		dev:  dev,
 		opt:  opt,
-		res:  res,
+		res:  &Result{DeviceBytes: bytes, HashStats: st.stats},
 		tk:   &threadKernel{runState: st, list: low, cand: make([]uint32, len(low))},
 		bk:   &blockKernel{runState: st, list: high, blockDim: opt.BlockDim},
 		low:  low,
@@ -364,16 +336,14 @@ func newDeviceRun(g *graph.CSR, opt Options, dev *simt.Device, view runView) (*d
 func (r *deviceRun) free() { r.dev.Free(r.bytes) }
 
 // iterate executes one ν-LPA iteration on the run's device, including the
-// rollback/retry recovery ladder. It is the body detectSIMT hands to
-// engine.Loop and detectSharded hands (per shard) to engine.ShardLoop.
+// rollback/retry recovery ladder. It is the body detectSharded hands (per
+// shard) to engine.ShardLoop.
 func (r *deviceRun) iterate(ctx context.Context, iter int) engine.IterOutcome {
 	st, res, opt, dev := r.st, r.res, r.opt, r.dev
 	// ctx carries the iteration's trace span (shadowing the run context),
 	// so kernel launches below nest under the iteration and recovery
 	// activity lands on it as events.
 	ispan := trace.FromContext(ctx)
-	st.pickless = opt.PickLessEvery > 0 && iter%opt.PickLessEvery == 0
-	crosscheck := opt.CrossCheckEvery > 0 && iter%opt.CrossCheckEvery == 0
 	if r.ckptLabels != nil {
 		copy(r.ckptLabels, st.labels)
 		copy(r.ckptProcessed, st.processed)
@@ -381,46 +351,34 @@ func (r *deviceRun) iterate(ctx context.Context, iter int) engine.IterOutcome {
 
 	// Recovery loop: attempt the iteration, and on a launch fault or a
 	// corrupted label array roll back to the checkpoint and retry with
-	// exponential backoff, up to maxRetries consecutive attempts.
-	var tkDur, bkDur, ckDur time.Duration
-	var pruned, retries int64
-	var hashBase hashtable.StatsSnapshot
-	var casBase simt.ContentionCounts
+	// exponential backoff, up to maxRetries consecutive attempts. rec
+	// collects the device's own record fields: kernel times and retries.
+	var rec IterStat
+	var base iterBase
 	for attempt := 0; ; attempt++ {
-		st.deltaN, st.reverts = 0, 0
-		st.iterEdges, st.iterActive = 0, 0
-		if crosscheck {
-			copy(st.prev, st.labels)
-		}
-		hashBase = res.HashStats.Snapshot()
-		casBase = simt.ContentionSnapshot()
-		pruned = 0
-		if opt.Profiler != nil && !st.noPrune {
-			pruned = countPruned(st.processed)
-		}
-
+		base = st.beginIter(&opt, iter)
 		err := func() error {
 			if len(r.low) > 0 {
 				t0 := time.Now()
 				if err := dev.LaunchKernel1D(ctx, len(r.low), opt.BlockDim, r.tk); err != nil {
 					return err
 				}
-				tkDur = time.Since(t0)
+				rec.ThreadKernel = time.Since(t0)
 			}
 			if len(r.high) > 0 {
 				t0 := time.Now()
 				if err := dev.LaunchKernel(ctx, len(r.high), opt.BlockDim, r.bk); err != nil {
 					return err
 				}
-				bkDur = time.Since(t0)
+				rec.BlockKernel = time.Since(t0)
 			}
-			if crosscheck {
+			if st.crosscheck {
 				ck := &crossCheckKernel{runState: st}
 				t0 := time.Now()
 				if err := dev.LaunchKernel1D(ctx, r.n, opt.BlockDim, ck); err != nil {
 					return err
 				}
-				ckDur = time.Since(t0)
+				rec.CrossKernel = time.Since(t0)
 			}
 			return nil
 		}()
@@ -456,7 +414,7 @@ func (r *deviceRun) iterate(ctx context.Context, iter int) engine.IterOutcome {
 			return engine.IterOutcome{Err: fmt.Errorf("%w: iteration %d failed %d consecutive attempts, last: %v",
 				ErrFaulted, iter, attempt+1, err)}
 		}
-		retries++
+		rec.Retries++
 		res.Retries++
 		mRetries.Inc()
 		ispan.Event("retry", map[string]any{"attempt": int64(attempt + 1)})
@@ -464,29 +422,55 @@ func (r *deviceRun) iterate(ctx context.Context, iter int) engine.IterOutcome {
 			return engine.IterOutcome{Err: engine.CtxErr(ctx.Err())}
 		}
 	}
+	return st.endIter(&opt, res, base, rec)
+}
 
+// iterBase is what an iteration's record is measured against.
+type iterBase struct {
+	hash   hashtable.StatsSnapshot
+	cas    simt.ContentionCounts
+	pruned int64
+}
+
+// beginIter starts an attempt at iteration iter, on either backend: it sets
+// the iteration's Pick-Less and Cross-Check flags, zeroes the iteration's
+// counters, keeps the labels Cross-Check compares against, and takes the
+// baselines endIter measures from.
+func (st *runState) beginIter(opt *Options, iter int) iterBase {
+	st.pickless = opt.PickLessEvery > 0 && iter%opt.PickLessEvery == 0
+	st.crosscheck = opt.CrossCheckEvery > 0 && iter%opt.CrossCheckEvery == 0
+	st.deltaN, st.reverts = 0, 0
+	st.iterEdges, st.iterActive = 0, 0
+	if st.crosscheck {
+		copy(st.prev, st.labels)
+	}
+	b := iterBase{hash: st.stats.Snapshot(), cas: simt.ContentionSnapshot()}
+	if opt.Profiler != nil && !st.noPrune {
+		b.pruned = countPruned(st.processed)
+	}
+	return b
+}
+
+// endIter closes an iteration whose counters have been folded: it adds the
+// net moves and reverts to the run's Result res and returns the iteration's
+// outcome. rec carries the backend's own record fields (kernel times,
+// retries); endIter fills in the rest.
+func (st *runState) endIter(opt *Options, res *Result, b iterBase, rec IterStat) engine.IterOutcome {
 	gross, reverts := st.deltaN, st.reverts
 	delta := gross - reverts
 	res.Moves += delta
 	res.Reverts += reverts
-	res.DeltaHistory = append(res.DeltaHistory, delta)
-	rec := IterStat{
-		PickLess:       st.pickless,
-		CrossCheck:     crosscheck,
-		Moves:          gross,
-		Reverts:        reverts,
-		DeltaN:         delta,
-		Pruned:         pruned,
-		Retries:        retries,
-		ThreadKernel:   tkDur,
-		BlockKernel:    bkDur,
-		CrossKernel:    ckDur,
-		CASRetries:     simt.ContentionSnapshot().Sub(casBase).Total(),
-		EdgeVisits:     st.iterEdges,
-		ActiveVertices: st.iterActive,
-	}
-	if res.HashStats != nil {
-		d := res.HashStats.Snapshot().Sub(hashBase)
+	rec.PickLess = st.pickless
+	rec.CrossCheck = st.crosscheck
+	rec.Moves = gross
+	rec.Reverts = reverts
+	rec.DeltaN = delta
+	rec.Pruned = b.pruned
+	rec.CASRetries = simt.ContentionSnapshot().Sub(b.cas).Total()
+	rec.EdgeVisits = st.iterEdges
+	rec.ActiveVertices = st.iterActive
+	if st.stats != nil {
+		d := st.stats.Snapshot().Sub(b.hash)
 		rec.HashAccumulates = d.Accumulates
 		rec.HashProbes = d.Probes
 		rec.HashCollisions = d.Collisions
@@ -502,6 +486,101 @@ func (r *deviceRun) iterate(ctx context.Context, iter int) engine.IterOutcome {
 		// Labels feed the quality plane on single-device runs; sharded runs
 		// discard the per-shard view and gather a global one instead.
 		Labels: st.labels,
+	}
+}
+
+// claim is the pruning test for vertex i, counted on SM (direct backend:
+// worker) sm: it reports false when i's processed flag says skip, and
+// otherwise sets the flag and counts i's edge scan.
+func (st *runState) claim(i graph.Vertex, sm int) bool {
+	if !st.noPrune {
+		if simt.AtomicLoadUint32(st.processed, int(i)) == 1 {
+			return false
+		}
+		simt.AtomicStoreUint32(st.processed, int(i), 1)
+	}
+	if st.countWork {
+		w := st.work.Shard(sm)
+		w.ActiveVertices++
+		w.EdgeVisits += int64(st.g.Degree(i))
+	}
+	return true
+}
+
+// pick is the candidate choice for vertex i (degree >= 1) on SM sm: unless
+// pruning skips i, it claims the vertex, accumulates its neighbours' labels
+// into i's hashtable and returns the most weighted one. It returns
+// hashtable.EmptyKey when i is skipped or no label qualifies. It is the
+// thread kernel's phase 0.
+func (st *runState) pick(i graph.Vertex, sm int) uint32 {
+	if !st.claim(i, sm) {
+		return hashtable.EmptyKey
+	}
+	tb := st.arena.tableFor(st.g.Offset(i), st.g.Degree(i))
+	tb.clear(0, 1)
+	tl := st.hashTally(sm)
+	ts, ws := st.g.Neighbors(i)
+	for idx, j := range ts {
+		if j == i {
+			continue
+		}
+		cj := simt.AtomicLoadUint32(st.labels, int(j))
+		tb.accumulate(cj, float64(ws[idx]), false, tl)
+	}
+	if c, _, ok := tb.best(); ok {
+		return c
+	}
+	return hashtable.EmptyKey
+}
+
+// commit moves vertex i to candidate c on SM sm unless c is already its
+// label or the Pick-Less rule forbids the move, and reports whether i
+// moved. The caller then wakes i's neighbourhood; commit counts that scan.
+func (st *runState) commit(i graph.Vertex, c uint32, sm int) bool {
+	cur := simt.AtomicLoadUint32(st.labels, int(i))
+	if c == cur || (st.pickless && c > cur) {
+		return false
+	}
+	simt.AtomicStoreUint32(st.labels, int(i), c)
+	st.tallies[sm].flips++
+	if st.countWork {
+		w := st.work.Shard(sm)
+		w.LabelFlips++
+		w.EdgeVisits += int64(st.g.Degree(i)) // neighbour wake-up scan
+	}
+	return true
+}
+
+// move commits pick's candidate c for vertex i and wakes i's neighbourhood.
+// It is the thread kernel's phase 1.
+func (st *runState) move(i graph.Vertex, c uint32, sm int) {
+	if c == hashtable.EmptyKey || !st.commit(i, c, sm) {
+		return
+	}
+	ts, _ := st.g.Neighbors(i)
+	for _, j := range ts {
+		simt.AtomicStoreUint32(st.processed, int(j), 0)
+	}
+}
+
+// crossCheck applies the Cross-Check to vertex i, counted on SM sm: a
+// change to community c is reverted unless the leader vertex c itself
+// belongs to c. Its work report counts a revert as a label flip back; it
+// does not touch the hashtable. It is the cross-check kernel's phase.
+func (st *runState) crossCheck(i, sm int) {
+	cur := simt.AtomicLoadUint32(st.labels, i)
+	if cur == st.prev[i] {
+		return
+	}
+	leader := simt.AtomicLoadUint32(st.labels, int(cur))
+	if leader != cur {
+		simt.AtomicStoreUint32(st.labels, i, st.prev[i])
+		st.tallies[sm].reverts++
+		// The vertex changed again; let its neighbourhood reconsider.
+		simt.AtomicStoreUint32(st.processed, i, 0)
+		if st.countWork {
+			st.work.Shard(sm).LabelFlips++
+		}
 	}
 }
 
@@ -593,56 +672,10 @@ func (k *threadKernel) Phase(p int, t *simt.Thread) {
 	if gid >= len(k.list) {
 		return
 	}
-	i := k.list[gid]
-	switch p {
-	case 0:
-		k.cand[gid] = hashtable.EmptyKey
-		if !k.noPrune {
-			if simt.AtomicLoadUint32(k.processed, int(i)) == 1 {
-				return
-			}
-			simt.AtomicStoreUint32(k.processed, int(i), 1)
-		}
-		deg := k.g.Degree(i)
-		if k.countWork {
-			w := k.work.Shard(t.SM)
-			w.ActiveVertices++
-			w.EdgeVisits += int64(deg)
-		}
-		tb := k.arena.tableFor(k.g.Offset(i), deg)
-		tb.clear(0, 1)
-		tl := k.hashTally(t.SM)
-		ts, ws := k.g.Neighbors(i)
-		for idx, j := range ts {
-			if j == i {
-				continue
-			}
-			cj := simt.AtomicLoadUint32(k.labels, int(j))
-			tb.accumulate(cj, float64(ws[idx]), false, tl)
-		}
-		if c, _, ok := tb.best(); ok {
-			k.cand[gid] = c
-		}
-	case 1:
-		c := k.cand[gid]
-		if c == hashtable.EmptyKey {
-			return
-		}
-		cur := simt.AtomicLoadUint32(k.labels, int(i))
-		if c == cur || (k.pickless && c > cur) {
-			return
-		}
-		simt.AtomicStoreUint32(k.labels, int(i), c)
-		k.tallies[t.SM].flips++
-		ts, _ := k.g.Neighbors(i)
-		for _, j := range ts {
-			simt.AtomicStoreUint32(k.processed, int(j), 0)
-		}
-		if k.countWork {
-			w := k.work.Shard(t.SM)
-			w.LabelFlips++
-			w.EdgeVisits += int64(len(ts)) // neighbour wake-up scan
-		}
+	if p == 0 {
+		k.cand[gid] = k.pick(k.list[gid], t.SM)
+	} else {
+		k.move(k.list[gid], k.cand[gid], t.SM)
 	}
 }
 
@@ -758,23 +791,9 @@ func activeLanes(p int, t *simt.Thread, v *blockVertex) int {
 // lane runs phase p for lane t.Lane of vertex v's block.
 func (k *blockKernel) lane(p int, t *simt.Thread, v *blockVertex) {
 	switch p {
-	case 0: // lane 0 claims the vertex
-		if t.Lane != 0 {
-			return
-		}
-		if !k.noPrune {
-			if simt.AtomicLoadUint32(k.processed, int(v.i)) == 1 {
-				t.Shared[0] = 1
-				return
-			}
-			simt.AtomicStoreUint32(k.processed, int(v.i), 1)
-		} else {
-			t.Shared[0] = 0
-		}
-		if k.countWork {
-			w := k.work.Shard(t.SM)
-			w.ActiveVertices++
-			w.EdgeVisits += int64(v.deg)
+	case 0: // lane 0 claims the vertex (shared memory starts zeroed)
+		if t.Lane == 0 && !k.claim(v.i, t.SM) {
+			t.Shared[0] = 1
 		}
 	case 1: // strided hashtable clear
 		if t.Shared[0] == 1 {
@@ -826,22 +845,10 @@ func (k *blockKernel) lane(p int, t *simt.Thread, v *blockVertex) {
 				c, w, ok = lk, lw, true
 			}
 		}
-		if !ok {
-			return
-		}
-		cur := simt.AtomicLoadUint32(k.labels, int(v.i))
-		if c == cur || (k.pickless && c > cur) {
-			return
-		}
-		simt.AtomicStoreUint32(k.labels, int(v.i), c)
-		k.tallies[t.SM].flips++
-		t.Shared[1] = 1
-		if k.countWork {
-			w := k.work.Shard(t.SM)
-			w.LabelFlips++
-			// Phase 5's strided wake-up scans the full neighbourhood;
-			// counted here once rather than per lane.
-			w.EdgeVisits += int64(v.deg)
+		// Phase 5's strided wake-up scans the full neighbourhood; commit
+		// counts it once rather than per lane.
+		if ok && k.commit(v.i, c, t.SM) {
+			t.Shared[1] = 1
 		}
 	case 5: // strided neighbour wake-up on move
 		if t.Shared[0] == 1 || t.Shared[1] == 0 {
@@ -869,27 +876,9 @@ func (k *crossCheckKernel) NumPhases() int { return 1 }
 // KernelName implements simt.NamedKernel for profiling.
 func (k *crossCheckKernel) KernelName() string { return "cross-check" }
 
-// Phase checks one vertex. Its work report (through the embedded run
-// state's TakeWork) counts a revert as a label flip back; the kernel does not
-// touch the hashtable, so its probe counts are zero and keep the per-kernel
-// ledger exhaustive.
+// Phase checks one vertex.
 func (k *crossCheckKernel) Phase(_ int, t *simt.Thread) {
-	i := t.GlobalID()
-	if i >= len(k.labels) {
-		return
-	}
-	cur := simt.AtomicLoadUint32(k.labels, i)
-	if cur == k.prev[i] {
-		return
-	}
-	leader := simt.AtomicLoadUint32(k.labels, int(cur))
-	if leader != cur {
-		simt.AtomicStoreUint32(k.labels, i, k.prev[i])
-		k.tallies[t.SM].reverts++
-		// The vertex changed again; let its neighbourhood reconsider.
-		simt.AtomicStoreUint32(k.processed, i, 0)
-		if k.countWork {
-			k.work.Shard(t.SM).LabelFlips++
-		}
+	if i := t.GlobalID(); i < len(k.labels) {
+		k.crossCheck(i, t.SM)
 	}
 }

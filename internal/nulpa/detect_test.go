@@ -316,12 +316,12 @@ func TestTrackStats(t *testing.T) {
 func TestDeltaHistoryShape(t *testing.T) {
 	g, _ := gen.Planted(gen.PlantedConfig{N: 200, Communities: 4, DegIn: 10, DegOut: 0.5, Seed: 12})
 	res := detect(t, g, DefaultOptions())
-	if len(res.DeltaHistory) != res.Iterations {
-		t.Fatalf("history length %d != iterations %d", len(res.DeltaHistory), res.Iterations)
+	if len(res.Trace) != res.Iterations {
+		t.Fatalf("history length %d != iterations %d", len(res.Trace), res.Iterations)
 	}
 	var sum int64
-	for _, d := range res.DeltaHistory {
-		sum += d
+	for _, rec := range res.Trace {
+		sum += rec.DeltaN
 	}
 	if sum != res.Moves {
 		t.Errorf("history sum %d != moves %d", sum, res.Moves)

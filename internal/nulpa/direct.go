@@ -9,7 +9,6 @@ import (
 	"nulpa/internal/engine"
 	"nulpa/internal/graph"
 	"nulpa/internal/hashtable"
-	"nulpa/internal/simt"
 )
 
 // detectDirect executes the identical ν-LPA algorithm as a chunked multicore
@@ -18,129 +17,63 @@ import (
 // (pruning, Pick-Less, per-vertex hashtables) rather than the cost of
 // simulating a GPU. Asynchrony between workers plays the role of asynchrony
 // between SMs; community swaps are rarer than under lockstep but Pick-Less
-// is still applied on the same schedule.
+// is still applied on the same schedule. The per-vertex work is the
+// kernels' own: runState's pick, move and crossCheck.
 func detectDirect(g *graph.CSR, opt Options) (*Result, error) {
 	n := g.NumVertices()
-	arcs := g.NumArcs()
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	st := &runState{g: g, arena: newAnyArena(opt, 2*arcs), noPrune: opt.DisablePruning}
-	res := &Result{DeviceBytes: st.arena.bytes()}
-	if opt.TrackStats {
-		res.HashStats = &hashtable.Stats{}
-	}
-	st.stats = res.HashStats
+	st := newRunState(g, opt, nil)
+	res := &Result{DeviceBytes: st.arena.bytes(), HashStats: st.stats}
+	// Worker w counts into tallies[w] and work.Shard(w) exactly as SM w does
+	// on the simt backend. The work counters always run: they are the
+	// iteration record's edge visits and active vertices.
+	st.countWork = true
 	st.countHash = st.stats != nil
-	// One tally per worker: worker w counts into tallies[w] and
-	// work.Shard(w) exactly as SM w does on the simt backend.
 	st.GrowTallies(workers)
-	st.labels = make([]uint32, n)
-	st.processed = make([]uint32, n)
-	for i := range st.labels {
-		st.labels[i] = uint32(i)
-	}
-	if opt.CrossCheckEvery > 0 {
-		st.prev = make([]uint32, n)
-	}
 
 	const chunk = 1024
+	cands := make([][]uint32, workers)
+	for w := range cands {
+		cands[w] = make([]uint32, chunk)
+	}
 	lr := engine.Loop(engine.LoopConfig{
 		MaxIterations: opt.MaxIterations,
 		Threshold:     opt.Tolerance * float64(n),
 		Ctx:           opt.Context,
 		Profiler:      opt.Profiler,
 	}, func(_ context.Context, iter int) engine.IterOutcome {
-		st.pickless = opt.PickLessEvery > 0 && iter%opt.PickLessEvery == 0
-		crosscheck := opt.CrossCheckEvery > 0 && iter%opt.CrossCheckEvery == 0
-		st.deltaN, st.reverts = 0, 0
-		st.iterEdges, st.iterActive = 0, 0
-		if crosscheck {
-			copy(st.prev, st.labels)
-		}
-		hashBase := res.HashStats.Snapshot()
-		var pruned int64
-		if opt.Profiler != nil && !st.noPrune {
-			pruned = countPruned(st.processed)
-		}
-
-		var cursor int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				tl, work, htl := &st.tallies[w], st.work.Shard(w), st.hashTally(w)
-				cand := make([]uint32, chunk)
-				for {
-					c := atomic.AddInt64(&cursor, chunk) - chunk
-					if c >= int64(n) {
-						break
-					}
-					hi := c + chunk
-					if hi > int64(n) {
-						hi = int64(n)
-					}
-					// Two-phase, like one SIMT block: compute every
-					// candidate in the chunk against a pre-move snapshot,
-					// then apply the moves. Fully asynchronous chunk-local
-					// sweeps would let Pick-Less iterations cascade one
-					// small label across a community in a single pass.
-					for v := c; v < hi; v++ {
-						var e int64
-						cand[v-c], e = candidateDirect(st, graph.Vertex(v), htl)
-						if e > 0 {
-							work.EdgeVisits += e
-							work.ActiveVertices++
-						}
-					}
-					for v := c; v < hi; v++ {
-						if applyMoveDirect(st, graph.Vertex(v), cand[v-c]) {
-							tl.flips++
-							work.EdgeVisits += int64(st.g.Degree(graph.Vertex(v))) // wake scan
-						}
-					}
+		base := st.beginIter(&opt, iter)
+		forChunks(n, chunk, workers, func(w, lo, hi int) {
+			// Two-phase, like one SIMT block: compute every candidate in
+			// the chunk against a pre-move snapshot, then apply the moves.
+			// Fully asynchronous chunk-local sweeps would let Pick-Less
+			// iterations cascade one small label across a community in a
+			// single pass.
+			cand := cands[w]
+			for v := lo; v < hi; v++ {
+				cand[v-lo] = hashtable.EmptyKey
+				if g.Degree(graph.Vertex(v)) > 0 {
+					cand[v-lo] = st.pick(graph.Vertex(v), w)
 				}
-			}(w)
-		}
-		wg.Wait()
-
-		if crosscheck {
-			crossCheckDirect(st, workers)
+			}
+			for v := lo; v < hi; v++ {
+				st.move(graph.Vertex(v), cand[v-lo], w)
+			}
+		})
+		if st.crosscheck {
+			forChunks(n, 4096, workers, func(w, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					st.crossCheck(i, w)
+				}
+			})
 		}
 		st.FoldTallies()
 		st.TakeWork()
-
-		gross, reverts := st.deltaN, st.reverts
-		delta := gross - reverts
-		res.Moves += delta
-		res.Reverts += reverts
-		res.DeltaHistory = append(res.DeltaHistory, delta)
-		rec := IterStat{
-			PickLess:       st.pickless,
-			CrossCheck:     crosscheck,
-			Moves:          gross,
-			Reverts:        reverts,
-			DeltaN:         delta,
-			Pruned:         pruned,
-			EdgeVisits:     st.iterEdges,
-			ActiveVertices: st.iterActive,
-		}
-		if res.HashStats != nil {
-			d := res.HashStats.Snapshot().Sub(hashBase)
-			rec.HashAccumulates = d.Accumulates
-			rec.HashProbes = d.Probes
-			rec.HashCollisions = d.Collisions
-			rec.HashFallbacks = d.Fallbacks
-		}
-		return engine.IterOutcome{
-			Record:        rec,
-			ForceContinue: st.pickless,
-			Stop:          delta == 0 && opt.PickLessEvery == 1,
-			Labels:        st.labels,
-		}
+		return st.endIter(&opt, res, base, IterStat{})
 	})
 	if lr.Err != nil {
 		return nil, lr.Err
@@ -153,91 +86,23 @@ func detectDirect(g *graph.CSR, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// candidateDirect computes a vertex's most weighted neighbouring label, or
-// hashtable.EmptyKey when the vertex is skipped (pruned or isolated). The
-// second return is the number of edges scanned — zero exactly when the
-// vertex was skipped, which doubles as the active-vertex signal. Probe
-// accounting goes to the calling worker's tally tl (nil: not counting).
-func candidateDirect(st *runState, i graph.Vertex, tl *hashtable.Tally) (uint32, int64) {
-	if !st.noPrune && simt.AtomicLoadUint32(st.processed, int(i)) == 1 {
-		return hashtable.EmptyKey, 0
-	}
-	deg := st.g.Degree(i)
-	if deg == 0 {
-		return hashtable.EmptyKey, 0
-	}
-	if !st.noPrune {
-		simt.AtomicStoreUint32(st.processed, int(i), 1)
-	}
-	tb := st.arena.tableFor(st.g.Offset(i), deg)
-	tb.clear(0, 1)
-	ts, ws := st.g.Neighbors(i)
-	for idx, j := range ts {
-		if j == i {
-			continue
-		}
-		cj := simt.AtomicLoadUint32(st.labels, int(j))
-		tb.accumulate(cj, float64(ws[idx]), false, tl)
-	}
-	c, _, ok := tb.best()
-	if !ok {
-		return hashtable.EmptyKey, int64(deg)
-	}
-	return c, int64(deg)
-}
-
-// applyMoveDirect commits a candidate move under the Pick-Less rule and
-// wakes the neighbourhood; reports whether the label changed.
-func applyMoveDirect(st *runState, i graph.Vertex, c uint32) bool {
-	if c == hashtable.EmptyKey {
-		return false
-	}
-	cur := simt.AtomicLoadUint32(st.labels, int(i))
-	if c == cur || (st.pickless && c > cur) {
-		return false
-	}
-	simt.AtomicStoreUint32(st.labels, int(i), c)
-	ts, _ := st.g.Neighbors(i)
-	for _, j := range ts {
-		simt.AtomicStoreUint32(st.processed, int(j), 0)
-	}
-	return true
-}
-
-// crossCheckDirect applies the Cross-Check revert pass with a parallel
-// chunked loop; worker w counts its reverts into tallies[w].
-func crossCheckDirect(st *runState, workers int) {
-	n := len(st.labels)
-	const chunk = 4096
-	var cursor int64
+// forChunks runs body over [0, n) on workers goroutines that claim chunks
+// of the range in turn; body gets the worker index and the chunk's bounds.
+func forChunks(n, chunk, workers int, body func(w, lo, hi int)) {
+	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(tl *smTally) {
+		go func(w int) {
 			defer wg.Done()
 			for {
-				c := atomic.AddInt64(&cursor, chunk) - chunk
-				if c >= int64(n) {
-					break
+				lo := int(cursor.Add(int64(chunk))) - chunk
+				if lo >= n {
+					return
 				}
-				hi := c + chunk
-				if hi > int64(n) {
-					hi = int64(n)
-				}
-				for i := c; i < hi; i++ {
-					cur := simt.AtomicLoadUint32(st.labels, int(i))
-					if cur == st.prev[i] {
-						continue
-					}
-					leader := simt.AtomicLoadUint32(st.labels, int(cur))
-					if leader != cur {
-						simt.AtomicStoreUint32(st.labels, int(i), st.prev[i])
-						simt.AtomicStoreUint32(st.processed, int(i), 0)
-						tl.reverts++
-					}
-				}
+				body(w, lo, min(lo+chunk, n))
 			}
-		}(&st.tallies[w])
+		}(w)
 	}
 	wg.Wait()
 }

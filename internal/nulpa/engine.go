@@ -5,28 +5,31 @@ import (
 
 	"nulpa/internal/engine"
 	"nulpa/internal/graph"
-	"nulpa/internal/simt"
 )
 
 func init() {
-	engine.Register(Detector{Backend: BackendSIMT})
+	engine.Register(Detector{})
 	engine.Register(Detector{Backend: BackendDirect})
-	engine.Register(Detector{Backend: BackendSharded})
+	engine.Register(Detector{Sharded: true})
 }
 
-// Detector adapts ν-LPA to the engine seam. The backends register as
-// separate detectors ("nulpa", "nulpa-direct" and "nulpa-sharded") because
-// they are compared against each other in the figure experiments.
+// Detector adapts ν-LPA to the engine seam. It registers three times —
+// "nulpa", "nulpa-direct" and "nulpa-sharded" — because the configurations
+// are compared against each other in the figure experiments.
 type Detector struct {
 	Backend Backend
+	// Sharded makes this the "nulpa-sharded" detector: its defaults are
+	// DefaultShardedOptions, and an Extra that leaves Shards zero runs on
+	// DefaultShards devices.
+	Sharded bool
 }
 
 // Name implements engine.Detector.
 func (d Detector) Name() string {
-	switch d.Backend {
-	case BackendDirect:
+	switch {
+	case d.Backend == BackendDirect:
 		return "nulpa-direct"
-	case BackendSharded:
+	case d.Sharded:
 		return "nulpa-sharded"
 	}
 	return "nulpa"
@@ -41,7 +44,7 @@ func (d Detector) Name() string {
 // Cross-Check periods, probing scheme, switch degree, pruning).
 func (d Detector) Detect(g *graph.CSR, opt engine.Options) (*engine.Result, error) {
 	nopt := DefaultOptions()
-	if d.Backend == BackendSharded {
+	if d.Sharded {
 		nopt = DefaultShardedOptions()
 	}
 	if opt.Extra != nil {
@@ -52,6 +55,9 @@ func (d Detector) Detect(g *graph.CSR, opt engine.Options) (*engine.Result, erro
 		nopt = o
 	}
 	nopt.Backend = d.Backend
+	if d.Sharded && nopt.Shards == 0 {
+		nopt.Shards = DefaultShards
+	}
 	if opt.Context != nil {
 		nopt.Context = opt.Context
 	}
@@ -66,13 +72,10 @@ func (d Detector) Detect(g *graph.CSR, opt engine.Options) (*engine.Result, erro
 	}
 	if opt.Workers > 0 {
 		nopt.Workers = opt.Workers
-		if d.Backend == BackendSIMT && nopt.Device == nil {
-			nopt.Device = simt.NewDevice(opt.Workers)
-		}
 	}
-	if d.Backend == BackendSharded && nopt.CrossCheckEvery > 0 {
+	if nopt.Shards > 1 && nopt.CrossCheckEvery > 0 {
 		// An Extra carrying the single-device configuration stays usable on
-		// the sharded detector: Cross-Check simply cannot run there (the BSP
+		// a sharded run: Cross-Check simply cannot run there (the BSP
 		// barrier supersedes it — see checkOptions).
 		nopt.CrossCheckEvery = 0
 	}

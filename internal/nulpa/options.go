@@ -7,9 +7,11 @@
 //
 // Two backends execute the identical algorithm:
 //
-//   - BackendSIMT runs it on the simulated GPU (package simt), preserving
+//   - BackendSIMT runs it on simulated GPUs (package simt), preserving
 //     lockstep semantics — this is the configuration every figure experiment
 //     uses, because the community-swap pathology only exists under lockstep.
+//     Options.Shards sets the device count: one device (the paper's setting)
+//     is the single-shard case of the multi-device BSP run.
 //   - BackendDirect runs it as a plain multicore parallel loop, used to time
 //     ν-LPA against CPU baselines without paying the simulation overhead.
 package nulpa
@@ -32,24 +34,18 @@ const (
 	BackendSIMT Backend = iota
 	// BackendDirect executes as a chunked multicore parallel loop.
 	BackendDirect
-	// BackendSharded partitions the graph across Shards simulated devices
-	// and runs BSP supersteps with halo exchange at the barriers.
-	BackendSharded
 )
 
 // String names the backend.
 func (b Backend) String() string {
-	switch b {
-	case BackendDirect:
+	if b == BackendDirect {
 		return "direct"
-	case BackendSharded:
-		return "sharded"
 	}
 	return "simt"
 }
 
-// DefaultShards is the device count BackendSharded uses when Options.Shards
-// is left zero.
+// DefaultShards is the device count the nulpa-sharded detector uses when
+// Options.Shards is left zero.
 const DefaultShards = 4
 
 // Options configure a ν-LPA run. DefaultOptions matches the paper's final
@@ -83,10 +79,13 @@ type Options struct {
 	BlockDim int
 	// Backend selects the execution engine (default BackendSIMT).
 	Backend Backend
-	// Device is the simulated GPU; nil selects a fresh default device.
-	// Ignored by BackendDirect.
+	// Device is the simulated GPU of a single-device run; nil selects a
+	// fresh device. Sharded runs (Shards > 1) create one device per shard
+	// and BackendDirect runs none, so both ignore it.
 	Device *simt.Device
-	// Workers bounds BackendDirect parallelism; 0 selects GOMAXPROCS.
+	// Workers bounds BackendDirect parallelism and sets the SM count of
+	// each fresh simulated device; 0 selects GOMAXPROCS (divided across the
+	// devices of a sharded run).
 	Workers int
 	// TrackStats attaches hashtable probe accounting to the run.
 	TrackStats bool
@@ -125,18 +124,20 @@ type Options struct {
 	// backend: Detect returns ErrFaulted instead of degrading to the
 	// sequential backend.
 	DisableFallback bool
-	// Shards is the simulated device count for BackendSharded (clamped to
-	// the vertex count; 0 selects DefaultShards). Other backends ignore it.
+	// Shards is the simulated device count of BackendSIMT (clamped to the
+	// vertex count). 0 and 1 both run on one device; above 1 the graph is
+	// partitioned across the devices, which run BSP supersteps with halo
+	// exchange at the barriers. BackendDirect ignores it.
 	Shards int
 	// ShardParts, when non-nil, supplies a precomputed vertex→shard
 	// assignment (length |V|, values < Shards) and skips the internal
 	// partitioner — bring-your-own-partition for tests and external
-	// partition pipelines. BackendSharded only.
+	// partition pipelines. Sharded runs only.
 	ShardParts []uint32
 	// ShardFaults, when non-nil, installs a per-shard fault injector on each
 	// shard's device (index = shard id; nil entries leave that shard
 	// fault-free), overriding Faults for those devices. This is how chaos
-	// tests fault one shard while its peers run clean. BackendSharded only.
+	// tests fault one shard while its peers run clean.
 	ShardFaults []*faults.Injector
 }
 
@@ -157,15 +158,14 @@ func DefaultOptions() Options {
 }
 
 // DefaultShardedOptions returns the paper configuration adapted for
-// multi-device execution: BackendSharded across DefaultShards devices, with
-// Cross-Check off (unsupported under sharding — the BSP barrier supersedes
-// it; see checkOptions). Pick-Less tightens to ρ = 3: ghost labels are one
+// multi-device execution: DefaultShards devices, with Cross-Check off
+// (unsupported under sharding — the BSP barrier supersedes it; see
+// checkOptions). Pick-Less tightens to ρ = 3: ghost labels are one
 // superstep stale, so boundary vertices oscillate more than the
 // single-device run, and a slightly more frequent tie-break keeps the total
 // edge visits within ~1.1× of single-device at matched quality.
 func DefaultShardedOptions() Options {
 	opt := DefaultOptions()
-	opt.Backend = BackendSharded
 	opt.Shards = DefaultShards
 	opt.PickLessEvery = 3
 	return opt
@@ -190,8 +190,6 @@ type Result struct {
 	Moves int64
 	// Reverts is the number of Cross-Check reverts performed.
 	Reverts int64
-	// DeltaHistory records net changed-vertex counts per iteration.
-	DeltaHistory []int64
 	// Trace records per-iteration diagnostics (always populated; one entry
 	// per iteration).
 	Trace []IterStat
@@ -212,13 +210,14 @@ type Result struct {
 	// and the run completed on the sequential backend instead.
 	Degraded bool
 	// HaloLabels is the total number of changed ghost labels exchanged at
-	// BSP superstep barriers (BackendSharded).
+	// BSP superstep barriers (sharded runs).
 	HaloLabels int64
 	// CutArcs is the number of boundary-crossing arcs of the shard plan
-	// (BackendSharded; each cut undirected edge counted twice).
+	// (sharded runs; each cut undirected edge counted twice).
 	CutArcs int64
-	// ShardStats holds per-shard execution detail (BackendSharded; one
-	// entry per shard).
+	// ShardStats holds per-shard execution detail, one entry per shard. A
+	// single-device run is the one shard, owning every vertex; it takes no
+	// census (Communities stays 0).
 	ShardStats []ShardStat
 }
 

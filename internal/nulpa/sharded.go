@@ -15,9 +15,9 @@ import (
 	"nulpa/internal/simt"
 )
 
-// detectSharded runs ν-LPA partitioned across Options.Shards simulated
-// devices in BSP supersteps (the multi-GPU decomposition of Forster's
-// parallel Louvain, with Cordasco & Gargano's semi-synchronous barrier):
+// detectSharded runs ν-LPA on simulated GPUs: Options.Shards devices in BSP
+// supersteps (the multi-GPU decomposition of Forster's parallel Louvain,
+// with Cordasco & Gargano's semi-synchronous barrier):
 //
 //  1. internal/partition splits the CSR into K balanced shards with its
 //     size-constrained LPA partitioner (or Options.ShardParts supplies one).
@@ -34,6 +34,10 @@ import (
 // shard boundaries and Pick-Less ordering stays globally consistent.
 // Per-shard checkpoints mean a fault on one shard rolls back and retries
 // that shard alone; peers proceed to the barrier and wait.
+//
+// The paper's single device is K=1: one deviceRun over g itself, on
+// Options.Device or a fresh device, with no partition, no shard CSR and no
+// barrier. Its label array is the result.
 func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 	ctx := opt.Context
 	if ctx == nil {
@@ -43,33 +47,13 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 	if n == 0 {
 		return &Result{Labels: []uint32{}, Converged: true}, nil
 	}
-	k := opt.Shards
-	if k > n {
-		k = n
-	}
-
-	parts := opt.ShardParts
-	if parts == nil {
-		popt := partition.DefaultOptions(k)
-		// Every cut arc becomes halo traffic and boundary re-processing, so
-		// trade a little balance slack and a few multi-start refinements for
-		// a lower cut — on the Table 1 stand-ins this keeps the sharded
-		// backend's edge visits within ~1.1× of the single-device run.
-		popt.Imbalance = 0.1
-		popt.Restarts = 4
-		popt.Workers = opt.Workers
-		popt.Context = ctx
-		pres, err := partition.Partition(g, popt)
-		if err != nil {
+	k := min(max(opt.Shards, 1), n)
+	var plan *shard.Plan
+	if k > 1 {
+		var err error
+		if plan, err = planShards(ctx, g, opt, k); err != nil {
 			return nil, err
 		}
-		parts = pres.Parts
-	} else if len(parts) != n {
-		return nil, fmt.Errorf("nulpa: ShardParts length %d, graph has %d vertices", len(parts), n)
-	}
-	plan, err := shard.Build(g, parts, k)
-	if err != nil {
-		return nil, fmt.Errorf("nulpa: %w", err)
 	}
 
 	// One device per shard. Workers bounds each device's SM count (1 SM per
@@ -77,13 +61,10 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 	// unset, the host parallelism is divided across the devices.
 	sms := opt.Workers
 	if sms <= 0 {
-		sms = runtime.GOMAXPROCS(0) / k
-		if sms < 1 {
-			sms = 1
-		}
+		sms = max(runtime.GOMAXPROCS(0)/k, 1)
 	}
 
-	res := &Result{ShardStats: make([]ShardStat, k), CutArcs: plan.CutArcs}
+	res := &Result{ShardStats: make([]ShardStat, k)}
 	if opt.TrackStats {
 		res.HashStats = &hashtable.Stats{}
 	}
@@ -95,36 +76,38 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 			}
 		}
 	}()
-	for s, sh := range plan.Shards {
+	for s := range runs {
 		sopt := opt
-		sopt.Device = nil
 		if opt.ShardFaults != nil {
 			sopt.Faults = nil
 			if s < len(opt.ShardFaults) {
 				sopt.Faults = opt.ShardFaults[s]
 			}
 		}
-		init := make([]uint32, sh.NumLocal())
-		for l, gid := range sh.GlobalID {
-			init[l] = gid
+		sg, dev, view := g, opt.Device, runView{}
+		stat := ShardStat{Shard: s, Owned: n}
+		if plan != nil {
+			sh := plan.Shards[s]
+			sg, dev = sh.Local, nil
+			view = runView{propagate: sh.Owned, labelBound: n, labels: sh.GlobalID}
+			stat = ShardStat{Shard: s, Owned: sh.Owned, Ghosts: len(sh.Ghosts), CutArcs: sh.CutArcs}
 		}
-		run, err := newDeviceRun(sh.Local, sopt, simt.NewDevice(sms),
-			runView{propagate: sh.Owned, labelBound: n, labels: init})
+		if dev == nil {
+			dev = simt.NewDevice(sms)
+		}
+		run, err := newDeviceRun(sg, sopt, dev, view)
 		if err != nil {
 			return nil, err
 		}
 		runs[s] = run
+		stat.DeviceBytes = run.bytes
+		res.ShardStats[s] = stat
 		res.DeviceBytes += run.bytes
-		res.ShardStats[s] = ShardStat{
-			Shard:       s,
-			Owned:       sh.Owned,
-			Ghosts:      len(sh.Ghosts),
-			CutArcs:     sh.CutArcs,
-			DeviceBytes: run.bytes,
+		if plan != nil {
+			lbl := strconv.Itoa(s)
+			mShardCutEdges.With(lbl).Set(float64(stat.CutArcs))
+			mShardMemBytes.With(lbl).Set(float64(dev.MemUsed()))
 		}
-		lbl := strconv.Itoa(s)
-		mShardCutEdges.With(lbl).Set(float64(sh.CutArcs))
-		mShardMemBytes.With(lbl).Set(float64(run.dev.MemUsed()))
 	}
 
 	labelArrs := make([][]uint32, k)
@@ -136,6 +119,8 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 	// (allocated lazily: only runs with a quality observer ever gather).
 	var qlabels []uint32
 
+	// With one shard, ShardLoop runs the body inline and never calls the
+	// superstep, gather or exchange hooks, which need a plan.
 	lr := engine.ShardLoop(engine.ShardLoopConfig{
 		LoopConfig: engine.LoopConfig{
 			MaxIterations: opt.MaxIterations,
@@ -181,19 +166,21 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 	res.Trace = lr.Trace
 	res.Duration = lr.Duration
 	for s, r := range runs {
-		res.Moves += r.res.Moves
-		res.Reverts += r.res.Reverts
-		res.Retries += r.res.Retries
-		res.Rollbacks += r.res.Rollbacks
-		res.ShardStats[s].Retries = r.res.Retries
-		res.ShardStats[s].Rollbacks = r.res.Rollbacks
-		res.ShardStats[s].Moves = r.res.Moves
-		mShardMoves.With(strconv.Itoa(s)).Add(r.res.Moves)
-		res.HashStats.Add(r.res.HashStats.Snapshot())
+		rr := r.res
+		res.Moves += rr.Moves
+		res.Reverts += rr.Reverts
+		res.Retries += rr.Retries
+		res.Rollbacks += rr.Rollbacks
+		res.ShardStats[s].Retries = rr.Retries
+		res.ShardStats[s].Rollbacks = rr.Rollbacks
+		res.ShardStats[s].Moves = rr.Moves
+		res.HashStats.Add(rr.HashStats.Snapshot())
 	}
-	for _, rec := range lr.Trace {
-		res.DeltaHistory = append(res.DeltaHistory, rec.DeltaN)
+	if plan == nil {
+		res.Labels = labelArrs[0]
+		return res, nil
 	}
+	res.CutArcs = plan.CutArcs
 	res.Labels = plan.Gather(labelArrs)
 	// Per-shard community census: distinct labels among each shard's owned
 	// rows — the partition-quality attribution that makes a shard whose halo
@@ -204,10 +191,41 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 		for l := 0; l < sh.Owned; l++ {
 			seen[labelArrs[s][l]] = struct{}{}
 		}
+		lbl := strconv.Itoa(s)
 		res.ShardStats[s].Communities = len(seen)
-		mShardCommunities.With(strconv.Itoa(s)).Set(float64(len(seen)))
+		mShardCommunities.With(lbl).Set(float64(len(seen)))
+		mShardMoves.With(lbl).Add(res.ShardStats[s].Moves)
 	}
 	return res, nil
+}
+
+// planShards splits g into k shards: Options.ShardParts when set, the
+// internal partitioner otherwise.
+func planShards(ctx context.Context, g *graph.CSR, opt Options, k int) (*shard.Plan, error) {
+	parts := opt.ShardParts
+	if parts == nil {
+		popt := partition.DefaultOptions(k)
+		// Every cut arc becomes halo traffic and boundary re-processing, so
+		// trade a little balance slack and a few multi-start refinements for
+		// a lower cut — on the Table 1 stand-ins this keeps the sharded
+		// backend's edge visits within ~1.1× of the single-device run.
+		popt.Imbalance = 0.1
+		popt.Restarts = 4
+		popt.Workers = opt.Workers
+		popt.Context = ctx
+		pres, err := partition.Partition(g, popt)
+		if err != nil {
+			return nil, err
+		}
+		parts = pres.Parts
+	} else if len(parts) != g.NumVertices() {
+		return nil, fmt.Errorf("nulpa: ShardParts length %d, graph has %d vertices", len(parts), g.NumVertices())
+	}
+	plan, err := shard.Build(g, parts, k)
+	if err != nil {
+		return nil, fmt.Errorf("nulpa: %w", err)
+	}
+	return plan, nil
 }
 
 // wakeGhostNeighbors clears the pruning flags of every owned vertex adjacent

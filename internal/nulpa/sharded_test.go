@@ -188,10 +188,39 @@ func TestShardedOptionValidation(t *testing.T) {
 	if _, err := Detect(g, opt); err == nil {
 		t.Error("accepted negative shard count")
 	}
-	// Shards = 0 selects the default instead of failing.
+	// Shards = 0 runs on one device instead of failing.
 	opt = shardedOpts(0)
 	if _, err := Detect(g, opt); err != nil {
-		t.Errorf("Shards=0 should select DefaultShards, got %v", err)
+		t.Errorf("Shards=0 should run on one device, got %v", err)
+	}
+
+	// On one shard labels are local ids, so Cross-Check runs there, and the
+	// run is the single-device one: same labels as nulpa at 1 SM.
+	web := gen.Web(gen.DefaultWeb(400, 6, 5))
+	single := DefaultOptions()
+	single.CrossCheckEvery = 2
+	single.Device = simt.NewDevice(1)
+	want, err := Detect(web, single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Reverts == 0 {
+		t.Fatal("Cross-Check reverted nothing: the comparison is vacuous")
+	}
+	opt = shardedOpts(1)
+	opt.CrossCheckEvery = single.CrossCheckEvery
+	opt.PickLessEvery = single.PickLessEvery
+	got, err := Detect(web, opt)
+	if err != nil {
+		t.Fatalf("Cross-Check with Shards=1 rejected: %v", err)
+	}
+	if !slices.Equal(got.Labels, want.Labels) || got.Reverts != want.Reverts {
+		t.Errorf("Cross-Check with Shards=1: %d reverts (single-device %d), labels equal %v",
+			got.Reverts, want.Reverts, slices.Equal(got.Labels, want.Labels))
+	}
+	opt.Shards = 2
+	if _, err := Detect(web, opt); err == nil {
+		t.Error("accepted Cross-Check with Shards=2")
 	}
 	// A malformed external partition is rejected.
 	opt = shardedOpts(2)

@@ -276,3 +276,43 @@ func TestSetFloatAttr(t *testing.T) {
 		t.Fatalf("waitMs attr = %v, want 12.5", spans[0].Attrs["waitMs"])
 	}
 }
+
+func TestReadJSONLAndConnectedTrace(t *testing.T) {
+	tr := deterministic(16)
+	ctx, run := tr.Root(context.Background(), "run")
+	dctx, det := Child(ctx, "detect")
+	ictx, iter := Child(dctx, "iteration")
+	_, kern := Child(ictx, "kernel:thread-per-vertex")
+	for _, s := range []*Span{kern, iter, det, run} {
+		s.End()
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	spans, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, err := ConnectedTrace(spans, "run"); err != nil || id != run.TraceID().String() {
+		t.Fatalf("ConnectedTrace = %q, %v; want %s", id, err, run.TraceID())
+	}
+	if _, err := ConnectedTrace(spans, "job"); err == nil {
+		t.Error("connected a trace under a root name that is not there")
+	}
+	// Without its kernel span the chain does not resolve.
+	if _, err := ConnectedTrace(spans[1:], "run"); err == nil {
+		t.Error("connected a trace with no kernel span")
+	}
+
+	for name, export := range map[string]string{
+		"empty":         "\n",
+		"unknown field": `{"trace":"0000000000000001","span":"0000000000000002","name":"run","start":"2025-01-02T03:04:05Z","bogus":1}`,
+		"short span id": `{"trace":"0000000000000001","span":"02","name":"run","start":"2025-01-02T03:04:05Z"}`,
+		"no start":      `{"trace":"0000000000000001","span":"0000000000000002","name":"run"}`,
+	} {
+		if _, err := ReadJSONL(bytes.NewReader([]byte(export))); err == nil {
+			t.Errorf("%s: export accepted", name)
+		}
+	}
+}
