@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test test-full bench bench-module-test chaos perfdiff-smoke shard-smoke health-smoke load-smoke quality-smoke
+.PHONY: check build vet lint test test-full bench bench-module-test chaos shard-smoke
 
-check: vet lint test chaos shard-smoke health-smoke load-smoke quality-smoke
+check: vet lint test chaos shard-smoke
 
 build:
 	$(GO) build ./...
@@ -42,36 +42,10 @@ shard-smoke:
 	$(GO) test -race -count=1 -run 'Shard|Partition|Conformance' \
 		./internal/engine/ ./internal/nulpa/ ./internal/shard/ ./internal/partition/
 
-# Health smoke: faulted one-shot must emit per-iteration health lines and a
-# schema-valid flight dump (reason degraded); live server must stream >=1 SSE
-# frame per iteration and serve /jobs/{id}/flight (validated by
-# cmd/healthcheck, schema pinned to the committed golden).
-health-smoke:
-	sh scripts/health_smoke.sh
-
-# Load smoke: overload the serving plane end to end — tiny device pool, an
-# open-loop storm from cmd/loadgen, then a fault-injected chaos run. Gates on
-# zero lost jobs, Retry-After on every shed, a balanced /debug/vars ledger,
-# and a bench-history entry for the run.
-load-smoke:
-	sh scripts/load_smoke.sh
-
-# Quality smoke: the quality telemetry plane end to end — a planted-partition
-# one-shot with -quality must land above the modularity floor with estimator
-# drift inside the 1e-6 budget, and a quality-enabled job on a live server
-# must surface its final modularity both on the job status and as
-# engine_quality_run_modularity on /metrics, the two agreeing.
-quality-smoke:
-	sh scripts/quality_smoke.sh
-
-# Perfdiff smoke: bench twice into one history file, diff the pair with
-# cmd/perfdiff, and validate the attribution report (coverage of the work
-# counters, golden JSON schema, Chrome counter export).
-perfdiff-smoke:
-	sh scripts/perfdiff_smoke.sh
-
+# Microbenchmarks beside the zero-alloc guards: full ν-LPA runs with
+# telemetry off and on, and the health monitor's enabled path.
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/bench/
+	$(GO) test -bench . -benchmem -run '^$$' ./internal/simt/ ./internal/health/
 
 # Benchmark module tests: statistics, compare bounds, host scaling, spans and
 # a toy-scale smoke of every workload. benchmark/ is its own Go module, so

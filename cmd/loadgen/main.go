@@ -8,11 +8,8 @@
 //	        -algo flpa -n 2000 -deg 8 -priorities high,normal,low -tenants 4
 //
 // The summary prints to stderr; -json writes the full machine-readable
-// report, and -history appends it to the shared bench trajectory file so
-// perfdiff can compare load runs across commits. Exit status is nonzero
-// when the run is unhealthy (lost jobs, transport errors, malformed sheds,
-// or an unbalanced server ledger), which is what scripts/load_smoke.sh
-// gates on.
+// report. Exit status is nonzero when the run is unhealthy (lost jobs,
+// transport errors, malformed sheds, or an unbalanced server ledger).
 package main
 
 import (
@@ -47,7 +44,6 @@ func main() {
 		timeout    = flag.Duration("job-timeout", 60*time.Second, "per-job terminal-state timeout")
 		seed       = flag.Int64("seed", 1, "seed for arrival jitter and graph seeds")
 		jsonPath   = flag.String("json", "", "write full JSON report to this file (- for stdout)")
-		histPath   = flag.String("history", "", "append the run to this bench history file")
 		quiet      = flag.Bool("q", false, "suppress progress lines")
 	)
 	flag.Parse()
@@ -101,14 +97,6 @@ func main() {
 		if err := enc.Encode(r); err != nil {
 			fmt.Fprintf(os.Stderr, "loadgen: write report: %v\n", err)
 			os.Exit(2)
-		}
-	}
-	if *histPath != "" {
-		if n, err := r.AppendBenchHistory(*histPath); err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: append history: %v\n", err)
-			os.Exit(2)
-		} else if !*quiet {
-			fmt.Fprintf(os.Stderr, "loadgen: bench history %s now has %d entries\n", *histPath, n)
 		}
 	}
 	if !r.Healthy() {

@@ -69,7 +69,6 @@ var experiments = []Experiment{
 	{"abl-reorder", AblReorder},
 	{"fig-variants", FigVariants},
 	{"tab-partition", TabPartition},
-	{"perf", Perf},
 }
 
 // ExperimentIDs lists the experiment identifiers in catalogue order.

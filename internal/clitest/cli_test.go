@@ -5,12 +5,15 @@ package clitest
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"nulpa/internal/health"
 	"nulpa/internal/trace"
 )
 
@@ -36,8 +39,8 @@ func TestMain(m *testing.M) {
 func run(t *testing.T, tool string, args ...string) (string, error) {
 	t.Helper()
 	cmd := exec.Command(filepath.Join(binDir, tool), args...)
-	// Run from a scratch directory so tools that write relative to the cwd
-	// by default (bench's per-host history file) never litter the repo tree.
+	// Run from a scratch directory so nothing a tool writes relative to the
+	// cwd can litter the repo tree.
 	cmd.Dir = t.TempDir()
 	out, err := cmd.CombinedOutput()
 	return string(out), err
@@ -142,6 +145,70 @@ func TestNulpaTraceExport(t *testing.T) {
 		"-trace-out", filepath.Join(dir, "spans2.jsonl"), "-log-format", "text")
 	if !strings.Contains(out, `msg="run finished"`) {
 		t.Errorf("text log output missing run finished:\n%s", out)
+	}
+}
+
+func TestNulpaHealthFlightDump(t *testing.T) {
+	// Every simt launch fails (kernel=1), so the run must degrade to the
+	// direct backend, print per-iteration health lines, and auto-dump a
+	// flight bundle whose capture reason is "degraded".
+	path := filepath.Join(t.TempDir(), "flight.json")
+	out := mustRun(t, "nulpa", "-gen", "planted", "-n", "2000", "-deg", "8", "-seed", "7",
+		"-faults", "kernel=1,seed=2", "-health", "-flight-out", path)
+	for _, want := range []string{"degraded: simt backend faulted beyond recovery", "health iter=", "flight: wrote " + path} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := health.DecodeFlight(data)
+	if err != nil {
+		t.Fatalf("flight bundle: %v", err)
+	}
+	if err := b.Validate(); err != nil {
+		t.Fatalf("flight bundle: %v", err)
+	}
+	if b.Reason != "degraded" {
+		t.Errorf("flight bundle reason = %q, want degraded", b.Reason)
+	}
+}
+
+func TestNulpaQualityLine(t *testing.T) {
+	// The planted graph's structure is strong (8 intra-community edges per
+	// vertex against about one foreign one), so exact Q must clear 0.3, and
+	// the incremental estimator must agree with the exact recompute to 1e-6.
+	const qFloor, driftMax = 0.3, 1e-6
+	out := mustRun(t, "nulpa", "-algo", "nulpa", "-gen", "planted", "-n", "2000", "-deg", "8", "-seed", "7", "-quality")
+	var live, exact, drift, maxDrift float64
+	var recomputes int
+	found := false
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, "quality: live Q") {
+			continue
+		}
+		if _, err := fmt.Sscanf(line, "quality: live Q %g vs exact %g (drift %g, max %g over %d recomputes)",
+			&live, &exact, &drift, &maxDrift, &recomputes); err != nil {
+			t.Fatalf("unparseable quality line %q: %v", line, err)
+		}
+		found = true
+	}
+	if !found {
+		t.Fatalf("no quality line in output:\n%s", out)
+	}
+	if exact < qFloor {
+		t.Errorf("exact Q %.4f below planted floor %.2f", exact, qFloor)
+	}
+	if d := math.Abs(live - exact); d > driftMax {
+		t.Errorf("live Q %.6f vs exact %.6f: drift %g beyond %g", live, exact, d, driftMax)
+	}
+	if maxDrift > driftMax {
+		t.Errorf("max sampled drift %g beyond %g", maxDrift, driftMax)
+	}
+	if !strings.Contains(out, "\ncensus: ") {
+		t.Errorf("output missing census line:\n%s", out)
 	}
 }
 

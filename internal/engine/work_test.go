@@ -11,8 +11,8 @@ import (
 // Work-accounting conformance: every registered detector must report its
 // algorithmic work through the result trace — nonzero edge visits, label
 // flips, and active vertices on graphs with real community structure. A new
-// algorithm that forgets to count shows up here by name, and perfdiff/bench
-// attribution stay meaningful across the whole catalogue.
+// algorithm that forgets to count shows up here by name, and work
+// attribution stays meaningful across the whole catalogue.
 func TestWorkConformance(t *testing.T) {
 	graphs := conformanceGraphs()
 	for _, name := range detectors(t) {

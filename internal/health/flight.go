@@ -90,7 +90,7 @@ func (m *Monitor) Flight(reason string) *FlightBundle {
 
 // Validate checks a decoded bundle's structural invariants: current schema,
 // a capture reason, a coherent state, and frames in iteration order. It is
-// what cmd/healthcheck and the chaos suite assert on every dump.
+// what the CLI tests and the chaos suite assert on every dump.
 func (b *FlightBundle) Validate() error {
 	if b == nil {
 		return fmt.Errorf("flight: nil bundle")
@@ -136,10 +136,10 @@ func DecodeFlight(data []byte) (*FlightBundle, error) {
 	return &b, nil
 }
 
-// SchemaDescriptor is the machine-checkable statement of the bundle layout
-// (the perfdiff golden-schema pattern): JSON field names per object, derived
-// from struct tags so the descriptor cannot drift from the encoder. CI's
-// health-smoke compares it against testdata/flight_schema.golden.json.
+// SchemaDescriptor is the machine-checkable statement of the bundle layout:
+// JSON field names per object, derived from struct tags so the descriptor
+// cannot drift from the encoder. TestFlightSchemaGolden compares it against
+// testdata/flight_schema.golden.json.
 type SchemaDescriptor struct {
 	Schema  int      `json:"schema"`
 	Bundle  []string `json:"bundle"`

@@ -87,9 +87,7 @@ func TestFlightValidateRejects(t *testing.T) {
 }
 
 // TestFlightSchemaGolden pins the bundle layout: renaming or dropping a JSON
-// field fails here (and at the health-smoke gate, which runs
-// `healthcheck -schema` against the same golden). Additions require updating
-// the golden deliberately.
+// field fails here. Additions require updating the golden deliberately.
 func TestFlightSchemaGolden(t *testing.T) {
 	got, err := json.MarshalIndent(Schema(), "", "  ")
 	if err != nil {
@@ -98,7 +96,7 @@ func TestFlightSchemaGolden(t *testing.T) {
 	path := filepath.Join("testdata", "flight_schema.golden.json")
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (regenerate with `go run ./cmd/healthcheck -schema > %s`)", err, path)
+		t.Fatalf("%v (the golden is Schema() as indented JSON)", err)
 	}
 	var g, w SchemaDescriptor
 	if err := json.Unmarshal(got, &g); err != nil {
@@ -108,7 +106,7 @@ func TestFlightSchemaGolden(t *testing.T) {
 		t.Fatalf("golden unreadable: %v", err)
 	}
 	if !reflect.DeepEqual(g, w) {
-		t.Fatalf("flight schema drifted from golden:\n got: %s\nwant: %s\nregenerate with `go run ./cmd/healthcheck -schema > %s` if intentional", got, want, path)
+		t.Fatalf("flight schema drifted from golden:\n got: %s\nwant: %s\nif intentional, write the got block to %s", got, want, path)
 	}
 }
 

@@ -171,6 +171,55 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+func TestSubmitBodyTooLarge(t *testing.T) {
+	ts := newTestServer(t)
+	body := `{"algo":"` + strings.Repeat("a", maxJobBodyBytes) + `","graph":{"gen":"er","n":100}}`
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize submit = %d, want 413", resp.StatusCode)
+	}
+}
+
+func TestQualityJobMatchesMetrics(t *testing.T) {
+	// A quality-enabled job's final summary and the per-detector gauge on
+	// /metrics are two views of one number.
+	ts := newTestServer(t)
+	st := submitAndWait(t, ts.URL,
+		`{"algo":"nulpa","graph":{"gen":"planted","n":2000,"deg":8,"seed":7},"quality":true}`)
+	if st.State != JobDone {
+		t.Fatalf("job ended %s: %s", st.State, st.Error)
+	}
+	if st.Quality == nil {
+		t.Fatal("job status carries no quality summary")
+	}
+	_, text := get(t, ts.URL+"/metrics")
+	const gauge = `engine_quality_run_modularity{detector="nulpa"} `
+	found := false
+	for _, line := range strings.Split(text, "\n") {
+		if !strings.HasPrefix(line, gauge) {
+			continue
+		}
+		var got float64
+		if _, err := fmt.Sscan(strings.TrimPrefix(line, gauge), &got); err != nil {
+			t.Fatalf("unparseable gauge line %q: %v", line, err)
+		}
+		if d := got - st.Quality.Modularity; d > 1e-6 || d < -1e-6 {
+			t.Errorf("gauge %g vs job status %g", got, st.Quality.Modularity)
+		}
+		found = true
+	}
+	if !found {
+		t.Errorf("/metrics does not expose %s", strings.TrimSpace(gauge))
+	}
+	if !strings.Contains(text, "\nengine_quality_recomputes_total") {
+		t.Error("/metrics does not expose engine_quality_recomputes_total")
+	}
+}
+
 func TestJobNotFound(t *testing.T) {
 	ts := newTestServer(t)
 	if code, _ := get(t, ts.URL+"/jobs/999"); code != http.StatusNotFound {

@@ -9,7 +9,6 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -111,7 +110,6 @@ func NewServer(opts ...Option) *Server {
 	s.handle("DELETE /jobs/{id}", "jobs-cancel", s.cancelJob)
 	s.handle("GET /jobs/{id}/flight", "jobs-flight", s.jobFlight)
 	s.handle("GET /debug/live/{id}", "jobs-live", s.liveJob)
-	s.handle("GET /debug/perf", "perf-snapshot", s.perfSnapshot)
 	s.handle("GET /debug/trace", "trace-list", s.listTraces)
 	s.handle("GET /debug/trace/{id}", "trace-get", s.getTrace)
 	s.handle("GET /debug/trace/{id}/chrome", "trace-chrome", s.getTraceChrome)
@@ -224,39 +222,25 @@ func (s *Server) vars(w http.ResponseWriter, r *http.Request) {
 	metrics.Default().WriteJSON(w)
 }
 
-// perfSnapshot handles GET /debug/perf: the flattened metrics registry as a
-// schema-versioned JSON capture that `perfdiff` accepts directly — snapshot
-// before and after a workload, diff the pair, and the report names the
-// kernels and work counters that moved. ?prefix= narrows the sample set
-// (e.g. ?prefix=nulpa_work_ for just the kernel work counters).
-func (s *Server) perfSnapshot(w http.ResponseWriter, r *http.Request) {
-	snap := metrics.Default().Snapshot()
-	if prefix := r.URL.Query().Get("prefix"); prefix != "" {
-		kept := snap[:0]
-		for _, mv := range snap {
-			if strings.HasPrefix(mv.Name, prefix) {
-				kept = append(kept, mv)
-			}
-		}
-		snap = kept
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"schema":   1,
-		"time":     time.Now().UTC(),
-		"counters": snap,
-	})
-}
-
 func (s *Server) algos(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"algos": engine.List()})
 }
 
+// maxJobBodyBytes bounds a POST /jobs body. A JobSpec names its graph
+// rather than carrying it, so a well-formed spec is a few hundred bytes.
+const maxJobBodyBytes = 64 << 10
+
 func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, err)
 		return
 	}
 	// The per-tenant admission quota keys on X-Tenant; absent means the

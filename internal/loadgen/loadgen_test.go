@@ -3,12 +3,10 @@ package loadgen
 import (
 	"context"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
-	"nulpa/internal/bench"
+	_ "nulpa/internal/engine/all"
 	"nulpa/internal/httpapi"
 	"nulpa/internal/sched"
 )
@@ -127,26 +125,36 @@ func TestIdenticalSubmissionsCoalesce(t *testing.T) {
 	}
 }
 
-// TestAppendBenchHistory checks the bench-history bridge round-trips.
-func TestAppendBenchHistory(t *testing.T) {
-	r := &Report{Schema: ReportSchema, Algo: "flpa", Graph: "er(n=1000,deg=8)",
-		Rate: 100, Submitted: 10, Admitted: 10, Done: 10, GoodputPerSec: 42.5,
-		MetricsBalanced: true, CrosscheckDetail: "submitted=10 finished=10"}
-	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	n, err := r.AppendBenchHistory(path)
-	if err != nil || n != 1 {
-		t.Fatalf("AppendBenchHistory = %d, %v", n, err)
+// TestChaosUnderLoad attaches a fault schedule (kernel failures and bit
+// flips) to every submission of a fault-tolerant detector and checks that
+// the serving plane still accounts for every job: faulted runs recover or
+// fail with a typed error, but none is lost and the ledger balances.
+func TestChaosUnderLoad(t *testing.T) {
+	ts := newPlane(t, sched.Config{Workers: 2, QueueDepth: 8, QuotaRate: 200})
+	r, err := Run(context.Background(), Config{
+		URL:        ts.URL,
+		Rate:       50,
+		Jobs:       12,
+		Algo:       "nulpa",
+		Gen:        "planted",
+		N:          300,
+		Deg:        8,
+		Workers:    2,
+		Faults:     "kernel=0.05,bitflip=0.02,seed=7",
+		JobTimeout: 60 * time.Second,
+		Seed:       23,
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
-	h, err := bench.ReadHistory(path)
-	if err != nil || len(h.Entries) != 1 {
-		t.Fatalf("ReadHistory: %d entries, %v", len(h.Entries), err)
+	if r.Lost != 0 || r.Errors != 0 {
+		t.Fatalf("lost=%d errors=%d, want 0/0: %+v", r.Lost, r.Errors, r)
 	}
-	e := h.Entries[0]
-	if e.Experiment != "loadgen" || len(e.Report.Tables) != 1 || e.Report.Tables[0].ID != "loadgen" {
-		t.Fatalf("bad history entry: %+v", e)
+	if !r.MetricsBalanced {
+		t.Fatalf("server ledger unbalanced: %s", r.CrosscheckDetail)
 	}
-	if _, err := os.Stat(path + ".tmp"); err == nil {
-		t.Fatalf("temp file left behind")
+	if !r.Healthy() {
+		t.Fatalf("report not healthy: %+v", r)
 	}
 }
 

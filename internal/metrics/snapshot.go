@@ -1,9 +1,9 @@
 package metrics
 
 // Point-in-time flattened view of the registry, for programmatic consumers:
-// the /debug/perf endpoint serves it as JSON and perfdiff diffs two such
-// captures. The Prometheus/expvar expositions in expo.go are for scrapers;
-// Snapshot is for tools that want typed values without parsing text.
+// flight bundles embed it so a post-mortem carries the metrics at capture.
+// The Prometheus/expvar expositions in expo.go are for scrapers; Snapshot is
+// for code that wants typed values without parsing text.
 
 // MetricValue is one flattened sample: scalar metrics appear once with an
 // empty Label, families once per label value, histograms as their _count and

@@ -17,8 +17,7 @@ var (
 )
 
 // Sharded-execution metrics. The per-shard families are labeled by shard id,
-// so /debug/perf and the bench work ledger can attribute halo traffic and
-// memory to individual devices.
+// so /metrics can attribute halo traffic and memory to individual devices.
 var (
 	mShardHaloLabels = metrics.NewCounterVec("nulpa_shard_halo_labels_total",
 		"Changed ghost labels received at BSP superstep barriers, per shard.", "shard")

@@ -208,7 +208,7 @@ func TestLaunchMapEviction(t *testing.T) {
 }
 
 // TestSnapshotCoversWorkFamilies ties the metric families to the programmatic
-// snapshot the /debug/perf endpoint serves.
+// snapshot flight bundles embed.
 func TestSnapshotCoversWorkFamilies(t *testing.T) {
 	p := NewMetricsProfiler()
 	id := p.KernelBegin("snap-test", 1, 1, 1)

@@ -26,32 +26,6 @@ type WorkCounts struct {
 	ActiveVertices int64 `json:"activeVertices,omitempty"`
 }
 
-// WorkCounterNames lists the canonical counter keys in report order — the
-// names the metrics plane, bench work series, and perfdiff all use, so a
-// counter added here must be wired everywhere (Get panics on unknown names
-// to make a drift loud).
-var WorkCounterNames = []string{
-	"edge_visits", "label_flips", "hash_probes", "hash_collisions", "active_vertices",
-}
-
-// Get returns the counter value by canonical name; unknown names panic.
-func (w WorkCounts) Get(name string) int64 {
-	switch name {
-	case "edge_visits":
-		return w.EdgeVisits
-	case "label_flips":
-		return w.LabelFlips
-	case "hash_probes":
-		return w.HashProbes
-	case "hash_collisions":
-		return w.HashCollisions
-	case "active_vertices":
-		return w.ActiveVertices
-	default:
-		panic("telemetry: unknown work counter " + name)
-	}
-}
-
 // Add returns the field-wise sum w + o.
 func (w WorkCounts) Add(o WorkCounts) WorkCounts {
 	return WorkCounts{
@@ -108,8 +82,7 @@ func (r *Recorder) KernelWork(launch int, edgeVisits, labelFlips, hashProbes, ha
 }
 
 // KernelWorkByName aggregates recorded per-launch work per kernel name, in
-// first-launch order — the per-kernel work view bench exports and perfdiff
-// compares.
+// first-launch order — the per-kernel work view.
 func (r *Recorder) KernelWorkByName() map[string]WorkCounts {
 	out := map[string]WorkCounts{}
 	for _, s := range r.KernelSummaries() {

@@ -35,13 +35,6 @@ BEGIN {
     if (pkg == "nulpa/examples/overlap") next
     for (i = 2; i <= NF; i++) {
         imp = $i
-        # perfdiff sits above bench (it loads bench reports); the reverse
-        # import would cycle the attribution layer into the capture layer.
-        # Only cmd/bench and cmd/perfdiff may consume it.
-        if (imp == "nulpa/internal/perfdiff" && pkg != "nulpa/cmd/bench" && pkg != "nulpa/cmd/perfdiff") {
-            print pkg " imports nulpa/internal/perfdiff (only cmd/bench and cmd/perfdiff may; perfdiff is the top of the capture stack)"
-            bad = 1
-        }
         # quality is a pure evaluation layer: modularity, census, and
         # agreement metrics over a graph and labels. Among nulpa packages it
         # may import only graph — never engine, telemetry, or detectors, so
