@@ -11,8 +11,11 @@ check: vet lint test chaos shard-smoke
 build:
 	$(GO) build ./...
 
+# benchmark/ is its own Go module compiled against internal/telemetry, so
+# vetting it here catches an interface break before bench-module-test does.
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 # Import layering: algorithm packages meet only through the engine registry.
 # Tree hygiene: no non-Go artifacts under internal/.

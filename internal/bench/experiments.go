@@ -12,6 +12,7 @@ import (
 	"nulpa/internal/nulpa"
 	"nulpa/internal/quality"
 	"nulpa/internal/simt"
+	"nulpa/internal/telemetry"
 )
 
 // Config controls an experiment run.
@@ -248,7 +249,7 @@ func FigProbe(cfg Config) []Table {
 		for _, pr := range probings {
 			opt := nulpa.DefaultOptions()
 			opt.Probing = pr
-			opt.TrackStats = true
+			opt.Profiler = telemetry.NewRecorder() // counts the probes
 			res := runNu(cfg, g, opt)
 			if pr == hashtable.QuadraticDouble {
 				refT = res.Duration

@@ -12,6 +12,7 @@ import (
 	"nulpa/internal/partition"
 	"nulpa/internal/quality"
 	"nulpa/internal/reorder"
+	"nulpa/internal/telemetry"
 )
 
 // Extension experiments beyond the paper's figures: the ablations DESIGN.md
@@ -30,7 +31,7 @@ func AblPruning(cfg Config) []Table {
 		for _, disable := range []bool{false, true} {
 			opt := nulpa.DefaultOptions()
 			opt.DisablePruning = disable
-			opt.TrackStats = true
+			opt.Profiler = telemetry.NewRecorder() // counts the accumulates
 			res := runNu(cfg, g, opt)
 			if !disable {
 				refT = res.Duration

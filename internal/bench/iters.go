@@ -42,8 +42,8 @@ func FigIters(cfg Config) []Table {
 		var runs []run
 		for _, m := range figItersMethods {
 			opt := engine.DefaultOptions()
-			// A live profiler unlocks the detailed trace fields (pruned
-			// counts on the ν-LPA backends).
+			// A live profiler turns on the ν-LPA backends' work counters
+			// (edge visits, active and pruned vertices).
 			opt.Profiler = telemetry.NewRecorder()
 			res := runEngine(one, g, m, opt)
 			runs = append(runs, run{m, res.Trace})

@@ -71,7 +71,8 @@ type Options struct {
 	// registry's instrumented wrapper attaches an incremental modularity
 	// tracker to the run's Profiler (creating one if needed), and the
 	// convergence loop feeds it each iteration's labels. Results gain
-	// Quality/QualityTrace. Disabled (the zero value) it costs nothing.
+	// Quality, and each observed Trace record its Quality. Disabled (the
+	// zero value) it costs nothing.
 	Quality QualityConfig
 	// Extra is the per-algorithm extension point: a detector may accept its
 	// package Options type here for full control of algorithm-specific
@@ -112,11 +113,9 @@ type Result struct {
 	// *nulpa.Result) for consumers that need backend-specific detail.
 	Extra any
 	// Quality is the end-of-run quality summary (exact modularity, estimator
-	// drift, census), present when Options.Quality was enabled.
+	// drift, census), present when Options.Quality was enabled; the
+	// per-iteration records are Trace[i].Quality.
 	Quality *QualitySummary
-	// QualityTrace holds one quality record per observed iteration when
-	// Options.Quality was enabled.
-	QualityTrace []telemetry.QualityRecord
 }
 
 // NewResult builds a Result from raw per-vertex labels, compressing them and
@@ -129,8 +128,8 @@ func NewResult(labels []uint32) *Result {
 // Clone returns a deep copy of the result's owned slices (labels and trace).
 // The scheduler's result cache hands one detection to many coalesced jobs;
 // cloning keeps a consumer that relabels or truncates from corrupting its
-// siblings. Extra is shared — native results are treated as immutable once
-// the run returns.
+// siblings. Extra and the trace's quality records are shared — they are
+// treated as immutable once the run returns.
 func (r *Result) Clone() *Result {
 	if r == nil {
 		return nil
@@ -138,7 +137,6 @@ func (r *Result) Clone() *Result {
 	c := *r
 	c.Labels = append([]uint32(nil), r.Labels...)
 	c.Trace = append([]telemetry.IterRecord(nil), r.Trace...)
-	c.QualityTrace = append([]telemetry.QualityRecord(nil), r.QualityTrace...)
 	if r.Quality != nil {
 		q := *r.Quality
 		c.Quality = &q

@@ -99,14 +99,11 @@ func Loop(cfg LoopConfig, body func(ctx context.Context, iter int) IterOutcome) 
 		if rec.Duration == 0 {
 			rec.Duration = time.Since(iterStart)
 		}
-		// Quality accounting runs before RecordIteration so the health
-		// monitor can fold the quality record into this iteration's frame.
-		var qrec telemetry.QualityRecord
-		qok := false
+		// The quality record rides inside the iteration record, so every
+		// consumer of the record (trace, recorder, health monitor) sees it.
 		if cfg.Profiler != nil && out.Labels != nil && out.Err == nil {
-			qrec, qok = cfg.Profiler.ObserveQuality(iter, out.Labels)
-			if qok {
-				recordQualityMetrics(ictx, qrec)
+			if rec.Quality = cfg.Profiler.ObserveQuality(iter, out.Labels); rec.Quality != nil {
+				recordQualityMetrics(ictx, *rec.Quality)
 			}
 		}
 		if ispan != nil {
@@ -128,11 +125,11 @@ func Loop(cfg LoopConfig, body func(ctx context.Context, iter int) IterOutcome) 
 			if rec.CrossCheck {
 				ispan.SetBool("crossCheck", true)
 			}
-			if qok {
-				ispan.SetFloat("modularity", qrec.Modularity)
-				ispan.SetInt("communities", int64(qrec.Communities))
-				if qrec.Exact {
-					ispan.SetFloat("qualityDrift", qrec.Drift)
+			if q := rec.Quality; q != nil {
+				ispan.SetFloat("modularity", q.Modularity)
+				ispan.SetInt("communities", int64(q.Communities))
+				if q.Exact {
+					ispan.SetFloat("qualityDrift", q.Drift)
 				}
 			}
 			if out.Err != nil {

@@ -137,7 +137,6 @@ func (w instrumented) Detect(g *graph.CSR, opt Options) (*Result, error) {
 		if qobs != nil {
 			sum := qobs.summary()
 			res.Quality = &sum
-			res.QualityTrace = opt.Profiler.QualityRecords()
 			span.SetFloat("modularity", sum.Modularity)
 			span.SetFloat("qualityDrift", sum.Drift)
 			mQFinal.With(name).Observe(sum.Modularity)

@@ -13,7 +13,8 @@ import (
 // The quality-plane conformance suite: every registered detector run with
 // Options.Quality enabled must produce a QualitySummary whose incremental
 // estimate stayed within 1e-6 of the exact modularity at every sampled
-// recompute, a per-iteration QualityTrace, and a final summary that agrees
+// recompute, a quality record on every observed Trace entry, and a final
+// summary that agrees
 // with an independent exact evaluation of the returned labels. Detectors get
 // this for free from the instrumented registry wrapper — a new algorithm
 // joins the suite by registering and setting IterOutcome.Labels.
@@ -41,17 +42,26 @@ func TestQualityConformance(t *testing.T) {
 				if q.Observed <= 0 {
 					t.Fatal("quality plane observed no iterations")
 				}
-				if len(res.QualityTrace) != q.Observed {
-					t.Errorf("QualityTrace has %d records, summary observed %d",
-						len(res.QualityTrace), q.Observed)
-				}
 				// The acceptance bound: at every sampled recompute the live
 				// estimate is within 1e-6 of the exact value, and the summary
 				// carries the worst of them.
-				for _, rec := range res.QualityTrace {
+				observed := 0
+				for _, it := range res.Trace {
+					rec := it.Quality
+					if rec == nil {
+						continue
+					}
+					observed++
+					if rec.Iter != it.Iter {
+						t.Errorf("trace iter %d carries the quality record of iter %d", it.Iter, rec.Iter)
+					}
 					if rec.Exact && rec.Drift > 1e-6 {
 						t.Errorf("iter %d: estimator drift %v exceeds 1e-6", rec.Iter, rec.Drift)
 					}
+				}
+				if observed != q.Observed {
+					t.Errorf("Trace has %d quality records, summary observed %d",
+						observed, q.Observed)
 				}
 				if q.MaxDrift > 1e-6 {
 					t.Errorf("max estimator drift %v exceeds 1e-6", q.MaxDrift)
@@ -128,13 +138,15 @@ func TestQualityDisabledLeavesResultBare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Quality != nil || res.QualityTrace != nil {
-		t.Error("quality fields populated without Quality.Enabled")
+	if res.Quality != nil {
+		t.Error("quality summary populated without Quality.Enabled")
 	}
 	if rec.WantsQuality() {
 		t.Error("recorder has a quality observer without Quality.Enabled")
 	}
-	if recs := rec.QualityRecords(); len(recs) != 0 {
-		t.Errorf("%d quality records on a disabled run", len(recs))
+	for _, it := range rec.IterRecords() {
+		if it.Quality != nil {
+			t.Errorf("iter %d carries a quality record on a disabled run", it.Iter)
+		}
 	}
 }

@@ -156,11 +156,6 @@ func addRecords(a, b telemetry.IterRecord) telemetry.IterRecord {
 	a.HashProbes += b.HashProbes
 	a.HashCollisions += b.HashCollisions
 	a.HashFallbacks += b.HashFallbacks
-	// CASRetries is a process-wide delta measured over overlapping windows
-	// by concurrent shards; summing would multiply-count shared contention.
-	if b.CASRetries > a.CASRetries {
-		a.CASRetries = b.CASRetries
-	}
 	a.EdgeVisits += b.EdgeVisits
 	a.ActiveVertices += b.ActiveVertices
 	return a

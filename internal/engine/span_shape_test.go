@@ -20,7 +20,6 @@ func (c *superstepCounter) ObserveIteration(telemetry.IterRecord) {}
 func (c *superstepCounter) ObserveSuperstep(int, []time.Duration, time.Duration, int64) {
 	c.n.Add(1)
 }
-func (c *superstepCounter) ObserveQuality(telemetry.QualityRecord) {}
 
 // spanParents runs detector name on the web conformance graph under a fresh
 // trace and returns, for each span name, the names of the spans it hangs

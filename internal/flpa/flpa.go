@@ -103,9 +103,7 @@ func Detect(g *graph.CSR, opt Options) (*Result, error) {
 			ActiveVertices: genSteps,
 		}
 		if opt.Profiler != nil {
-			// Quality first so a health sink can fold the quality record
-			// into the same frame as the iteration record that follows.
-			opt.Profiler.ObserveQuality(rec.Iter, labels)
+			rec.Quality = opt.Profiler.ObserveQuality(rec.Iter, labels)
 			opt.Profiler.RecordIteration(rec)
 		}
 		res.Trace = append(res.Trace, rec)

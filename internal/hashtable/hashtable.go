@@ -134,7 +134,8 @@ type StatsSnapshot struct {
 
 // Snapshot reads all counters at once; the telemetry layer subtracts
 // consecutive snapshots to attribute probe work to iterations. A nil
-// receiver yields a zero snapshot, so callers need not gate on TrackStats.
+// receiver yields a zero snapshot, so callers need not gate on whether the
+// run counts.
 func (s *Stats) Snapshot() StatsSnapshot {
 	if s == nil {
 		return StatsSnapshot{}

@@ -228,15 +228,12 @@ type Monitor struct {
 	closed   bool
 	lastIter int
 
-	// Quality-plane state: the record waiting to be folded into its
-	// iteration's frame, the run's peak modularity (collapse reference), and
-	// a bounded track of sampled (exact-recompute) records for the flight
-	// bundle.
-	pendingQuality telemetry.QualityRecord
-	pendingQValid  bool
-	peakQ          float64
-	havePeakQ      bool
-	qualityTrack   []telemetry.QualityRecord
+	// Quality-plane state: the run's peak modularity (collapse reference)
+	// and a bounded track of sampled (exact-recompute) records for the
+	// flight bundle.
+	peakQ        float64
+	havePeakQ    bool
+	qualityTrack []telemetry.QualityRecord
 }
 
 // subscriber is one live consumer's server-side record: its buffered frame
@@ -363,8 +360,6 @@ func (m *Monitor) ObserveSuperstep(iter int, durs []time.Duration, barrierWait t
 	if skew < m.stragglerSkew() {
 		straggler = -1
 	}
-	mBarrierWait.Observe(barrierWait.Seconds())
-
 	m.mu.Lock()
 	m.pending = superstep{
 		valid:     true,
@@ -379,21 +374,10 @@ func (m *Monitor) ObserveSuperstep(iter int, durs []time.Duration, barrierWait t
 	m.mu.Unlock()
 }
 
-// ObserveQuality implements telemetry.IterSink: it holds the iteration's
-// quality record for the frame derivation that follows, tracks the run's
-// peak modularity (the collapse reference), and retains sampled
-// (exact-recompute) records on the bounded flight track.
-func (m *Monitor) ObserveQuality(rec telemetry.QualityRecord) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return
-	}
-	m.pendingQuality = rec
-	m.pendingQValid = true
+// observeQuality tracks the run's peak modularity (the collapse reference)
+// and retains sampled (exact-recompute) records on the bounded flight track.
+// Callers hold m.mu.
+func (m *Monitor) observeQuality(rec telemetry.QualityRecord) {
 	if !m.havePeakQ || rec.Modularity > m.peakQ {
 		m.peakQ = rec.Modularity
 		m.havePeakQ = true
@@ -463,7 +447,7 @@ func (m *Monitor) ObserveIteration(rec telemetry.IterRecord) {
 		f.HaloLabels = p.halo
 		m.pending.valid = false
 	}
-	if q := m.pendingQuality; m.pendingQValid && q.Iter == rec.Iter {
+	if q := rec.Quality; q != nil {
 		f.HasQuality = true
 		f.Modularity = q.Modularity
 		f.DeltaQ = q.DeltaQ
@@ -477,7 +461,7 @@ func (m *Monitor) ObserveIteration(rec telemetry.IterRecord) {
 		if q.ChurnValid {
 			f.ChurnNMI = q.ChurnNMI
 		}
-		m.pendingQValid = false
+		m.observeQuality(*q)
 	}
 
 	m.deriveTrends(&f)

@@ -32,11 +32,9 @@ var (
 	mOccupancy = metrics.NewGauge("engine_health_frontier_occupancy",
 		"Most recent frame's active-vertex share of the graph.")
 
-	// Log-spaced histograms: iteration wall time from ~10µs to ~40s and
-	// barrier wait from ~1µs to ~4s — the two latency distributions the
-	// straggler and stall detectors summarize.
+	// Log-spaced histogram of iteration wall time from ~10µs to ~40s, the
+	// latency distribution the stall detector summarizes. Barrier wait is
+	// nulpa_shard_barrier_wait_seconds, observed on every sharded run.
 	mIterSeconds = metrics.NewHistogram("engine_health_iteration_seconds",
 		"Monitored iteration wall time.", metrics.ExpBuckets(1e-5, 2, 22))
-	mBarrierWait = metrics.NewHistogram("engine_health_barrier_wait_seconds",
-		"Monitored superstep barrier wait (idle shard-seconds).", metrics.ExpBuckets(1e-6, 2, 22))
 )

@@ -9,19 +9,19 @@ import (
 	"nulpa/internal/telemetry"
 )
 
-// feedQuality pushes one iteration through the monitor with a quality record
-// observed first, the way the engine loop orders the two calls.
+// feedQuality pushes one iteration through the monitor carrying a quality
+// record, the way the engine loop attaches it.
 func feedQuality(m *Monitor, iter int, delta int64, q telemetry.QualityRecord, dur time.Duration) {
 	q.Iter = iter
-	m.ObserveQuality(q)
 	m.ObserveIteration(telemetry.IterRecord{
 		Iter: iter, DeltaN: delta, Moves: delta, ActiveVertices: delta, Duration: dur,
+		Quality: &q,
 	})
 }
 
-// TestMonitorQualityFold: a quality record observed before its iteration is
-// folded into that iteration's frame; drift appears only on sampled (exact)
-// records and churn only when valid; a frame with no pending record stays
+// TestMonitorQualityFold: an iteration's quality record is folded into that
+// iteration's frame; drift appears only on sampled (exact) records and churn
+// only when valid; an iteration without a quality record stays
 // quality-free.
 func TestMonitorQualityFold(t *testing.T) {
 	m := New(Config{Vertices: 1000, Threshold: 1})
@@ -37,7 +37,7 @@ func TestMonitorQualityFold(t *testing.T) {
 	frames := m.Frames()
 	f := frames[len(frames)-1]
 	if !f.HasQuality {
-		t.Fatal("frame did not fold the pending quality record")
+		t.Fatal("frame did not fold the quality record")
 	}
 	if f.Modularity != 0.31 || f.DeltaQ != 0.02 || f.Communities != 42 {
 		t.Errorf("folded quality = (Q %v, ΔQ %v, communities %d)", f.Modularity, f.DeltaQ, f.Communities)
@@ -67,9 +67,7 @@ func TestMonitorQualityFold(t *testing.T) {
 		t.Errorf("inexact record leaked drift %v / churn %v", f.QualityDrift, f.ChurnNMI)
 	}
 
-	// No pending record ⇒ the frame stays quality-free; a stale record for a
-	// past iteration must not fold forward.
-	m.ObserveQuality(telemetry.QualityRecord{Iter: 1, Modularity: 0.9})
+	// No quality record ⇒ the frame stays quality-free.
 	m.ObserveIteration(telemetry.IterRecord{Iter: 2, DeltaN: 300, Duration: 5 * time.Millisecond})
 	frames = m.Frames()
 	f = frames[len(frames)-1]
@@ -154,8 +152,8 @@ func TestMonitorQualityTrackBounded(t *testing.T) {
 	m := New(Config{Vertices: 100, RingSize: 4})
 	defer m.Close()
 	for i := 0; i < 10; i++ {
-		m.ObserveQuality(telemetry.QualityRecord{Iter: i, Modularity: float64(i), Exact: i%2 == 0})
-		m.ObserveIteration(telemetry.IterRecord{Iter: i, DeltaN: 10, Duration: time.Millisecond})
+		m.ObserveIteration(telemetry.IterRecord{Iter: i, DeltaN: 10, Duration: time.Millisecond,
+			Quality: &telemetry.QualityRecord{Iter: i, Modularity: float64(i), Exact: i%2 == 0}})
 	}
 	track := m.QualityTrack()
 	if len(track) != 4 {

@@ -184,6 +184,31 @@ func TestSubmitBodyTooLarge(t *testing.T) {
 	}
 }
 
+// TestSubmitAdmissionBounds: a job asking for more vertices, a higher degree
+// or more SM goroutines than the server admits is refused with a 400 before
+// anything is built; a job at the bounds is admitted.
+func TestSubmitAdmissionBounds(t *testing.T) {
+	ts := newTestServer(t)
+	for _, body := range []string{
+		`{"algo":"flpa","graph":{"gen":"er","n":8388609}}`,
+		`{"algo":"flpa","graph":{"gen":"er","n":100,"deg":1025}}`,
+		`{"algo":"nulpa","graph":{"gen":"er","n":100},"workers":257}`,
+	} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	st := submitAndWait(t, ts.URL, `{"algo":"nulpa","graph":{"gen":"er","n":64,"deg":8},"workers":256}`)
+	if st.State != JobDone {
+		t.Errorf("job at the workers bound ended %s: %s", st.State, st.Error)
+	}
+}
+
 func TestQualityJobMatchesMetrics(t *testing.T) {
 	// A quality-enabled job's final summary and the per-detector gauge on
 	// /metrics are two views of one number.

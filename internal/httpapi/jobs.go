@@ -257,6 +257,15 @@ type jobResult struct {
 	mod float64
 }
 
+// Admission bounds on what a job may ask the server to build and run: a
+// generated graph's vertex count and degree, and the SM goroutines each
+// kernel launch of the job's device starts.
+const (
+	maxJobVertices = 1 << 23
+	maxJobDegree   = 1024
+	maxJobWorkers  = 256
+)
+
 // submit validates the spec, registers the job, and hands it to the
 // scheduler. The graph is built inside the job's Run so a slow generator or
 // file load never blocks the HTTP handler. A shed submission (queue full,
@@ -268,6 +277,10 @@ func (s *jobStore) submit(spec JobSpec, tenant string) (*job, error) {
 	}
 	if spec.Graph.Path == "" && spec.Graph.Gen == "" {
 		return nil, fmt.Errorf("job needs graph.path or graph.gen")
+	}
+	if spec.Graph.N > maxJobVertices || spec.Graph.Deg > maxJobDegree || spec.Workers > maxJobWorkers {
+		return nil, fmt.Errorf("job exceeds admission bounds: graph.n <= %d, graph.deg <= %d, workers <= %d",
+			maxJobVertices, maxJobDegree, maxJobWorkers)
 	}
 	prio, err := sched.ParsePriority(spec.Priority)
 	if err != nil {
@@ -523,7 +536,6 @@ func (j *job) execute(ctx context.Context) (out any, err error) {
 		// run builds one device per shard, reporting to the recorder.
 		nopt.Device = simt.NewDevice(j.spec.Workers)
 		nopt.Device.Prof = simt.MultiProfiler(j.rec, simt.NewMetricsProfiler())
-		nopt.TrackStats = true
 		if j.spec.Faults != "" {
 			fspec, ferr := faults.ParseSpec(j.spec.Faults)
 			if ferr != nil {

@@ -125,7 +125,7 @@ func TestBlockPhaseMatchesPerLane(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/bd%d/sw%d", v.name, l.bd, l.sw), func(t *testing.T) {
 				opt := DefaultOptions()
 				v.set(&opt)
-				opt.BlockDim, opt.SwitchDegree, opt.TrackStats = l.bd, l.sw, true
+				opt.BlockDim, opt.SwitchDegree = l.bd, l.sw
 				if err := checkOptions(&opt); err != nil {
 					t.Fatal(err)
 				}

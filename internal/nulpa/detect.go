@@ -120,28 +120,27 @@ type runState struct {
 	// Counting. Lanes on SM s (direct backend: worker s) write only
 	// tallies[s] and work.Shard(s), with plain adds; FoldTallies sums them on
 	// the launching goroutine once the grid has joined, so no lane ever
-	// contends on a shared counter. countWork gates the work counters — set
-	// when the device profiler consumes them (simt.WantsWork), and always on
-	// the direct backend, whose IterRecords they feed; countHash
-	// gates hashtable accounting — set with TrackStats (stats is then the
-	// Result's HashStats) or when work counters want per-kernel probes.
+	// contends on a shared counter. count gates the work and hashtable
+	// counters on every backend alike: set if and only if the run reports
+	// to a profiler, and stats (the Result's HashStats) is then non-nil.
 	// launchHash is the last fold's hashtable counts, reported by TakeWork;
 	// iterEdges/iterActive accumulate the iteration's work totals for the
-	// IterRecord.
+	// IterRecord, and listed is the number of vertices the run processes
+	// when none is pruned, so Pruned = listed − iterActive.
 	tallies    []smTally
 	work       simt.WorkAccum
-	countWork  bool
-	countHash  bool
+	count      bool
 	stats      *hashtable.Stats
 	launchHash hashtable.StatsSnapshot
 	iterEdges  int64
 	iterActive int64
+	listed     int64
 }
 
 // newRunState allocates the state of a run over g: the hashtable arena, the
 // label array (a copy of labels, or the identity labeling when nil), the
-// pruning flags, and — with TrackStats — the Result's HashStats.
-func newRunState(g *graph.CSR, opt Options, labels []uint32) *runState {
+// pruning flags, and — when count is set — the Result's HashStats.
+func newRunState(g *graph.CSR, opt Options, labels []uint32, count bool) *runState {
 	n := g.NumVertices()
 	st := &runState{
 		g:         g,
@@ -149,8 +148,9 @@ func newRunState(g *graph.CSR, opt Options, labels []uint32) *runState {
 		labels:    make([]uint32, n),
 		processed: make([]uint32, n),
 		noPrune:   opt.DisablePruning,
+		count:     count,
 	}
-	if opt.TrackStats {
+	if count {
 		st.stats = &hashtable.Stats{}
 	}
 	if labels != nil {
@@ -214,10 +214,10 @@ func (st *runState) TakeWork() (edgeVisits, labelFlips, hashProbes, hashCollisio
 	return ev, lf, st.launchHash.Probes, st.launchHash.Collisions, av
 }
 
-// hashTally returns SM sm's hashtable tally, or nil when nothing consumes
-// probe accounting.
+// hashTally returns SM sm's hashtable tally, or nil when the run does not
+// count.
 func (st *runState) hashTally(sm int) *hashtable.Tally {
-	if !st.countHash {
+	if !st.count {
 		return nil
 	}
 	return &st.tallies[sm].hash
@@ -271,7 +271,7 @@ func newDeviceRun(g *graph.CSR, opt Options, dev *simt.Device, view runView) (*d
 	n := g.NumVertices()
 	arcs := g.NumArcs()
 
-	st := newRunState(g, opt, view.labels)
+	st := newRunState(g, opt, view.labels, dev.Prof != nil)
 	// Device memory: CSR (offsets, targets, weights), hashtable arena,
 	// labels, pruning flags, candidate buffer.
 	bytes := int64(len(g.Offsets))*8 + arcs*4 + arcs*4 + st.arena.bytes() + int64(n)*4*3
@@ -282,16 +282,12 @@ func newDeviceRun(g *graph.CSR, opt Options, dev *simt.Device, view runView) (*d
 		return nil, fmt.Errorf("nulpa: graph with %d arcs does not fit on device: %w", arcs, err)
 	}
 
-	st.countWork = simt.WantsWork(dev.Prof)
-	// Work counters want per-kernel probe attribution even when the caller
-	// did not ask for the Result-level stats.
-	st.countHash = st.stats != nil || st.countWork
-
 	limit := view.propagate
 	if limit <= 0 {
 		limit = n
 	}
 	low, high := partitionByDegree(g, opt.SwitchDegree, limit)
+	st.listed = int64(len(low) + len(high))
 
 	r := &deviceRun{
 		st:   st,
@@ -354,7 +350,7 @@ func (r *deviceRun) iterate(ctx context.Context, iter int) engine.IterOutcome {
 	// exponential backoff, up to maxRetries consecutive attempts. rec
 	// collects the device's own record fields: kernel times and retries.
 	var rec IterStat
-	var base iterBase
+	var base hashtable.StatsSnapshot
 	for attempt := 0; ; attempt++ {
 		base = st.beginIter(&opt, iter)
 		err := func() error {
@@ -425,18 +421,11 @@ func (r *deviceRun) iterate(ctx context.Context, iter int) engine.IterOutcome {
 	return st.endIter(&opt, res, base, rec)
 }
 
-// iterBase is what an iteration's record is measured against.
-type iterBase struct {
-	hash   hashtable.StatsSnapshot
-	cas    simt.ContentionCounts
-	pruned int64
-}
-
 // beginIter starts an attempt at iteration iter, on either backend: it sets
 // the iteration's Pick-Less and Cross-Check flags, zeroes the iteration's
-// counters, keeps the labels Cross-Check compares against, and takes the
-// baselines endIter measures from.
-func (st *runState) beginIter(opt *Options, iter int) iterBase {
+// counters, keeps the labels Cross-Check compares against, and returns the
+// hashtable baseline endIter measures from.
+func (st *runState) beginIter(opt *Options, iter int) hashtable.StatsSnapshot {
 	st.pickless = opt.PickLessEvery > 0 && iter%opt.PickLessEvery == 0
 	st.crosscheck = opt.CrossCheckEvery > 0 && iter%opt.CrossCheckEvery == 0
 	st.deltaN, st.reverts = 0, 0
@@ -444,18 +433,14 @@ func (st *runState) beginIter(opt *Options, iter int) iterBase {
 	if st.crosscheck {
 		copy(st.prev, st.labels)
 	}
-	b := iterBase{hash: st.stats.Snapshot(), cas: simt.ContentionSnapshot()}
-	if opt.Profiler != nil && !st.noPrune {
-		b.pruned = countPruned(st.processed)
-	}
-	return b
+	return st.stats.Snapshot()
 }
 
 // endIter closes an iteration whose counters have been folded: it adds the
 // net moves and reverts to the run's Result res and returns the iteration's
 // outcome. rec carries the backend's own record fields (kernel times,
 // retries); endIter fills in the rest.
-func (st *runState) endIter(opt *Options, res *Result, b iterBase, rec IterStat) engine.IterOutcome {
+func (st *runState) endIter(opt *Options, res *Result, base hashtable.StatsSnapshot, rec IterStat) engine.IterOutcome {
 	gross, reverts := st.deltaN, st.reverts
 	delta := gross - reverts
 	res.Moves += delta
@@ -465,12 +450,11 @@ func (st *runState) endIter(opt *Options, res *Result, b iterBase, rec IterStat)
 	rec.Moves = gross
 	rec.Reverts = reverts
 	rec.DeltaN = delta
-	rec.Pruned = b.pruned
-	rec.CASRetries = simt.ContentionSnapshot().Sub(b.cas).Total()
-	rec.EdgeVisits = st.iterEdges
-	rec.ActiveVertices = st.iterActive
-	if st.stats != nil {
-		d := st.stats.Snapshot().Sub(b.hash)
+	if st.count {
+		rec.EdgeVisits = st.iterEdges
+		rec.ActiveVertices = st.iterActive
+		rec.Pruned = st.listed - st.iterActive
+		d := st.stats.Snapshot().Sub(base)
 		rec.HashAccumulates = d.Accumulates
 		rec.HashProbes = d.Probes
 		rec.HashCollisions = d.Collisions
@@ -499,7 +483,7 @@ func (st *runState) claim(i graph.Vertex, sm int) bool {
 		}
 		simt.AtomicStoreUint32(st.processed, int(i), 1)
 	}
-	if st.countWork {
+	if st.count {
 		w := st.work.Shard(sm)
 		w.ActiveVertices++
 		w.EdgeVisits += int64(st.g.Degree(i))
@@ -543,7 +527,7 @@ func (st *runState) commit(i graph.Vertex, c uint32, sm int) bool {
 	}
 	simt.AtomicStoreUint32(st.labels, int(i), c)
 	st.tallies[sm].flips++
-	if st.countWork {
+	if st.count {
 		w := st.work.Shard(sm)
 		w.LabelFlips++
 		w.EdgeVisits += int64(st.g.Degree(i)) // neighbour wake-up scan
@@ -578,7 +562,7 @@ func (st *runState) crossCheck(i, sm int) {
 		st.tallies[sm].reverts++
 		// The vertex changed again; let its neighbourhood reconsider.
 		simt.AtomicStoreUint32(st.processed, i, 0)
-		if st.countWork {
+		if st.count {
 			st.work.Shard(sm).LabelFlips++
 		}
 	}
@@ -611,19 +595,6 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-// countPruned counts vertices whose processed flag is set — the vertices the
-// coming iteration will skip. Called between kernel launches, so plain reads
-// are safe (the SM goroutines have been joined).
-func countPruned(flags []uint32) int64 {
-	var c int64
-	for _, f := range flags {
-		if f == 1 {
-			c++
-		}
-	}
-	return c
 }
 
 // partitionByDegree splits vertices into the thread-per-vertex list (degree

@@ -303,10 +303,10 @@ func TestDeterministicOnSingleSM(t *testing.T) {
 func TestTrackStats(t *testing.T) {
 	g := gen.ErdosRenyi(400, 2400, 3)
 	opt := DefaultOptions()
-	opt.TrackStats = true
+	opt.Profiler = telemetry.NewRecorder()
 	res := detect(t, g, opt)
 	if res.HashStats == nil || res.HashStats.Accumulates.Load() == 0 {
-		t.Error("TrackStats produced no accounting")
+		t.Error("a profiled run produced no accounting")
 	}
 	if res.HashStats.Probes.Load() < res.HashStats.Accumulates.Load() {
 		t.Error("fewer probes than accumulates")
@@ -410,7 +410,7 @@ func TestPruningReducesWork(t *testing.T) {
 	run := func(disable bool) int64 {
 		opt := DefaultOptions()
 		opt.DisablePruning = disable
-		opt.TrackStats = true
+		opt.Profiler = telemetry.NewRecorder()
 		res := detect(t, g, opt)
 		return res.HashStats.Accumulates.Load()
 	}
@@ -519,7 +519,6 @@ func TestWeightedPickLess(t *testing.T) {
 func TestProfiledFoldAllocatesNothing(t *testing.T) {
 	g := gen.ErdosRenyi(200, 1200, 5)
 	opt := DefaultOptions()
-	opt.TrackStats = true
 	opt.Profiler = telemetry.NewRecorder()
 	dev := simt.NewDevice(2)
 	r, err := newDeviceRun(g, opt, dev, runView{})
@@ -528,7 +527,7 @@ func TestProfiledFoldAllocatesNothing(t *testing.T) {
 	}
 	defer r.free()
 	st := r.st
-	if !st.countWork || !st.countHash {
+	if !st.count {
 		t.Fatal("a profiled run must count work and hashtable probes")
 	}
 	dev.Launch1D(len(r.low), 32, r.tk) // ≥ 2 blocks: sizes tallies for both SMs

@@ -26,14 +26,16 @@ func detectDirect(g *graph.CSR, opt Options) (*Result, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	st := newRunState(g, opt, nil)
+	st := newRunState(g, opt, nil, opt.Profiler != nil)
 	res := &Result{DeviceBytes: st.arena.bytes(), HashStats: st.stats}
 	// Worker w counts into tallies[w] and work.Shard(w) exactly as SM w does
-	// on the simt backend. The work counters always run: they are the
-	// iteration record's edge visits and active vertices.
-	st.countWork = true
-	st.countHash = st.stats != nil
+	// on the simt backend, under the same rule: only when profiled.
 	st.GrowTallies(workers)
+	for v := 0; v < n; v++ {
+		if g.Degree(graph.Vertex(v)) > 0 {
+			st.listed++
+		}
+	}
 
 	const chunk = 1024
 	cands := make([][]uint32, workers)

@@ -81,7 +81,6 @@ func (d Detector) Detect(g *graph.CSR, opt engine.Options) (*engine.Result, erro
 	}
 	if opt.Profiler != nil {
 		nopt.Profiler = opt.Profiler
-		nopt.TrackStats = true
 	}
 	nres, err := Detect(g, nopt)
 	if err != nil {

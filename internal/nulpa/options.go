@@ -87,13 +87,12 @@ type Options struct {
 	// each fresh simulated device; 0 selects GOMAXPROCS (divided across the
 	// devices of a sharded run).
 	Workers int
-	// TrackStats attaches hashtable probe accounting to the run.
-	TrackStats bool
 	// Profiler, when non-nil, receives device-level execution events
 	// (kernel launches, per-SM busy spans on the SIMT backend) and a copy
-	// of every per-iteration record, and unlocks the detailed trace fields
-	// whose computation costs an extra pass (pruned-vertex counts).
-	// Combine with TrackStats for hashtable probe deltas.
+	// of every per-iteration record. A run counts its work and hashtable
+	// probes — the records' EdgeVisits, ActiveVertices, Pruned and Hash*
+	// fields, and Result.HashStats — if and only if it reports to a
+	// profiler: this one, or a profiler already on Device.
 	Profiler *telemetry.Recorder
 	// DisablePruning turns off the vertex-pruning optimization (every
 	// vertex is processed every iteration) — the ablation for the paper's
@@ -193,7 +192,8 @@ type Result struct {
 	// Trace records per-iteration diagnostics (always populated; one entry
 	// per iteration).
 	Trace []IterStat
-	// HashStats holds probe accounting when Options.TrackStats was set.
+	// HashStats holds probe accounting when the run counted (it reported
+	// to a profiler); nil otherwise.
 	HashStats *hashtable.Stats
 	// Duration is the wall time of the propagation loop (excluding graph
 	// loading, including kernel launches).

@@ -65,9 +65,6 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 	}
 
 	res := &Result{ShardStats: make([]ShardStat, k)}
-	if opt.TrackStats {
-		res.HashStats = &hashtable.Stats{}
-	}
 	runs := make([]*deviceRun, k)
 	defer func() {
 		for _, r := range runs {
@@ -110,6 +107,9 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 		}
 	}
 
+	if runs[0].st.count {
+		res.HashStats = &hashtable.Stats{}
+	}
 	labelArrs := make([][]uint32, k)
 	for s, r := range runs {
 		labelArrs[s] = r.st.labels

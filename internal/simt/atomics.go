@@ -13,46 +13,14 @@ import (
 //
 // Every CAS retry loop counts its lost races into process-wide contention
 // counters. The counters live on the retry path only — an uncontended
-// operation costs nothing extra — so they stay on permanently; the telemetry
-// layer reads per-iteration deltas via ContentionSnapshot.
+// operation costs nothing extra — so they stay on permanently; the metrics
+// plane exports them as the simt_*_retries_total families.
 
 var (
 	casRetries      atomic.Int64 // AtomicCASUint32 lost races
 	minMaxRetries   atomic.Int64 // AtomicMinUint32 / AtomicMaxUint32 lost races
 	floatAddRetries atomic.Int64 // AtomicAddFloat{32,64}Bits lost races
 )
-
-// ContentionCounts is a snapshot of the process-wide atomic-contention
-// counters: how many CAS loops had to retry because another lane won the
-// race.
-type ContentionCounts struct {
-	CASRetries      int64
-	MinMaxRetries   int64
-	FloatAddRetries int64
-}
-
-// ContentionSnapshot reads the current contention counters.
-func ContentionSnapshot() ContentionCounts {
-	return ContentionCounts{
-		CASRetries:      casRetries.Load(),
-		MinMaxRetries:   minMaxRetries.Load(),
-		FloatAddRetries: floatAddRetries.Load(),
-	}
-}
-
-// Sub returns the delta c − o, the contention between two snapshots.
-func (c ContentionCounts) Sub(o ContentionCounts) ContentionCounts {
-	return ContentionCounts{
-		CASRetries:      c.CASRetries - o.CASRetries,
-		MinMaxRetries:   c.MinMaxRetries - o.MinMaxRetries,
-		FloatAddRetries: c.FloatAddRetries - o.FloatAddRetries,
-	}
-}
-
-// Total sums the counters.
-func (c ContentionCounts) Total() int64 {
-	return c.CASRetries + c.MinMaxRetries + c.FloatAddRetries
-}
 
 // AtomicAddUint32 atomically adds delta to p[i] and returns the new value.
 func AtomicAddUint32(p []uint32, i int, delta uint32) uint32 {

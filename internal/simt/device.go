@@ -83,6 +83,10 @@ type Profiler interface {
 	// SMSpan reports one SM's busy span: blocks executed, phase barriers
 	// crossed and lanes run between start and end.
 	SMSpan(launch, sm int, start, end time.Time, blocks, phases, lanes int64)
+	// KernelWork reports the algorithmic work counters of a kernel
+	// implementing WorkReportingKernel (see work.go), at most once per
+	// launch, after the last SMSpan and before KernelEnd.
+	KernelWork(launch int, edgeVisits, labelFlips, hashProbes, hashCollisions, activeVertices int64)
 	// KernelEnd reports the launch's overall wall span
 	// (cudaDeviceSynchronize returning).
 	KernelEnd(launch int, start, end time.Time)
@@ -406,10 +410,8 @@ func (d *Device) launch(ctx context.Context, gridDim, blockDim int, k Kernel, st
 		// Work counters drain before KernelEnd so profilers that drop
 		// launch state on end (MetricsProfiler) still see the kernel name.
 		if wk, ok := k.(WorkReportingKernel); ok {
-			if wp, ok := prof.(WorkProfiler); ok {
-				ev, lf, hp, hc, av := wk.TakeWork()
-				wp.KernelWork(launch, ev, lf, hp, hc, av)
-			}
+			ev, lf, hp, hc, av := wk.TakeWork()
+			prof.KernelWork(launch, ev, lf, hp, hc, av)
 		}
 		prof.KernelEnd(launch, kStart, time.Now())
 	}

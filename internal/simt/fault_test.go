@@ -65,12 +65,12 @@ func TestLaunchKernelFailure(t *testing.T) {
 func TestLaunchKernelLivelock(t *testing.T) {
 	d := NewDevice(2)
 	d.Faults = &scriptInjector{faults: map[int64]LaunchFault{0: {Kind: FaultLivelock, Spins: 1000}}}
-	before := ContentionSnapshot().CASRetries
+	before := casRetries.Load()
 	err := d.LaunchKernel(context.Background(), 2, 32, PhaseFunc{Phases: 1, F: func(int, *Thread) {}})
 	if !errors.Is(err, ErrLivelock) {
 		t.Fatalf("err = %v, want ErrLivelock", err)
 	}
-	if got := ContentionSnapshot().CASRetries - before; got != 1000 {
+	if got := casRetries.Load() - before; got != 1000 {
 		t.Errorf("livelock charged %d CAS retries, want 1000", got)
 	}
 }

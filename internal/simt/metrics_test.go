@@ -93,6 +93,8 @@ func (r *recordingProf) SMSpan(launch, sm int, start, end time.Time, blocks, pha
 		panic("SMSpan got a foreign launch id")
 	}
 }
+func (r *recordingProf) KernelWork(int, int64, int64, int64, int64, int64) {}
+
 func (r *recordingProf) KernelEnd(launch int, start, end time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

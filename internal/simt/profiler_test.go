@@ -46,6 +46,8 @@ func (p *captureProf) SMSpan(launch, sm int, start, end time.Time, blocks, phase
 	}{launch, sm, start, end, blocks, phases, lanes})
 }
 
+func (p *captureProf) KernelWork(int, int64, int64, int64, int64, int64) {}
+
 func (p *captureProf) KernelEnd(launch int, start, end time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

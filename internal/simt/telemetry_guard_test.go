@@ -64,7 +64,6 @@ func detectBench(b *testing.B, profile bool) {
 		opt.Device = simt.NewDevice(0)
 		if profile {
 			opt.Profiler = telemetry.NewRecorder()
-			opt.TrackStats = true
 		}
 		if _, err := nulpa.Detect(g, opt); err != nil {
 			b.Fatal(err)

@@ -4,31 +4,16 @@ import "nulpa/internal/metrics"
 
 // Work accounting: kernels that can count their algorithmic work — edge
 // visits, label flips, hashtable probes/collisions, active vertices — report
-// it per launch through two optional extensions of the profiling seam:
-//
-//   - a Kernel additionally implements WorkReportingKernel, draining its
-//     accumulated counters after the launch;
-//   - a Profiler additionally implements WorkProfiler, receiving them.
-//
-// The device wires the two together in launch(): after every block has
-// finished and before KernelEnd, it drains the kernel's counters into the
-// profiler. Both interfaces are structural, so telemetry.Recorder satisfies
-// WorkProfiler without importing this package — the same decoupling as
-// Profiler itself — which is why KernelWork passes flat int64s rather than a
-// shared struct.
+// it per launch through Profiler.KernelWork. A Kernel additionally
+// implements WorkReportingKernel, and the device drains its counters into
+// the profiler in launch(), after every block has finished and before
+// KernelEnd. KernelWork passes flat int64s rather than a shared struct so
+// telemetry.Recorder satisfies Profiler without importing this package.
 //
 // Counting is contention-free: a lane counts into its SM's own shard
 // (WorkAccum.Shard(t.SM)) with plain adds, and nothing is summed until the
-// grid has joined. Kernels still check WantsWork(dev.Prof) once per run and
-// skip counting when false, keeping the disabled path free of even those
-// adds.
-
-// WorkProfiler is the optional Profiler extension receiving per-launch
-// algorithmic work counters. KernelWork is called at most once per launch,
-// after the last SMSpan and before KernelEnd, from the launching goroutine.
-type WorkProfiler interface {
-	KernelWork(launch int, edgeVisits, labelFlips, hashProbes, hashCollisions, activeVertices int64)
-}
+// grid has joined. Kernels count only when the device has a profiler, which
+// keeps the unprofiled path free of even those adds.
 
 // WorkReportingKernel is the optional Kernel extension for kernels that
 // count their work. TakeWork drains the counters accumulated since the last
@@ -37,22 +22,6 @@ type WorkProfiler interface {
 type WorkReportingKernel interface {
 	Kernel
 	TakeWork() (edgeVisits, labelFlips, hashProbes, hashCollisions, activeVertices int64)
-}
-
-// WantsWork reports whether profiler p consumes work counters — the gate
-// kernels use to decide whether counting is worth the per-SM adds. A
-// MultiProfiler wants work when any child does.
-func WantsWork(p Profiler) bool {
-	if m, ok := p.(*multiProfiler); ok {
-		for _, c := range m.ps {
-			if WantsWork(c) {
-				return true
-			}
-		}
-		return false
-	}
-	_, ok := p.(WorkProfiler)
-	return ok
 }
 
 // WorkCounts is one SM's share of a launch's work counters. Only the SM's
@@ -127,7 +96,7 @@ var (
 		"Vertices processed (frontier occupancy) by work-reporting kernels, per kernel.", "kernel")
 )
 
-// KernelWork implements WorkProfiler: work counters flow to the
+// KernelWork implements Profiler: work counters flow to the
 // nulpa_work_*_total{kernel} metric families.
 func (p *MetricsProfiler) KernelWork(launch int, edgeVisits, labelFlips, hashProbes, hashCollisions, activeVertices int64) {
 	p.mu.Lock()
@@ -143,8 +112,7 @@ func (p *MetricsProfiler) KernelWork(launch int, edgeVisits, labelFlips, hashPro
 	mWorkActive.With(l.kernel).Add(activeVertices)
 }
 
-// KernelWork implements WorkProfiler by forwarding to every child that
-// consumes work counters.
+// KernelWork implements Profiler by forwarding to every child.
 func (m *multiProfiler) KernelWork(launch int, edgeVisits, labelFlips, hashProbes, hashCollisions, activeVertices int64) {
 	m.mu.Lock()
 	child := m.ids[launch]
@@ -153,8 +121,6 @@ func (m *multiProfiler) KernelWork(launch int, edgeVisits, labelFlips, hashProbe
 		return
 	}
 	for i, p := range m.ps {
-		if wp, ok := p.(WorkProfiler); ok {
-			wp.KernelWork(child[i], edgeVisits, labelFlips, hashProbes, hashCollisions, activeVertices)
-		}
+		p.KernelWork(child[i], edgeVisits, labelFlips, hashProbes, hashCollisions, activeVertices)
 	}
 }

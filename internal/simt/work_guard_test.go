@@ -59,14 +59,11 @@ func TestWorkCountingDisabledNoAllocs(t *testing.T) {
 		t.Errorf("WorkAccum.Take allocates %v per call, want 0", a)
 	}
 
-	// Contrast: with a work-consuming profiler attached the same kernel
-	// reports real numbers, proving the guard measures the gated path.
+	// Contrast: with a profiler attached the same kernel reports real
+	// numbers, proving the guard measures the gated path.
 	rec := telemetry.NewRecorder()
 	dev.Prof = rec
 	defer func() { dev.Prof = nil }()
-	if !simt.WantsWork(dev.Prof) {
-		t.Fatal("telemetry.Recorder does not satisfy simt.WorkProfiler")
-	}
 	dev.Launch(grid, blockDim, counting)
 	work := rec.KernelWorkByName()
 	if len(work) == 0 {

@@ -54,15 +54,8 @@ func (w *workCapture) KernelWork(launch int, edgeVisits, labelFlips, hashProbes,
 	w.work[launch] = [5]int64{edgeVisits, labelFlips, hashProbes, hashCollisions, activeVertices}
 }
 
-// plainProf is a Profiler with no work extension.
-type plainProf struct{}
-
-func (plainProf) KernelBegin(kernel string, grid, blockDim, sms int) int                   { return 0 }
-func (plainProf) SMSpan(launch, sm int, start, end time.Time, blocks, phases, lanes int64) {}
-func (plainProf) KernelEnd(launch int, start, end time.Time)                               {}
-
 // TestWorkFlowsToProfiler pins the device seam: a WorkReportingKernel's
-// counters reach a WorkProfiler exactly once per launch, with the values the
+// counters reach the Profiler exactly once per launch, with the values the
 // lanes accumulated.
 func TestWorkFlowsToProfiler(t *testing.T) {
 	dev := NewDevice(2)
@@ -110,27 +103,6 @@ func TestWorkAccumShardsSum(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(100, func() { w.Grow(4); w.Take() }); a != 0 {
 		t.Errorf("Grow to a reached size + Take allocate %v, want 0", a)
-	}
-}
-
-func TestWantsWork(t *testing.T) {
-	if WantsWork(nil) {
-		t.Error("WantsWork(nil) = true")
-	}
-	if WantsWork(plainProf{}) {
-		t.Error("WantsWork(plain Profiler) = true")
-	}
-	if !WantsWork(&workCapture{}) {
-		t.Error("WantsWork(WorkProfiler) = false")
-	}
-	if !WantsWork(NewMetricsProfiler()) {
-		t.Error("WantsWork(MetricsProfiler) = false")
-	}
-	if !WantsWork(MultiProfiler(plainProf{}, &workCapture{})) {
-		t.Error("WantsWork(multi with one consumer) = false")
-	}
-	if WantsWork(MultiProfiler(plainProf{}, plainProf{})) {
-		t.Error("WantsWork(multi with no consumer) = true")
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // device with one thread row per SM — each kernel launch appears as a
 // complete ("X") slice on every SM that executed blocks of its grid — and a
 // second process for the algorithm run, with one slice per iteration plus
-// counter ("C") series for ΔN, moves, reverts, pruned vertices, hashtable
-// probes and CAS retries.
+// counter ("C") series for ΔN, moves, reverts, pruned vertices and
+// hashtable probes.
 
 const (
 	devicePid = 0 // process 0: the simulated device, one thread per SM
@@ -130,8 +130,6 @@ func (r *Recorder) chromeEvents(base time.Time) []traceEvent {
 			traceEvent{Name: "hashtable", Ph: "C", Ts: ts, Pid: runPid,
 				Args: map[string]any{"probes": rec.HashProbes, "collisions": rec.HashCollisions,
 					"fallbacks": rec.HashFallbacks}},
-			traceEvent{Name: "contention", Ph: "C", Ts: ts, Pid: runPid,
-				Args: map[string]any{"casRetries": rec.CASRetries}},
 		)
 	}
 

@@ -33,7 +33,7 @@ func goldenRecorder() *Recorder {
 
 	r.AddIterRecords([]IterRecord{
 		{Iter: 0, Moves: 500, DeltaN: 500, Duration: 200 * time.Microsecond,
-			HashProbes: 900, HashCollisions: 120, CASRetries: 7},
+			HashProbes: 900, HashCollisions: 120},
 		{Iter: 1, PickLess: true, Moves: 80, DeltaN: 80, Duration: 150 * time.Microsecond, Pruned: 300},
 		{Iter: 2, CrossCheck: true, Moves: 20, Reverts: 5, DeltaN: 15, Duration: 100 * time.Microsecond},
 	})

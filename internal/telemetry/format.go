@@ -14,16 +14,16 @@ func FormatIters(recs []IterRecord) string {
 		return "(no per-iteration records)\n"
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%5s %3s %3s %10s %9s %10s %9s %10s %10s %10s %12s %12s %9s %9s %12s\n",
+	fmt.Fprintf(&b, "%5s %3s %3s %10s %9s %10s %9s %10s %10s %10s %12s %12s %9s %12s\n",
 		"iter", "PL", "CC", "moves", "reverts", "deltaN", "pruned",
-		"t-kernel", "b-kernel", "x-kernel", "edges", "probes", "active", "retries", "time")
+		"t-kernel", "b-kernel", "x-kernel", "edges", "probes", "active", "time")
 	for _, r := range recs {
-		fmt.Fprintf(&b, "%5d %3s %3s %10d %9d %10d %9d %10s %10s %10s %12d %12d %9d %9d %12v\n",
+		fmt.Fprintf(&b, "%5d %3s %3s %10d %9d %10d %9d %10s %10s %10s %12d %12d %9d %12v\n",
 			r.Iter, mark(r.PickLess), mark(r.CrossCheck),
 			r.Moves, r.Reverts, r.DeltaN, r.Pruned,
 			ms(r.ThreadKernel), ms(r.BlockKernel), ms(r.CrossKernel),
 			r.EdgeVisits, r.HashProbes, r.ActiveVertices,
-			r.CASRetries, r.Duration.Round(time.Microsecond))
+			r.Duration.Round(time.Microsecond))
 	}
 	return b.String()
 }

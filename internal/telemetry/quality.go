@@ -2,9 +2,10 @@ package telemetry
 
 // QualityRecord is one iteration's partition-quality telemetry, produced by
 // the quality observer the engine attaches when quality accounting is
-// enabled. It travels the same path as IterRecord: stored on the Recorder,
-// forwarded to the IterSink (the health monitor), and exported into traces,
-// metrics, SSE frames, and the flight bundle.
+// enabled. It travels inside its iteration's IterRecord (IterRecord.Quality)
+// to every consumer of that record: the result trace, the Recorder, the
+// IterSink (the health monitor), and from there traces, metrics, SSE frames
+// and the flight bundle.
 type QualityRecord struct {
 	// Iter is the zero-based iteration index the labels belong to.
 	Iter int `json:"iter"`
@@ -69,36 +70,21 @@ func (r *Recorder) WantsQuality() bool {
 	return o != nil
 }
 
-// ObserveQuality runs the attached observer on one iteration's labels,
-// stores the resulting record, and forwards it to the IterSink. With no
-// observer attached it is a zero-allocation no-op (one mutex round-trip) —
-// the convergence loop calls it unconditionally whenever a profiler is
-// present. Call it before RecordIteration for the same iteration so a sink
-// can fold the quality record into that iteration's frame.
-func (r *Recorder) ObserveQuality(iter int, labels []uint32) (QualityRecord, bool) {
+// ObserveQuality runs the attached observer on one iteration's labels and
+// returns the record to attach to that iteration's IterRecord, or nil when
+// no observer is attached or it declined the labels. With no observer it is
+// a zero-allocation no-op (one mutex round-trip) — the convergence loop
+// calls it unconditionally whenever a profiler is present.
+func (r *Recorder) ObserveQuality(iter int, labels []uint32) *QualityRecord {
 	r.mu.Lock()
 	o := r.qualityObs
 	r.mu.Unlock()
 	if o == nil {
-		return QualityRecord{}, false
+		return nil
 	}
 	rec, ok := o.ObserveLabels(iter, labels)
 	if !ok {
-		return QualityRecord{}, false
+		return nil
 	}
-	r.mu.Lock()
-	r.quality = append(r.quality, rec)
-	s := r.sink
-	r.mu.Unlock()
-	if s != nil {
-		s.ObserveQuality(rec)
-	}
-	return rec, true
-}
-
-// QualityRecords returns a copy of the recorded quality records in order.
-func (r *Recorder) QualityRecords() []QualityRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]QualityRecord(nil), r.quality...)
+	return &rec
 }

@@ -19,7 +19,7 @@ func TestObserveQualityDispatch(t *testing.T) {
 	r := NewRecorder()
 	labels := []uint32{0, 1, 1}
 
-	if rec, ok := r.ObserveQuality(0, labels); ok || rec != (QualityRecord{}) {
+	if rec := r.ObserveQuality(0, labels); rec != nil {
 		t.Fatal("ObserveQuality reported a record with no observer attached")
 	}
 	if r.WantsQuality() {
@@ -32,24 +32,19 @@ func TestObserveQualityDispatch(t *testing.T) {
 		t.Fatal("WantsQuality false with an observer attached")
 	}
 	for i := 0; i < 3; i++ {
-		rec, ok := r.ObserveQuality(i, labels)
-		if !ok || rec.Iter != i || rec.Modularity != 0.5 {
-			t.Fatalf("iter %d: record (%+v, %v)", i, rec, ok)
+		rec := r.ObserveQuality(i, labels)
+		if rec == nil || rec.Iter != i || rec.Modularity != 0.5 {
+			t.Fatalf("iter %d: record %+v", i, rec)
 		}
 	}
 	if obs.calls != 3 {
 		t.Fatalf("observer called %d times, want 3", obs.calls)
 	}
-	recs := r.QualityRecords()
-	if len(recs) != 3 || recs[2].Iter != 2 {
-		t.Fatalf("stored records %+v", recs)
-	}
-
 	r.SetQualityObserver(nil)
 	if r.WantsQuality() {
 		t.Fatal("WantsQuality true after detach")
 	}
-	if _, ok := r.ObserveQuality(3, labels); ok {
+	if rec := r.ObserveQuality(3, labels); rec != nil {
 		t.Fatal("ObserveQuality ran a detached observer")
 	}
 }
@@ -65,7 +60,7 @@ func TestObserveQualityDisabledNoAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { r.ObserveQuality(7, labels) }); a > 0 {
 		t.Fatalf("ObserveQuality with no observer allocates %v per call, want 0", a)
 	}
-	if got := r.QualityRecords(); len(got) != 0 {
-		t.Fatalf("%d records stored on the disabled path", len(got))
+	if got := r.ObserveQuality(7, labels); got != nil {
+		t.Fatalf("disabled path returned a record %+v", got)
 	}
 }

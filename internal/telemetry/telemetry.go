@@ -1,8 +1,8 @@
 // Package telemetry is the observability layer for the ν-LPA system: a
 // near-zero-overhead-when-disabled recorder for device-level execution
 // events (kernel launches, per-SM busy spans) and per-iteration algorithm
-// records (ΔN decay, Pick-Less rounds, Cross-Check reverts, hashtable probe
-// deltas, atomic contention), with two exporters — a human-readable summary
+// records (ΔN decay, Pick-Less rounds, Cross-Check reverts, pruning,
+// hashtable probe deltas, partition quality), with two exporters — a human-readable summary
 // table and a Chrome trace-event JSON timeline loadable in chrome://tracing.
 //
 // The package deliberately has no dependency on the rest of the repository:
@@ -17,10 +17,15 @@ import (
 	"time"
 )
 
-// IterRecord is one iteration's telemetry for any label-propagation run.
-// ν-LPA populates every field; baselines populate the subset that exists in
-// their execution model (FLPA maps queue generations to iterations) and
-// leave the rest zero.
+// IterRecord is one iteration's telemetry for any label-propagation run —
+// the one per-iteration record every consumer (result trace, profiler,
+// health monitor, spans, exporters) reads. ν-LPA populates every field;
+// baselines populate the subset that exists in their execution model (FLPA
+// maps queue generations to iterations) and leave the rest zero.
+//
+// The work and hashtable fields (Pruned, EdgeVisits, ActiveVertices, Hash*)
+// are counted under one rule on every ν-LPA backend: if and only if the run
+// reports to a profiler. Unprofiled runs leave them zero.
 type IterRecord struct {
 	// Iter is the zero-based iteration index.
 	Iter int `json:"iter"`
@@ -35,9 +40,9 @@ type IterRecord struct {
 	// DeltaN is the net changed-vertex count (Moves − Reverts), the
 	// quantity the tolerance test and the paper's convergence figures use.
 	DeltaN int64 `json:"deltaN"`
-	// Pruned is the number of vertices skipped by the pruning flag at the
-	// start of the iteration (populated only when profiling is enabled —
-	// counting it costs an O(V) scan).
+	// Pruned is the number of listed (non-isolated, owned) vertices the
+	// iteration skipped because their pruning flag was set when it reached
+	// them: the listed count minus ActiveVertices.
 	Pruned int64 `json:"pruned,omitempty"`
 	// Retries is the number of times fault recovery re-executed this
 	// iteration after a rollback (simt backend with checkpointing).
@@ -50,15 +55,11 @@ type IterRecord struct {
 	ThreadKernel time.Duration `json:"threadKernel,omitempty"`
 	BlockKernel  time.Duration `json:"blockKernel,omitempty"`
 	CrossKernel  time.Duration `json:"crossKernel,omitempty"`
-	// Hashtable probe accounting deltas for this iteration (requires
-	// TrackStats on the run).
+	// Hashtable probe accounting deltas for this iteration.
 	HashAccumulates int64 `json:"hashAccumulates,omitempty"`
 	HashProbes      int64 `json:"hashProbes,omitempty"`
 	HashCollisions  int64 `json:"hashCollisions,omitempty"`
 	HashFallbacks   int64 `json:"hashFallbacks,omitempty"`
-	// CASRetries is the number of lost atomic races (CAS retry loops in the
-	// simt engine) during the iteration, a process-wide delta.
-	CASRetries int64 `json:"casRetries,omitempty"`
 	// EdgeVisits is the number of edge (arc) inspections performed this
 	// iteration: neighbour scans during label accumulation plus
 	// neighbourhood wake-up scans after moves. The primary work counter —
@@ -68,6 +69,10 @@ type IterRecord struct {
 	// ActiveVertices is the number of vertices actually processed this
 	// iteration (not pruned/skipped) — the frontier occupancy numerator.
 	ActiveVertices int64 `json:"activeVertices,omitempty"`
+	// Quality is the iteration's partition-quality record, attached by the
+	// convergence loop when the run has quality accounting enabled; nil
+	// otherwise.
+	Quality *QualityRecord `json:"quality,omitempty"`
 }
 
 // SMSpan is one streaming multiprocessor's busy span within a kernel launch.
@@ -104,11 +109,11 @@ type iterEvent struct {
 }
 
 // IterSink observes a run's iteration stream as it is recorded. A sink
-// attached via SetSink receives every IterRecord the moment RecordIteration
-// stores it, plus per-superstep shard timing from sharded runs — the seam
-// the convergence health monitor (internal/health) hangs off without the
-// detectors knowing it exists. Implementations must be cheap and must not
-// call back into the Recorder.
+// attached via SetSink receives every IterRecord (quality record included)
+// the moment RecordIteration stores it, plus per-superstep shard timing from
+// sharded runs — the seam the convergence health monitor (internal/health)
+// hangs off without the detectors knowing it exists. Implementations must
+// be cheap and must not call back into the Recorder.
 type IterSink interface {
 	// ObserveIteration is called once per recorded iteration, after the
 	// record is stored.
@@ -118,10 +123,6 @@ type IterSink interface {
 	// shards spent waiting for the slowest peer), and the halo labels
 	// exchanged. durs is only valid for the duration of the call.
 	ObserveSuperstep(iter int, durs []time.Duration, barrierWait time.Duration, exchanged int64)
-	// ObserveQuality is called once per iteration with quality accounting
-	// enabled, before that iteration's ObserveIteration, so the sink can
-	// fold partition quality into the same frame.
-	ObserveQuality(rec QualityRecord)
 }
 
 // Recorder collects device events and iteration records for one or more
@@ -135,7 +136,6 @@ type Recorder struct {
 	iters      []iterEvent
 	sink       IterSink
 	qualityObs QualityObserver
-	quality    []QualityRecord
 }
 
 // SetSink attaches an IterSink that will observe every subsequent

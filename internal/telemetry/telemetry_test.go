@@ -137,7 +137,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	r := NewRecorder()
 	recordLaunch(r, "thread-per-vertex", 3, 2)
 	r.RecordIteration(IterRecord{Iter: 0, Moves: 50, DeltaN: 50, Pruned: 5,
-		HashProbes: 100, CASRetries: 2, Duration: time.Millisecond})
+		HashProbes: 100, Duration: time.Millisecond})
 
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf); err != nil {
@@ -192,7 +192,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	if iterSlices != 1 {
 		t.Errorf("iteration slices = %d, want 1", iterSlices)
 	}
-	for _, want := range []string{"labels", "pruning", "hashtable", "contention"} {
+	for _, want := range []string{"labels", "pruning", "hashtable"} {
 		if !counters[want] {
 			t.Errorf("missing counter series %q (have %v)", want, counters)
 		}

@@ -3,7 +3,7 @@ package telemetry
 // Work accounting: algorithmic work counters — the quantities a speed
 // optimisation actually changes, long before noisy wall-clock timings show
 // it. A WorkCounts is the canonical ledger; kernels report one per launch
-// through the simt WorkProfiler hook (Recorder.KernelWork) and every
+// through the simt Profiler hook (Recorder.KernelWork) and every
 // detector's per-iteration records carry the same quantities (EdgeVisits,
 // Moves, ActiveVertices, HashProbes/HashCollisions on IterRecord), so the
 // per-kernel and per-iteration views are two projections of one accounting.
@@ -62,7 +62,7 @@ func TotalWork(recs []IterRecord) WorkCounts {
 	return w
 }
 
-// KernelWork implements the simt WorkProfiler extension: it attaches a
+// KernelWork implements the simt Profiler hook: it attaches a
 // launch's algorithmic work counters to the recorded Launch. Like the other
 // Profiler methods it takes flat int64s so simt and telemetry need not share
 // a type. Safe for concurrent use.
