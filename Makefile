@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test test-full bench bench-module-test chaos shard-smoke
+.PHONY: check build vet lint test test-full bench bench-module-test chaos shard-smoke loc
 
 check: vet lint test chaos shard-smoke
 
@@ -55,3 +55,8 @@ bench:
 # the root `go test ./...` does not reach it.
 bench-module-test:
 	cd benchmark && $(GO) test ./...
+
+# Non-test Go lines outside benchmark/: the size figure simplicity changes
+# are measured by.
+loc:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^benchmark/' | xargs cat | wc -l

@@ -149,6 +149,17 @@ func (s *Stats) Snapshot() StatsSnapshot {
 	}
 }
 
+// Add returns the per-field sum a + b.
+func (a StatsSnapshot) Add(b StatsSnapshot) StatsSnapshot {
+	return StatsSnapshot{
+		Accumulates: a.Accumulates + b.Accumulates,
+		Probes:      a.Probes + b.Probes,
+		Collisions:  a.Collisions + b.Collisions,
+		Fallbacks:   a.Fallbacks + b.Fallbacks,
+		Failures:    a.Failures + b.Failures,
+	}
+}
+
 // Sub returns the per-field delta a − b.
 func (a StatsSnapshot) Sub(b StatsSnapshot) StatsSnapshot {
 	return StatsSnapshot{

@@ -173,10 +173,10 @@ func TestLiveStreamAndFlightEndpoint(t *testing.T) {
 
 func TestFlightAutoCaptureOnFailure(t *testing.T) {
 	ts := newTestServer(t)
-	// A nonexistent graph file fails the job before any iteration runs; the
-	// auto-capture still produces a valid (frameless) bundle with the fault
-	// on its event track.
-	st := submitAndWait(t, ts.URL, `{"algo":"nulpa","graph":{"path":"/nonexistent/graph.mtx"}}`)
+	// An unknown generator fails the job at graph build, before any
+	// iteration runs; the auto-capture still produces a valid (frameless)
+	// bundle with the fault on its event track.
+	st := submitAndWait(t, ts.URL, `{"algo":"nulpa","graph":{"gen":"bogus"}}`)
 	if st.State != JobFailed {
 		t.Fatalf("job = %+v", st)
 	}

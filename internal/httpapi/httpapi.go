@@ -10,6 +10,7 @@
 //	GET  /debug/vars   expvar-style JSON dump of the same registry
 //	GET  /algos        registered detector names (JSON)
 //	POST /jobs         submit a JobSpec; 202 + job id, or 429/503 when shed
+//	                   (400 for a graph.path: clients name generated graphs)
 //	GET  /jobs         all job statuses
 //	GET  /jobs/{id}    one job, with live iteration progress while running
 //	GET  /jobs/{id}/flight  flight-recorder bundle (auto-captured on fault)
@@ -21,9 +22,10 @@
 //
 // Jobs attach a telemetry.Recorder as the engine profiler, so /jobs/{id}
 // reports iteration-grained progress from the same records the -trace and
-// -profile flags render; ν-LPA jobs additionally route device kernel events
-// into the metrics plane via simt.MultiProfiler, which is what makes a
-// mid-run scrape of /metrics show kernel, occupancy, and hashtable activity.
+// -profile flags render. Every ν-LPA device, one per shard on nulpa-sharded,
+// reports to that recorder, and a profiled kernel launch feeds the metrics
+// plane itself, which is what makes a mid-run scrape of /metrics show
+// kernel, occupancy, work and hashtable activity.
 //
 // Every job additionally opens a root span on the process tracer
 // (internal/trace): the job's trace id appears in its JSON status, in the
@@ -55,7 +57,8 @@ import (
 // delegate here.
 type GraphSpec struct {
 	// Path loads a graph file (.mtx, .bin, or edge list). When set, the
-	// generator fields are ignored.
+	// generator fields are ignored. Only the in-process Server.Submit
+	// accepts it; POST /jobs refuses it with a 400.
 	Path string `json:"path,omitempty"`
 	// Gen selects a generator: web, social, road, kmer, er, planted.
 	Gen string `json:"gen,omitempty"`

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	_ "nulpa/internal/engine/all"
+	"nulpa/internal/metrics"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -168,6 +169,57 @@ func TestSubmitValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("submit %q = %d, want 400", body, resp.StatusCode)
 		}
+	}
+}
+
+// TestSubmitRejectsGraphPath: POST /jobs never opens a file named by the
+// client; the spec is refused with a 400 before a job exists.
+func TestSubmitRejectsGraphPath(t *testing.T) {
+	ts := newTestServer(t)
+	resp, err := http.Post(ts.URL+"/jobs", "application/json",
+		strings.NewReader(`{"algo":"flpa","graph":{"path":"/etc/hostname"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "graph.path") {
+		t.Errorf("path submit = %d %s, want 400 naming graph.path", resp.StatusCode, body)
+	}
+	if _, list := get(t, ts.URL+"/jobs"); strings.Contains(list, "hostname") {
+		t.Errorf("refused submission left a job behind: %s", list)
+	}
+}
+
+// TestShardedJobFeedsDeviceMetrics: a nulpa-sharded job's devices report
+// through the job's profiler, so its launches and work reach /metrics like
+// a single-device job's.
+func TestShardedJobFeedsDeviceMetrics(t *testing.T) {
+	ts := newTestServer(t)
+	read := func() (launches, visits float64) {
+		for _, mv := range metrics.Default().Snapshot() {
+			if mv.Label != "thread-per-vertex" {
+				continue
+			}
+			switch mv.Name {
+			case "simt_kernel_launches_total":
+				launches = mv.Value
+			case "nulpa_work_edge_visits_total":
+				visits = mv.Value
+			}
+		}
+		return launches, visits
+	}
+	launches, visits := read()
+	st := submitAndWait(t, ts.URL, `{"algo":"nulpa-sharded","graph":{"gen":"planted","n":400,"deg":8,"seed":3},"workers":1}`)
+	if st.State != JobDone {
+		t.Fatalf("sharded job ended %s: %s", st.State, st.Error)
+	}
+	l, v := read()
+	if l <= launches {
+		t.Errorf(`simt_kernel_launches_total{kernel="thread-per-vertex"} stayed at %g`, l)
+	}
+	if v <= visits {
+		t.Errorf(`nulpa_work_edge_visits_total{kernel="thread-per-vertex"} stayed at %g`, v)
 	}
 }
 

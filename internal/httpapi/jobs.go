@@ -19,7 +19,6 @@ import (
 	"nulpa/internal/nulpa"
 	"nulpa/internal/quality"
 	"nulpa/internal/sched"
-	"nulpa/internal/simt"
 	"nulpa/internal/telemetry"
 	"nulpa/internal/trace"
 )
@@ -526,23 +525,19 @@ func (j *job) execute(ctx context.Context) (out any, err error) {
 	if j.spec.Quality {
 		opt.Quality = engine.QualityConfig{Enabled: true, SampleEvery: j.spec.QualitySampleEvery}
 	}
-	if j.spec.Algo == "nulpa" || j.spec.Algo == "nulpa-sharded" {
+	// Every ν-LPA device reports to the job's recorder through opt.Profiler,
+	// and a profiled launch feeds the live metrics plane itself. Options are
+	// built here only to carry a fault schedule.
+	if j.spec.Faults != "" && (j.spec.Algo == "nulpa" || j.spec.Algo == "nulpa-sharded") {
+		fspec, ferr := faults.ParseSpec(j.spec.Faults)
+		if ferr != nil {
+			return nil, fmt.Errorf("bad faults spec: %w", ferr)
+		}
 		nopt := nulpa.DefaultOptions()
 		if j.spec.Algo == "nulpa-sharded" {
 			nopt = nulpa.DefaultShardedOptions()
 		}
-		// A single-device run's device events feed both the job's recorder
-		// and the live metrics plane through one profiler hook. A sharded
-		// run builds one device per shard, reporting to the recorder.
-		nopt.Device = simt.NewDevice(j.spec.Workers)
-		nopt.Device.Prof = simt.MultiProfiler(j.rec, simt.NewMetricsProfiler())
-		if j.spec.Faults != "" {
-			fspec, ferr := faults.ParseSpec(j.spec.Faults)
-			if ferr != nil {
-				return nil, fmt.Errorf("bad faults spec: %w", ferr)
-			}
-			nopt.Faults = faults.New(fspec)
-		}
+		nopt.Faults = faults.New(fspec)
 		opt.Extra = nopt
 	}
 

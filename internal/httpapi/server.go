@@ -243,6 +243,13 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err)
 		return
 	}
+	// A client names a generated graph, never a file: a path would let any
+	// client make the server open any file it can read. The in-process
+	// Submit (nulpa -serve -graph) still accepts one.
+	if spec.Graph.Path != "" {
+		writeError(w, http.StatusBadRequest, errors.New("graph.path is not accepted over HTTP; use graph.gen"))
+		return
+	}
 	// The per-tenant admission quota keys on X-Tenant; absent means the
 	// anonymous tenant (which shares one bucket like any other).
 	j, err := s.jobs.submit(spec, r.Header.Get("X-Tenant"))

@@ -17,13 +17,12 @@ import (
 // through.
 type perLaneBlock struct{ k *blockKernel }
 
-func (w perLaneBlock) NumPhases() int                                { return w.k.NumPhases() }
-func (w perLaneBlock) Phase(p int, t *simt.Thread)                   { w.k.Phase(p, t) }
-func (w perLaneBlock) SharedUint64s() int                            { return w.k.SharedUint64s() }
-func (w perLaneBlock) KernelName() string                            { return w.k.KernelName() }
-func (w perLaneBlock) GrowTallies(sms int)                           { w.k.GrowTallies(sms) }
-func (w perLaneBlock) FoldTallies()                                  { w.k.FoldTallies() }
-func (w perLaneBlock) TakeWork() (int64, int64, int64, int64, int64) { return w.k.TakeWork() }
+func (w perLaneBlock) NumPhases() int                    { return w.k.NumPhases() }
+func (w perLaneBlock) Phase(p int, t *simt.Thread)       { w.k.Phase(p, t) }
+func (w perLaneBlock) SharedUint64s() int                { return w.k.SharedUint64s() }
+func (w perLaneBlock) KernelName() string                { return w.k.KernelName() }
+func (w perLaneBlock) GrowTallies(sms int)               { w.k.GrowTallies(sms) }
+func (w perLaneBlock) FoldTallies() telemetry.WorkCounts { return w.k.FoldTallies() }
 
 var _ simt.TallyKernel = perLaneBlock{}
 

@@ -12,6 +12,7 @@ import (
 	"nulpa/internal/graph"
 	"nulpa/internal/hashtable"
 	"nulpa/internal/simt"
+	"nulpa/internal/telemetry"
 	"nulpa/internal/trace"
 )
 
@@ -118,22 +119,20 @@ type runState struct {
 	reverts    int64 // Cross-Check reverts this iteration, folded from the tallies
 
 	// Counting. Lanes on SM s (direct backend: worker s) write only
-	// tallies[s] and work.Shard(s), with plain adds; FoldTallies sums them on
-	// the launching goroutine once the grid has joined, so no lane ever
-	// contends on a shared counter. count gates the work and hashtable
-	// counters on every backend alike: set if and only if the run reports
-	// to a profiler, and stats (the Result's HashStats) is then non-nil.
-	// launchHash is the last fold's hashtable counts, reported by TakeWork;
-	// iterEdges/iterActive accumulate the iteration's work totals for the
-	// IterRecord, and listed is the number of vertices the run processes
-	// when none is pruned, so Pruned = listed − iterActive.
+	// tallies[s], with plain adds; FoldTallies sums them on the launching
+	// goroutine once the grid has joined, so no lane ever contends on a
+	// shared counter. count gates the work and hashtable counters on every
+	// backend alike: set if and only if the run reports to a profiler, and
+	// stats (the Result's HashStats) is then non-nil. iterEdges, iterActive
+	// and iterHash sum the iteration's folds for the IterRecord, and listed
+	// is the number of vertices the run processes when none is pruned, so
+	// Pruned = listed − iterActive.
 	tallies    []smTally
-	work       simt.WorkAccum
 	count      bool
 	stats      *hashtable.Stats
-	launchHash hashtable.StatsSnapshot
 	iterEdges  int64
 	iterActive int64
+	iterHash   hashtable.StatsSnapshot
 	listed     int64
 }
 
@@ -168,9 +167,13 @@ func newRunState(g *graph.CSR, opt Options, labels []uint32, count bool) *runSta
 
 // smTally is one SM's (or one direct-backend worker's) single-writer
 // counters, padded so neighbouring SMs never write the same cache line.
+// flips and reverts always count; edges, active and hash only when the run
+// counts.
 type smTally struct {
 	flips   int64
 	reverts int64
+	edges   int64
+	active  int64
 	hash    hashtable.Tally
 	_       [simt.CacheLine]byte
 }
@@ -184,34 +187,31 @@ func (st *runState) GrowTallies(sms int) {
 		copy(grown, st.tallies)
 		st.tallies = grown
 	}
-	st.work.Grow(sms)
 }
 
 // FoldTallies implements simt.TallyKernel: it moves every per-SM tally into
-// the run's totals — deltaN, reverts, the hashtable Stats and metrics — and
-// zeroes it. Callers must have joined every goroutine that counts.
-func (st *runState) FoldTallies() {
-	var hash hashtable.StatsSnapshot
+// the run's totals — deltaN, reverts, the iteration's work and hashtable
+// sums, the hashtable Stats and metrics — zeroes it, and returns the
+// launch's work ledger, in which a Cross-Check revert counts as a label
+// flip back. Callers must have joined every goroutine that counts.
+func (st *runState) FoldTallies() telemetry.WorkCounts {
+	var w telemetry.WorkCounts
 	for i := range st.tallies {
 		tl := &st.tallies[i]
 		st.deltaN += tl.flips
 		st.reverts += tl.reverts
-		tl.flips, tl.reverts = 0, 0
+		w.LabelFlips += tl.flips + tl.reverts
+		w.EdgeVisits += tl.edges
+		w.ActiveVertices += tl.active
+		tl.flips, tl.reverts, tl.edges, tl.active = 0, 0, 0, 0
 		d := tl.hash.Fold(st.stats)
-		hash.Probes += d.Probes
-		hash.Collisions += d.Collisions
+		st.iterHash = st.iterHash.Add(d)
+		w.HashProbes += d.Probes
+		w.HashCollisions += d.Collisions
 	}
-	st.launchHash = hash
-}
-
-// TakeWork implements simt.WorkReportingKernel for every kernel embedding
-// the run state, draining the launch's work counters; hashtable probes come
-// from the launch's fold.
-func (st *runState) TakeWork() (edgeVisits, labelFlips, hashProbes, hashCollisions, activeVertices int64) {
-	ev, lf, _, _, av := st.work.Take()
-	st.iterEdges += ev
-	st.iterActive += av
-	return ev, lf, st.launchHash.Probes, st.launchHash.Collisions, av
+	st.iterEdges += w.EdgeVisits
+	st.iterActive += w.ActiveVertices
+	return w
 }
 
 // hashTally returns SM sm's hashtable tally, or nil when the run does not
@@ -350,9 +350,8 @@ func (r *deviceRun) iterate(ctx context.Context, iter int) engine.IterOutcome {
 	// exponential backoff, up to maxRetries consecutive attempts. rec
 	// collects the device's own record fields: kernel times and retries.
 	var rec IterStat
-	var base hashtable.StatsSnapshot
 	for attempt := 0; ; attempt++ {
-		base = st.beginIter(&opt, iter)
+		st.beginIter(&opt, iter)
 		err := func() error {
 			if len(r.low) > 0 {
 				t0 := time.Now()
@@ -418,29 +417,28 @@ func (r *deviceRun) iterate(ctx context.Context, iter int) engine.IterOutcome {
 			return engine.IterOutcome{Err: engine.CtxErr(ctx.Err())}
 		}
 	}
-	return st.endIter(&opt, res, base, rec)
+	return st.endIter(&opt, res, rec)
 }
 
 // beginIter starts an attempt at iteration iter, on either backend: it sets
 // the iteration's Pick-Less and Cross-Check flags, zeroes the iteration's
-// counters, keeps the labels Cross-Check compares against, and returns the
-// hashtable baseline endIter measures from.
-func (st *runState) beginIter(opt *Options, iter int) hashtable.StatsSnapshot {
+// counters and keeps the labels Cross-Check compares against.
+func (st *runState) beginIter(opt *Options, iter int) {
 	st.pickless = opt.PickLessEvery > 0 && iter%opt.PickLessEvery == 0
 	st.crosscheck = opt.CrossCheckEvery > 0 && iter%opt.CrossCheckEvery == 0
 	st.deltaN, st.reverts = 0, 0
 	st.iterEdges, st.iterActive = 0, 0
+	st.iterHash = hashtable.StatsSnapshot{}
 	if st.crosscheck {
 		copy(st.prev, st.labels)
 	}
-	return st.stats.Snapshot()
 }
 
 // endIter closes an iteration whose counters have been folded: it adds the
 // net moves and reverts to the run's Result res and returns the iteration's
 // outcome. rec carries the backend's own record fields (kernel times,
 // retries); endIter fills in the rest.
-func (st *runState) endIter(opt *Options, res *Result, base hashtable.StatsSnapshot, rec IterStat) engine.IterOutcome {
+func (st *runState) endIter(opt *Options, res *Result, rec IterStat) engine.IterOutcome {
 	gross, reverts := st.deltaN, st.reverts
 	delta := gross - reverts
 	res.Moves += delta
@@ -454,11 +452,10 @@ func (st *runState) endIter(opt *Options, res *Result, base hashtable.StatsSnaps
 		rec.EdgeVisits = st.iterEdges
 		rec.ActiveVertices = st.iterActive
 		rec.Pruned = st.listed - st.iterActive
-		d := st.stats.Snapshot().Sub(base)
-		rec.HashAccumulates = d.Accumulates
-		rec.HashProbes = d.Probes
-		rec.HashCollisions = d.Collisions
-		rec.HashFallbacks = d.Fallbacks
+		rec.HashAccumulates = st.iterHash.Accumulates
+		rec.HashProbes = st.iterHash.Probes
+		rec.HashCollisions = st.iterHash.Collisions
+		rec.HashFallbacks = st.iterHash.Fallbacks
 	}
 	return engine.IterOutcome{
 		Record: rec,
@@ -484,9 +481,9 @@ func (st *runState) claim(i graph.Vertex, sm int) bool {
 		simt.AtomicStoreUint32(st.processed, int(i), 1)
 	}
 	if st.count {
-		w := st.work.Shard(sm)
-		w.ActiveVertices++
-		w.EdgeVisits += int64(st.g.Degree(i))
+		tl := &st.tallies[sm]
+		tl.active++
+		tl.edges += int64(st.g.Degree(i))
 	}
 	return true
 }
@@ -526,11 +523,10 @@ func (st *runState) commit(i graph.Vertex, c uint32, sm int) bool {
 		return false
 	}
 	simt.AtomicStoreUint32(st.labels, int(i), c)
-	st.tallies[sm].flips++
+	tl := &st.tallies[sm]
+	tl.flips++
 	if st.count {
-		w := st.work.Shard(sm)
-		w.LabelFlips++
-		w.EdgeVisits += int64(st.g.Degree(i)) // neighbour wake-up scan
+		tl.edges += int64(st.g.Degree(i)) // neighbour wake-up scan
 	}
 	return true
 }
@@ -549,8 +545,8 @@ func (st *runState) move(i graph.Vertex, c uint32, sm int) {
 
 // crossCheck applies the Cross-Check to vertex i, counted on SM sm: a
 // change to community c is reverted unless the leader vertex c itself
-// belongs to c. Its work report counts a revert as a label flip back; it
-// does not touch the hashtable. It is the cross-check kernel's phase.
+// belongs to c. The launch's work ledger counts a revert as a label flip
+// back; it does not touch the hashtable. It is the cross-check kernel's phase.
 func (st *runState) crossCheck(i, sm int) {
 	cur := simt.AtomicLoadUint32(st.labels, i)
 	if cur == st.prev[i] {
@@ -562,9 +558,6 @@ func (st *runState) crossCheck(i, sm int) {
 		st.tallies[sm].reverts++
 		// The vertex changed again; let its neighbourhood reconsider.
 		simt.AtomicStoreUint32(st.processed, i, 0)
-		if st.count {
-			st.work.Shard(sm).LabelFlips++
-		}
 	}
 }
 

@@ -513,7 +513,7 @@ func TestWeightedPickLess(t *testing.T) {
 
 // TestProfiledFoldAllocatesNothing pins the per-launch fold of a profiled
 // run — per-SM hashtable tallies into HashStats and the probe-length
-// histogram, flips into deltaN, work shards into the profiler's counts — to
+// histogram, flips into deltaN, edge visits into the launch's ledger — to
 // zero allocations, so the cost of counting stays a few plain adds per lane
 // and a fixed fold per launch.
 func TestProfiledFoldAllocatesNothing(t *testing.T) {
@@ -537,14 +537,13 @@ func TestProfiledFoldAllocatesNothing(t *testing.T) {
 		tb.clear(0, 1)
 		tb.accumulate(7, 1, false, st.hashTally(sm))
 		st.tallies[sm].flips++
-		st.work.Shard(sm).EdgeVisits += int64(g.Degree(i))
+		st.tallies[sm].edges += int64(g.Degree(i))
 	}
 	before := st.stats.Snapshot()
 	allocs := testing.AllocsPerRun(100, func() {
 		lane(0)
 		lane(1)
 		st.FoldTallies()
-		st.TakeWork()
 	})
 	if allocs != 0 {
 		t.Errorf("profiled fold allocates %v per launch, want 0", allocs)

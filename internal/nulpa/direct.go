@@ -28,7 +28,7 @@ func detectDirect(g *graph.CSR, opt Options) (*Result, error) {
 
 	st := newRunState(g, opt, nil, opt.Profiler != nil)
 	res := &Result{DeviceBytes: st.arena.bytes(), HashStats: st.stats}
-	// Worker w counts into tallies[w] and work.Shard(w) exactly as SM w does
+	// Worker w counts into tallies[w] exactly as SM w does
 	// on the simt backend, under the same rule: only when profiled.
 	st.GrowTallies(workers)
 	for v := 0; v < n; v++ {
@@ -48,7 +48,7 @@ func detectDirect(g *graph.CSR, opt Options) (*Result, error) {
 		Ctx:           opt.Context,
 		Profiler:      opt.Profiler,
 	}, func(_ context.Context, iter int) engine.IterOutcome {
-		base := st.beginIter(&opt, iter)
+		st.beginIter(&opt, iter)
 		forChunks(n, chunk, workers, func(w, lo, hi int) {
 			// Two-phase, like one SIMT block: compute every candidate in
 			// the chunk against a pre-move snapshot, then apply the moves.
@@ -74,8 +74,7 @@ func detectDirect(g *graph.CSR, opt Options) (*Result, error) {
 			})
 		}
 		st.FoldTallies()
-		st.TakeWork()
-		return st.endIter(&opt, res, base, IterStat{})
+		return st.endIter(&opt, res, IterStat{})
 	})
 	if lr.Err != nil {
 		return nil, lr.Err

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"nulpa/internal/telemetry"
 )
 
 // countingBlockKernel is a BlockPhaseKernel whose BlockPhase returns
@@ -40,9 +42,9 @@ func (k *countingBlockKernel) BlockPhase(p int, t *Thread) int {
 func (k *countingBlockKernel) KernelName() string { return "block-phase-test" }
 
 // TestBlockPhaseLaneAccounting: a BlockPhaseKernel is called once per
-// (block, phase); LanesRun, the profiler's SMSpan lanes and
-// simt_lanes_total all sum the counts it returns, while PhasesRun still
-// counts every phase barrier.
+// (block, phase); the profiler's SMSpan lanes and simt_lanes_total both sum
+// the counts it returns, while SMSpan phases still count every phase
+// barrier.
 func TestBlockPhaseLaneAccounting(t *testing.T) {
 	const grid, blockDim, phases, sms = 11, 64, 3, 3
 	lanes := func(b, p int) int { return (b*7 + p*13) % (blockDim + 1) }
@@ -54,8 +56,8 @@ func TestBlockPhaseLaneAccounting(t *testing.T) {
 	}
 
 	d := NewDevice(sms)
-	prof := &captureProf{}
-	d.Prof = MultiProfiler(prof, NewMetricsProfiler())
+	rec := telemetry.NewRecorder()
+	d.Prof = rec
 	lanesBefore := mLanes.Value()
 	k := &countingBlockKernel{t: t, phases: phases, lanes: lanes}
 	d.Launch(grid, blockDim, k)
@@ -63,22 +65,12 @@ func TestBlockPhaseLaneAccounting(t *testing.T) {
 	if got := k.calls.Load(); got != grid*phases {
 		t.Errorf("BlockPhase calls = %d, want %d (one per block and phase)", got, grid*phases)
 	}
-	if got := d.LanesRun.Load(); got != want {
-		t.Errorf("LanesRun = %d, want %d", got, want)
+	s := rec.KernelSummaries()[0]
+	if s.Lanes != want || s.Phases != grid*phases {
+		t.Errorf("SMSpan lanes/phases = %d/%d, want %d/%d", s.Lanes, s.Phases, want, grid*phases)
 	}
-	if got := d.PhasesRun.Load(); got != grid*phases {
-		t.Errorf("PhasesRun = %d, want %d", got, grid*phases)
-	}
-	if got := d.BlocksRun.Load(); got != grid {
-		t.Errorf("BlocksRun = %d, want %d", got, grid)
-	}
-	var spanLanes, spanPhases int64
-	for _, s := range prof.spans {
-		spanLanes += s.lanes
-		spanPhases += s.phases
-	}
-	if spanLanes != want || spanPhases != grid*phases {
-		t.Errorf("SMSpan lanes/phases = %d/%d, want %d/%d", spanLanes, spanPhases, want, grid*phases)
+	if s.Blocks != grid {
+		t.Errorf("SMSpan blocks = %d, want %d", s.Blocks, grid)
 	}
 	if got := mLanes.Value() - lanesBefore; got != want {
 		t.Errorf("simt_lanes_total advanced by %d, want %d", got, want)
@@ -91,6 +83,8 @@ func TestBlockPhaseLaneAccounting(t *testing.T) {
 func TestBlockPhaseLaneCountClamped(t *testing.T) {
 	const grid, blockDim = 4, 32
 	d := NewDevice(2)
+	rec := telemetry.NewRecorder()
+	d.Prof = rec
 	k := &countingBlockKernel{t: t, phases: 2, lanes: func(_, p int) int {
 		if p == 0 {
 			return blockDim + 100
@@ -98,11 +92,12 @@ func TestBlockPhaseLaneCountClamped(t *testing.T) {
 		return -5
 	}}
 	d.Launch(grid, blockDim, k)
-	if got := d.LanesRun.Load(); got != grid*blockDim {
-		t.Errorf("LanesRun = %d, want %d: phase 0 clamped to BlockDim, phase 1 to 0", got, grid*blockDim)
+	s := rec.KernelSummaries()[0]
+	if s.Lanes != grid*blockDim {
+		t.Errorf("lanes = %d, want %d: phase 0 clamped to BlockDim, phase 1 to 0", s.Lanes, grid*blockDim)
 	}
-	if got := d.PhasesRun.Load(); got != grid*2 {
-		t.Errorf("PhasesRun = %d, want %d", got, grid*2)
+	if s.Phases != grid*2 {
+		t.Errorf("phases = %d, want %d", s.Phases, grid*2)
 	}
 }
 
@@ -138,6 +133,8 @@ func TestBlockPhaseCancelBetweenBlocks(t *testing.T) {
 // kernel but still completes every block.
 func TestBlockPhaseStallCompletes(t *testing.T) {
 	d := NewDevice(2)
+	rec := telemetry.NewRecorder()
+	d.Prof = rec
 	d.Faults = &scriptInjector{faults: map[int64]LaunchFault{0: {Kind: FaultStall, Stall: 5 * time.Millisecond}}}
 	k := &countingBlockKernel{t: t, phases: 3, lanes: func(int, int) int { return 2 }}
 	start := time.Now()
@@ -147,8 +144,8 @@ func TestBlockPhaseStallCompletes(t *testing.T) {
 	if got := k.calls.Load(); got != 9*3 {
 		t.Errorf("BlockPhase calls = %d, want 27: a stall must not drop blocks", got)
 	}
-	if got := d.LanesRun.Load(); got != 9*3*2 {
-		t.Errorf("LanesRun = %d, want 54", got)
+	if got := rec.KernelSummaries()[0].Lanes; got != 9*3*2 {
+		t.Errorf("lanes = %d, want 54", got)
 	}
 	if time.Since(start) < 5*time.Millisecond {
 		t.Error("launch returned before the stall elapsed")

@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nulpa/internal/telemetry"
 	"nulpa/internal/trace"
 )
 
@@ -63,10 +64,9 @@ type Device struct {
 
 	memUsed int64 // atomic
 
-	// Launch statistics, updated atomically; useful in tests and reports.
-	BlocksRun  atomic.Int64
-	PhasesRun  atomic.Int64
-	LanesRun   atomic.Int64
+	// KernelsRun counts launches, faulted ones included; it is the launch
+	// ordinal the fault injector sees. Per-launch block, phase and lane
+	// counts go to the profiler.
 	KernelsRun atomic.Int64
 }
 
@@ -75,7 +75,9 @@ type Device struct {
 // SMSpan is called once per SM goroutine as it drains its blocks — possibly
 // concurrently, so implementations must be safe for concurrent use — and
 // KernelEnd is called after every block has finished. Events carry wall
-// times so a profiler can reconstruct the per-SM execution timeline.
+// times so a profiler can reconstruct the per-SM execution timeline. A
+// profiled launch also feeds the simt_* and nulpa_work_* metric families
+// itself (see metrics.go), whatever the profiler.
 type Profiler interface {
 	// KernelBegin announces a launch of kernel on a grid×blockDim grid
 	// executed by sms SM goroutines, returning an id for the later calls.
@@ -83,10 +85,10 @@ type Profiler interface {
 	// SMSpan reports one SM's busy span: blocks executed, phase barriers
 	// crossed and lanes run between start and end.
 	SMSpan(launch, sm int, start, end time.Time, blocks, phases, lanes int64)
-	// KernelWork reports the algorithmic work counters of a kernel
-	// implementing WorkReportingKernel (see work.go), at most once per
+	// KernelWork reports the launch's work ledger — what a TallyKernel's
+	// FoldTallies returned, zero for other kernels (see work.go) — once per
 	// launch, after the last SMSpan and before KernelEnd.
-	KernelWork(launch int, edgeVisits, labelFlips, hashProbes, hashCollisions, activeVertices int64)
+	KernelWork(launch int, w telemetry.WorkCounts)
 	// KernelEnd reports the launch's overall wall span
 	// (cudaDeviceSynchronize returning).
 	KernelEnd(launch int, start, end time.Time)
@@ -96,14 +98,15 @@ type Profiler interface {
 // count into single-writer per-SM tallies (indexed by Thread.SM) instead of
 // shared atomics. launch() calls GrowTallies with the launch's SM count on
 // the launching goroutine before any block runs, and FoldTallies on the same
-// goroutine after the grid has joined — before TakeWork and KernelEnd — so
+// goroutine after the grid has joined — before KernelWork and KernelEnd — so
 // each shared total advances once per launch, whatever the lane count.
 type TallyKernel interface {
 	Kernel
 	// GrowTallies makes room for sms per-SM tallies.
 	GrowTallies(sms int)
-	// FoldTallies folds and zeroes the per-SM tallies.
-	FoldTallies()
+	// FoldTallies folds and zeroes the per-SM tallies, returning the
+	// launch's work ledger.
+	FoldTallies() telemetry.WorkCounts
 }
 
 // BlockPhaseKernel is the optional Kernel extension for kernels that run a
@@ -113,9 +116,9 @@ type TallyKernel interface {
 // kernel's to set. The contract is that BlockPhase has exactly the effect of
 // Phase(p, t) called for lanes 0..BlockDim-1 in order, so a kernel may skip
 // lanes it knows to be idle. It returns the number of lanes it actually ran;
-// the launch feeds that count, clamped to [0, BlockDim], to LanesRun and the
-// profiler's SMSpan lanes. Every phase barrier still counts in PhasesRun,
-// whatever the count.
+// the launch feeds that count, clamped to [0, BlockDim], to the profiler's
+// SMSpan lanes. Every phase barrier still counts in SMSpan phases, whatever
+// the count.
 type BlockPhaseKernel interface {
 	Kernel
 	BlockPhase(p int, t *Thread) (lanes int)
@@ -321,13 +324,7 @@ func (d *Device) launch(ctx context.Context, gridDim, blockDim int, k Kernel, st
 	if tk != nil {
 		tk.GrowTallies(nSM)
 	}
-	prof := d.Prof
-	var launch int
-	var kStart time.Time
-	if prof != nil {
-		launch = prof.KernelBegin(KernelName(k), gridDim, blockDim, nSM)
-		kStart = time.Now()
-	}
+	pl := d.beginProfile(k, gridDim, blockDim, nSM)
 	// Cancellation is observed at block granularity: a watcher goroutine
 	// flips an atomic flag the SM loops poll between blocks, so the hot path
 	// costs one atomic load per block and nothing per phase or lane.
@@ -363,7 +360,7 @@ func (d *Device) launch(ctx context.Context, gridDim, blockDim int, k Kernel, st
 				}
 			}
 			var smStart time.Time
-			if prof != nil {
+			if pl != nil {
 				smStart = time.Now()
 			}
 			var shared []uint64
@@ -394,26 +391,18 @@ func (d *Device) launch(ctx context.Context, gridDim, blockDim int, k Kernel, st
 				}
 				blocks++
 			}
-			d.BlocksRun.Add(blocks)
-			d.PhasesRun.Add(phasesRun)
-			d.LanesRun.Add(lanes)
-			if prof != nil {
-				prof.SMSpan(launch, sm, smStart, time.Now(), blocks, phasesRun, lanes)
+			if pl != nil {
+				pl.smSpan(sm, smStart, blocks, phasesRun, lanes)
 			}
 		}(sm)
 	}
 	wg.Wait()
+	var work telemetry.WorkCounts
 	if tk != nil {
-		tk.FoldTallies()
+		work = tk.FoldTallies()
 	}
-	if prof != nil {
-		// Work counters drain before KernelEnd so profilers that drop
-		// launch state on end (MetricsProfiler) still see the kernel name.
-		if wk, ok := k.(WorkReportingKernel); ok {
-			ev, lf, hp, hc, av := wk.TakeWork()
-			prof.KernelWork(launch, ev, lf, hp, hc, av)
-		}
-		prof.KernelEnd(launch, kStart, time.Now())
+	if pl != nil {
+		pl.end(work)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"nulpa/internal/telemetry"
 )
 
 // captureProf records every Profiler callback for inspection.
@@ -46,7 +48,7 @@ func (p *captureProf) SMSpan(launch, sm int, start, end time.Time, blocks, phase
 	}{launch, sm, start, end, blocks, phases, lanes})
 }
 
-func (p *captureProf) KernelWork(int, int64, int64, int64, int64, int64) {}
+func (p *captureProf) KernelWork(int, telemetry.WorkCounts) {}
 
 func (p *captureProf) KernelEnd(launch int, start, end time.Time) {
 	p.mu.Lock()

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+
+	"nulpa/internal/telemetry"
 )
 
 func TestLaunchVectorAdd(t *testing.T) {
@@ -268,18 +270,21 @@ func TestThreadCoordinates(t *testing.T) {
 
 func TestDeviceStats(t *testing.T) {
 	d := NewDevice(2)
+	rec := telemetry.NewRecorder()
+	d.Prof = rec
 	d.Launch(6, 32, PhaseFunc{Phases: 3, F: func(int, *Thread) {}})
 	if d.KernelsRun.Load() != 1 {
 		t.Errorf("KernelsRun = %d", d.KernelsRun.Load())
 	}
-	if d.BlocksRun.Load() != 6 {
-		t.Errorf("BlocksRun = %d", d.BlocksRun.Load())
+	s := rec.KernelSummaries()[0]
+	if s.Blocks != 6 {
+		t.Errorf("blocks = %d", s.Blocks)
 	}
-	if d.PhasesRun.Load() != 18 {
-		t.Errorf("PhasesRun = %d", d.PhasesRun.Load())
+	if s.Phases != 18 {
+		t.Errorf("phases = %d", s.Phases)
 	}
-	if d.LanesRun.Load() != 6*32*3 {
-		t.Errorf("LanesRun = %d", d.LanesRun.Load())
+	if s.Lanes != 6*32*3 {
+		t.Errorf("lanes = %d", s.Lanes)
 	}
 }
 

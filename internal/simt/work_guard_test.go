@@ -7,35 +7,43 @@ import (
 	"nulpa/internal/telemetry"
 )
 
-// workBusyKernel is busyKernel plus the work-reporting and per-SM tally
-// extensions, with counting gated the way real kernels gate it (one bool
-// checked per site) and lanes adding into their SM's shard.
+// workBusyKernel is busyKernel plus the per-SM tally extension, with
+// counting gated the way real kernels gate it (one bool checked per site)
+// and lanes adding into their SM's tally.
 type workBusyKernel struct {
 	busyKernel
 	count bool
-	work  simt.WorkAccum
+	sms   []telemetry.WorkCounts
 }
 
 func (k *workBusyKernel) Phase(p int, t *simt.Thread) {
 	k.busyKernel.Phase(p, t)
 	if k.count {
-		w := k.work.Shard(t.SM)
+		w := &k.sms[t.SM]
 		w.EdgeVisits++
 		w.ActiveVertices++
 	}
 }
 
-func (k *workBusyKernel) GrowTallies(sms int) { k.work.Grow(sms) }
-func (k *workBusyKernel) FoldTallies()        {}
+func (k *workBusyKernel) GrowTallies(sms int) {
+	if sms > len(k.sms) {
+		k.sms = make([]telemetry.WorkCounts, sms)
+	}
+}
 
-func (k *workBusyKernel) TakeWork() (edgeVisits, labelFlips, hashProbes, hashCollisions, activeVertices int64) {
-	return k.work.Take()
+func (k *workBusyKernel) FoldTallies() telemetry.WorkCounts {
+	var sum telemetry.WorkCounts
+	for i := range k.sms {
+		sum = sum.Add(k.sms[i])
+		k.sms[i] = telemetry.WorkCounts{}
+	}
+	return sum
 }
 
 // TestWorkCountingDisabledNoAllocs is the work-accounting guardrail: with no
-// profiler attached, launching a work-reporting kernel must allocate exactly
-// as much as launching a plain one — the WorkReportingKernel interface and
-// the gated counting sites must cost nothing when nobody is listening. A
+// profiler attached, launching a counting kernel must allocate exactly as
+// much as launching a plain one — the TallyKernel interface and the gated
+// counting sites must cost nothing when nobody is listening. A
 // regression here means work accounting leaked allocations into the
 // profiling-off hot path.
 func TestWorkCountingDisabledNoAllocs(t *testing.T) {
@@ -48,15 +56,15 @@ func TestWorkCountingDisabledNoAllocs(t *testing.T) {
 	aPlain := testing.AllocsPerRun(20, func() { dev.Launch(grid, blockDim, plain) })
 	aWork := testing.AllocsPerRun(20, func() { dev.Launch(grid, blockDim, counting) })
 	if aWork > aPlain {
-		t.Fatalf("work-reporting kernel allocates with profiling off: %v allocs vs %v plain", aWork, aPlain)
+		t.Fatalf("counting kernel allocates with profiling off: %v allocs vs %v plain", aWork, aPlain)
 	}
 
-	// The accumulator drain itself is allocation-free, so even the enabled
-	// path adds no garbage — only plain per-SM adds.
+	// The fold itself is allocation-free, so even the enabled path adds no
+	// garbage — only plain per-SM adds.
 	counting.count = true
 	dev.Launch(grid, blockDim, counting)
-	if a := testing.AllocsPerRun(100, func() { counting.TakeWork() }); a > 0 {
-		t.Errorf("WorkAccum.Take allocates %v per call, want 0", a)
+	if a := testing.AllocsPerRun(100, func() { counting.FoldTallies() }); a > 0 {
+		t.Errorf("FoldTallies allocates %v per call, want 0", a)
 	}
 
 	// Contrast: with a profiler attached the same kernel reports real

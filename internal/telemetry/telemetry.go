@@ -96,8 +96,8 @@ type Launch struct {
 	BlockDim   int
 	Start, End time.Time
 	SMs        []SMSpan
-	// Work is the launch's algorithmic work ledger, reported by kernels
-	// implementing the simt WorkReportingKernel extension; zero otherwise.
+	// Work is the launch's algorithmic work ledger, folded by kernels
+	// implementing the simt TallyKernel extension; zero otherwise.
 	Work WorkCounts
 }
 

@@ -2,8 +2,9 @@ package telemetry
 
 // Work accounting: algorithmic work counters — the quantities a speed
 // optimisation actually changes, long before noisy wall-clock timings show
-// it. A WorkCounts is the canonical ledger; kernels report one per launch
-// through the simt Profiler hook (Recorder.KernelWork) and every
+// it. A WorkCounts is the one ledger type: a simt TallyKernel's FoldTallies
+// returns one per launch, the device hands it to the profiler
+// (Recorder.KernelWork) and to the nulpa_work_*_total metrics, and every
 // detector's per-iteration records carry the same quantities (EdgeVisits,
 // Moves, ActiveVertices, HashProbes/HashCollisions on IterRecord), so the
 // per-kernel and per-iteration views are two projections of one accounting.
@@ -17,7 +18,7 @@ type WorkCounts struct {
 	// a Cross-Check revert is itself a flip back.
 	LabelFlips int64 `json:"labelFlips,omitempty"`
 	// HashProbes and HashCollisions are the per-vertex hashtable probe
-	// accounting (wired from hashtable.StatsSnapshot deltas).
+	// accounting (the hashtable tallies' folded counts).
 	HashProbes     int64 `json:"hashProbes,omitempty"`
 	HashCollisions int64 `json:"hashCollisions,omitempty"`
 	// ActiveVertices counts vertices actually processed — the frontier
@@ -62,23 +63,15 @@ func TotalWork(recs []IterRecord) WorkCounts {
 	return w
 }
 
-// KernelWork implements the simt Profiler hook: it attaches a
-// launch's algorithmic work counters to the recorded Launch. Like the other
-// Profiler methods it takes flat int64s so simt and telemetry need not share
-// a type. Safe for concurrent use.
-func (r *Recorder) KernelWork(launch int, edgeVisits, labelFlips, hashProbes, hashCollisions, activeVertices int64) {
+// KernelWork implements the simt Profiler hook: it attaches a launch's
+// algorithmic work ledger to the recorded Launch. Safe for concurrent use.
+func (r *Recorder) KernelWork(launch int, w WorkCounts) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if launch < 0 || launch >= len(r.launches) {
 		return
 	}
-	r.launches[launch].Work = WorkCounts{
-		EdgeVisits:     edgeVisits,
-		LabelFlips:     labelFlips,
-		HashProbes:     hashProbes,
-		HashCollisions: hashCollisions,
-		ActiveVertices: activeVertices,
-	}
+	r.launches[launch].Work = w
 }
 
 // KernelWorkByName aggregates recorded per-launch work per kernel name, in

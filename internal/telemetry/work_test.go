@@ -36,12 +36,13 @@ func TestRecorderKernelWork(t *testing.T) {
 	now := time.Now()
 	for i, k := range []string{"thread", "block", "thread"} {
 		id := r.KernelBegin(k, 1, 1, 1)
-		r.KernelWork(id, int64(10*(i+1)), 1, 2, 0, 3)
+		r.KernelWork(id, WorkCounts{EdgeVisits: int64(10 * (i + 1)), LabelFlips: 1, HashProbes: 2, ActiveVertices: 3})
 		r.KernelEnd(id, now, now.Add(time.Millisecond))
 	}
 	// Out-of-range launches are dropped, not panicking.
-	r.KernelWork(99, 1, 1, 1, 1, 1)
-	r.KernelWork(-1, 1, 1, 1, 1, 1)
+	one := WorkCounts{EdgeVisits: 1, LabelFlips: 1, HashProbes: 1, HashCollisions: 1, ActiveVertices: 1}
+	r.KernelWork(99, one)
+	r.KernelWork(-1, one)
 
 	byName := r.KernelWorkByName()
 	if got := byName["thread"].EdgeVisits; got != 40 {
