@@ -184,16 +184,20 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 	res.Labels = plan.Gather(labelArrs)
 	// Per-shard community census: distinct labels among each shard's owned
 	// rows — the partition-quality attribution that makes a shard whose halo
-	// staleness fragments communities stand out.
-	seen := make(map[uint32]struct{})
+	// staleness fragments communities stand out. Labels are global ids
+	// below n, so one mark slice stamped with s+1 serves every shard.
+	mark := make([]uint32, n)
 	for s, sh := range plan.Shards {
-		clear(seen)
-		for l := 0; l < sh.Owned; l++ {
-			seen[labelArrs[s][l]] = struct{}{}
+		stamp, count := uint32(s+1), 0
+		for _, c := range labelArrs[s][:sh.Owned] {
+			if mark[c] != stamp {
+				mark[c] = stamp
+				count++
+			}
 		}
 		lbl := strconv.Itoa(s)
-		res.ShardStats[s].Communities = len(seen)
-		mShardCommunities.With(lbl).Set(float64(len(seen)))
+		res.ShardStats[s].Communities = count
+		mShardCommunities.With(lbl).Set(float64(count))
 		mShardMoves.With(lbl).Add(res.ShardStats[s].Moves)
 	}
 	return res, nil

@@ -2,6 +2,7 @@ package nulpa
 
 import (
 	"errors"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -66,6 +67,58 @@ func TestShardedDeterministicAtFixedSeed(t *testing.T) {
 	}
 	if a.HaloLabels != b.HaloLabels {
 		t.Fatalf("halo traffic differs between identical runs: %d vs %d", a.HaloLabels, b.HaloLabels)
+	}
+}
+
+func TestShardedDeterministic(t *testing.T) {
+	// Workers 0 on two CPUs: one SM per device and the partitioner's
+	// restarts on two goroutines. Partition returns the same parts at any
+	// worker count, so repeated runs must agree bit for bit.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	g, _ := gen.Social(gen.DefaultSocial(8192, 16, 29))
+	opt := DefaultShardedOptions()
+	opt.Shards = 2
+	opt.Workers = 0
+	var first []uint32
+	for run := 0; run < 3; run++ {
+		res, err := Detect(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = res.Labels
+		} else if !slices.Equal(first, res.Labels) {
+			t.Fatalf("run %d labels differ from run 0", run)
+		}
+	}
+}
+
+func TestShardedCommunityCensus(t *testing.T) {
+	// ShardStats.Communities must equal the distinct labels among each
+	// shard's owned vertices, counted here from the gathered labels.
+	g, _ := gen.Social(gen.DefaultSocial(600, 10, 7))
+	const k = 3
+	parts := make([]uint32, g.NumVertices())
+	for v := range parts {
+		parts[v] = uint32(v % k)
+	}
+	opt := shardedOpts(k)
+	opt.ShardParts = parts
+	res, err := Detect(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]map[uint32]bool, k)
+	for s := range want {
+		want[s] = map[uint32]bool{}
+	}
+	for v, c := range res.Labels {
+		want[parts[v]][c] = true
+	}
+	for s, ss := range res.ShardStats {
+		if ss.Communities != len(want[s]) {
+			t.Errorf("shard %d: Communities = %d, distinct owned labels = %d", s, ss.Communities, len(want[s]))
+		}
 	}
 }
 

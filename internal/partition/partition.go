@@ -8,9 +8,10 @@
 //
 // The algorithm is LPA with two changes: the label universe is the k parts
 // (not the vertices), and a move is admitted only while the destination
-// part stays under its capacity (1+ε)·N/k. Moves are processed in parallel
-// chunks with atomic capacity accounting, so the balance constraint holds
-// exactly at all times.
+// part stays under its capacity (1+ε)·N/k. Each refinement sweeps the
+// vertices in order on one goroutine, so the balance constraint holds
+// exactly at all times. Parallelism is across restarts, never within a
+// sweep, and the result does not depend on the worker count.
 package partition
 
 import (
@@ -19,6 +20,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,9 +49,11 @@ type Options struct {
 	// PuLP family, where initial-assignment luck dominates final cut
 	// quality. 0 or 1 means a single run.
 	Restarts int
-	// Workers bounds parallelism; 0 selects GOMAXPROCS.
+	// Workers bounds how many restarts run at once; 0 selects GOMAXPROCS.
+	// Every restart sweeps on one goroutine, so the result is the same at
+	// any Workers.
 	Workers int
-	// Context, when set, cancels the run between sweep chunks. An
+	// Context, when set, cancels the run within 1024 vertices of a sweep. An
 	// interrupted run returns engine.ErrCanceled or engine.ErrDeadline,
 	// the same typed contract the detectors follow.
 	Context context.Context
@@ -79,35 +83,17 @@ type Result struct {
 // Partition computes a balanced k-way partition of g, keeping the lowest-cut
 // result over Options.Restarts independent refinements.
 func Partition(g *graph.CSR, opt Options) (*Result, error) {
-	restarts := opt.Restarts
-	if restarts <= 0 {
-		restarts = 1
-	}
 	start := time.Now()
-	var best *Result
-	iters := 0
-	for r := 0; r < restarts; r++ {
-		ropt := opt
-		ropt.Seed = opt.Seed + int64(r)
-		res, err := partitionOnce(g, ropt)
-		if err != nil {
-			return nil, err
-		}
-		iters += res.Iterations
-		if best == nil || res.CutWeight < best.CutWeight {
-			best = res
-		}
-		if best.CutWeight == 0 {
-			break // a zero-cut partition cannot be improved
-		}
+	best, err := bestRestart(g, opt)
+	if err != nil {
+		return nil, err
 	}
-	best.Iterations = iters
 	best.Duration = time.Since(start)
 	return best, nil
 }
 
-// partitionOnce runs one seeded assignment-plus-refinement pass.
-func partitionOnce(g *graph.CSR, opt Options) (*Result, error) {
+// bestRestart validates opt and runs the restarts.
+func bestRestart(g *graph.CSR, opt Options) (*Result, error) {
 	n := g.NumVertices()
 	k := opt.Parts
 	if k < 1 {
@@ -119,23 +105,13 @@ func partitionOnce(g *graph.CSR, opt Options) (*Result, error) {
 	if opt.MaxIterations <= 0 {
 		opt.MaxIterations = 20
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if opt.Context == nil {
+		opt.Context = context.Background()
 	}
-	if k > n && n > 0 {
-		k = n
-	}
-	ctx := opt.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	res := &Result{}
 	if n == 0 {
-		res.Parts = []uint32{}
-		res.Converged = true
-		return res, nil
+		return &Result{Parts: []uint32{}, Converged: true}, nil
 	}
+	k = min(k, n)
 
 	// Trivial partitions need no refinement: with k = 1 every vertex shares
 	// part 0, and with k = n (including k clamped down from above, and the
@@ -149,75 +125,109 @@ func partitionOnce(g *graph.CSR, opt Options) (*Result, error) {
 				parts[v] = uint32(v)
 			}
 		}
-		return trivialResult(g, parts), nil
+		res := &Result{Parts: parts, Converged: true}
+		res.CutWeight, res.CutFraction = quality.EdgeCut(g, parts)
+		return res, nil
 	}
 
 	ideal := (n + k - 1) / k
 	// Capacity rounds up and always leaves at least one slot of slack over
 	// the ideal size: with parts exactly full no move can ever be admitted
 	// and refinement would freeze at the random initial assignment.
-	capacity := int64(math.Ceil(float64(ideal) * (1 + opt.Imbalance)))
-	if capacity <= int64(ideal) {
-		capacity = int64(ideal) + 1
+	capacity := int(math.Ceil(float64(ideal) * (1 + opt.Imbalance)))
+	if capacity <= ideal {
+		capacity = ideal + 1
 	}
 
+	// Restarts run concurrently, each on one goroutine, and are then
+	// selected in index order exactly as a sequential loop would: the
+	// lowest cut wins, a tie goes to the lower index, and the first
+	// zero-cut restart ends the search. Restarts are claimed in index
+	// order, so once one reaches zero cut every unclaimed restart has a
+	// higher index and cannot be selected; none of them is started.
+	restarts := max(opt.Restarts, 1)
+	workers := opt.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	results := make([]*Result, restarts)
+	errs := make([]error, restarts)
+	var next atomic.Int64
+	var zeroCut atomic.Bool
+	work := func() {
+		for !zeroCut.Load() {
+			r := int(next.Add(1) - 1)
+			if r >= restarts {
+				return
+			}
+			results[r], errs[r] = refine(g, opt, opt.Seed+int64(r), k, ideal, capacity)
+			if errs[r] == nil && results[r].CutWeight == 0 {
+				zeroCut.Store(true)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, restarts); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+
+	var best *Result
+	iters := 0
+	for r := 0; r < restarts; r++ {
+		if errs[r] != nil {
+			return nil, errs[r]
+		}
+		res := results[r]
+		iters += res.Iterations
+		if best == nil || res.CutWeight < best.CutWeight {
+			best = res
+		}
+		if best.CutWeight == 0 {
+			break // a zero-cut partition cannot be improved
+		}
+	}
+	best.Iterations = iters
+	return best, nil
+}
+
+// refine runs one seeded assignment-plus-refinement pass: sequential
+// sweeps in vertex order, each vertex moving to its most connected part
+// while that part has room.
+func refine(g *graph.CSR, opt Options, seed int64, k, ideal, capacity int) (*Result, error) {
+	n := g.NumVertices()
+	ctx := opt.Context
 	// Initial assignment: contiguous blocks of a shuffled vertex order —
 	// balanced by construction, randomized by seed.
-	rng := rand.New(rand.NewSource(opt.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	order := rng.Perm(n)
 	parts := make([]uint32, n)
-	sizes := make([]int64, k)
+	sizes := make([]int, k)
 	for idx, v := range order {
-		p := uint32(idx / ideal)
-		if int(p) >= k {
-			p = uint32(k - 1)
-		}
+		p := uint32(min(idx/ideal, k-1))
 		parts[v] = p
 		sizes[p]++
 	}
 
-	start := time.Now()
-	const chunk = 1024
+	res := &Result{}
+	conn := make([]float64, k)
+	touched := make([]uint32, 0, 16)
 	for iter := 0; iter < opt.MaxIterations; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, engine.CtxErr(err)
-		}
-		var moves int64
-		var cursor int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				conn := make([]float64, k)
-				touched := make([]uint32, 0, 16)
-				var local int64
-				for {
-					// Cancellation is checked per chunk claim so a canceled
-					// sweep drains within one chunk of work per worker.
-					if ctx.Err() != nil {
-						break
-					}
-					c := atomic.AddInt64(&cursor, chunk) - chunk
-					if c >= int64(n) {
-						break
-					}
-					hi := c + chunk
-					if hi > int64(n) {
-						hi = int64(n)
-					}
-					for v := c; v < hi; v++ {
-						if moveVertex(g, graph.Vertex(v), parts, sizes, conn, &touched, capacity) {
-							local++
-						}
-					}
-				}
-				atomic.AddInt64(&moves, local)
-			}()
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, engine.CtxErr(err)
+		moves := 0
+		for v := 0; v < n; v++ {
+			// Cancellation is checked every 1024 vertices, so a canceled
+			// sweep stops within that much work.
+			if v%1024 == 0 && ctx.Err() != nil {
+				return nil, engine.CtxErr(ctx.Err())
+			}
+			if moveVertex(g, graph.Vertex(v), parts, sizes, conn, &touched, capacity) {
+				moves++
+			}
 		}
 		res.Iterations = iter + 1
 		if float64(moves) < opt.Tolerance*float64(n) {
@@ -225,32 +235,16 @@ func partitionOnce(g *graph.CSR, opt Options) (*Result, error) {
 			break
 		}
 	}
-	res.Duration = time.Since(start)
 	res.Parts = parts
 	res.CutWeight, res.CutFraction = quality.EdgeCut(g, parts)
-	var maxSize int64
-	for _, s := range sizes {
-		if s > maxSize {
-			maxSize = s
-		}
-	}
-	res.Imbalance = float64(maxSize)/float64(ideal) - 1
+	res.Imbalance = float64(slices.Max(sizes))/float64(ideal) - 1
 	return res, nil
 }
 
-// trivialResult wraps a fixed assignment in a converged zero-sweep Result.
-func trivialResult(g *graph.CSR, parts []uint32) *Result {
-	res := &Result{Parts: parts, Converged: true}
-	res.CutWeight, res.CutFraction = quality.EdgeCut(g, parts)
-	return res
-}
-
 // moveVertex relocates v to its most connected part if the move reduces cut
-// and respects capacity. Capacity accounting is atomic: the destination slot
-// is reserved before the move commits, and released if the reservation
-// overshoots.
-func moveVertex(g *graph.CSR, v graph.Vertex, parts []uint32, sizes []int64,
-	conn []float64, touched *[]uint32, capacity int64) bool {
+// and the destination part is below capacity.
+func moveVertex(g *graph.CSR, v graph.Vertex, parts []uint32, sizes []int,
+	conn []float64, touched *[]uint32, capacity int) bool {
 	ts, ws := g.Neighbors(v)
 	if len(ts) == 0 {
 		return false
@@ -260,13 +254,13 @@ func moveVertex(g *graph.CSR, v graph.Vertex, parts []uint32, sizes []int64,
 		if j == v {
 			continue
 		}
-		p := atomicLoadU32(parts, int(j))
+		p := parts[j]
 		if conn[p] == 0 {
 			*touched = append(*touched, p)
 		}
 		conn[p] += float64(ws[i])
 	}
-	cur := atomicLoadU32(parts, int(v))
+	cur := parts[v]
 	best, bestW := cur, conn[cur]
 	for _, p := range *touched {
 		if conn[p] > bestW {
@@ -277,18 +271,11 @@ func moveVertex(g *graph.CSR, v graph.Vertex, parts []uint32, sizes []int64,
 	for _, p := range *touched {
 		conn[p] = 0
 	}
-	if best == cur {
+	if best == cur || sizes[best] >= capacity {
 		return false
 	}
-	// Reserve a slot in the destination part.
-	if atomic.AddInt64(&sizes[best], 1) > capacity {
-		atomic.AddInt64(&sizes[best], -1)
-		return false
-	}
-	atomic.AddInt64(&sizes[cur], -1)
-	atomicStoreU32(parts, int(v), best)
+	sizes[best]++
+	sizes[cur]--
+	parts[v] = best
 	return true
 }
-
-func atomicLoadU32(p []uint32, i int) uint32     { return atomic.LoadUint32(&p[i]) }
-func atomicStoreU32(p []uint32, i int, v uint32) { atomic.StoreUint32(&p[i], v) }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -186,6 +187,25 @@ func TestPartitionDeadline(t *testing.T) {
 	}
 }
 
+func TestPartitionCanceledMidRun(t *testing.T) {
+	// With Tolerance 0 no restart converges, so four restarts of 1000
+	// sweeps each are still running on two goroutines when the context is
+	// canceled; Partition must return the typed error once they stop.
+	g := gen.Road(gen.DefaultRoad(20000, 4))
+	ctx, cancel := context.WithCancel(context.Background())
+	opt := DefaultOptions(4)
+	opt.MaxIterations = 1000
+	opt.Tolerance = 0
+	opt.Restarts = 4
+	opt.Workers = 2
+	opt.Context = ctx
+	timer := time.AfterFunc(20*time.Millisecond, cancel)
+	defer timer.Stop()
+	if _, err := Partition(g, opt); !errors.Is(err, engine.ErrCanceled) {
+		t.Fatalf("err = %v, want engine.ErrCanceled", err)
+	}
+}
+
 func TestInvalidOptions(t *testing.T) {
 	g := gen.Cycle(10)
 	if _, err := Partition(g, Options{Parts: 0}); err == nil {
@@ -215,12 +235,36 @@ func TestDeterministicForSeed(t *testing.T) {
 	}
 }
 
+func TestPartitionWorkersAgree(t *testing.T) {
+	// Restarts run in parallel but each sweeps on one goroutine, so the
+	// selected partition must not depend on the worker count.
+	g, _ := gen.Social(gen.DefaultSocial(65536, 32, 101))
+	opt := DefaultOptions(2)
+	opt.Imbalance = 0.1
+	opt.Restarts = 4
+	var ref *Result
+	for _, w := range []int{0, 1, 2, 4} {
+		opt.Workers = w
+		res, err := Partition(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = res
+			continue
+		}
+		if !slices.Equal(res.Parts, ref.Parts) || res.CutWeight != ref.CutWeight || res.Iterations != ref.Iterations {
+			t.Fatalf("Workers %d: cut %g after %d sweeps, Workers 0: cut %g after %d sweeps (parts equal: %v)",
+				w, res.CutWeight, res.Iterations, ref.CutWeight, ref.Iterations, slices.Equal(res.Parts, ref.Parts))
+		}
+	}
+}
+
 func TestRefinementImprovesOverInitial(t *testing.T) {
 	g := gen.Road(gen.DefaultRoad(4000, 7))
 	// Zero iterations = the random initial assignment.
-	// One worker on both runs: the multi-worker sweep is not deterministic,
-	// and a one-in-thirty schedule let the full run finish a hair above the
-	// one-sweep run.
+	// Both runs use one worker; sweeps are sequential, so the result would
+	// be the same at any Workers.
 	optInit := DefaultOptions(8)
 	optInit.Workers = 1
 	optInit.MaxIterations = 1
@@ -267,5 +311,21 @@ func TestWeightedCutRespected(t *testing.T) {
 	}
 	if res.Parts[0] == res.Parts[10] {
 		t.Error("the two cliques share a part")
+	}
+}
+
+// BenchmarkPartition partitions the benchmark's 65k social graph with the
+// options the sharded backend uses: k=2, ε=0.1, 4 restarts.
+func BenchmarkPartition(b *testing.B) {
+	g, _ := gen.Social(gen.DefaultSocial(65536, 32, 101))
+	opt := DefaultOptions(2)
+	opt.Imbalance = 0.1
+	opt.Restarts = 4
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Partition(g, opt); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

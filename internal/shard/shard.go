@@ -14,7 +14,7 @@ package shard
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"nulpa/internal/graph"
 )
@@ -47,8 +47,6 @@ type Shard struct {
 	Ghosts []Ghost
 	// CutArcs counts arcs from this shard's owned vertices to ghosts.
 	CutArcs int64
-
-	local map[graph.Vertex]graph.Vertex // global -> local, owned and ghost
 }
 
 // NumLocal returns the local CSR's vertex count (owned + ghosts).
@@ -56,10 +54,14 @@ func (s *Shard) NumLocal() int { return len(s.GlobalID) }
 
 // LocalOf maps a global vertex id to this shard's local id. The second
 // return value reports whether the vertex appears in the shard at all
-// (owned or ghost).
+// (owned or ghost). Both halves of GlobalID ascend, so it is two binary
+// searches.
 func (s *Shard) LocalOf(global graph.Vertex) (graph.Vertex, bool) {
-	l, ok := s.local[global]
-	return l, ok
+	if i, ok := slices.BinarySearch(s.GlobalID[:s.Owned], global); ok {
+		return graph.Vertex(i), true
+	}
+	i, ok := slices.BinarySearch(s.GlobalID[s.Owned:], global)
+	return graph.Vertex(s.Owned + i), ok
 }
 
 // Plan is a complete sharding of one graph.
@@ -99,119 +101,103 @@ func Build(g *graph.CSR, parts []uint32, k int) (*Plan, error) {
 		ownedBy[p] = append(ownedBy[p], graph.Vertex(v))
 	}
 
+	// ghostLocal is the one n-length scratch every shard shares: a
+	// vertex's ghost row in the shard being built (its cut-arc count while
+	// the ghosts are being found), NoVertex elsewhere. Each shard resets
+	// exactly the entries it set, so K shards cost O(n + arcs), not O(K·n).
+	ghostLocal := make([]graph.Vertex, n)
+	for v := range ghostLocal {
+		ghostLocal[v] = graph.NoVertex
+	}
 	plan := &Plan{Shards: make([]*Shard, k), N: n}
 	for s := 0; s < k; s++ {
-		sh, err := buildShard(g, parts, s, ownedBy[s], ownerLocal)
-		if err != nil {
-			return nil, err
-		}
+		sh := buildShard(g, parts, s, ownedBy[s], ownerLocal, ghostLocal)
 		plan.Shards[s] = sh
 		plan.CutArcs += sh.CutArcs
 	}
 	return plan, nil
 }
 
+// buildShard lays out shard idx's local CSR. Every row comes out sorted
+// without a sort: owned local ids rise with global ids and every ghost id
+// is above every owned id, so an owned row is its owned neighbours followed
+// by its ghost neighbours, each in CSR order; a ghost row receives its
+// reverse arcs in ascending owned order.
 func buildShard(g *graph.CSR, parts []uint32, idx int, owned []graph.Vertex,
-	ownerLocal []graph.Vertex) (*Shard, error) {
+	ownerLocal, ghostLocal []graph.Vertex) *Shard {
 	sh := &Shard{Index: idx, Owned: len(owned)}
+	part := uint32(idx)
 
-	// Pass 1: discover the ghost set (deduplicated boundary neighbours).
-	ghostSet := make(map[graph.Vertex]struct{})
+	// Pass 1: discover the ghost set (deduplicated boundary neighbours),
+	// counting each ghost's cut arcs in its scratch slot until it has a row.
+	// A ghost row holds one reverse arc per cut arc pointing at it, so the
+	// local CSR stays symmetric and ghost rows can wake their owned
+	// neighbours after a halo update.
+	var ghosts []graph.Vertex
 	for _, v := range owned {
 		ts, _ := g.Neighbors(v)
 		for _, u := range ts {
-			if int(parts[u]) != idx {
-				ghostSet[u] = struct{}{}
-				sh.CutArcs++
+			if parts[u] != part {
+				if ghostLocal[u] == graph.NoVertex {
+					ghostLocal[u] = 0
+					ghosts = append(ghosts, u)
+				}
+				ghostLocal[u]++
 			}
 		}
 	}
-	ghosts := make([]graph.Vertex, 0, len(ghostSet))
-	for u := range ghostSet {
-		ghosts = append(ghosts, u)
-	}
-	sort.Slice(ghosts, func(i, j int) bool { return ghosts[i] < ghosts[j] })
+	slices.Sort(ghosts)
 
+	// Pass 2: size every local row (owned rows keep their full degree) and
+	// give each ghost its row.
 	nl := len(owned) + len(ghosts)
+	offsets := make([]int64, nl+1)
+	for li, v := range owned {
+		offsets[li+1] = offsets[li] + int64(g.Degree(v))
+	}
 	sh.GlobalID = make([]graph.Vertex, 0, nl)
 	sh.GlobalID = append(sh.GlobalID, owned...)
 	sh.GlobalID = append(sh.GlobalID, ghosts...)
-	sh.local = make(map[graph.Vertex]graph.Vertex, nl)
-	for l, gid := range sh.GlobalID {
-		sh.local[gid] = graph.Vertex(l)
-	}
 	sh.Ghosts = make([]Ghost, len(ghosts))
 	for i, u := range ghosts {
-		sh.Ghosts[i] = Ghost{
-			Local:      graph.Vertex(len(owned) + i),
-			Owner:      int(parts[u]),
-			OwnerLocal: ownerLocal[u],
-		}
+		l := len(owned) + i
+		cut := int64(ghostLocal[u])
+		offsets[l+1] = offsets[l] + cut
+		sh.CutArcs += cut
+		ghostLocal[u] = graph.Vertex(l)
+		sh.Ghosts[i] = Ghost{Local: graph.Vertex(l), Owner: int(parts[u]), OwnerLocal: ownerLocal[u]}
 	}
 
-	// Pass 2: size every local row. Owned rows keep their full degree; a
-	// ghost row holds one reverse arc per cut arc pointing at it, so the
-	// local CSR stays symmetric and ghost rows can wake their owned
-	// neighbours after a halo update.
-	deg := make([]int64, nl)
-	for li, v := range owned {
-		deg[li] = int64(g.Degree(v))
-		ts, _ := g.Neighbors(v)
-		for _, u := range ts {
-			if int(parts[u]) != idx {
-				deg[sh.local[u]]++
-			}
-		}
-	}
-	offsets := make([]int64, nl+1)
-	for i := 0; i < nl; i++ {
-		offsets[i+1] = offsets[i] + deg[i]
-	}
-	arcs := offsets[nl]
-	targets := make([]graph.Vertex, arcs)
-	weights := make([]float32, arcs)
-	fill := make([]int64, nl)
-	copy(fill, offsets[:nl])
+	// Pass 3: fill. An owned row takes its owned neighbours from the front
+	// and its ghost neighbours from the back, then reverses the ghost tail
+	// back into CSR order; ghost rows advance their own cursor.
+	targets := make([]graph.Vertex, offsets[nl])
+	weights := make([]float32, offsets[nl])
+	ghostFill := slices.Clone(offsets[len(owned):nl])
 	for li, v := range owned {
 		ts, ws := g.Neighbors(v)
+		front, back := offsets[li], offsets[li+1]
 		for i, u := range ts {
-			lu := sh.local[u]
-			targets[fill[li]] = lu
-			weights[fill[li]] = ws[i]
-			fill[li]++
-			if int(parts[u]) != idx {
-				targets[fill[lu]] = graph.Vertex(li)
-				weights[fill[lu]] = ws[i]
-				fill[lu]++
+			if parts[u] == part {
+				targets[front], weights[front] = ownerLocal[u], ws[i]
+				front++
+				continue
 			}
+			lu := ghostLocal[u]
+			back--
+			targets[back], weights[back] = lu, ws[i]
+			gf := &ghostFill[int(lu)-len(owned)]
+			targets[*gf], weights[*gf] = graph.Vertex(li), ws[i]
+			*gf++
 		}
-	}
-
-	// Local ids permute global order, so remapped rows need a re-sort to
-	// keep the sorted-adjacency invariant Validate and EdgeWeight rely on.
-	for i := 0; i < nl; i++ {
-		lo, hi := offsets[i], offsets[i+1]
-		sortRow(targets[lo:hi], weights[lo:hi])
+		slices.Reverse(targets[front:offsets[li+1]])
+		slices.Reverse(weights[front:offsets[li+1]])
 	}
 	sh.Local = graph.New(offsets, targets, weights)
-	return sh, nil
-}
-
-// sortRow sorts one adjacency row by target id, carrying weights along.
-func sortRow(ts []graph.Vertex, ws []float32) {
-	sort.Sort(&rowSorter{ts, ws})
-}
-
-type rowSorter struct {
-	ts []graph.Vertex
-	ws []float32
-}
-
-func (r *rowSorter) Len() int           { return len(r.ts) }
-func (r *rowSorter) Less(i, j int) bool { return r.ts[i] < r.ts[j] }
-func (r *rowSorter) Swap(i, j int) {
-	r.ts[i], r.ts[j] = r.ts[j], r.ts[i]
-	r.ws[i], r.ws[j] = r.ws[j], r.ws[i]
+	for _, u := range ghosts {
+		ghostLocal[u] = graph.NoVertex
+	}
+	return sh
 }
 
 // ExchangeStats reports one halo exchange.

@@ -1,6 +1,9 @@
 package shard
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"nulpa/internal/gen"
@@ -268,5 +271,144 @@ func TestSingleShardIsWholeGraph(t *testing.T) {
 	}
 	if sh.Local.NumArcs() != g.NumArcs() {
 		t.Fatalf("arcs %d != %d", sh.Local.NumArcs(), g.NumArcs())
+	}
+}
+
+// referenceShard builds shard s the direct way: number owned vertices and
+// then ghosts in ascending global order, remap every arc (and the reverse
+// of every cut arc) through a map, and let the graph builder sort the rows.
+func referenceShard(t *testing.T, g *graph.CSR, parts []uint32, s int) *Shard {
+	t.Helper()
+	local := map[graph.Vertex]graph.Vertex{}
+	ownerLocal := map[graph.Vertex]graph.Vertex{}
+	rank := map[uint32]graph.Vertex{}
+	ref := &Shard{Index: s}
+	for v, p := range parts {
+		ownerLocal[graph.Vertex(v)] = rank[p]
+		rank[p]++
+		if int(p) == s {
+			local[graph.Vertex(v)] = graph.Vertex(len(ref.GlobalID))
+			ref.GlobalID = append(ref.GlobalID, graph.Vertex(v))
+		}
+	}
+	ref.Owned = len(ref.GlobalID)
+	var ghosts []graph.Vertex
+	for _, v := range ref.GlobalID[:ref.Owned] {
+		ts, _ := g.Neighbors(v)
+		for _, u := range ts {
+			if int(parts[u]) != s && !slices.Contains(ghosts, u) {
+				ghosts = append(ghosts, u)
+			}
+		}
+	}
+	slices.Sort(ghosts)
+	for _, u := range ghosts {
+		l := graph.Vertex(len(ref.GlobalID))
+		local[u] = l
+		ref.GlobalID = append(ref.GlobalID, u)
+		ref.Ghosts = append(ref.Ghosts, Ghost{Local: l, Owner: int(parts[u]), OwnerLocal: ownerLocal[u]})
+	}
+	var arcs []graph.Edge
+	for li, v := range ref.GlobalID[:ref.Owned] {
+		ts, ws := g.Neighbors(v)
+		for i, u := range ts {
+			arcs = append(arcs, graph.Edge{U: graph.Vertex(li), V: local[u], W: ws[i]})
+			if int(parts[u]) != s {
+				arcs = append(arcs, graph.Edge{U: local[u], V: graph.Vertex(li), W: ws[i]})
+				ref.CutArcs++
+			}
+		}
+	}
+	csr, err := graph.FromEdges(arcs, len(ref.GlobalID), graph.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Local = csr
+	return ref
+}
+
+func TestBuildMatchesReference(t *testing.T) {
+	social, _ := gen.Social(gen.DefaultSocial(800, 8, 5))
+	// A hand-built graph with a self-loop, which is stored once and never
+	// crosses a shard boundary.
+	loopy, err := graph.FromEdges([]graph.Edge{
+		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2}, {U: 2, V: 2, W: 5}, {U: 2, V: 3, W: 1},
+		{U: 3, V: 4, W: 3}, {U: 4, V: 5, W: 1}, {U: 5, V: 0, W: 4}, {U: 1, V: 4, W: 2},
+	}, 6, graph.BuildOptions{Symmetrize: true, SumDuplicates: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := []struct {
+		name string
+		g    *graph.CSR
+	}{
+		{"road", gen.Road(gen.DefaultRoad(1500, 4))},
+		{"web", gen.Web(gen.DefaultWeb(1200, 6, 3))},
+		{"social", social},
+		{"self-loop", loopy},
+	}
+	for _, tc := range graphs {
+		for _, k := range []int{1, 2, 3, 5} {
+			rng := rand.New(rand.NewSource(int64(k)))
+			random := make([]uint32, tc.g.NumVertices())
+			for v := range random {
+				random[v] = uint32(rng.Intn(k))
+			}
+			popt := partition.DefaultOptions(k)
+			pres, err := partition.Partition(tc.g, popt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, split := range []struct {
+				name  string
+				parts []uint32
+			}{{"random", random}, {"lpa", pres.Parts}} {
+				plan, err := Build(tc.g, split.parts, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var cut int64
+				for s, sh := range plan.Shards {
+					ref := referenceShard(t, tc.g, split.parts, s)
+					where := fmt.Sprintf("%s k=%d %s shard %d", tc.name, k, split.name, s)
+					if sh.Index != s || sh.Owned != ref.Owned || sh.CutArcs != ref.CutArcs {
+						t.Fatalf("%s: index %d owned %d cut %d, reference %d/%d/%d",
+							where, sh.Index, sh.Owned, sh.CutArcs, s, ref.Owned, ref.CutArcs)
+					}
+					if !slices.Equal(sh.GlobalID, ref.GlobalID) || !slices.Equal(sh.Ghosts, ref.Ghosts) {
+						t.Fatalf("%s: GlobalID or Ghosts differ from the reference", where)
+					}
+					if !slices.Equal(sh.Local.Offsets, ref.Local.Offsets) ||
+						!slices.Equal(sh.Local.Targets, ref.Local.Targets) ||
+						!slices.Equal(sh.Local.Weights, ref.Local.Weights) {
+						t.Fatalf("%s: local CSR differs from the reference", where)
+					}
+					cut += ref.CutArcs
+				}
+				if plan.CutArcs != cut {
+					t.Fatalf("%s k=%d %s: plan cut %d, reference %d", tc.name, k, split.name, plan.CutArcs, cut)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkShardBuild builds the two-shard plan of the benchmark's 65k
+// social graph under the partition the sharded backend computes for it.
+func BenchmarkShardBuild(b *testing.B) {
+	g, _ := gen.Social(gen.DefaultSocial(65536, 32, 101))
+	popt := partition.DefaultOptions(2)
+	popt.Imbalance = 0.1
+	popt.Restarts = 4
+	pres, err := partition.Partition(g, popt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(g, pres.Parts, 2); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
