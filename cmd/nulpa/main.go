@@ -21,6 +21,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -363,19 +364,30 @@ func main() {
 	}
 
 	if *writeTo != "" {
-		f, err := os.Create(*writeTo)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "nulpa: %v\n", err)
-			os.Exit(1)
-		}
-		for v, c := range res.Labels {
-			fmt.Fprintf(f, "%d %d\n", v, c)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeLabels(*writeTo, res.Labels); err != nil {
 			fmt.Fprintf(os.Stderr, "nulpa: %v\n", err)
 			os.Exit(1)
 		}
 	}
+}
+
+// writeLabels writes one "vertex label" line per vertex to path. The
+// buffered writer keeps the first write error and returns it from Flush.
+func writeLabels(path string, labels []uint32) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	var line []byte
+	for v, c := range labels {
+		line = strconv.AppendInt(line[:0], int64(v), 10)
+		line = append(line, ' ')
+		line = strconv.AppendUint(line, uint64(c), 10)
+		line = append(line, '\n')
+		w.Write(line)
+	}
+	return errors.Join(w.Flush(), f.Close())
 }
 
 // fmtBytes renders a byte count with a binary-unit suffix.

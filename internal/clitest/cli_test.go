@@ -255,8 +255,19 @@ func TestWriteLabels(t *testing.T) {
 	if len(lines) != 300 {
 		t.Fatalf("labels file has %d lines, want 300", len(lines))
 	}
-	if !strings.HasPrefix(lines[0], "0 ") {
-		t.Errorf("first line = %q", lines[0])
+	for i, line := range lines {
+		var c int
+		fmt.Sscanf(line, "%d %d", new(int), &c)
+		if line != fmt.Sprintf("%d %d", i, c) || c < 0 || c >= 300 {
+			t.Fatalf("line %d = %q, want \"%d <label in [0,300)>\"", i, line, i)
+		}
+	}
+	// A failed write must fail the run, not vanish in an unchecked buffer.
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	if out, err := run(t, "nulpa", "-gen", "planted", "-n", "300", "-deg", "10", "-write-labels", "/dev/full"); err == nil {
+		t.Errorf("-write-labels /dev/full exited 0:\n%s", out)
 	}
 }
 

@@ -56,7 +56,7 @@ func (a *CoalescedArena) Bytes() int64 {
 	return b
 }
 
-// CoalescedTable is one vertex's coalesced-chaining table.
+// CoalescedTable is one vertex's coalesced-chaining table, used by pointer.
 type CoalescedTable struct {
 	a    *CoalescedArena
 	base int64
@@ -70,10 +70,10 @@ func (a *CoalescedArena) TableFor(offset int64, degree int) CoalescedTable {
 }
 
 // Capacity returns the number of usable slots.
-func (t CoalescedTable) Capacity() int { return int(t.p1) }
+func (t *CoalescedTable) Capacity() int { return int(t.p1) }
 
 // Clear empties slots [lane, capacity) in steps of stride.
-func (t CoalescedTable) Clear(lane, stride int) {
+func (t *CoalescedTable) Clear(lane, stride int) {
 	for s := lane; s < int(t.p1); s += stride {
 		t.a.Keys[t.base+int64(s)] = EmptyKey
 		t.a.Next[t.base+int64(s)] = noNext
@@ -90,7 +90,7 @@ func (t CoalescedTable) Clear(lane, stride int) {
 // counts as a probe and every hop past the home bucket as a collision; the
 // free-slot scan that extends a chain is not counted. Probe accounting goes
 // to tl as in Table.Accumulate.
-func (t CoalescedTable) Accumulate(k uint32, v float64, shared bool, tl *Tally) bool {
+func (t *CoalescedTable) Accumulate(k uint32, v float64, shared bool, tl *Tally) bool {
 	if t.p1 == 0 {
 		tl.miss(0, 0)
 		return false
@@ -102,7 +102,7 @@ func (t CoalescedTable) Accumulate(k uint32, v float64, shared bool, tl *Tally) 
 	return t.accumulatePlain(s, k, v, tl)
 }
 
-func (t CoalescedTable) accumulatePlain(s int64, k uint32, v float64, tl *Tally) bool {
+func (t *CoalescedTable) accumulatePlain(s int64, k uint32, v float64, tl *Tally) bool {
 	for hops := int64(0); hops <= int64(t.p1); hops++ {
 		idx := t.base + s
 		cur := t.a.Keys[idx]
@@ -138,7 +138,7 @@ func (t CoalescedTable) accumulatePlain(s int64, k uint32, v float64, tl *Tally)
 	return false
 }
 
-func (t CoalescedTable) findFreePlain(from int64) (int64, bool) {
+func (t *CoalescedTable) findFreePlain(from int64) (int64, bool) {
 	for off := int64(1); off <= int64(t.p1); off++ {
 		s := from + off
 		if s >= int64(t.p1) {
@@ -151,7 +151,7 @@ func (t CoalescedTable) findFreePlain(from int64) (int64, bool) {
 	return 0, false
 }
 
-func (t CoalescedTable) accumulateShared(s int64, k uint32, v float64, tl *Tally) bool {
+func (t *CoalescedTable) accumulateShared(s int64, k uint32, v float64, tl *Tally) bool {
 	// Bounded by slots² in the worst contention case; in practice a few hops.
 	maxHops := 2*int64(t.p1) + 4
 	for hops := int64(0); hops <= maxHops; hops++ {
@@ -203,7 +203,7 @@ func (t CoalescedTable) accumulateShared(s int64, k uint32, v float64, tl *Tally
 }
 
 // claimFreeShared linearly scans for an empty slot and claims it with k.
-func (t CoalescedTable) claimFreeShared(from int64, k uint32) (int64, bool) {
+func (t *CoalescedTable) claimFreeShared(from int64, k uint32) (int64, bool) {
 	for off := int64(1); off <= int64(t.p1); off++ {
 		s := from + off
 		if s >= int64(t.p1) {
@@ -216,7 +216,7 @@ func (t CoalescedTable) claimFreeShared(from int64, k uint32) (int64, bool) {
 	return 0, false
 }
 
-func (t CoalescedTable) addValue(idx int64, v float64) {
+func (t *CoalescedTable) addValue(idx int64, v float64) {
 	if t.a.Kind == Float32 {
 		t.a.V32[idx] = math.Float32bits(math.Float32frombits(t.a.V32[idx]) + float32(v))
 	} else {
@@ -224,7 +224,7 @@ func (t CoalescedTable) addValue(idx int64, v float64) {
 	}
 }
 
-func (t CoalescedTable) atomicAddValue(idx int64, v float64) {
+func (t *CoalescedTable) atomicAddValue(idx int64, v float64) {
 	if t.a.Kind == Float32 {
 		simt.AtomicAddFloat32Bits(t.a.V32, int(idx), float32(v))
 	} else {
@@ -233,7 +233,7 @@ func (t CoalescedTable) atomicAddValue(idx int64, v float64) {
 }
 
 // Value returns the accumulated weight in slot s.
-func (t CoalescedTable) Value(s int) float64 {
+func (t *CoalescedTable) Value(s int) float64 {
 	idx := t.base + int64(s)
 	if t.a.Kind == Float32 {
 		return float64(math.Float32frombits(t.a.V32[idx]))
@@ -242,10 +242,10 @@ func (t CoalescedTable) Value(s int) float64 {
 }
 
 // Key returns the key in slot s, or EmptyKey.
-func (t CoalescedTable) Key(s int) uint32 { return t.a.Keys[t.base+int64(s)] }
+func (t *CoalescedTable) Key(s int) uint32 { return t.a.Keys[t.base+int64(s)] }
 
 // MaxKeyStrided is MaxKey restricted to slots lane, lane+stride, ....
-func (t CoalescedTable) MaxKeyStrided(lane, stride int) (key uint32, weight float64, ok bool) {
+func (t *CoalescedTable) MaxKeyStrided(lane, stride int) (key uint32, weight float64, ok bool) {
 	key = EmptyKey
 	for s := lane; s < int(t.p1); s += stride {
 		k := t.Key(s)
@@ -262,17 +262,6 @@ func (t CoalescedTable) MaxKeyStrided(lane, stride int) (key uint32, weight floa
 
 // MaxKey returns the first key with the greatest accumulated weight in slot
 // order (the "strict" LPA selection, matching Table.MaxKey).
-func (t CoalescedTable) MaxKey() (key uint32, weight float64, ok bool) {
-	key = EmptyKey
-	for s := 0; s < int(t.p1); s++ {
-		k := t.Key(s)
-		if k == EmptyKey {
-			continue
-		}
-		w := t.Value(s)
-		if !ok || w > weight {
-			key, weight, ok = k, w, true
-		}
-	}
-	return key, weight, ok
+func (t *CoalescedTable) MaxKey() (key uint32, weight float64, ok bool) {
+	return t.MaxKeyStrided(0, 1)
 }

@@ -293,7 +293,9 @@ func (a *Arena) Bytes() int64 {
 }
 
 // Table is the hashtable view of one vertex: a window into the arena.
-// Obtain one with Arena.TableFor; copying is cheap.
+// Obtain one with Arena.TableFor. It is used by pointer: a copy of the view
+// in every accumulate, probe and max-scan was a large share of the
+// per-vertex hot path.
 type Table struct {
 	a       *Arena
 	base    int64  // first slot of the window (2·O_i)
@@ -326,14 +328,14 @@ func (a *Arena) TableFor(offset int64, degree int, probing Probing) Table {
 }
 
 // Capacity returns p1, the number of usable slots.
-func (t Table) Capacity() int { return int(t.p1) }
+func (t *Table) Capacity() int { return int(t.p1) }
 
 // SecondaryModulus returns p2 (exported for tests and diagnostics).
-func (t Table) SecondaryModulus() uint32 { return t.p2 }
+func (t *Table) SecondaryModulus() uint32 { return t.p2 }
 
 // Clear empties slots [lane, capacity) in steps of stride — the parallel
 // hashtableClear of Algorithm 1. Use Clear(0, 1) from a single thread.
-func (t Table) Clear(lane, stride int) {
+func (t *Table) Clear(lane, stride int) {
 	for s := lane; s < int(t.p1); s += stride {
 		t.a.Keys[t.base+int64(s)] = EmptyKey
 		if t.a.Kind == Float32 {
@@ -346,7 +348,7 @@ func (t Table) Clear(lane, stride int) {
 
 // step returns the next probe increment given the current increment and the
 // key's secondary hash.
-func (t Table) step(di uint64, k uint32) uint64 {
+func (t *Table) step(di uint64, k uint32) uint64 {
 	switch t.probing {
 	case Linear:
 		return 1
@@ -364,7 +366,7 @@ func (t Table) step(di uint64, k uint32) uint64 {
 }
 
 // initialStep returns δi before the first collision.
-func (t Table) initialStep(k uint32) uint64 {
+func (t *Table) initialStep(k uint32) uint64 {
 	if t.probing == Double {
 		d := uint64(k % t.p2)
 		if d == 0 {
@@ -382,7 +384,7 @@ func (t Table) initialStep(k uint32) uint64 {
 // linear fallback enabled it can only return false for a zero-capacity
 // table. Probe accounting goes to tl, which must have a single writer — the
 // calling goroutine; nil counts nothing.
-func (t Table) Accumulate(k uint32, v float64, shared bool, tl *Tally) bool {
+func (t *Table) Accumulate(k uint32, v float64, shared bool, tl *Tally) bool {
 	if t.p1 == 0 {
 		tl.miss(0, 0)
 		return false
@@ -430,7 +432,7 @@ func (t Table) Accumulate(k uint32, v float64, shared bool, tl *Tally) bool {
 
 // tryslot attempts to claim or update slot s for key k; returns true when
 // the value was accumulated.
-func (t Table) tryslot(s int64, k uint32, v float64, shared bool) bool {
+func (t *Table) tryslot(s int64, k uint32, v float64, shared bool) bool {
 	idx := t.base + s
 	if !shared {
 		cur := t.a.Keys[idx]
@@ -454,7 +456,7 @@ func (t Table) tryslot(s int64, k uint32, v float64, shared bool) bool {
 	return false
 }
 
-func (t Table) addValue(idx int64, v float64) {
+func (t *Table) addValue(idx int64, v float64) {
 	if t.a.Kind == Float32 {
 		t.a.V32[idx] = math.Float32bits(math.Float32frombits(t.a.V32[idx]) + float32(v))
 	} else {
@@ -462,7 +464,7 @@ func (t Table) addValue(idx int64, v float64) {
 	}
 }
 
-func (t Table) atomicAddValue(idx int64, v float64) {
+func (t *Table) atomicAddValue(idx int64, v float64) {
 	if t.a.Kind == Float32 {
 		simt.AtomicAddFloat32Bits(t.a.V32, int(idx), float32(v))
 	} else {
@@ -471,7 +473,7 @@ func (t Table) atomicAddValue(idx int64, v float64) {
 }
 
 // Value returns the accumulated weight in slot s (0 when empty).
-func (t Table) Value(s int) float64 {
+func (t *Table) Value(s int) float64 {
 	idx := t.base + int64(s)
 	if t.a.Kind == Float32 {
 		return float64(math.Float32frombits(t.a.V32[idx]))
@@ -480,30 +482,19 @@ func (t Table) Value(s int) float64 {
 }
 
 // Key returns the key in slot s, or EmptyKey.
-func (t Table) Key(s int) uint32 { return t.a.Keys[t.base+int64(s)] }
+func (t *Table) Key(s int) uint32 { return t.a.Keys[t.base+int64(s)] }
 
 // MaxKey scans the table and returns the key with the greatest accumulated
 // weight and that weight — the hashtableMaxKey of Algorithm 1. Ties keep the
 // lowest slot scanned first (the "strict" LPA variant: first label with the
 // highest weight). ok is false for an empty table.
-func (t Table) MaxKey() (key uint32, weight float64, ok bool) {
-	key = EmptyKey
-	for s := 0; s < int(t.p1); s++ {
-		k := t.Key(s)
-		if k == EmptyKey {
-			continue
-		}
-		w := t.Value(s)
-		if !ok || w > weight {
-			key, weight, ok = k, w, true
-		}
-	}
-	return key, weight, ok
+func (t *Table) MaxKey() (key uint32, weight float64, ok bool) {
+	return t.MaxKeyStrided(0, 1)
 }
 
 // MaxKeyStrided is MaxKey restricted to slots lane, lane+stride, ... —
 // one lane's share of a block-wide parallel max-reduce.
-func (t Table) MaxKeyStrided(lane, stride int) (key uint32, weight float64, ok bool) {
+func (t *Table) MaxKeyStrided(lane, stride int) (key uint32, weight float64, ok bool) {
 	key = EmptyKey
 	for s := lane; s < int(t.p1); s += stride {
 		k := t.Key(s)
@@ -521,7 +512,7 @@ func (t Table) MaxKeyStrided(lane, stride int) (key uint32, weight float64, ok b
 // MaxKeyPreferLow is MaxKey with the pick-less-friendly tie-break: among
 // equal weights the smaller label wins, which makes the Pick-Less iteration
 // deterministic regardless of slot layout.
-func (t Table) MaxKeyPreferLow() (key uint32, weight float64, ok bool) {
+func (t *Table) MaxKeyPreferLow() (key uint32, weight float64, ok bool) {
 	key = EmptyKey
 	for s := 0; s < int(t.p1); s++ {
 		k := t.Key(s)

@@ -24,7 +24,20 @@ func (w perLaneBlock) KernelName() string                { return w.k.KernelName
 func (w perLaneBlock) GrowTallies(sms int)               { w.k.GrowTallies(sms) }
 func (w perLaneBlock) FoldTallies() telemetry.WorkCounts { return w.k.FoldTallies() }
 
-var _ simt.TallyKernel = perLaneBlock{}
+// perLaneThread is perLaneBlock for threadKernel: it hides BlockPhase, so
+// the launch calls Phase once per lane.
+type perLaneThread struct{ k *threadKernel }
+
+func (w perLaneThread) NumPhases() int                    { return w.k.NumPhases() }
+func (w perLaneThread) Phase(p int, t *simt.Thread)       { w.k.Phase(p, t) }
+func (w perLaneThread) KernelName() string                { return w.k.KernelName() }
+func (w perLaneThread) GrowTallies(sms int)               { w.k.GrowTallies(sms) }
+func (w perLaneThread) FoldTallies() telemetry.WorkCounts { return w.k.FoldTallies() }
+
+var (
+	_ simt.TallyKernel = perLaneBlock{}
+	_ simt.TallyKernel = perLaneThread{}
+)
 
 // hubGraph returns a weighted random graph on n vertices whose first hubs
 // vertices have degrees spread up to maxHub, so block-kernel degrees fall
@@ -52,11 +65,11 @@ func hubGraph(n, hubs, maxHub int, seed int64) *graph.CSR {
 }
 
 // diffRun is one side of the differential: a device run at 1 SM, its
-// recorder, and the block kernel as launched.
+// recorder, and the thread and block kernels as launched.
 type diffRun struct {
-	r     *deviceRun
-	rec   *telemetry.Recorder
-	block simt.Kernel
+	r             *deviceRun
+	rec           *telemetry.Recorder
+	thread, block simt.Kernel
 }
 
 func newDiffRun(t *testing.T, g *graph.CSR, opt Options, perLane bool) *diffRun {
@@ -69,9 +82,9 @@ func newDiffRun(t *testing.T, g *graph.CSR, opt Options, perLane bool) *diffRun 
 		t.Fatal(err)
 	}
 	t.Cleanup(r.free)
-	d := &diffRun{r: r, rec: rec, block: r.bk}
+	d := &diffRun{r: r, rec: rec, thread: r.tk, block: r.bk}
 	if perLane {
-		d.block = perLaneBlock{r.bk}
+		d.thread, d.block = perLaneThread{r.tk}, perLaneBlock{r.bk}
 	}
 	return d
 }
@@ -82,15 +95,15 @@ func (d *diffRun) step(iter int) int64 {
 	st, opt := d.r.st, d.r.opt
 	st.pickless = opt.PickLessEvery > 0 && iter%opt.PickLessEvery == 0
 	st.deltaN = 0
-	d.r.dev.Launch1D(len(d.r.low), opt.BlockDim, d.r.tk)
+	d.r.dev.Launch1D(len(d.r.low), opt.BlockDim, d.thread)
 	d.r.dev.Launch(len(d.r.high), opt.BlockDim, d.block)
 	return st.deltaN
 }
 
-// TestBlockPhaseMatchesPerLane runs the block kernel through BlockPhase and
-// through per-lane Phase on identical runs and requires identical labels,
-// processed flags, deltaN, hashtable tallies and per-launch work counters
-// after every iteration.
+// TestBlockPhaseMatchesPerLane runs the thread and block kernels through
+// BlockPhase and through per-lane Phase on identical runs and requires
+// identical labels, processed flags, deltaN, hashtable tallies and
+// per-launch work counters after every iteration.
 func TestBlockPhaseMatchesPerLane(t *testing.T) {
 	g := hubGraph(400, 12, 700, 3)
 	if d := g.MaxDegree(); d <= 256 {
@@ -141,6 +154,9 @@ func checkBlockPhaseDiff(t *testing.T, g *graph.CSR, opt Options, iters int) {
 	if len(blk.r.high) == 0 {
 		t.Fatal("no block-kernel vertices: the differential is vacuous")
 	}
+	if low := len(blk.r.low); opt.SwitchDegree > 0 && (low == 0 || low%opt.BlockDim == 0) {
+		t.Fatalf("%d thread-kernel vertices at BlockDim %d: no partial last block", low, opt.BlockDim)
+	}
 	var moved int64
 	for iter := 0; iter < iters; iter++ {
 		dBlk, dLane := blk.step(iter), lane.step(iter)
@@ -170,7 +186,21 @@ func checkBlockPhaseDiff(t *testing.T, g *graph.CSR, opt Options, iters int) {
 			t.Errorf("launch %d: %s %+v (block-phase) vs %s %+v (per-lane)",
 				i, bl[i].Kernel, bl[i].Work, ll[i].Kernel, ll[i].Work)
 		}
+		// The thread kernel runs one lane per listed vertex and phase, so
+		// only the last partial block reports fewer than BlockDim lanes.
+		if bl[i].Kernel == blk.r.tk.KernelName() {
+			if got, want := launchLanes(bl[i]), int64(2*len(blk.r.low)); got != want {
+				t.Errorf("launch %d: thread kernel ran %d lanes, want %d", i, got, want)
+			}
+		}
 	}
+}
+
+func launchLanes(l telemetry.Launch) (lanes int64) {
+	for _, sm := range l.SMs {
+		lanes += sm.Lanes
+	}
+	return lanes
 }
 
 // TestBlockKernelEmptyTableKeepsLabel: a vertex whose only arc is a self

@@ -632,14 +632,35 @@ func (k *threadKernel) NumPhases() int { return 2 }
 func (k *threadKernel) KernelName() string { return "thread-per-vertex" }
 
 func (k *threadKernel) Phase(p int, t *simt.Thread) {
-	gid := t.GlobalID()
-	if gid >= len(k.list) {
+	if gid := t.GlobalID(); gid < len(k.list) {
+		k.run(p, gid, gid+1, t.SM)
+	}
+}
+
+// BlockPhase implements simt.BlockPhaseKernel: phase p for every listed
+// vertex of block t.Block. Lanes past the end of the list have no vertex,
+// so it returns BlockDim except on the last, partial block.
+func (k *threadKernel) BlockPhase(p int, t *simt.Thread) int {
+	lo := t.Block * t.BlockDim
+	hi := min(lo+t.BlockDim, len(k.list))
+	if lo >= hi {
+		return 0
+	}
+	k.run(p, lo, hi, t.SM)
+	return hi - lo
+}
+
+// run is phase p for list entries [lo, hi), in order, on SM sm.
+func (k *threadKernel) run(p, lo, hi, sm int) {
+	list, cand := k.list[lo:hi], k.cand[lo:hi]
+	if p == 0 {
+		for x, i := range list {
+			cand[x] = k.pick(i, sm)
+		}
 		return
 	}
-	if p == 0 {
-		k.cand[gid] = k.pick(k.list[gid], t.SM)
-	} else {
-		k.move(k.list[gid], k.cand[gid], t.SM)
+	for x, i := range list {
+		k.move(i, cand[x], sm)
 	}
 }
 

@@ -4,7 +4,8 @@ import "nulpa/internal/hashtable"
 
 // anyArena and anyTable dispatch between the open-addressing hashtable (the
 // default) and the coalesced-chaining variant (appendix experiment) without
-// interface allocations in the per-vertex hot path.
+// interface allocations in the per-vertex hot path. Like both views, an
+// anyTable is used by pointer (TestHotPathTablesUsePointerReceivers).
 
 type anyArena struct {
 	open    *hashtable.Arena
@@ -42,7 +43,7 @@ type anyTable struct {
 	isCoal bool
 }
 
-func (t anyTable) clear(lane, stride int) {
+func (t *anyTable) clear(lane, stride int) {
 	if t.isCoal {
 		t.coal.Clear(lane, stride)
 		return
@@ -52,7 +53,7 @@ func (t anyTable) clear(lane, stride int) {
 
 // accumulate adds v to label k's slot, counting the probes into tl (nil:
 // not counting).
-func (t anyTable) accumulate(k uint32, v float64, shared bool, tl *hashtable.Tally) bool {
+func (t *anyTable) accumulate(k uint32, v float64, shared bool, tl *hashtable.Tally) bool {
 	if t.isCoal {
 		return t.coal.Accumulate(k, v, shared, tl)
 	}
@@ -61,7 +62,7 @@ func (t anyTable) accumulate(k uint32, v float64, shared bool, tl *hashtable.Tal
 
 // BestStrided returns the first label with the highest weight among slots
 // lane, lane+stride, ... — one lane's share of the parallel max-reduce.
-func (t anyTable) BestStrided(lane, stride int) (uint32, float64, bool) {
+func (t *anyTable) BestStrided(lane, stride int) (uint32, float64, bool) {
 	if t.isCoal {
 		return t.coal.MaxKeyStrided(lane, stride)
 	}
@@ -74,7 +75,7 @@ func (t anyTable) BestStrided(lane, stride int) (uint32, float64, bool) {
 // tie-break is load-bearing: a globally consistent rule (e.g. always the
 // smallest label) lets one label cascade across community boundaries within
 // a single asynchronous sweep and collapse distinct communities.
-func (t anyTable) best() (uint32, float64, bool) {
+func (t *anyTable) best() (uint32, float64, bool) {
 	if t.isCoal {
 		return t.coal.MaxKey()
 	}

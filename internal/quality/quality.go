@@ -6,6 +6,7 @@ package quality
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"nulpa/internal/graph"
@@ -143,6 +144,11 @@ func NMI(a, b []uint32) float64 {
 	}
 	ca, _ := Compact(a)
 	cb, _ := Compact(b)
+	if slices.Equal(ca, cb) {
+		// The same partition: exactly 1, which the map-order sums below
+		// can miss by an ulp.
+		return 1
+	}
 	countA := make(map[uint32]int)
 	countB := make(map[uint32]int)
 	joint := make(map[[2]uint32]int)
@@ -168,14 +174,11 @@ func NMI(a, b []uint32) float64 {
 		py := float64(countB[k[1]]) / fn
 		mi += pxy * math.Log(pxy/(px*py))
 	}
-	if ha+hb == 0 {
-		// Both partitions trivial; identical by construction of Compact.
-		return 1
-	}
+	// ha+hb > 0: two trivial partitions are identical and returned above.
 	nmi := 2 * mi / (ha + hb)
 	// Clamp float error at both ends: tiny negatives from near-independent
-	// partitions, and last-ulp overshoots above 1 from identical ones (the
-	// map-order entropy sums need not cancel exactly).
+	// partitions, and last-ulp overshoots above 1 (the map-order entropy
+	// sums need not cancel exactly).
 	if nmi < 0 && nmi > -1e-12 {
 		nmi = 0
 	}
