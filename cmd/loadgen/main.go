@@ -1,6 +1,6 @@
 // Command loadgen drives the nulpa serving plane with open-loop load and
 // reports latency percentiles, shed/goodput accounting, and a lost-job
-// crosscheck against the server's own /debug/vars ledger.
+// crosscheck against the server's own job ledger on /metrics.
 //
 // Usage:
 //

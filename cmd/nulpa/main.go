@@ -481,7 +481,7 @@ func serve(addr, algo, backend, graphPath, genName string, n, deg int, seed int6
 		}
 		fmt.Printf("job %d: %s on %s\n", st.ID, st.Algo, st.Graph)
 	}
-	fmt.Printf("serving on %s (GET /metrics, /healthz, /readyz, /jobs, /debug/live, /debug/trace, /debug/vars, /debug/pprof)\n", addr)
+	fmt.Printf("serving on %s (GET /metrics, /healthz, /readyz, /jobs, /debug/live, /debug/trace, /debug/pprof)\n", addr)
 	slog.Info("server listening", "addr", addr)
 
 	// Serve until SIGINT/SIGTERM, then drain: stop accepting connections,

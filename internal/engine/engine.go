@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"nulpa/internal/graph"
+	"nulpa/internal/quality"
 	"nulpa/internal/telemetry"
 )
 
@@ -115,7 +116,7 @@ type Result struct {
 	// Quality is the end-of-run quality summary (exact modularity, estimator
 	// drift, census), present when Options.Quality was enabled; the
 	// per-iteration records are Trace[i].Quality.
-	Quality *QualitySummary
+	Quality *quality.FinalStats
 }
 
 // NewResult builds a Result from raw per-vertex labels, compressing them and

@@ -34,12 +34,3 @@ func CtxErr(err error) error {
 		return ErrCanceled
 	}
 }
-
-// RunContext returns the run's context, never nil: Options.Context when set,
-// context.Background() otherwise.
-func (o Options) RunContext() context.Context {
-	if o.Context != nil {
-		return o.Context
-	}
-	return context.Background()
-}

@@ -7,6 +7,7 @@ import (
 
 	"nulpa/internal/graph"
 	"nulpa/internal/metrics"
+	"nulpa/internal/quality"
 	"nulpa/internal/telemetry"
 	"nulpa/internal/trace"
 )
@@ -40,23 +41,6 @@ var (
 		"Convergence loops ended early by cancellation or deadline expiry.")
 	mRunsCanceled = metrics.NewCounterVec("engine_runs_canceled_total",
 		"Detect calls ended by cancellation or deadline, per detector.", "detector")
-
-	// Run-grained work accounting, summed from the result trace after every
-	// Detect call — detector-labelled so the families cover FLPA (which
-	// bypasses Loop) and both nulpa backends through the same seam. The
-	// per-kernel view lives in the nulpa_work_* families (simt).
-	mWorkEdgeVisits = metrics.NewCounterVec("engine_work_edge_visits_total",
-		"Edge (arc) inspections summed over completed runs, per detector.", "detector")
-	mWorkLabelFlips = metrics.NewCounterVec("engine_work_label_flips_total",
-		"Gross label changes summed over completed runs, per detector.", "detector")
-	mWorkHashProbes = metrics.NewCounterVec("engine_work_hash_probes_total",
-		"Hashtable slot probes summed over completed runs, per detector.", "detector")
-	mWorkHashCollisions = metrics.NewCounterVec("engine_work_hash_collisions_total",
-		"Hashtable probe collisions summed over completed runs, per detector.", "detector")
-	mWorkActive = metrics.NewCounterVec("engine_work_active_vertices_total",
-		"Vertices processed summed over completed runs, per detector.", "detector")
-	mFrontierOccupancy = metrics.NewGaugeVec("engine_frontier_occupancy",
-		"Mean fraction of vertices active per iteration in the most recent run, per detector.", "detector")
 )
 
 // instrumented decorates a Detector with the run-grained metric families and
@@ -89,13 +73,16 @@ func (w instrumented) Detect(g *graph.CSR, opt Options) (*Result, error) {
 	// modularity tracker here, so every detector reached through the registry
 	// is quality-accounted without per-algorithm code — the convergence loop
 	// feeds it labels via Recorder.ObserveQuality.
-	var qobs *qualityObserver
+	var qt *quality.Tracker
 	if opt.Quality.Enabled {
 		if opt.Profiler == nil {
 			opt.Profiler = telemetry.NewRecorder()
 		}
-		qobs = newQualityObserver(g, opt.Quality)
-		opt.Profiler.SetQualityObserver(qobs)
+		qt = quality.NewTracker(g, quality.TrackerConfig{
+			Gamma:       opt.Quality.Gamma,
+			SampleEvery: opt.Quality.SampleEvery,
+		})
+		opt.Profiler.SetQualityObserver(qt)
 		defer opt.Profiler.SetQualityObserver(nil)
 	}
 	mActiveRuns.Add(1)
@@ -121,27 +108,20 @@ func (w instrumented) Detect(g *graph.CSR, opt Options) (*Result, error) {
 		span.SetInt("iterations", int64(res.Iterations))
 		span.SetInt("communities", int64(res.Communities))
 		span.SetBool("converged", res.Converged)
+		// The detect span carries the run's work totals: FLPA opens no
+		// iteration spans, so this is the only place its work shows.
 		if work := telemetry.TotalWork(res.Trace); !work.IsZero() {
-			mWorkEdgeVisits.With(name).Add(work.EdgeVisits)
-			mWorkLabelFlips.With(name).Add(work.LabelFlips)
-			mWorkHashProbes.With(name).Add(work.HashProbes)
-			mWorkHashCollisions.With(name).Add(work.HashCollisions)
-			mWorkActive.With(name).Add(work.ActiveVertices)
 			span.SetInt("edgeVisits", work.EdgeVisits)
 			span.SetInt("activeVertices", work.ActiveVertices)
-			if n, it := g.NumVertices(), res.Iterations; n > 0 && it > 0 {
-				mFrontierOccupancy.With(name).Set(
-					float64(work.ActiveVertices) / (float64(it) * float64(n)))
-			}
 		}
-		if qobs != nil {
-			sum := qobs.summary()
-			res.Quality = &sum
-			span.SetFloat("modularity", sum.Modularity)
-			span.SetFloat("qualityDrift", sum.Drift)
-			mQFinal.With(name).Observe(sum.Modularity)
-			mQFinalDrift.Observe(sum.Drift)
-			mQFinalByDetector.With(name).Set(sum.Modularity)
+		if qt != nil {
+			fs := qt.Final()
+			res.Quality = &fs
+			span.SetFloat("modularity", fs.Modularity)
+			span.SetFloat("qualityDrift", fs.Drift)
+			mQFinal.With(name).Observe(fs.Modularity)
+			mQFinalDrift.Observe(fs.Drift)
+			mQFinalByDetector.With(name).Set(fs.Modularity)
 		}
 	}
 	span.End()

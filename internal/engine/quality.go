@@ -3,9 +3,7 @@ package engine
 import (
 	"context"
 
-	"nulpa/internal/graph"
 	"nulpa/internal/metrics"
-	"nulpa/internal/quality"
 	"nulpa/internal/telemetry"
 	"nulpa/internal/trace"
 )
@@ -25,36 +23,6 @@ type QualityConfig struct {
 	SampleEvery int
 	// Gamma is the modularity resolution γ (0 means 1).
 	Gamma float64
-}
-
-// QualitySummary is the end-of-run quality verdict attached to Result when
-// quality telemetry was enabled — exact modularity plus the estimator's
-// accuracy record and the final community census.
-type QualitySummary struct {
-	// Modularity is the exact end-of-run Q; Estimate is the live estimator's
-	// final value and Drift their absolute difference. MaxDrift is the worst
-	// drift across all sampled recomputes; Recomputes counts them.
-	Modularity float64 `json:"modularity"`
-	Estimate   float64 `json:"estimate"`
-	Drift      float64 `json:"drift"`
-	MaxDrift   float64 `json:"maxDrift"`
-	Recomputes int     `json:"recomputes"`
-	// Observed counts the iterations with quality accounting.
-	Observed int `json:"observed"`
-
-	Communities   int      `json:"communities"`
-	GiantShare    float64  `json:"giantShare"`
-	SingletonRate float64  `json:"singletonRate"`
-	Entropy       float64  `json:"entropy"`
-	SizeBuckets   [7]int64 `json:"sizeBuckets"`
-
-	Flips     int64 `json:"flips"`
-	FlipsLow  int64 `json:"flipsLow"`
-	FlipsMid  int64 `json:"flipsMid"`
-	FlipsHigh int64 `json:"flipsHigh"`
-
-	ChurnNMI   float64 `json:"churnNMI"`
-	ChurnValid bool    `json:"churnValid,omitempty"`
 }
 
 // The engine_quality_* families: iteration-grained gauges fed by Loop (the
@@ -96,72 +64,6 @@ func modularityBuckets() []float64 {
 		b = append(b, q)
 	}
 	return b
-}
-
-// qualityObserver adapts a quality.Tracker to the telemetry.QualityObserver
-// seam, converting LiveStats into the wire-level QualityRecord. One observer
-// serves one run.
-type qualityObserver struct {
-	t *quality.Tracker
-}
-
-// newQualityObserver builds the run's quality tracker over g.
-func newQualityObserver(g *graph.CSR, cfg QualityConfig) *qualityObserver {
-	return &qualityObserver{t: quality.NewTracker(g, quality.TrackerConfig{
-		Gamma:       cfg.Gamma,
-		SampleEvery: cfg.SampleEvery,
-	})}
-}
-
-func (o *qualityObserver) ObserveLabels(iter int, labels []uint32) (telemetry.QualityRecord, bool) {
-	ls, ok := o.t.Observe(iter, labels)
-	if !ok {
-		return telemetry.QualityRecord{}, false
-	}
-	return telemetry.QualityRecord{
-		Iter:            iter,
-		Modularity:      ls.Modularity,
-		DeltaQ:          ls.DeltaQ,
-		Exact:           ls.Exact,
-		ExactModularity: ls.ExactModularity,
-		Drift:           ls.Drift,
-		Communities:     ls.Communities,
-		GiantShare:      ls.GiantShare,
-		SingletonRate:   ls.SingletonRate,
-		Entropy:         ls.Entropy,
-		SizeBuckets:     ls.SizeBuckets,
-		Flips:           ls.Flips,
-		FlipsLow:        ls.FlipsLow,
-		FlipsMid:        ls.FlipsMid,
-		FlipsHigh:       ls.FlipsHigh,
-		ChurnNMI:        ls.ChurnNMI,
-		ChurnValid:      ls.ChurnValid,
-	}, true
-}
-
-// summary closes out the run: one final exact recompute folded with the
-// tracker's accuracy record and census.
-func (o *qualityObserver) summary() QualitySummary {
-	fs := o.t.Final()
-	return QualitySummary{
-		Modularity:    fs.Modularity,
-		Estimate:      fs.Estimate,
-		Drift:         fs.Drift,
-		MaxDrift:      fs.MaxDrift,
-		Recomputes:    fs.Recomputes,
-		Observed:      fs.Observed,
-		Communities:   fs.Communities,
-		GiantShare:    fs.GiantShare,
-		SingletonRate: fs.SingletonRate,
-		Entropy:       fs.Entropy,
-		SizeBuckets:   fs.SizeBuckets,
-		Flips:         fs.Flips,
-		FlipsLow:      fs.FlipsLow,
-		FlipsMid:      fs.FlipsMid,
-		FlipsHigh:     fs.FlipsHigh,
-		ChurnNMI:      fs.ChurnNMI,
-		ChurnValid:    fs.ChurnValid,
-	}
 }
 
 // recordQualityMetrics publishes one iteration's quality record on the

@@ -1,7 +1,10 @@
 package engine_test
 
 import (
+	"encoding/json"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"nulpa/internal/engine"
@@ -11,7 +14,7 @@ import (
 )
 
 // The quality-plane conformance suite: every registered detector run with
-// Options.Quality enabled must produce a QualitySummary whose incremental
+// Options.Quality enabled must produce an end-of-run summary whose incremental
 // estimate stayed within 1e-6 of the exact modularity at every sampled
 // recompute, a quality record on every observed Trace entry, and a final
 // summary that agrees
@@ -148,5 +151,58 @@ func TestQualityDisabledLeavesResultBare(t *testing.T) {
 		if it.Quality != nil {
 			t.Errorf("iter %d carries a quality record on a disabled run", it.Iter)
 		}
+	}
+}
+
+// TestQualityFinalWireKeys pins the key set of the end-of-run quality JSON
+// (Result.Quality, job status "quality"). Unlike the per-iteration
+// record, the flip counts are never omitted here, so even a zero summary
+// carries them; churnValid appears only when set.
+func TestQualityFinalWireKeys(t *testing.T) {
+	want := []string{"modularity", "estimate", "drift", "maxDrift", "recomputes",
+		"observed", "communities", "giantShare", "singletonRate", "entropy",
+		"sizeBuckets", "flips", "flipsLow", "flipsMid", "flipsHigh", "churnNMI"}
+	keys := func(q *quality.FinalStats) []string {
+		b, err := json.Marshal(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatal(err)
+		}
+		var ks []string
+		for k := range m {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		return ks
+	}
+	sort.Strings(want)
+	if got := keys(&quality.FinalStats{}); !slices.Equal(got, want) {
+		t.Errorf("zero summary keys %v, want %v", got, want)
+	}
+
+	det, err := engine.MustGet("nulpa-direct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := engine.DefaultOptions()
+	opt.Workers = 2
+	opt.Quality = engine.QualityConfig{Enabled: true, SampleEvery: 1}
+	res, err := det.Detect(conformanceGraphs()["planted"], opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Quality == nil {
+		t.Fatal("Result.Quality is nil")
+	}
+	if !res.Quality.ChurnValid {
+		t.Fatal("run sampled every iteration but reports no churn")
+	}
+	runWant := append(slices.Clone(want), "churnValid")
+	sort.Strings(runWant)
+	if got := keys(res.Quality); !slices.Equal(got, runWant) {
+		t.Errorf("run summary keys %v, want %v", got, runWant)
 	}
 }

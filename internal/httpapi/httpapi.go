@@ -7,7 +7,6 @@
 //	GET  /healthz      liveness probe ("ok"; never drains)
 //	GET  /readyz       readiness probe (503 while draining or registry empty)
 //	GET  /metrics      Prometheus text format (internal/metrics)
-//	GET  /debug/vars   expvar-style JSON dump of the same registry
 //	GET  /algos        registered detector names (JSON)
 //	POST /jobs         submit a JobSpec; 202 + job id, or 429/503 when shed
 //	                   (400 for a graph.path: clients name generated graphs)

@@ -107,7 +107,7 @@ type JobStatus struct {
 	CacheHit  bool `json:"cacheHit,omitempty"`
 	// Quality is the final quality-plane summary, present when the job was
 	// submitted with "quality": true and ran to completion.
-	Quality *engine.QualitySummary `json:"quality,omitempty"`
+	Quality *quality.FinalStats `json:"quality,omitempty"`
 }
 
 // job is the server-side record.

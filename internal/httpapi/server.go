@@ -102,7 +102,6 @@ func NewServer(opts ...Option) *Server {
 	s.handle("GET /healthz", "healthz", s.healthz)
 	s.handle("GET /readyz", "readyz", s.readyz)
 	s.handle("GET /metrics", "metrics", s.metrics)
-	s.handle("GET /debug/vars", "vars", s.vars)
 	s.handle("GET /algos", "algos", s.algos)
 	s.handle("POST /jobs", "jobs-submit", s.submitJob)
 	s.handle("GET /jobs", "jobs-list", s.listJobs)
@@ -215,11 +214,6 @@ func (s *Server) handle(pattern, route string, h http.HandlerFunc) {
 func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	metrics.Default().WritePrometheus(w)
-}
-
-func (s *Server) vars(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	metrics.Default().WriteJSON(w)
 }
 
 func (s *Server) algos(w http.ResponseWriter, r *http.Request) {

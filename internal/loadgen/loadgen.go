@@ -4,7 +4,7 @@
 // of work instead of a politely self-throttling client), polls every
 // admitted job to a terminal state, and reports latency percentiles,
 // shed/goodput accounting, and a lost-job crosscheck against the server's
-// own /debug/vars counters.
+// own job ledger on /metrics.
 //
 // The driver is deliberately dependency-light (stdlib only) and knows the
 // serving plane only through its HTTP surface, so it measures what a real
@@ -19,7 +19,9 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -295,27 +297,29 @@ func pollTerminal(ctx context.Context, client *http.Client, cfg Config, id int, 
 	}
 }
 
-// crosscheck polls /debug/vars until the server's job ledger balances
+// ledgerFamilies are the server's job-ledger series the crosscheck reads
+// from /metrics.
+var ledgerFamilies = []string{
+	"httpapi_jobs_submitted_total",
+	"httpapi_jobs_finished_total",
+	"httpapi_jobs_active",
+	"sched_queue_depth",
+	"sched_running",
+}
+
+// crosscheck scrapes /metrics until the server's job ledger balances
 // (submitted == finished, nothing active, scheduler queue empty) or the
 // timeout passes. Returns the balance verdict and a human-readable detail.
 func crosscheck(ctx context.Context, client *http.Client, base string, timeout time.Duration) (bool, string, error) {
 	deadline := time.Now().Add(timeout)
 	var detail string
 	for {
-		doc, err := fetchVars(ctx, client, base)
+		l, err := fetchLedger(ctx, client, base)
 		if err != nil {
 			return false, "", err
 		}
-		submitted := num(doc["httpapi_jobs_submitted_total"])
-		active := num(doc["httpapi_jobs_active"])
-		queued := num(doc["sched_queue_depth"])
-		running := num(doc["sched_running"])
-		var finished float64
-		if m, ok := doc["httpapi_jobs_finished_total"].(map[string]any); ok {
-			for _, v := range m {
-				finished += num(v)
-			}
-		}
+		submitted, finished := l["httpapi_jobs_submitted_total"], l["httpapi_jobs_finished_total"]
+		active, queued, running := l["httpapi_jobs_active"], l["sched_queue_depth"], l["sched_running"]
 		detail = fmt.Sprintf("submitted=%.0f finished=%.0f active=%.0f queued=%.0f running=%.0f",
 			submitted, finished, active, queued, running)
 		if submitted == finished && active == 0 && queued == 0 && running == 0 {
@@ -328,8 +332,9 @@ func crosscheck(ctx context.Context, client *http.Client, base string, timeout t
 	}
 }
 
-func fetchVars(ctx context.Context, client *http.Client, base string) (map[string]any, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/debug/vars", nil)
+// fetchLedger scrapes /metrics and reads the job ledger from it.
+func fetchLedger(ctx context.Context, client *http.Client, base string) (map[string]float64, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -338,16 +343,57 @@ func fetchVars(ctx context.Context, client *http.Client, base string) (map[strin
 		return nil, err
 	}
 	defer resp.Body.Close()
-	var doc map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		return nil, err
 	}
-	return doc, nil
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET /metrics: %s", resp.Status)
+	}
+	return parseLedger(string(body))
 }
 
-func num(v any) float64 {
-	f, _ := v.(float64)
-	return f
+// parseLedger sums each ledger family's samples over their labels from a
+// Prometheus text exposition. A family whose # TYPE line is present but
+// which has no samples (a labelled family no child of which exists yet)
+// reads 0; a family with no # TYPE line is an error, so a renamed series
+// cannot pass for a balanced ledger.
+func parseLedger(text string) (map[string]float64, error) {
+	sums := map[string]float64{}
+	typed := map[string]bool{}
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			typed[name] = true
+			continue
+		}
+		if i := strings.Index(line, " # "); i >= 0 {
+			line = line[:i] // an OpenMetrics exemplar follows the value
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		if sp < 0 || line[0] == '#' {
+			continue
+		}
+		name := line[:strings.IndexAny(line, "{ ")]
+		if !slices.Contains(ledgerFamilies, name) {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[sp+1:], 64)
+		if err != nil {
+			return nil, fmt.Errorf("/metrics: sample %q: %v", line, err)
+		}
+		sums[name] += v
+	}
+	var missing []string
+	for _, f := range ledgerFamilies {
+		if !typed[f] {
+			missing = append(missing, f)
+		}
+	}
+	if len(missing) > 0 {
+		return nil, fmt.Errorf("/metrics has no ledger family %s", strings.Join(missing, ", "))
+	}
+	return sums, nil
 }
 
 // percentile returns the p-quantile (0..1) of sorted xs by nearest-rank.

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -171,5 +172,83 @@ func TestPercentile(t *testing.T) {
 	}
 	if got := percentile(nil, 0.5); got != 0 {
 		t.Errorf("percentile(nil) = %v, want 0", got)
+	}
+}
+
+// TestParseLedger pins the crosscheck's reading of a /metrics exposition:
+// exemplar suffixes, labelled children summed, look-alike names kept apart,
+// an empty family read as 0, and a missing family an error.
+func TestParseLedger(t *testing.T) {
+	const header = `# HELP httpapi_jobs_submitted_total Jobs accepted.
+# TYPE httpapi_jobs_submitted_total counter
+httpapi_jobs_submitted_total 7 # {trace_id="00000000000000ab"} 1 1700000000.000
+# TYPE httpapi_jobs_active gauge
+httpapi_jobs_active 0
+# TYPE sched_queue_depth gauge
+sched_queue_depth 0
+# TYPE sched_queue_wait_seconds histogram
+sched_queue_wait_seconds_bucket{le="0.001"} 5
+sched_queue_wait_seconds_bucket{le="+Inf"} 7
+sched_queue_wait_seconds_sum 0.25
+sched_queue_wait_seconds_count 7
+# TYPE sched_running gauge
+sched_running 1
+`
+	cases := []struct {
+		name    string
+		text    string
+		want    map[string]float64
+		wantErr string
+	}{
+		{
+			name: "children summed",
+			text: header + `# TYPE httpapi_jobs_finished_total counter
+httpapi_jobs_finished_total{state="canceled"} 1
+httpapi_jobs_finished_total{state="done"} 5 # {trace_id="00000000000000cd"} 1 1700000001.000
+httpapi_jobs_finished_total{state="failed"} 1
+`,
+			want: map[string]float64{
+				"httpapi_jobs_submitted_total": 7,
+				"httpapi_jobs_finished_total":  7,
+				"httpapi_jobs_active":          0,
+				"sched_queue_depth":            0,
+				"sched_running":                1,
+			},
+		},
+		{
+			name: "empty family reads 0",
+			text: header + "# TYPE httpapi_jobs_finished_total counter\n",
+			want: map[string]float64{
+				"httpapi_jobs_submitted_total": 7,
+				"httpapi_jobs_finished_total":  0,
+				"httpapi_jobs_active":          0,
+				"sched_queue_depth":            0,
+				"sched_running":                1,
+			},
+		},
+		{
+			name:    "missing family",
+			text:    header,
+			wantErr: "httpapi_jobs_finished_total",
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := parseLedger(c.text)
+			if c.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+					t.Fatalf("err = %v, want one naming %s", err, c.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range ledgerFamilies {
+				if got[f] != c.want[f] {
+					t.Errorf("%s = %v, want %v", f, got[f], c.want[f])
+				}
+			}
+		})
 	}
 }

@@ -50,8 +50,8 @@ type Report struct {
 	// GoodputPerSec is completed-successfully jobs per wall-clock second.
 	GoodputPerSec float64 `json:"goodputPerSec"`
 
-	// MetricsBalanced reports whether the server's own /debug/vars ledger
-	// balanced after the run (submitted == finished, nothing active or
+	// MetricsBalanced reports whether the server's own job ledger on
+	// /metrics balanced after the run (submitted == finished, nothing active or
 	// queued); CrosscheckDetail carries the final counter snapshot.
 	MetricsBalanced  bool   `json:"metricsBalanced"`
 	CrosscheckDetail string `json:"crosscheckDetail,omitempty"`

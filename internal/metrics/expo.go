@@ -2,20 +2,16 @@ package metrics
 
 import (
 	"bufio"
-	"encoding/json"
 	"io"
 	"math"
 	"strconv"
 	"strings"
 )
 
-// Exposition: the registry renders in two formats. WritePrometheus emits the
-// Prometheus text format (version 0.0.4) — HELP/TYPE headers, histogram
-// _bucket/_sum/_count series with cumulative le bounds — which is what a
-// scraper pulls from /metrics. WriteJSON emits an expvar-compatible dump (a
-// single JSON object mapping metric names to values) for /debug/vars;
-// histograms appear as objects carrying count, sum, and the p50/p95/p99
-// summaries.
+// Exposition: WritePrometheus renders the registry in the Prometheus text
+// format (version 0.0.4) — HELP/TYPE headers, histogram _bucket/_sum/_count
+// series with cumulative le bounds — which is what a scraper pulls from
+// /metrics. It is the registry's one exposition.
 
 // WritePrometheus writes every registered metric in Prometheus text format,
 // in name order.
@@ -135,63 +131,4 @@ func escapeHelp(s string) string {
 	}
 	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 	return r.Replace(s)
-}
-
-// histJSON is the JSON shape of one histogram: totals plus the quantile
-// summaries the text format cannot carry.
-type histJSON struct {
-	Count int64   `json:"count"`
-	Sum   float64 `json:"sum"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-}
-
-func histToJSON(h *Histogram) histJSON {
-	return histJSON{
-		Count: h.Count(),
-		Sum:   h.Sum(),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
-	}
-}
-
-// WriteJSON writes the registry as one expvar-style JSON object: metric name
-// to value, families as nested objects keyed by label value.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	doc := map[string]any{}
-	for _, e := range r.sorted() {
-		switch e.kind {
-		case kindCounter:
-			doc[e.name] = e.counter.Value()
-		case kindGauge:
-			doc[e.name] = e.gauge.Value()
-		case kindCounterFunc, kindGaugeFunc:
-			doc[e.name] = e.fn()
-		case kindHistogram:
-			doc[e.name] = histToJSON(e.hist)
-		case kindCounterVec:
-			m := map[string]any{}
-			for _, k := range e.sortedVecKeys() {
-				m[k] = e.counterChild(k).Value()
-			}
-			doc[e.name] = m
-		case kindGaugeVec:
-			m := map[string]any{}
-			for _, k := range e.sortedVecKeys() {
-				m[k] = e.gaugeChild(k).Value()
-			}
-			doc[e.name] = m
-		case kindHistogramVec:
-			m := map[string]any{}
-			for _, k := range e.sortedVecKeys() {
-				m[k] = histToJSON(e.histChild(k))
-			}
-			doc[e.name] = m
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }

@@ -1,8 +1,7 @@
 // Package metrics is the live metrics plane of the ν-LPA system: a
 // dependency-free registry of atomic Counters, Gauges, and Histograms
 // (exponential buckets, p50/p95/p99 summaries) with single-label families,
-// exposed in Prometheus text format and as an expvar-compatible JSON dump
-// (see expo.go).
+// exposed in Prometheus text format (see expo.go).
 //
 // Where internal/telemetry records one run for offline inspection, this
 // package aggregates across every run in the process so a monitoring server

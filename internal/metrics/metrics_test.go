@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"strings"
 	"sync"
@@ -207,39 +206,6 @@ func TestCounterExemplarExposition(t *testing.T) {
 	}
 }
 
-func TestWriteJSONShape(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c_total", "").Add(3)
-	h := r.Histogram("h_seconds", "", ExpBuckets(0.001, 10, 4))
-	for i := 0; i < 100; i++ {
-		h.Observe(0.05)
-	}
-	r.CounterVec("v_total", "", "k").With("a").Inc()
-
-	var b bytes.Buffer
-	if err := r.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
-		t.Fatalf("not valid JSON: %v\n%s", err, b.String())
-	}
-	if doc["c_total"].(float64) != 3 {
-		t.Errorf("c_total = %v", doc["c_total"])
-	}
-	hj := doc["h_seconds"].(map[string]any)
-	if hj["count"].(float64) != 100 {
-		t.Errorf("histogram count = %v", hj["count"])
-	}
-	p50 := hj["p50"].(float64)
-	if p50 <= 0.01 || p50 > 0.1 {
-		t.Errorf("p50 = %v, want in (0.01,0.1]", p50)
-	}
-	if doc["v_total"].(map[string]any)["a"].(float64) != 1 {
-		t.Errorf("vec child = %v", doc["v_total"])
-	}
-}
-
 func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "")
@@ -259,7 +225,6 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 				if i%100 == 0 {
 					var b bytes.Buffer
 					r.WritePrometheus(&b)
-					r.WriteJSON(&b)
 				}
 			}
 		}(w)

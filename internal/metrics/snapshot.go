@@ -2,7 +2,7 @@ package metrics
 
 // Point-in-time flattened view of the registry, for programmatic consumers:
 // flight bundles embed it so a post-mortem carries the metrics at capture.
-// The Prometheus/expvar expositions in expo.go are for scrapers; Snapshot is
+// The Prometheus exposition in expo.go is for scrapers; Snapshot is
 // for code that wants typed values without parsing text.
 
 // MetricValue is one flattened sample: scalar metrics appear once with an

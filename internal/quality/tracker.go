@@ -49,76 +49,80 @@ type TrackerConfig struct {
 
 // LiveStats is one Observe call's quality snapshot: the incremental
 // modularity estimate, the community census, and the iteration's flip
-// locality — plus the exact-recompute fields on sampled iterations.
+// locality — plus the exact-recompute fields on sampled iterations. It is
+// also the per-iteration wire record, telemetry.QualityRecord.
 type LiveStats struct {
+	// Iter is the zero-based iteration index the labels belong to.
+	Iter int `json:"iter"`
 	// Modularity is the live incremental estimate Q̂ after this iteration.
-	Modularity float64
+	Modularity float64 `json:"modularity"`
 	// DeltaQ is Q̂'s change from the previous observation.
-	DeltaQ float64
+	DeltaQ float64 `json:"deltaQ"`
 
 	// Exact reports whether this observation ran the sampled O(E) recompute;
 	// ExactModularity and Drift are only valid when it did.
-	Exact           bool
-	ExactModularity float64
+	Exact           bool    `json:"exact,omitempty"`
+	ExactModularity float64 `json:"exactModularity,omitempty"`
 	// Drift is |Q̂ − Q_exact| at the recompute — the estimator's accumulated
 	// float error since the last rebase.
-	Drift float64
+	Drift float64 `json:"drift,omitempty"`
 
 	// Census of the partition after this iteration.
-	Communities   int
-	GiantShare    float64 // largest community size / |V|
-	SingletonRate float64 // size-1 communities / communities
-	Entropy       float64 // label entropy −Σ (s/n)·ln(s/n), in nats
-	SizeBuckets   [NumSizeBuckets]int64
+	Communities   int                   `json:"communities"`
+	GiantShare    float64               `json:"giantShare"`    // largest community size / |V|
+	SingletonRate float64               `json:"singletonRate"` // size-1 communities / communities
+	Entropy       float64               `json:"entropy"`       // label entropy −Σ (s/n)·ln(s/n), in nats
+	SizeBuckets   [NumSizeBuckets]int64 `json:"sizeBuckets"`
 
 	// Flip locality: label changes since the previous observation, split by
 	// the flipping vertex's degree class.
-	Flips     int64
-	FlipsLow  int64
-	FlipsMid  int64
-	FlipsHigh int64
+	Flips     int64 `json:"flips"`
+	FlipsLow  int64 `json:"flipsLow,omitempty"`
+	FlipsMid  int64 `json:"flipsMid,omitempty"`
+	FlipsHigh int64 `json:"flipsHigh,omitempty"`
 
 	// ChurnNMI is the NMI between this sampled snapshot and the previous one
 	// (partition churn; 1 = stable). Valid only when ChurnValid — the second
 	// and later sampled observations.
-	ChurnNMI   float64
-	ChurnValid bool
+	ChurnNMI   float64 `json:"churnNMI,omitempty"`
+	ChurnValid bool    `json:"churnValid,omitempty"`
 }
 
 // FinalStats is the end-of-run quality summary Final returns: the exact
 // modularity, the estimator's final drift and worst sampled drift, and the
-// final census plus cumulative flip locality.
+// final census plus cumulative flip locality. It is also the wire record of
+// Result.Quality and job status, where the flip counts are never omitted.
 type FinalStats struct {
 	// Modularity is the exact end-of-run Q (an O(E) recompute, not the
 	// estimate).
-	Modularity float64
+	Modularity float64 `json:"modularity"`
 	// Estimate is the incremental estimator's value going into the final
 	// recompute; Drift is |Estimate − Modularity|.
-	Estimate float64
-	Drift    float64
+	Estimate float64 `json:"estimate"`
+	Drift    float64 `json:"drift"`
 	// MaxDrift is the largest drift seen across all sampled recomputes
 	// including the final one.
-	MaxDrift float64
+	MaxDrift float64 `json:"maxDrift"`
 	// Recomputes counts exact recomputes performed (sampled + final).
-	Recomputes int
+	Recomputes int `json:"recomputes"`
 	// Observed counts Observe calls (iterations with quality accounting).
-	Observed int
+	Observed int `json:"observed"`
 
-	Communities   int
-	GiantShare    float64
-	SingletonRate float64
-	Entropy       float64
-	SizeBuckets   [NumSizeBuckets]int64
+	Communities   int                   `json:"communities"`
+	GiantShare    float64               `json:"giantShare"`
+	SingletonRate float64               `json:"singletonRate"`
+	Entropy       float64               `json:"entropy"`
+	SizeBuckets   [NumSizeBuckets]int64 `json:"sizeBuckets"`
 
 	// Cumulative flip locality over the whole run.
-	Flips     int64
-	FlipsLow  int64
-	FlipsMid  int64
-	FlipsHigh int64
+	Flips     int64 `json:"flips"`
+	FlipsLow  int64 `json:"flipsLow"`
+	FlipsMid  int64 `json:"flipsMid"`
+	FlipsHigh int64 `json:"flipsHigh"`
 
 	// ChurnNMI is the last sampled churn value (ChurnValid as in LiveStats).
-	ChurnNMI   float64
-	ChurnValid bool
+	ChurnNMI   float64 `json:"churnNMI"`
+	ChurnValid bool    `json:"churnValid,omitempty"`
 }
 
 // Tracker maintains an incremental modularity estimator and community census
@@ -181,20 +185,15 @@ func NewTracker(g *graph.CSR, cfg TrackerConfig) *Tracker {
 	return &Tracker{g: g, cfg: cfg, n: g.NumVertices(), twoM: g.TotalWeight()}
 }
 
-// Observed returns the number of Observe calls so far.
-func (t *Tracker) Observed() int { return t.observed }
-
-// MaxDrift returns the largest sampled drift so far.
-func (t *Tracker) MaxDrift() float64 { return t.maxDrift }
-
-// Observe folds one iteration's label state into the tracker and returns the
-// quality snapshot. labels must cover every vertex of the tracked graph
+// Observe folds iteration iter's label state into the tracker and returns the
+// quality snapshot, stamped with iter. labels must cover every vertex of the tracked graph
 // (ok=false otherwise — a defensive guard for callers handing shard-local
 // arrays). The tracker copies what it needs; labels may be reused.
 func (t *Tracker) Observe(iter int, labels []uint32) (ls LiveStats, ok bool) {
 	if len(labels) != t.n {
 		return LiveStats{}, false
 	}
+	ls.Iter = iter
 	first := !t.init
 	if first {
 		t.build(labels)

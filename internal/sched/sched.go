@@ -343,11 +343,12 @@ func (s *Scheduler) Submit(t *Task) (Decision, error) {
 	s.q.push(t)
 	depth := s.q.len()
 	s.admitted++
+	// Under the lock, as in next, so a stale depth cannot outlive a pop.
+	mQueueDepth.Set(float64(depth))
 	s.cond.Signal()
 	s.mu.Unlock()
 
 	mAdmitted.With(t.Priority.String()).Inc()
-	mQueueDepth.Set(float64(depth))
 	t.Span.Event("sched:queue", map[string]any{
 		"depth": depth, "priority": t.Priority.String(),
 	})

@@ -8,7 +8,7 @@ type stubQualityObserver struct {
 	calls int
 }
 
-func (o *stubQualityObserver) ObserveLabels(iter int, labels []uint32) (QualityRecord, bool) {
+func (o *stubQualityObserver) Observe(iter int, labels []uint32) (QualityRecord, bool) {
 	o.calls++
 	r := o.rec
 	r.Iter = iter

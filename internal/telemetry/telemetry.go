@@ -5,8 +5,10 @@
 // hashtable probe deltas, partition quality), with two exporters — a human-readable summary
 // table and a Chrome trace-event JSON timeline loadable in chrome://tracing.
 //
-// The package deliberately has no dependency on the rest of the repository:
-// internal/simt defines the Profiler hook interface that *Recorder
+// Among the repository's packages it imports only trace (span ids for the
+// unified export) and quality (whose per-iteration snapshot is the
+// QualityRecord), both leaf layers, so every detector and device can depend
+// on it: internal/simt defines the Profiler hook interface that *Recorder
 // implements, and every algorithm package embeds IterRecord in its result
 // trace, so baselines and ν-LPA report through the same record type and a
 // table rendered from a run can never disagree with its exported trace.

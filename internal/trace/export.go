@@ -11,7 +11,7 @@ import (
 // Export: the ring buffer renders three ways. Spans snapshots the completed
 // spans as SpanData (the wire schema shared by every exporter), WriteJSONL
 // streams them one JSON object per line (the -trace-out file format, checked
-// by cmd/tracecheck), and BuildTree/Summaries shape them for the
+// by ReadJSONL and ConnectedTrace), and BuildTree/Summaries shape them for the
 // /debug/trace HTTP endpoints. The unified Chrome timeline lives in
 // internal/telemetry, which merges SpanData with its profiler events.
 

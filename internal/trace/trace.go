@@ -100,14 +100,6 @@ func (s *Span) TraceID() TraceID {
 	return s.trace
 }
 
-// ID returns the span's id (0 for a nil span).
-func (s *Span) ID() SpanID {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
 // SetString sets a string attribute.
 func (s *Span) SetString(key, value string) {
 	if s == nil {
@@ -192,15 +184,6 @@ func (s *Span) End() {
 
 // ctxKey is the context key under which the active span travels.
 type ctxKey struct{}
-
-// ContextWithSpan returns ctx carrying span. A nil span returns ctx
-// unchanged (no allocation), which is what keeps disabled tracing free.
-func ContextWithSpan(ctx context.Context, span *Span) context.Context {
-	if span == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, span)
-}
 
 // FromContext returns the active span of ctx, or nil.
 func FromContext(ctx context.Context) *Span {

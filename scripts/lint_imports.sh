@@ -11,6 +11,9 @@
 #      it may import only metrics and trace, never graphs/engines/HTTP.
 #      nulpa/internal/quality evaluates partitions; among nulpa packages it
 #      may import only graph, keeping it usable from every layer.
+#      nulpa/internal/telemetry is the record type every detector and device
+#      reports through; among nulpa packages it may import only trace and
+#      quality.
 #   4. Exemptions, each for a reason the registry cannot express:
 #      nulpa/internal/engine/all exists to blank-import every algorithm so a
 #      registry consumer pulls them all in with one import, and
@@ -42,6 +45,14 @@ BEGIN {
         # cycles.
         if (pkg == "nulpa/internal/quality" && imp ~ /^nulpa\// && imp != "nulpa/internal/graph") {
             print pkg " imports " imp " (quality may import only graph among nulpa packages)"
+            bad = 1
+        }
+        # telemetry carries the per-iteration record every detector, device
+        # and exporter shares. Among nulpa packages it may import only the
+        # leaf layers trace and quality (its quality record is
+        # quality.LiveStats), never engine, simt, metrics, or a detector.
+        if (pkg == "nulpa/internal/telemetry" && imp ~ /^nulpa\// && imp != "nulpa/internal/trace" && imp != "nulpa/internal/quality") {
+            print pkg " imports " imp " (telemetry may import only trace and quality among nulpa packages)"
             bad = 1
         }
         # sched is a generic serving primitive: it schedules opaque closures
