@@ -46,9 +46,10 @@ shard-smoke:
 		./internal/engine/ ./internal/nulpa/ ./internal/shard/ ./internal/partition/
 
 # Microbenchmarks beside the zero-alloc guards: full ν-LPA runs with
-# telemetry off and on, the per-vertex hot path at 1 SM (road and web), the
-# health monitor's enabled path, and the sharded set-up (partitioner and
-# shard build on a 65k social graph).
+# telemetry off and on, the per-vertex hot paths of the thread and block
+# kernels at 1 SM (BenchmarkVertexKernels: road, web and social), the health
+# monitor's enabled path, and the sharded set-up (partitioner and shard
+# build on a 65k social graph).
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/simt/ ./internal/nulpa/ \
 		./internal/health/ ./internal/partition/ ./internal/shard/

@@ -205,9 +205,9 @@ func launchLanes(l telemetry.Launch) (lanes int64) {
 
 // TestBlockKernelEmptyTableKeepsLabel: a vertex whose only arc is a self
 // loop accumulates nothing, so its block's max-reduce finds no candidate
-// and the vertex keeps its own label. The reduce must scan only the slots
-// that partials were written to — shared memory beyond them is zero, which
-// would read as label 0 with weight 0.
+// and the vertex keeps its own label. The running best must start empty
+// and take only occupied slots — a zeroed best would read as label 0 with
+// weight 0.
 func TestBlockKernelEmptyTableKeepsLabel(t *testing.T) {
 	opts := graph.BuildOptions{Symmetrize: true, SumDuplicates: true}
 	g, err := graph.FromEdges([]graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 2, W: 1}}, 3, opts)

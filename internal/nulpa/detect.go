@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"time"
 
 	"nulpa/internal/engine"
@@ -295,7 +294,7 @@ func newDeviceRun(g *graph.CSR, opt Options, dev *simt.Device, view runView) (*d
 		opt:  opt,
 		res:  &Result{DeviceBytes: bytes, HashStats: st.stats},
 		tk:   &threadKernel{runState: st, list: low, cand: make([]uint32, len(low))},
-		bk:   &blockKernel{runState: st, list: high, blockDim: opt.BlockDim},
+		bk:   &blockKernel{runState: st, list: high},
 		low:  low,
 		high: high,
 		n:    n,
@@ -665,26 +664,31 @@ func (k *threadKernel) run(p, lo, hi, sm int) {
 }
 
 // blockKernel is the block-per-vertex kernel for high-degree vertices. One
-// thread block cooperates on one vertex: strided clear, strided atomic
-// accumulation into the shared hashtable, a parallel max-reduce (each lane
-// scans a strided share of the table into shared memory, then lane 0 reduces
-// the partials — the hashtableMaxKey "in parallel" of Algorithm 1), then the
-// move. Shared memory layout: word 0 = skip flag, word 1 = moved flag,
-// words [2, 2+2·blockDim) = per-lane (key, weight-bits) partial maxima.
+// thread block cooperates on one vertex: strided clear, strided
+// accumulation into the vertex's hashtable, a max-reduce (each lane's
+// strided share of the table folds into a running best, in lane order —
+// the hashtableMaxKey "in parallel" of Algorithm 1), then the move. Shared
+// memory layout: word 0 = skip flag, word 1 = moved flag. The running best
+// lives in the per-SM block state cur, which lane 0 of phase 0 sets.
 //
-// Each phase's lane body lives once, in lane. Phase drives it for one lane;
-// BlockPhase (simt.BlockPhaseKernel) drives it for a whole block, deriving
-// the vertex state once per block and running only the lanes that can have
-// an effect — a vertex of degree 40 on a 256-lane block does its work in
-// 40-odd lanes, not 256.
+// Each phase has one body, run, over a range of lanes in lane order. Phase
+// (simt.Kernel) drives it for the one lane t.Lane on the atomic table path:
+// the GPU-faithful reference, in which any lane could race any other.
+// BlockPhase (simt.BlockPhaseKernel) drives it for a whole block's active
+// lanes on the plain path: a block runs all its lanes on one SM goroutine
+// and its vertex's table window is disjoint from every other vertex's, so
+// the table has a single writer and plain operations make the same
+// decisions, probes and sums as the atomic ones. Only lanes that can have
+// an effect run — a vertex of degree 40 on a 256-lane block does its work
+// in 40-odd lanes, not 256.
 type blockKernel struct {
 	*runState
-	list     []graph.Vertex
-	blockDim int
-	cur      []blockVertex // per SM: the block BlockPhase is running
+	list []graph.Vertex
+	cur  []blockVertex // per SM: the block it is running
 }
 
-// blockVertex is what every lane of a block derives from its vertex.
+// blockVertex is what every lane of a block derives from its vertex, plus
+// the block's running max-reduce result.
 type blockVertex struct {
 	i   graph.Vertex
 	deg int
@@ -693,16 +697,20 @@ type blockVertex struct {
 	ts  []graph.Vertex
 	ws  []float32
 	tl  *hashtable.Tally
+
+	best   uint32 // running best label over the lanes reduced so far
+	bestW  float64
+	bestOK bool
 }
 
 func (k *blockKernel) NumPhases() int     { return 6 }
-func (k *blockKernel) SharedUint64s() int { return 2 + 2*k.blockDim }
+func (k *blockKernel) SharedUint64s() int { return 2 }
 
 // KernelName implements simt.NamedKernel for profiling.
 func (k *blockKernel) KernelName() string { return "block-per-vertex" }
 
-// GrowTallies implements simt.TallyKernel, adding BlockPhase's per-SM block
-// state to the run state's tallies.
+// GrowTallies implements simt.TallyKernel, adding the per-SM block state to
+// the run state's tallies.
 func (k *blockKernel) GrowTallies(sms int) {
 	k.runState.GrowTallies(sms)
 	if sms > len(k.cur) {
@@ -710,55 +718,32 @@ func (k *blockKernel) GrowTallies(sms int) {
 	}
 }
 
-// vertex derives the state of block t.Block's vertex as SM t.SM sees it.
-func (k *blockKernel) vertex(t *simt.Thread) blockVertex {
-	i := k.list[t.Block]
-	deg := k.g.Degree(i)
-	ts, ws := k.g.Neighbors(i)
-	return blockVertex{
-		i:   i,
-		deg: deg,
-		cap: int(hashtable.CapacityFor(deg)),
-		tb:  k.arena.tableFor(k.g.Offset(i), deg),
-		ts:  ts,
-		ws:  ws,
-		tl:  k.hashTally(t.SM),
-	}
-}
-
-// Phase implements simt.Kernel: phase p for the one lane t.
+// Phase implements simt.Kernel: phase p for the one lane t, on the atomic
+// table path.
 func (k *blockKernel) Phase(p int, t *simt.Thread) {
-	if t.Block >= len(k.list) {
+	if t.Block >= len(k.list) || (p > 0 && t.Shared[0] == 1) {
 		return
 	}
-	v := k.vertex(t)
-	k.lane(p, t, &v)
+	if t.Lane < activeLanes(p, t, &k.cur[t.SM]) {
+		k.run(p, t, t.Lane, t.Lane+1, true)
+	}
 }
 
 // BlockPhase implements simt.BlockPhaseKernel: phase p for lanes
-// 0..activeLanes-1 of block t.Block. Every lane it skips would have returned
-// from lane without an effect, so the result equals Phase over all
-// t.BlockDim lanes.
+// 0..activeLanes-1 of block t.Block, on the plain table path. Every lane it
+// skips would have returned from Phase without an effect, so the result
+// equals Phase over all t.BlockDim lanes.
 func (k *blockKernel) BlockPhase(p int, t *simt.Thread) int {
-	if t.Block >= len(k.list) {
-		return 0
-	}
-	v := &k.cur[t.SM]
-	if p == 0 {
-		*v = k.vertex(t)
-	} else if t.Shared[0] == 1 {
+	if t.Block >= len(k.list) || (p > 0 && t.Shared[0] == 1) {
 		return 0 // pruned: every later phase is a no-op
 	}
-	n := activeLanes(p, t, v)
-	for lane := 0; lane < n; lane++ {
-		t.Lane = lane
-		k.lane(p, t, v)
-	}
+	n := activeLanes(p, t, &k.cur[t.SM])
+	k.run(p, t, 0, n, false)
 	return n
 }
 
 // activeLanes is how many leading lanes of phase p can have an effect on
-// vertex v; lane returns at once for every lane at or beyond it.
+// vertex v; every lane at or beyond it is idle.
 func activeLanes(p int, t *simt.Thread, v *blockVertex) int {
 	switch p {
 	case 0, 4: // lane 0 only
@@ -773,75 +758,72 @@ func activeLanes(p int, t *simt.Thread, v *blockVertex) int {
 	return min(v.deg, t.BlockDim) // phases 2 and 5: one lane per neighbour
 }
 
-// lane runs phase p for lane t.Lane of vertex v's block.
-func (k *blockKernel) lane(p int, t *simt.Thread, v *blockVertex) {
+// run is phase p for lanes [lo, hi) of block t.Block, in lane order, on SM
+// t.SM; shared selects the atomic table path. Lane L of a strided phase
+// handles indices L, L+BlockDim, L+2·BlockDim, …, so the block as a whole
+// visits a neighbourhood of degree > BlockDim in the order 0, B, 2B, …, 1,
+// B+1, … — the order that decides slot insertion and float sums.
+func (k *blockKernel) run(p int, t *simt.Thread, lo, hi int, shared bool) {
+	v, b := &k.cur[t.SM], t.BlockDim
 	switch p {
-	case 0: // lane 0 claims the vertex (shared memory starts zeroed)
-		if t.Lane == 0 && !k.claim(v.i, t.SM) {
+	case 0: // lane 0 derives the block state and claims the vertex
+		i := k.list[t.Block]
+		v.i, v.deg = i, k.g.Degree(i)
+		v.cap = int(hashtable.CapacityFor(v.deg))
+		v.tb = k.arena.tableFor(k.g.Offset(i), v.deg)
+		v.ts, v.ws = k.g.Neighbors(i)
+		v.tl = k.hashTally(t.SM)
+		v.bestOK = false
+		if !k.claim(i, t.SM) {
 			t.Shared[0] = 1
 		}
 	case 1: // strided hashtable clear
-		if t.Shared[0] == 1 {
+		if hi == v.cap { // one slot per lane: lanes [lo, hi) are slots [lo, hi)
+			v.tb.clear(lo, 1)
 			return
 		}
-		v.tb.clear(t.Lane, t.BlockDim)
-	case 2: // strided atomic accumulation of neighbour labels
-		if t.Shared[0] == 1 {
-			return
+		for lane := lo; lane < hi; lane++ {
+			v.tb.clear(lane, b)
 		}
-		for idx := t.Lane; idx < len(v.ts); idx += t.BlockDim {
-			j := v.ts[idx]
-			if j == v.i {
-				continue
-			}
-			cj := simt.AtomicLoadUint32(k.labels, int(j))
-			v.tb.accumulate(cj, float64(v.ws[idx]), true, v.tl)
-		}
-	case 3: // parallel max-reduce, step 1: per-lane partial maxima
-		// A lane at or beyond the capacity owns no slot and leaves its
-		// partial unwritten; step 2 scans only the lanes that own slots.
-		if t.Shared[0] == 1 || t.Lane >= v.cap {
-			return
-		}
-		bestK, bestW, ok := v.tb.BestStrided(t.Lane, t.BlockDim)
-		slot := 2 + 2*t.Lane
-		if !ok {
-			t.Shared[slot] = uint64(hashtable.EmptyKey)
-			return
-		}
-		t.Shared[slot] = uint64(bestK)
-		t.Shared[slot+1] = math.Float64bits(bestW)
-	case 4: // parallel max-reduce, step 2 + move decision (lane 0)
-		if t.Shared[0] == 1 || t.Lane != 0 {
-			return
-		}
-		t.Shared[1] = 0
-		c := hashtable.EmptyKey
-		var w float64
-		ok := false
-		for lane := 0; lane < min(v.cap, t.BlockDim); lane++ {
-			slot := 2 + 2*lane
-			lk := uint32(t.Shared[slot])
-			if lk == hashtable.EmptyKey {
-				continue
-			}
-			lw := math.Float64frombits(t.Shared[slot+1])
-			if !ok || lw > w {
-				c, w, ok = lk, lw, true
+	case 2: // strided accumulation of neighbour labels
+		for lane := lo; lane < hi; lane++ {
+			for idx := lane; idx < len(v.ts); idx += b {
+				j := v.ts[idx]
+				if j == v.i {
+					continue
+				}
+				cj := simt.AtomicLoadUint32(k.labels, int(j))
+				v.tb.accumulate(cj, float64(v.ws[idx]), shared, v.tl)
 			}
 		}
+	case 3: // max-reduce: fold each lane's strided maximum, in lane order
+		if hi == v.cap { // one slot per lane: lane order is slot order
+			v.fold(lo, 1)
+			return
+		}
+		for lane := lo; lane < hi; lane++ {
+			v.fold(lane, b)
+		}
+	case 4: // lane 0 moves the vertex to the best label
 		// Phase 5's strided wake-up scans the full neighbourhood; commit
 		// counts it once rather than per lane.
-		if ok && k.commit(v.i, c, t.SM) {
+		if v.bestOK && k.commit(v.i, v.best, t.SM) {
 			t.Shared[1] = 1
 		}
 	case 5: // strided neighbour wake-up on move
-		if t.Shared[0] == 1 || t.Shared[1] == 0 {
-			return
+		for lane := lo; lane < hi; lane++ {
+			for idx := lane; idx < len(v.ts); idx += b {
+				simt.AtomicStoreUint32(k.processed, int(v.ts[idx]), 0)
+			}
 		}
-		for idx := t.Lane; idx < len(v.ts); idx += t.BlockDim {
-			simt.AtomicStoreUint32(k.processed, int(v.ts[idx]), 0)
-		}
+	}
+}
+
+// fold folds the strided maximum of slots lane, lane+stride, … into the
+// block's running best; a later maximum wins only if strictly heavier.
+func (v *blockVertex) fold(lane, stride int) {
+	if c, w, ok := v.tb.BestStrided(lane, stride); ok && (!v.bestOK || w > v.bestW) {
+		v.best, v.bestW, v.bestOK = c, w, true
 	}
 }
 

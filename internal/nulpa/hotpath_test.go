@@ -51,16 +51,20 @@ func TestHotPathTablesUsePointerReceivers(t *testing.T) {
 	}
 }
 
-// BenchmarkThreadKernel times a full Detect at 1 SM with default options:
-// on a road graph every vertex runs on the thread kernel, on a web graph
-// the thread and block kernels share the work.
-func BenchmarkThreadKernel(b *testing.B) {
+// BenchmarkVertexKernels times a full Detect at 1 SM with default options,
+// which runs the per-vertex hot paths of both ν-LPA kernels: on a road graph
+// every vertex runs on the thread-per-vertex kernel, on a web graph the
+// thread and block kernels share the work, and on a social graph the
+// block-per-vertex kernel carries the hubs.
+func BenchmarkVertexKernels(b *testing.B) {
+	social, _ := gen.Social(gen.DefaultSocial(20000, 32, 101))
 	for _, bc := range []struct {
 		name string
 		g    *graph.CSR
 	}{
 		{"road-50k", gen.Road(gen.DefaultRoad(50000, 101))},
 		{"web-20k", gen.Web(gen.DefaultWeb(20000, 8, 101))},
+		{"social-20k", social},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

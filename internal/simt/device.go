@@ -281,9 +281,11 @@ func (d *Device) LaunchKernel(ctx context.Context, gridDim, blockDim int, k Kern
 			return finish(fmt.Errorf("%w: %s after %d CAS retries", ErrLivelock, KernelName(k), f.Spins))
 		case FaultStall:
 			// Stall one SM (chosen by launch ordinal) before it drains its
-			// blocks — preemption or throttling. The kernel still completes
-			// correctly; only the deadline above can turn this into an error.
-			stall := stallSpec{sm: int(d.KernelsRun.Load()) % d.NumSMs, d: f.Stall}
+			// blocks — preemption or throttling. The pick ranges over the
+			// SMs this launch starts, min(NumSMs, gridDim), so a small grid
+			// still stalls. The kernel still completes correctly; only the
+			// deadline above can turn this into an error.
+			stall := stallSpec{sm: int(d.KernelsRun.Load()) % min(d.NumSMs, gridDim), d: f.Stall}
 			if ks != nil {
 				ks.Event("fault:stall", map[string]any{
 					"sm": int64(stall.sm), "stallUs": stall.d.Microseconds(),
@@ -315,10 +317,7 @@ func (d *Device) launch(ctx context.Context, gridDim, blockDim int, k Kernel, st
 	if sk, ok := k.(SharedKernel); ok {
 		sharedWords = sk.SharedUint64s()
 	}
-	nSM := d.NumSMs
-	if nSM > gridDim {
-		nSM = gridDim
-	}
+	nSM := min(d.NumSMs, gridDim)
 	bk, _ := k.(BlockPhaseKernel)
 	tk, _ := k.(TallyKernel)
 	if tk != nil {

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"nulpa/internal/trace"
 )
 
 // scriptInjector fails/stalls/livelocks specific launch ordinals.
@@ -89,6 +91,48 @@ func TestLaunchKernelStallCompletes(t *testing.T) {
 	}
 	if time.Since(start) < 5*time.Millisecond {
 		t.Error("launch returned before the stall elapsed")
+	}
+}
+
+// TestLaunchKernelStallOnSmallGrid: a grid smaller than the device starts
+// only gridDim SMs, and a stall must land on one of them — picked from all
+// NumSMs, launch 3 of an 8-SM device chose SM 3, which a 2-block grid never
+// starts, and the stall was dropped while the span still reported it.
+func TestLaunchKernelStallOnSmallGrid(t *testing.T) {
+	const grid, stall = 2, 50 * time.Millisecond
+	d := NewDevice(8)
+	d.Faults = &scriptInjector{faults: map[int64]LaunchFault{3: {Kind: FaultStall, Stall: stall}}}
+	tr := trace.New(16)
+	tr.SetEnabled(true)
+	ctx, root := tr.Root(context.Background(), "run")
+	k := PhaseFunc{Phases: 1, F: func(int, *Thread) {}}
+	for launch := 0; launch < 3; launch++ {
+		if err := d.LaunchKernel(ctx, grid, 8, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := time.Now()
+	if err := d.LaunchKernel(ctx, grid, 8, k); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < stall {
+		t.Errorf("stalled launch took %v, want at least the %v stall", took, stall)
+	}
+	root.End()
+	var events int
+	for _, sd := range tr.Spans() {
+		for _, ev := range sd.Events {
+			if ev.Name != "fault:stall" {
+				continue
+			}
+			events++
+			if sm, ok := ev.Attrs["sm"].(int64); !ok || sm < 0 || sm >= grid {
+				t.Errorf("fault:stall on SM %v, want one of the grid's %d SMs", ev.Attrs["sm"], grid)
+			}
+		}
+	}
+	if events != 1 {
+		t.Errorf("%d fault:stall events, want 1", events)
 	}
 }
 
