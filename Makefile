@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test test-full bench bench-module-test chaos shard-smoke loc
+.PHONY: check build vet lint test test-full bench bench-module-test chaos shard-smoke loc families
 
 check: vet lint test chaos shard-smoke
 
@@ -64,3 +64,9 @@ bench-module-test:
 # are measured by.
 loc:
 	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^benchmark/' | xargs cat | wc -l
+
+# Distinct metric family names registered (metrics.New*) in the same files:
+# the exposition-size figure beside loc.
+families:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^benchmark/' | xargs cat | tr '\n' ' ' | \
+		grep -oE 'metrics\.New[A-Za-z]+\( *"[a-z_0-9]+"' | sed -E 's/.*"([a-z_0-9]+)"/\1/' | sort -u | wc -l

@@ -230,11 +230,7 @@ func main() {
 	// post-mortem flight bundle on exit.
 	var mon *health.Monitor
 	if *healthOn || *flightOut != "" {
-		hcfg := health.Config{
-			Detector:  name,
-			Vertices:  g.NumVertices(),
-			Threshold: eopt.Tolerance * float64(g.NumVertices()),
-		}
+		hcfg := health.Config{Detector: name, Vertices: g.NumVertices()}
 		if runSpan != nil {
 			hcfg.Span = runSpan
 			hcfg.TraceID = runSpan.TraceID().String()
@@ -302,15 +298,19 @@ func main() {
 		os.Exit(1)
 	}
 	if nres, ok := res.Extra.(*nulpa.Result); ok {
-		if nres.Retries > 0 || nres.Rollbacks > 0 {
-			fmt.Printf("faults recovered: %d retries, %d rollbacks\n", nres.Retries, nres.Rollbacks)
+		if retries := telemetry.Sum(nres.Trace).Retries; retries > 0 || nres.Rollbacks > 0 {
+			fmt.Printf("faults recovered: %d retries, %d rollbacks\n", retries, nres.Rollbacks)
 		}
 		if nres.Degraded {
 			fmt.Printf("degraded: simt backend faulted beyond recovery; result computed by the direct backend\n")
 		}
 		if len(nres.ShardStats) > 1 {
+			var halo int64
+			for _, ss := range nres.ShardStats {
+				halo += ss.HaloLabelsIn
+			}
 			fmt.Printf("shards: %d  halo labels: %d  cut arcs: %d\n",
-				len(nres.ShardStats), nres.HaloLabels, nres.CutArcs)
+				len(nres.ShardStats), halo, nres.CutArcs)
 			for _, ss := range nres.ShardStats {
 				fmt.Printf("  shard %d: %d owned, %d ghosts, %s device memory, %d flips, %d communities\n",
 					ss.Shard, ss.Owned, ss.Ghosts, fmtBytes(ss.DeviceBytes), ss.Moves, ss.Communities)

@@ -257,10 +257,10 @@ func FigProbe(cfg Config) []Table {
 			if refT > 0 {
 				rel[pr] = append(rel[pr], float64(res.Duration)/float64(refT))
 			}
-			acc := res.HashStats.Accumulates.Load()
-			if acc > 0 {
-				probes[pr] = append(probes[pr], float64(res.HashStats.Probes.Load())/float64(acc))
-				falls[pr] = append(falls[pr], float64(res.HashStats.Fallbacks.Load())/float64(acc))
+			if sum := telemetry.Sum(res.Trace); sum.HashAccumulates > 0 {
+				acc := float64(sum.HashAccumulates)
+				probes[pr] = append(probes[pr], float64(sum.HashProbes)/acc)
+				falls[pr] = append(falls[pr], float64(sum.HashFallbacks)/acc)
 			}
 			cfg.progressf("fig-probe %s %v: %v\n", name, pr, res.Duration)
 		}

@@ -39,7 +39,7 @@ func AblPruning(cfg Config) []Table {
 			if refT > 0 {
 				rel[disable] = append(rel[disable], float64(res.Duration)/float64(refT))
 			}
-			acc[disable] = append(acc[disable], float64(res.HashStats.Accumulates.Load()))
+			acc[disable] = append(acc[disable], float64(telemetry.Sum(res.Trace).HashAccumulates))
 			cfg.progressf("abl-pruning %s disable=%v: %v\n", name, disable, res.Duration)
 		}
 	}

@@ -176,6 +176,35 @@ func TestNulpaHealthFlightDump(t *testing.T) {
 	}
 }
 
+// TestNulpaHealthThreshold pins the monitor to the run's own convergence
+// bound: a default-options run stops once ΔN falls below τ·|V| (τ = 0.05),
+// so its last frame predicts no further iterations and the flight bundle
+// records that bound, not the monitor's fallback of 1.
+func TestNulpaHealthThreshold(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "flight.json")
+	out := mustRun(t, "nulpa", "-gen", "web", "-n", "5000", "-sms", "1", "-health", "-flight-out", path)
+	if !strings.Contains(out, "converged: true") {
+		t.Fatalf("run did not converge:\n%s", out)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := health.DecodeFlight(data)
+	if err != nil {
+		t.Fatalf("flight bundle: %v", err)
+	}
+	if want := 0.05 * float64(b.Vertices); b.Vertices != 5000 || b.Threshold != want {
+		t.Errorf("bundle threshold %v for %d vertices, want %v", b.Threshold, b.Vertices, want)
+	}
+	if len(b.Frames) == 0 {
+		t.Fatal("bundle has no frames")
+	}
+	if last := b.Frames[len(b.Frames)-1]; last.ETAIterations != 0 {
+		t.Errorf("last frame (ΔN %d) predicts %v more iterations, want 0", last.DeltaN, last.ETAIterations)
+	}
+}
+
 func TestNulpaQualityLine(t *testing.T) {
 	// The planted graph's structure is strong (8 intra-community edges per
 	// vertex against about one foreign one), so exact Q must clear 0.3, and

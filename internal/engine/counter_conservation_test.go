@@ -14,9 +14,9 @@ import (
 
 // Counter conservation: ν-LPA's counters are tallied per SM (per worker on
 // the direct backend) and folded once per launch, so the same counts reach
-// four surfaces by different routes — Result.HashStats, the per-iteration
-// IterRecords, the profiler's per-kernel ledger and the process-wide
-// hashtable_probe_length histogram. At 1 SM the runs are deterministic and
+// three surfaces by different routes — the per-iteration IterRecords (whose
+// sum is the run's hashtable totals), the profiler's per-kernel ledger and
+// the process-wide hashtable_probe_length histogram. At 1 SM the runs are deterministic and
 // every count is pinned to the value the per-accumulate atomic counters
 // produced before the tallies replaced them; at 2 SMs the counts vary with
 // scheduling, but the surfaces must still agree with each other exactly.
@@ -46,7 +46,8 @@ func conservationConfigs() []struct {
 
 // pinnedCounts is one configuration's 1-SM counter values. iters holds, per
 // iteration: EdgeVisits, ActiveVertices, Moves, Reverts, DeltaN,
-// HashAccumulates, HashProbes, HashCollisions, HashFallbacks. hist is the
+// HashAccumulates, HashProbes, HashCollisions, HashFallbacks; stats is their
+// sum over the run, with HashFailures. hist is the
 // hashtable_probe_length count and sum delta; it is nil for the coalesced
 // table, which fed no histogram before the tallies. labels is the FNV-64a
 // digest of the final labels (see labelDigest).
@@ -290,30 +291,21 @@ func detectConserved(t *testing.T, name string, extra any, gname string, workers
 	}
 }
 
-// checkSurfacesAgree asserts the cross-surface identities: the IterRecords
-// sum to HashStats, the per-kernel ledger sums to the IterRecords (a
-// Cross-Check revert is a ledger flip), and the histogram counts one
-// observation of each successful accumulate's probe length.
+// hashStats is the run's hashtable totals: the Hash* counters of its
+// IterRecords, summed.
+func hashStats(r conservationRun) hashtable.StatsSnapshot {
+	sum := telemetry.Sum(r.res.Trace)
+	return hashtable.StatsSnapshot{Accumulates: sum.HashAccumulates, Probes: sum.HashProbes,
+		Collisions: sum.HashCollisions, Fallbacks: sum.HashFallbacks, Failures: sum.HashFailures}
+}
+
+// checkSurfacesAgree asserts the cross-surface identities: the per-kernel
+// ledger sums to the IterRecords (a Cross-Check revert is a ledger flip),
+// and the histogram counts one observation of each successful accumulate's
+// probe length.
 func checkSurfacesAgree(t *testing.T, r conservationRun) {
 	t.Helper()
-	var iter telemetry.WorkCounts
-	var reverts int64
-	var hash hashtable.StatsSnapshot
-	for _, rec := range r.res.Trace {
-		iter = iter.Add(telemetry.RecordWork(rec))
-		reverts += rec.Reverts
-		hash.Accumulates += rec.HashAccumulates
-		hash.Probes += rec.HashProbes
-		hash.Collisions += rec.HashCollisions
-		hash.Fallbacks += rec.HashFallbacks
-	}
-	st := r.res.HashStats.Snapshot()
-	if st.Failures != 0 {
-		t.Fatalf("HashStats.Failures = %d; IterRecords carry no failures and the identities below assume none", st.Failures)
-	}
-	if st != hash {
-		t.Errorf("HashStats %+v, Σ IterRecord %+v", st, hash)
-	}
+	st := hashStats(r)
 	if r.hist != [2]int64{st.Accumulates - st.Failures, st.Probes} {
 		t.Errorf("histogram count/sum delta %v, want Accumulates−Failures %d / Probes %d",
 			r.hist, st.Accumulates-st.Failures, st.Probes)
@@ -325,7 +317,8 @@ func checkSurfacesAgree(t *testing.T, r conservationRun) {
 	for _, w := range r.kernels {
 		ledger = ledger.Add(w)
 	}
-	iter.LabelFlips += reverts
+	iter := telemetry.TotalWork(r.res.Trace)
+	iter.LabelFlips += telemetry.Sum(r.res.Trace).Reverts
 	if ledger != iter {
 		t.Errorf("Σ per-kernel ledger %+v, Σ IterRecord %+v", ledger, iter)
 	}
@@ -347,8 +340,8 @@ func TestCounterConservationPinned(t *testing.T) {
 				if got := labelDigest(r.res.Labels); got != want.labels {
 					t.Errorf("labels digest %#x, want %#x", got, want.labels)
 				}
-				if got := r.res.HashStats.Snapshot(); got != want.stats {
-					t.Errorf("HashStats %+v, want %+v", got, want.stats)
+				if got := hashStats(r); got != want.stats {
+					t.Errorf("Σ IterRecord hashtable counts %+v, want %+v", got, want.stats)
 				}
 				if want.hist != nil && r.hist != *want.hist {
 					t.Errorf("histogram count/sum delta %v, want %v", r.hist, *want.hist)

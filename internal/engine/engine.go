@@ -3,7 +3,11 @@
 // that the CLIs and the experiment harness dispatch through, and the shared
 // machinery the implementations previously duplicated — the tolerance-based
 // convergence loop (Loop), label renumbering (CompressLabels), and
-// per-iteration telemetry emission.
+// per-iteration telemetry emission. Every detector iterates through Loop
+// (FLPA's queue generations included), so Loop is the one place an
+// iteration's record leaves a detector: for the iteration span, the
+// engine_* metrics, the profiler and its health sink, and the quality
+// plane. A run's totals are sums of its records (telemetry.Sum).
 //
 // Layering: engine depends only on the graph and telemetry substrates.
 // Algorithm packages (nulpa, flpa, plp, gvelpa, gunrock, louvain, variants)

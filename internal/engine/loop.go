@@ -32,9 +32,9 @@ type LoopConfig struct {
 
 // IterOutcome is what one iteration of a detector reports back to Loop.
 type IterOutcome struct {
-	// Record carries the iteration's telemetry. Loop stamps Iter, and fills
-	// Duration with the measured body wall time when the detector leaves it
-	// zero.
+	// Record carries the iteration's telemetry. Loop stamps Iter and
+	// Threshold, and fills Duration with the measured body wall time when
+	// the detector leaves it zero.
 	Record telemetry.IterRecord
 	// ForceContinue suppresses the threshold test for this iteration —
 	// ν-LPA's Pick-Less rounds intentionally move few vertices and must not
@@ -96,6 +96,7 @@ func Loop(cfg LoopConfig, body func(ctx context.Context, iter int) IterOutcome) 
 		out := body(ictx, iter)
 		rec := out.Record
 		rec.Iter = iter
+		rec.Threshold = cfg.Threshold
 		if rec.Duration == 0 {
 			rec.Duration = time.Since(iterStart)
 		}

@@ -41,6 +41,14 @@ var (
 		"Convergence loops ended early by cancellation or deadline expiry.")
 	mRunsCanceled = metrics.NewCounterVec("engine_runs_canceled_total",
 		"Detect calls ended by cancellation or deadline, per detector.", "detector")
+
+	// ShardLoop's barrier accounting, named for the sharded ν-LPA backend,
+	// its only multi-shard user.
+	mSupersteps = metrics.NewCounter("nulpa_shard_supersteps_total",
+		"BSP supersteps (barrier crossings) executed by the sharded backend.")
+	mBarrierWait = metrics.NewHistogram("nulpa_shard_barrier_wait_seconds",
+		"Idle time shards spent at the BSP barrier waiting for the slowest peer, per superstep.",
+		metrics.ExpBuckets(1e-6, 4, 12))
 )
 
 // instrumented decorates a Detector with the run-grained metric families and
@@ -78,10 +86,7 @@ func (w instrumented) Detect(g *graph.CSR, opt Options) (*Result, error) {
 		if opt.Profiler == nil {
 			opt.Profiler = telemetry.NewRecorder()
 		}
-		qt = quality.NewTracker(g, quality.TrackerConfig{
-			Gamma:       opt.Quality.Gamma,
-			SampleEvery: opt.Quality.SampleEvery,
-		})
+		qt = quality.NewTracker(g, quality.TrackerConfig{SampleEvery: opt.Quality.SampleEvery})
 		opt.Profiler.SetQualityObserver(qt)
 		defer opt.Profiler.SetQualityObserver(nil)
 	}
@@ -108,12 +113,6 @@ func (w instrumented) Detect(g *graph.CSR, opt Options) (*Result, error) {
 		span.SetInt("iterations", int64(res.Iterations))
 		span.SetInt("communities", int64(res.Communities))
 		span.SetBool("converged", res.Converged)
-		// The detect span carries the run's work totals: FLPA opens no
-		// iteration spans, so this is the only place its work shows.
-		if work := telemetry.TotalWork(res.Trace); !work.IsZero() {
-			span.SetInt("edgeVisits", work.EdgeVisits)
-			span.SetInt("activeVertices", work.ActiveVertices)
-		}
 		if qt != nil {
 			fs := qt.Final()
 			res.Quality = &fs

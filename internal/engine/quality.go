@@ -21,29 +21,15 @@ type QualityConfig struct {
 	// snapshot. 0 means 8; negative disables sampling (the end-of-run
 	// summary still recomputes exactly).
 	SampleEvery int
-	// Gamma is the modularity resolution γ (0 means 1).
-	Gamma float64
 }
 
-// The engine_quality_* families: iteration-grained gauges fed by Loop (the
-// fleet-level "how good are the communities right now" view) and run-grained
-// histograms fed by the instrumented registry wrapper. The recompute counter
-// carries trace exemplars so a surprising drift sample links to its run.
+// The engine_quality_* families: iteration-grained counters fed by Loop and
+// run-grained families fed by the instrumented registry wrapper. The
+// per-iteration values themselves (live modularity, census, drift, churn)
+// travel in the iteration record's quality field, which the health frames
+// and the trace carry per run. The recompute counter carries trace
+// exemplars so a surprising drift sample links to its run.
 var (
-	mQModularity = metrics.NewGauge("engine_quality_modularity",
-		"Most recent quality-observed iteration's live modularity estimate.")
-	mQDrift = metrics.NewGauge("engine_quality_drift",
-		"Most recent sampled recompute's estimator drift |Q̂ − Q_exact|.")
-	mQCommunities = metrics.NewGauge("engine_quality_communities",
-		"Most recent quality-observed iteration's community count.")
-	mQGiantShare = metrics.NewGauge("engine_quality_giant_share",
-		"Most recent quality-observed iteration's largest-community share of |V|.")
-	mQSingletonRate = metrics.NewGauge("engine_quality_singleton_rate",
-		"Most recent quality-observed iteration's singleton share of communities.")
-	mQEntropy = metrics.NewGauge("engine_quality_entropy",
-		"Most recent quality-observed iteration's label entropy (nats).")
-	mQChurn = metrics.NewGauge("engine_quality_churn_nmi",
-		"Most recent sampled NMI against the previous snapshot (1 = stable).")
 	mQRecomputes = metrics.NewCounter("engine_quality_recomputes_total",
 		"Sampled exact modularity recomputes (exemplars carry the run's trace id).")
 	mQFlips = metrics.NewCounterVec("engine_quality_flips_total",
@@ -69,11 +55,6 @@ func modularityBuckets() []float64 {
 // recordQualityMetrics publishes one iteration's quality record on the
 // metrics plane. ctx carries the iteration span's trace for exemplars.
 func recordQualityMetrics(ctx context.Context, rec telemetry.QualityRecord) {
-	mQModularity.Set(rec.Modularity)
-	mQCommunities.Set(float64(rec.Communities))
-	mQGiantShare.Set(rec.GiantShare)
-	mQSingletonRate.Set(rec.SingletonRate)
-	mQEntropy.Set(rec.Entropy)
 	if rec.FlipsLow > 0 {
 		mQFlips.With("low").Add(rec.FlipsLow)
 	}
@@ -84,10 +65,6 @@ func recordQualityMetrics(ctx context.Context, rec telemetry.QualityRecord) {
 		mQFlips.With("high").Add(rec.FlipsHigh)
 	}
 	if rec.Exact {
-		mQDrift.Set(rec.Drift)
 		mQRecomputes.IncExemplar(trace.IDFromContext(ctx))
-	}
-	if rec.ChurnValid {
-		mQChurn.Set(rec.ChurnNMI)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"nulpa/internal/telemetry"
 	"nulpa/internal/trace"
 )
 
@@ -15,12 +14,6 @@ type ShardLoopConfig struct {
 	// Shards is the number of concurrent per-superstep bodies; 0 and 1 both
 	// mean one.
 	Shards int
-	// OnSuperstep, when non-nil, is called after each superstep's halo
-	// exchange with the per-shard body durations, the barrier wait (total
-	// idle time shards spent waiting for the slowest peer) and the number of
-	// halo labels exchanged. durs is indexed by shard and only valid for the
-	// duration of the call.
-	OnSuperstep func(iter int, durs []time.Duration, barrierWait time.Duration, exchanged int64)
 	// GatherLabels, when non-nil, returns the global label assignment after
 	// a superstep (the sharded backend scatters owned labels into a reused
 	// buffer). It is consulted only when the profiler has a quality observer
@@ -33,6 +26,8 @@ type ShardLoopConfig struct {
 // every iteration fans the body out to all shards concurrently (each under
 // its own "shard-iteration" trace span), joins at the barrier, then runs the
 // halo exchange (under a "halo-exchange" span) before the convergence test.
+// A superstep whose exchange succeeds counts in nulpa_shard_supersteps_total
+// and nulpa_shard_barrier_wait_seconds.
 // Outcomes aggregate across shards — counters sum, ForceContinue holds if
 // any shard demands it, Stop only if every shard does — so the shared
 // tolerance rule applies to the global ΔN exactly as in the single-device
@@ -41,8 +36,8 @@ type ShardLoopConfig struct {
 //
 // A single shard is a plain Loop: its body runs inline on the iteration
 // context, its outcome (labels included) is the iteration's, and there is
-// no barrier — no goroutine, no shard or exchange span, no superstep record,
-// and exchange, OnSuperstep and GatherLabels are never called.
+// no barrier — no goroutine, no shard or exchange span, no superstep record
+// or metric, and exchange and GatherLabels are never called.
 func ShardLoop(cfg ShardLoopConfig,
 	body func(ctx context.Context, iter, shard int) IterOutcome,
 	exchange func(ctx context.Context, iter int) (int64, error)) LoopResult {
@@ -93,8 +88,9 @@ func ShardLoop(cfg ShardLoopConfig,
 			}
 			if err != nil {
 				agg.Err = err
-			} else if cfg.OnSuperstep != nil {
-				cfg.OnSuperstep(iter, durs, wait, exchanged)
+			} else {
+				mSupersteps.Inc()
+				mBarrierWait.Observe(wait.Seconds())
 			}
 		}
 		// The superstep feed fires on every superstep — including the
@@ -115,13 +111,17 @@ func ShardLoop(cfg ShardLoopConfig,
 }
 
 // mergeOutcomes folds per-shard outcomes into the superstep's aggregate:
-// counter fields sum (ΔN, moves, work, kernel time), flag fields OR. The
-// first interrupt-typed error wins; otherwise the first error by shard
-// order, keeping aggregation deterministic.
+// records add (IterRecord.Add: counters sum, phase flags OR). Kernel
+// durations add up to total device time across shards (they run
+// concurrently, so this exceeds wall time by design — it is the work
+// ledger, not the critical path), and Duration stays zero so Loop stamps
+// the superstep's wall time. The first interrupt-typed error wins;
+// otherwise the first error by shard order, keeping aggregation
+// deterministic.
 func mergeOutcomes(outs []IterOutcome) IterOutcome {
 	agg := IterOutcome{Stop: len(outs) > 0}
 	for _, out := range outs {
-		agg.Record = addRecords(agg.Record, out.Record)
+		agg.Record = agg.Record.Add(out.Record)
 		agg.ForceContinue = agg.ForceContinue || out.ForceContinue
 		agg.Stop = agg.Stop && out.Stop
 		if out.Err != nil {
@@ -134,31 +134,6 @@ func mergeOutcomes(outs []IterOutcome) IterOutcome {
 		agg.Stop = false
 	}
 	return agg
-}
-
-// addRecords sums the counter fields of two iteration records and ORs the
-// phase flags. Kernel durations add up to total device time across shards
-// (they run concurrently, so this exceeds wall time by design — it is the
-// work ledger, not the critical path). Duration is left zero so Loop stamps
-// the superstep's wall time.
-func addRecords(a, b telemetry.IterRecord) telemetry.IterRecord {
-	a.PickLess = a.PickLess || b.PickLess
-	a.CrossCheck = a.CrossCheck || b.CrossCheck
-	a.Moves += b.Moves
-	a.Reverts += b.Reverts
-	a.DeltaN += b.DeltaN
-	a.Pruned += b.Pruned
-	a.Retries += b.Retries
-	a.ThreadKernel += b.ThreadKernel
-	a.BlockKernel += b.BlockKernel
-	a.CrossKernel += b.CrossKernel
-	a.HashAccumulates += b.HashAccumulates
-	a.HashProbes += b.HashProbes
-	a.HashCollisions += b.HashCollisions
-	a.HashFallbacks += b.HashFallbacks
-	a.EdgeVisits += b.EdgeVisits
-	a.ActiveVertices += b.ActiveVertices
-	return a
 }
 
 // barrierWait is the BSP stall metric: the idle time shards spend at the

@@ -140,19 +140,30 @@ func TestShardLoopExchangeErrorPropagates(t *testing.T) {
 	}
 }
 
+// superstepLog is an IterSink that keeps the supersteps it is fed.
+type superstepLog struct {
+	shards []int
+	waits  []time.Duration
+	counts []int64
+}
+
+func (l *superstepLog) ObserveIteration(telemetry.IterRecord) {}
+func (l *superstepLog) ObserveSuperstep(_ int, durs []time.Duration, wait time.Duration, exchanged int64) {
+	l.shards = append(l.shards, len(durs))
+	l.waits = append(l.waits, wait)
+	l.counts = append(l.counts, exchanged)
+}
+
+// TestShardLoopOnSuperstep pins the one superstep feed: every superstep
+// reaches the profiler's sink with its shard durations, barrier wait and
+// halo count, and a successful exchange advances the superstep metrics.
 func TestShardLoopOnSuperstep(t *testing.T) {
-	var waits []time.Duration
-	var counts []int64
+	rec, log := telemetry.NewRecorder(), &superstepLog{}
+	rec.SetSink(log)
+	steps0, waits0 := mSupersteps.Value(), mBarrierWait.Count()
 	lr := ShardLoop(ShardLoopConfig{
-		LoopConfig: LoopConfig{MaxIterations: 3, Threshold: 0},
+		LoopConfig: LoopConfig{MaxIterations: 3, Threshold: 0, Profiler: rec},
 		Shards:     2,
-		OnSuperstep: func(iter int, durs []time.Duration, wait time.Duration, exchanged int64) {
-			if len(durs) != 2 {
-				t.Errorf("superstep %d: %d shard durations, want 2", iter, len(durs))
-			}
-			waits = append(waits, wait)
-			counts = append(counts, exchanged)
-		},
 	}, func(_ context.Context, iter, shard int) IterOutcome {
 		if shard == 1 {
 			time.Sleep(time.Millisecond)
@@ -164,16 +175,25 @@ func TestShardLoopOnSuperstep(t *testing.T) {
 	if lr.Err != nil {
 		t.Fatal(lr.Err)
 	}
-	if len(waits) != 3 {
-		t.Fatalf("OnSuperstep fired %d times, want 3", len(waits))
+	if len(log.waits) != 3 {
+		t.Fatalf("sink saw %d supersteps, want 3", len(log.waits))
 	}
-	for i := range waits {
-		if waits[i] <= 0 {
-			t.Errorf("superstep %d: barrier wait %v, want > 0 (unbalanced shards)", i, waits[i])
+	for i := range log.waits {
+		if log.shards[i] != 2 {
+			t.Errorf("superstep %d: %d shard durations, want 2", i, log.shards[i])
 		}
-		if counts[i] != 7 {
-			t.Errorf("superstep %d: exchanged %d, want 7", i, counts[i])
+		if log.waits[i] <= 0 {
+			t.Errorf("superstep %d: barrier wait %v, want > 0 (unbalanced shards)", i, log.waits[i])
 		}
+		if log.counts[i] != 7 {
+			t.Errorf("superstep %d: exchanged %d, want 7", i, log.counts[i])
+		}
+	}
+	if d := mSupersteps.Value() - steps0; d != 3 {
+		t.Errorf("nulpa_shard_supersteps_total advanced by %d, want 3", d)
+	}
+	if d := mBarrierWait.Count() - waits0; d != 3 {
+		t.Errorf("nulpa_shard_barrier_wait_seconds observed %d supersteps, want 3", d)
 	}
 }
 

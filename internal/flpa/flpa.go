@@ -2,11 +2,14 @@
 // and Šubelj (the paper's sequential baseline, igraph's
 // IGRAPH_LPA_FAST variant): a queue-based LPA that processes only vertices
 // whose neighbourhood recently changed, with no random vertex-order
-// shuffling, and converges when the queue drains.
+// shuffling, and converges when the queue drains. Its queue generations are
+// its iterations: each runs as one engine.Loop iteration, so FLPA reports
+// through the same spans, metrics and records as the round-based detectors.
 package flpa
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"slices"
 	"time"
@@ -18,9 +21,9 @@ import (
 
 // Options configure an FLPA run.
 type Options struct {
-	// Context, when non-nil, cancels the run; FLPA has no synchronous
-	// iterations, so cancellation is checked every ctxCheckEvery queue pops
-	// and the detector returns engine.ErrCanceled or engine.ErrDeadline.
+	// Context, when non-nil, cancels the run: it is checked before every
+	// queue generation and every ctxCheckEvery queue pops, and the detector
+	// returns engine.ErrCanceled or engine.ErrDeadline.
 	Context context.Context
 
 	// Seed drives the random choice among equally dominant labels — the
@@ -55,12 +58,12 @@ type Result struct {
 // returns within a fraction of a generation.
 const ctxCheckEvery = 4096
 
-// Detect runs FLPA on g.
+// Detect runs FLPA on g. Each queue generation is one engine.Loop
+// iteration, so FLPA's generations reach the iteration spans, metrics,
+// profiler and quality plane like any other detector's iterations. The
+// loop has no ΔN threshold: it ends when the queue drains or MaxSteps pops
+// have run.
 func Detect(g *graph.CSR, opt Options) (*Result, error) {
-	ctx := opt.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	n := g.NumVertices()
 	rng := rand.New(rand.NewSource(opt.Seed))
 	labels := make([]uint32, n)
@@ -75,127 +78,106 @@ func Detect(g *graph.CSR, opt Options) (*Result, error) {
 			inQueue[i] = true
 		}
 	}
+	res := &Result{Labels: labels}
+	if len(queue) == 0 {
+		return res, nil
+	}
 	// weight accumulator reused across vertices; sparse-reset via touched.
 	acc := make(map[uint32]float64)
 	var dominant []uint32
 
-	start := time.Now()
-	var steps int64
 	head := 0
-	// Generation tracking for the telemetry trace: genEnd marks the queue
-	// position where the current generation's vertices stop.
-	res := &Result{}
-	genEnd := len(queue)
-	genStart := start
-	var genMoves, genSteps, genEdges int64
-	flushGen := func() {
-		if genSteps == 0 {
-			return
-		}
-		rec := telemetry.IterRecord{
-			Iter:     len(res.Trace),
-			Moves:    genMoves,
-			DeltaN:   genMoves,
-			Duration: time.Since(genStart),
-			// Queue pops are FLPA's active-vertex count; every pop scans
-			// its full neighbourhood (and again on a move, for re-enqueue).
-			EdgeVisits:     genEdges,
-			ActiveVertices: genSteps,
-		}
-		if opt.Profiler != nil {
-			rec.Quality = opt.Profiler.ObserveQuality(rec.Iter, labels)
-			opt.Profiler.RecordIteration(rec)
-		}
-		res.Trace = append(res.Trace, rec)
-		genMoves, genSteps, genEdges = 0, 0, 0
-		genStart = time.Now()
-	}
-	for head < len(queue) {
-		if opt.MaxSteps > 0 && steps >= opt.MaxSteps {
-			break
-		}
-		if steps%ctxCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, engine.CtxErr(err)
-			}
-		}
-		if head == genEnd {
-			flushGen()
-			genEnd = len(queue)
-		}
-		u := queue[head]
-		head++
-		inQueue[u] = false
-		steps++
-		genSteps++
-		// Compact the consumed prefix occasionally to bound memory.
-		if head > n && head*2 > len(queue) {
-			queue = append(queue[:0], queue[head:]...)
-			genEnd -= head
-			head = 0
-		}
-
-		ts, ws := g.Neighbors(u)
-		genEdges += int64(len(ts))
-		clear(acc)
-		for k, v := range ts {
-			if v == u {
-				continue
-			}
-			acc[labels[v]] += float64(ws[k])
-		}
-		if len(acc) == 0 {
-			continue
-		}
-		// Find the dominant labels and pick one uniformly at random. The
-		// dominant set is sorted so runs are reproducible for a seed
-		// despite Go's randomized map iteration order.
-		best := -1.0
-		for _, w := range acc {
-			if w > best {
-				best = w
-			}
-		}
-		dominant = dominant[:0]
-		for c, w := range acc {
-			if w == best {
-				dominant = append(dominant, c)
-			}
-		}
-		slices.Sort(dominant)
-		newLabel := dominant[0]
-		if len(dominant) > 1 {
-			// Keep the current label when dominant (igraph's stability rule),
-			// else pick at random.
-			keep := false
-			for _, c := range dominant {
-				if c == labels[u] {
-					keep = true
-					break
+	lr := engine.Loop(engine.LoopConfig{
+		MaxIterations: math.MaxInt,
+		Ctx:           opt.Context,
+		Profiler:      opt.Profiler,
+	}, func(ctx context.Context, _ int) engine.IterOutcome {
+		// One generation: the vertices queued when it starts.
+		var rec telemetry.IterRecord
+		genEnd := len(queue)
+		for head < genEnd && (opt.MaxSteps == 0 || res.Steps < opt.MaxSteps) {
+			if res.Steps%ctxCheckEvery == 0 {
+				if err := ctx.Err(); err != nil {
+					return engine.IterOutcome{Err: engine.CtxErr(err)}
 				}
 			}
-			if keep {
-				newLabel = labels[u]
-			} else {
-				newLabel = dominant[rng.Intn(len(dominant))]
+			u := queue[head]
+			head++
+			inQueue[u] = false
+			res.Steps++
+			// Queue pops are FLPA's active-vertex count; every pop scans
+			// its full neighbourhood (and again on a move, for re-enqueue).
+			rec.ActiveVertices++
+			// Compact the consumed prefix occasionally to bound memory.
+			if head > n && head*2 > len(queue) {
+				queue = append(queue[:0], queue[head:]...)
+				genEnd -= head
+				head = 0
 			}
-		}
-		if newLabel == labels[u] {
-			continue
-		}
-		labels[u] = newLabel
-		genMoves++
-		genEdges += int64(len(ts)) // re-enqueue scan
-		// Re-enqueue neighbours not sharing the new community.
-		for _, v := range ts {
-			if v == u || labels[v] == newLabel || inQueue[v] {
+
+			ts, ws := g.Neighbors(u)
+			rec.EdgeVisits += int64(len(ts))
+			clear(acc)
+			for k, v := range ts {
+				if v == u {
+					continue
+				}
+				acc[labels[v]] += float64(ws[k])
+			}
+			if len(acc) == 0 {
 				continue
 			}
-			queue = append(queue, v)
-			inQueue[v] = true
+			// Find the dominant labels and pick one uniformly at random. The
+			// dominant set is sorted so runs are reproducible for a seed
+			// despite Go's randomized map iteration order.
+			best := -1.0
+			for _, w := range acc {
+				if w > best {
+					best = w
+				}
+			}
+			dominant = dominant[:0]
+			for c, w := range acc {
+				if w == best {
+					dominant = append(dominant, c)
+				}
+			}
+			slices.Sort(dominant)
+			newLabel := dominant[0]
+			if len(dominant) > 1 {
+				// Keep the current label when dominant (igraph's stability
+				// rule), else pick at random.
+				if slices.Contains(dominant, labels[u]) {
+					newLabel = labels[u]
+				} else {
+					newLabel = dominant[rng.Intn(len(dominant))]
+				}
+			}
+			if newLabel == labels[u] {
+				continue
+			}
+			labels[u] = newLabel
+			rec.Moves++
+			rec.EdgeVisits += int64(len(ts)) // re-enqueue scan
+			// Re-enqueue neighbours not sharing the new community.
+			for _, v := range ts {
+				if v == u || labels[v] == newLabel || inQueue[v] {
+					continue
+				}
+				queue = append(queue, v)
+				inQueue[v] = true
+			}
 		}
+		rec.DeltaN = rec.Moves
+		return engine.IterOutcome{
+			Record: rec,
+			Stop:   head == len(queue) || (opt.MaxSteps > 0 && res.Steps >= opt.MaxSteps),
+			Labels: labels,
+		}
+	})
+	if lr.Err != nil {
+		return nil, lr.Err
 	}
-	flushGen()
-	res.Labels, res.Steps, res.Duration = labels, steps, time.Since(start)
+	res.Duration, res.Trace = lr.Duration, lr.Trace
 	return res, nil
 }

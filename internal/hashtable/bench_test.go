@@ -3,6 +3,7 @@ package hashtable
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"nulpa/internal/simt"
@@ -116,7 +117,7 @@ func BenchmarkAccumulateCounted(b *testing.B) {
 	keys := benchKeys(deg)
 	for _, counted := range []bool{false, true} {
 		b.Run(fmt.Sprintf("counted=%v", counted), func(b *testing.B) {
-			stats := &Stats{}
+			var accumulates atomic.Int64
 			b.RunParallel(func(pb *testing.PB) {
 				// Padding keeps neighbouring goroutines' tallies off each
 				// other's cache lines, like the per-SM tallies in a kernel.
@@ -135,9 +136,9 @@ func BenchmarkAccumulateCounted(b *testing.B) {
 						tb.Accumulate(k, 1, false, counter)
 					}
 				}
-				tl.Fold(stats)
+				accumulates.Add(tl.Fold().Accumulates)
 			})
-			if counted && stats.Accumulates.Load() == 0 {
+			if counted && accumulates.Load() == 0 {
 				b.Fatal("counted run tallied nothing")
 			}
 		})

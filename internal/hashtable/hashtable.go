@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync/atomic"
 
 	"nulpa/internal/simt"
 )
@@ -87,66 +86,15 @@ func (k ValueKind) String() string {
 	return "float"
 }
 
-// Stats is the read-side aggregate of hashtable activity. Lanes never write
-// it: each SM (or direct-backend worker) counts into its own Tally, and the
-// launching goroutine folds those into Stats once per kernel launch with
-// Tally.Fold, so these atomic totals see one add per fold rather than one per
-// probe.
-type Stats struct {
-	Accumulates atomic.Int64 // accumulate calls
-	Probes      atomic.Int64 // slots inspected, including the first
-	Collisions  atomic.Int64 // probes beyond the first
-	Fallbacks   atomic.Int64 // accumulates that exhausted MaxRetries and fell back to linear scan
-	Failures    atomic.Int64 // accumulates that found no slot at all
-}
-
-// Reset zeroes all counters.
-func (s *Stats) Reset() {
-	s.Accumulates.Store(0)
-	s.Probes.Store(0)
-	s.Collisions.Store(0)
-	s.Fallbacks.Store(0)
-	s.Failures.Store(0)
-}
-
-// Add folds the delta d into the totals. A nil receiver discards it.
-func (s *Stats) Add(d StatsSnapshot) {
-	if s == nil {
-		return
-	}
-	s.Accumulates.Add(d.Accumulates)
-	s.Probes.Add(d.Probes)
-	s.Collisions.Add(d.Collisions)
-	s.Fallbacks.Add(d.Fallbacks)
-	s.Failures.Add(d.Failures)
-}
-
-// StatsSnapshot is a plain-value copy of Stats. Field names mirror Stats
-// one-to-one (enforced by a reflection test) so a newly added counter cannot
-// be silently dropped from snapshots.
+// StatsSnapshot is one fold's hashtable counts, or a sum of folds. The
+// per-iteration record carries each field as a Hash* counter (enforced by
+// reflection tests), and a run's totals are the sum of its records.
 type StatsSnapshot struct {
-	Accumulates int64
-	Probes      int64
-	Collisions  int64
-	Fallbacks   int64
-	Failures    int64
-}
-
-// Snapshot reads all counters at once; the telemetry layer subtracts
-// consecutive snapshots to attribute probe work to iterations. A nil
-// receiver yields a zero snapshot, so callers need not gate on whether the
-// run counts.
-func (s *Stats) Snapshot() StatsSnapshot {
-	if s == nil {
-		return StatsSnapshot{}
-	}
-	return StatsSnapshot{
-		Accumulates: s.Accumulates.Load(),
-		Probes:      s.Probes.Load(),
-		Collisions:  s.Collisions.Load(),
-		Fallbacks:   s.Fallbacks.Load(),
-		Failures:    s.Failures.Load(),
-	}
+	Accumulates int64 // accumulate calls
+	Probes      int64 // slots inspected, including the first
+	Collisions  int64 // probes beyond the first
+	Fallbacks   int64 // accumulates that exhausted MaxRetries and fell back to linear scan
+	Failures    int64 // accumulates that found no slot at all
 }
 
 // Add returns the per-field sum a + b.
@@ -160,21 +108,10 @@ func (a StatsSnapshot) Add(b StatsSnapshot) StatsSnapshot {
 	}
 }
 
-// Sub returns the per-field delta a − b.
-func (a StatsSnapshot) Sub(b StatsSnapshot) StatsSnapshot {
-	return StatsSnapshot{
-		Accumulates: a.Accumulates - b.Accumulates,
-		Probes:      a.Probes - b.Probes,
-		Collisions:  a.Collisions - b.Collisions,
-		Fallbacks:   a.Fallbacks - b.Fallbacks,
-		Failures:    a.Failures - b.Failures,
-	}
-}
-
 // Tally is single-writer probe accounting: one per SM or per worker, written
 // with plain adds by the only goroutine that passes it to Accumulate (on
-// either table kind). Once that goroutine has joined, Fold moves the counts
-// into a shared Stats and the live metrics. The exported counters mirror
+// either table kind). Once that goroutine has joined, Fold hands the counts
+// to the caller and the live metrics. The exported counters mirror
 // StatsSnapshot one-to-one (enforced by a reflection test). A nil *Tally
 // disables counting at the cost of one pointer test per accumulate.
 type Tally struct {
@@ -220,10 +157,10 @@ func (t *Tally) miss(probes, collisions int64) {
 	t.failedProbes += probes
 }
 
-// Fold adds the tally to s (nil s skips the totals) and to the hashtable_*
-// metrics, zeroes it, and returns the folded counts. The caller must own
-// the tally: every goroutine that counted into it has joined.
-func (t *Tally) Fold(s *Stats) StatsSnapshot {
+// Fold adds the tally to the hashtable_* metrics, zeroes it, and returns
+// the folded counts. The caller must own the tally: every goroutine that
+// counted into it has joined.
+func (t *Tally) Fold() StatsSnapshot {
 	d := StatsSnapshot{
 		Accumulates: t.Accumulates,
 		Probes:      t.Probes,
@@ -234,7 +171,6 @@ func (t *Tally) Fold(s *Stats) StatsSnapshot {
 	if d == (StatsSnapshot{}) {
 		return d
 	}
-	s.Add(d)
 	mProbeLen.Merge(t.probeLen[:], float64(d.Probes-t.failedProbes))
 	if d.Fallbacks != 0 {
 		mFallbacks.Add(d.Fallbacks)

@@ -258,20 +258,18 @@ func TestStatsCounting(t *testing.T) {
 	tb.Clear(0, 1)
 	tb.Accumulate(0, 1, false, tl)
 	tb.Accumulate(15, 1, false, tl) // 15 mod 15 = 0: collides with key 0
-	stats := &Stats{}
-	tl.Fold(stats)
-	if got := stats.Accumulates.Load(); got != 2 {
-		t.Errorf("Accumulates = %d, want 2", got)
+	d := tl.Fold()
+	if d.Accumulates != 2 {
+		t.Errorf("Accumulates = %d, want 2", d.Accumulates)
 	}
-	if got := stats.Probes.Load(); got < 3 {
-		t.Errorf("Probes = %d, want >= 3", got)
+	if d.Probes < 3 {
+		t.Errorf("Probes = %d, want >= 3", d.Probes)
 	}
-	if got := stats.Collisions.Load(); got < 1 {
-		t.Errorf("Collisions = %d, want >= 1", got)
+	if d.Collisions < 1 {
+		t.Errorf("Collisions = %d, want >= 1", d.Collisions)
 	}
-	stats.Reset()
-	if stats.Probes.Load() != 0 {
-		t.Error("Reset did not zero counters")
+	if *tl != (Tally{}) {
+		t.Error("Fold did not zero the tally")
 	}
 }
 

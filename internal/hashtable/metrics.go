@@ -7,8 +7,8 @@ import "nulpa/internal/metrics"
 // bounds in its plain per-SM array.
 const probeBuckets = 10
 
-// Live-metrics bridge. The histogram answers the question the Stats totals
-// cannot: how probe work is distributed per accumulate (p50/p95/p99 probe
+// Live-metrics bridge. The histogram answers the question the per-iteration
+// totals cannot: how probe work is distributed per accumulate (p50/p95/p99 probe
 // length), which is what distinguishes a healthy table from one drowning in
 // clustering. Updates ride the Tally gate — an accumulate without a Tally keeps
 // the hot path untouched — and arrive in bulk from Tally.Fold, so the

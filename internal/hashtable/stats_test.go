@@ -2,103 +2,34 @@ package hashtable
 
 import (
 	"reflect"
-	"sync/atomic"
+	"strings"
 	"testing"
 
 	"nulpa/internal/metrics"
+	"nulpa/internal/telemetry"
 )
 
-// TestStatsResetZeroesEveryCounter walks Stats with reflection so a counter
-// added later cannot be forgotten by Reset: every atomic.Int64 field is set
-// to a distinct non-zero value, then Reset must zero all of them.
-func TestStatsResetZeroesEveryCounter(t *testing.T) {
-	var s Stats
-	v := reflect.ValueOf(&s).Elem()
-	atomicInt64 := reflect.TypeOf(atomic.Int64{})
-	n := 0
-	for i := 0; i < v.NumField(); i++ {
-		f := v.Type().Field(i)
-		if f.Type != atomicInt64 {
-			t.Fatalf("Stats.%s has type %v; extend this test for non-atomic.Int64 counters", f.Name, f.Type)
-		}
-		v.Field(i).Addr().Interface().(*atomic.Int64).Store(int64(i + 1))
-		n++
-	}
-	if n == 0 {
-		t.Fatal("Stats has no counter fields")
-	}
-	s.Reset()
-	for i := 0; i < v.NumField(); i++ {
-		if got := v.Field(i).Addr().Interface().(*atomic.Int64).Load(); got != 0 {
-			t.Errorf("Reset left Stats.%s = %d", v.Type().Field(i).Name, got)
-		}
-	}
-}
-
-// TestStatsSnapshotMirrorsStats enforces the documented invariant that
-// StatsSnapshot's fields mirror Stats one-to-one, so a new counter cannot be
-// silently dropped from snapshots (and hence from per-iteration telemetry).
-func TestStatsSnapshotMirrorsStats(t *testing.T) {
-	st := reflect.TypeOf(Stats{})
-	sn := reflect.TypeOf(StatsSnapshot{})
-	if st.NumField() != sn.NumField() {
-		t.Fatalf("Stats has %d fields, StatsSnapshot has %d", st.NumField(), sn.NumField())
-	}
-	for i := 0; i < st.NumField(); i++ {
-		if st.Field(i).Name != sn.Field(i).Name {
-			t.Errorf("field %d: Stats.%s vs StatsSnapshot.%s", i, st.Field(i).Name, sn.Field(i).Name)
-		}
-		if sn.Field(i).Type.Kind() != reflect.Int64 {
-			t.Errorf("StatsSnapshot.%s is %v, want int64", sn.Field(i).Name, sn.Field(i).Type)
-		}
-	}
-}
-
-// TestSnapshotCopiesEveryCounter cross-checks Snapshot against reflection:
-// each counter set to a distinct value must appear in the matching snapshot
-// field.
-func TestSnapshotCopiesEveryCounter(t *testing.T) {
-	var s Stats
-	v := reflect.ValueOf(&s).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		v.Field(i).Addr().Interface().(*atomic.Int64).Store(int64(100 + i))
-	}
-	snap := reflect.ValueOf(s.Snapshot())
-	for i := 0; i < snap.NumField(); i++ {
-		if got := snap.Field(i).Int(); got != int64(100+i) {
-			t.Errorf("Snapshot.%s = %d, want %d", snap.Type().Field(i).Name, got, 100+i)
-		}
-	}
-}
-
-func TestSnapshotNilStats(t *testing.T) {
-	var s *Stats
-	if got := s.Snapshot(); got != (StatsSnapshot{}) {
-		t.Errorf("nil Snapshot = %+v, want zero", got)
-	}
-}
-
-// TestSnapshotDeltas exercises the per-iteration delta pattern the telemetry
-// layer uses: snapshot, do work, snapshot, subtract.
+// TestSnapshotDeltas exercises the per-iteration pattern the kernels use:
+// each fold returns only what was counted since the previous fold, and the
+// iteration's counts are the sum of its folds.
 func TestSnapshotDeltas(t *testing.T) {
-	s := &Stats{}
-	s.Accumulates.Store(10)
-	s.Probes.Store(20)
-	base := s.Snapshot()
-	s.Accumulates.Add(5)
-	s.Probes.Add(7)
-	s.Collisions.Add(3)
-	d := s.Snapshot().Sub(base)
-	want := StatsSnapshot{Accumulates: 5, Probes: 7, Collisions: 3}
-	if d != want {
-		t.Errorf("delta = %+v, want %+v", d, want)
+	var tl Tally
+	tl.Accumulates, tl.Probes = 10, 20
+	first := tl.Fold()
+	tl.Accumulates, tl.Probes, tl.Collisions = 5, 7, 3
+	second := tl.Fold()
+	if want := (StatsSnapshot{Accumulates: 5, Probes: 7, Collisions: 3}); second != want {
+		t.Errorf("second fold = %+v, want %+v", second, want)
+	}
+	if got, want := first.Add(second), (StatsSnapshot{Accumulates: 15, Probes: 27, Collisions: 3}); got != want {
+		t.Errorf("sum of folds = %+v, want %+v", got, want)
 	}
 }
 
-// TestTallyMirrorsStatsSnapshot extends the mirror invariant to the
-// single-writer Tally lanes count into: its exported counters must match
-// StatsSnapshot one-to-one, so a counter added to Stats cannot be left
-// uncounted on the lane path.
+// TestTallyMirrorsStatsSnapshot pins the single-writer Tally lanes count
+// into to StatsSnapshot: its exported counters must match the snapshot's
+// fields one-to-one, so a counter added to one cannot be left out of the
+// other.
 func TestTallyMirrorsStatsSnapshot(t *testing.T) {
 	tt := reflect.TypeOf(Tally{})
 	sn := reflect.TypeOf(StatsSnapshot{})
@@ -121,9 +52,38 @@ func TestTallyMirrorsStatsSnapshot(t *testing.T) {
 	}
 }
 
+// TestRecordMirrorsTally pins the per-iteration record to the tally: every
+// StatsSnapshot field has an int64 Hash<Field> counter on IterRecord and
+// IterRecord has no other Hash* field. The records are the only run-level
+// home of these counts, so a new tally counter must not be silently
+// dropped from them.
+func TestRecordMirrorsTally(t *testing.T) {
+	rt := reflect.TypeOf(telemetry.IterRecord{})
+	sn := reflect.TypeOf(StatsSnapshot{})
+	hash := 0
+	for i := 0; i < rt.NumField(); i++ {
+		if strings.HasPrefix(rt.Field(i).Name, "Hash") {
+			hash++
+		}
+	}
+	if hash != sn.NumField() {
+		t.Errorf("IterRecord has %d Hash* fields, StatsSnapshot has %d", hash, sn.NumField())
+	}
+	for i := 0; i < sn.NumField(); i++ {
+		f, ok := rt.FieldByName("Hash" + sn.Field(i).Name)
+		if !ok {
+			t.Errorf("IterRecord has no Hash%s for StatsSnapshot.%s", sn.Field(i).Name, sn.Field(i).Name)
+			continue
+		}
+		if f.Type.Kind() != reflect.Int64 {
+			t.Errorf("IterRecord.%s is %v, want int64", f.Name, f.Type)
+		}
+	}
+}
+
 // TestTallyFoldCopiesEveryCounter cross-checks Fold against reflection:
-// each tally counter set to a distinct value must reach the matching Stats
-// field and the returned delta, and the fold must leave the tally zeroed.
+// each tally counter set to a distinct value must reach the matching field
+// of the returned counts, and the fold must leave the tally zeroed.
 func TestTallyFoldCopiesEveryCounter(t *testing.T) {
 	var tl Tally
 	v := reflect.ValueOf(&tl).Elem()
@@ -134,30 +94,15 @@ func TestTallyFoldCopiesEveryCounter(t *testing.T) {
 			want[f.Name] = int64(100 + i)
 		}
 	}
-	s := &Stats{}
-	s.Probes.Store(1) // Fold adds to the totals; it does not overwrite them
-	d := reflect.ValueOf(tl.Fold(s))
-	got := reflect.ValueOf(s.Snapshot())
-	for i := 0; i < got.NumField(); i++ {
-		name := got.Type().Field(i).Name
-		total := want[name]
-		if name == "Probes" {
-			total++
-		}
-		if g := got.Field(i).Int(); g != total {
-			t.Errorf("Stats.%s = %d after Fold, want %d", name, g, total)
-		}
+	d := reflect.ValueOf(tl.Fold())
+	for i := 0; i < d.NumField(); i++ {
+		name := d.Type().Field(i).Name
 		if g := d.Field(i).Int(); g != want[name] {
-			t.Errorf("Fold delta %s = %d, want %d", name, g, want[name])
+			t.Errorf("Fold %s = %d, want %d", name, g, want[name])
 		}
 	}
 	if tl != (Tally{}) {
 		t.Errorf("Fold left the tally at %+v, want zero", tl)
-	}
-	// A nil Stats still drains the tally (metrics-only accounting).
-	tl.Accumulates = 3
-	if d := tl.Fold(nil); d.Accumulates != 3 || tl.Accumulates != 0 {
-		t.Errorf("Fold(nil) = %+v, tally left %d; want 3 folded and 0 left", d, tl.Accumulates)
 	}
 }
 
@@ -204,7 +149,7 @@ func TestMetricsRideStatsGate(t *testing.T) {
 	if got := countBefore(); got != c0 {
 		t.Fatalf("probe histogram advanced by %d before the fold, want 0", got-c0)
 	}
-	tl.Fold(&Stats{})
+	tl.Fold()
 	if got := countBefore(); got != c0+1 {
 		t.Fatalf("probe histogram advanced by %d with a Tally folded, want 1", got-c0)
 	}

@@ -10,10 +10,11 @@
 // stall/livelock suspicion corroborating the fault-injection watchdog.
 //
 // A Monitor surfaces three ways: live (Subscribe feeds the SSE endpoint and
-// the -health terminal line), aggregate (engine_health_* metric families and
-// health-state transitions as span events with exemplars), and post-mortem
-// (a bounded ring of the last frames snapshotted into a schema-versioned
-// FlightBundle on fault, degradation, deadline, or request — see flight.go).
+// the -health terminal line), aggregate (engine_health_* counters and the
+// per-state run gauge, health-state transitions as span events with
+// exemplars), and post-mortem (a bounded ring of the last frames
+// snapshotted into a schema-versioned FlightBundle on fault, degradation,
+// deadline, or request — see flight.go).
 //
 // The zero-alloc-when-disabled contract holds throughout: a nil *Monitor is
 // a no-op on every method (the trace.Span convention), and a Recorder with
@@ -48,16 +49,26 @@ const (
 	// label-oscillation / livelock signature.
 	StateOscillating State = "oscillating"
 	// StateStraggling: one shard's superstep time dominates the barrier
-	// (max/median skew at or above Config.StragglerSkew).
+	// (max/median skew at or above stragglerSkew).
 	StateStraggling State = "straggling"
 	// StateStalled: the iteration took StallFactor× the recent median wall
 	// time — an SM stall, a livelocked kernel, or a rollback/retry storm.
 	StateStalled State = "stalled"
 	// StateCollapse: the quality plane reports modularity has fallen
-	// Config.CollapseDrop below the run's peak — the partition is degrading
+	// collapseDrop below the run's peak — the partition is degrading
 	// even if the flip counters look healthy (the quality-collapse verdict
 	// only exists when a quality observer feeds the monitor).
 	StateCollapse State = "quality-collapse"
+)
+
+// Verdict thresholds: the max/median superstep-time ratio that flags a
+// straggler shard, how far modularity may fall below the run's peak before
+// the quality-collapse verdict fires, and the |QualityTrend| bound of the
+// quality-plateau signal that confirms convergence.
+const (
+	stragglerSkew = 2
+	collapseDrop  = 0.1
+	plateauEps    = 1e-4
 )
 
 // stallFloor is the minimum iteration wall time before a duration blow-up
@@ -144,7 +155,7 @@ type Frame struct {
 	// samples exist; meaningful only when HasQuality).
 	ChurnNMI float64 `json:"churnNMI,omitempty"`
 	// QualityTrend is the per-iteration modularity slope over the window's
-	// quality-bearing frames; |trend| ≤ PlateauEps reads as a plateau.
+	// quality-bearing frames; |trend| ≤ plateauEps reads as a plateau.
 	QualityTrend float64 `json:"qualityTrend,omitempty"`
 
 	// State is the verdict after folding this frame in.
@@ -162,14 +173,16 @@ type Event struct {
 }
 
 // Config parameterizes a Monitor. The zero value works; SetTarget supplies
-// the graph size once known.
+// the graph size once known, and the iteration records the convergence
+// threshold.
 type Config struct {
 	// Detector names the algorithm under observation (flight metadata).
 	Detector string
 	// Vertices is |V|, the flip-rate and occupancy denominator (0 = unknown).
 	Vertices int
-	// Threshold is the run's ΔN convergence bound (Tolerance·|V|); values
-	// ≤ 1 clamp to 1 ("no change at all"), matching engine.Loop.
+	// Threshold is the ΔN convergence bound used until an iteration record
+	// carries the run's own (IterRecord.Threshold above 1, stamped by
+	// engine.Loop); values ≤ 1 clamp to 1 ("no change at all").
 	Threshold float64
 	// Window is the sliding-window length for the decay/oscillation fits
 	// (default 8).
@@ -179,15 +192,6 @@ type Config struct {
 	// StallFactor is the duration-over-median multiple that flags a stall
 	// (default 8).
 	StallFactor float64
-	// StragglerSkew is the max/median superstep-time ratio that flags a
-	// straggler shard (default 2).
-	StragglerSkew float64
-	// CollapseDrop is how far modularity may fall below the run's peak
-	// before the quality-collapse verdict fires (default 0.1).
-	CollapseDrop float64
-	// PlateauEps bounds |QualityTrend| for the quality-plateau signal that
-	// confirms convergence (default 1e-4).
-	PlateauEps float64
 	// TraceID tags metric exemplars and resolves the run's spans into the
 	// flight bundle.
 	TraceID string
@@ -297,15 +301,6 @@ func New(cfg Config) *Monitor {
 	if cfg.StallFactor <= 0 {
 		cfg.StallFactor = 8
 	}
-	if cfg.StragglerSkew <= 0 {
-		cfg.StragglerSkew = 2
-	}
-	if cfg.CollapseDrop <= 0 {
-		cfg.CollapseDrop = 0.1
-	}
-	if cfg.PlateauEps <= 0 {
-		cfg.PlateauEps = 1e-4
-	}
 	if cfg.Threshold < 1 {
 		cfg.Threshold = 1
 	}
@@ -319,18 +314,14 @@ func New(cfg Config) *Monitor {
 	return m
 }
 
-// SetTarget supplies the graph size and convergence threshold once known
-// (the HTTP job learns them only after the graph is built).
-func (m *Monitor) SetTarget(vertices int, threshold float64) {
+// SetTarget supplies the graph size once known (the HTTP job learns it only
+// after the graph is built).
+func (m *Monitor) SetTarget(vertices int) {
 	if m == nil {
 		return
 	}
-	if threshold < 1 {
-		threshold = 1
-	}
 	m.mu.Lock()
 	m.cfg.Vertices = vertices
-	m.cfg.Threshold = threshold
 	m.mu.Unlock()
 }
 
@@ -357,7 +348,7 @@ func (m *Monitor) ObserveSuperstep(iter int, durs []time.Duration, barrierWait t
 	if max > 0 {
 		share = float64(barrierWait) / (float64(len(durs)) * float64(max))
 	}
-	if skew < m.stragglerSkew() {
+	if skew < stragglerSkew {
 		straggler = -1
 	}
 	m.mu.Lock()
@@ -401,12 +392,6 @@ func (m *Monitor) QualityTrack() []telemetry.QualityRecord {
 	return append([]telemetry.QualityRecord(nil), m.qualityTrack...)
 }
 
-func (m *Monitor) stragglerSkew() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cfg.StragglerSkew
-}
-
 // ObserveIteration implements telemetry.IterSink: it derives the iteration's
 // frame, folds in any pending superstep signals, advances the state machine,
 // and fans the frame out to subscribers.
@@ -418,6 +403,9 @@ func (m *Monitor) ObserveIteration(rec telemetry.IterRecord) {
 	defer m.mu.Unlock()
 	if m.closed {
 		return
+	}
+	if rec.Threshold > 1 {
+		m.cfg.Threshold = rec.Threshold
 	}
 
 	f := Frame{
@@ -475,20 +463,11 @@ func (m *Monitor) ObserveIteration(rec telemetry.IterRecord) {
 	m.setFrameState(f)
 
 	mFrames.Inc()
-	mIterSeconds.Observe(rec.Duration.Seconds())
-	mETA.Set(f.ETAIterations)
-	mSlope.Set(f.DecaySlope)
-	mOsc.Set(f.OscillationScore)
-	mSkew.Set(f.StragglerSkew)
-	mOccupancy.Set(f.FrontierOccupancy)
 
 	if m.state != prev {
 		mStateRuns.With(string(prev)).Add(-1)
 		mStateRuns.With(string(m.state)).Add(1)
 		mTransitions.With(string(m.state)).IncExemplar(m.cfg.TraceID)
-		if m.state == StateCollapse {
-			mQualityCollapses.IncExemplar(m.cfg.TraceID)
-		}
 		if m.cfg.Span != nil {
 			m.cfg.Span.Event("health:"+string(m.state), map[string]any{
 				"iter": rec.Iter,
@@ -610,17 +589,17 @@ func (m *Monitor) verdict(f Frame) State {
 		return StateWarmup
 	}
 	windowFull := m.total >= m.cfg.Window
-	// Quality collapse: modularity has fallen CollapseDrop below the run's
+	// Quality collapse: modularity has fallen collapseDrop below the run's
 	// peak. Checked right after stall — the partition is being destroyed
 	// even when ΔN alone would read as progress. The peak floor (0.05)
 	// keeps noise around Q≈0 warmup values from arming the detector.
 	collapse := f.HasQuality && m.havePeakQ && m.peakQ > 0.05 &&
-		m.peakQ-f.Modularity >= m.cfg.CollapseDrop
+		m.peakQ-f.Modularity >= collapseDrop
 	// Quality plateau: modularity flat across the window on a positive-Q
 	// run while flips are near the threshold — confirms convergence even
 	// when the ΔN decay fit alone is too noisy to call it.
 	plateau := windowFull && f.HasQuality && f.Modularity > 0 &&
-		math.Abs(f.QualityTrend) <= m.cfg.PlateauEps &&
+		math.Abs(f.QualityTrend) <= plateauEps &&
 		float64(f.DeltaN) <= 4*m.cfg.Threshold
 	switch {
 	case f.StallSuspect:
@@ -629,7 +608,7 @@ func (m *Monitor) verdict(f Frame) State {
 		return StateCollapse
 	case windowFull && f.OscillationScore >= 0.5 && float64(f.DeltaN) > m.cfg.Threshold:
 		return StateOscillating
-	case f.Shards > 1 && f.StragglerSkew >= m.cfg.StragglerSkew:
+	case f.Shards > 1 && f.StragglerSkew >= stragglerSkew:
 		return StateStraggling
 	case f.DecaySlope < -0.05:
 		return StateConverging

@@ -284,7 +284,7 @@ func TestNilMonitorNoOps(t *testing.T) {
 	var m *Monitor
 	m.ObserveIteration(telemetry.IterRecord{Iter: 0, DeltaN: 1})
 	m.ObserveSuperstep(0, []time.Duration{time.Millisecond}, 0, 0)
-	m.SetTarget(10, 1)
+	m.SetTarget(10)
 	m.RecordEvent("x", "y")
 	m.Close()
 	if m.Frames() != nil || m.Events() != nil || m.Total() != 0 || m.State() != "" {

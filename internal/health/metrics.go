@@ -3,10 +3,10 @@ package health
 import "nulpa/internal/metrics"
 
 // The engine_health_* families: aggregate exposition of the per-run
-// monitors. Gauges carry the most recent monitored frame's signals (a
-// fleet-level "what is the engine doing right now" view — per-run detail
-// lives in the SSE stream and flight bundles); counters and histograms
-// accumulate across runs.
+// monitors. Counters accumulate across runs and the state gauge counts the
+// runs in each state; a run's own signals live in its frames (the SSE
+// stream, the -health line and the flight bundle). Quality collapses are
+// the transitions into the quality-collapse state.
 var (
 	mFrames = metrics.NewCounter("engine_health_frames_total",
 		"Health frames derived across all monitored runs.")
@@ -18,23 +18,4 @@ var (
 		"Currently monitored runs by health state.", "state")
 	mFlightDumps = metrics.NewCounterVec("engine_health_flight_dumps_total",
 		"Flight-recorder bundles captured, by reason.", "reason")
-	mQualityCollapses = metrics.NewCounter("engine_quality_collapses_total",
-		"Runs entering the quality-collapse state (exemplars carry the run's trace id).")
-
-	mETA = metrics.NewGauge("engine_health_eta_iterations",
-		"Most recent frame's extrapolated iterations to convergence (-1 unknown).")
-	mSlope = metrics.NewGauge("engine_health_decay_slope",
-		"Most recent frame's ln(deltaN) decay slope per iteration.")
-	mOsc = metrics.NewGauge("engine_health_oscillation_score",
-		"Most recent frame's oscillation score (fraction of window steps failing to decay).")
-	mSkew = metrics.NewGauge("engine_health_straggler_skew",
-		"Most recent superstep's max/median shard-time ratio.")
-	mOccupancy = metrics.NewGauge("engine_health_frontier_occupancy",
-		"Most recent frame's active-vertex share of the graph.")
-
-	// Log-spaced histogram of iteration wall time from ~10µs to ~40s, the
-	// latency distribution the stall detector summarizes. Barrier wait is
-	// nulpa_shard_barrier_wait_seconds, observed on every sharded run.
-	mIterSeconds = metrics.NewHistogram("engine_health_iteration_seconds",
-		"Monitored iteration wall time.", metrics.ExpBuckets(1e-5, 2, 22))
 )

@@ -77,7 +77,7 @@ func TestMonitorQualityFold(t *testing.T) {
 	}
 }
 
-// TestMonitorQualityCollapse: modularity falling CollapseDrop below the run's
+// TestMonitorQualityCollapse: modularity falling collapseDrop below the run's
 // peak flips the verdict to quality-collapse, with the transition on the
 // event track.
 func TestMonitorQualityCollapse(t *testing.T) {
@@ -105,7 +105,7 @@ func TestMonitorQualityCollapse(t *testing.T) {
 		t.Error("no quality-collapse transition on the event track")
 	}
 
-	// Recovery back above peak−CollapseDrop releases the verdict.
+	// Recovery back above peak−collapseDrop releases the verdict.
 	feedQuality(m, 4, 10, telemetry.QualityRecord{Modularity: 0.30}, 5*time.Millisecond)
 	if s := m.State(); s == StateCollapse {
 		t.Error("collapse verdict sticky after modularity recovered")

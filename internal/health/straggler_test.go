@@ -26,17 +26,12 @@ func TestShardLoopStragglerAttribution(t *testing.T) {
 	rec := telemetry.NewRecorder()
 	mon := health.New(health.Config{Vertices: 1000, Window: 4})
 	defer mon.Close()
-	rec.SetSink(mon)
+	tap := &superstepTap{Monitor: mon}
+	rec.SetSink(tap)
 
-	var waits []time.Duration
-	var allDurs [][]time.Duration
 	lr := engine.ShardLoop(engine.ShardLoopConfig{
 		LoopConfig: engine.LoopConfig{MaxIterations: maxIters, Threshold: 0, Profiler: rec},
 		Shards:     shards,
-		OnSuperstep: func(_ int, durs []time.Duration, wait time.Duration, _ int64) {
-			waits = append(waits, wait)
-			allDurs = append(allDurs, append([]time.Duration(nil), durs...))
-		},
 	}, func(_ context.Context, iter, s int) engine.IterOutcome {
 		if s == slow {
 			time.Sleep(slowNap)
@@ -62,9 +57,9 @@ func TestShardLoopStragglerAttribution(t *testing.T) {
 	// time. Three fast shards each wait ≈ slowNap−fastNap, so the total must
 	// exceed 2×(slowNap−fastNap) even under scheduler noise — and can never
 	// reach shards×slowNap (the slow shard itself contributes no wait).
-	for i, w := range waits {
+	for i, w := range tap.waits {
 		min := 2 * (slowNap - fastNap)
-		max := time.Duration(shards) * maxDur(allDurs[i])
+		max := time.Duration(shards) * maxDur(tap.durs[i])
 		if w < min {
 			t.Errorf("superstep %d: barrier wait %v, want >= %v (fast shards idle at the barrier)", i, w, min)
 		}
@@ -94,6 +89,20 @@ func TestShardLoopStragglerAttribution(t *testing.T) {
 	if last.State != health.StateStraggling {
 		t.Fatalf("state = %s, want %s", last.State, health.StateStraggling)
 	}
+}
+
+// superstepTap is the monitor as a run's sink, keeping a copy of each
+// superstep's shard durations and barrier wait on the way through.
+type superstepTap struct {
+	*health.Monitor
+	durs  [][]time.Duration
+	waits []time.Duration
+}
+
+func (t *superstepTap) ObserveSuperstep(iter int, durs []time.Duration, wait time.Duration, exchanged int64) {
+	t.durs = append(t.durs, append([]time.Duration(nil), durs...))
+	t.waits = append(t.waits, wait)
+	t.Monitor.ObserveSuperstep(iter, durs, wait, exchanged)
 }
 
 func maxDur(durs []time.Duration) time.Duration {

@@ -315,7 +315,8 @@ func (s *jobStore) submit(spec JobSpec, tenant string) (*job, error) {
 		j.span.SetString("graph", spec.Graph.String())
 	}
 	// The health monitor rides the recorder's iteration stream; the graph
-	// size arrives via SetTarget once the run has built it.
+	// size arrives via SetTarget once the run has built it, and the
+	// convergence threshold with the iteration records.
 	j.health = health.New(health.Config{
 		Detector: spec.Algo,
 		TraceID:  j.traceID,
@@ -501,7 +502,7 @@ func (j *job) execute(ctx context.Context) (out any, err error) {
 	if err != nil {
 		return nil, err
 	}
-	j.health.SetTarget(g.NumVertices(), j.spec.Tolerance*float64(g.NumVertices()))
+	j.health.SetTarget(g.NumVertices())
 	// A cancel that lands while the graph was building should not start the
 	// detector at all.
 	if cerr := ctx.Err(); cerr != nil {

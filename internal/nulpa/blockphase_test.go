@@ -95,6 +95,7 @@ func (d *diffRun) step(iter int) int64 {
 	st, opt := d.r.st, d.r.opt
 	st.pickless = opt.PickLessEvery > 0 && iter%opt.PickLessEvery == 0
 	st.deltaN = 0
+	st.iterHash = hashtable.StatsSnapshot{}
 	d.r.dev.Launch1D(len(d.r.low), opt.BlockDim, d.thread)
 	d.r.dev.Launch(len(d.r.high), opt.BlockDim, d.block)
 	return st.deltaN
@@ -170,7 +171,7 @@ func checkBlockPhaseDiff(t *testing.T, g *graph.CSR, opt Options, iters int) {
 		if !slices.Equal(blk.r.st.processed, lane.r.st.processed) {
 			t.Fatalf("iteration %d: processed flags differ", iter)
 		}
-		if b, l := blk.r.res.HashStats.Snapshot(), lane.r.res.HashStats.Snapshot(); b != l {
+		if b, l := blk.r.st.iterHash, lane.r.st.iterHash; b != l {
 			t.Fatalf("iteration %d: hashtable stats %+v (block-phase) vs %+v (per-lane)", iter, b, l)
 		}
 	}

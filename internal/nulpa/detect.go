@@ -121,14 +121,12 @@ type runState struct {
 	// tallies[s], with plain adds; FoldTallies sums them on the launching
 	// goroutine once the grid has joined, so no lane ever contends on a
 	// shared counter. count gates the work and hashtable counters on every
-	// backend alike: set if and only if the run reports to a profiler, and
-	// stats (the Result's HashStats) is then non-nil. iterEdges, iterActive
-	// and iterHash sum the iteration's folds for the IterRecord, and listed
-	// is the number of vertices the run processes when none is pruned, so
-	// Pruned = listed − iterActive.
+	// backend alike: set if and only if the run reports to a profiler.
+	// iterEdges, iterActive and iterHash sum the iteration's folds for the
+	// IterRecord, and listed is the number of vertices the run processes
+	// when none is pruned, so Pruned = listed − iterActive.
 	tallies    []smTally
 	count      bool
-	stats      *hashtable.Stats
 	iterEdges  int64
 	iterActive int64
 	iterHash   hashtable.StatsSnapshot
@@ -136,8 +134,8 @@ type runState struct {
 }
 
 // newRunState allocates the state of a run over g: the hashtable arena, the
-// label array (a copy of labels, or the identity labeling when nil), the
-// pruning flags, and — when count is set — the Result's HashStats.
+// label array (a copy of labels, or the identity labeling when nil) and the
+// pruning flags. count turns on work and hashtable counting.
 func newRunState(g *graph.CSR, opt Options, labels []uint32, count bool) *runState {
 	n := g.NumVertices()
 	st := &runState{
@@ -147,9 +145,6 @@ func newRunState(g *graph.CSR, opt Options, labels []uint32, count bool) *runSta
 		processed: make([]uint32, n),
 		noPrune:   opt.DisablePruning,
 		count:     count,
-	}
-	if count {
-		st.stats = &hashtable.Stats{}
 	}
 	if labels != nil {
 		copy(st.labels, labels)
@@ -189,10 +184,10 @@ func (st *runState) GrowTallies(sms int) {
 }
 
 // FoldTallies implements simt.TallyKernel: it moves every per-SM tally into
-// the run's totals — deltaN, reverts, the iteration's work and hashtable
-// sums, the hashtable Stats and metrics — zeroes it, and returns the
-// launch's work ledger, in which a Cross-Check revert counts as a label
-// flip back. Callers must have joined every goroutine that counts.
+// the iteration's totals — deltaN, reverts, the work and hashtable sums —
+// and the hashtable metrics, zeroes it, and returns the launch's work
+// ledger, in which a Cross-Check revert counts as a label flip back.
+// Callers must have joined every goroutine that counts.
 func (st *runState) FoldTallies() telemetry.WorkCounts {
 	var w telemetry.WorkCounts
 	for i := range st.tallies {
@@ -203,7 +198,7 @@ func (st *runState) FoldTallies() telemetry.WorkCounts {
 		w.EdgeVisits += tl.edges
 		w.ActiveVertices += tl.active
 		tl.flips, tl.reverts, tl.edges, tl.active = 0, 0, 0, 0
-		d := tl.hash.Fold(st.stats)
+		d := tl.hash.Fold()
 		st.iterHash = st.iterHash.Add(d)
 		w.HashProbes += d.Probes
 		w.HashCollisions += d.Collisions
@@ -239,15 +234,15 @@ type runView struct {
 }
 
 // deviceRun is one device's share of a ν-LPA run: the kernel state, the
-// degree-partitioned launch lists, the per-iteration checkpoint, and the
-// recovery budget. detectSharded owns one per shard (one in all on a
-// single device) and drives them through engine.ShardLoop, so one shard's
-// rollback/retry never restarts its peers.
+// degree-partitioned launch lists, the per-iteration checkpoint, the
+// recovery budget, and the shard's own counts. detectSharded owns one per
+// shard (one in all on a single device) and drives them through
+// engine.ShardLoop, so one shard's rollback/retry never restarts its peers.
 type deviceRun struct {
 	st         *runState
 	dev        *simt.Device
 	opt        Options
-	res        *Result
+	stat       ShardStat
 	tk         *threadKernel
 	bk         *blockKernel
 	low, high  []graph.Vertex
@@ -292,7 +287,7 @@ func newDeviceRun(g *graph.CSR, opt Options, dev *simt.Device, view runView) (*d
 		st:   st,
 		dev:  dev,
 		opt:  opt,
-		res:  &Result{DeviceBytes: bytes, HashStats: st.stats},
+		stat: ShardStat{DeviceBytes: bytes},
 		tk:   &threadKernel{runState: st, list: low, cand: make([]uint32, len(low))},
 		bk:   &blockKernel{runState: st, list: high},
 		low:  low,
@@ -334,7 +329,7 @@ func (r *deviceRun) free() { r.dev.Free(r.bytes) }
 // rollback/retry recovery ladder. It is the body detectSharded hands (per
 // shard) to engine.ShardLoop.
 func (r *deviceRun) iterate(ctx context.Context, iter int) engine.IterOutcome {
-	st, res, opt, dev := r.st, r.res, r.opt, r.dev
+	st, opt, dev := r.st, r.opt, r.dev
 	// ctx carries the iteration's trace span (shadowing the run context),
 	// so kernel launches below nest under the iteration and recovery
 	// activity lands on it as events.
@@ -401,7 +396,7 @@ func (r *deviceRun) iterate(ctx context.Context, iter int) engine.IterOutcome {
 		}
 		copy(st.labels, r.ckptLabels)
 		copy(st.processed, r.ckptProcessed)
-		res.Rollbacks++
+		r.stat.Rollbacks++
 		mRollbacks.Inc()
 		ispan.Event("rollback", map[string]any{"attempt": int64(attempt), "error": err.Error()})
 		if attempt+1 >= r.maxRetries {
@@ -409,14 +404,16 @@ func (r *deviceRun) iterate(ctx context.Context, iter int) engine.IterOutcome {
 				ErrFaulted, iter, attempt+1, err)}
 		}
 		rec.Retries++
-		res.Retries++
+		r.stat.Retries++
 		mRetries.Inc()
 		ispan.Event("retry", map[string]any{"attempt": int64(attempt + 1)})
 		if !sleepCtx(ctx, r.backoff<<attempt) {
 			return engine.IterOutcome{Err: engine.CtxErr(ctx.Err())}
 		}
 	}
-	return st.endIter(&opt, res, rec)
+	out := st.endIter(&opt, rec)
+	r.stat.Moves += out.Record.DeltaN
+	return out
 }
 
 // beginIter starts an attempt at iteration iter, on either backend: it sets
@@ -433,15 +430,12 @@ func (st *runState) beginIter(opt *Options, iter int) {
 	}
 }
 
-// endIter closes an iteration whose counters have been folded: it adds the
-// net moves and reverts to the run's Result res and returns the iteration's
-// outcome. rec carries the backend's own record fields (kernel times,
+// endIter closes an iteration whose counters have been folded and returns
+// its outcome. rec carries the backend's own record fields (kernel times,
 // retries); endIter fills in the rest.
-func (st *runState) endIter(opt *Options, res *Result, rec IterStat) engine.IterOutcome {
+func (st *runState) endIter(opt *Options, rec IterStat) engine.IterOutcome {
 	gross, reverts := st.deltaN, st.reverts
 	delta := gross - reverts
-	res.Moves += delta
-	res.Reverts += reverts
 	rec.PickLess = st.pickless
 	rec.CrossCheck = st.crosscheck
 	rec.Moves = gross
@@ -455,6 +449,7 @@ func (st *runState) endIter(opt *Options, res *Result, rec IterStat) engine.Iter
 		rec.HashProbes = st.iterHash.Probes
 		rec.HashCollisions = st.iterHash.Collisions
 		rec.HashFallbacks = st.iterHash.Fallbacks
+		rec.HashFailures = st.iterHash.Failures
 	}
 	return engine.IterOutcome{
 		Record: rec,

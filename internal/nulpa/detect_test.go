@@ -101,7 +101,7 @@ func TestCrossCheckBreaksSwaps(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("CC1 did not converge on matched pairs (%d iterations)", res.Iterations)
 	}
-	if res.Reverts == 0 {
+	if telemetry.Sum(res.Trace).Reverts == 0 {
 		t.Error("CC converged without any reverts — test is not exercising the revert path")
 	}
 	for v := 0; v+1 < 512; v += 2 {
@@ -304,11 +304,11 @@ func TestTrackStats(t *testing.T) {
 	g := gen.ErdosRenyi(400, 2400, 3)
 	opt := DefaultOptions()
 	opt.Profiler = telemetry.NewRecorder()
-	res := detect(t, g, opt)
-	if res.HashStats == nil || res.HashStats.Accumulates.Load() == 0 {
+	sum := telemetry.Sum(detect(t, g, opt).Trace)
+	if sum.HashAccumulates == 0 {
 		t.Error("a profiled run produced no accounting")
 	}
-	if res.HashStats.Probes.Load() < res.HashStats.Accumulates.Load() {
+	if sum.HashProbes < sum.HashAccumulates {
 		t.Error("fewer probes than accumulates")
 	}
 }
@@ -318,13 +318,6 @@ func TestDeltaHistoryShape(t *testing.T) {
 	res := detect(t, g, DefaultOptions())
 	if len(res.Trace) != res.Iterations {
 		t.Fatalf("history length %d != iterations %d", len(res.Trace), res.Iterations)
-	}
-	var sum int64
-	for _, rec := range res.Trace {
-		sum += rec.DeltaN
-	}
-	if sum != res.Moves {
-		t.Errorf("history sum %d != moves %d", sum, res.Moves)
 	}
 }
 
@@ -411,8 +404,7 @@ func TestPruningReducesWork(t *testing.T) {
 		opt := DefaultOptions()
 		opt.DisablePruning = disable
 		opt.Profiler = telemetry.NewRecorder()
-		res := detect(t, g, opt)
-		return res.HashStats.Accumulates.Load()
+		return telemetry.Sum(detect(t, g, opt).Trace).HashAccumulates
 	}
 	withPruning := run(false)
 	without := run(true)
@@ -438,16 +430,10 @@ func TestIterationTrace(t *testing.T) {
 		if res.Iterations > 1 && res.Trace[1].PickLess {
 			t.Errorf("backend=%v: iteration 1 should not be pick-less", backend)
 		}
-		var gross, reverts int64
 		for _, it := range res.Trace {
-			gross += it.Moves
-			reverts += it.Reverts
 			if it.Duration <= 0 {
 				t.Errorf("backend=%v: non-positive iteration duration", backend)
 			}
-		}
-		if gross-reverts != res.Moves {
-			t.Errorf("backend=%v: trace moves %d - reverts %d != result moves %d", backend, gross, reverts, res.Moves)
 		}
 	}
 }
@@ -512,7 +498,7 @@ func TestWeightedPickLess(t *testing.T) {
 }
 
 // TestProfiledFoldAllocatesNothing pins the per-launch fold of a profiled
-// run — per-SM hashtable tallies into HashStats and the probe-length
+// run — per-SM hashtable tallies into the iteration's sums and the probe-length
 // histogram, flips into deltaN, edge visits into the launch's ledger — to
 // zero allocations, so the cost of counting stays a few plain adds per lane
 // and a fixed fold per launch.
@@ -539,7 +525,7 @@ func TestProfiledFoldAllocatesNothing(t *testing.T) {
 		st.tallies[sm].flips++
 		st.tallies[sm].edges += int64(g.Degree(i))
 	}
-	before := st.stats.Snapshot()
+	before := st.iterHash.Accumulates
 	allocs := testing.AllocsPerRun(100, func() {
 		lane(0)
 		lane(1)
@@ -548,7 +534,7 @@ func TestProfiledFoldAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("profiled fold allocates %v per launch, want 0", allocs)
 	}
-	if d := st.stats.Snapshot().Sub(before); d.Accumulates != 2*101 {
-		t.Errorf("folded %d accumulates over 101 runs of 2 lanes, want %d", d.Accumulates, 2*101)
+	if d := st.iterHash.Accumulates - before; d != 2*101 {
+		t.Errorf("folded %d accumulates over 101 runs of 2 lanes, want %d", d, 2*101)
 	}
 }

@@ -27,7 +27,7 @@ func detectDirect(g *graph.CSR, opt Options) (*Result, error) {
 	}
 
 	st := newRunState(g, opt, nil, opt.Profiler != nil)
-	res := &Result{DeviceBytes: st.arena.bytes(), HashStats: st.stats}
+	res := &Result{DeviceBytes: st.arena.bytes()}
 	// Worker w counts into tallies[w] exactly as SM w does
 	// on the simt backend, under the same rule: only when profiled.
 	st.GrowTallies(workers)
@@ -74,7 +74,7 @@ func detectDirect(g *graph.CSR, opt Options) (*Result, error) {
 			})
 		}
 		st.FoldTallies()
-		return st.endIter(&opt, res, IterStat{})
+		return st.endIter(&opt, IterStat{})
 	})
 	if lr.Err != nil {
 		return nil, lr.Err

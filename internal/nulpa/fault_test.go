@@ -12,6 +12,7 @@ import (
 	"nulpa/internal/graph"
 	"nulpa/internal/quality"
 	"nulpa/internal/simt"
+	"nulpa/internal/telemetry"
 )
 
 // faultGraph is a planted partition small enough to chaos-test quickly but
@@ -31,7 +32,7 @@ func TestSIMTRecoversFromFaults(t *testing.T) {
 	}
 	checkLabelsValid(t, g, res.Labels)
 	if res.Degraded {
-		t.Logf("run degraded to the direct backend (retries=%d rollbacks=%d)", res.Retries, res.Rollbacks)
+		t.Log("run degraded to the direct backend")
 	}
 	if nmi := quality.NMI(res.Labels, truth); nmi < 0.85 {
 		t.Errorf("NMI under faults = %.3f, want >= 0.85", nmi)
@@ -40,7 +41,7 @@ func TestSIMTRecoversFromFaults(t *testing.T) {
 	if c.Total() == 0 {
 		t.Error("fault injector fired nothing at 10% rates")
 	}
-	if c.KernelFails > 0 && res.Retries == 0 && !res.Degraded {
+	if c.KernelFails > 0 && telemetry.Sum(res.Trace).Retries == 0 && !res.Degraded {
 		t.Errorf("injector failed %d launches but the run recorded no retries and did not degrade", c.KernelFails)
 	}
 }
@@ -101,9 +102,10 @@ func TestSIMTDeterministicUnderFaults(t *testing.T) {
 		return res
 	}
 	a, b := run(), run()
-	if a.Retries != b.Retries || a.Rollbacks != b.Rollbacks {
+	ra, rb := telemetry.Sum(a.Trace).Retries, telemetry.Sum(b.Trace).Retries
+	if ra != rb || a.Rollbacks != b.Rollbacks {
 		t.Errorf("recovery differs between identical runs: %d/%d vs %d/%d retries/rollbacks",
-			a.Retries, b.Retries, a.Rollbacks, b.Rollbacks)
+			ra, rb, a.Rollbacks, b.Rollbacks)
 	}
 	if a.Degraded != b.Degraded {
 		t.Errorf("Degraded differs between identical runs")
@@ -171,7 +173,7 @@ func TestCheckpointWithoutFaults(t *testing.T) {
 			t.Fatalf("labels[%d] differ with checkpointing on: %d vs %d", i, a.Labels[i], b.Labels[i])
 		}
 	}
-	if b.Retries != 0 || b.Rollbacks != 0 || b.Degraded {
+	if telemetry.Sum(b.Trace).Retries != 0 || b.Rollbacks != 0 || b.Degraded {
 		t.Errorf("checkpoint-only run recorded recovery: %+v", b)
 	}
 }

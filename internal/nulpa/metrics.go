@@ -18,6 +18,7 @@ var (
 
 // Sharded-execution metrics. The per-shard families are labeled by shard id,
 // so /metrics can attribute halo traffic and memory to individual devices.
+// The superstep count and barrier wait are engine.ShardLoop's.
 var (
 	mShardHaloLabels = metrics.NewCounterVec("nulpa_shard_halo_labels_total",
 		"Changed ghost labels received at BSP superstep barriers, per shard.", "shard")
@@ -25,11 +26,6 @@ var (
 		"Boundary-cut arcs of the most recent sharded run, per shard.", "shard")
 	mShardMemBytes = metrics.NewGaugeVec("nulpa_shard_mem_bytes",
 		"Simulated device memory reserved by the most recent sharded run, per shard.", "shard")
-	mShardBarrierWait = metrics.NewHistogram("nulpa_shard_barrier_wait_seconds",
-		"Idle time shards spent at the BSP barrier waiting for the slowest peer, per superstep.",
-		metrics.ExpBuckets(1e-6, 4, 12))
-	mShardSupersteps = metrics.NewCounter("nulpa_shard_supersteps_total",
-		"BSP supersteps (barrier crossings) executed by the sharded backend.")
 	mShardCommunities = metrics.NewGaugeVec("nulpa_shard_communities",
 		"Distinct labels among owned vertices at the end of the most recent sharded run, per shard.", "shard")
 	mShardMoves = metrics.NewCounterVec("nulpa_shard_label_flips_total",

@@ -91,8 +91,8 @@ type Options struct {
 	// (kernel launches, per-SM busy spans on the SIMT backend) and a copy
 	// of every per-iteration record. A run counts its work and hashtable
 	// probes — the records' EdgeVisits, ActiveVertices, Pruned and Hash*
-	// fields, and Result.HashStats — if and only if it reports to a
-	// profiler: this one, or a profiler already on Device.
+	// fields — if and only if it reports to a profiler: this one, or a
+	// profiler already on Device.
 	Profiler *telemetry.Recorder
 	// DisablePruning turns off the vertex-pruning optimization (every
 	// vertex is processed every iteration) — the ablation for the paper's
@@ -174,7 +174,10 @@ func DefaultShardedOptions() Options {
 // record type, so ν-LPA traces are directly comparable with the baselines'.
 type IterStat = telemetry.IterRecord
 
-// Result reports a completed ν-LPA run.
+// Result reports a completed ν-LPA run. Its run totals are sums of the
+// trace: moves are Σ DeltaN, Cross-Check reverts Σ Reverts, fault-recovery
+// retries Σ Retries, hashtable counts Σ Hash* (telemetry.Sum adds them all),
+// and halo labels exchanged Σ ShardStats[s].HaloLabelsIn.
 type Result struct {
 	// Labels is the community membership of each vertex.
 	Labels []uint32
@@ -184,34 +187,20 @@ type Result struct {
 	// when MaxIterations was exhausted — the paper's symptom of unmitigated
 	// community swaps).
 	Converged bool
-	// Moves is the total number of label changes, net of Cross-Check
-	// reverts.
-	Moves int64
-	// Reverts is the number of Cross-Check reverts performed.
-	Reverts int64
 	// Trace records per-iteration diagnostics (always populated; one entry
 	// per iteration).
 	Trace []IterStat
-	// HashStats holds probe accounting when the run counted (it reported
-	// to a profiler); nil otherwise.
-	HashStats *hashtable.Stats
 	// Duration is the wall time of the propagation loop (excluding graph
 	// loading, including kernel launches).
 	Duration time.Duration
 	// DeviceBytes is the simulated device memory the run reserved.
 	DeviceBytes int64
-	// Retries is the number of iteration re-executions fault recovery
-	// performed (simt backend).
-	Retries int64
 	// Rollbacks is the number of checkpoint restores — one per failed
 	// attempt that had a checkpoint to return to.
 	Rollbacks int64
 	// Degraded reports that the simt backend exhausted its recovery budget
 	// and the run completed on the sequential backend instead.
 	Degraded bool
-	// HaloLabels is the total number of changed ghost labels exchanged at
-	// BSP superstep barriers (sharded runs).
-	HaloLabels int64
 	// CutArcs is the number of boundary-crossing arcs of the shard plan
 	// (sharded runs; each cut undirected edge counted twice).
 	CutArcs int64
@@ -240,8 +229,8 @@ type ShardStat struct {
 	// on one shard rolls back that shard only.
 	Retries   int64
 	Rollbacks int64
-	// Moves is the shard's gross label-change count across the run — the
-	// quality plane's per-shard churn attribution.
+	// Moves is the shard's label-change count across the run, net of
+	// Cross-Check reverts — the quality plane's per-shard churn attribution.
 	Moves int64
 	// Communities is the number of distinct labels among the shard's owned
 	// vertices at the end of the run (communities spanning shards count once

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
-	"time"
 
 	"nulpa/internal/engine"
 	"nulpa/internal/graph"
-	"nulpa/internal/hashtable"
 	"nulpa/internal/partition"
 	"nulpa/internal/shard"
 	"nulpa/internal/simt"
@@ -64,7 +62,7 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 		sms = max(runtime.GOMAXPROCS(0)/k, 1)
 	}
 
-	res := &Result{ShardStats: make([]ShardStat, k)}
+	res := &Result{}
 	runs := make([]*deviceRun, k)
 	defer func() {
 		for _, r := range runs {
@@ -98,7 +96,7 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 		}
 		runs[s] = run
 		stat.DeviceBytes = run.bytes
-		res.ShardStats[s] = stat
+		run.stat = stat
 		res.DeviceBytes += run.bytes
 		if plan != nil {
 			lbl := strconv.Itoa(s)
@@ -107,9 +105,6 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 		}
 	}
 
-	if runs[0].st.count {
-		res.HashStats = &hashtable.Stats{}
-	}
 	labelArrs := make([][]uint32, k)
 	for s, r := range runs {
 		labelArrs[s] = r.st.labels
@@ -120,7 +115,7 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 	var qlabels []uint32
 
 	// With one shard, ShardLoop runs the body inline and never calls the
-	// superstep, gather or exchange hooks, which need a plan.
+	// gather or exchange hooks, which need a plan.
 	lr := engine.ShardLoop(engine.ShardLoopConfig{
 		LoopConfig: engine.LoopConfig{
 			MaxIterations: opt.MaxIterations,
@@ -129,10 +124,6 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 			Profiler:      opt.Profiler,
 		},
 		Shards: k,
-		OnSuperstep: func(_ int, _ []time.Duration, wait time.Duration, _ int64) {
-			mShardSupersteps.Inc()
-			mShardBarrierWait.Observe(wait.Seconds())
-		},
 		GatherLabels: func() []uint32 {
 			if qlabels == nil {
 				qlabels = make([]uint32, n)
@@ -150,11 +141,10 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 		})
 		for s, c := range st.PerShard {
 			if c > 0 {
-				res.ShardStats[s].HaloLabelsIn += c
+				runs[s].stat.HaloLabelsIn += c
 				mShardHaloLabels.With(strconv.Itoa(s)).Add(c)
 			}
 		}
-		res.HaloLabels += st.Updated
 		return st.Updated, nil
 	})
 	if lr.Err != nil {
@@ -165,16 +155,10 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 	res.Converged = lr.Converged
 	res.Trace = lr.Trace
 	res.Duration = lr.Duration
+	res.ShardStats = make([]ShardStat, k)
 	for s, r := range runs {
-		rr := r.res
-		res.Moves += rr.Moves
-		res.Reverts += rr.Reverts
-		res.Retries += rr.Retries
-		res.Rollbacks += rr.Rollbacks
-		res.ShardStats[s].Retries = rr.Retries
-		res.ShardStats[s].Rollbacks = rr.Rollbacks
-		res.ShardStats[s].Moves = rr.Moves
-		res.HashStats.Add(rr.HashStats.Snapshot())
+		res.ShardStats[s] = r.stat
+		res.Rollbacks += r.stat.Rollbacks
 	}
 	if plan == nil {
 		res.Labels = labelArrs[0]

@@ -12,6 +12,7 @@ import (
 	"nulpa/internal/graph"
 	"nulpa/internal/quality"
 	"nulpa/internal/simt"
+	"nulpa/internal/telemetry"
 )
 
 // shardedOpts returns a deterministic sharded configuration: one SM per
@@ -44,8 +45,8 @@ func TestShardedSingleShardMatchesSingleDevice(t *testing.T) {
 	if !slices.Equal(single.Labels, res.Labels) {
 		t.Fatal("shards=1 labels differ from the single-device backend")
 	}
-	if res.HaloLabels != 0 || res.CutArcs != 0 {
-		t.Errorf("shards=1 reported halo traffic: halo=%d cut=%d", res.HaloLabels, res.CutArcs)
+	if halo := haloLabels(res); halo != 0 || res.CutArcs != 0 {
+		t.Errorf("shards=1 reported halo traffic: halo=%d cut=%d", halo, res.CutArcs)
 	}
 	if len(res.ShardStats) != 1 || res.ShardStats[0].Owned != g.NumVertices() {
 		t.Errorf("shard stats: %+v", res.ShardStats)
@@ -65,8 +66,8 @@ func TestShardedDeterministicAtFixedSeed(t *testing.T) {
 	if !slices.Equal(a.Labels, b.Labels) {
 		t.Fatal("same configuration, different labels")
 	}
-	if a.HaloLabels != b.HaloLabels {
-		t.Fatalf("halo traffic differs between identical runs: %d vs %d", a.HaloLabels, b.HaloLabels)
+	if ha, hb := haloLabels(a), haloLabels(b); ha != hb {
+		t.Fatalf("halo traffic differs between identical runs: %d vs %d", ha, hb)
 	}
 }
 
@@ -132,7 +133,7 @@ func TestShardedHaloTrafficAndQuality(t *testing.T) {
 		t.Fatalf("labels length %d", len(res.Labels))
 	}
 	// A connected community graph split four ways must exchange labels.
-	if res.HaloLabels == 0 {
+	if haloLabels(res) == 0 {
 		t.Error("no halo labels exchanged on a connected graph with 4 shards")
 	}
 	if res.CutArcs == 0 {
@@ -179,8 +180,8 @@ func TestShardedZeroBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.HaloLabels != 0 || res.CutArcs != 0 {
-		t.Errorf("disconnected shards exchanged labels: halo=%d cut=%d", res.HaloLabels, res.CutArcs)
+	if halo := haloLabels(res); halo != 0 || res.CutArcs != 0 {
+		t.Errorf("disconnected shards exchanged labels: halo=%d cut=%d", halo, res.CutArcs)
 	}
 	// Each clique collapses to one community; the two communities differ.
 	for v := 1; v < 10; v++ {
@@ -257,7 +258,8 @@ func TestShardedOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Reverts == 0 {
+	wantReverts := telemetry.Sum(want.Trace).Reverts
+	if wantReverts == 0 {
 		t.Fatal("Cross-Check reverted nothing: the comparison is vacuous")
 	}
 	opt = shardedOpts(1)
@@ -267,9 +269,9 @@ func TestShardedOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Cross-Check with Shards=1 rejected: %v", err)
 	}
-	if !slices.Equal(got.Labels, want.Labels) || got.Reverts != want.Reverts {
+	if gotReverts := telemetry.Sum(got.Trace).Reverts; !slices.Equal(got.Labels, want.Labels) || gotReverts != wantReverts {
 		t.Errorf("Cross-Check with Shards=1: %d reverts (single-device %d), labels equal %v",
-			got.Reverts, want.Reverts, slices.Equal(got.Labels, want.Labels))
+			gotReverts, wantReverts, slices.Equal(got.Labels, want.Labels))
 	}
 	opt.Shards = 2
 	if _, err := Detect(web, opt); err == nil {
@@ -376,4 +378,14 @@ func TestShardedDeviceBytesSumAndMemReleased(t *testing.T) {
 	if sum != res.DeviceBytes {
 		t.Fatalf("per-shard bytes sum %d != total %d", sum, res.DeviceBytes)
 	}
+}
+
+// haloLabels is a run's halo traffic: the changed ghost labels its shards
+// received at the barriers.
+func haloLabels(res *Result) int64 {
+	var n int64
+	for _, ss := range res.ShardStats {
+		n += ss.HaloLabelsIn
+	}
+	return n
 }

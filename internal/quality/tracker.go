@@ -33,8 +33,6 @@ func sizeBucket(s int32) int {
 // TrackerConfig parameterizes a Tracker. The zero value selects the
 // published defaults.
 type TrackerConfig struct {
-	// Gamma is the modularity resolution γ (0 means 1, classic modularity).
-	Gamma float64
 	// SampleEvery is the exact-recompute cadence in observed iterations:
 	// every SampleEvery-th Observe also runs the O(E) exact modularity,
 	// reports the estimator's drift, rebases the incremental sums, and
@@ -167,9 +165,6 @@ type Tracker struct {
 // NewTracker returns a Tracker for g. Nothing is allocated until the first
 // Observe.
 func NewTracker(g *graph.CSR, cfg TrackerConfig) *Tracker {
-	if cfg.Gamma == 0 {
-		cfg.Gamma = 1
-	}
 	if cfg.SampleEvery == 0 {
 		cfg.SampleEvery = 8
 	}
@@ -297,12 +292,13 @@ func (t *Tracker) applyFlips(labels []uint32, ls *LiveStats) {
 	}
 }
 
-// estimate is Q̂ = Σσ/2m − γ·ΣΣ²/(2m)² from the incremental sums.
+// estimate is Q̂ = Σσ/2m − ΣΣ²/(2m)² from the incremental sums (classic
+// modularity, γ = 1).
 func (t *Tracker) estimate() float64 {
 	if t.twoM == 0 {
 		return 0
 	}
-	return t.sumIntra/t.twoM - t.cfg.Gamma*t.sumSq/(t.twoM*t.twoM)
+	return t.sumIntra/t.twoM - t.sumSq/(t.twoM*t.twoM)
 }
 
 // census scans the community sizes into the count/share/entropy/bucket view.

@@ -51,6 +51,9 @@ type IterRecord struct {
 	Retries int64 `json:"retries,omitempty"`
 	// Duration is the iteration's wall time.
 	Duration time.Duration `json:"duration"`
+	// Threshold is the convergence loop's ΔN bound for the run (τ·|V| on
+	// ν-LPA), stamped by the loop; zero when the loop has no ΔN test.
+	Threshold float64 `json:"threshold,omitempty"`
 	// ThreadKernel, BlockKernel and CrossKernel are the wall times of the
 	// thread-per-vertex, block-per-vertex and Cross-Check kernel launches
 	// (SIMT backend only).
@@ -62,6 +65,7 @@ type IterRecord struct {
 	HashProbes      int64 `json:"hashProbes,omitempty"`
 	HashCollisions  int64 `json:"hashCollisions,omitempty"`
 	HashFallbacks   int64 `json:"hashFallbacks,omitempty"`
+	HashFailures    int64 `json:"hashFailures,omitempty"`
 	// EdgeVisits is the number of edge (arc) inspections performed this
 	// iteration: neighbour scans during label accumulation plus
 	// neighbourhood wake-up scans after moves. The primary work counter —
@@ -75,6 +79,40 @@ type IterRecord struct {
 	// convergence loop when the run has quality accounting enabled; nil
 	// otherwise.
 	Quality *QualityRecord `json:"quality,omitempty"`
+}
+
+// Add returns r with o's counters added and o's phase flags ORed in: one
+// superstep's record across its shards, or, summed over a trace, a run's
+// totals. Iter, Duration, Threshold and Quality stay r's, since they
+// describe one iteration of one loop rather than a count.
+func (r IterRecord) Add(o IterRecord) IterRecord {
+	r.PickLess = r.PickLess || o.PickLess
+	r.CrossCheck = r.CrossCheck || o.CrossCheck
+	r.Moves += o.Moves
+	r.Reverts += o.Reverts
+	r.DeltaN += o.DeltaN
+	r.Pruned += o.Pruned
+	r.Retries += o.Retries
+	r.ThreadKernel += o.ThreadKernel
+	r.BlockKernel += o.BlockKernel
+	r.CrossKernel += o.CrossKernel
+	r.HashAccumulates += o.HashAccumulates
+	r.HashProbes += o.HashProbes
+	r.HashCollisions += o.HashCollisions
+	r.HashFallbacks += o.HashFallbacks
+	r.HashFailures += o.HashFailures
+	r.EdgeVisits += o.EdgeVisits
+	r.ActiveVertices += o.ActiveVertices
+	return r
+}
+
+// Sum is a run's totals: the counters of its trace added up.
+func Sum(recs []IterRecord) IterRecord {
+	var t IterRecord
+	for _, r := range recs {
+		t = t.Add(r)
+	}
+	return t
 }
 
 // SMSpan is one streaming multiprocessor's busy span within a kernel launch.

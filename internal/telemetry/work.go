@@ -54,14 +54,8 @@ func RecordWork(r IterRecord) WorkCounts {
 }
 
 // TotalWork sums a run's iteration trace into one ledger — the run-grained
-// work view bench captures and the engine exports per detector.
-func TotalWork(recs []IterRecord) WorkCounts {
-	var w WorkCounts
-	for _, r := range recs {
-		w = w.Add(RecordWork(r))
-	}
-	return w
-}
+// work view.
+func TotalWork(recs []IterRecord) WorkCounts { return RecordWork(Sum(recs)) }
 
 // KernelWork implements the simt Profiler hook: it attaches a launch's
 // algorithmic work ledger to the recorded Launch. Safe for concurrent use.

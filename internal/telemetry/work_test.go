@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -53,5 +54,40 @@ func TestRecorderKernelWork(t *testing.T) {
 	}
 	if got := byName["thread"].ActiveVertices; got != 6 {
 		t.Errorf("thread active vertices = %d, want 6", got)
+	}
+}
+
+// TestSumAddsEveryCounter walks IterRecord with reflection: every integer
+// counter (durations included) except Iter and Duration must be summed by
+// Sum and every bool flag ORed, so a counter added to the record cannot be
+// silently dropped from a run's totals.
+func TestSumAddsEveryCounter(t *testing.T) {
+	var rec IterRecord
+	v := reflect.ValueOf(&rec).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch v.Field(i).Kind() {
+		case reflect.Int, reflect.Int64:
+			v.Field(i).SetInt(int64(i + 1))
+		case reflect.Bool:
+			v.Field(i).SetBool(true)
+		}
+	}
+	sum := reflect.ValueOf(Sum([]IterRecord{rec, rec}))
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		switch v.Field(i).Kind() {
+		case reflect.Int, reflect.Int64:
+			want := 2 * int64(i+1)
+			if name == "Iter" || name == "Duration" {
+				want = 0 // one iteration's, not a count: Sum starts from zero
+			}
+			if got := sum.Field(i).Int(); got != want {
+				t.Errorf("Sum %s = %d, want %d", name, got, want)
+			}
+		case reflect.Bool:
+			if !sum.Field(i).Bool() {
+				t.Errorf("Sum dropped flag %s", name)
+			}
+		}
 	}
 }
