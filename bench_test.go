@@ -21,7 +21,6 @@ import (
 	"nulpa/internal/nulpa"
 	"nulpa/internal/plp"
 	"nulpa/internal/quality"
-	"nulpa/internal/simt"
 )
 
 // benchGraphs is the representative per-class subset used by the Go
@@ -43,9 +42,6 @@ func runNuLPA(b *testing.B, g *graph.CSR, opt nulpa.Options) *nulpa.Result {
 	var res *nulpa.Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		if opt.Backend == nulpa.BackendSIMT {
-			opt.Device = simt.NewDevice(0)
-		}
 		res, err = nulpa.Detect(g, opt)
 		if err != nil {
 			b.Fatal(err)
@@ -193,9 +189,7 @@ func BenchmarkFigCompare(b *testing.B) {
 	})
 	b.Run("nuLPA-direct", func(b *testing.B) {
 		eachGraph(b, func(b *testing.B, g *graph.CSR) {
-			opt := nulpa.DefaultOptions()
-			opt.Backend = nulpa.BackendDirect
-			runNuLPA(b, g, opt)
+			runNuLPA(b, g, nulpa.DirectOptions())
 		})
 	})
 }

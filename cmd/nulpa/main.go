@@ -65,7 +65,7 @@ func main() {
 		probing   = flag.String("probing", "quadratic-double", "nulpa: linear, quadratic, double, quadratic-double")
 		switchDeg = flag.Int("switch", 32, "nulpa: thread/block kernel switch degree")
 		f64       = flag.Bool("f64", false, "nulpa: use float64 hashtable values")
-		sms       = flag.Int("sms", 0, "nulpa simt backend: simulated SMs (0 = host parallelism)")
+		sms       = flag.Int("sms", 0, "nulpa: simulated SMs per device (0 = host parallelism)")
 		membudget = flag.Int64("membudget", 0, "nulpa single-device simt backend: device memory budget in bytes (0 = unlimited)")
 		writeTo   = flag.String("write-labels", "", "write 'vertex label' lines to this file")
 		iterTrace = flag.Bool("trace", false, "print per-iteration telemetry as a table")
@@ -175,9 +175,7 @@ func main() {
 		if *shards > 0 {
 			nopt.Shards = *shards
 		}
-		if name != "nulpa-direct" {
-			nopt.Workers = *sms
-		}
+		nopt.Workers = *sms
 		if *pickless >= 0 {
 			nopt.PickLessEvery = *pickless
 		}
@@ -298,11 +296,12 @@ func main() {
 		os.Exit(1)
 	}
 	if nres, ok := res.Extra.(*nulpa.Result); ok {
-		if retries := telemetry.Sum(nres.Trace).Retries; retries > 0 || nres.Rollbacks > 0 {
+		switch retries := telemetry.Sum(nres.Trace).Retries; {
+		case nres.Degraded:
+			fmt.Printf("degraded: simt backend faulted beyond recovery; degraded after %d rollbacks to a sequential rerun in the direct configuration\n",
+				nres.Rollbacks)
+		case retries > 0 || nres.Rollbacks > 0:
 			fmt.Printf("faults recovered: %d retries, %d rollbacks\n", retries, nres.Rollbacks)
-		}
-		if nres.Degraded {
-			fmt.Printf("degraded: simt backend faulted beyond recovery; result computed by the direct backend\n")
 		}
 		if len(nres.ShardStats) > 1 {
 			var halo int64

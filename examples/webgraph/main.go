@@ -22,7 +22,7 @@ func main() {
 	g := gen.Web(gen.DefaultWeb(30000, 8, 7))
 	fmt.Printf("web crawl stand-in: %d pages, %d links\n", g.NumVertices(), g.NumEdges())
 
-	// ν-LPA, direct multicore backend (the fair-timing mode).
+	// ν-LPA in the direct configuration (the CPU-timing reference).
 	nu := detect(g, "nulpa-direct")
 	qNu := quality.Modularity(g, nu.Labels)
 	fmt.Printf("nu-LPA:  %8v  Q=%.4f  communities=%d\n",

@@ -11,7 +11,6 @@ import (
 	"nulpa/internal/hashtable"
 	"nulpa/internal/nulpa"
 	"nulpa/internal/quality"
-	"nulpa/internal/simt"
 	"nulpa/internal/telemetry"
 )
 
@@ -97,11 +96,9 @@ func Run(id string, cfg Config) ([]Table, error) {
 // schedules, …) use it because they exercise nulpa.Options knobs; the
 // cross-algorithm experiments go through runEngine instead.
 func runNu(cfg Config, g *graph.CSR, opt nulpa.Options) *nulpa.Result {
+	opt.Workers = cfg.SMs // each rep runs on a fresh device of cfg.SMs SMs
 	var best *nulpa.Result
 	for r := 0; r < cfg.Reps; r++ {
-		if opt.Backend == nulpa.BackendSIMT {
-			opt.Device = simt.NewDevice(cfg.SMs)
-		}
 		res, err := nulpa.Detect(g, opt)
 		if err != nil {
 			panic("bench: " + err.Error())
@@ -475,7 +472,7 @@ func FigCompare(cfg Config) []Table {
 		Header: []string{"method", "speedup (geomean)"},
 		Notes: []string{
 			"Paper (A100 vs Xeon): 364× over FLPA, 62× over NetworKit, 2.6× over Gunrock, 37× over cuGraph Louvain.",
-			"Here ν-LPA's hardware advantage is absent (same CPU for everyone), so expect the same ordering at smaller factors; the simulated-GPU run additionally pays lockstep bookkeeping.",
+			"Here ν-LPA's hardware advantage is absent (same CPU for everyone), so expect the same ordering at smaller factors; both ν-LPA runs use the same simulated device and differ only in launch shape.",
 		},
 	}
 	for _, m := range methods {

@@ -150,12 +150,13 @@ func TestNulpaTraceExport(t *testing.T) {
 
 func TestNulpaHealthFlightDump(t *testing.T) {
 	// Every simt launch fails (kernel=1), so the run must degrade to the
-	// direct backend, print per-iteration health lines, and auto-dump a
-	// flight bundle whose capture reason is "degraded".
+	// sequential direct configuration after MaxRetries rollbacks, print
+	// per-iteration health lines, and auto-dump a flight bundle whose
+	// capture reason is "degraded".
 	path := filepath.Join(t.TempDir(), "flight.json")
 	out := mustRun(t, "nulpa", "-gen", "planted", "-n", "2000", "-deg", "8", "-seed", "7",
 		"-faults", "kernel=1,seed=2", "-health", "-flight-out", path)
-	for _, want := range []string{"degraded: simt backend faulted beyond recovery", "health iter=", "flight: wrote " + path} {
+	for _, want := range []string{"degraded: simt backend faulted beyond recovery", "degraded after 3 rollbacks", "health iter=", "flight: wrote " + path} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

@@ -96,7 +96,7 @@ func TestChaosNulpaFaultSchedule(t *testing.T) {
 				}
 				checkPartition(t, g, res)
 				if nres, ok := res.Extra.(*nulpa.Result); ok && nres.Degraded {
-					t.Log("degraded to the direct backend")
+					t.Log("degraded to the direct configuration")
 				}
 			})
 		}

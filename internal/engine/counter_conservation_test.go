@@ -6,14 +6,16 @@ import (
 	"testing"
 
 	"nulpa/internal/engine"
+	"nulpa/internal/gen"
+	"nulpa/internal/graph"
 	"nulpa/internal/hashtable"
 	"nulpa/internal/metrics"
 	"nulpa/internal/nulpa"
 	"nulpa/internal/telemetry"
 )
 
-// Counter conservation: ν-LPA's counters are tallied per SM (per worker on
-// the direct backend) and folded once per launch, so the same counts reach
+// Counter conservation: ν-LPA's counters are tallied per SM and folded once
+// per launch, so the same counts reach
 // three surfaces by different routes — the per-iteration IterRecords (whose
 // sum is the run's hashtable totals), the profiler's per-kernel ledger and
 // the process-wide hashtable_probe_length histogram. At 1 SM the runs are deterministic and
@@ -23,7 +25,7 @@ import (
 
 // conservationConfigs are the ν-LPA configurations the test covers: every
 // kernel (thread, block, cross-check), both hashtable kinds and all three
-// backends.
+// detectors.
 func conservationConfigs() []struct {
 	name, detector string
 	extra          any
@@ -130,6 +132,9 @@ var pinnedConservation = map[string]pinnedCounts{
 			{1861, 163, 6, 0, 6, 1805, 2360, 555, 0},
 			{529, 43, 3, 0, 3, 498, 637, 139, 0},
 		},
+		kernels: map[string]telemetry.WorkCounts{
+			"thread-per-vertex": {EdgeVisits: 61684, LabelFlips: 1518, HashProbes: 75143, HashCollisions: 29224, ActiveVertices: 4218},
+		},
 	},
 	"planted/sharded": {
 		labels: 0x2618eb2e65080151,
@@ -226,6 +231,9 @@ var pinnedConservation = map[string]pinnedCounts{
 			{2101, 167, 25, 0, 25, 1880, 1999, 119, 0},
 			{1707, 137, 23, 0, 23, 1542, 1647, 105, 0},
 		},
+		kernels: map[string]telemetry.WorkCounts{
+			"thread-per-vertex": {EdgeVisits: 35359, LabelFlips: 861, HashProbes: 36554, HashCollisions: 8581, ActiveVertices: 2694},
+		},
 	},
 	"web/sharded": {
 		labels: 0x48daa0bc37f6031b,
@@ -310,9 +318,6 @@ func checkSurfacesAgree(t *testing.T, r conservationRun) {
 		t.Errorf("histogram count/sum delta %v, want Accumulates−Failures %d / Probes %d",
 			r.hist, st.Accumulates-st.Failures, st.Probes)
 	}
-	if len(r.kernels) == 0 {
-		return // the direct backend launches no kernels
-	}
 	var ledger telemetry.WorkCounts
 	for _, w := range r.kernels {
 		ledger = ledger.Add(w)
@@ -324,9 +329,9 @@ func checkSurfacesAgree(t *testing.T, r conservationRun) {
 	}
 }
 
-// TestCounterConservationPinned runs every configuration at 1 SM (1 worker)
-// and requires every counter, the histogram deltas and the labels to equal
-// their pinned values exactly.
+// TestCounterConservationPinned runs every configuration at 1 SM and
+// requires every counter, the histogram deltas and the labels to equal their
+// pinned values exactly.
 func TestCounterConservationPinned(t *testing.T) {
 	for _, gname := range []string{"planted", "web"} {
 		for _, c := range conservationConfigs() {
@@ -370,9 +375,42 @@ func TestCounterConservationPinned(t *testing.T) {
 	}
 }
 
-// TestCounterConservationTwoSMs runs every configuration on 2 SMs (2
-// workers), where SM tallies really are folded from more than one
-// goroutine, and checks that the surfaces still agree exactly.
+// TestDirectMultiBlockParityPinned pins nulpa-direct at 1 SM on graphs of
+// many 1024-vertex blocks (the conformance graphs fit in one), with no
+// isolated vertices: the labels must equal those of the chunked multicore
+// loop the direct configuration replaced, which visited 1024-vertex chunks
+// in order, picking for every vertex of a chunk before moving any.
+func TestDirectMultiBlockParityPinned(t *testing.T) {
+	social, _ := gen.Social(gen.DefaultSocial(8192, 16, 5))
+	for _, c := range []struct {
+		name string
+		g    *graph.CSR
+		want uint64
+	}{
+		{"web-20k", gen.Web(gen.DefaultWeb(20000, 8, 7)), 0x3ecabdf3c39a8b1c},
+		{"social-8k", social, 0x6c49e6d9b8a656c9},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			det, err := engine.MustGet("nulpa-direct")
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := engine.DefaultOptions()
+			opt.Workers = 1
+			res, err := det.Detect(c.g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := labelDigest(res.Labels); got != c.want {
+				t.Errorf("labels digest %#x, want %#x", got, c.want)
+			}
+		})
+	}
+}
+
+// TestCounterConservationTwoSMs runs every configuration on 2 SMs, where SM
+// tallies really are folded from more than one goroutine, and checks that
+// the surfaces still agree exactly.
 func TestCounterConservationTwoSMs(t *testing.T) {
 	for _, gname := range []string{"planted", "web"} {
 		for _, c := range conservationConfigs() {

@@ -317,13 +317,4 @@ func TestRecorderSinkDispatch(t *testing.T) {
 	if f := m.Frames()[1]; f.Shards != 2 || f.HaloLabels != 3 {
 		t.Fatalf("superstep not folded through recorder: %+v", f)
 	}
-	// AddIterRecords (the baseline path) must dispatch too.
-	rec2 := telemetry.NewRecorder()
-	m2 := New(Config{Vertices: 100})
-	defer m2.Close()
-	rec2.SetSink(m2)
-	rec2.AddIterRecords([]telemetry.IterRecord{{Iter: 0, DeltaN: 5, Duration: time.Millisecond}})
-	if m2.Total() != 1 {
-		t.Fatalf("AddIterRecords did not dispatch")
-	}
 }

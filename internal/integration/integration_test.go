@@ -24,9 +24,7 @@ import (
 func detectAll(t *testing.T, g *graph.CSR) map[string][]uint32 {
 	t.Helper()
 	out := map[string][]uint32{}
-	opt := nulpa.DefaultOptions()
-	opt.Backend = nulpa.BackendDirect
-	res, err := nulpa.Detect(g, opt)
+	res, err := nulpa.Detect(g, nulpa.DirectOptions())
 	if err != nil {
 		t.Fatalf("nulpa: %v", err)
 	}

@@ -17,9 +17,9 @@ import (
 
 // Typed fault errors. Callers match with errors.Is.
 var (
-	// ErrFaulted reports that the simt backend exhausted its per-iteration
-	// recovery budget (MaxRetries consecutive failed attempts) and the run
-	// could not continue on the device.
+	// ErrFaulted reports that a run exhausted its per-iteration recovery
+	// budget (MaxRetries consecutive failed attempts) and could not continue
+	// on the device.
 	ErrFaulted = errors.New("nulpa: simt backend faulted beyond recovery")
 	// ErrCorruptLabels reports that the post-iteration validity check found
 	// an out-of-range label — transient memory corruption the kernels
@@ -33,18 +33,16 @@ var (
 // simulated device cannot hold the working set (the paper's out-of-memory
 // condition on sk-2005), when Options.Context ends the run early
 // (engine.ErrCanceled / engine.ErrDeadline), or — with DisableFallback —
-// when the simt backend faults beyond recovery (ErrFaulted).
+// when the run faults beyond recovery (ErrFaulted).
 //
-// Without DisableFallback, a run that exhausts the simt recovery budget
-// degrades gracefully: it is re-executed on the sequential backend (the
-// recovery ladder's last rung), the downgrade is counted in
-// nulpa_backend_fallbacks_total, and the Result carries Degraded.
+// Without DisableFallback, a run that exhausts its recovery budget degrades
+// gracefully: it is re-executed sequentially — the direct configuration at
+// 1 SM on a fresh, fault-free device (the recovery ladder's last rung) — the
+// downgrade is counted in nulpa_backend_fallbacks_total, and the Result
+// carries Degraded and the faulted attempt's Rollbacks.
 func Detect(g *graph.CSR, opt Options) (*Result, error) {
 	if err := checkOptions(&opt); err != nil {
 		return nil, err
-	}
-	if opt.Backend == BackendDirect {
-		return detectDirect(g, opt)
 	}
 	res, err := detectSharded(g, opt)
 	if err != nil && errors.Is(err, ErrFaulted) && !opt.DisableFallback {
@@ -55,21 +53,28 @@ func Detect(g *graph.CSR, opt Options) (*Result, error) {
 		traceID := trace.IDFromContext(opt.Context)
 		mFallbacks.IncExemplar(traceID)
 		trace.FromContext(opt.Context).Event("fallback:direct", map[string]any{"error": err.Error()})
-		slog.Warn("nulpa simt backend faulted beyond recovery; degrading to the direct backend",
+		slog.Warn("nulpa run faulted beyond recovery; degrading to the sequential direct configuration",
 			"trace", traceID, "error", err)
-		fopt := opt
-		fopt.Backend = BackendDirect
-		fopt.Workers = 1 // sequential: the most conservative rung
+		// newDeviceRun installs the injector on the caller's device, so the
+		// rerun gets a fresh one.
+		fopt := asDirect(opt)
+		fopt.Workers = 1
+		fopt.Device = nil
 		fopt.Faults = nil
 		fopt.ShardFaults = nil
-		fres, ferr := detectDirect(g, fopt)
+		fopt.ShardParts = nil
+		fres, ferr := detectSharded(g, fopt)
 		if ferr != nil {
 			return nil, ferr
 		}
 		fres.Degraded = true
+		fres.Rollbacks += res.Rollbacks
 		return fres, nil
 	}
-	return res, err
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 func checkOptions(opt *Options) error {
@@ -91,7 +96,7 @@ func checkOptions(opt *Options) error {
 	if opt.Shards < 0 {
 		return fmt.Errorf("nulpa: Shards must be non-negative, got %d", opt.Shards)
 	}
-	if opt.Backend == BackendSIMT && opt.Shards > 1 && opt.CrossCheckEvery > 0 {
+	if opt.Shards > 1 && opt.CrossCheckEvery > 0 {
 		// Cross-Check dereferences a label as a vertex id (leader lookup);
 		// under sharding labels are global ids while kernel arrays are
 		// shard-local, so the lookup has no local meaning. (On one device
@@ -103,8 +108,7 @@ func checkOptions(opt *Options) error {
 	return nil
 }
 
-// runState is the device-resident state shared by the kernels of one run,
-// or by the workers of a direct-backend run.
+// runState is the device-resident state shared by the kernels of one run.
 type runState struct {
 	g          *graph.CSR
 	arena      anyArena
@@ -117,11 +121,11 @@ type runState struct {
 	deltaN     int64 // label changes this iteration, folded from the tallies
 	reverts    int64 // Cross-Check reverts this iteration, folded from the tallies
 
-	// Counting. Lanes on SM s (direct backend: worker s) write only
-	// tallies[s], with plain adds; FoldTallies sums them on the launching
-	// goroutine once the grid has joined, so no lane ever contends on a
-	// shared counter. count gates the work and hashtable counters on every
-	// backend alike: set if and only if the run reports to a profiler.
+	// Counting. Lanes on SM s write only tallies[s], with plain adds;
+	// FoldTallies sums them on the launching goroutine once the grid has
+	// joined, so no lane ever contends on a shared counter. count gates the
+	// work and hashtable counters: set if and only if the run reports to a
+	// profiler.
 	// iterEdges, iterActive and iterHash sum the iteration's folds for the
 	// IterRecord, and listed is the number of vertices the run processes
 	// when none is pruned, so Pruned = listed − iterActive.
@@ -159,10 +163,9 @@ func newRunState(g *graph.CSR, opt Options, labels []uint32, count bool) *runSta
 	return st
 }
 
-// smTally is one SM's (or one direct-backend worker's) single-writer
-// counters, padded so neighbouring SMs never write the same cache line.
-// flips and reverts always count; edges, active and hash only when the run
-// counts.
+// smTally is one SM's single-writer counters, padded so neighbouring SMs
+// never write the same cache line. flips and reverts always count; edges,
+// active and hash only when the run counts.
 type smTally struct {
 	flips   int64
 	reverts int64
@@ -416,9 +419,9 @@ func (r *deviceRun) iterate(ctx context.Context, iter int) engine.IterOutcome {
 	return out
 }
 
-// beginIter starts an attempt at iteration iter, on either backend: it sets
-// the iteration's Pick-Less and Cross-Check flags, zeroes the iteration's
-// counters and keeps the labels Cross-Check compares against.
+// beginIter starts an attempt at iteration iter: it sets the iteration's
+// Pick-Less and Cross-Check flags, zeroes the iteration's counters and keeps
+// the labels Cross-Check compares against.
 func (st *runState) beginIter(opt *Options, iter int) {
 	st.pickless = opt.PickLessEvery > 0 && iter%opt.PickLessEvery == 0
 	st.crosscheck = opt.CrossCheckEvery > 0 && iter%opt.CrossCheckEvery == 0
@@ -431,7 +434,7 @@ func (st *runState) beginIter(opt *Options, iter int) {
 }
 
 // endIter closes an iteration whose counters have been folded and returns
-// its outcome. rec carries the backend's own record fields (kernel times,
+// its outcome. rec carries the device's own record fields (kernel times,
 // retries); endIter fills in the rest.
 func (st *runState) endIter(opt *Options, rec IterStat) engine.IterOutcome {
 	gross, reverts := st.deltaN, st.reverts
@@ -464,9 +467,9 @@ func (st *runState) endIter(opt *Options, rec IterStat) engine.IterOutcome {
 	}
 }
 
-// claim is the pruning test for vertex i, counted on SM (direct backend:
-// worker) sm: it reports false when i's processed flag says skip, and
-// otherwise sets the flag and counts i's edge scan.
+// claim is the pruning test for vertex i, counted on SM sm: it reports false
+// when i's processed flag says skip, and otherwise sets the flag and counts
+// i's edge scan.
 func (st *runState) claim(i graph.Vertex, sm int) bool {
 	if !st.noPrune {
 		if simt.AtomicLoadUint32(st.processed, int(i)) == 1 {

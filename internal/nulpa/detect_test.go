@@ -33,21 +33,25 @@ func checkLabelsValid(t *testing.T, g *graph.CSR, labels []uint32) {
 	}
 }
 
+// configs names the two presets the configuration-neutral tests run under: the
+// paper's default launch shape and the direct configuration.
+func configs() map[string]Options {
+	return map[string]Options{"default": DefaultOptions(), "direct": DirectOptions()}
+}
+
 func TestDetectPlantedRecovery(t *testing.T) {
 	g, truth := gen.Planted(gen.PlantedConfig{N: 400, Communities: 8, DegIn: 14, DegOut: 0.5, Seed: 3})
-	for _, backend := range []Backend{BackendSIMT, BackendDirect} {
-		opt := DefaultOptions()
-		opt.Backend = backend
+	for name, opt := range configs() {
 		res := detect(t, g, opt)
 		checkLabelsValid(t, g, res.Labels)
 		if nmi := quality.NMI(res.Labels, truth); nmi < 0.85 {
-			t.Errorf("backend=%v: NMI = %.3f, want >= 0.85", backend, nmi)
+			t.Errorf("%s: NMI = %.3f, want >= 0.85", name, nmi)
 		}
 		if q := quality.Modularity(g, res.Labels); q < 0.5 {
-			t.Errorf("backend=%v: Q = %.3f, want >= 0.5", backend, q)
+			t.Errorf("%s: Q = %.3f, want >= 0.5", name, q)
 		}
 		if !res.Converged {
-			t.Errorf("backend=%v: did not converge in %d iterations", backend, res.Iterations)
+			t.Errorf("%s: did not converge in %d iterations", name, res.Iterations)
 		}
 	}
 }
@@ -344,16 +348,14 @@ func TestDirectBackendMatchesSIMTQuality(t *testing.T) {
 	optS := DefaultOptions()
 	optS.Device = simt.NewDevice(4)
 	rs := detect(t, g, optS)
-	optD := DefaultOptions()
-	optD.Backend = BackendDirect
-	rd := detect(t, g, optD)
+	rd := detect(t, g, DirectOptions())
 	qs := quality.Modularity(g, rs.Labels)
 	qd := quality.Modularity(g, rd.Labels)
 	if qs < 0.2 || qd < 0.2 {
 		t.Errorf("low modularity: simt=%.3f direct=%.3f", qs, qd)
 	}
 	if diff := qs - qd; diff > 0.15 || diff < -0.15 {
-		t.Errorf("backends disagree on quality: simt=%.3f direct=%.3f", qs, qd)
+		t.Errorf("configurations disagree on quality: simt=%.3f direct=%.3f", qs, qd)
 	}
 }
 
@@ -384,16 +386,14 @@ func TestSelfLoopsIgnored(t *testing.T) {
 
 func TestDisablePruningSameQuality(t *testing.T) {
 	g, truth := gen.Planted(gen.PlantedConfig{N: 400, Communities: 8, DegIn: 14, DegOut: 0.5, Seed: 17})
-	for _, backend := range []Backend{BackendSIMT, BackendDirect} {
-		opt := DefaultOptions()
-		opt.Backend = backend
+	for name, opt := range configs() {
 		opt.DisablePruning = true
 		res := detect(t, g, opt)
 		if !res.Converged {
-			t.Errorf("backend=%v: no-pruning run did not converge", backend)
+			t.Errorf("%s: no-pruning run did not converge", name)
 		}
 		if nmi := quality.NMI(res.Labels, truth); nmi < 0.85 {
-			t.Errorf("backend=%v: no-pruning NMI = %.3f", backend, nmi)
+			t.Errorf("%s: no-pruning NMI = %.3f", name, nmi)
 		}
 	}
 }
@@ -415,24 +415,22 @@ func TestPruningReducesWork(t *testing.T) {
 
 func TestIterationTrace(t *testing.T) {
 	g, _ := gen.Planted(gen.PlantedConfig{N: 300, Communities: 6, DegIn: 12, DegOut: 0.5, Seed: 19})
-	for _, backend := range []Backend{BackendSIMT, BackendDirect} {
-		opt := DefaultOptions()
-		opt.Backend = backend
+	for name, opt := range configs() {
 		opt.CrossCheckEvery = 2
 		res := detect(t, g, opt)
 		if len(res.Trace) != res.Iterations {
-			t.Fatalf("backend=%v: trace length %d != iterations %d", backend, len(res.Trace), res.Iterations)
+			t.Fatalf("%s: trace length %d != iterations %d", name, len(res.Trace), res.Iterations)
 		}
 		// Iteration 0 has Pick-Less (PL4) and Cross-Check (CC2) active.
 		if !res.Trace[0].PickLess || !res.Trace[0].CrossCheck {
-			t.Errorf("backend=%v: iteration 0 flags = %+v", backend, res.Trace[0])
+			t.Errorf("%s: iteration 0 flags = %+v", name, res.Trace[0])
 		}
 		if res.Iterations > 1 && res.Trace[1].PickLess {
-			t.Errorf("backend=%v: iteration 1 should not be pick-less", backend)
+			t.Errorf("%s: iteration 1 should not be pick-less", name)
 		}
 		for _, it := range res.Trace {
 			if it.Duration <= 0 {
-				t.Errorf("backend=%v: non-positive iteration duration", backend)
+				t.Errorf("%s: non-positive iteration duration", name)
 			}
 		}
 	}

@@ -9,7 +9,7 @@ import (
 
 func init() {
 	engine.Register(Detector{})
-	engine.Register(Detector{Backend: BackendDirect})
+	engine.Register(Detector{Direct: true})
 	engine.Register(Detector{Sharded: true})
 }
 
@@ -17,7 +17,10 @@ func init() {
 // "nulpa", "nulpa-direct" and "nulpa-sharded" — because the configurations
 // are compared against each other in the figure experiments.
 type Detector struct {
-	Backend Backend
+	// Direct makes this the "nulpa-direct" detector: it runs in the direct
+	// configuration (see DirectOptions), whatever SwitchDegree, BlockDim
+	// and Shards the options carry.
+	Direct bool
 	// Sharded makes this the "nulpa-sharded" detector: its defaults are
 	// DefaultShardedOptions, and an Extra that leaves Shards zero runs on
 	// DefaultShards devices.
@@ -27,7 +30,7 @@ type Detector struct {
 // Name implements engine.Detector.
 func (d Detector) Name() string {
 	switch {
-	case d.Backend == BackendDirect:
+	case d.Direct:
 		return "nulpa-direct"
 	case d.Sharded:
 		return "nulpa-sharded"
@@ -37,8 +40,8 @@ func (d Detector) Name() string {
 
 // Detect implements engine.Detector. Engine options map onto the paper
 // configuration: MaxIterations and Tolerance override the published defaults
-// when non-zero, BlockDim sets the launch width, Workers bounds direct-mode
-// parallelism (and, for the SIMT backend, the simulated SM count). Seed is
+// when non-zero, BlockDim sets the launch width (except on nulpa-direct),
+// Workers sets the simulated SM count of each fresh device. Seed is
 // ignored — ν-LPA is deterministic by construction. Extra may carry a full
 // nulpa.Options to control the algorithm-specific knobs (Pick-Less and
 // Cross-Check periods, probing scheme, switch degree, pruning).
@@ -54,7 +57,6 @@ func (d Detector) Detect(g *graph.CSR, opt engine.Options) (*engine.Result, erro
 		}
 		nopt = o
 	}
-	nopt.Backend = d.Backend
 	if d.Sharded && nopt.Shards == 0 {
 		nopt.Shards = DefaultShards
 	}
@@ -72,6 +74,9 @@ func (d Detector) Detect(g *graph.CSR, opt engine.Options) (*engine.Result, erro
 	}
 	if opt.Workers > 0 {
 		nopt.Workers = opt.Workers
+	}
+	if d.Direct {
+		nopt = asDirect(nopt)
 	}
 	if nopt.Shards > 1 && nopt.CrossCheckEvery > 0 {
 		// An Extra carrying the single-device configuration stays usable on

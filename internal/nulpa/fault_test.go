@@ -32,7 +32,7 @@ func TestSIMTRecoversFromFaults(t *testing.T) {
 	}
 	checkLabelsValid(t, g, res.Labels)
 	if res.Degraded {
-		t.Log("run degraded to the direct backend")
+		t.Log("run degraded to the direct configuration")
 	}
 	if nmi := quality.NMI(res.Labels, truth); nmi < 0.85 {
 		t.Errorf("NMI under faults = %.3f, want >= 0.85", nmi)
@@ -47,8 +47,9 @@ func TestSIMTRecoversFromFaults(t *testing.T) {
 }
 
 // TestSIMTFallsBackWhenFaultsPersist drives the recovery ladder to its last
-// rung: with every launch failing, the simt backend can never complete an
-// iteration and must degrade to the sequential direct backend.
+// rung: with every launch failing, the run can never complete an iteration
+// and must degrade to the sequential direct configuration, keeping the
+// faulted attempt's rollbacks — one per attempt at the first iteration.
 func TestSIMTFallsBackWhenFaultsPersist(t *testing.T) {
 	g, truth := faultGraph()
 	opt := DefaultOptions()
@@ -61,6 +62,9 @@ func TestSIMTFallsBackWhenFaultsPersist(t *testing.T) {
 	}
 	if !res.Degraded {
 		t.Fatal("Result.Degraded = false after a total simt failure")
+	}
+	if res.Rollbacks != 3 {
+		t.Errorf("Rollbacks = %d, want 3 (MaxRetries attempts at iteration 0)", res.Rollbacks)
 	}
 	checkLabelsValid(t, g, res.Labels)
 	if nmi := quality.NMI(res.Labels, truth); nmi < 0.85 {
@@ -143,8 +147,7 @@ func TestDirectCancellation(t *testing.T) {
 	g, _ := faultGraph()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opt := DefaultOptions()
-	opt.Backend = BackendDirect
+	opt := DirectOptions()
 	opt.Context = ctx
 	if _, err := Detect(g, opt); !errors.Is(err, engine.ErrCanceled) {
 		t.Fatalf("err = %v, want engine.ErrCanceled", err)

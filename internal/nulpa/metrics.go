@@ -13,7 +13,7 @@ var (
 	mCorruptions = metrics.NewCounter("nulpa_label_corruptions_total",
 		"Label-array validity failures detected by the post-iteration check.")
 	mFallbacks = metrics.NewCounter("nulpa_backend_fallbacks_total",
-		"Runs downgraded from the simt backend to the sequential backend.")
+		"Runs that exhausted fault recovery and were rerun sequentially in the direct configuration.")
 )
 
 // Sharded-execution metrics. The per-shard families are labeled by shard id,

@@ -5,19 +5,18 @@
 // pruning, and a two-kernel split between low-degree (thread-per-vertex) and
 // high-degree (block-per-vertex) vertices.
 //
-// Two backends execute the identical algorithm:
-//
-//   - BackendSIMT runs it on simulated GPUs (package simt), preserving
-//     lockstep semantics — this is the configuration every figure experiment
-//     uses, because the community-swap pathology only exists under lockstep.
-//     Options.Shards sets the device count: one device (the paper's setting)
-//     is the single-shard case of the multi-device BSP run.
-//   - BackendDirect runs it as a plain multicore parallel loop, used to time
-//     ν-LPA against CPU baselines without paying the simulation overhead.
+// Every run executes on simulated GPUs (package simt), preserving lockstep
+// semantics — the community-swap pathology only exists under lockstep.
+// Options.Shards sets the device count: one device (the paper's setting) is
+// the single-shard case of the multi-device BSP run. DirectOptions selects
+// the direct configuration of that same run — one device, every vertex on
+// the thread-per-vertex kernel in 1024-vertex blocks — used to time ν-LPA
+// against CPU baselines and as the recovery ladder's last rung.
 package nulpa
 
 import (
 	"context"
+	"math"
 	"time"
 
 	"nulpa/internal/faults"
@@ -25,24 +24,6 @@ import (
 	"nulpa/internal/simt"
 	"nulpa/internal/telemetry"
 )
-
-// Backend selects the execution engine.
-type Backend int
-
-const (
-	// BackendSIMT executes on the simulated GPU with lockstep phases.
-	BackendSIMT Backend = iota
-	// BackendDirect executes as a chunked multicore parallel loop.
-	BackendDirect
-)
-
-// String names the backend.
-func (b Backend) String() string {
-	if b == BackendDirect {
-		return "direct"
-	}
-	return "simt"
-}
 
 // DefaultShards is the device count the nulpa-sharded detector uses when
 // Options.Shards is left zero.
@@ -77,35 +58,32 @@ type Options struct {
 	SwitchDegree int
 	// BlockDim is threads per block for both kernels (default 256).
 	BlockDim int
-	// Backend selects the execution engine (default BackendSIMT).
-	Backend Backend
 	// Device is the simulated GPU of a single-device run; nil selects a
-	// fresh device. Sharded runs (Shards > 1) create one device per shard
-	// and BackendDirect runs none, so both ignore it.
+	// fresh device. Sharded runs (Shards > 1) create one device per shard,
+	// so they ignore it.
 	Device *simt.Device
-	// Workers bounds BackendDirect parallelism and sets the SM count of
-	// each fresh simulated device; 0 selects GOMAXPROCS (divided across the
-	// devices of a sharded run).
+	// Workers sets the SM count of each fresh simulated device; 0 selects
+	// GOMAXPROCS (divided across the devices of a sharded run).
 	Workers int
 	// Profiler, when non-nil, receives device-level execution events
-	// (kernel launches, per-SM busy spans on the SIMT backend) and a copy
-	// of every per-iteration record. A run counts its work and hashtable
-	// probes — the records' EdgeVisits, ActiveVertices, Pruned and Hash*
-	// fields — if and only if it reports to a profiler: this one, or a
-	// profiler already on Device.
+	// (kernel launches, per-SM busy spans) and a copy of every
+	// per-iteration record. A run counts its work and hashtable probes —
+	// the records' EdgeVisits, ActiveVertices, Pruned and Hash* fields — if
+	// and only if it reports to a profiler: this one, or a profiler already
+	// on Device.
 	Profiler *telemetry.Recorder
 	// DisablePruning turns off the vertex-pruning optimization (every
 	// vertex is processed every iteration) — the ablation for the paper's
 	// feature (4) in §4.
 	DisablePruning bool
-	// Context carries cancellation and a per-run deadline for both
-	// backends; nil means no cancellation. An interrupted run returns
-	// engine.ErrCanceled or engine.ErrDeadline.
+	// Context carries cancellation and a per-run deadline; nil means no
+	// cancellation. An interrupted run returns engine.ErrCanceled or
+	// engine.ErrDeadline.
 	Context context.Context
 	// Faults, when non-nil, injects the deterministic fault schedule into
-	// the simt backend: it is installed as the device's launch-fault
-	// injector and consulted for label-array bit-flips after each
-	// iteration. Setting it implies Checkpoint. Ignored by BackendDirect.
+	// the run: it is installed as the launch-fault injector of every device
+	// that has none and consulted for label-array bit-flips after each
+	// iteration. Setting it implies Checkpoint.
 	Faults *faults.Injector
 	// Checkpoint forces per-iteration label-array checkpointing with
 	// validity verification even without an injector — the recovery path
@@ -113,20 +91,19 @@ type Options struct {
 	Checkpoint bool
 	// MaxRetries is the recovery budget: how many consecutive attempts
 	// (initial execution plus re-executions after rollback) one iteration
-	// may consume before the simt backend gives up (default 3). Exhausting
-	// it triggers the sequential fallback unless DisableFallback is set.
+	// may consume before the run gives up (default 3). Exhausting it
+	// triggers the sequential fallback unless DisableFallback is set.
 	MaxRetries int
 	// RetryBackoff is the base delay before an iteration retry, doubled per
 	// consecutive failure (default 100µs).
 	RetryBackoff time.Duration
-	// DisableFallback keeps a run that exhausted MaxRetries on the simt
-	// backend: Detect returns ErrFaulted instead of degrading to the
-	// sequential backend.
+	// DisableFallback keeps a run that exhausted MaxRetries from degrading:
+	// Detect returns ErrFaulted instead of rerunning sequentially.
 	DisableFallback bool
-	// Shards is the simulated device count of BackendSIMT (clamped to the
-	// vertex count). 0 and 1 both run on one device; above 1 the graph is
-	// partitioned across the devices, which run BSP supersteps with halo
-	// exchange at the barriers. BackendDirect ignores it.
+	// Shards is the simulated device count (clamped to the vertex count).
+	// 0 and 1 both run on one device; above 1 the graph is partitioned
+	// across the devices, which run BSP supersteps with halo exchange at
+	// the barriers.
 	Shards int
 	// ShardParts, when non-nil, supplies a precomputed vertex→shard
 	// assignment (length |V|, values < Shards) and skips the internal
@@ -152,7 +129,6 @@ func DefaultOptions() Options {
 		ValueKind:     hashtable.Float32,
 		SwitchDegree:  32,
 		BlockDim:      256,
-		Backend:       BackendSIMT,
 	}
 }
 
@@ -167,6 +143,24 @@ func DefaultShardedOptions() Options {
 	opt := DefaultOptions()
 	opt.Shards = DefaultShards
 	opt.PickLessEvery = 3
+	return opt
+}
+
+// DirectOptions returns the paper configuration in the direct
+// configuration, the one the nulpa-direct detector runs: one device, every
+// non-isolated vertex on the thread-per-vertex kernel (SwitchDegree =
+// math.MaxInt) and 1024-vertex blocks. A block picks a candidate
+// for each of its vertices against a pre-move snapshot, then moves them all,
+// so Pick-Less iterations cannot cascade one small label across a community
+// in a single pass, and blocks run concurrently on the device's Workers SMs.
+func DirectOptions() Options { return asDirect(DefaultOptions()) }
+
+// asDirect returns opt in the direct configuration: its launch shape and
+// device count are replaced, every other field is kept.
+func asDirect(opt Options) Options {
+	opt.SwitchDegree = math.MaxInt
+	opt.BlockDim = 1024
+	opt.Shards = 0
 	return opt
 }
 
@@ -196,10 +190,12 @@ type Result struct {
 	// DeviceBytes is the simulated device memory the run reserved.
 	DeviceBytes int64
 	// Rollbacks is the number of checkpoint restores — one per failed
-	// attempt that had a checkpoint to return to.
+	// attempt that had a checkpoint to return to. A degraded run counts
+	// those of the faulted attempt it replaced.
 	Rollbacks int64
-	// Degraded reports that the simt backend exhausted its recovery budget
-	// and the run completed on the sequential backend instead.
+	// Degraded reports that the run exhausted its recovery budget and was
+	// recomputed sequentially: the direct configuration at 1 SM on a
+	// fresh, fault-free device.
 	Degraded bool
 	// CutArcs is the number of boundary-crossing arcs of the shard plan
 	// (sharded runs; each cut undirected edge counted twice).

@@ -147,8 +147,13 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 		}
 		return st.Updated, nil
 	})
+	for _, r := range runs {
+		res.Rollbacks += r.stat.Rollbacks
+	}
 	if lr.Err != nil {
-		return nil, lr.Err
+		// res carries the rollbacks made before the failure, which Detect
+		// keeps on a degraded run's result.
+		return res, lr.Err
 	}
 
 	res.Iterations = lr.Iterations
@@ -158,7 +163,6 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 	res.ShardStats = make([]ShardStat, k)
 	for s, r := range runs {
 		res.ShardStats[s] = r.stat
-		res.Rollbacks += r.stat.Rollbacks
 	}
 	if plan == nil {
 		res.Labels = labelArrs[0]

@@ -337,7 +337,7 @@ func TestShardedSingleShardFaultRollsBackAlone(t *testing.T) {
 
 func TestShardedFaultFallback(t *testing.T) {
 	// Every launch on shard 0 fails: recovery exhausts and, without
-	// DisableFallback, the run degrades to the direct backend.
+	// DisableFallback, the run degrades to the direct configuration.
 	g := gen.Web(gen.DefaultWeb(300, 6, 9))
 	opt := shardedOpts(2)
 	opt.ShardFaults = []*faults.Injector{

@@ -13,9 +13,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the chrome trace golden file")
 
 // goldenRecorder builds a fully deterministic recorder: a fixed base time,
-// two kernel launches across two SMs, and three iteration records added via
-// AddIterRecords (which synthesizes timestamps from durations instead of the
-// wall clock).
+// two kernel launches across two SMs, and three iteration records stamped
+// back to back from the base time by their durations instead of by the wall
+// clock.
 func goldenRecorder() *Recorder {
 	base := time.Date(2025, 1, 2, 3, 4, 5, 0, time.UTC)
 	r := &Recorder{base: base}
@@ -31,12 +31,14 @@ func goldenRecorder() *Recorder {
 	// SM 1 idle for this launch: zero span must be skipped in the export.
 	r.KernelEnd(id, at(125), at(190))
 
-	r.AddIterRecords([]IterRecord{
-		{Iter: 0, Moves: 500, DeltaN: 500, Duration: 200 * time.Microsecond,
-			HashProbes: 900, HashCollisions: 120},
-		{Iter: 1, PickLess: true, Moves: 80, DeltaN: 80, Duration: 150 * time.Microsecond, Pruned: 300},
-		{Iter: 2, CrossCheck: true, Moves: 20, Reverts: 5, DeltaN: 15, Duration: 100 * time.Microsecond},
-	})
+	r.iters = []iterEvent{
+		{at: at(200), rec: IterRecord{Iter: 0, Moves: 500, DeltaN: 500, Duration: 200 * time.Microsecond,
+			HashProbes: 900, HashCollisions: 120}},
+		{at: at(350), rec: IterRecord{Iter: 1, PickLess: true, Moves: 80, DeltaN: 80,
+			Duration: 150 * time.Microsecond, Pruned: 300}},
+		{at: at(450), rec: IterRecord{Iter: 2, CrossCheck: true, Moves: 20, Reverts: 5, DeltaN: 15,
+			Duration: 100 * time.Microsecond}},
+	}
 	return r
 }
 

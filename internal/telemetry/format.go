@@ -29,7 +29,7 @@ func FormatIters(recs []IterRecord) string {
 }
 
 // Summary renders the kernel and SM aggregates as fixed-width tables; empty
-// when no kernel launches were recorded (direct backend, baselines).
+// when no kernel launches were recorded (the CPU baselines).
 func (r *Recorder) Summary() string {
 	ks := r.KernelSummaries()
 	if len(ks) == 0 {

@@ -251,28 +251,6 @@ func (r *Recorder) RecordIteration(rec IterRecord) {
 	}
 }
 
-// AddIterRecords appends records produced outside the recorder's clock (a
-// baseline's result trace), synthesizing timestamps by accumulating each
-// record's duration from the end of the current timeline.
-func (r *Recorder) AddIterRecords(recs []IterRecord) {
-	r.mu.Lock()
-	at := r.base
-	if n := len(r.iters); n > 0 {
-		at = r.iters[n-1].at
-	}
-	for _, rec := range recs {
-		at = at.Add(rec.Duration)
-		r.iters = append(r.iters, iterEvent{rec: rec, at: at})
-	}
-	s := r.sink
-	r.mu.Unlock()
-	if s != nil {
-		for _, rec := range recs {
-			s.ObserveIteration(rec)
-		}
-	}
-}
-
 // Launches returns a copy of the recorded kernel launches in launch order.
 func (r *Recorder) Launches() []Launch {
 	r.mu.Lock()

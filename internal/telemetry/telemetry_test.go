@@ -87,22 +87,6 @@ func TestRecorderConcurrentSMSpans(t *testing.T) {
 	r.SMSpan(id, nSMs+5, time.Now(), time.Now(), 1, 1, 1)
 }
 
-func TestAddIterRecordsSynthesizesTimeline(t *testing.T) {
-	r := NewRecorder()
-	r.AddIterRecords([]IterRecord{
-		{Iter: 0, Moves: 10, DeltaN: 10, Duration: time.Millisecond},
-		{Iter: 1, Moves: 4, DeltaN: 4, Duration: 2 * time.Millisecond},
-	})
-	got := r.IterRecords()
-	if len(got) != 2 || got[0].Moves != 10 || got[1].Iter != 1 {
-		t.Fatalf("records = %+v", got)
-	}
-	r.RecordIteration(IterRecord{Iter: 2, Moves: 1, DeltaN: 1})
-	if got := r.IterRecords(); len(got) != 3 {
-		t.Fatalf("records after RecordIteration = %d", len(got))
-	}
-}
-
 func TestFormatIters(t *testing.T) {
 	out := FormatIters(nil)
 	if !strings.Contains(out, "no per-iteration records") {
