@@ -1,12 +1,15 @@
 # Developer entry points. `make check` is the pre-commit gate: static vetting
 # plus the race-enabled short test suite (the telemetry layer's concurrent SM
-# reporting must stay race-clean).
+# reporting must stay race-clean) and the chaos suite. The multi-device
+# backend's tests (partition and halo construction, the BSP superstep loop,
+# shard conformance) skip nothing under -short, so `test` runs them under
+# -race already.
 
 GO ?= go
 
-.PHONY: check build vet lint test test-full bench bench-module-test chaos shard-smoke loc families
+.PHONY: check build vet lint test test-full bench bench-module-test chaos loc families
 
-check: vet lint test chaos shard-smoke
+check: vet lint test chaos
 
 build:
 	$(GO) build ./...
@@ -30,20 +33,14 @@ test:
 test-full:
 	$(GO) test ./...
 
-# Chaos conformance: fault injection, cancellation, and recovery under -race.
-# Every detector under a fault schedule must converge to a valid partition or
-# return a typed error — never hang, never panic.
+# Chaos conformance: fault injection, cancellation, and recovery under -race,
+# without -short, so the tests that skip under -short (the load storm) run
+# here. Every detector under a fault schedule must converge to a valid
+# partition or return a typed error — never hang, never panic.
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Fault|Cancel|Deadline' \
 		./internal/engine/ ./internal/nulpa/ ./internal/simt/ ./internal/faults/ \
 		./internal/httpapi/ ./internal/health/
-
-# Shard smoke: the multi-device backend end to end under -race — partition
-# and halo construction, the BSP superstep loop, conformance (determinism,
-# partition validity, modularity floor), and single-shard fault recovery.
-shard-smoke:
-	$(GO) test -race -count=1 -run 'Shard|Partition|Conformance' \
-		./internal/engine/ ./internal/nulpa/ ./internal/shard/ ./internal/partition/
 
 # Microbenchmarks beside the zero-alloc guards: full ν-LPA runs with
 # telemetry off and on, the per-vertex hot paths of the thread and block

@@ -12,14 +12,14 @@ import (
 	"fmt"
 	"os"
 
-	"nulpa/internal/gen"
 	"nulpa/internal/graph"
+	"nulpa/internal/httpapi"
 )
 
 func main() {
 	var (
-		typ  = flag.String("type", "web", "graph class: web, social, road, kmer, er, planted, rgg")
-		n    = flag.Int("n", 100000, "vertex count (social: rounded up to a power of two)")
+		typ  = flag.String("type", "web", "graph class: "+httpapi.Generators)
+		n    = flag.Int("n", 100000, "vertex count (rmat: rounded up to a power of two)")
 		deg  = flag.Int("deg", 8, "average degree parameter")
 		seed = flag.Int64("seed", 1, "generator seed")
 		out  = flag.String("o", "", "output file (required)")
@@ -30,32 +30,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	var g *graph.CSR
-	switch *typ {
-	case "web":
-		g = gen.Web(gen.DefaultWeb(*n, *deg, *seed))
-	case "social":
-		scale := 0
-		for 1<<scale < *n {
-			scale++
-		}
-		g = gen.RMAT(gen.DefaultRMAT(scale, *deg, *seed))
-	case "road":
-		g = gen.Road(gen.DefaultRoad(*n, *seed))
-	case "kmer":
-		g = gen.KMer(gen.DefaultKMer(*n, *seed))
-	case "er":
-		g = gen.ErdosRenyi(*n, *n**deg/2, *seed)
-	case "planted":
-		g, _ = gen.Planted(gen.PlantedConfig{N: *n, Communities: 16, DegIn: float64(*deg), DegOut: 1, Seed: *seed})
-	case "rgg":
-		g = gen.RGG(*n, 0.05, *seed)
-	default:
-		fmt.Fprintf(os.Stderr, "graphgen: unknown -type %q\n", *typ)
+	// The same generator table as nulpa -gen and the job plane's graph.gen.
+	g, err := httpapi.GraphSpec{Gen: *typ, N: *n, Deg: *deg, Seed: *seed}.Build()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "graphgen: %v\n", err)
 		os.Exit(2)
 	}
 
-	var err error
 	switch {
 	case hasSuffix(*out, ".mtx"):
 		f, ferr := os.Create(*out)

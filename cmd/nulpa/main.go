@@ -4,7 +4,7 @@
 //
 // The input graph comes either from a file (-graph, format by extension:
 // .mtx Matrix Market, .bin binary, otherwise edge list) or from a generator
-// (-gen web|social|road|kmer|er|planted with -n/-deg/-seed).
+// (-gen web|social|rmat|road|kmer|er|planted|rgg with -n/-deg/-seed).
 //
 // With -serve the command instead starts the monitoring server
 // (internal/httpapi): detections run as jobs submitted over HTTP, and
@@ -15,7 +15,7 @@
 //
 //	nulpa -gen web -n 100000 -deg 8
 //	nulpa -graph mygraph.mtx -algo louvain
-//	nulpa -gen social -n 65536 -algo nulpa -backend direct -pickless 4
+//	nulpa -gen social -n 65536 -algo nulpa-direct -pickless 4
 //	nulpa -serve :8080
 //	nulpa -serve :8080 -gen web -n 1000000 -algo nulpa
 package main
@@ -53,34 +53,32 @@ import (
 func main() {
 	var (
 		graphPath = flag.String("graph", "", "input graph file (.mtx, .bin, or edge list)")
-		genName   = flag.String("gen", "", "generator: web, social, road, kmer, er, planted")
-		n         = flag.Int("n", 100000, "generator vertex count (social: rounded to a power of two)")
+		genName   = flag.String("gen", "", "generator: "+httpapi.Generators)
+		n         = flag.Int("n", 100000, "generator vertex count (rmat: rounded to a power of two)")
 		deg       = flag.Int("deg", 8, "generator average degree parameter")
 		seed      = flag.Int64("seed", 1, "generator / algorithm seed")
 		algo      = flag.String("algo", "nulpa", "registry name of the detector to run, or 'list'")
-		backend   = flag.String("backend", "simt", "nulpa backend: simt, direct, or sharded (simt across -shards devices, default 4)")
-		shards    = flag.Int("shards", 0, "nulpa: number of simulated devices; 1 is the single-device run (>0 selects -backend sharded)")
-		pickless  = flag.Int("pickless", -1, "nulpa: apply Pick-Less every N iterations (0 = off, -1 = backend default)")
+		shards    = flag.Int("shards", 0, "nulpa: number of simulated devices; 1 is the single-device run (>0 turns -algo nulpa into nulpa-sharded, default 4)")
+		pickless  = flag.Int("pickless", -1, "nulpa: apply Pick-Less every N iterations (0 = off, -1 = the detector's default)")
 		crosschk  = flag.Int("crosscheck", 0, "nulpa: apply Cross-Check every N iterations (0 = off)")
 		probing   = flag.String("probing", "quadratic-double", "nulpa: linear, quadratic, double, quadratic-double")
 		switchDeg = flag.Int("switch", 32, "nulpa: thread/block kernel switch degree")
 		f64       = flag.Bool("f64", false, "nulpa: use float64 hashtable values")
 		sms       = flag.Int("sms", 0, "nulpa: simulated SMs per device (0 = host parallelism)")
-		membudget = flag.Int64("membudget", 0, "nulpa single-device simt backend: device memory budget in bytes (0 = unlimited)")
+		membudget = flag.Int64("membudget", 0, "-algo nulpa only: the single device's memory budget in bytes (0 = unlimited)")
 		writeTo   = flag.String("write-labels", "", "write 'vertex label' lines to this file")
 		iterTrace = flag.Bool("trace", false, "print per-iteration telemetry as a table")
-		profileTo = flag.String("profile", "", "write a Chrome trace-event JSON (load in chrome://tracing) to this file")
-		traceOut  = flag.String("trace-out", "", "record a span trace of the run and write it as JSONL to this file")
+		profileTo = flag.String("profile", "", "write a Chrome trace-event JSON of the device timeline and the run's spans (load in chrome://tracing) to this file")
 		logFormat = flag.String("log-format", "text", "log line format on stderr: text or json")
 		serveAddr = flag.String("serve", "", "run the monitoring HTTP server on this address (e.g. :8080) instead of a one-shot detection")
 		srvWork   = flag.Int("workers", 0, "serve: device-pool worker count (0 = GOMAXPROCS)")
 		srvQueue  = flag.Int("queue-depth", 0, "serve: admission queue depth before shedding 429s (0 = default)")
 		srvQuota  = flag.Float64("quota", 0, "serve: per-tenant admission rate in jobs/s, keyed on X-Tenant (0 = no quotas)")
-		faultSpec = flag.String("faults", "", "nulpa simt backend: inject faults, e.g. 'kernel=0.01,bitflip=0.01,seed=7' (chaos testing)")
+		faultSpec = flag.String("faults", "", "nulpa, nulpa-direct, nulpa-sharded: inject faults, e.g. 'kernel=0.01,bitflip=0.01,seed=7' (chaos testing)")
 		deadline  = flag.Duration("deadline", 0, "abort the one-shot detection after this duration (0 = no deadline)")
 		healthOn  = flag.Bool("health", false, "print a convergence-health summary line per iteration")
 		qualityOn = flag.Bool("quality", false, "run the live quality plane and print the final census with a live-vs-exact modularity line")
-		flightOut = flag.String("flight-out", "", "write the run's flight-recorder bundle (post-mortem JSON) to this file")
+		flightOut = flag.String("flight-out", "", "write the run's flight-recorder bundle (post-mortem JSON with its health frames and spans) to this file")
 	)
 	flag.Parse()
 
@@ -95,7 +93,7 @@ func main() {
 	}
 
 	if *serveAddr != "" {
-		serve(*serveAddr, *algo, *backend, *graphPath, *genName, *n, *deg, *seed,
+		serve(*serveAddr, *algo, *graphPath, *genName, *n, *deg, *seed,
 			sched.Config{Workers: *srvWork, QueueDepth: *srvQueue, QuotaRate: *srvQuota})
 		return
 	}
@@ -107,20 +105,12 @@ func main() {
 		return
 	}
 
-	// The -backend flag (or a -shards count) selects between the three
-	// registered ν-LPA detectors.
-	if *shards > 0 && *backend == "simt" {
-		*backend = "sharded"
-	}
+	// A -shards count turns the single-device ν-LPA run into the sharded one.
 	name := *algo
-	if name == "nulpa" {
-		switch *backend {
-		case "direct":
-			name = "nulpa-direct"
-		case "sharded":
-			name = "nulpa-sharded"
-		}
+	if name == "nulpa" && *shards > 0 {
+		name = "nulpa-sharded"
 	}
+	nuLPA := name == "nulpa" || name == "nulpa-direct" || name == "nulpa-sharded"
 	det, err := engine.MustGet(name)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nulpa: bad -algo %q: %v\n", *algo, err)
@@ -147,25 +137,25 @@ func main() {
 		defer cancel()
 		runCtx = ctx
 	}
-	// -trace-out turns on span tracing for the one-shot run: a "run" root
-	// span whose children (detect → iteration → kernel) land in the JSONL
-	// export, the same schema /debug/trace serves.
+	// A run that writes a file records its spans too: a "run" root span
+	// whose children (detect → iteration → kernel) land in the flight bundle
+	// and in the -profile document, the same spans /debug/trace serves.
 	var runSpan *trace.Span
-	if *traceOut != "" {
+	if *flightOut != "" || *profileTo != "" {
 		trace.Default().SetEnabled(true)
 		runCtx, runSpan = trace.Default().Root(runCtx, "run")
 		runSpan.SetString("algo", name)
 	}
 	eopt.Context = runCtx
-	if *faultSpec != "" && name != "nulpa" && name != "nulpa-sharded" {
-		fmt.Fprintf(os.Stderr, "nulpa: -faults applies only to the nulpa simt and sharded backends\n")
+	if *faultSpec != "" && !nuLPA {
+		fmt.Fprintf(os.Stderr, "nulpa: -faults applies only to the ν-LPA detectors (nulpa, nulpa-direct, nulpa-sharded)\n")
 		os.Exit(2)
 	}
 	if *membudget != 0 && name != "nulpa" {
-		fmt.Fprintf(os.Stderr, "nulpa: -membudget applies only to the nulpa single-device simt backend\n")
+		fmt.Fprintf(os.Stderr, "nulpa: -membudget applies only to the single-device -algo nulpa run\n")
 		os.Exit(2)
 	}
-	if name == "nulpa" || name == "nulpa-direct" || name == "nulpa-sharded" {
+	if nuLPA {
 		// The ν-LPA-specific flags travel through Extra; every other
 		// detector ignores them.
 		nopt := nulpa.DefaultOptions()
@@ -202,8 +192,8 @@ func main() {
 			nopt.Device.MemBudget = *membudget
 		}
 		if *faultSpec != "" {
-			// On the sharded backend the injector applies to every shard
-			// device; per-shard injection is an API-level knob (ShardFaults).
+			// On a sharded run the injector applies to every shard device;
+			// per-shard injection is an API-level knob (ShardFaults).
 			spec, err := faults.ParseSpec(*faultSpec)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "nulpa: bad -faults: %v\n", err)
@@ -249,17 +239,9 @@ func main() {
 		slog.Info("run finished", "algo", name,
 			"trace", runSpan.TraceID().String(), "error", err != nil)
 	}
-	// The trace is written even for a failed run — a deadline abort is
-	// exactly the run one wants to inspect span by span.
-	if *traceOut != "" {
-		if werr := writeTraceOut(*traceOut); werr != nil {
-			fmt.Fprintf(os.Stderr, "nulpa: %v\n", werr)
-			os.Exit(1)
-		}
-		fmt.Printf("trace: wrote %s (one span per line)\n", *traceOut)
-	}
-	// Like the trace, the flight bundle is written even for a failed run —
-	// the post-mortem is the whole point of the recorder.
+	// The flight bundle is written even for a failed run — a deadline abort
+	// is exactly the run one wants to inspect frame by frame and span by
+	// span.
 	if mon != nil {
 		reason := "request"
 		switch {
@@ -351,7 +333,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "nulpa: %v\n", err)
 			os.Exit(1)
 		}
-		if err := rec.WriteChromeTrace(f); err != nil {
+		if err := telemetry.WriteChromeTrace(f, rec, trace.Default().TraceSpans(runSpan.TraceID())); err != nil {
 			fmt.Fprintf(os.Stderr, "nulpa: %v\n", err)
 			os.Exit(1)
 		}
@@ -437,40 +419,23 @@ func writeFlightOut(path string, mon *health.Monitor, reason string) error {
 	return f.Close()
 }
 
-// writeTraceOut dumps the default tracer's resident spans as JSONL.
-func writeTraceOut(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.Default().WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // loadGraph delegates to the shared GraphSpec so the CLI and the HTTP job
 // plane accept exactly the same inputs.
 func loadGraph(path, genName string, n, deg int, seed int64) (*graph.CSR, error) {
 	spec := httpapi.GraphSpec{Path: path, Gen: genName, N: n, Deg: deg, Seed: seed}
 	if path == "" && genName == "" {
-		return nil, fmt.Errorf("need -graph or -gen (web, social, road, kmer, er, planted)")
+		return nil, fmt.Errorf("need -graph or -gen (%s)", httpapi.Generators)
 	}
 	return spec.Build()
 }
 
 // serve runs the monitoring server, optionally submitting an initial job
 // built from the one-shot flags.
-func serve(addr, algo, backend, graphPath, genName string, n, deg int, seed int64, scfg sched.Config) {
+func serve(addr, algo, graphPath, genName string, n, deg int, seed int64, scfg sched.Config) {
 	srv := httpapi.NewServer(httpapi.WithScheduler(scfg))
 	if graphPath != "" || genName != "" {
-		name := algo
-		if name == "nulpa" && backend == "direct" {
-			name = "nulpa-direct"
-		}
 		st, err := srv.Submit(httpapi.JobSpec{
-			Algo:  name,
+			Algo:  algo,
 			Graph: httpapi.GraphSpec{Path: graphPath, Gen: genName, N: n, Deg: deg, Seed: seed},
 			Seed:  seed,
 		})

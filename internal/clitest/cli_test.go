@@ -75,7 +75,7 @@ func TestNulpaAllAlgorithms(t *testing.T) {
 
 func TestNulpaDirectBackendAndFlags(t *testing.T) {
 	out := mustRun(t, "nulpa", "-gen", "road", "-n", "3000",
-		"-backend", "direct", "-pickless", "2", "-crosscheck", "3", "-probing", "double", "-f64")
+		"-algo", "nulpa-direct", "-pickless", "2", "-crosscheck", "3", "-probing", "double", "-f64")
 	if !strings.Contains(out, "converged: true") {
 		t.Errorf("run did not converge:\n%s", out)
 	}
@@ -95,8 +95,8 @@ func TestNulpaMembudgetOnlySingleDevice(t *testing.T) {
 	// Only the single-device simt run has a device whose budget the flag
 	// sets; elsewhere it would be silently ignored, so it is refused.
 	for _, args := range [][]string{
-		{"-backend", "direct"},
-		{"-backend", "sharded"},
+		{"-algo", "nulpa-direct"},
+		{"-algo", "nulpa-sharded"},
 		{"-shards", "2"},
 		{"-algo", "flpa"},
 	} {
@@ -115,37 +115,145 @@ func TestNulpaMembudgetOnlySingleDevice(t *testing.T) {
 	}
 }
 
-func TestNulpaTraceExport(t *testing.T) {
-	// -trace-out writes the run's spans as JSONL: every span schema-clean,
-	// and one trace connecting run → detect → iteration → kernel. Both log
-	// formats must report the finished run, the json one naming its trace.
-	dir := t.TempDir()
-	spansPath := filepath.Join(dir, "spans.jsonl")
+// TestNulpaFaultsOnDirect: the direct configuration runs on a device, so
+// -faults reaches it and its recovery is reported; a CPU baseline has no
+// device to fault and refuses the flag.
+func TestNulpaFaultsOnDirect(t *testing.T) {
 	out := mustRun(t, "nulpa", "-gen", "planted", "-n", "2000", "-deg", "8", "-seed", "7",
-		"-trace-out", spansPath, "-log-format", "json")
+		"-algo", "nulpa-direct", "-faults", "kernel=0.3,seed=2")
+	for _, want := range []string{"faults recovered: ", "converged: true"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	out, err := run(t, "nulpa", "-gen", "planted", "-n", "500", "-algo", "flpa", "-faults", "kernel=0.3")
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Errorf("-faults on flpa: %v, want exit status 2\n%s", err, out)
+	}
+	if !strings.Contains(out, "-faults applies only") {
+		t.Errorf("-faults on flpa: unexpected message:\n%s", out)
+	}
+}
+
+func TestNulpaTraceExport(t *testing.T) {
+	// -flight-out alone records the run's spans into the bundle: every span
+	// schema-clean, and one trace connecting run → detect → iteration →
+	// kernel. Both log formats must report the finished run, the json one
+	// naming its trace.
+	dir := t.TempDir()
+	path := filepath.Join(dir, "flight.json")
+	out := mustRun(t, "nulpa", "-gen", "planted", "-n", "2000", "-deg", "8", "-seed", "7",
+		"-flight-out", path, "-log-format", "json")
 	for _, want := range []string{`"msg":"run finished"`, `"trace":"`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("json log output missing %s:\n%s", want, out)
 		}
 	}
-	f, err := os.Open(spansPath)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	spans, err := trace.ReadJSONL(f)
+	b, err := health.DecodeFlight(data)
 	if err != nil {
-		t.Fatalf("span export: %v", err)
+		t.Fatalf("flight bundle: %v", err)
 	}
-	if _, err := trace.ConnectedTrace(spans, "run"); err != nil {
+	if len(b.Spans) == 0 {
+		t.Fatal("flight bundle has no spans")
+	}
+	for i, d := range b.Spans {
+		if err := checkSpan(d); err != nil {
+			t.Fatalf("span %d: %v", i, err)
+		}
+	}
+	if id, err := connectedTrace(b.Spans, "run"); err != nil {
 		t.Fatalf("span export: %v", err)
+	} else if id != b.Trace {
+		t.Errorf("connected trace %s, bundle names trace %s", id, b.Trace)
 	}
 
 	out = mustRun(t, "nulpa", "-gen", "planted", "-n", "2000", "-deg", "8", "-seed", "7",
-		"-trace-out", filepath.Join(dir, "spans2.jsonl"), "-log-format", "text")
+		"-flight-out", filepath.Join(dir, "flight2.json"), "-log-format", "text")
 	if !strings.Contains(out, `msg="run finished"`) {
 		t.Errorf("text log output missing run finished:\n%s", out)
 	}
+}
+
+// checkSpan is one exported span's schema check: 16-hex-digit ids, a name,
+// a start time, a non-negative duration and named events.
+func checkSpan(d trace.SpanData) error {
+	if _, err := trace.ParseTraceID(d.Trace); err != nil {
+		return fmt.Errorf("bad trace id %q", d.Trace)
+	}
+	if len(d.Span) != 16 {
+		return fmt.Errorf("bad span id %q", d.Span)
+	}
+	if d.Parent != "" && len(d.Parent) != 16 {
+		return fmt.Errorf("bad parent id %q", d.Parent)
+	}
+	if d.Name == "" {
+		return fmt.Errorf("span has no name")
+	}
+	if d.Start.IsZero() {
+		return fmt.Errorf("span has no start time")
+	}
+	if d.DurationUS < 0 {
+		return fmt.Errorf("negative duration %g", d.DurationUS)
+	}
+	for _, ev := range d.Events {
+		if ev.Name == "" {
+			return fmt.Errorf("event has no name")
+		}
+	}
+	return nil
+}
+
+// connectedTrace returns the id of a trace in spans that links a parentless
+// span named root to a "detect" descendant, an "iteration" descendant of
+// that, and a kernel-launch ("kernel:…") descendant of that, through the
+// recorded parent ids. BuildTree treats orphans as extra roots, so a broken
+// parent link shows up as the chain not resolving. The search is depth
+// first: it accepts a kernel nested under intermediate spans (a sharded
+// run's shard-iteration) as readily as a direct child.
+func connectedTrace(spans []trace.SpanData, root string) (string, error) {
+	byTrace := map[string][]trace.SpanData{}
+	for _, d := range spans {
+		byTrace[d.Trace] = append(byTrace[d.Trace], d)
+	}
+	named := func(name string) func(string) bool {
+		return func(n string) bool { return n == name }
+	}
+	for id, ts := range byTrace {
+		for _, r := range trace.BuildTree(ts) {
+			if r.Name != root || r.Parent != "" {
+				continue
+			}
+			detect := findSpan(r.Children, named("detect"))
+			if detect == nil {
+				continue
+			}
+			iter := findSpan(detect.Children, named("iteration"))
+			if iter == nil {
+				continue
+			}
+			if findSpan(iter.Children, func(n string) bool { return strings.HasPrefix(n, "kernel:") }) != nil {
+				return id, nil
+			}
+		}
+	}
+	return "", fmt.Errorf("%d schema-clean spans, but no trace connects %s → detect → iteration → kernel", len(spans), root)
+}
+
+// findSpan walks nodes depth-first for a span whose name satisfies match.
+func findSpan(nodes []*trace.Node, match func(string) bool) *trace.Node {
+	for _, n := range nodes {
+		if match(n.Name) {
+			return n
+		}
+		if hit := findSpan(n.Children, match); hit != nil {
+			return hit
+		}
+	}
+	return nil
 }
 
 func TestNulpaHealthFlightDump(t *testing.T) {
@@ -332,16 +440,19 @@ func TestNulpaProfileWritesChromeTrace(t *testing.T) {
 		TraceEvents []struct {
 			Name string `json:"name"`
 			Ph   string `json:"ph"`
+			Cat  string `json:"cat"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatalf("profile is not valid JSON: %v", err)
 	}
 	var slices, counters, meta int
+	runSpan := false
 	for _, ev := range doc.TraceEvents {
 		switch ev.Ph {
 		case "X":
 			slices++
+			runSpan = runSpan || ev.Cat == "span" && ev.Name == "run"
 		case "C":
 			counters++
 		case "M":
@@ -350,6 +461,9 @@ func TestNulpaProfileWritesChromeTrace(t *testing.T) {
 	}
 	if slices == 0 || counters == 0 || meta == 0 {
 		t.Errorf("trace has slices=%d counters=%d metadata=%d, want all > 0", slices, counters, meta)
+	}
+	if !runSpan {
+		t.Error("profile has no slice for the run's root span")
 	}
 }
 

@@ -71,8 +71,8 @@ func spanParents(t *testing.T, name string, extra any) (parents map[string]map[s
 // inline: its kernel launches are direct children of the iteration span,
 // with no shard-iteration or halo-exchange span and no superstep record. A
 // two-shard run launches its kernels under per-shard spans and exchanges
-// halos once per superstep. The depth-first chain check of
-// trace.ConnectedTrace accepts both shapes, so it cannot tell them apart.
+// halos once per superstep. The depth-first chain check of the CLI's span
+// export test accepts both shapes, so it cannot tell them apart.
 func TestSpanShapeSingleDeviceVsSharded(t *testing.T) {
 	only := func(set map[string]bool, want string) bool { return len(set) == 1 && set[want] }
 

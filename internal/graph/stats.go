@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Stats summarizes the structural properties reported in the paper's dataset
 // table (Table 1): vertex count, edge count, and average degree, plus extras
@@ -49,42 +46,6 @@ func ComputeStats(g *CSR) Stats {
 // String renders the stats in the style of the paper's dataset table row.
 func (s Stats) String() string {
 	return fmt.Sprintf("|V|=%d |E|=%d Davg=%.1f Dmax=%d", s.NumVertices, s.NumArcs, s.AvgDegree, s.MaxDegree)
-}
-
-// DegreeHistogram returns a map from degree to the number of vertices with
-// that degree.
-func DegreeHistogram(g *CSR) map[int]int {
-	h := make(map[int]int)
-	for i := 0; i < g.NumVertices(); i++ {
-		h[g.Degree(Vertex(i))]++
-	}
-	return h
-}
-
-// DegreePercentiles returns the requested percentiles (0–100) of the degree
-// distribution.
-func DegreePercentiles(g *CSR, ps ...float64) []int {
-	n := g.NumVertices()
-	ds := make([]int, n)
-	for i := 0; i < n; i++ {
-		ds[i] = g.Degree(Vertex(i))
-	}
-	sort.Ints(ds)
-	out := make([]int, len(ps))
-	for k, p := range ps {
-		if n == 0 {
-			continue
-		}
-		idx := int(p / 100 * float64(n-1))
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= n {
-			idx = n - 1
-		}
-		out[k] = ds[idx]
-	}
-	return out
 }
 
 // ConnectedComponents labels each vertex with a component id in [0, count)

@@ -44,23 +44,6 @@ func TestComputeStatsIsolated(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	// Star graph: center degree 4, leaves degree 1.
-	g, _ := FromEdges([]Edge{{0, 1, 1}, {0, 2, 1}, {0, 3, 1}, {0, 4, 1}}, 5, DefaultBuildOptions())
-	h := DegreeHistogram(g)
-	if h[4] != 1 || h[1] != 4 {
-		t.Errorf("histogram = %v, want {4:1, 1:4}", h)
-	}
-}
-
-func TestDegreePercentiles(t *testing.T) {
-	g, _ := FromEdges([]Edge{{0, 1, 1}, {0, 2, 1}, {0, 3, 1}, {0, 4, 1}}, 5, DefaultBuildOptions())
-	ps := DegreePercentiles(g, 0, 50, 100)
-	if ps[0] != 1 || ps[2] != 4 {
-		t.Errorf("percentiles = %v, want [1 ? 4]", ps)
-	}
-}
-
 func TestConnectedComponents(t *testing.T) {
 	// Two triangles plus an isolated vertex.
 	edges := []Edge{{0, 1, 1}, {1, 2, 1}, {0, 2, 1}, {3, 4, 1}, {4, 5, 1}, {3, 5, 1}}

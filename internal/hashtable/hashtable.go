@@ -444,21 +444,3 @@ func (t *Table) MaxKeyStrided(lane, stride int) (key uint32, weight float64, ok 
 	}
 	return key, weight, ok
 }
-
-// MaxKeyPreferLow is MaxKey with the pick-less-friendly tie-break: among
-// equal weights the smaller label wins, which makes the Pick-Less iteration
-// deterministic regardless of slot layout.
-func (t *Table) MaxKeyPreferLow() (key uint32, weight float64, ok bool) {
-	key = EmptyKey
-	for s := 0; s < int(t.p1); s++ {
-		k := t.Key(s)
-		if k == EmptyKey {
-			continue
-		}
-		w := t.Value(s)
-		if !ok || w > weight || (w == weight && k < key) {
-			key, weight, ok = k, w, true
-		}
-	}
-	return key, weight, ok
-}

@@ -16,12 +16,13 @@ import (
 
 // FlightSchema versions the bundle layout. Bump on any field removal or
 // rename; additions are backward compatible.
-const FlightSchema = 2
+const FlightSchema = 3
 
 // FlightBundle is the post-mortem flight recording of one run: the last
-// RingSize health frames, the event annotation track, a metrics-registry
-// snapshot, and the run's recorded spans — everything needed to reconstruct
-// why a run faulted, degraded, or blew its deadline after the fact.
+// RingSize health frames (each carrying its iteration record, quality record
+// included), the event annotation track, a metrics-registry snapshot, and the
+// run's recorded spans — everything needed to reconstruct why a run faulted,
+// degraded, or blew its deadline after the fact.
 type FlightBundle struct {
 	// Schema is FlightSchema at capture time.
 	Schema int `json:"schema"`
@@ -45,10 +46,6 @@ type FlightBundle struct {
 	// Events is the annotation track (state transitions, fault retries,
 	// externally recorded outcomes).
 	Events []Event `json:"events,omitempty"`
-	// Quality is the sampled (exact-recompute) quality-record track, oldest
-	// first — present only when the run carried a quality observer
-	// (schema 2).
-	Quality []telemetry.QualityRecord `json:"quality,omitempty"`
 	// Metrics is a flattened registry snapshot at capture time.
 	Metrics []metrics.MetricValue `json:"metrics,omitempty"`
 	// Spans is the run's recorded span set (resident in the tracer ring at
@@ -76,7 +73,6 @@ func (m *Monitor) Flight(reason string) *FlightBundle {
 		State:      m.state,
 		Frames:     m.lastFrames(len(m.frames)),
 		Events:     append([]Event(nil), m.events...),
-		Quality:    append([]telemetry.QualityRecord(nil), m.qualityTrack...),
 	}
 	m.mu.Unlock()
 
@@ -138,7 +134,9 @@ func DecodeFlight(data []byte) (*FlightBundle, error) {
 
 // SchemaDescriptor is the machine-checkable statement of the bundle layout:
 // JSON field names per object, derived from struct tags so the descriptor
-// cannot drift from the encoder. TestFlightSchemaGolden compares it against
+// cannot drift from the encoder. Frame lists the embedded iteration record's
+// keys beside its own; Quality is the frame's nested "quality" object.
+// TestFlightSchemaGolden compares it against
 // testdata/flight_schema.golden.json.
 type SchemaDescriptor struct {
 	Schema  int      `json:"schema"`
@@ -159,12 +157,17 @@ func Schema() SchemaDescriptor {
 	}
 }
 
+// jsonFields lists t's JSON keys, recursing into untagged embedded structs
+// the way encoding/json promotes their fields.
 func jsonFields(t reflect.Type) []string {
 	var out []string
 	for i := 0; i < t.NumField(); i++ {
-		tag := t.Field(i).Tag.Get("json")
-		name, _, _ := strings.Cut(tag, ",")
-		if name != "" && name != "-" {
+		f := t.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		switch {
+		case f.Anonymous && name == "":
+			out = append(out, jsonFields(f.Type)...)
+		case name != "" && name != "-":
 			out = append(out, name)
 		}
 	}

@@ -76,8 +76,8 @@ func TestFlightValidateRejects(t *testing.T) {
 		"no reason":      {Schema: FlightSchema, State: StateHealthy},
 		"no state":       {Schema: FlightSchema, Reason: "fault"},
 		"frame count":    {Schema: FlightSchema, Reason: "fault", State: StateHealthy, Frames: []Frame{{State: StateHealthy}}},
-		"unordered time": {Schema: FlightSchema, Reason: "fault", State: StateHealthy, Iterations: 2, Frames: []Frame{{Iter: 0, Time: now, State: StateHealthy}, {Iter: 1, Time: now.Add(-time.Second), State: StateHealthy}}},
-		"frame no state": {Schema: FlightSchema, Reason: "fault", State: StateHealthy, Iterations: 1, Frames: []Frame{{Iter: 0, Time: now}}},
+		"unordered time": {Schema: FlightSchema, Reason: "fault", State: StateHealthy, Iterations: 2, Frames: []Frame{{Time: now, State: StateHealthy}, {IterRecord: telemetry.IterRecord{Iter: 1}, Time: now.Add(-time.Second), State: StateHealthy}}},
+		"frame no state": {Schema: FlightSchema, Reason: "fault", State: StateHealthy, Iterations: 1, Frames: []Frame{{Time: now}}},
 	}
 	for name, b := range cases {
 		if err := b.Validate(); err == nil {

@@ -76,27 +76,19 @@ const (
 // median-multiple test would false-positive on microsecond iterations.
 const stallFloor = 2 * time.Millisecond
 
-// Frame is one iteration's health snapshot: the raw work ledger joined with
-// the derived signals. It is the SSE stream payload and the flight-recorder
-// ring element (schema documented in DESIGN.md §13).
+// Frame is one iteration's health snapshot: the iteration record it derives
+// from, joined with the signals the monitor derives. It is the SSE stream
+// payload and the flight-recorder ring element (schema documented in
+// DESIGN.md §13).
 type Frame struct {
-	// Iter is the zero-based iteration index.
-	Iter int `json:"iter"`
+	// IterRecord is the iteration's record as the loop emitted it: its
+	// counters, wall time, Pick-Less flag and quality record (Quality, nil
+	// unless a quality observer fed the run). A Pick-Less round is excluded
+	// from decay and oscillation fits: its suppressed ΔN is intentional, not
+	// progress.
+	telemetry.IterRecord
 	// Time stamps when the frame was derived.
 	Time time.Time `json:"time"`
-	// DurationUS is the iteration wall time in microseconds.
-	DurationUS float64 `json:"durationUs"`
-	// PickLess marks a Pick-Less restricted round (excluded from decay and
-	// oscillation fits: its suppressed ΔN is intentional, not progress).
-	PickLess bool `json:"pickLess,omitempty"`
-
-	// Raw work counters for the iteration (telemetry.IterRecord subset).
-	DeltaN         int64 `json:"deltaN"`
-	Moves          int64 `json:"moves"`
-	Reverts        int64 `json:"reverts,omitempty"`
-	Retries        int64 `json:"retries,omitempty"`
-	EdgeVisits     int64 `json:"edgeVisits,omitempty"`
-	ActiveVertices int64 `json:"activeVertices,omitempty"`
 
 	// FlipRate is ΔN/|V| (zero when the vertex count is unknown).
 	FlipRate float64 `json:"flipRate"`
@@ -132,28 +124,6 @@ type Frame struct {
 	// HaloLabels is the number of ghost labels exchanged at the barrier.
 	HaloLabels int64 `json:"haloLabels,omitempty"`
 
-	// Quality-plane signals, populated when a quality observer feeds the
-	// monitor (HasQuality false ⇒ the rest are zero-valued).
-	HasQuality bool `json:"hasQuality,omitempty"`
-	// Modularity is the live incremental estimate after this iteration.
-	Modularity float64 `json:"modularity,omitempty"`
-	// DeltaQ is the modularity change this iteration contributed.
-	DeltaQ float64 `json:"deltaQ,omitempty"`
-	// QualityDrift is |estimate − exact| at the last sampled recompute
-	// (present only on sampled iterations).
-	QualityDrift float64 `json:"qualityDrift,omitempty"`
-	// Communities is the live community count.
-	Communities int `json:"communities,omitempty"`
-	// GiantShare is the largest community's share of |V|.
-	GiantShare float64 `json:"giantShare,omitempty"`
-	// SingletonRate is the fraction of vertices alone in their community.
-	SingletonRate float64 `json:"singletonRate,omitempty"`
-	// LabelEntropy is the Shannon entropy (nats) of the community-size
-	// distribution.
-	LabelEntropy float64 `json:"labelEntropy,omitempty"`
-	// ChurnNMI is NMI versus the previous sampled snapshot (0 until two
-	// samples exist; meaningful only when HasQuality).
-	ChurnNMI float64 `json:"churnNMI,omitempty"`
 	// QualityTrend is the per-iteration modularity slope over the window's
 	// quality-bearing frames; |trend| ≤ plateauEps reads as a plateau.
 	QualityTrend float64 `json:"qualityTrend,omitempty"`
@@ -232,12 +202,9 @@ type Monitor struct {
 	closed   bool
 	lastIter int
 
-	// Quality-plane state: the run's peak modularity (collapse reference)
-	// and a bounded track of sampled (exact-recompute) records for the
-	// flight bundle.
-	peakQ        float64
-	havePeakQ    bool
-	qualityTrack []telemetry.QualityRecord
+	// The run's peak modularity: the quality-collapse reference.
+	peakQ     float64
+	havePeakQ bool
 }
 
 // subscriber is one live consumer's server-side record: its buffered frame
@@ -365,33 +332,6 @@ func (m *Monitor) ObserveSuperstep(iter int, durs []time.Duration, barrierWait t
 	m.mu.Unlock()
 }
 
-// observeQuality tracks the run's peak modularity (the collapse reference)
-// and retains sampled (exact-recompute) records on the bounded flight track.
-// Callers hold m.mu.
-func (m *Monitor) observeQuality(rec telemetry.QualityRecord) {
-	if !m.havePeakQ || rec.Modularity > m.peakQ {
-		m.peakQ = rec.Modularity
-		m.havePeakQ = true
-	}
-	if rec.Exact {
-		if len(m.qualityTrack) >= m.cfg.RingSize {
-			copy(m.qualityTrack, m.qualityTrack[1:])
-			m.qualityTrack = m.qualityTrack[:len(m.qualityTrack)-1]
-		}
-		m.qualityTrack = append(m.qualityTrack, rec)
-	}
-}
-
-// QualityTrack returns the retained sampled quality records, oldest first.
-func (m *Monitor) QualityTrack() []telemetry.QualityRecord {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]telemetry.QualityRecord(nil), m.qualityTrack...)
-}
-
 // ObserveIteration implements telemetry.IterSink: it derives the iteration's
 // frame, folds in any pending superstep signals, advances the state machine,
 // and fans the frame out to subscribers.
@@ -408,20 +348,7 @@ func (m *Monitor) ObserveIteration(rec telemetry.IterRecord) {
 		m.cfg.Threshold = rec.Threshold
 	}
 
-	f := Frame{
-		Iter:           rec.Iter,
-		Time:           time.Now(),
-		DurationUS:     float64(rec.Duration) / float64(time.Microsecond),
-		PickLess:       rec.PickLess,
-		DeltaN:         rec.DeltaN,
-		Moves:          rec.Moves,
-		Reverts:        rec.Reverts,
-		Retries:        rec.Retries,
-		EdgeVisits:     rec.EdgeVisits,
-		ActiveVertices: rec.ActiveVertices,
-		StragglerShard: -1,
-		ETAIterations:  -1,
-	}
+	f := Frame{IterRecord: rec, Time: time.Now(), StragglerShard: -1, ETAIterations: -1}
 	if v := m.cfg.Vertices; v > 0 {
 		f.FlipRate = float64(rec.DeltaN) / float64(v)
 		f.FrontierOccupancy = float64(rec.ActiveVertices) / float64(v)
@@ -435,21 +362,8 @@ func (m *Monitor) ObserveIteration(rec telemetry.IterRecord) {
 		f.HaloLabels = p.halo
 		m.pending.valid = false
 	}
-	if q := rec.Quality; q != nil {
-		f.HasQuality = true
-		f.Modularity = q.Modularity
-		f.DeltaQ = q.DeltaQ
-		f.Communities = q.Communities
-		f.GiantShare = q.GiantShare
-		f.SingletonRate = q.SingletonRate
-		f.LabelEntropy = q.Entropy
-		if q.Exact {
-			f.QualityDrift = q.Drift
-		}
-		if q.ChurnValid {
-			f.ChurnNMI = q.ChurnNMI
-		}
-		m.observeQuality(*q)
+	if q := rec.Quality; q != nil && (!m.havePeakQ || q.Modularity > m.peakQ) {
+		m.peakQ, m.havePeakQ = q.Modularity, true
 	}
 
 	m.deriveTrends(&f)
@@ -555,14 +469,14 @@ func (m *Monitor) deriveTrends(f *Frame) {
 
 	// Modularity trend over the window's quality-bearing frames; a flat
 	// slope on a positive-Q run is the quality-plateau convergence signal.
-	if f.HasQuality {
+	if f.Quality != nil {
 		xs, ys = xs[:0], ys[:0]
 		for _, fr := range w {
-			if !fr.HasQuality {
+			if fr.Quality == nil {
 				continue
 			}
 			xs = append(xs, float64(fr.Iter))
-			ys = append(ys, fr.Modularity)
+			ys = append(ys, fr.Quality.Modularity)
 		}
 		f.QualityTrend = slope(xs, ys)
 	}
@@ -570,14 +484,13 @@ func (m *Monitor) deriveTrends(f *Frame) {
 	// Stall: this iteration versus the median of the preceding window.
 	f.DurationFactor = 1
 	if len(w) >= 4 {
-		prev := make([]float64, 0, len(w)-1)
+		prev := make([]time.Duration, 0, len(w)-1)
 		for _, fr := range w[:len(w)-1] {
-			prev = append(prev, fr.DurationUS)
+			prev = append(prev, fr.Duration)
 		}
-		if med := medianFloat(prev); med > 0 {
-			f.DurationFactor = f.DurationUS / med
-			f.StallSuspect = f.DurationFactor >= m.cfg.StallFactor &&
-				f.DurationUS >= float64(stallFloor)/float64(time.Microsecond)
+		if med := medianDuration(prev); med > 0 {
+			f.DurationFactor = float64(f.Duration) / float64(med)
+			f.StallSuspect = f.DurationFactor >= m.cfg.StallFactor && f.Duration >= stallFloor
 		}
 	}
 }
@@ -593,12 +506,13 @@ func (m *Monitor) verdict(f Frame) State {
 	// peak. Checked right after stall — the partition is being destroyed
 	// even when ΔN alone would read as progress. The peak floor (0.05)
 	// keeps noise around Q≈0 warmup values from arming the detector.
-	collapse := f.HasQuality && m.havePeakQ && m.peakQ > 0.05 &&
-		m.peakQ-f.Modularity >= collapseDrop
+	q := f.Quality
+	collapse := q != nil && m.havePeakQ && m.peakQ > 0.05 &&
+		m.peakQ-q.Modularity >= collapseDrop
 	// Quality plateau: modularity flat across the window on a positive-Q
 	// run while flips are near the threshold — confirms convergence even
 	// when the ΔN decay fit alone is too noisy to call it.
-	plateau := windowFull && f.HasQuality && f.Modularity > 0 &&
+	plateau := windowFull && q != nil && q.Modularity > 0 &&
 		math.Abs(f.QualityTrend) <= plateauEps &&
 		float64(f.DeltaN) <= 4*m.cfg.Threshold
 	switch {
@@ -784,12 +698,6 @@ func slope(xs, ys []float64) float64 {
 func medianDuration(durs []time.Duration) time.Duration {
 	s := append([]time.Duration(nil), durs...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[len(s)/2]
-}
-
-func medianFloat(v []float64) float64 {
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
 	return s[len(s)/2]
 }
 

@@ -2,6 +2,7 @@ package health
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -19,61 +20,38 @@ func feedQuality(m *Monitor, iter int, delta int64, q telemetry.QualityRecord, d
 	})
 }
 
-// TestMonitorQualityFold: an iteration's quality record is folded into that
-// iteration's frame; drift appears only on sampled (exact) records and churn
-// only when valid; an iteration without a quality record stays
-// quality-free.
+// TestMonitorQualityFold: each frame carries its own iteration's quality
+// record exactly as the loop attached it — exact and inexact samples alike —
+// and an iteration without a quality record carries none.
 func TestMonitorQualityFold(t *testing.T) {
 	m := New(Config{Vertices: 1000, Threshold: 1})
 	defer m.Close()
 
-	feedQuality(m, 0, 500, telemetry.QualityRecord{
+	recs := []telemetry.QualityRecord{{
 		Modularity: 0.31, DeltaQ: 0.02, Communities: 42, GiantShare: 0.2,
 		SingletonRate: 0.05, Entropy: 2.5,
 		Exact: true, ExactModularity: 0.31, Drift: 3e-9,
 		ChurnNMI: 0.9, ChurnValid: true,
-	}, 5*time.Millisecond)
+	}, {
+		Modularity: 0.33, Drift: 0.5, ChurnNMI: 0.1,
+	}}
+	for i, q := range recs {
+		feedQuality(m, i, int64(500-100*i), q, 5*time.Millisecond)
+	}
+	m.ObserveIteration(telemetry.IterRecord{Iter: 2, DeltaN: 300, Duration: 5 * time.Millisecond})
 
 	frames := m.Frames()
-	f := frames[len(frames)-1]
-	if !f.HasQuality {
-		t.Fatal("frame did not fold the quality record")
+	if len(frames) != 3 {
+		t.Fatalf("%d frames, want 3", len(frames))
 	}
-	if f.Modularity != 0.31 || f.DeltaQ != 0.02 || f.Communities != 42 {
-		t.Errorf("folded quality = (Q %v, ΔQ %v, communities %d)", f.Modularity, f.DeltaQ, f.Communities)
+	for i, want := range recs {
+		want.Iter = i
+		if got := frames[i].Quality; got == nil || *got != want {
+			t.Errorf("frame %d quality = %+v, want its record %+v", i, got, want)
+		}
 	}
-	if f.GiantShare != 0.2 || f.SingletonRate != 0.05 || f.LabelEntropy != 2.5 {
-		t.Errorf("folded census = (giant %v, singleton %v, entropy %v)",
-			f.GiantShare, f.SingletonRate, f.LabelEntropy)
-	}
-	if f.QualityDrift != 3e-9 {
-		t.Errorf("drift %v not folded from an exact record", f.QualityDrift)
-	}
-	if f.ChurnNMI != 0.9 {
-		t.Errorf("churn NMI %v not folded", f.ChurnNMI)
-	}
-
-	// Inexact record: drift must stay zero even though the record carries a
-	// stale Drift field; invalid churn must not leak either.
-	feedQuality(m, 1, 400, telemetry.QualityRecord{
-		Modularity: 0.33, Drift: 0.5, ChurnNMI: 0.1,
-	}, 5*time.Millisecond)
-	frames = m.Frames()
-	f = frames[len(frames)-1]
-	if !f.HasQuality || f.Modularity != 0.33 {
-		t.Fatalf("second record not folded (HasQuality %v, Q %v)", f.HasQuality, f.Modularity)
-	}
-	if f.QualityDrift != 0 || f.ChurnNMI != 0 {
-		t.Errorf("inexact record leaked drift %v / churn %v", f.QualityDrift, f.ChurnNMI)
-	}
-
-	// No quality record ⇒ the frame stays quality-free.
-	m.ObserveIteration(telemetry.IterRecord{Iter: 2, DeltaN: 300, Duration: 5 * time.Millisecond})
-	frames = m.Frames()
-	f = frames[len(frames)-1]
-	if f.HasQuality || f.Modularity != 0 {
-		t.Errorf("stale quality record folded into iter %d (HasQuality %v, Q %v)",
-			f.Iter, f.HasQuality, f.Modularity)
+	if q := frames[2].Quality; q != nil {
+		t.Errorf("iteration without a quality record carries %+v", q)
 	}
 }
 
@@ -146,8 +124,10 @@ func TestMonitorQualityPlateau(t *testing.T) {
 	}
 }
 
-// TestMonitorQualityTrackBounded: only sampled (exact) records are retained,
-// bounded by RingSize, oldest evicted first.
+// TestMonitorQualityTrackBounded: a bundle's exact quality samples are its
+// frames whose "quality" object has "exact" set, so they are bounded by the
+// frame ring: of exact samples at iterations 0, 2, …, 8, a 4-frame ring
+// keeps 6 and 8.
 func TestMonitorQualityTrackBounded(t *testing.T) {
 	m := New(Config{Vertices: 100, RingSize: 4})
 	defer m.Close()
@@ -155,24 +135,45 @@ func TestMonitorQualityTrackBounded(t *testing.T) {
 		m.ObserveIteration(telemetry.IterRecord{Iter: i, DeltaN: 10, Duration: time.Millisecond,
 			Quality: &telemetry.QualityRecord{Iter: i, Modularity: float64(i), Exact: i%2 == 0}})
 	}
-	track := m.QualityTrack()
-	if len(track) != 4 {
-		t.Fatalf("track retains %d records, want RingSize=4", len(track))
+	data, err := json.Marshal(m.Flight("request"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Exact records were iters 0,2,4,6,8; the last four survive.
-	for i, want := range []int{2, 4, 6, 8} {
-		if track[i].Iter != want {
-			t.Errorf("track[%d].Iter = %d, want %d", i, track[i].Iter, want)
+	var raw struct {
+		Frames []struct {
+			Iter    int `json:"iter"`
+			Quality *struct {
+				Iter  int  `json:"iter"`
+				Exact bool `json:"exact"`
+			} `json:"quality"`
+		} `json:"frames"`
+	}
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if len(raw.Frames) != 4 {
+		t.Fatalf("bundle retains %d frames, want RingSize=4", len(raw.Frames))
+	}
+	var exact []int
+	for _, f := range raw.Frames {
+		if f.Quality == nil {
+			t.Fatalf("frame %d lost its quality record", f.Iter)
 		}
-		if !track[i].Exact {
-			t.Errorf("track[%d] is not an exact record", i)
+		if f.Quality.Iter != f.Iter {
+			t.Errorf("frame %d carries the quality record of iteration %d", f.Iter, f.Quality.Iter)
 		}
+		if f.Quality.Exact {
+			exact = append(exact, f.Iter)
+		}
+	}
+	if fmt.Sprint(exact) != "[6 8]" {
+		t.Errorf("exact samples at iterations %v, want [6 8]", exact)
 	}
 }
 
-// TestFlightQualityRoundTrip is satellite coverage for the schema-2 quality
-// track: a bundle with quality-bearing frames and a sampled-record track
-// survives encode → DecodeFlight (DisallowUnknownFields) → Validate intact.
+// TestFlightQualityRoundTrip: a bundle with quality-bearing frames survives
+// encode → DecodeFlight (DisallowUnknownFields) → Validate with every
+// frame's quality record intact.
 func TestFlightQualityRoundTrip(t *testing.T) {
 	m := New(Config{Detector: "nulpa", Vertices: 1000, Threshold: 1, RingSize: 8})
 	defer m.Close()
@@ -186,8 +187,8 @@ func TestFlightQualityRoundTrip(t *testing.T) {
 	if b.Schema != FlightSchema {
 		t.Fatalf("bundle schema %d, want %d", b.Schema, FlightSchema)
 	}
-	if len(b.Quality) != 3 {
-		t.Fatalf("bundle retains %d quality records, want 3 exact samples", len(b.Quality))
+	if n := exactSamples(b); n != 3 {
+		t.Fatalf("bundle retains %d exact quality samples, want 3", n)
 	}
 
 	data, err := json.Marshal(b)
@@ -201,21 +202,26 @@ func TestFlightQualityRoundTrip(t *testing.T) {
 	if err := got.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if len(got.Quality) != len(b.Quality) {
-		t.Fatalf("round trip kept %d quality records, want %d", len(got.Quality), len(b.Quality))
+	if len(got.Frames) != len(b.Frames) {
+		t.Fatalf("round trip kept %d frames, want %d", len(got.Frames), len(b.Frames))
 	}
-	for i := range got.Quality {
-		if got.Quality[i] != b.Quality[i] {
-			t.Errorf("quality record %d changed in round trip: %+v vs %+v", i, got.Quality[i], b.Quality[i])
+	for i := range got.Frames {
+		if g, w := got.Frames[i].Quality, b.Frames[i].Quality; g == nil || *g != *w {
+			t.Errorf("frame %d quality changed in round trip: %+v vs %+v", i, g, w)
 		}
 	}
-	var hasQ bool
-	for _, f := range got.Frames {
-		if f.HasQuality && f.Modularity > 0 {
-			hasQ = true
+	if n := exactSamples(got); n != 3 {
+		t.Errorf("round trip kept %d exact quality samples, want 3", n)
+	}
+}
+
+// exactSamples counts b's frames carrying an exact-recompute quality record.
+func exactSamples(b *FlightBundle) int {
+	n := 0
+	for _, f := range b.Frames {
+		if f.Quality != nil && f.Quality.Exact {
+			n++
 		}
 	}
-	if !hasQ {
-		t.Error("no quality-bearing frame survived the round trip")
-	}
+	return n
 }

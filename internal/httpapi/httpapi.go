@@ -45,6 +45,7 @@ package httpapi
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"nulpa/internal/gen"
@@ -59,15 +60,20 @@ type GraphSpec struct {
 	// generator fields are ignored. Only the in-process Server.Submit
 	// accepts it; POST /jobs refuses it with a 400.
 	Path string `json:"path,omitempty"`
-	// Gen selects a generator: web, social, road, kmer, er, planted.
+	// Gen selects a generator, one of Generators.
 	Gen string `json:"gen,omitempty"`
-	// N is the generator vertex count (social: rounded up to a power of two).
+	// N is the generator vertex count (rmat: rounded up to a power of two).
 	N int `json:"n,omitempty"`
 	// Deg is the generator average-degree parameter.
 	Deg int `json:"deg,omitempty"`
 	// Seed drives the generator.
 	Seed int64 `json:"seed,omitempty"`
 }
+
+// Generators names the graph classes GraphSpec.Gen accepts: social is the
+// LFR-style graph with planted communities, rmat the R-MAT power-law graph
+// without them, and rgg a random geometric graph in the unit square.
+const Generators = "web, social, rmat, road, kmer, er, planted, rgg"
 
 // Build loads or generates the graph the spec names.
 func (s GraphSpec) Build() (*graph.CSR, error) {
@@ -85,6 +91,9 @@ func (s GraphSpec) Build() (*graph.CSR, error) {
 	case "web":
 		return gen.Web(gen.DefaultWeb(n, deg, s.Seed)), nil
 	case "social":
+		g, _ := gen.Social(gen.DefaultSocial(n, deg, s.Seed))
+		return g, nil
+	case "rmat":
 		scale := 0
 		for 1<<scale < n {
 			scale++
@@ -101,8 +110,11 @@ func (s GraphSpec) Build() (*graph.CSR, error) {
 			N: n, Communities: 16, DegIn: float64(deg), DegOut: 1, Seed: s.Seed,
 		})
 		return g, nil
+	case "rgg":
+		// The radius that gives an expected degree of deg (n·π·r² = deg).
+		return gen.RGG(n, math.Sqrt(float64(deg)/(math.Pi*float64(n))), s.Seed), nil
 	case "":
-		return nil, fmt.Errorf("graph spec needs path or gen (web, social, road, kmer, er, planted)")
+		return nil, fmt.Errorf("graph spec needs path or gen (%s)", Generators)
 	default:
 		return nil, fmt.Errorf("unknown generator %q", s.Gen)
 	}

@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"nulpa/internal/engine"
 	_ "nulpa/internal/engine/all"
 	"nulpa/internal/metrics"
+	"nulpa/internal/quality"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -303,7 +305,7 @@ func TestJobNotFound(t *testing.T) {
 }
 
 func TestGraphSpecBuild(t *testing.T) {
-	for _, gen := range []string{"web", "social", "road", "kmer", "er", "planted"} {
+	for _, gen := range []string{"web", "social", "rmat", "road", "kmer", "er", "planted", "rgg"} {
 		g, err := GraphSpec{Gen: gen, N: 256, Deg: 4, Seed: 1}.Build()
 		if err != nil {
 			t.Fatalf("%s: %v", gen, err)
@@ -317,5 +319,26 @@ func TestGraphSpecBuild(t *testing.T) {
 	}
 	if _, err := (GraphSpec{Gen: "bogus"}).Build(); err == nil {
 		t.Error("unknown generator did not error")
+	}
+}
+
+// TestGraphSpecSocialHasCommunities: "social" is the LFR-style generator
+// with planted communities, so a label-propagation baseline finds them. The
+// same spec under "rmat" has no community structure and gives Q ≈ 0.001.
+func TestGraphSpecSocialHasCommunities(t *testing.T) {
+	g, err := GraphSpec{Gen: "social", N: 2000, Deg: 8, Seed: 1}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, err := engine.MustGet("flpa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := det.Detect(g, engine.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := quality.Modularity(g, res.Labels); q < 0.3 {
+		t.Errorf("flpa on social: Q = %.4f, want >= 0.3", q)
 	}
 }

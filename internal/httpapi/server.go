@@ -380,7 +380,7 @@ func (s *Server) getTraceChrome(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition",
 		`attachment; filename="trace-`+id.String()+`.json"`)
-	telemetry.WriteUnifiedChromeTrace(w, rec, spans)
+	telemetry.WriteChromeTrace(w, rec, spans)
 }
 
 // Submit starts a job directly (the -serve CLI path submits its initial job

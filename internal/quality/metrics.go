@@ -76,51 +76,6 @@ func Coverage(g *graph.CSR, labels []uint32) float64 {
 	return intra / twoM
 }
 
-// Conductance returns the weighted mean conductance over communities: for
-// community c with cut weight cut_c and volume vol_c (sum of member
-// degrees), φ(c) = cut_c / min(vol_c, 2m − vol_c); communities are weighted
-// by volume. Lower is better. Degenerate communities (zero denominator) are
-// skipped.
-func Conductance(g *graph.CSR, labels []uint32) float64 {
-	if len(labels) != g.NumVertices() {
-		panic(fmt.Sprintf("quality: %d labels for %d vertices", len(labels), g.NumVertices()))
-	}
-	twoM := g.TotalWeight()
-	if twoM == 0 {
-		return 0
-	}
-	cut := map[uint32]float64{}
-	vol := map[uint32]float64{}
-	for u := 0; u < g.NumVertices(); u++ {
-		cu := labels[u]
-		ts, ws := g.Neighbors(graph.Vertex(u))
-		for k, v := range ts {
-			w := float64(ws[k])
-			vol[cu] += w
-			if labels[v] != cu {
-				cut[cu] += w
-			}
-		}
-	}
-	var num, den float64
-	for c, vc := range vol {
-		other := twoM - vc
-		m := vc
-		if other < m {
-			m = other
-		}
-		if m <= 0 {
-			continue
-		}
-		num += vc * (cut[c] / m)
-		den += vc
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
 // EdgeCut returns the total weight of arcs crossing community boundaries,
 // counting each undirected edge twice (both arc directions), and the
 // fraction of total arc weight it represents. This is the partitioning

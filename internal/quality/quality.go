@@ -95,16 +95,6 @@ func ModularityResolution(g *graph.CSR, labels []uint32, gamma float64) float64 
 	return q
 }
 
-// DeltaModularity computes ΔQ_{i: d→c} per equation (2): the modularity
-// change from moving vertex i out of community d into community c.
-// kiToC and kiToD are K_{i→c} and K_{i→d} (edge weight from i into each
-// community, excluding self loops), ki is K_i, sigmaC and sigmaD are the
-// Σ_c totals of the two communities before the move, and twoM is 2m.
-func DeltaModularity(kiToC, kiToD, ki, sigmaC, sigmaD, twoM float64) float64 {
-	m := twoM / 2
-	return (kiToC-kiToD)/m - ki*(ki+sigmaC-sigmaD)/(2*m*m)
-}
-
 // CommunitySizes returns the size of each community keyed by label.
 func CommunitySizes(labels []uint32) map[uint32]int {
 	sizes := make(map[uint32]int)

@@ -27,11 +27,6 @@ func AtomicAddUint32(p []uint32, i int, delta uint32) uint32 {
 	return atomic.AddUint32(&p[i], delta)
 }
 
-// AtomicAddInt64 atomically adds delta to p[i] and returns the new value.
-func AtomicAddInt64(p []int64, i int, delta int64) int64 {
-	return atomic.AddInt64(&p[i], delta)
-}
-
 // AtomicCASUint32 performs compare-and-swap on p[i]: if p[i] == old it
 // stores new and returns old; otherwise it returns the value found. This is
 // CUDA atomicCAS semantics (returns the value read), unlike Go's boolean CAS.

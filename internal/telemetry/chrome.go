@@ -4,20 +4,30 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"time"
+
+	"nulpa/internal/trace"
 )
 
 // Chrome trace-event export: a JSON document loadable in chrome://tracing
-// (or ui.perfetto.dev). The timeline has one process for the simulated
-// device with one thread row per SM — each kernel launch appears as a
-// complete ("X") slice on every SM that executed blocks of its grid — and a
-// second process for the algorithm run, with one slice per iteration plus
-// counter ("C") series for ΔN, moves, reverts, pruned vertices and
-// hashtable probes.
+// (or ui.perfetto.dev) that merges the device-level profiler timeline and
+// the causal span tree of the same run. The timeline has one process for
+// the simulated device with one thread row per SM — each kernel launch
+// appears as a complete ("X") slice on every SM that executed blocks of its
+// grid — and a second process for the algorithm run, with one slice per
+// iteration plus counter ("C") series for ΔN, moves, reverts, pruned
+// vertices and hashtable probes. The spans land in a third process, where
+// Chrome's time-containment nesting reconstructs the run/job → detect →
+// iteration → kernel tree and span events (retries, rollbacks, fallbacks)
+// appear as instant markers at their offsets. Because both sides carry
+// wall-clock timestamps, slices line up: the kernel span that covers an SM
+// slice sits directly above it.
 
 const (
 	devicePid = 0 // process 0: the simulated device, one thread per SM
 	runPid    = 1 // process 1: the algorithm run (iterations + counters)
+	tracePid  = 2 // process 2: the run's spans
 )
 
 // traceEvent is one entry of the trace-event format; timestamps and
@@ -40,20 +50,84 @@ type traceDoc struct {
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
 }
 
-// WriteChromeTrace writes the recorded launches and iteration records as a
-// Chrome trace-event JSON document.
-func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	r.mu.Lock()
-	base := r.base
-	r.mu.Unlock()
+// WriteChromeTrace writes r's profiler timeline (when r is non-nil) and
+// spans as one Chrome trace-event JSON document; the span process appears
+// only when there are spans. The time base is the earliest instant either
+// side knows about, so every timestamp is non-negative.
+func WriteChromeTrace(w io.Writer, r *Recorder, spans []trace.SpanData) error {
+	var base time.Time
+	if r != nil {
+		r.mu.Lock()
+		base = r.base
+		r.mu.Unlock()
+	}
+	for _, s := range spans {
+		if !s.Start.IsZero() && (base.IsZero() || s.Start.Before(base)) {
+			base = s.Start
+		}
+	}
+	us := func(t time.Time) float64 {
+		if t.IsZero() {
+			return 0
+		}
+		return float64(t.Sub(base).Nanoseconds()) / 1e3
+	}
+
+	var evs []traceEvent
+	if r != nil {
+		evs = r.chromeEvents(base)
+	}
+	if len(spans) > 0 {
+		evs = append(evs,
+			traceEvent{Name: "process_name", Ph: "M", Pid: tracePid,
+				Args: map[string]any{"name": "trace"}},
+			traceEvent{Name: "thread_name", Ph: "M", Pid: tracePid, Tid: 0,
+				Args: map[string]any{"name": "spans"}},
+		)
+	}
+
+	// Parents before children, earlier spans first: Chrome nests X slices on
+	// one thread row by time containment, and sorting by start (duration
+	// breaking ties, longer first) hands it the tree in the right order.
+	sorted := make([]trace.SpanData, len(spans))
+	copy(sorted, spans)
+	sort.SliceStable(sorted, func(i, j int) bool {
+		if !sorted[i].Start.Equal(sorted[j].Start) {
+			return sorted[i].Start.Before(sorted[j].Start)
+		}
+		if sorted[i].DurationUS != sorted[j].DurationUS {
+			return sorted[i].DurationUS > sorted[j].DurationUS
+		}
+		return sorted[i].Span < sorted[j].Span
+	})
+	for _, s := range sorted {
+		args := map[string]any{"trace": s.Trace, "span": s.Span}
+		if s.Parent != "" {
+			args["parent"] = s.Parent
+		}
+		for k, v := range s.Attrs {
+			args[k] = v
+		}
+		evs = append(evs, traceEvent{
+			Name: s.Name, Cat: "span", Ph: "X",
+			Ts: us(s.Start), Dur: s.DurationUS,
+			Pid: tracePid, Tid: 0, Args: args,
+		})
+		for _, e := range s.Events {
+			evs = append(evs, traceEvent{
+				Name: e.Name, Cat: "span-event", Ph: "i",
+				Ts:  us(s.Start) + e.OffsetUS,
+				Pid: tracePid, Tid: 0, S: "t", Args: e.Attrs,
+			})
+		}
+	}
+
 	enc := json.NewEncoder(w)
-	return enc.Encode(traceDoc{TraceEvents: r.chromeEvents(base), DisplayTimeUnit: "ms"})
+	return enc.Encode(traceDoc{TraceEvents: evs, DisplayTimeUnit: "ms"})
 }
 
 // chromeEvents renders the recorder's launches and iteration records as
-// trace events with timestamps relative to base. It is the shared body of
-// WriteChromeTrace and WriteUnifiedChromeTrace, which differ only in the
-// base they pick and in what else shares the document.
+// trace events with timestamps relative to base.
 func (r *Recorder) chromeEvents(base time.Time) []traceEvent {
 	r.mu.Lock()
 	launches := make([]*Launch, len(r.launches))

@@ -48,7 +48,7 @@ func goldenRecorder() *Recorder {
 // deliberately with `go test ./internal/telemetry -run Golden -update`.
 func TestWriteChromeTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := goldenRecorder().WriteChromeTrace(&buf); err != nil {
+	if err := WriteChromeTrace(&buf, goldenRecorder(), nil); err != nil {
 		t.Fatal(err)
 	}
 	got := buf.Bytes()

@@ -5,8 +5,8 @@
 // hashtable probe deltas, partition quality), with two exporters — a human-readable summary
 // table and a Chrome trace-event JSON timeline loadable in chrome://tracing.
 //
-// Among the repository's packages it imports only trace (span ids for the
-// unified export) and quality (whose per-iteration snapshot is the
+// Among the repository's packages it imports only trace (the spans the
+// Chrome export merges in) and quality (whose per-iteration snapshot is the
 // QualityRecord), both leaf layers, so every detector and device can depend
 // on it: internal/simt defines the Profiler hook interface that *Recorder
 // implements, and every algorithm package embeds IterRecord in its result

@@ -124,7 +124,7 @@ func TestWriteChromeTrace(t *testing.T) {
 		HashProbes: 100, Duration: time.Millisecond})
 
 	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
+	if err := WriteChromeTrace(&buf, r, nil); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

@@ -40,7 +40,7 @@ func goldenSpans() []trace.SpanData {
 // `go test ./internal/telemetry -run UnifiedChromeTraceGolden -update`.
 func TestWriteUnifiedChromeTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteUnifiedChromeTrace(&buf, goldenRecorder(), goldenSpans()); err != nil {
+	if err := WriteChromeTrace(&buf, goldenRecorder(), goldenSpans()); err != nil {
 		t.Fatal(err)
 	}
 	got := buf.Bytes()
@@ -100,7 +100,7 @@ func TestWriteUnifiedChromeTraceGolden(t *testing.T) {
 // that never reached the device still exports).
 func TestWriteUnifiedChromeTraceNoRecorder(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteUnifiedChromeTrace(&buf, nil, goldenSpans()); err != nil {
+	if err := WriteChromeTrace(&buf, nil, goldenSpans()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

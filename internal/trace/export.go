@@ -1,21 +1,17 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/json"
-	"io"
 	"sort"
 	"time"
 )
 
-// Export: the ring buffer renders three ways. Spans snapshots the completed
-// spans as SpanData (the wire schema shared by every exporter), WriteJSONL
-// streams them one JSON object per line (the -trace-out file format, checked
-// by ReadJSONL and ConnectedTrace), and BuildTree/Summaries shape them for the
-// /debug/trace HTTP endpoints. The unified Chrome timeline lives in
+// Export: Spans snapshots the ring buffer's completed spans as SpanData (the
+// wire schema shared by every exporter: the flight bundle's span list and
+// the /debug/trace endpoints), and BuildTree/Summaries shape them for the
+// /debug/trace HTTP endpoints. The Chrome timeline lives in
 // internal/telemetry, which merges SpanData with its profiler events.
 
-// SpanData is the exported view of one completed span — the JSONL schema.
+// SpanData is the exported view of one completed span.
 // Times are wall-clock; DurationUS and event offsets are microseconds, the
 // unit the Chrome trace viewer uses.
 type SpanData struct {
@@ -104,19 +100,6 @@ func (t *Tracer) TraceSpans(id TraceID) []SpanData {
 		}
 	}
 	return out
-}
-
-// WriteJSONL writes every resident span as one JSON object per line, in
-// completion order — the -trace-out export format.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, d := range t.Spans() {
-		if err := enc.Encode(d); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // Node is one span with its children — the tree shape /debug/trace/{id}

@@ -262,7 +262,8 @@ func New(capacity int) *Tracer {
 var defaultTracer = New(0)
 
 // Default returns the process-wide tracer: the one httpapi serves on
-// /debug/trace and cmd/nulpa exports with -trace-out. It starts disabled.
+// /debug/trace and cmd/nulpa writes into its flight bundle and Chrome
+// profile. It starts disabled.
 func Default() *Tracer { return defaultTracer }
 
 // NewID returns a fresh 16-hex-digit id from the default tracer's generator —

@@ -181,9 +181,11 @@ func TestConcurrentEnds(t *testing.T) {
 	}
 }
 
-// TestWriteJSONLGolden pins the JSONL span schema byte-for-byte: field
-// names, id rendering, timestamp format, attribute and event encoding.
-// Regenerate deliberately with `go test ./internal/trace -run Golden -update`.
+// TestWriteJSONLGolden pins the SpanData wire schema (the flight bundle's
+// span list) byte-for-byte, written as JSONL, one encoded span per line:
+// field names, id rendering, timestamp format, attribute and event
+// encoding. Regenerate deliberately with
+// `go test ./internal/trace -run Golden -update`.
 func TestWriteJSONLGolden(t *testing.T) {
 	tr := deterministic(64)
 	ctx, job := tr.Root(context.Background(), "job")
@@ -203,8 +205,11 @@ func TestWriteJSONLGolden(t *testing.T) {
 	job.End()
 
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
+	enc := json.NewEncoder(&buf)
+	for _, d := range tr.Spans() {
+		if err := enc.Encode(d); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got := buf.Bytes()
 
@@ -274,45 +279,5 @@ func TestSetFloatAttr(t *testing.T) {
 	}
 	if got, ok := spans[0].Attrs["waitMs"].(float64); !ok || got != 12.5 {
 		t.Fatalf("waitMs attr = %v, want 12.5", spans[0].Attrs["waitMs"])
-	}
-}
-
-func TestReadJSONLAndConnectedTrace(t *testing.T) {
-	tr := deterministic(16)
-	ctx, run := tr.Root(context.Background(), "run")
-	dctx, det := Child(ctx, "detect")
-	ictx, iter := Child(dctx, "iteration")
-	_, kern := Child(ictx, "kernel:thread-per-vertex")
-	for _, s := range []*Span{kern, iter, det, run} {
-		s.End()
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	spans, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id, err := ConnectedTrace(spans, "run"); err != nil || id != run.TraceID().String() {
-		t.Fatalf("ConnectedTrace = %q, %v; want %s", id, err, run.TraceID())
-	}
-	if _, err := ConnectedTrace(spans, "job"); err == nil {
-		t.Error("connected a trace under a root name that is not there")
-	}
-	// Without its kernel span the chain does not resolve.
-	if _, err := ConnectedTrace(spans[1:], "run"); err == nil {
-		t.Error("connected a trace with no kernel span")
-	}
-
-	for name, export := range map[string]string{
-		"empty":         "\n",
-		"unknown field": `{"trace":"0000000000000001","span":"0000000000000002","name":"run","start":"2025-01-02T03:04:05Z","bogus":1}`,
-		"short span id": `{"trace":"0000000000000001","span":"02","name":"run","start":"2025-01-02T03:04:05Z"}`,
-		"no start":      `{"trace":"0000000000000001","span":"0000000000000002","name":"run"}`,
-	} {
-		if _, err := ReadJSONL(bytes.NewReader([]byte(export))); err == nil {
-			t.Errorf("%s: export accepted", name)
-		}
 	}
 }
