@@ -21,10 +21,10 @@ vet:
 	cd benchmark && $(GO) vet ./...
 
 # Import layering: algorithm packages meet only through the engine registry.
-# Tree hygiene: no non-Go artifacts under internal/.
+# Tree hygiene: no non-Go artifacts under internal/ or cmd/. Both are Go
+# tests in lint_test.go at the module root.
 lint:
-	sh scripts/lint_imports.sh
-	sh scripts/lint_tree.sh
+	$(GO) test -count=1 -run 'TestImportLayering|TestSourceTree' .
 
 test:
 	$(GO) test -race -short ./...

@@ -39,7 +39,7 @@ func main() {
 		priorities = flag.String("priorities", "high,normal,low", "comma-separated priority mix cycled across submissions")
 		tenants    = flag.Int("tenants", 1, "distinct X-Tenant values cycled across submissions")
 		deadline   = flag.Int64("deadline-ms", 0, "per-job admission deadline budget, ms (0 = none)")
-		faultsSpec = flag.String("faults", "", "fault-injection spec attached to every job (chaos under load)")
+		faultsSpec = flag.String("faults", "", "fault-injection spec attached to every job (chaos under load; ν-LPA -algo only)")
 		identical  = flag.Bool("identical", false, "submit identical specs (exercises coalescing/cache)")
 		timeout    = flag.Duration("job-timeout", 60*time.Second, "per-job terminal-state timeout")
 		seed       = flag.Int64("seed", 1, "seed for arrival jitter and graph seeds")

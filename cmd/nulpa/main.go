@@ -110,7 +110,7 @@ func main() {
 	if name == "nulpa" && *shards > 0 {
 		name = "nulpa-sharded"
 	}
-	nuLPA := name == "nulpa" || name == "nulpa-direct" || name == "nulpa-sharded"
+	nopt, nuLPA := nulpa.Defaults(name)
 	det, err := engine.MustGet(name)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nulpa: bad -algo %q: %v\n", *algo, err)
@@ -158,10 +158,6 @@ func main() {
 	if nuLPA {
 		// The ν-LPA-specific flags travel through Extra; every other
 		// detector ignores them.
-		nopt := nulpa.DefaultOptions()
-		if name == "nulpa-sharded" {
-			nopt = nulpa.DefaultShardedOptions()
-		}
 		if *shards > 0 {
 			nopt.Shards = *shards
 		}
@@ -218,11 +214,7 @@ func main() {
 	// post-mortem flight bundle on exit.
 	var mon *health.Monitor
 	if *healthOn || *flightOut != "" {
-		hcfg := health.Config{Detector: name, Vertices: g.NumVertices()}
-		if runSpan != nil {
-			hcfg.Span = runSpan
-			hcfg.TraceID = runSpan.TraceID().String()
-		}
+		hcfg := health.Config{Detector: name, Vertices: g.NumVertices(), Span: runSpan}
 		if *healthOn {
 			hcfg.OnFrame = printHealthFrame
 		}

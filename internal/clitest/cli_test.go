@@ -258,9 +258,9 @@ func findSpan(nodes []*trace.Node, match func(string) bool) *trace.Node {
 
 func TestNulpaHealthFlightDump(t *testing.T) {
 	// Every simt launch fails (kernel=1), so the run must degrade to the
-	// sequential direct configuration after MaxRetries rollbacks, print
-	// per-iteration health lines, and auto-dump a flight bundle whose
-	// capture reason is "degraded".
+	// sequential direct configuration after 3 rollbacks (the recovery
+	// budget), print per-iteration health lines, and auto-dump a flight
+	// bundle whose capture reason is "degraded".
 	path := filepath.Join(t.TempDir(), "flight.json")
 	out := mustRun(t, "nulpa", "-gen", "planted", "-n", "2000", "-deg", "8", "-seed", "7",
 		"-faults", "kernel=1,seed=2", "-health", "-flight-out", path)

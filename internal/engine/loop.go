@@ -107,32 +107,9 @@ func Loop(cfg LoopConfig, body func(ctx context.Context, iter int) IterOutcome) 
 				recordQualityMetrics(ictx, *rec.Quality)
 			}
 		}
+		// The span names its iteration; the counts stay in the record.
 		if ispan != nil {
 			ispan.SetInt("iter", int64(iter))
-			ispan.SetInt("deltaN", rec.DeltaN)
-			ispan.SetInt("moves", rec.Moves)
-			if rec.Reverts > 0 {
-				ispan.SetInt("reverts", rec.Reverts)
-			}
-			if rec.EdgeVisits > 0 {
-				ispan.SetInt("edgeVisits", rec.EdgeVisits)
-			}
-			if rec.ActiveVertices > 0 {
-				ispan.SetInt("activeVertices", rec.ActiveVertices)
-			}
-			if rec.PickLess {
-				ispan.SetBool("pickLess", true)
-			}
-			if rec.CrossCheck {
-				ispan.SetBool("crossCheck", true)
-			}
-			if q := rec.Quality; q != nil {
-				ispan.SetFloat("modularity", q.Modularity)
-				ispan.SetInt("communities", int64(q.Communities))
-				if q.Exact {
-					ispan.SetFloat("qualityDrift", q.Drift)
-				}
-			}
 			if out.Err != nil {
 				ispan.SetString("error", out.Err.Error())
 			}

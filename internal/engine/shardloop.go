@@ -60,8 +60,6 @@ func ShardLoop(cfg ShardLoopConfig,
 				durs[s] = time.Since(st)
 				if sspan != nil {
 					sspan.SetInt("shard", int64(s))
-					sspan.SetInt("deltaN", out.Record.DeltaN)
-					sspan.SetInt("moves", out.Record.Moves)
 					if out.Err != nil {
 						sspan.SetString("error", out.Err.Error())
 					}

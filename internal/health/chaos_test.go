@@ -39,7 +39,6 @@ func TestChaosFlightDump(t *testing.T) {
 			nopt := nulpa.DefaultOptions()
 			nopt.Device = simt.NewDevice(4)
 			nopt.Faults = faults.New(faults.Spec{KernelFailRate: 0.05, Seed: seed})
-			nopt.RetryBackoff = time.Microsecond
 			opt := engine.DefaultOptions()
 			opt.Extra = nopt
 			opt.Profiler = rec
@@ -142,6 +141,5 @@ func runGuarded(t *testing.T, f func() (*engine.Result, error)) (*engine.Result,
 }
 
 func typedChaosError(err error) bool {
-	return errors.Is(err, engine.ErrCanceled) || errors.Is(err, engine.ErrDeadline) ||
-		errors.Is(err, nulpa.ErrFaulted)
+	return errors.Is(err, engine.ErrCanceled) || errors.Is(err, engine.ErrDeadline)
 }

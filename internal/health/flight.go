@@ -19,7 +19,7 @@ import (
 const FlightSchema = 3
 
 // FlightBundle is the post-mortem flight recording of one run: the last
-// RingSize health frames (each carrying its iteration record, quality record
+// ringSize health frames (each carrying its iteration record, quality record
 // included), the event annotation track, a metrics-registry snapshot, and the
 // run's recorded spans — everything needed to reconstruct why a run faulted,
 // degraded, or blew its deadline after the fact.
@@ -31,7 +31,8 @@ type FlightBundle struct {
 	Reason string `json:"reason"`
 	// Time stamps the capture.
 	Time time.Time `json:"time"`
-	// Detector, Trace, Vertices and Threshold echo the monitor Config.
+	// Detector and Vertices echo the monitor Config, Trace its span's trace
+	// id and Threshold the convergence bound the monitor judged against.
 	Detector  string  `json:"detector,omitempty"`
 	Trace     string  `json:"trace,omitempty"`
 	Vertices  int     `json:"vertices,omitempty"`
@@ -66,9 +67,9 @@ func (m *Monitor) Flight(reason string) *FlightBundle {
 		Reason:     reason,
 		Time:       time.Now(),
 		Detector:   m.cfg.Detector,
-		Trace:      m.cfg.TraceID,
+		Trace:      m.traceID,
 		Vertices:   m.cfg.Vertices,
-		Threshold:  m.cfg.Threshold,
+		Threshold:  m.threshold,
 		Iterations: m.total,
 		State:      m.state,
 		Frames:     m.lastFrames(len(m.frames)),

@@ -12,9 +12,14 @@ import (
 )
 
 func TestFlightCaptureRoundTrip(t *testing.T) {
-	m := New(Config{Detector: "nulpa", Vertices: 1000, Threshold: 2})
+	m := New(Config{Detector: "nulpa", Vertices: 1000})
 	defer m.Close()
-	feed(m, []int64{400, 200, 100, 50}, 3*time.Millisecond)
+	for i, d := range []int64{400, 200, 100, 50} {
+		m.ObserveIteration(telemetry.IterRecord{
+			Iter: i, DeltaN: d, Moves: d, EdgeVisits: 10 * d, ActiveVertices: d,
+			Duration: 3 * time.Millisecond, Threshold: 2,
+		})
+	}
 	m.RecordEvent("fault", "injected: kernel launch rejected")
 
 	b := m.Flight("fault")

@@ -51,7 +51,7 @@ const (
 	// StateStraggling: one shard's superstep time dominates the barrier
 	// (max/median skew at or above stragglerSkew).
 	StateStraggling State = "straggling"
-	// StateStalled: the iteration took StallFactor× the recent median wall
+	// StateStalled: the iteration took stallFactor× the recent median wall
 	// time — an SM stall, a livelocked kernel, or a rollback/retry storm.
 	StateStalled State = "stalled"
 	// StateCollapse: the quality plane reports modularity has fallen
@@ -69,6 +69,15 @@ const (
 	stragglerSkew = 2
 	collapseDrop  = 0.1
 	plateauEps    = 1e-4
+)
+
+// Monitor tuning: the sliding-window length of the decay, oscillation and
+// trend fits, the flight-recorder frame ring's bound, and the
+// duration-over-median multiple that flags a stall.
+const (
+	window      = 8
+	ringSize    = 64
+	stallFactor = 8
 )
 
 // stallFloor is the minimum iteration wall time before a duration blow-up
@@ -108,7 +117,7 @@ type Frame struct {
 	// ΔN failed to decay; ≥ 0.5 with ΔN above threshold flags oscillation.
 	OscillationScore float64 `json:"oscillationScore"`
 	// DurationFactor is this iteration's wall time over the window median;
-	// StallSuspect is set when it reaches Config.StallFactor.
+	// StallSuspect is set when it reaches stallFactor.
 	DurationFactor float64 `json:"durationFactor"`
 	StallSuspect   bool    `json:"stallSuspect,omitempty"`
 
@@ -150,22 +159,9 @@ type Config struct {
 	Detector string
 	// Vertices is |V|, the flip-rate and occupancy denominator (0 = unknown).
 	Vertices int
-	// Threshold is the ΔN convergence bound used until an iteration record
-	// carries the run's own (IterRecord.Threshold above 1, stamped by
-	// engine.Loop); values ≤ 1 clamp to 1 ("no change at all").
-	Threshold float64
-	// Window is the sliding-window length for the decay/oscillation fits
-	// (default 8).
-	Window int
-	// RingSize bounds the flight-recorder frame ring (default 64).
-	RingSize int
-	// StallFactor is the duration-over-median multiple that flags a stall
-	// (default 8).
-	StallFactor float64
-	// TraceID tags metric exemplars and resolves the run's spans into the
-	// flight bundle.
-	TraceID string
-	// Span, when non-nil, receives health-state transitions as span events.
+	// Span, when non-nil, is the run's span: it receives health-state
+	// transitions as span events, and its trace id tags metric exemplars
+	// and resolves the run's spans into the flight bundle.
 	Span *trace.Span
 	// OnFrame, when non-nil, is called with every frame under the monitor
 	// lock (the -health terminal line). It must not call back into the
@@ -189,9 +185,15 @@ const maxEvents = 64
 type Monitor struct {
 	mu  sync.Mutex
 	cfg Config
+	// traceID is cfg.Span's trace id, "" without a span.
+	traceID string
+	// threshold is the ΔN convergence bound: the run's own once an
+	// iteration record carries one above 1 (IterRecord.Threshold, stamped
+	// by engine.Loop), 1 ("no change at all") until then.
+	threshold float64
 
-	frames []Frame // ring of the last cfg.RingSize frames
-	start  int     // ring head when len(frames) == cfg.RingSize
+	frames []Frame // ring of the last ringSize frames
+	start  int     // ring head when len(frames) == ringSize
 	total  int     // frames ever observed
 
 	pending  superstep // shard feed for the iteration being merged
@@ -259,23 +261,15 @@ type superstep struct {
 // the run finishes so subscribers see end-of-stream and the per-state run
 // gauge stays balanced.
 func New(cfg Config) *Monitor {
-	if cfg.Window <= 0 {
-		cfg.Window = 8
-	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 64
-	}
-	if cfg.StallFactor <= 0 {
-		cfg.StallFactor = 8
-	}
-	if cfg.Threshold < 1 {
-		cfg.Threshold = 1
-	}
 	m := &Monitor{
-		cfg:      cfg,
-		state:    StateWarmup,
-		subs:     map[int]*subscriber{},
-		lastIter: -1,
+		cfg:       cfg,
+		threshold: 1,
+		state:     StateWarmup,
+		subs:      map[int]*subscriber{},
+		lastIter:  -1,
+	}
+	if cfg.Span != nil {
+		m.traceID = cfg.Span.TraceID().String()
 	}
 	mStateRuns.With(string(StateWarmup)).Add(1)
 	return m
@@ -345,7 +339,7 @@ func (m *Monitor) ObserveIteration(rec telemetry.IterRecord) {
 		return
 	}
 	if rec.Threshold > 1 {
-		m.cfg.Threshold = rec.Threshold
+		m.threshold = rec.Threshold
 	}
 
 	f := Frame{IterRecord: rec, Time: time.Now(), StragglerShard: -1, ETAIterations: -1}
@@ -381,7 +375,7 @@ func (m *Monitor) ObserveIteration(rec telemetry.IterRecord) {
 	if m.state != prev {
 		mStateRuns.With(string(prev)).Add(-1)
 		mStateRuns.With(string(m.state)).Add(1)
-		mTransitions.With(string(m.state)).IncExemplar(m.cfg.TraceID)
+		mTransitions.With(string(m.state)).IncExemplar(m.traceID)
 		if m.cfg.Span != nil {
 			m.cfg.Span.Event("health:"+string(m.state), map[string]any{
 				"iter": rec.Iter,
@@ -412,8 +406,8 @@ func (m *Monitor) ObserveIteration(rec telemetry.IterRecord) {
 // derived after the push so the window fits include the current frame).
 func (m *Monitor) setFrameState(f Frame) {
 	i := len(m.frames) - 1
-	if len(m.frames) == m.cfg.RingSize {
-		i = (m.start + m.cfg.RingSize - 1) % m.cfg.RingSize
+	if len(m.frames) == ringSize {
+		i = (m.start + ringSize - 1) % ringSize
 	}
 	m.frames[i] = f
 }
@@ -421,7 +415,7 @@ func (m *Monitor) setFrameState(f Frame) {
 // deriveTrends fills the sliding-window signals of f from the ring contents
 // plus f itself. Caller holds m.mu.
 func (m *Monitor) deriveTrends(f *Frame) {
-	w := m.lastFrames(m.cfg.Window - 1)
+	w := m.lastFrames(window - 1)
 	w = append(w, *f)
 
 	// Decay slope and oscillation over non-Pick-Less frames: ln(ΔN) vs iter.
@@ -447,7 +441,7 @@ func (m *Monitor) deriveTrends(f *Frame) {
 		f.OscillationScore = float64(rises) / float64(pairs)
 	}
 
-	th := m.cfg.Threshold
+	th := m.threshold
 	switch {
 	case float64(f.DeltaN) <= th:
 		f.ETAIterations = 0
@@ -490,7 +484,7 @@ func (m *Monitor) deriveTrends(f *Frame) {
 		}
 		if med := medianDuration(prev); med > 0 {
 			f.DurationFactor = float64(f.Duration) / float64(med)
-			f.StallSuspect = f.DurationFactor >= m.cfg.StallFactor && f.Duration >= stallFloor
+			f.StallSuspect = f.DurationFactor >= stallFactor && f.Duration >= stallFloor
 		}
 	}
 }
@@ -501,7 +495,7 @@ func (m *Monitor) verdict(f Frame) State {
 	if m.total < 3 {
 		return StateWarmup
 	}
-	windowFull := m.total >= m.cfg.Window
+	windowFull := m.total >= window
 	// Quality collapse: modularity has fallen collapseDrop below the run's
 	// peak. Checked right after stall — the partition is being destroyed
 	// even when ΔN alone would read as progress. The peak floor (0.05)
@@ -514,13 +508,13 @@ func (m *Monitor) verdict(f Frame) State {
 	// when the ΔN decay fit alone is too noisy to call it.
 	plateau := windowFull && q != nil && q.Modularity > 0 &&
 		math.Abs(f.QualityTrend) <= plateauEps &&
-		float64(f.DeltaN) <= 4*m.cfg.Threshold
+		float64(f.DeltaN) <= 4*m.threshold
 	switch {
 	case f.StallSuspect:
 		return StateStalled
 	case collapse:
 		return StateCollapse
-	case windowFull && f.OscillationScore >= 0.5 && float64(f.DeltaN) > m.cfg.Threshold:
+	case windowFull && f.OscillationScore >= 0.5 && float64(f.DeltaN) > m.threshold:
 		return StateOscillating
 	case f.Shards > 1 && f.StragglerSkew >= stragglerSkew:
 		return StateStraggling
@@ -556,12 +550,12 @@ func (m *Monitor) event(e Event) {
 
 // push appends f to the frame ring. Caller holds m.mu.
 func (m *Monitor) push(f Frame) {
-	if len(m.frames) < m.cfg.RingSize {
+	if len(m.frames) < ringSize {
 		m.frames = append(m.frames, f)
 		return
 	}
 	m.frames[m.start] = f
-	m.start = (m.start + 1) % m.cfg.RingSize
+	m.start = (m.start + 1) % ringSize
 }
 
 // lastFrames returns up to n most recent frames, oldest first. Caller holds
@@ -609,7 +603,7 @@ func (m *Monitor) State() State {
 }
 
 // Total returns the number of frames ever observed (the ring retains only
-// the last Config.RingSize of them).
+// the last ringSize of them).
 func (m *Monitor) Total() int {
 	if m == nil {
 		return 0

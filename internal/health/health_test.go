@@ -19,7 +19,7 @@ func feed(m *Monitor, deltas []int64, dur time.Duration) {
 }
 
 func TestMonitorConvergingAndETA(t *testing.T) {
-	m := New(Config{Vertices: 2048, Threshold: 1})
+	m := New(Config{Vertices: 2048})
 	defer m.Close()
 	// Geometric halving: slope ≈ -ln 2, well below the converging cut.
 	feed(m, []int64{1024, 512, 256, 128, 64}, 10*time.Millisecond)
@@ -52,7 +52,7 @@ func TestMonitorConvergingAndETA(t *testing.T) {
 }
 
 func TestMonitorOscillation(t *testing.T) {
-	m := New(Config{Vertices: 1000, Window: 8})
+	m := New(Config{Vertices: 1000})
 	defer m.Close()
 	deltas := make([]int64, 10)
 	for i := range deltas {
@@ -107,7 +107,7 @@ func TestMonitorPickLessExcluded(t *testing.T) {
 }
 
 func TestMonitorStallDetection(t *testing.T) {
-	m := New(Config{Vertices: 1000, StallFactor: 8})
+	m := New(Config{Vertices: 1000})
 	defer m.Close()
 	feed(m, []int64{100, 90, 80, 70, 60}, 10*time.Millisecond)
 	if st := m.State(); st == StateStalled {
@@ -169,19 +169,19 @@ func TestMonitorSuperstepFold(t *testing.T) {
 }
 
 func TestMonitorRingBounds(t *testing.T) {
-	m := New(Config{Vertices: 100, RingSize: 4})
+	m := New(Config{Vertices: 100})
 	defer m.Close()
-	deltas := make([]int64, 10)
+	deltas := make([]int64, ringSize+6)
 	for i := range deltas {
 		deltas[i] = int64(100 - i)
 	}
 	feed(m, deltas, time.Millisecond)
-	if m.Total() != 10 {
+	if m.Total() != ringSize+6 {
 		t.Fatalf("total = %d", m.Total())
 	}
 	frames := m.Frames()
-	if len(frames) != 4 {
-		t.Fatalf("ring retained %d frames, want 4", len(frames))
+	if len(frames) != ringSize {
+		t.Fatalf("ring retained %d frames, want %d", len(frames), ringSize)
 	}
 	for i, f := range frames {
 		if f.Iter != 6+i {

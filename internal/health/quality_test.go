@@ -24,7 +24,7 @@ func feedQuality(m *Monitor, iter int, delta int64, q telemetry.QualityRecord, d
 // record exactly as the loop attached it — exact and inexact samples alike —
 // and an iteration without a quality record carries none.
 func TestMonitorQualityFold(t *testing.T) {
-	m := New(Config{Vertices: 1000, Threshold: 1})
+	m := New(Config{Vertices: 1000})
 	defer m.Close()
 
 	recs := []telemetry.QualityRecord{{
@@ -59,7 +59,7 @@ func TestMonitorQualityFold(t *testing.T) {
 // peak flips the verdict to quality-collapse, with the transition on the
 // event track.
 func TestMonitorQualityCollapse(t *testing.T) {
-	m := New(Config{Vertices: 1000, Threshold: 1})
+	m := New(Config{Vertices: 1000})
 	defer m.Close()
 
 	for i, q := range []float64{0.10, 0.22, 0.31} {
@@ -93,7 +93,7 @@ func TestMonitorQualityCollapse(t *testing.T) {
 // TestMonitorQualityCollapseNeedsPeak: warmup noise around Q≈0 must not arm
 // the collapse detector — the peak floor is 0.05.
 func TestMonitorQualityCollapseNeedsPeak(t *testing.T) {
-	m := New(Config{Vertices: 1000, Threshold: 1})
+	m := New(Config{Vertices: 1000})
 	defer m.Close()
 	for i, q := range []float64{0.04, 0.03, 0.02, -0.10} {
 		feedQuality(m, i, 500, telemetry.QualityRecord{Modularity: q}, 5*time.Millisecond)
@@ -107,12 +107,15 @@ func TestMonitorQualityCollapseNeedsPeak(t *testing.T) {
 // with flips near the threshold reads as converging even when the ΔN decay
 // fit alone would not call it.
 func TestMonitorQualityPlateau(t *testing.T) {
-	m := New(Config{Vertices: 1000, Threshold: 8, Window: 4})
+	m := New(Config{Vertices: 1000})
 	defer m.Close()
 	// Constant ΔN at the threshold: decay slope 0, oscillation not applicable
 	// (ΔN never exceeds the threshold), quality flat at 0.4.
-	for i := 0; i < 6; i++ {
-		feedQuality(m, i, 8, telemetry.QualityRecord{Modularity: 0.4}, 5*time.Millisecond)
+	for i := 0; i < window; i++ {
+		m.ObserveIteration(telemetry.IterRecord{
+			Iter: i, DeltaN: 8, Moves: 8, ActiveVertices: 8, Duration: 5 * time.Millisecond,
+			Threshold: 8, Quality: &telemetry.QualityRecord{Iter: i, Modularity: 0.4},
+		})
 	}
 	frames := m.Frames()
 	f := frames[len(frames)-1]
@@ -126,12 +129,12 @@ func TestMonitorQualityPlateau(t *testing.T) {
 
 // TestMonitorQualityTrackBounded: a bundle's exact quality samples are its
 // frames whose "quality" object has "exact" set, so they are bounded by the
-// frame ring: of exact samples at iterations 0, 2, …, 8, a 4-frame ring
-// keeps 6 and 8.
+// frame ring: of exact samples at every even iteration of ringSize+6, the
+// ring keeps those from iteration 6 on.
 func TestMonitorQualityTrackBounded(t *testing.T) {
-	m := New(Config{Vertices: 100, RingSize: 4})
+	m := New(Config{Vertices: 100})
 	defer m.Close()
-	for i := 0; i < 10; i++ {
+	for i := 0; i < ringSize+6; i++ {
 		m.ObserveIteration(telemetry.IterRecord{Iter: i, DeltaN: 10, Duration: time.Millisecond,
 			Quality: &telemetry.QualityRecord{Iter: i, Modularity: float64(i), Exact: i%2 == 0}})
 	}
@@ -151,8 +154,8 @@ func TestMonitorQualityTrackBounded(t *testing.T) {
 	if err := json.Unmarshal(data, &raw); err != nil {
 		t.Fatal(err)
 	}
-	if len(raw.Frames) != 4 {
-		t.Fatalf("bundle retains %d frames, want RingSize=4", len(raw.Frames))
+	if len(raw.Frames) != ringSize {
+		t.Fatalf("bundle retains %d frames, want ring=%d", len(raw.Frames), ringSize)
 	}
 	var exact []int
 	for _, f := range raw.Frames {
@@ -166,8 +169,12 @@ func TestMonitorQualityTrackBounded(t *testing.T) {
 			exact = append(exact, f.Iter)
 		}
 	}
-	if fmt.Sprint(exact) != "[6 8]" {
-		t.Errorf("exact samples at iterations %v, want [6 8]", exact)
+	var want []int
+	for i := 6; i < ringSize+6; i += 2 {
+		want = append(want, i)
+	}
+	if fmt.Sprint(exact) != fmt.Sprint(want) {
+		t.Errorf("exact samples at iterations %v, want %v", exact, want)
 	}
 }
 
@@ -175,7 +182,7 @@ func TestMonitorQualityTrackBounded(t *testing.T) {
 // encode → DecodeFlight (DisallowUnknownFields) → Validate with every
 // frame's quality record intact.
 func TestFlightQualityRoundTrip(t *testing.T) {
-	m := New(Config{Detector: "nulpa", Vertices: 1000, Threshold: 1, RingSize: 8})
+	m := New(Config{Detector: "nulpa", Vertices: 1000})
 	defer m.Close()
 	for i := 0; i < 6; i++ {
 		feedQuality(m, i, int64(500>>i), telemetry.QualityRecord{

@@ -21,10 +21,10 @@ func TestShardLoopStragglerAttribution(t *testing.T) {
 		slow     = 2
 		slowNap  = 30 * time.Millisecond
 		fastNap  = 1 * time.Millisecond
-		maxIters = 5
+		maxIters = 9 // more than the monitor's 8-frame window, so its full-window checks are armed
 	)
 	rec := telemetry.NewRecorder()
-	mon := health.New(health.Config{Vertices: 1000, Window: 4})
+	mon := health.New(health.Config{Vertices: 1000})
 	defer mon.Close()
 	tap := &superstepTap{Monitor: mon}
 	rec.SetSink(tap)

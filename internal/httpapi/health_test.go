@@ -205,6 +205,40 @@ func TestFlightAutoCaptureOnFailure(t *testing.T) {
 	}
 }
 
+// TestJobFaultsApplyToEveryNuLPADetector: a job's fault schedule reaches
+// all three ν-LPA detectors — with every launch failing, each run degrades
+// to the sequential fallback and auto-captures a "degraded" flight bundle —
+// and submit refuses a schedule for any other detector with 400, as the CLI
+// refuses -faults.
+func TestJobFaultsApplyToEveryNuLPADetector(t *testing.T) {
+	ts := newTestServer(t)
+	const faulted = `{"algo":%q,"graph":{"gen":"planted","n":300,"deg":8,"seed":3},"faults":"kernel=1,seed=3"}`
+	for _, algo := range []string{"nulpa", "nulpa-direct", "nulpa-sharded"} {
+		st := submitAndWait(t, ts.URL, fmt.Sprintf(faulted, algo))
+		if st.State != JobDone {
+			t.Fatalf("%s: job = %+v", algo, st)
+		}
+		code, body := get(t, fmt.Sprintf("%s/jobs/%d/flight", ts.URL, st.ID))
+		if code != 200 {
+			t.Fatalf("%s: flight = %d %s", algo, code, body)
+		}
+		b, err := health.DecodeFlight([]byte(strings.TrimSpace(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if b.Reason != "degraded" {
+			t.Errorf("%s: flight reason = %q, want degraded (the fault schedule never reached the run)", algo, b.Reason)
+		}
+	}
+	resp, body := postJobRaw(t, ts.URL, fmt.Sprintf(faulted, "flpa"), nil)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("flpa with faults: submit = %d %s, want 400", resp.StatusCode, body)
+	}
+}
+
 func TestLiveStreamNotFound(t *testing.T) {
 	ts := newTestServer(t)
 	if code, _ := get(t, ts.URL+"/debug/live/999"); code != 404 {

@@ -44,10 +44,11 @@ type JobSpec struct {
 	// within this budget, the submission is rejected with 503 instead of
 	// queued. 0 means no deadline.
 	DeadlineMS int64 `json:"deadlineMs,omitempty"`
-	// Faults injects faults into the nulpa simt/sharded backends (same
-	// syntax as the -faults flag, e.g. "kernel=0.01,seed=7"). Jobs with
-	// fault injection never coalesce or cache: each submission is its own
-	// chaos experiment.
+	// Faults injects faults into a ν-LPA detector run (nulpa, nulpa-direct,
+	// nulpa-sharded; same syntax as the -faults flag, e.g.
+	// "kernel=0.01,seed=7"); submit refuses it for any other algo. Jobs
+	// with fault injection never coalesce or cache: each submission is its
+	// own chaos experiment.
 	Faults string `json:"faults,omitempty"`
 	// Quality attaches the live quality plane: incremental modularity,
 	// community census, and churn per iteration (visible on the SSE health
@@ -96,7 +97,7 @@ type JobStatus struct {
 	DurationMS  float64 `json:"durationMs,omitempty"`
 	// Trace is the job's trace id — the key into /debug/trace/{id} and the
 	// correlation token on every log line the job emitted. Empty when the
-	// job's root span was sampled out.
+	// process tracer is off.
 	Trace string `json:"trace,omitempty"`
 	// Priority echoes the admitted priority class.
 	Priority string `json:"priority,omitempty"`
@@ -127,9 +128,8 @@ type job struct {
 	priority  sched.Priority
 	coalesced bool
 	cacheHit  bool
-	// span is the job's root trace span (nil when sampled out or tracing is
-	// off); traceID is its hex id, kept separately so status() never locks
-	// the span.
+	// span is the job's root trace span (nil when tracing is off); traceID
+	// is its hex id, kept separately so status() never locks the span.
 	span    *trace.Span
 	traceID string
 	// cancel aborts the run's context; safe to call at any time, in any
@@ -205,7 +205,8 @@ var (
 // from the store (running and pending jobs are never evicted).
 const DefaultMaxFinishedJobs = 256
 
-// jobStore holds the jobs of a server's lifetime, bounded by maxFinished.
+// jobStore holds the jobs of a server's lifetime, bounded by maxFinished
+// (DefaultMaxFinishedJobs; tests lower it).
 // Execution goes through the scheduler: submit runs admission control and
 // either queues the job on the device pool, attaches it to an identical
 // in-flight run, answers it from the result cache, or sheds it.
@@ -286,6 +287,9 @@ func (s *jobStore) submit(spec JobSpec, tenant string) (*job, error) {
 		return nil, err
 	}
 	if spec.Faults != "" {
+		if _, ok := nulpa.Defaults(spec.Algo); !ok {
+			return nil, fmt.Errorf("faults apply only to the ν-LPA detectors (nulpa, nulpa-direct, nulpa-sharded), not %q", spec.Algo)
+		}
 		if _, err := faults.ParseSpec(spec.Faults); err != nil {
 			return nil, fmt.Errorf("bad faults spec: %w", err)
 		}
@@ -317,11 +321,7 @@ func (s *jobStore) submit(spec JobSpec, tenant string) (*job, error) {
 	// The health monitor rides the recorder's iteration stream; the graph
 	// size arrives via SetTarget once the run has built it, and the
 	// convergence threshold with the iteration records.
-	j.health = health.New(health.Config{
-		Detector: spec.Algo,
-		TraceID:  j.traceID,
-		Span:     j.span,
-	})
+	j.health = health.New(health.Config{Detector: spec.Algo, Span: j.span})
 	j.rec.SetSink(j.health)
 	// Publish only a fully initialized job: list() and byTrace() read
 	// traceID and span without the job's lock.
@@ -528,16 +528,14 @@ func (j *job) execute(ctx context.Context) (out any, err error) {
 	}
 	// Every ν-LPA device reports to the job's recorder through opt.Profiler,
 	// and a profiled launch feeds the live metrics plane itself. Options are
-	// built here only to carry a fault schedule.
-	if j.spec.Faults != "" && (j.spec.Algo == "nulpa" || j.spec.Algo == "nulpa-sharded") {
+	// built here only to carry a fault schedule, which submit admits only
+	// for the ν-LPA detectors.
+	if j.spec.Faults != "" {
 		fspec, ferr := faults.ParseSpec(j.spec.Faults)
 		if ferr != nil {
 			return nil, fmt.Errorf("bad faults spec: %w", ferr)
 		}
-		nopt := nulpa.DefaultOptions()
-		if j.spec.Algo == "nulpa-sharded" {
-			nopt = nulpa.DefaultShardedOptions()
-		}
+		nopt, _ := nulpa.Defaults(j.spec.Algo)
 		nopt.Faults = faults.New(fspec)
 		opt.Extra = nopt
 	}
@@ -591,9 +589,6 @@ func (j *job) resolve(out sched.Outcome) {
 func (s *jobStore) noteFinished() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.maxFinished <= 0 {
-		return
-	}
 	finished := make([]*job, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		j.mu.Lock()

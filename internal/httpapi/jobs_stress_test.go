@@ -17,10 +17,8 @@ import (
 func TestJobStoreStressRace(t *testing.T) {
 	registerTestDetectors()
 	const cap = 8
-	srv := NewServer(
-		WithMaxFinishedJobs(cap),
-		WithScheduler(sched.Config{Workers: 4, QueueDepth: 64}),
-	)
+	srv := NewServer(WithScheduler(sched.Config{Workers: 4, QueueDepth: 64}))
+	srv.jobs.maxFinished = cap
 	defer srv.Close()
 
 	const submitters = 6

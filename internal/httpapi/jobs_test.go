@@ -183,7 +183,8 @@ func TestCancelJobNotFound(t *testing.T) {
 // TestJobEviction: the store keeps at most maxFinished terminal jobs,
 // evicting oldest-first, and counts the evictions.
 func TestJobEviction(t *testing.T) {
-	srv := NewServer(WithMaxFinishedJobs(3))
+	srv := NewServer()
+	srv.jobs.maxFinished = 3
 	defer srv.Close()
 	evictedBefore := mJobsEvicted.Value()
 	var ids []int

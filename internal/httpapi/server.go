@@ -62,26 +62,16 @@ type Server struct {
 	// readyCheck overrides the readiness probe (tests); nil means "engine
 	// registry non-empty".
 	readyCheck func() bool
-	// construction-time knobs collected by Options before the scheduler and
-	// store exist.
-	schedCfg    sched.Config
-	maxFinished int
+	// schedCfg is collected by Options before the scheduler exists.
+	schedCfg sched.Config
 }
 
 // Option configures a Server at construction.
 type Option func(*Server)
 
-// WithMaxFinishedJobs caps how many terminal jobs the store retains; the
-// oldest finished jobs beyond the cap are evicted. n <= 0 disables eviction.
-// The default is DefaultMaxFinishedJobs.
-func WithMaxFinishedJobs(n int) Option {
-	return func(s *Server) { s.maxFinished = n }
-}
-
 // WithScheduler sizes the device-pool scheduler: worker count, admission
-// queue depth, per-tenant quota, result-cache entries. The zero Config (the
-// default) selects GOMAXPROCS workers, a queue of sched.DefaultQueueDepth,
-// no quotas, and a sched.DefaultCacheEntries-entry cache.
+// queue depth, per-tenant quota. The zero Config (the default) selects
+// GOMAXPROCS workers, a queue of sched.DefaultQueueDepth and no quotas.
 func WithScheduler(cfg sched.Config) Option {
 	return func(s *Server) { s.schedCfg = cfg }
 }
@@ -91,13 +81,12 @@ func WithScheduler(cfg sched.Config) Option {
 // enables the process tracer: a server without spans would serve
 // /debug/trace from an empty ring.
 func NewServer(opts ...Option) *Server {
-	s := &Server{start: time.Now(), mux: http.NewServeMux(), maxFinished: DefaultMaxFinishedJobs}
+	s := &Server{start: time.Now(), mux: http.NewServeMux()}
 	for _, o := range opts {
 		o(s)
 	}
 	s.sched = sched.New(s.schedCfg)
 	s.jobs = newJobStore(s.sched)
-	s.jobs.maxFinished = s.maxFinished
 	trace.Default().SetEnabled(true)
 	s.handle("GET /healthz", "healthz", s.healthz)
 	s.handle("GET /readyz", "readyz", s.readyz)
@@ -331,12 +320,10 @@ func (s *Server) cancelJob(w http.ResponseWriter, r *http.Request) {
 // the ring, newest first, plus the tracer's volume accounting.
 func (s *Server) listTraces(w http.ResponseWriter, r *http.Request) {
 	t := trace.Default()
-	recorded, dropped, sampledOut := t.Stats()
+	recorded, dropped := t.Stats()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"traces": trace.Summaries(t.Spans()),
-		"stats": map[string]uint64{
-			"recorded": recorded, "dropped": dropped, "sampledOut": sampledOut,
-		},
+		"stats":  map[string]uint64{"recorded": recorded, "dropped": dropped},
 	})
 }
 

@@ -1,6 +1,7 @@
 package nulpa
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -96,8 +97,8 @@ func (d *diffRun) step(iter int) int64 {
 	st.pickless = opt.PickLessEvery > 0 && iter%opt.PickLessEvery == 0
 	st.deltaN = 0
 	st.iterHash = hashtable.StatsSnapshot{}
-	d.r.dev.Launch1D(len(d.r.low), opt.BlockDim, d.thread)
-	d.r.dev.Launch(len(d.r.high), opt.BlockDim, d.block)
+	d.r.dev.LaunchKernel1D(context.Background(), len(d.r.low), opt.BlockDim, d.thread)
+	d.r.dev.LaunchKernel(context.Background(), len(d.r.high), opt.BlockDim, d.block)
 	return st.deltaN
 }
 

@@ -17,10 +17,11 @@ import (
 
 // Typed fault errors. Callers match with errors.Is.
 var (
-	// ErrFaulted reports that a run exhausted its per-iteration recovery
-	// budget (MaxRetries consecutive failed attempts) and could not continue
-	// on the device.
-	ErrFaulted = errors.New("nulpa: simt backend faulted beyond recovery")
+	// errFaulted reports that a device run exhausted its per-iteration
+	// recovery budget (maxAttempts consecutive failed attempts) and could
+	// not continue on the device. Detect answers it with the sequential
+	// fallback, so it never reaches Detect's caller.
+	errFaulted = errors.New("nulpa: simt backend faulted beyond recovery")
 	// ErrCorruptLabels reports that the post-iteration validity check found
 	// an out-of-range label — transient memory corruption the kernels
 	// cannot have produced themselves.
@@ -31,21 +32,20 @@ var (
 // vertex (Algorithm 1). The graph must be undirected (as produced by the
 // graph package builders). It returns an error for invalid options, when the
 // simulated device cannot hold the working set (the paper's out-of-memory
-// condition on sk-2005), when Options.Context ends the run early
-// (engine.ErrCanceled / engine.ErrDeadline), or — with DisableFallback —
-// when the run faults beyond recovery (ErrFaulted).
+// condition on sk-2005), or when Options.Context ends the run early
+// (engine.ErrCanceled / engine.ErrDeadline).
 //
-// Without DisableFallback, a run that exhausts its recovery budget degrades
-// gracefully: it is re-executed sequentially — the direct configuration at
-// 1 SM on a fresh, fault-free device (the recovery ladder's last rung) — the
-// downgrade is counted in nulpa_backend_fallbacks_total, and the Result
-// carries Degraded and the faulted attempt's Rollbacks.
+// A run that exhausts its recovery budget degrades gracefully: it is
+// re-executed sequentially — the direct configuration at 1 SM on a fresh,
+// fault-free device (the recovery ladder's last rung) — the downgrade is
+// counted in nulpa_backend_fallbacks_total, and the Result carries Degraded
+// and the faulted attempt's Rollbacks.
 func Detect(g *graph.CSR, opt Options) (*Result, error) {
 	if err := checkOptions(&opt); err != nil {
 		return nil, err
 	}
 	res, err := detectSharded(g, opt)
-	if err != nil && errors.Is(err, ErrFaulted) && !opt.DisableFallback {
+	if errors.Is(err, errFaulted) {
 		// The degradation is the run's most important observability moment:
 		// it lands on the run's span as an event, in the log stream with the
 		// trace id, and as a counter exemplar so a dashboard's fallback spike
@@ -236,6 +236,15 @@ type runView struct {
 	labels []uint32
 }
 
+// The recovery budget: an iteration gets maxAttempts consecutive attempts
+// (the first execution plus re-executions after rollback) before the run
+// gives up with errFaulted, and the retry after failed attempt a waits
+// retryBackoff<<a.
+const (
+	maxAttempts  = 3
+	retryBackoff = 100 * time.Microsecond
+)
+
 // deviceRun is one device's share of a ν-LPA run: the kernel state, the
 // degree-partitioned launch lists, the per-iteration checkpoint, the
 // recovery budget, and the shard's own counts. detectSharded owns one per
@@ -251,8 +260,6 @@ type deviceRun struct {
 	low, high  []graph.Vertex
 	n          int // local vertex count (the Cross-Check grid)
 	labelBound int
-	maxRetries int
-	backoff    time.Duration
 	bytes      int64
 
 	ckptLabels, ckptProcessed []uint32
@@ -298,27 +305,20 @@ func newDeviceRun(g *graph.CSR, opt Options, dev *simt.Device, view runView) (*d
 		n:    n,
 
 		labelBound: view.labelBound,
-		maxRetries: opt.MaxRetries,
-		backoff:    opt.RetryBackoff,
 		bytes:      bytes,
 	}
 	if r.labelBound <= 0 {
 		r.labelBound = n
 	}
-	if r.maxRetries <= 0 {
-		r.maxRetries = 3
-	}
-	if r.backoff <= 0 {
-		r.backoff = 100 * time.Microsecond
-	}
 	if opt.Faults != nil && dev.Faults == nil {
 		dev.Faults = opt.Faults
 	}
-	// Checkpointing: with an injector (or Checkpoint forced), the labels and
+	// Checkpointing: on a device with a fault injector, the labels and
 	// pruning flags are snapshotted before every iteration so a faulted
 	// attempt can be rolled back and re-executed. The snapshot is two O(V)
-	// copies per iteration — cheap next to the kernels' O(E) work.
-	if opt.Faults != nil || opt.Checkpoint {
+	// copies per iteration — cheap next to the kernels' O(E) work. A device
+	// without one cannot fault.
+	if dev.Faults != nil {
 		r.ckptLabels = make([]uint32, n)
 		r.ckptProcessed = make([]uint32, n)
 	}
@@ -344,7 +344,7 @@ func (r *deviceRun) iterate(ctx context.Context, iter int) engine.IterOutcome {
 
 	// Recovery loop: attempt the iteration, and on a launch fault or a
 	// corrupted label array roll back to the checkpoint and retry with
-	// exponential backoff, up to maxRetries consecutive attempts. rec
+	// exponential backoff, up to maxAttempts consecutive attempts. rec
 	// collects the device's own record fields: kernel times and retries.
 	var rec IterStat
 	for attempt := 0; ; attempt++ {
@@ -392,25 +392,20 @@ func (r *deviceRun) iterate(ctx context.Context, iter int) engine.IterOutcome {
 		if cerr := ctx.Err(); cerr != nil {
 			return engine.IterOutcome{Err: engine.CtxErr(cerr)}
 		}
-		if r.ckptLabels == nil {
-			// No checkpoint to roll back to (fault without injection or
-			// Checkpoint): the run cannot be repaired in place.
-			return engine.IterOutcome{Err: fmt.Errorf("%w: iteration %d: %v", ErrFaulted, iter, err)}
-		}
 		copy(st.labels, r.ckptLabels)
 		copy(st.processed, r.ckptProcessed)
 		r.stat.Rollbacks++
 		mRollbacks.Inc()
 		ispan.Event("rollback", map[string]any{"attempt": int64(attempt), "error": err.Error()})
-		if attempt+1 >= r.maxRetries {
+		if attempt+1 >= maxAttempts {
 			return engine.IterOutcome{Err: fmt.Errorf("%w: iteration %d failed %d consecutive attempts, last: %v",
-				ErrFaulted, iter, attempt+1, err)}
+				errFaulted, iter, attempt+1, err)}
 		}
 		rec.Retries++
 		r.stat.Retries++
 		mRetries.Inc()
 		ispan.Event("retry", map[string]any{"attempt": int64(attempt + 1)})
-		if !sleepCtx(ctx, r.backoff<<attempt) {
+		if !sleepCtx(ctx, retryBackoff<<attempt) {
 			return engine.IterOutcome{Err: engine.CtxErr(ctx.Err())}
 		}
 	}

@@ -1,6 +1,7 @@
 package nulpa
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -514,7 +515,7 @@ func TestProfiledFoldAllocatesNothing(t *testing.T) {
 	if !st.count {
 		t.Fatal("a profiled run must count work and hashtable probes")
 	}
-	dev.Launch1D(len(r.low), 32, r.tk) // ≥ 2 blocks: sizes tallies for both SMs
+	dev.LaunchKernel1D(context.Background(), len(r.low), 32, r.tk) // ≥ 2 blocks: sizes tallies for both SMs
 	i := r.low[0]
 	lane := func(sm int) {
 		tb := st.arena.tableFor(g.Offset(i), g.Degree(i))

@@ -27,6 +27,21 @@ type Detector struct {
 	Sharded bool
 }
 
+// Defaults returns the options the registered ν-LPA detector called name
+// starts from — DefaultShardedOptions for "nulpa-sharded", DefaultOptions
+// for "nulpa" and "nulpa-direct" (which applies the direct configuration
+// itself) — and false for any other name. It is how the CLI and the job
+// plane tell the ν-LPA detectors from the rest and build their Extra.
+func Defaults(name string) (Options, bool) {
+	switch name {
+	case "nulpa", "nulpa-direct":
+		return DefaultOptions(), true
+	case "nulpa-sharded":
+		return DefaultShardedOptions(), true
+	}
+	return Options{}, false
+}
+
 // Name implements engine.Detector.
 func (d Detector) Name() string {
 	switch {
@@ -46,10 +61,7 @@ func (d Detector) Name() string {
 // nulpa.Options to control the algorithm-specific knobs (Pick-Less and
 // Cross-Check periods, probing scheme, switch degree, pruning).
 func (d Detector) Detect(g *graph.CSR, opt engine.Options) (*engine.Result, error) {
-	nopt := DefaultOptions()
-	if d.Sharded {
-		nopt = DefaultShardedOptions()
-	}
+	nopt, _ := Defaults(d.Name())
 	if opt.Extra != nil {
 		o, ok := opt.Extra.(Options)
 		if !ok {

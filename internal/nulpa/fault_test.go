@@ -55,7 +55,6 @@ func TestSIMTFallsBackWhenFaultsPersist(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Faults = faults.New(faults.Spec{KernelFailRate: 1, Seed: 1})
 	opt.Device = simt.NewDevice(4)
-	opt.RetryBackoff = time.Microsecond
 	res, err := Detect(g, opt)
 	if err != nil {
 		t.Fatalf("Detect with permanent faults: %v (fallback should have saved it)", err)
@@ -64,7 +63,7 @@ func TestSIMTFallsBackWhenFaultsPersist(t *testing.T) {
 		t.Fatal("Result.Degraded = false after a total simt failure")
 	}
 	if res.Rollbacks != 3 {
-		t.Errorf("Rollbacks = %d, want 3 (MaxRetries attempts at iteration 0)", res.Rollbacks)
+		t.Errorf("Rollbacks = %d, want 3 (maxAttempts attempts at iteration 0)", res.Rollbacks)
 	}
 	checkLabelsValid(t, g, res.Labels)
 	if nmi := quality.NMI(res.Labels, truth); nmi < 0.85 {
@@ -72,19 +71,21 @@ func TestSIMTFallsBackWhenFaultsPersist(t *testing.T) {
 	}
 }
 
-func TestSIMTDisableFallbackReturnsErrFaulted(t *testing.T) {
+// TestSIMTExhaustedBudgetReturnsErrFaulted checks the rung below the
+// fallback: the device run itself gives up with errFaulted after maxAttempts
+// failed attempts at iteration 0, carrying their rollbacks for the degraded
+// result.
+func TestSIMTExhaustedBudgetReturnsErrFaulted(t *testing.T) {
 	g, _ := faultGraph()
 	opt := DefaultOptions()
 	opt.Faults = faults.New(faults.Spec{KernelFailRate: 1, Seed: 1})
 	opt.Device = simt.NewDevice(4)
-	opt.DisableFallback = true
-	opt.RetryBackoff = time.Microsecond
-	res, err := Detect(g, opt)
-	if !errors.Is(err, ErrFaulted) {
-		t.Fatalf("err = %v, want ErrFaulted", err)
+	res, err := detectSharded(g, opt)
+	if !errors.Is(err, errFaulted) {
+		t.Fatalf("err = %v, want errFaulted", err)
 	}
-	if res != nil {
-		t.Errorf("res = %+v, want nil on error", res)
+	if res.Rollbacks != maxAttempts {
+		t.Errorf("Rollbacks = %d, want %d", res.Rollbacks, maxAttempts)
 	}
 }
 
@@ -98,7 +99,6 @@ func TestSIMTDeterministicUnderFaults(t *testing.T) {
 		opt := DefaultOptions()
 		opt.Faults = faults.New(faults.Spec{KernelFailRate: 0.2, BitFlipRate: 0.2, Seed: 5})
 		opt.Device = simt.NewDevice(1) // one SM: the simt schedule is serial
-		opt.RetryBackoff = time.Microsecond
 		res, err := Detect(g, opt)
 		if err != nil {
 			t.Fatalf("Detect: %v", err)
@@ -151,33 +151,6 @@ func TestDirectCancellation(t *testing.T) {
 	opt.Context = ctx
 	if _, err := Detect(g, opt); !errors.Is(err, engine.ErrCanceled) {
 		t.Fatalf("err = %v, want engine.ErrCanceled", err)
-	}
-}
-
-// TestCheckpointWithoutFaults pins that checkpointing alone (no injector)
-// costs only the copies — the run completes identically to a plain run.
-func TestCheckpointWithoutFaults(t *testing.T) {
-	g, _ := faultGraph()
-	plain := DefaultOptions()
-	plain.Device = simt.NewDevice(1)
-	a, err := Detect(g, plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckpt := DefaultOptions()
-	ckpt.Device = simt.NewDevice(1)
-	ckpt.Checkpoint = true
-	b, err := Detect(g, ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Labels {
-		if a.Labels[i] != b.Labels[i] {
-			t.Fatalf("labels[%d] differ with checkpointing on: %d vs %d", i, a.Labels[i], b.Labels[i])
-		}
-	}
-	if telemetry.Sum(b.Trace).Retries != 0 || b.Rollbacks != 0 || b.Degraded {
-		t.Errorf("checkpoint-only run recorded recovery: %+v", b)
 	}
 }
 

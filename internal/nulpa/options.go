@@ -83,23 +83,10 @@ type Options struct {
 	// Faults, when non-nil, injects the deterministic fault schedule into
 	// the run: it is installed as the launch-fault injector of every device
 	// that has none and consulted for label-array bit-flips after each
-	// iteration. Setting it implies Checkpoint.
+	// iteration. A device with an injector checkpoints every iteration; an
+	// iteration gets three attempts before the run degrades to the
+	// sequential direct configuration (see Detect).
 	Faults *faults.Injector
-	// Checkpoint forces per-iteration label-array checkpointing with
-	// validity verification even without an injector — the recovery path
-	// for faults the simulator does not produce itself. Implied by Faults.
-	Checkpoint bool
-	// MaxRetries is the recovery budget: how many consecutive attempts
-	// (initial execution plus re-executions after rollback) one iteration
-	// may consume before the run gives up (default 3). Exhausting it
-	// triggers the sequential fallback unless DisableFallback is set.
-	MaxRetries int
-	// RetryBackoff is the base delay before an iteration retry, doubled per
-	// consecutive failure (default 100µs).
-	RetryBackoff time.Duration
-	// DisableFallback keeps a run that exhausted MaxRetries from degrading:
-	// Detect returns ErrFaulted instead of rerunning sequentially.
-	DisableFallback bool
 	// Shards is the simulated device count (clamped to the vertex count).
 	// 0 and 1 both run on one device; above 1 the graph is partitioned
 	// across the devices, which run BSP supersteps with halo exchange at

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"time"
 
 	"nulpa/internal/faults"
 	"nulpa/internal/gen"
@@ -299,17 +298,12 @@ func TestShardedSingleShardFaultRollsBackAlone(t *testing.T) {
 			nil,
 			nil,
 		}
-		opt.RetryBackoff = time.Microsecond
-		opt.DisableFallback = true
 		res, err := Detect(g, opt)
 		if err != nil {
-			if !errors.Is(err, ErrFaulted) {
-				t.Fatalf("seed %d: untyped error %v", seed, err)
-			}
-			continue // recovery budget exhausted this seed; try the next
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if res.Degraded {
-			t.Fatalf("seed %d: run degraded despite per-shard recovery", seed)
+			continue // recovery budget exhausted this seed; try the next
 		}
 		if len(res.Labels) != g.NumVertices() {
 			t.Fatalf("seed %d: labels length %d", seed, len(res.Labels))
@@ -336,15 +330,14 @@ func TestShardedSingleShardFaultRollsBackAlone(t *testing.T) {
 }
 
 func TestShardedFaultFallback(t *testing.T) {
-	// Every launch on shard 0 fails: recovery exhausts and, without
-	// DisableFallback, the run degrades to the direct configuration.
+	// Every launch on shard 0 fails: recovery exhausts and the run degrades
+	// to the direct configuration.
 	g := gen.Web(gen.DefaultWeb(300, 6, 9))
 	opt := shardedOpts(2)
 	opt.ShardFaults = []*faults.Injector{
 		faults.New(faults.Spec{KernelFailRate: 1, Seed: 3}),
 		nil,
 	}
-	opt.RetryBackoff = time.Microsecond
 	res, err := Detect(g, opt)
 	if err != nil {
 		t.Fatalf("fallback should have absorbed the failure, got %v", err)
@@ -356,9 +349,9 @@ func TestShardedFaultFallback(t *testing.T) {
 		t.Fatalf("labels length %d", len(res.Labels))
 	}
 
-	opt.DisableFallback = true
-	if _, err := Detect(g, opt); !errors.Is(err, ErrFaulted) {
-		t.Fatalf("DisableFallback: err = %v, want ErrFaulted", err)
+	// Below the fallback, the sharded device run gives up with errFaulted.
+	if _, err := detectSharded(g, opt); !errors.Is(err, errFaulted) {
+		t.Fatalf("device run: err = %v, want errFaulted", err)
 	}
 }
 

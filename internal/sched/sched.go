@@ -30,8 +30,9 @@
 // latency histogram with trace exemplars.
 //
 // Layering: sched sits below httpapi and imports only the metrics and trace
-// substrates (enforced by scripts/lint_imports.sh). It schedules opaque
-// run functions; it knows nothing about graphs, jobs, or HTTP.
+// substrates (enforced by TestImportLayering in lint_test.go at the module
+// root). It schedules opaque run functions; it knows nothing about graphs,
+// jobs, or HTTP.
 package sched
 
 import (
@@ -125,17 +126,13 @@ type Config struct {
 	// QuotaBurst is the per-tenant token-bucket burst; 0 derives
 	// max(1, ceil(2·QuotaRate)).
 	QuotaBurst int
-	// CacheEntries bounds the completed-result cache (LRU). 0 selects
-	// DefaultCacheEntries; negative disables caching and coalescing.
-	CacheEntries int
 }
 
 // DefaultQueueDepth bounds the admission queue when Config leaves it zero.
 const DefaultQueueDepth = 64
 
-// DefaultCacheEntries sizes the completed-result cache when Config leaves it
-// zero.
-const DefaultCacheEntries = 128
+// cacheEntries bounds the completed-result cache (LRU).
+const cacheEntries = 128
 
 // Task is one unit of admitted work. Run executes on a pool worker with the
 // task's own context; Done is called exactly once for every admitted task —
@@ -255,14 +252,8 @@ func New(cfg Config) *Scheduler {
 		cfg:    cfg,
 		q:      newPQueue(),
 		quotas: newQuotaSet(cfg.QuotaRate, cfg.QuotaBurst),
+		cache:  newResultCache(cacheEntries),
 		shed:   map[string]int64{},
-	}
-	if cfg.CacheEntries >= 0 {
-		n := cfg.CacheEntries
-		if n == 0 {
-			n = DefaultCacheEntries
-		}
-		s.cache = newResultCache(n)
 	}
 	s.cond = sync.NewCond(&s.mu)
 	mWorkers.Set(float64(cfg.Workers))
@@ -295,7 +286,7 @@ func (s *Scheduler) Submit(t *Task) (Decision, error) {
 	}
 	// Cache and coalesce before quota: neither consumes device time, so
 	// neither should consume the tenant's budget for work that does.
-	if t.Key != "" && s.cache != nil {
+	if t.Key != "" {
 		if v, ok := s.cache.get(t.Key); ok {
 			s.cacheHits++
 			s.mu.Unlock()
@@ -337,7 +328,7 @@ func (s *Scheduler) Submit(t *Task) (Decision, error) {
 		s.mu.Unlock()
 		return s.shedTask(t, ReasonQueueFull, ra)
 	}
-	if t.Key != "" && s.cache != nil {
+	if t.Key != "" {
 		s.cache.begin(t.Key, t)
 	}
 	s.q.push(t)
@@ -540,7 +531,7 @@ func (s *Scheduler) next() *Task {
 // queued cancellation (followers inherit the error; nothing is cached).
 func (s *Scheduler) finishTask(t *Task, out Outcome, ran bool) {
 	var followers []*Task
-	if t.Key != "" && s.cache != nil {
+	if t.Key != "" {
 		s.mu.Lock()
 		followers = s.cache.complete(t.Key, out.Value, ran && out.Err == nil)
 		s.completed++

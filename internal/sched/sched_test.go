@@ -459,23 +459,6 @@ func TestStopFlushesQueue(t *testing.T) {
 	}
 }
 
-func TestCacheDisabled(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 4, CacheEntries: -1})
-	defer s.Stop()
-	for i := 0; i < 2; i++ {
-		cb, ch := done()
-		dec, err := s.Submit(&Task{
-			Key:  "same",
-			Run:  func(ctx context.Context) (any, error) { return i, nil },
-			Done: cb,
-		})
-		if err != nil || dec.CacheHit || dec.Coalesced {
-			t.Fatalf("submit %d with cache disabled: dec=%+v err=%v", i, dec, err)
-		}
-		<-ch
-	}
-}
-
 // TestSubmitStress hammers a small pool from many goroutines with mixed
 // priorities, keys, and cancellation, asserting the cardinal invariant:
 // every admitted task's Done fires exactly once.

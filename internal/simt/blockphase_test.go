@@ -60,7 +60,7 @@ func TestBlockPhaseLaneAccounting(t *testing.T) {
 	d.Prof = rec
 	lanesBefore := mLanes.Value()
 	k := &countingBlockKernel{t: t, phases: phases, lanes: lanes}
-	d.Launch(grid, blockDim, k)
+	d.LaunchKernel(context.Background(), grid, blockDim, k)
 
 	if got := k.calls.Load(); got != grid*phases {
 		t.Errorf("BlockPhase calls = %d, want %d (one per block and phase)", got, grid*phases)
@@ -91,7 +91,7 @@ func TestBlockPhaseLaneCountClamped(t *testing.T) {
 		}
 		return -5
 	}}
-	d.Launch(grid, blockDim, k)
+	d.LaunchKernel(context.Background(), grid, blockDim, k)
 	s := rec.KernelSummaries()[0]
 	if s.Lanes != grid*blockDim {
 		t.Errorf("lanes = %d, want %d: phase 0 clamped to BlockDim, phase 1 to 0", s.Lanes, grid*blockDim)

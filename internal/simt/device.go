@@ -58,8 +58,7 @@ type Device struct {
 	Prof Profiler
 
 	// Faults, when non-nil, is consulted once per LaunchKernel call and may
-	// fail, stall, or livelock the launch (see fault.go). Launch and
-	// Launch1D bypass it — they cannot report an error.
+	// fail, stall, or livelock the launch (see fault.go).
 	Faults FaultInjector
 
 	memUsed int64 // atomic
@@ -219,17 +218,10 @@ func (t *Thread) GlobalID() int { return t.Block*t.BlockDim + t.Lane }
 // Warp returns the warp index of the lane within its block.
 func (t *Thread) Warp() int { return t.Lane / WarpSize }
 
-// Launch runs kernel k on a grid of gridDim blocks of blockDim threads and
-// blocks until every thread block has finished (cudaDeviceSynchronize
-// semantics). gridDim or blockDim of zero is a no-op. Launch is the
-// fault-free entry point: it cannot be canceled and bypasses the Faults
-// injector; backends that must survive faults use LaunchKernel.
-func (d *Device) Launch(gridDim, blockDim int, k Kernel) {
-	d.launch(nil, gridDim, blockDim, k, stallSpec{sm: -1})
-}
-
-// LaunchKernel runs kernel k like Launch, but under ctx and the device's
-// fault injector. It returns ctx.Err() when the context is canceled or its
+// LaunchKernel runs kernel k on a grid of gridDim blocks of blockDim threads
+// under ctx and the device's fault injector, and blocks until every thread
+// block has finished (cudaDeviceSynchronize semantics). gridDim or blockDim
+// of zero is a no-op. It returns ctx.Err() when the context is canceled or its
 // deadline expires — cancellation is observed at block granularity, so a
 // launch in flight stops within one block's worth of work per SM — and
 // ErrKernelLaunch / ErrLivelock when the injector fails the launch. The
@@ -305,12 +297,8 @@ type stallSpec struct {
 	d  time.Duration
 }
 
-// launch is the shared body of Launch and LaunchKernel. ctx may be nil (no
-// cancellation).
+// launch runs the grid for LaunchKernel.
 func (d *Device) launch(ctx context.Context, gridDim, blockDim int, k Kernel, stall stallSpec) {
-	if gridDim <= 0 || blockDim <= 0 {
-		return
-	}
 	d.KernelsRun.Add(1)
 	phases := k.NumPhases()
 	sharedWords := 0
@@ -328,10 +316,7 @@ func (d *Device) launch(ctx context.Context, gridDim, blockDim int, k Kernel, st
 	// flips an atomic flag the SM loops poll between blocks, so the hot path
 	// costs one atomic load per block and nothing per phase or lane.
 	var canceled atomic.Bool
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
+	done := ctx.Done()
 	if done != nil {
 		stopWatch := make(chan struct{})
 		defer close(stopWatch)
@@ -405,19 +390,9 @@ func (d *Device) launch(ctx context.Context, gridDim, blockDim int, k Kernel, st
 	}
 }
 
-// Launch1D runs k with enough blocks of blockDim threads to cover total
-// threads; lanes beyond total still run (as on hardware) and must bounds-
-// check with GlobalID().
-func (d *Device) Launch1D(total, blockDim int, k Kernel) {
-	if total <= 0 {
-		return
-	}
-	grid := (total + blockDim - 1) / blockDim
-	d.Launch(grid, blockDim, k)
-}
-
-// LaunchKernel1D is Launch1D under ctx and the fault injector; see
-// LaunchKernel.
+// LaunchKernel1D runs k with enough blocks of blockDim threads to cover
+// total threads; lanes beyond total still run (as on hardware) and must
+// bounds-check with GlobalID(). See LaunchKernel.
 func (d *Device) LaunchKernel1D(ctx context.Context, total, blockDim int, k Kernel) error {
 	if total <= 0 {
 		return nil
@@ -425,24 +400,3 @@ func (d *Device) LaunchKernel1D(ctx context.Context, total, blockDim int, k Kern
 	grid := (total + blockDim - 1) / blockDim
 	return d.LaunchKernel(ctx, grid, blockDim, k)
 }
-
-// PhaseFunc adapts a function to a multi-phase Kernel.
-type PhaseFunc struct {
-	Phases int
-	F      func(p int, t *Thread)
-}
-
-// NumPhases implements Kernel.
-func (k PhaseFunc) NumPhases() int { return k.Phases }
-
-// Phase implements Kernel.
-func (k PhaseFunc) Phase(p int, t *Thread) { k.F(p, t) }
-
-// SharedPhaseFunc adapts a function to a SharedKernel.
-type SharedPhaseFunc struct {
-	PhaseFunc
-	Words int
-}
-
-// SharedUint64s implements SharedKernel.
-func (k SharedPhaseFunc) SharedUint64s() int { return k.Words }

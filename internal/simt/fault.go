@@ -22,9 +22,6 @@ import (
 //     contention counters — so the metrics plane sees the spike — and the
 //     launch fails with ErrLivelock, as a watchdog timeout would report it.
 //
-// The plain Launch/Launch1D entry points bypass the injector entirely (they
-// cannot report an error); fault-aware callers must use LaunchKernel.
-//
 // Transient memory corruption (bit-flips in label arrays) is not a launch
 // fault: it is injected by the backend that owns the arrays, between
 // launches, where it can also checkpoint and validate them. See

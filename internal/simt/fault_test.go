@@ -197,22 +197,6 @@ func TestLaunchKernelDeadline(t *testing.T) {
 	}
 }
 
-// TestLaunchBypassesInjector pins the documented contract: the fault-free
-// entry points never consult the injector.
-func TestLaunchBypassesInjector(t *testing.T) {
-	d := NewDevice(2)
-	inj := &scriptInjector{faults: map[int64]LaunchFault{0: {Kind: FaultLaunchFail}}}
-	d.Faults = inj
-	var lanes atomic.Int64
-	d.Launch1D(64, 32, PhaseFunc{Phases: 1, F: func(int, *Thread) { lanes.Add(1) }})
-	if inj.calls.Load() != 0 {
-		t.Error("Launch consulted the fault injector")
-	}
-	if lanes.Load() != 64 {
-		t.Errorf("lanes = %d, want 64", lanes.Load())
-	}
-}
-
 func TestFaultKindString(t *testing.T) {
 	for k, want := range map[FaultKind]string{
 		FaultNone: "none", FaultLaunchFail: "launch-fail",

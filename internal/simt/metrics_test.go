@@ -2,6 +2,7 @@ package simt
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestMetricsProfilerFeedsRegistry(t *testing.T) {
 	before := mKernelLaunches.With("named-nop").Value()
 	blocksBefore := mBlocks.Value()
 	k := &namedNop{sink: make([]uint32, 8*32)}
-	dev.Launch(8, 32, k)
+	dev.LaunchKernel(context.Background(), 8, 32, k)
 
 	if got := mKernelLaunches.With("named-nop").Value(); got != before+1 {
 		t.Fatalf("launch counter = %d, want %d", got, before+1)
@@ -43,7 +44,7 @@ func TestMetricsProfilerFeedsRegistry(t *testing.T) {
 	}
 	// An unprofiled launch leaves the families alone.
 	dev.Prof = nil
-	dev.Launch(8, 32, k)
+	dev.LaunchKernel(context.Background(), 8, 32, k)
 	if got := mKernelLaunches.With("named-nop").Value(); got != before+1 {
 		t.Errorf("unprofiled launch moved the launch counter to %d, want %d", got, before+1)
 	}

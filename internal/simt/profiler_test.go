@@ -1,6 +1,7 @@
 package simt
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -70,7 +71,7 @@ func TestProfilerReceivesLaunchEvents(t *testing.T) {
 	d.Prof = prof
 
 	k := namedTestKernel{PhaseFunc{Phases: phases, F: func(int, *Thread) {}}}
-	d.Launch(grid, blockDim, k)
+	d.LaunchKernel(context.Background(), grid, blockDim, k)
 
 	if len(prof.begins) != 1 {
 		t.Fatalf("KernelBegin calls = %d, want 1", len(prof.begins))
@@ -124,7 +125,7 @@ func TestProfilerSMCountClampedToGrid(t *testing.T) {
 	d := NewDevice(8)
 	prof := &captureProf{}
 	d.Prof = prof
-	d.Launch(3, 16, PhaseFunc{Phases: 1, F: func(int, *Thread) {}})
+	d.LaunchKernel(context.Background(), 3, 16, PhaseFunc{Phases: 1, F: func(int, *Thread) {}})
 	if got := prof.begins[0].sms; got != 3 {
 		t.Errorf("sms = %d, want 3 (clamped to grid)", got)
 	}

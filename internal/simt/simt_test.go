@@ -1,6 +1,7 @@
 package simt
 
 import (
+	"context"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -17,7 +18,7 @@ func TestLaunchVectorAdd(t *testing.T) {
 	for i := 0; i < n; i++ {
 		a[i], b[i] = float32(i), float32(2*i)
 	}
-	d.Launch1D(n, 128, PhaseFunc{Phases: 1, F: func(p int, th *Thread) {
+	d.LaunchKernel1D(context.Background(), n, 128, PhaseFunc{Phases: 1, F: func(p int, th *Thread) {
 		i := th.GlobalID()
 		if i < n {
 			c[i] = a[i] + b[i]
@@ -33,9 +34,9 @@ func TestLaunchVectorAdd(t *testing.T) {
 func TestLaunchZeroIsNoop(t *testing.T) {
 	d := NewDevice(2)
 	called := false
-	d.Launch(0, 32, PhaseFunc{Phases: 1, F: func(int, *Thread) { called = true }})
-	d.Launch(4, 0, PhaseFunc{Phases: 1, F: func(int, *Thread) { called = true }})
-	d.Launch1D(0, 32, PhaseFunc{Phases: 1, F: func(int, *Thread) { called = true }})
+	d.LaunchKernel(context.Background(), 0, 32, PhaseFunc{Phases: 1, F: func(int, *Thread) { called = true }})
+	d.LaunchKernel(context.Background(), 4, 0, PhaseFunc{Phases: 1, F: func(int, *Thread) { called = true }})
+	d.LaunchKernel1D(context.Background(), 0, 32, PhaseFunc{Phases: 1, F: func(int, *Thread) { called = true }})
 	if called {
 		t.Error("kernel ran with an empty launch")
 	}
@@ -45,7 +46,7 @@ func TestLaunchHistogramAtomics(t *testing.T) {
 	d := NewDevice(8)
 	n := 20000
 	bins := make([]uint32, 16)
-	d.Launch1D(n, 64, PhaseFunc{Phases: 1, F: func(p int, th *Thread) {
+	d.LaunchKernel1D(context.Background(), n, 64, PhaseFunc{Phases: 1, F: func(p int, th *Thread) {
 		i := th.GlobalID()
 		if i < n {
 			AtomicAddUint32(bins, i%16, 1)
@@ -67,7 +68,7 @@ func TestFloat32AtomicAdd(t *testing.T) {
 	d := NewDevice(8)
 	n := 10000
 	bits := make([]uint32, 1) // accumulator at index 0, initially +0.0
-	d.Launch1D(n, 32, PhaseFunc{Phases: 1, F: func(p int, th *Thread) {
+	d.LaunchKernel1D(context.Background(), n, 32, PhaseFunc{Phases: 1, F: func(p int, th *Thread) {
 		if th.GlobalID() < n {
 			AtomicAddFloat32Bits(bits, 0, 1.0)
 		}
@@ -82,7 +83,7 @@ func TestFloat64AtomicAdd(t *testing.T) {
 	d := NewDevice(8)
 	n := 10000
 	bits := make([]uint64, 1)
-	d.Launch1D(n, 32, PhaseFunc{Phases: 1, F: func(p int, th *Thread) {
+	d.LaunchKernel1D(context.Background(), n, 32, PhaseFunc{Phases: 1, F: func(p int, th *Thread) {
 		if th.GlobalID() < n {
 			AtomicAddFloat64Bits(bits, 0, 0.5)
 		}
@@ -137,7 +138,7 @@ func TestLockstepSwap(t *testing.T) {
 	d := NewDevice(1)
 	vals := []uint32{100, 200}
 	read := make([]uint32, 2)
-	d.Launch(1, 2, PhaseFunc{Phases: 2, F: func(p int, th *Thread) {
+	d.LaunchKernel(context.Background(), 1, 2, PhaseFunc{Phases: 2, F: func(p int, th *Thread) {
 		i := th.Lane
 		partner := 1 - i
 		switch p {
@@ -162,7 +163,7 @@ func TestLockstepSwapWholeBlock(t *testing.T) {
 	for i := range vals {
 		vals[i] = uint32(i)
 	}
-	d.Launch(1, n, PhaseFunc{Phases: 2, F: func(p int, th *Thread) {
+	d.LaunchKernel(context.Background(), 1, n, PhaseFunc{Phases: 2, F: func(p int, th *Thread) {
 		i := th.Lane
 		partner := n - 1 - i
 		switch p {
@@ -183,7 +184,7 @@ func TestBlockToSMAssignment(t *testing.T) {
 	d := NewDevice(4)
 	grid := 37
 	sm := make([]int32, grid)
-	d.Launch(grid, 1, PhaseFunc{Phases: 1, F: func(p int, th *Thread) {
+	d.LaunchKernel(context.Background(), grid, 1, PhaseFunc{Phases: 1, F: func(p int, th *Thread) {
 		sm[th.Block] = int32(th.SM)
 	}})
 	for b := 0; b < grid; b++ {
@@ -210,7 +211,7 @@ func TestSharedMemoryBlockSum(t *testing.T) {
 			}
 		}},
 	}
-	d.Launch(grid, blockDim, k)
+	d.LaunchKernel(context.Background(), grid, blockDim, k)
 	want := uint64(blockDim * (blockDim - 1) / 2)
 	for b := 0; b < grid; b++ {
 		if out[b] != want {
@@ -242,7 +243,7 @@ func TestSharedMemoryZeroedPerBlock(t *testing.T) {
 			}
 		}},
 	}
-	d.Launch(grid, 8, k)
+	d.LaunchKernel(context.Background(), grid, 8, k)
 	if dirty.Load() != 0 {
 		t.Errorf("%d blocks observed dirty shared memory", dirty.Load())
 	}
@@ -252,7 +253,7 @@ func TestThreadCoordinates(t *testing.T) {
 	d := NewDevice(3)
 	grid, blockDim := 5, 96
 	seen := make([]int32, grid*blockDim)
-	d.Launch(grid, blockDim, PhaseFunc{Phases: 1, F: func(p int, th *Thread) {
+	d.LaunchKernel(context.Background(), grid, blockDim, PhaseFunc{Phases: 1, F: func(p int, th *Thread) {
 		if th.BlockDim != blockDim || th.GridDim != grid {
 			t.Errorf("bad dims %d/%d", th.BlockDim, th.GridDim)
 		}
@@ -272,7 +273,7 @@ func TestDeviceStats(t *testing.T) {
 	d := NewDevice(2)
 	rec := telemetry.NewRecorder()
 	d.Prof = rec
-	d.Launch(6, 32, PhaseFunc{Phases: 3, F: func(int, *Thread) {}})
+	d.LaunchKernel(context.Background(), 6, 32, PhaseFunc{Phases: 3, F: func(int, *Thread) {}})
 	if d.KernelsRun.Load() != 1 {
 		t.Errorf("KernelsRun = %d", d.KernelsRun.Load())
 	}
@@ -322,3 +323,24 @@ func TestNewDeviceDefaults(t *testing.T) {
 		t.Errorf("NumSMs = %d", d.NumSMs)
 	}
 }
+
+// PhaseFunc adapts a function to a multi-phase Kernel.
+type PhaseFunc struct {
+	Phases int
+	F      func(p int, t *Thread)
+}
+
+// NumPhases implements Kernel.
+func (k PhaseFunc) NumPhases() int { return k.Phases }
+
+// Phase implements Kernel.
+func (k PhaseFunc) Phase(p int, t *Thread) { k.F(p, t) }
+
+// SharedPhaseFunc adapts a function to a SharedKernel.
+type SharedPhaseFunc struct {
+	PhaseFunc
+	Words int
+}
+
+// SharedUint64s implements SharedKernel.
+func (k SharedPhaseFunc) SharedUint64s() int { return k.Words }

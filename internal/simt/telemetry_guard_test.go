@@ -1,6 +1,7 @@
 package simt_test
 
 import (
+	"context"
 	"testing"
 
 	"nulpa/internal/gen"
@@ -39,8 +40,8 @@ func TestKernelPhaseHotPathNoTelemetryAllocs(t *testing.T) {
 	k1 := &busyKernel{phases: 1, sink: sink}
 	k64 := &busyKernel{phases: 64, sink: sink}
 
-	a1 := testing.AllocsPerRun(20, func() { dev.Launch(grid, blockDim, k1) })
-	a64 := testing.AllocsPerRun(20, func() { dev.Launch(grid, blockDim, k64) })
+	a1 := testing.AllocsPerRun(20, func() { dev.LaunchKernel(context.Background(), grid, blockDim, k1) })
+	a64 := testing.AllocsPerRun(20, func() { dev.LaunchKernel(context.Background(), grid, blockDim, k64) })
 	if a64 > a1 {
 		t.Fatalf("phase hot path allocates with telemetry off: %v allocs at 64 phases vs %v at 1", a64, a1)
 	}
@@ -49,7 +50,7 @@ func TestKernelPhaseHotPathNoTelemetryAllocs(t *testing.T) {
 	// allowed to allocate (it records spans), proving the guardrail measures
 	// the right thing.
 	dev.Prof = telemetry.NewRecorder()
-	aProf := testing.AllocsPerRun(20, func() { dev.Launch(grid, blockDim, k64) })
+	aProf := testing.AllocsPerRun(20, func() { dev.LaunchKernel(context.Background(), grid, blockDim, k64) })
 	if aProf <= a64 {
 		t.Logf("note: profiler-on launch allocated %v (off: %v)", aProf, a64)
 	}

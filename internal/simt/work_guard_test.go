@@ -1,6 +1,7 @@
 package simt_test
 
 import (
+	"context"
 	"testing"
 
 	"nulpa/internal/simt"
@@ -53,8 +54,8 @@ func TestWorkCountingDisabledNoAllocs(t *testing.T) {
 	plain := &busyKernel{phases: 8, sink: sink}
 	counting := &workBusyKernel{busyKernel: busyKernel{phases: 8, sink: sink}}
 
-	aPlain := testing.AllocsPerRun(20, func() { dev.Launch(grid, blockDim, plain) })
-	aWork := testing.AllocsPerRun(20, func() { dev.Launch(grid, blockDim, counting) })
+	aPlain := testing.AllocsPerRun(20, func() { dev.LaunchKernel(context.Background(), grid, blockDim, plain) })
+	aWork := testing.AllocsPerRun(20, func() { dev.LaunchKernel(context.Background(), grid, blockDim, counting) })
 	if aWork > aPlain {
 		t.Fatalf("counting kernel allocates with profiling off: %v allocs vs %v plain", aWork, aPlain)
 	}
@@ -62,7 +63,7 @@ func TestWorkCountingDisabledNoAllocs(t *testing.T) {
 	// The fold itself is allocation-free, so even the enabled path adds no
 	// garbage — only plain per-SM adds.
 	counting.count = true
-	dev.Launch(grid, blockDim, counting)
+	dev.LaunchKernel(context.Background(), grid, blockDim, counting)
 	if a := testing.AllocsPerRun(100, func() { counting.FoldTallies() }); a > 0 {
 		t.Errorf("FoldTallies allocates %v per call, want 0", a)
 	}
@@ -72,7 +73,7 @@ func TestWorkCountingDisabledNoAllocs(t *testing.T) {
 	rec := telemetry.NewRecorder()
 	dev.Prof = rec
 	defer func() { dev.Prof = nil }()
-	dev.Launch(grid, blockDim, counting)
+	dev.LaunchKernel(context.Background(), grid, blockDim, counting)
 	work := rec.KernelWorkByName()
 	if len(work) == 0 {
 		t.Fatal("no kernel work recorded with Recorder attached")

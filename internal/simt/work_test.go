@@ -1,6 +1,7 @@
 package simt
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -74,7 +75,7 @@ func TestWorkFlowsToProfiler(t *testing.T) {
 	dev.Prof = cap
 	k := &workKernel{name: "work-test"}
 	const grid, blockDim = 3, 8
-	dev.Launch(grid, blockDim, k)
+	dev.LaunchKernel(context.Background(), grid, blockDim, k)
 	if len(cap.work) != 1 {
 		t.Fatalf("KernelWork called %d times, want 1", len(cap.work))
 	}
@@ -84,7 +85,7 @@ func TestWorkFlowsToProfiler(t *testing.T) {
 		t.Errorf("work = %+v, want edgeVisits=activeVertices=%d", got, want)
 	}
 	// Reuse across launches reports per-launch deltas, not running totals.
-	dev.Launch(grid, blockDim, k)
+	dev.LaunchKernel(context.Background(), grid, blockDim, k)
 	if got := cap.work[1]; got.EdgeVisits != want {
 		t.Errorf("second launch edgeVisits = %d, want %d (drain must reset)", got.EdgeVisits, want)
 	}
@@ -100,7 +101,7 @@ func TestMetricsProfilerWorkExport(t *testing.T) {
 	dev.Prof = telemetry.NewRecorder()
 	before := mWorkEdgeVisits.With("export-test").Value()
 	activeBefore := mWorkActive.With("export-test").Value()
-	dev.Launch(6, 7, &workKernel{name: "export-test"})
+	dev.LaunchKernel(context.Background(), 6, 7, &workKernel{name: "export-test"})
 	if got := mWorkEdgeVisits.With("export-test").Value() - before; got != 42 {
 		t.Errorf("nulpa_work_edge_visits_total{export-test} grew by %d, want 42", got)
 	}
@@ -109,7 +110,7 @@ func TestMetricsProfilerWorkExport(t *testing.T) {
 	}
 	// An unprofiled launch counts nothing.
 	dev.Prof = nil
-	dev.Launch(6, 7, &workKernel{name: "export-test"})
+	dev.LaunchKernel(context.Background(), 6, 7, &workKernel{name: "export-test"})
 	if got := mWorkEdgeVisits.With("export-test").Value() - before; got != 42 {
 		t.Errorf("unprofiled launch leaked %d extra edge visits", got-42)
 	}
@@ -120,7 +121,7 @@ func TestMetricsProfilerWorkExport(t *testing.T) {
 func TestSnapshotCoversWorkFamilies(t *testing.T) {
 	dev := NewDevice(1)
 	dev.Prof = telemetry.NewRecorder()
-	dev.Launch(1, 5, &workKernel{name: "snap-test"})
+	dev.LaunchKernel(context.Background(), 1, 5, &workKernel{name: "snap-test"})
 	found := false
 	for _, mv := range metrics.Default().Snapshot() {
 		if mv.Name == "nulpa_work_edge_visits_total" && mv.Label == "snap-test" {

@@ -41,9 +41,11 @@ func (w WorkCounts) Add(o WorkCounts) WorkCounts {
 // IsZero reports whether no work was recorded.
 func (w WorkCounts) IsZero() bool { return w == WorkCounts{} }
 
-// RecordWork projects one iteration record onto the canonical ledger:
-// Moves are label flips, and the hashtable deltas carry over directly.
-func RecordWork(r IterRecord) WorkCounts {
+// TotalWork sums a run's iteration trace into one ledger — the run-grained
+// work view: Moves are label flips, and the other counts carry over
+// directly.
+func TotalWork(recs []IterRecord) WorkCounts {
+	r := Sum(recs)
 	return WorkCounts{
 		EdgeVisits:     r.EdgeVisits,
 		LabelFlips:     r.Moves,
@@ -52,10 +54,6 @@ func RecordWork(r IterRecord) WorkCounts {
 		ActiveVertices: r.ActiveVertices,
 	}
 }
-
-// TotalWork sums a run's iteration trace into one ledger — the run-grained
-// work view.
-func TotalWork(recs []IterRecord) WorkCounts { return RecordWork(Sum(recs)) }
 
 // KernelWork implements the simt Profiler hook: it attaches a launch's
 // algorithmic work ledger to the recorded Launch. Safe for concurrent use.

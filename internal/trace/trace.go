@@ -6,10 +6,10 @@
 //
 // Where internal/telemetry answers "what did the device do" and
 // internal/metrics answers "what is the process doing overall", this package
-// answers "what did *this* run do": every iteration span carries its ΔN,
-// every kernel span its launch geometry, and fault-recovery activity
-// (retries, rollbacks, backend fallbacks) lands as events on the span that
-// suffered it.
+// answers "what did *this* run do": every iteration span carries its index
+// (its counts live in the run's iteration record), every kernel span its
+// launch geometry, and fault-recovery activity (retries, rollbacks, backend
+// fallbacks) lands as events on the span that suffered it.
 //
 // # Hot-path contract
 //
@@ -26,10 +26,7 @@
 // with one atomic increment and publishes the span with one atomic pointer
 // store, so concurrent SM goroutines never serialize on a tracer lock. The
 // ring holds the most recent Capacity spans; older spans are overwritten
-// (and counted as dropped). Head sampling bounds volume at the source: with
-// SetSampleEvery(n), only one in n root spans starts a trace, and the
-// unsampled runs skip span creation entirely — children of an unsampled root
-// never exist, rather than being filtered later.
+// (and counted as dropped).
 //
 // The package deliberately imports nothing from the repository, so every
 // layer — simt, engine, httpapi, cmd — may open spans without cycles.
@@ -205,9 +202,9 @@ func IDFromContext(ctx context.Context) string {
 }
 
 // Child starts a span under the active span of ctx and returns a context
-// carrying it. When ctx has no active span — tracing disabled, the root
-// unsampled, or the caller outside any trace — it returns (ctx, nil) without
-// allocating, so instrumentation can call it unconditionally.
+// carrying it. When ctx has no active span — tracing disabled or the caller
+// outside any trace — it returns (ctx, nil) without allocating, so
+// instrumentation can call it unconditionally.
 func Child(ctx context.Context, name string) (context.Context, *Span) {
 	parent := FromContext(ctx)
 	if parent == nil {
@@ -229,18 +226,15 @@ func Child(ctx context.Context, name string) (context.Context, *Span) {
 // of the package default tracer.
 const DefaultCapacity = 4096
 
-// Tracer owns the span ring buffer and the sampling decision. The zero value
-// is not usable; use New or the package-level Default tracer. A Tracer is
-// safe for concurrent use by any number of goroutines.
+// Tracer owns the span ring buffer. The zero value is not usable; use New or
+// the package-level Default tracer. A Tracer is safe for concurrent use by
+// any number of goroutines.
 type Tracer struct {
-	enabled    atomic.Bool
-	sampleN    atomic.Int64  // keep 1 in N root spans; <= 1 keeps all
-	roots      atomic.Uint64 // root spans requested (sampling counter)
-	sampledOut atomic.Uint64 // roots dropped by head sampling
-	ids        atomic.Uint64 // id generator state
-	seed       uint64        // mixed into ids so restarts do not collide
-	head       atomic.Uint64 // next ring slot (monotonic)
-	ring       []atomic.Pointer[Span]
+	enabled atomic.Bool
+	ids     atomic.Uint64 // id generator state
+	seed    uint64        // mixed into ids so restarts do not collide
+	head    atomic.Uint64 // next ring slot (monotonic)
+	ring    []atomic.Pointer[Span]
 
 	// now is the tracer's clock; tests replace it for determinism.
 	now func() time.Time
@@ -277,25 +271,11 @@ func (t *Tracer) SetEnabled(on bool) { t.enabled.Store(on) }
 // Enabled reports whether new root spans are being created.
 func (t *Tracer) Enabled() bool { return t.enabled.Load() }
 
-// SetSampleEvery configures head sampling: keep one in n root spans
-// (n <= 1 keeps every root). The decision is made once per root; an
-// unsampled run creates no spans at all.
-func (t *Tracer) SetSampleEvery(n int64) { t.sampleN.Store(n) }
-
-// Root starts a new trace: a parentless span under a fresh trace id, with
-// the head-sampling decision applied. With the tracer disabled or the root
-// sampled out it returns (ctx, nil) without allocating.
+// Root starts a new trace: a parentless span under a fresh trace id. With
+// the tracer disabled it returns (ctx, nil) without allocating.
 func (t *Tracer) Root(ctx context.Context, name string) (context.Context, *Span) {
 	if !t.enabled.Load() {
 		return ctx, nil
-	}
-	if n := t.sampleN.Load(); n > 1 {
-		if (t.roots.Add(1)-1)%uint64(n) != 0 {
-			t.sampledOut.Add(1)
-			return ctx, nil
-		}
-	} else {
-		t.roots.Add(1)
 	}
 	s := &Span{
 		tracer: t,
@@ -341,23 +321,20 @@ func (t *Tracer) publish(s *Span) {
 }
 
 // Stats reports the tracer's volume accounting: spans recorded (published to
-// the ring over the tracer's lifetime), spans dropped by ring overwrite, and
-// root spans dropped by head sampling.
-func (t *Tracer) Stats() (recorded, dropped, sampledOut uint64) {
+// the ring over the tracer's lifetime) and spans dropped by ring overwrite.
+func (t *Tracer) Stats() (recorded, dropped uint64) {
 	h := t.head.Load()
 	d := uint64(0)
 	if c := uint64(len(t.ring)); h > c {
 		d = h - c
 	}
-	return h, d, t.sampledOut.Load()
+	return h, d
 }
 
 // Reset empties the ring buffer and zeroes the counters (test isolation for
-// the shared Default tracer). The enabled and sampling settings persist.
+// the shared Default tracer). The enabled setting persists.
 func (t *Tracer) Reset() {
 	t.head.Store(0)
-	t.roots.Store(0)
-	t.sampledOut.Store(0)
 	for i := range t.ring {
 		t.ring[i].Store(nil)
 	}

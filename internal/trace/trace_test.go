@@ -49,7 +49,7 @@ func TestDisabledTracerCreatesNoSpans(t *testing.T) {
 	if _, child := Child(ctx, "iteration"); child != nil {
 		t.Fatal("Child of a span-free context returned a span")
 	}
-	if rec, _, _ := tr.Stats(); rec != 0 {
+	if rec, _ := tr.Stats(); rec != 0 {
 		t.Fatalf("disabled tracer recorded %d spans", rec)
 	}
 }
@@ -126,35 +126,9 @@ func TestRingOverflowDropsOldest(t *testing.T) {
 			t.Fatalf("slot %d = %q, want %q (newest 4 survive)", i, d.Name, want)
 		}
 	}
-	rec, dropped, _ := tr.Stats()
+	rec, dropped := tr.Stats()
 	if rec != 10 || dropped != 6 {
 		t.Fatalf("stats = (%d recorded, %d dropped), want (10, 6)", rec, dropped)
-	}
-}
-
-func TestHeadSampling(t *testing.T) {
-	tr := deterministic(64)
-	tr.SetSampleEvery(4)
-	kept := 0
-	for i := 0; i < 20; i++ {
-		ctx, s := tr.Root(context.Background(), "job")
-		if s != nil {
-			kept++
-			// The whole trace follows the root's decision: children exist
-			// only for sampled roots.
-			if _, c := Child(ctx, "iteration"); c == nil {
-				t.Fatal("sampled root produced no child")
-			}
-		} else if FromContext(ctx) != nil {
-			t.Fatal("unsampled root leaked a span into the context")
-		}
-		s.End()
-	}
-	if kept != 5 {
-		t.Fatalf("kept %d of 20 roots with 1-in-4 sampling, want 5", kept)
-	}
-	if _, _, sampledOut := tr.Stats(); sampledOut != 15 {
-		t.Fatalf("sampledOut = %d, want 15", sampledOut)
 	}
 }
 
@@ -176,7 +150,7 @@ func TestConcurrentEnds(t *testing.T) {
 	}
 	wg.Wait()
 	root.End()
-	if rec, _, _ := tr.Stats(); rec != 33 {
+	if rec, _ := tr.Stats(); rec != 33 {
 		t.Fatalf("recorded %d spans, want 33 (32 children + root)", rec)
 	}
 }

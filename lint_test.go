@@ -1,0 +1,152 @@
+package nulpabench
+
+import (
+	"errors"
+	"go/build"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// The algorithm packages: they meet only through the engine registry.
+var algoPackages = map[string]bool{
+	"nulpa/internal/flpa":     true,
+	"nulpa/internal/gunrock":  true,
+	"nulpa/internal/gvelpa":   true,
+	"nulpa/internal/louvain":  true,
+	"nulpa/internal/nulpa":    true,
+	"nulpa/internal/plp":      true,
+	"nulpa/internal/variants": true,
+}
+
+// layerImports bounds the nulpa packages a leaf layer may import:
+//   - quality is a pure evaluation layer (modularity, census, agreement
+//     metrics over a graph and labels), so every layer, telemetry
+//     included, can depend on it without cycles;
+//   - telemetry carries the per-iteration record every detector, device and
+//     exporter shares, and its quality record is quality.LiveStats;
+//   - sched is a generic serving primitive that schedules opaque closures
+//     and stays ignorant of graphs, engines and HTTP.
+var layerImports = map[string][]string{
+	"nulpa/internal/quality":   {"nulpa/internal/graph"},
+	"nulpa/internal/telemetry": {"nulpa/internal/trace", "nulpa/internal/quality"},
+	"nulpa/internal/sched":     {"nulpa/internal/metrics", "nulpa/internal/trace"},
+}
+
+// layeringExempt are packages whose imports the registry cannot express:
+// engine/all blank-imports every algorithm so a registry consumer pulls them
+// all in with one import, and examples/overlap type-asserts Result.Extra to
+// the native variants.SLPAResult for the overlapping-membership API.
+var layeringExempt = map[string]bool{
+	"nulpa/internal/engine/all": true,
+	"nulpa/examples/overlap":    true,
+}
+
+// modulePackages returns the production imports of every package of the
+// module, keyed by import path. Like `go list ./...`, it skips testdata,
+// directories starting with "." or "_", and nested modules (benchmark/).
+func modulePackages(t *testing.T) map[string][]string {
+	t.Helper()
+	pkgs := map[string][]string{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		name := d.Name()
+		if path != "." {
+			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+		}
+		p, err := build.ImportDir(path, 0)
+		var noGo *build.NoGoError
+		if errors.As(err, &noGo) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		pkgs[filepath.ToSlash(filepath.Join("nulpa", path))] = p.Imports
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs
+}
+
+// TestImportLayering enforces the engine's import layering (DESIGN.md):
+// algorithm packages do not import each other, every other package imports
+// at most nulpa/internal/nulpa among them (bench and cmd/nulpa need its
+// Options type for the paper's parameter sweeps), and the leaf layers in
+// layerImports import only what they list among nulpa packages. Only
+// production imports are checked; test files may import anything (the
+// conformance suite pulls in engine/all).
+func TestImportLayering(t *testing.T) {
+	pkgs := modulePackages(t)
+	if len(pkgs) == 0 || pkgs["nulpa/internal/engine"] == nil {
+		t.Fatalf("found %d packages, none of them nulpa/internal/engine: not run from the module root?", len(pkgs))
+	}
+	for pkg, imports := range pkgs {
+		if layeringExempt[pkg] {
+			continue
+		}
+		allowed, leaf := layerImports[pkg]
+		for _, imp := range imports {
+			if leaf && strings.HasPrefix(imp, "nulpa/") && !slices.Contains(allowed, imp) {
+				t.Errorf("%s imports %s (%s may import only %s among nulpa packages)",
+					pkg, imp, filepath.Base(pkg), strings.Join(allowed, ", "))
+			}
+			if !algoPackages[imp] {
+				continue
+			}
+			switch {
+			case algoPackages[pkg]:
+				t.Errorf("%s imports sibling algorithm package %s (use the engine registry)", pkg, imp)
+			case imp != "nulpa/internal/nulpa":
+				t.Errorf("%s imports algorithm package %s directly (use the engine registry; only nulpa/internal/nulpa is allowed, for its Options type)", pkg, imp)
+			}
+		}
+	}
+}
+
+// sourceDir is an importable package directory name under internal/ or cmd/.
+var sourceDir = regexp.MustCompile(`^(internal|cmd)(/[a-z][a-z0-9]*)+$`)
+
+// TestSourceTree keeps the source tree clean: everything under internal/ and
+// cmd/ is a Go source file or a testdata fixture, and every directory there
+// (testdata trees aside) has an importable lowercase alphanumeric name.
+// Editor droppings, stray binaries (a `go build` dropped next to its main
+// package) and half-merged artifacts — double underscores from merge tools,
+// spaces, uppercase — have landed in the tree before.
+func TestSourceTree(t *testing.T) {
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			slash := filepath.ToSlash(path)
+			switch {
+			case d.IsDir() && d.Name() == "testdata":
+				return filepath.SkipDir
+			case d.IsDir():
+				if path != root && !sourceDir.MatchString(slash) {
+					t.Errorf("suspicious directory name %s (package directories are lowercase alphanumeric)", slash)
+				}
+			case !strings.HasSuffix(path, ".go"):
+				t.Errorf("non-Go file %s (move it to testdata/ or delete it)", slash)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
