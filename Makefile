@@ -21,10 +21,11 @@ vet:
 	cd benchmark && $(GO) vet ./...
 
 # Import layering: algorithm packages meet only through the engine registry.
-# Tree hygiene: no non-Go artifacts under internal/ or cmd/. Both are Go
-# tests in lint_test.go at the module root.
+# Tree hygiene: no non-Go artifacts under internal/ or cmd/. Formatting: every
+# Go file of the module is gofmt-clean. All three are Go tests in
+# lint_test.go at the module root.
 lint:
-	$(GO) test -count=1 -run 'TestImportLayering|TestSourceTree' .
+	$(GO) test -count=1 -run 'TestImportLayering|TestSourceTree|TestGofmt' .
 
 test:
 	$(GO) test -race -short ./...

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"nulpa/internal/bench"
+	"nulpa/internal/engine"
 	"nulpa/internal/flpa"
 	"nulpa/internal/graph"
 	"nulpa/internal/gunrock"
@@ -141,7 +142,7 @@ func BenchmarkFigCompare(b *testing.B) {
 		eachGraph(b, func(b *testing.B, g *graph.CSR) {
 			var labels []uint32
 			for i := 0; i < b.N; i++ {
-				labels = must(flpa.Detect(g, flpa.DefaultOptions())).Labels
+				labels = must(flpa.Detector{}.Detect(g, engine.Options{})).Labels
 			}
 			b.ReportMetric(quality.Modularity(g, labels), "modularity")
 		})
@@ -150,7 +151,7 @@ func BenchmarkFigCompare(b *testing.B) {
 		eachGraph(b, func(b *testing.B, g *graph.CSR) {
 			var labels []uint32
 			for i := 0; i < b.N; i++ {
-				labels = must(plp.Detect(g, plp.DefaultOptions())).Labels
+				labels = must(plp.Detector{}.Detect(g, engine.Options{})).Labels
 			}
 			b.ReportMetric(quality.Modularity(g, labels), "modularity")
 		})
@@ -159,7 +160,7 @@ func BenchmarkFigCompare(b *testing.B) {
 		eachGraph(b, func(b *testing.B, g *graph.CSR) {
 			var labels []uint32
 			for i := 0; i < b.N; i++ {
-				labels = must(gvelpa.Detect(g, gvelpa.DefaultOptions())).Labels
+				labels = must(gvelpa.Detector{}.Detect(g, engine.Options{})).Labels
 			}
 			b.ReportMetric(quality.Modularity(g, labels), "modularity")
 		})
@@ -168,7 +169,7 @@ func BenchmarkFigCompare(b *testing.B) {
 		eachGraph(b, func(b *testing.B, g *graph.CSR) {
 			var labels []uint32
 			for i := 0; i < b.N; i++ {
-				labels = must(gunrock.Detect(g, gunrock.DefaultOptions())).Labels
+				labels = must(gunrock.Detector{}.Detect(g, engine.Options{})).Labels
 			}
 			b.ReportMetric(quality.Modularity(g, labels), "modularity")
 		})
@@ -177,7 +178,7 @@ func BenchmarkFigCompare(b *testing.B) {
 		eachGraph(b, func(b *testing.B, g *graph.CSR) {
 			var labels []uint32
 			for i := 0; i < b.N; i++ {
-				labels = must(louvain.Detect(g, louvain.DefaultOptions())).Labels
+				labels = must(louvain.Detector{}.Detect(g, engine.Options{})).Labels
 			}
 			b.ReportMetric(quality.Modularity(g, labels), "modularity")
 		})

@@ -64,7 +64,7 @@ func main() {
 		probing   = flag.String("probing", "quadratic-double", "nulpa: linear, quadratic, double, quadratic-double")
 		switchDeg = flag.Int("switch", 32, "nulpa: thread/block kernel switch degree")
 		f64       = flag.Bool("f64", false, "nulpa: use float64 hashtable values")
-		sms       = flag.Int("sms", 0, "nulpa: simulated SMs per device (0 = host parallelism)")
+		sms       = flag.Int("sms", 0, "parallelism: simulated SMs per device for the ν-LPA detectors, worker goroutines for plp, gvelpa, gunrock and louvain (louvain: >1 selects the parallel sweep); 0 = host parallelism")
 		membudget = flag.Int64("membudget", 0, "-algo nulpa only: the single device's memory budget in bytes (0 = unlimited)")
 		writeTo   = flag.String("write-labels", "", "write 'vertex label' lines to this file")
 		iterTrace = flag.Bool("trace", false, "print per-iteration telemetry as a table")
@@ -127,6 +127,7 @@ func main() {
 
 	eopt := engine.DefaultOptions()
 	eopt.Seed = *seed
+	eopt.Workers = *sms
 	eopt.Profiler = rec
 	if *qualityOn {
 		eopt.Quality = engine.QualityConfig{Enabled: true}
@@ -156,12 +157,11 @@ func main() {
 		os.Exit(2)
 	}
 	if nuLPA {
-		// The ν-LPA-specific flags travel through Extra; every other
-		// detector ignores them.
+		// The ν-LPA-specific flags travel through Extra, which no other
+		// detector takes.
 		if *shards > 0 {
 			nopt.Shards = *shards
 		}
-		nopt.Workers = *sms
 		if *pickless >= 0 {
 			nopt.PickLessEvery = *pickless
 		}

@@ -409,6 +409,28 @@ func TestWriteLabels(t *testing.T) {
 	}
 }
 
+// TestSMSFixesBaselineWorkers pins that -sms reaches every detector's
+// parallelism, not only ν-LPA's: gvelpa at one worker goroutine is
+// sequential, so two runs at the same seed write the same labels file. With
+// the host's worker count the asynchronous sweep races on a multi-core host
+// and the files differ.
+func TestSMSFixesBaselineWorkers(t *testing.T) {
+	dir := t.TempDir()
+	var files [2][]byte
+	for i := range files {
+		path := filepath.Join(dir, fmt.Sprintf("labels%d.txt", i))
+		mustRun(t, "nulpa", "-algo", "gvelpa", "-gen", "web", "-n", "20000", "-sms", "1", "-write-labels", path)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = data
+	}
+	if string(files[0]) != string(files[1]) {
+		t.Error("two gvelpa runs at -sms 1 wrote different labels files")
+	}
+}
+
 func TestNulpaTraceTable(t *testing.T) {
 	out := mustRun(t, "nulpa", "-gen", "planted", "-n", "1000", "-deg", "10", "-trace")
 	// The table comes from telemetry.FormatIters — header columns plus the

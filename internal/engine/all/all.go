@@ -3,11 +3,13 @@
 //
 //	import _ "nulpa/internal/engine/all"
 //
-// After the import, engine.List() names ten detectors — nulpa, nulpa-direct,
-// flpa, plp, gvelpa, gunrock, louvain, slpa, copra, labelrank — and
-// engine.MustGet dispatches to any of them. This package is the only place
-// that may import the algorithm packages together; everything else reaches
-// them through the registry (enforced by `make lint`).
+// After the import, engine.List() names eleven detectors — nulpa,
+// nulpa-direct, nulpa-sharded, flpa, plp, gvelpa, gunrock, louvain, slpa,
+// copra, labelrank — and engine.MustGet dispatches to any of them; for the
+// baselines the registered detector is the only entry point. This package
+// is the only place that may import the algorithm packages together;
+// everything else reaches them through the registry (enforced by
+// `make lint`).
 package all
 
 import (

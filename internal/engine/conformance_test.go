@@ -14,8 +14,9 @@ import (
 
 // The conformance suite runs every registered detector through the same
 // contract checks: deterministic labels for a fixed seed, a valid compressed
-// partition, and modularity above the singleton baseline. New algorithms get
-// the suite for free by registering — no test changes needed.
+// partition, modularity above the singleton baseline, and an error for an
+// Extra of a foreign type. New algorithms get the suite for free by
+// registering — no test changes needed.
 
 // conformanceGraphs builds the two seeded synthetic inputs: a planted
 // partition with clear community structure and a skewed web-style graph
@@ -130,6 +131,18 @@ func TestConformance(t *testing.T) {
 				}
 			})
 		}
+		// No detector silently ignores an option it does not take.
+		t.Run(name+"/foreign-extra", func(t *testing.T) {
+			det, err := engine.MustGet(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := engine.DefaultOptions()
+			opt.Extra = struct{}{}
+			if _, err := det.Detect(graphs["planted"], opt); err == nil {
+				t.Error("Detect accepted an Extra of foreign type struct{}")
+			}
+		})
 	}
 }
 

@@ -21,6 +21,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"nulpa/internal/graph"
@@ -43,7 +44,7 @@ type Detector interface {
 // Options is the unified run configuration shared by every detector. The
 // zero value of each field means "use the algorithm's published default", so
 // Options{} runs any detector in its reference configuration. Fields a
-// detector has no analogue for are ignored (documented per adapter).
+// detector has no analogue for are ignored (documented per detector).
 type Options struct {
 	// Context carries cancellation and a per-run deadline. Every detector
 	// checks it at least once per outer-loop iteration and returns
@@ -61,9 +62,11 @@ type Options struct {
 	// choices). Detectors run deterministically for a fixed Seed when
 	// Workers is 1.
 	Seed int64
-	// Workers bounds parallelism: OS-thread workers for the multicore
-	// algorithms, simulated streaming multiprocessors for the SIMT backend.
-	// 0 selects the host default (GOMAXPROCS).
+	// Workers bounds parallelism: simulated streaming multiprocessors per
+	// device for ν-LPA, worker goroutines for plp, gvelpa, gunrock and
+	// louvain (where a value above 1 selects the parallel local-moving
+	// sweep). 0 selects the host default (GOMAXPROCS; louvain's sequential
+	// sweep). flpa and the variants are sequential and ignore it.
 	Workers int
 	// BlockDim is the threads-per-block launch parameter for GPU-style
 	// detectors. 0 keeps the detector's default.
@@ -79,12 +82,22 @@ type Options struct {
 	// Quality, and each observed Trace record its Quality. Disabled (the
 	// zero value) it costs nothing.
 	Quality QualityConfig
-	// Extra is the per-algorithm extension point: a detector may accept its
-	// package Options type here for full control of algorithm-specific
-	// parameters (for example nulpa.Options to sweep Pick-Less periods).
-	// Detectors reject Extra values of the wrong type with an error rather
-	// than ignoring them.
+	// Extra is ν-LPA's extension point: the ν-LPA detectors take a
+	// nulpa.Options here for their algorithm-specific knobs (Pick-Less and
+	// Cross-Check periods, probing, switch degree, faults). Every other
+	// detector runs its algorithm-only knobs at their published values and
+	// returns an error for any non-nil Extra (see NoExtra), as ν-LPA does for
+	// one of the wrong type: an option is never silently ignored.
 	Extra any
+}
+
+// NoExtra is the Extra check of the detectors that take none: nil, or an
+// error naming the detector and the type it was given.
+func NoExtra(name string, extra any) error {
+	if extra == nil {
+		return nil
+	}
+	return fmt.Errorf("%s: takes no Extra (Extra is ν-LPA's), got %T", name, extra)
 }
 
 // DefaultOptions returns the engine-level defaults: algorithm-published
@@ -114,8 +127,10 @@ type Result struct {
 	// simulated device memory for the SIMT backend, per-thread table bytes
 	// for GVE-LPA; 0 when the algorithm does not account for it.
 	MemoryBytes int64
-	// Extra carries the algorithm's native result (for example
-	// *nulpa.Result) for consumers that need backend-specific detail.
+	// Extra carries native detail no other field holds: *nulpa.Result for
+	// the ν-LPA detectors, *variants.SLPAResult (label memories, for
+	// overlapping membership) and *variants.COPRAResult (belonging
+	// coefficients); nil for every other detector.
 	Extra any
 	// Quality is the end-of-run quality summary (exact modularity, estimator
 	// drift, census), present when Options.Quality was enabled; the

@@ -142,3 +142,16 @@ func Loop(cfg LoopConfig, body func(ctx context.Context, iter int) IterOutcome) 
 	lr.Duration = time.Since(start)
 	return lr
 }
+
+// Result is the end of a detector built on Loop: the loop's error if it
+// ended early, else a Result of the final labels carrying the loop's
+// iteration count, convergence, trace and duration.
+func (lr LoopResult) Result(labels []uint32) (*Result, error) {
+	if lr.Err != nil {
+		return nil, lr.Err
+	}
+	res := NewResult(labels)
+	res.Iterations, res.Converged = lr.Iterations, lr.Converged
+	res.Trace, res.Duration = lr.Trace, lr.Duration
+	return res, nil
+}

@@ -5,6 +5,9 @@
 // shuffling, and converges when the queue drains. Its queue generations are
 // its iterations: each runs as one engine.Loop iteration, so FLPA reports
 // through the same spans, metrics and records as the round-based detectors.
+//
+// The package's one entry point is its Detector, registered with the engine
+// as "flpa" and reached through engine.MustGet.
 package flpa
 
 import (
@@ -12,60 +15,45 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"time"
 
 	"nulpa/internal/engine"
 	"nulpa/internal/graph"
 	"nulpa/internal/telemetry"
 )
 
-// Options configure an FLPA run.
-type Options struct {
-	// Context, when non-nil, cancels the run: it is checked before every
-	// queue generation and every ctxCheckEvery queue pops, and the detector
-	// returns engine.ErrCanceled or engine.ErrDeadline.
-	Context context.Context
+func init() { engine.Register(Detector{}) }
 
-	// Seed drives the random choice among equally dominant labels — the
-	// one place FLPA uses randomness.
-	Seed int64
-	// MaxSteps bounds queue pops as a safety net; 0 means no bound (FLPA
-	// terminates when the queue empties, which it always does because
-	// vertices re-enter only on neighbourhood change).
-	MaxSteps int64
-	// Profiler, when non-nil, receives each queue-generation record as it
-	// completes.
-	Profiler *telemetry.Recorder
-}
+// Detector is FLPA's one entry point, registered as "flpa". FLPA has no
+// synchronous rounds: MaxIterations, Tolerance and Workers are ignored (the
+// queue draining is the convergence rule, so a run that is not interrupted
+// always converges), and Seed (0 means 1) drives dominant-label
+// tie-breaking. It takes no Extra.
+type Detector struct{}
 
-// DefaultOptions returns the reference configuration.
-func DefaultOptions() Options { return Options{Seed: 1} }
-
-// Result reports a completed FLPA run.
-type Result struct {
-	Labels   []uint32
-	Steps    int64 // vertices processed (queue pops)
-	Duration time.Duration
-	// Trace records one telemetry record per queue *generation* — the
-	// vertices enqueued before the previous generation finished, FLPA's
-	// analogue of an iteration — so its ΔN decay is comparable with the
-	// iteration traces of the synchronous-round algorithms.
-	Trace []telemetry.IterRecord
-}
+// Name implements engine.Detector.
+func (Detector) Name() string { return "flpa" }
 
 // ctxCheckEvery is how many queue pops FLPA processes between cancellation
 // checks — cheap enough to be invisible, frequent enough that a canceled run
 // returns within a fraction of a generation.
 const ctxCheckEvery = 4096
 
-// Detect runs FLPA on g. Each queue generation is one engine.Loop
-// iteration, so FLPA's generations reach the iteration spans, metrics,
-// profiler and quality plane like any other detector's iterations. The
-// loop has no ΔN threshold: it ends when the queue drains or MaxSteps pops
-// have run.
-func Detect(g *graph.CSR, opt Options) (*Result, error) {
+// Detect runs FLPA on g. Each queue generation — the vertices enqueued
+// before the previous generation finished, FLPA's analogue of an iteration
+// — is one engine.Loop iteration, so FLPA's generations reach the iteration
+// spans, metrics, profiler and quality plane like any other detector's
+// iterations, and their ΔN decay is comparable with the round-based
+// detectors'. The loop has no ΔN threshold: it ends when the queue drains.
+func (Detector) Detect(g *graph.CSR, opt engine.Options) (*engine.Result, error) {
+	if err := engine.NoExtra("flpa", opt.Extra); err != nil {
+		return nil, err
+	}
+	seed := opt.Seed
+	if seed == 0 {
+		seed = 1
+	}
 	n := g.NumVertices()
-	rng := rand.New(rand.NewSource(opt.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	labels := make([]uint32, n)
 	for i := range labels {
 		labels[i] = uint32(i)
@@ -78,8 +66,9 @@ func Detect(g *graph.CSR, opt Options) (*Result, error) {
 			inQueue[i] = true
 		}
 	}
-	res := &Result{Labels: labels}
 	if len(queue) == 0 {
+		res := engine.NewResult(labels)
+		res.Converged = true
 		return res, nil
 	}
 	// weight accumulator reused across vertices; sparse-reset via touched.
@@ -95,8 +84,8 @@ func Detect(g *graph.CSR, opt Options) (*Result, error) {
 		// One generation: the vertices queued when it starts.
 		var rec telemetry.IterRecord
 		genEnd := len(queue)
-		for head < genEnd && (opt.MaxSteps == 0 || res.Steps < opt.MaxSteps) {
-			if res.Steps%ctxCheckEvery == 0 {
+		for head < genEnd {
+			if rec.ActiveVertices%ctxCheckEvery == 0 {
 				if err := ctx.Err(); err != nil {
 					return engine.IterOutcome{Err: engine.CtxErr(err)}
 				}
@@ -104,7 +93,6 @@ func Detect(g *graph.CSR, opt Options) (*Result, error) {
 			u := queue[head]
 			head++
 			inQueue[u] = false
-			res.Steps++
 			// Queue pops are FLPA's active-vertex count; every pop scans
 			// its full neighbourhood (and again on a move, for re-enqueue).
 			rec.ActiveVertices++
@@ -171,13 +159,9 @@ func Detect(g *graph.CSR, opt Options) (*Result, error) {
 		rec.DeltaN = rec.Moves
 		return engine.IterOutcome{
 			Record: rec,
-			Stop:   head == len(queue) || (opt.MaxSteps > 0 && res.Steps >= opt.MaxSteps),
+			Stop:   head == len(queue),
 			Labels: labels,
 		}
 	})
-	if lr.Err != nil {
-		return nil, lr.Err
-	}
-	res.Duration, res.Trace = lr.Duration, lr.Trace
-	return res, nil
+	return lr.Result(labels)
 }

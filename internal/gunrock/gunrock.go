@@ -5,6 +5,9 @@
 // for bulk-parallel GPU frameworks, but they oscillate on symmetric
 // structures and produce the very low modularity the paper observes for
 // Gunrock LPA (Figure 6c).
+//
+// The package's one entry point is its Detector, registered with the engine
+// as "gunrock" and reached through engine.MustGet.
 package gunrock
 
 import (
@@ -12,64 +15,51 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"nulpa/internal/engine"
 	"nulpa/internal/graph"
 	"nulpa/internal/telemetry"
 )
 
-// Options configure a synchronous LPA run.
-type Options struct {
-	// Context carries cancellation and a per-run deadline; checked once per
-	// iteration. nil means no cancellation.
-	Context context.Context
-	// MaxIterations caps iterations (Gunrock's default behaviour is a
-	// small fixed budget; 10 here).
-	MaxIterations int
-	// Workers bounds parallelism; 0 selects GOMAXPROCS.
-	Workers int
-	// Profiler, when non-nil, receives each iteration's record as it
-	// completes.
-	Profiler *telemetry.Recorder
-}
+func init() { engine.Register(Detector{}) }
 
-// DefaultOptions returns the reference configuration.
-func DefaultOptions() Options { return Options{MaxIterations: 10} }
+// defaultMaxIterations is Gunrock's small fixed iteration budget.
+const defaultMaxIterations = 10
 
-// Result reports a completed run.
-type Result struct {
-	Labels     []uint32
-	Iterations int
-	Converged  bool // true when an iteration changed nothing
-	Duration   time.Duration
-	// Trace records per-iteration telemetry (moves = labels that will
-	// change at the synchronous commit).
-	Trace []telemetry.IterRecord
-}
+// Detector is the Gunrock-style LPA's one entry point, registered as
+// "gunrock". MaxIterations (0 means 10) and Workers (0 means GOMAXPROCS)
+// apply; Tolerance, Seed and BlockDim are ignored — the algorithm is a
+// fixed-rule Jacobi iteration with a smallest-label tie-break and a "no
+// vertex changed" stopping rule (Converged). It takes no Extra.
+type Detector struct{}
 
-// Detect runs synchronous label propagation on g. It returns
-// engine.ErrCanceled / engine.ErrDeadline when opt.Context ends the run
-// early.
-func Detect(g *graph.CSR, opt Options) (*Result, error) {
+// Name implements engine.Detector.
+func (Detector) Name() string { return "gunrock" }
+
+// Detect runs synchronous label propagation on g. Each iteration's moves
+// count the labels that change at its synchronous commit.
+func (Detector) Detect(g *graph.CSR, opt engine.Options) (*engine.Result, error) {
+	if err := engine.NoExtra("gunrock", opt.Extra); err != nil {
+		return nil, err
+	}
 	n := g.NumVertices()
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if opt.MaxIterations <= 0 {
-		opt.MaxIterations = 10
+	maxIter := opt.MaxIterations
+	if maxIter <= 0 {
+		maxIter = defaultMaxIterations
 	}
 	cur := make([]uint32, n)
 	next := make([]uint32, n)
 	for i := range cur {
 		cur[i] = uint32(i)
 	}
-	res := &Result{}
 	const chunk = 2048
 	// Threshold 1 is the strict "no vertex changed" rule: ΔN < 1 ⇔ ΔN = 0.
 	lr := engine.Loop(engine.LoopConfig{
-		MaxIterations: opt.MaxIterations,
+		MaxIterations: maxIter,
 		Threshold:     1,
 		Ctx:           opt.Context,
 		Profiler:      opt.Profiler,
@@ -134,13 +124,5 @@ func Detect(g *graph.CSR, opt Options) (*Result, error) {
 			EdgeVisits: edges, ActiveVertices: visited,
 		}, Labels: cur}
 	})
-	if lr.Err != nil {
-		return nil, lr.Err
-	}
-	res.Iterations = lr.Iterations
-	res.Converged = lr.Converged
-	res.Trace = lr.Trace
-	res.Duration = lr.Duration
-	res.Labels = cur
-	return res, nil
+	return lr.Result(cur)
 }

@@ -3,6 +3,7 @@ package gunrock
 import (
 	"testing"
 
+	"nulpa/internal/engine"
 	"nulpa/internal/gen"
 	"nulpa/internal/quality"
 )
@@ -10,7 +11,7 @@ import (
 func TestPlantedStructureFound(t *testing.T) {
 	// Synchronous LPA still finds well-separated communities.
 	g, truth := gen.Planted(gen.PlantedConfig{N: 400, Communities: 8, DegIn: 14, DegOut: 0.5, Seed: 3})
-	res := must(Detect(g, DefaultOptions()))
+	res := must(Detector{}.Detect(g, engine.Options{}))
 	if nmi := quality.NMI(res.Labels, truth); nmi < 0.6 {
 		t.Errorf("NMI = %.3f, want >= 0.6", nmi)
 	}
@@ -21,18 +22,18 @@ func TestPlantedStructureFound(t *testing.T) {
 // sides exchange labels every iteration and never settle.
 func TestOscillatesOnBipartite(t *testing.T) {
 	g := gen.CompleteBipartite(16, 16)
-	res := must(Detect(g, DefaultOptions()))
+	res := must(Detector{}.Detect(g, engine.Options{}))
 	if res.Converged {
 		t.Error("synchronous LPA converged on K(16,16); expected oscillation")
 	}
-	if res.Iterations != DefaultOptions().MaxIterations {
+	if res.Iterations != defaultMaxIterations {
 		t.Errorf("iterations = %d, want the full budget", res.Iterations)
 	}
 }
 
 func TestMatchedPairsOscillate(t *testing.T) {
 	g := gen.MatchedPairs(100)
-	res := must(Detect(g, DefaultOptions()))
+	res := must(Detector{}.Detect(g, engine.Options{}))
 	if res.Converged {
 		t.Error("synchronous LPA converged on matched pairs; expected swaps")
 	}
@@ -45,7 +46,7 @@ func TestMatchedPairsOscillate(t *testing.T) {
 
 func TestStarConverges(t *testing.T) {
 	g := gen.Star(50)
-	res := must(Detect(g, DefaultOptions()))
+	res := must(Detector{}.Detect(g, engine.Options{}))
 	// Hub adopts the smallest leaf label; leaves adopt the hub's label;
 	// eventually all agree (star is asymmetric enough).
 	if c := quality.CountCommunities(res.Labels); c > 2 {
@@ -55,8 +56,7 @@ func TestStarConverges(t *testing.T) {
 
 func TestLabelsValidAndBudget(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(9, 6, 7))
-	opt := Options{MaxIterations: 3}
-	res := must(Detect(g, opt))
+	res := must(Detector{}.Detect(g, engine.Options{MaxIterations: 3}))
 	if res.Iterations > 3 {
 		t.Errorf("iterations = %d", res.Iterations)
 	}
@@ -69,7 +69,7 @@ func TestLabelsValidAndBudget(t *testing.T) {
 
 func TestEmptyGraph(t *testing.T) {
 	g := gen.MatchedPairs(0)
-	res := must(Detect(g, DefaultOptions()))
+	res := must(Detector{}.Detect(g, engine.Options{}))
 	if len(res.Labels) != 0 {
 		t.Errorf("labels = %v", res.Labels)
 	}

@@ -5,55 +5,34 @@
 // a per-iteration tolerance of 0.05, and at most 20 iterations. Its
 // O(T·N + M) space is exactly the reason the paper had to design the
 // per-vertex O(M) hashtable for the GPU.
+//
+// The package's one entry point is its Detector, registered with the engine
+// as "gvelpa" and reached through engine.MustGet.
 package gvelpa
 
 import (
 	"context"
-
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"nulpa/internal/engine"
 	"nulpa/internal/graph"
 	"nulpa/internal/telemetry"
 )
 
-// Options configure a GVE-LPA run.
-type Options struct {
-	// Context, when non-nil, cancels the run between iterations; the
-	// detector returns engine.ErrCanceled or engine.ErrDeadline.
-	Context context.Context
+func init() { engine.Register(Detector{}) }
 
-	// MaxIterations caps iterations (paper: 20).
-	MaxIterations int
-	// Tolerance is the per-iteration convergence threshold τ (paper: 0.05).
-	Tolerance float64
-	// Workers bounds parallelism; 0 selects GOMAXPROCS.
-	Workers int
-	// Profiler, when non-nil, receives each iteration's record as it
-	// completes.
-	Profiler *telemetry.Recorder
-}
+// Detector is GVE-LPA's one entry point, registered as "gvelpa".
+// MaxIterations (0 means the published 20), Tolerance τ (0 means the
+// published 0.05) and Workers (0 means GOMAXPROCS) apply; Seed and BlockDim
+// are ignored — the rotation tie-break is deterministic by construction.
+// Result.MemoryBytes is the per-thread hashtables' O(T·N) bytes, the term
+// the GPU design eliminates. It takes no Extra.
+type Detector struct{}
 
-// DefaultOptions returns the GVE-LPA published configuration.
-func DefaultOptions() Options {
-	return Options{MaxIterations: 20, Tolerance: 0.05}
-}
-
-// Result reports a completed run.
-type Result struct {
-	Labels     []uint32
-	Iterations int
-	Converged  bool
-	Duration   time.Duration
-	// ThreadTableBytes is the memory consumed by per-thread hashtables —
-	// the O(T·N) term the GPU design eliminates.
-	ThreadTableBytes int64
-	// Trace records per-iteration telemetry (moves = labels changed).
-	Trace []telemetry.IterRecord
-}
+// Name implements engine.Detector.
+func (Detector) Name() string { return "gvelpa" }
 
 // threadTable is the per-thread collision-free hashtable: values is indexed
 // directly by label (size |V|), keys records which labels are occupied so
@@ -106,14 +85,22 @@ func (t *threadTable) clear() {
 }
 
 // Detect runs GVE-LPA on g.
-func Detect(g *graph.CSR, opt Options) (*Result, error) {
+func (Detector) Detect(g *graph.CSR, opt engine.Options) (*engine.Result, error) {
+	if err := engine.NoExtra("gvelpa", opt.Extra); err != nil {
+		return nil, err
+	}
 	n := g.NumVertices()
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if opt.MaxIterations <= 0 {
-		opt.MaxIterations = 20
+	maxIter := opt.MaxIterations
+	if maxIter <= 0 {
+		maxIter = 20
+	}
+	tol := opt.Tolerance
+	if tol <= 0 {
+		tol = 0.05
 	}
 	labels := make([]uint32, n)
 	for i := range labels {
@@ -125,11 +112,10 @@ func Detect(g *graph.CSR, opt Options) (*Result, error) {
 		tables[i] = newThreadTable(n)
 	}
 
-	res := &Result{ThreadTableBytes: int64(workers) * int64(n) * 8}
 	const chunk = 2048
 	lr := engine.Loop(engine.LoopConfig{
-		MaxIterations: opt.MaxIterations,
-		Threshold:     opt.Tolerance * float64(n),
+		MaxIterations: maxIter,
+		Threshold:     tol * float64(n),
 		Ctx:           opt.Context,
 		Profiler:      opt.Profiler,
 	}, func(_ context.Context, iter int) engine.IterOutcome {
@@ -195,13 +181,10 @@ func Detect(g *graph.CSR, opt Options) (*Result, error) {
 			EdgeVisits: edges, ActiveVertices: visited,
 		}, Labels: labels}
 	})
-	if lr.Err != nil {
-		return nil, lr.Err
+	res, err := lr.Result(labels)
+	if err != nil {
+		return nil, err
 	}
-	res.Iterations = lr.Iterations
-	res.Converged = lr.Converged
-	res.Trace = lr.Trace
-	res.Duration = lr.Duration
-	res.Labels = labels
+	res.MemoryBytes = int64(workers) * int64(n) * 8
 	return res, nil
 }

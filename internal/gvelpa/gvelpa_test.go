@@ -3,13 +3,14 @@ package gvelpa
 import (
 	"testing"
 
+	"nulpa/internal/engine"
 	"nulpa/internal/gen"
 	"nulpa/internal/quality"
 )
 
 func TestPlantedRecovery(t *testing.T) {
 	g, truth := gen.Planted(gen.PlantedConfig{N: 400, Communities: 8, DegIn: 14, DegOut: 0.5, Seed: 3})
-	res := must(Detect(g, DefaultOptions()))
+	res := must(Detector{}.Detect(g, engine.Options{}))
 	if !res.Converged {
 		t.Errorf("did not converge in %d iterations", res.Iterations)
 	}
@@ -23,12 +24,10 @@ func TestPlantedRecovery(t *testing.T) {
 
 func TestThreadTableSpace(t *testing.T) {
 	g := gen.ErdosRenyi(1000, 4000, 2)
-	opt := DefaultOptions()
-	opt.Workers = 4
-	res := must(Detect(g, opt))
+	res := must(Detector{}.Detect(g, engine.Options{Workers: 4}))
 	// O(T·N) doubles: 4 workers × 1000 vertices × 8 bytes.
-	if res.ThreadTableBytes != 4*1000*8 {
-		t.Errorf("ThreadTableBytes = %d, want %d", res.ThreadTableBytes, 4*1000*8)
+	if res.MemoryBytes != 4*1000*8 {
+		t.Errorf("MemoryBytes = %d, want %d", res.MemoryBytes, 4*1000*8)
 	}
 }
 
@@ -70,9 +69,7 @@ func TestThreadTableTieBreakRotates(t *testing.T) {
 
 func TestSingleWorker(t *testing.T) {
 	g, truth := gen.Planted(gen.PlantedConfig{N: 300, Communities: 6, DegIn: 12, DegOut: 0.5, Seed: 4})
-	opt := DefaultOptions()
-	opt.Workers = 1
-	res := must(Detect(g, opt))
+	res := must(Detector{}.Detect(g, engine.Options{Workers: 1}))
 	if nmi := quality.NMI(res.Labels, truth); nmi < 0.85 {
 		t.Errorf("NMI = %.3f", nmi)
 	}
@@ -80,7 +77,7 @@ func TestSingleWorker(t *testing.T) {
 
 func TestLabelsValid(t *testing.T) {
 	g := gen.Web(gen.DefaultWeb(900, 6, 2))
-	res := must(Detect(g, DefaultOptions()))
+	res := must(Detector{}.Detect(g, engine.Options{}))
 	for i, c := range res.Labels {
 		if int(c) >= g.NumVertices() {
 			t.Fatalf("labels[%d] = %d out of range", i, c)
@@ -90,7 +87,7 @@ func TestLabelsValid(t *testing.T) {
 
 func TestEmptyGraph(t *testing.T) {
 	g := gen.MatchedPairs(0)
-	res := must(Detect(g, DefaultOptions()))
+	res := must(Detector{}.Detect(g, engine.Options{}))
 	if len(res.Labels) != 0 {
 		t.Errorf("labels = %v", res.Labels)
 	}

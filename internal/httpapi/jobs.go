@@ -193,8 +193,6 @@ var (
 		"Jobs currently running.")
 	mJobsEvicted = metrics.NewCounter("httpapi_jobs_evicted_total",
 		"Finished jobs dropped from the store by the retention cap.")
-	mJobPanics = metrics.NewCounter("httpapi_job_panics_total",
-		"Detector panics recovered by the job runner.")
 	mJobSeconds = metrics.NewHistogram("httpapi_job_duration_seconds",
 		"Submit-to-terminal wall time of one job.",
 		metrics.ExpBuckets(1e-3, 4, 12))
@@ -482,21 +480,16 @@ func (j *job) finish(state JobState, err error, res *engine.Result, mod float64)
 
 // execute runs the detection on a scheduler worker. It is the job's
 // sched.Task Run callback: the graph is built here (so a slow generator
-// blocks a pool worker, never the HTTP handler), and a panicking detector is
-// recovered here so the job fails while the worker survives.
-func (j *job) execute(ctx context.Context) (out any, err error) {
+// blocks a pool worker, never the HTTP handler). A panicking detector fails
+// the job through the scheduler's panic isolation (sched_task_panics_total),
+// and the worker survives.
+func (j *job) execute(ctx context.Context) (any, error) {
 	j.mu.Lock()
 	j.state = JobRunning
 	j.mu.Unlock()
 	slog.Info("job started", "job", j.id, "algo", j.spec.Algo, "trace", j.traceID)
 	mJobsActive.Add(1)
 	defer mJobsActive.Add(-1)
-	defer func() {
-		if r := recover(); r != nil {
-			mJobPanics.Inc()
-			out, err = nil, fmt.Errorf("detector panic: %v", r)
-		}
-	}()
 
 	g, err := j.spec.Graph.Build()
 	if err != nil {

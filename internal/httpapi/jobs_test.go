@@ -12,6 +12,7 @@ import (
 
 	"nulpa/internal/engine"
 	"nulpa/internal/graph"
+	"nulpa/internal/metrics"
 )
 
 // Test-only detectors for the failure paths: a detector that panics and a
@@ -89,11 +90,21 @@ func pollUntilTerminal(t *testing.T, url string, id int, timeout time.Duration) 
 	}
 }
 
-// TestJobPanicRecovered: a panicking detector fails its job; the server
-// keeps serving and the next job succeeds.
+// TestJobPanicRecovered: a panicking detector fails its job, the
+// scheduler's panic isolation counts it once, and the server keeps serving
+// and the next job succeeds.
 func TestJobPanicRecovered(t *testing.T) {
 	registerTestDetectors()
 	ts := newTestServer(t)
+	panics := func() (n float64) {
+		for _, mv := range metrics.Default().Snapshot() {
+			if mv.Name == "sched_task_panics_total" {
+				n = mv.Value
+			}
+		}
+		return n
+	}
+	before := panics()
 	st := postJob(t, ts.URL, `{"algo":"test-panic","graph":{"gen":"er","n":64,"deg":4,"seed":1}}`)
 	st = pollUntilTerminal(t, ts.URL, st.ID, 10*time.Second)
 	if st.State != JobFailed {
@@ -101,6 +112,9 @@ func TestJobPanicRecovered(t *testing.T) {
 	}
 	if !strings.Contains(st.Error, "panic") {
 		t.Errorf("job error %q does not mention the panic", st.Error)
+	}
+	if d := panics() - before; d != 1 {
+		t.Errorf("sched_task_panics_total advanced by %v, want 1", d)
 	}
 	// The server survived: health and a real job still work.
 	if code, _ := get(t, ts.URL+"/healthz"); code != 200 {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"nulpa/internal/bench"
+	"nulpa/internal/engine"
 	"nulpa/internal/flpa"
 	"nulpa/internal/gen"
 	"nulpa/internal/graph"
@@ -29,11 +30,11 @@ func detectAll(t *testing.T, g *graph.CSR) map[string][]uint32 {
 		t.Fatalf("nulpa: %v", err)
 	}
 	out["nulpa"] = res.Labels
-	out["flpa"] = must(flpa.Detect(g, flpa.DefaultOptions())).Labels
-	out["plp"] = must(plp.Detect(g, plp.DefaultOptions())).Labels
-	out["gvelpa"] = must(gvelpa.Detect(g, gvelpa.DefaultOptions())).Labels
-	out["gunrock"] = must(gunrock.Detect(g, gunrock.DefaultOptions())).Labels
-	out["louvain"] = must(louvain.Detect(g, louvain.DefaultOptions())).Labels
+	out["flpa"] = must(flpa.Detector{}.Detect(g, engine.Options{})).Labels
+	out["plp"] = must(plp.Detector{}.Detect(g, engine.Options{})).Labels
+	out["gvelpa"] = must(gvelpa.Detector{}.Detect(g, engine.Options{})).Labels
+	out["gunrock"] = must(gunrock.Detector{}.Detect(g, engine.Options{})).Labels
+	out["louvain"] = must(louvain.Detector{}.Detect(g, engine.Options{})).Labels
 	return out
 }
 

@@ -8,83 +8,56 @@
 // delta-modularity (equation 2 of the paper), then graph aggregation where
 // every community becomes a super-vertex whose internal weight is kept as a
 // self-loop; the two phases repeat until a pass yields no improvement.
+//
+// The package's one entry point is its Detector, registered with the engine
+// as "louvain" and reached through engine.MustGet.
 package louvain
 
 import (
 	"context"
-
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"nulpa/internal/engine"
 	"nulpa/internal/graph"
 	"nulpa/internal/telemetry"
 )
 
-// Options configure a Louvain run.
-type Options struct {
-	// Context, when non-nil, cancels the run between iterations; the
-	// detector returns engine.ErrCanceled or engine.ErrDeadline.
-	Context context.Context
+func init() { engine.Register(Detector{}) }
 
-	// Resolution γ scales the null-model term; 1 is classic modularity.
-	Resolution float64
-	// Tolerance stops local moving once an iteration's total gain in
-	// modularity drops below it.
-	Tolerance float64
-	// MaxLevels caps aggregation passes.
-	MaxLevels int
-	// MaxLocalIterations caps local-moving sweeps per level.
-	MaxLocalIterations int
-	// Workers > 1 runs the local-moving phase as a parallel sweep with
-	// atomic community-total accounting — the relaxation cuGraph and
-	// GVE-Louvain use. 0 or 1 selects the classic sequential sweep.
-	Workers int
-	// Profiler, when non-nil, receives one record per aggregation level as
-	// it completes.
-	Profiler *telemetry.Recorder
-}
+// maxLocalIterations caps the local-moving sweeps of one level.
+const maxLocalIterations = 50
 
-// DefaultOptions mirrors typical library defaults (cuGraph: resolution 1,
-// up to 100 levels bounded in practice by convergence).
-func DefaultOptions() Options {
-	return Options{Resolution: 1, Tolerance: 1e-6, MaxLevels: 20, MaxLocalIterations: 50}
-}
+// Detector is the Louvain method's one entry point, registered as
+// "louvain". MaxIterations caps aggregation levels (0 means 20), Tolerance
+// stops local moving once a sweep's total modularity gain drops below it
+// (0 means 1e-6), and Workers above 1 runs the local-moving phase as a
+// parallel sweep with atomic community-total accounting — the relaxation
+// cuGraph and GVE-Louvain use; 0 or 1 selects the classic sequential sweep.
+// Seed and BlockDim are ignored: the sequential sweep is deterministic. The
+// resolution is 1 (classic modularity). Result.Iterations counts
+// aggregation levels. It takes no Extra.
+type Detector struct{}
 
-// Result reports a completed run.
-type Result struct {
-	// Labels maps each original vertex to its final community.
-	Labels []uint32
-	// Levels is the number of aggregation passes performed.
-	Levels int
-	// Iterations is the total count of local-moving sweeps across levels.
-	Iterations int
-	// Converged reports that the level loop reached its own fixed point
-	// (no move improved modularity, or no contraction was possible) rather
-	// than exhausting MaxLevels.
-	Converged bool
-	Duration  time.Duration
-	// Trace records one telemetry record per aggregation level — Louvain's
-	// outer iteration — with Moves counting the local moves of the level.
-	Trace []telemetry.IterRecord
-}
+// Name implements engine.Detector.
+func (Detector) Name() string { return "louvain" }
 
-// Detect runs the Louvain method on g.
-func Detect(g *graph.CSR, opt Options) (*Result, error) {
-	if opt.Resolution <= 0 {
-		opt.Resolution = 1
+// Detect runs the Louvain method on g. Each engine.Loop iteration is one
+// level; its record's Moves count the level's local moves.
+func (Detector) Detect(g *graph.CSR, opt engine.Options) (*engine.Result, error) {
+	if err := engine.NoExtra("louvain", opt.Extra); err != nil {
+		return nil, err
 	}
-	if opt.MaxLevels <= 0 {
-		opt.MaxLevels = 20
+	maxLevels := opt.MaxIterations
+	if maxLevels <= 0 {
+		maxLevels = 20
 	}
-	if opt.MaxLocalIterations <= 0 {
-		opt.MaxLocalIterations = 50
+	tol := opt.Tolerance
+	if tol <= 0 {
+		tol = 1e-6
 	}
-	res := &Result{}
-
+	levels := 0
 	n := g.NumVertices()
 	// membership[v] is the community of original vertex v, threaded through
 	// every aggregation level.
@@ -96,7 +69,7 @@ func Detect(g *graph.CSR, opt Options) (*Result, error) {
 	// One engine iteration = one aggregation level. Threshold 1 converges
 	// when a level moves nothing; Stop covers the no-contraction fixed point.
 	lr := engine.Loop(engine.LoopConfig{
-		MaxIterations: opt.MaxLevels,
+		MaxIterations: maxLevels,
 		Threshold:     1,
 		Ctx:           opt.Context,
 		Profiler:      opt.Profiler,
@@ -105,11 +78,10 @@ func Detect(g *graph.CSR, opt Options) (*Result, error) {
 		var moves int64
 		var sweeps int
 		if opt.Workers > 1 {
-			comm, moves, sweeps = localMoveParallel(work, opt)
+			comm, moves, sweeps = localMoveParallel(work, opt.Workers)
 		} else {
-			comm, moves, sweeps = localMove(work, opt)
+			comm, moves, sweeps = localMove(work, tol)
 		}
-		res.Iterations += sweeps
 		// Work accounting: every local-moving sweep scans the level graph's
 		// full adjacency once, and aggregation (below) scans it once more.
 		// Labels references the live membership array: by the time Loop reads
@@ -122,7 +94,7 @@ func Detect(g *graph.CSR, opt Options) (*Result, error) {
 		if moves == 0 {
 			return out
 		}
-		res.Levels++
+		levels++
 		comm, numComm := compactLabels(comm)
 		for v := range membership {
 			membership[v] = comm[membership[v]]
@@ -135,22 +107,21 @@ func Detect(g *graph.CSR, opt Options) (*Result, error) {
 		work = aggregate(work, comm, numComm)
 		return out
 	})
-	if lr.Err != nil {
-		return nil, lr.Err
+	res, err := lr.Result(membership)
+	if err != nil {
+		return nil, err
 	}
-	res.Converged = lr.Converged
-	res.Trace = lr.Trace
-	res.Labels = membership
-	res.Duration = lr.Duration
+	res.Iterations = levels
 	return res, nil
 }
 
-// localMove performs modularity-greedy label sweeps on g and returns the
-// community of each vertex, the number of moves performed, and the sweep
-// count. The candidate scan walks communities in first-encounter (adjacency)
-// order via the keys list rather than Go's randomized map order, so the
-// sequential sweep is fully deterministic.
-func localMove(g *graph.CSR, opt Options) (comm []uint32, moves int64, sweeps int) {
+// localMove performs modularity-greedy label sweeps on g, until a sweep
+// moves nothing or gains less than tol, and returns the community of each
+// vertex, the number of moves performed, and the sweep count. The candidate
+// scan walks communities in first-encounter (adjacency) order via the keys
+// list rather than Go's randomized map order, so the sequential sweep is
+// fully deterministic.
+func localMove(g *graph.CSR, tol float64) (comm []uint32, moves int64, sweeps int) {
 	n := g.NumVertices()
 	twoM := g.TotalWeight()
 	comm = make([]uint32, n)
@@ -164,10 +135,9 @@ func localMove(g *graph.CSR, opt Options) (comm []uint32, moves int64, sweeps in
 	if twoM == 0 {
 		return comm, 0, 0
 	}
-	gamma := opt.Resolution
 	neigh := make(map[uint32]float64)
 	var keys []uint32
-	for sweeps = 0; sweeps < opt.MaxLocalIterations; sweeps++ {
+	for sweeps = 0; sweeps < maxLocalIterations; sweeps++ {
 		changes := 0
 		var gain float64
 		for v := 0; v < n; v++ {
@@ -191,12 +161,12 @@ func localMove(g *graph.CSR, opt Options) (comm []uint32, moves int64, sweeps in
 			d := comm[v]
 			// Remove v from its community for the comparison.
 			sigma[d] -= ki[v]
-			best, bestGain := d, neigh[d]-gamma*sigma[d]*ki[v]/twoM
+			best, bestGain := d, neigh[d]-sigma[d]*ki[v]/twoM
 			for _, c := range keys {
 				if c == d {
 					continue
 				}
-				gc := neigh[c] - gamma*sigma[c]*ki[v]/twoM
+				gc := neigh[c] - sigma[c]*ki[v]/twoM
 				if gc > bestGain+1e-12 || (gc == bestGain && c < best) {
 					best, bestGain = c, gc
 				}
@@ -205,11 +175,11 @@ func localMove(g *graph.CSR, opt Options) (comm []uint32, moves int64, sweeps in
 			if best != d {
 				comm[v] = best
 				changes++
-				gain += (bestGain - (neigh[d] - gamma*sigma[d]*ki[v]/twoM)) / (twoM / 2)
+				gain += (bestGain - (neigh[d] - sigma[d]*ki[v]/twoM)) / (twoM / 2)
 			}
 		}
 		moves += int64(changes)
-		if changes == 0 || gain < opt.Tolerance {
+		if changes == 0 || gain < tol {
 			sweeps++
 			break
 		}
@@ -296,13 +266,9 @@ func sortAdj(g *graph.CSR) {
 // worker keeps its own neighbour-weight accumulator. Decisions use slightly
 // stale Σtot values — the standard parallel-Louvain relaxation, repaired by
 // subsequent sweeps.
-func localMoveParallel(g *graph.CSR, opt Options) (comm []uint32, moves int64, sweeps int) {
+func localMoveParallel(g *graph.CSR, workers int) (comm []uint32, moves int64, sweeps int) {
 	n := g.NumVertices()
 	twoM := g.TotalWeight()
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	comm = make([]uint32, n)
 	sigmaBits := make([]uint64, n)
 	ki := make([]float64, n)
@@ -314,9 +280,8 @@ func localMoveParallel(g *graph.CSR, opt Options) (comm []uint32, moves int64, s
 	if twoM == 0 {
 		return comm, 0, 0
 	}
-	gamma := opt.Resolution
 	const chunk = 1024
-	for sweeps = 0; sweeps < opt.MaxLocalIterations; sweeps++ {
+	for sweeps = 0; sweeps < maxLocalIterations; sweeps++ {
 		var changes int64
 		var cursor int64
 		var wg sync.WaitGroup
@@ -352,12 +317,12 @@ func localMoveParallel(g *graph.CSR, opt Options) (comm []uint32, moves int64, s
 						// Remove v for the comparison.
 						atomicAddFloat(sigmaBits, int(d), -ki[v])
 						best := d
-						bestGain := neigh[d] - gamma*loadFloat(sigmaBits, int(d))*ki[v]/twoM
+						bestGain := neigh[d] - loadFloat(sigmaBits, int(d))*ki[v]/twoM
 						for cc, kvc := range neigh {
 							if cc == d {
 								continue
 							}
-							gc := kvc - gamma*loadFloat(sigmaBits, int(cc))*ki[v]/twoM
+							gc := kvc - loadFloat(sigmaBits, int(cc))*ki[v]/twoM
 							if gc > bestGain+1e-12 || (gc == bestGain && cc < best) {
 								best, bestGain = cc, gc
 							}

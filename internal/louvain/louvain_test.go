@@ -3,6 +3,7 @@ package louvain
 import (
 	"testing"
 
+	"nulpa/internal/engine"
 	"nulpa/internal/gen"
 	"nulpa/internal/graph"
 	"nulpa/internal/quality"
@@ -10,7 +11,7 @@ import (
 
 func TestPlantedRecovery(t *testing.T) {
 	g, truth := gen.Planted(gen.PlantedConfig{N: 400, Communities: 8, DegIn: 14, DegOut: 0.5, Seed: 3})
-	res := must(Detect(g, DefaultOptions()))
+	res := must(Detector{}.Detect(g, engine.Options{}))
 	if nmi := quality.NMI(res.Labels, truth); nmi < 0.9 {
 		t.Errorf("NMI = %.3f, want >= 0.9", nmi)
 	}
@@ -24,7 +25,7 @@ func TestBeatsLPAQualityOnNoisyGraph(t *testing.T) {
 	// modularity. Compare against the trivial singleton baseline and assert
 	// strong positive modularity on a noisy community graph.
 	g, _ := gen.Planted(gen.PlantedConfig{N: 500, Communities: 10, DegIn: 8, DegOut: 3, Seed: 7})
-	res := must(Detect(g, DefaultOptions()))
+	res := must(Detector{}.Detect(g, engine.Options{}))
 	q := quality.Modularity(g, res.Labels)
 	if q < 0.3 {
 		t.Errorf("Q = %.3f on noisy planted graph, want >= 0.3", q)
@@ -33,7 +34,7 @@ func TestBeatsLPAQualityOnNoisyGraph(t *testing.T) {
 
 func TestAggregationPreservesWeight(t *testing.T) {
 	g, _ := gen.Planted(gen.PlantedConfig{N: 120, Communities: 4, DegIn: 10, DegOut: 1, Seed: 9})
-	comm, moves, _ := localMove(g, DefaultOptions())
+	comm, moves, _ := localMove(g, 1e-6)
 	if moves == 0 {
 		t.Fatal("local move made no progress")
 	}
@@ -51,7 +52,7 @@ func TestAggregatedModularityConsistent(t *testing.T) {
 	// Modularity of the partition on the original graph must equal the
 	// modularity of singletons on the aggregated graph.
 	g, _ := gen.Planted(gen.PlantedConfig{N: 150, Communities: 5, DegIn: 10, DegOut: 1, Seed: 11})
-	comm, _, _ := localMove(g, DefaultOptions())
+	comm, _, _ := localMove(g, 1e-6)
 	compacted, k := compactLabels(comm)
 	agg := aggregate(g, compacted, k)
 	qOrig := quality.Modularity(g, compacted)
@@ -68,9 +69,9 @@ func TestAggregatedModularityConsistent(t *testing.T) {
 func TestMultiLevelContraction(t *testing.T) {
 	// Hierarchical graph: cliques of cliques should trigger >= 2 levels.
 	g := hierarchicalCliques(t)
-	res := must(Detect(g, DefaultOptions()))
-	if res.Levels < 1 {
-		t.Errorf("levels = %d, want >= 1", res.Levels)
+	res := must(Detector{}.Detect(g, engine.Options{}))
+	if res.Iterations < 1 {
+		t.Errorf("levels = %d, want >= 1", res.Iterations)
 	}
 	if q := quality.Modularity(g, res.Labels); q < 0.5 {
 		t.Errorf("Q = %.3f", q)
@@ -109,20 +110,9 @@ func hierarchicalCliques(t *testing.T) *graph.CSR {
 	return g
 }
 
-func TestResolutionParameter(t *testing.T) {
-	g, _ := gen.Planted(gen.PlantedConfig{N: 300, Communities: 6, DegIn: 10, DegOut: 1, Seed: 13})
-	low := must(Detect(g, Options{Resolution: 0.3, MaxLevels: 20, MaxLocalIterations: 50}))
-	high := must(Detect(g, Options{Resolution: 3, MaxLevels: 20, MaxLocalIterations: 50}))
-	cl := quality.CountCommunities(low.Labels)
-	ch := quality.CountCommunities(high.Labels)
-	if cl > ch {
-		t.Errorf("resolution 0.3 gave %d communities but 3.0 gave %d; want fewer at low resolution", cl, ch)
-	}
-}
-
 func TestLabelsValid(t *testing.T) {
 	g := gen.Web(gen.DefaultWeb(600, 6, 3))
-	res := must(Detect(g, DefaultOptions()))
+	res := must(Detector{}.Detect(g, engine.Options{}))
 	if len(res.Labels) != g.NumVertices() {
 		t.Fatalf("labels length %d", len(res.Labels))
 	}
@@ -130,12 +120,12 @@ func TestLabelsValid(t *testing.T) {
 
 func TestEmptyAndEdgeless(t *testing.T) {
 	g := gen.MatchedPairs(0)
-	res := must(Detect(g, DefaultOptions()))
+	res := must(Detector{}.Detect(g, engine.Options{}))
 	if len(res.Labels) != 0 {
 		t.Errorf("labels = %v", res.Labels)
 	}
 	edgeless, _ := graph.FromEdges(nil, 5, graph.DefaultBuildOptions())
-	res = must(Detect(edgeless, DefaultOptions()))
+	res = must(Detector{}.Detect(edgeless, engine.Options{}))
 	if quality.CountCommunities(res.Labels) != 5 {
 		t.Error("edgeless graph should stay singletons")
 	}
@@ -143,8 +133,8 @@ func TestEmptyAndEdgeless(t *testing.T) {
 
 func TestParallelLocalMoveQuality(t *testing.T) {
 	g, truth := gen.Planted(gen.PlantedConfig{N: 600, Communities: 12, DegIn: 12, DegOut: 1, Seed: 21})
-	seq := must(Detect(g, DefaultOptions()))
-	par := must(Detect(g, Options{Resolution: 1, Tolerance: 1e-6, MaxLevels: 20, MaxLocalIterations: 50, Workers: 8}))
+	seq := must(Detector{}.Detect(g, engine.Options{}))
+	par := must(Detector{}.Detect(g, engine.Options{Tolerance: 1e-6, MaxIterations: 20, Workers: 8}))
 	qs := quality.Modularity(g, seq.Labels)
 	qp := quality.Modularity(g, par.Labels)
 	if qp < qs-0.1 {
@@ -157,7 +147,7 @@ func TestParallelLocalMoveQuality(t *testing.T) {
 
 func TestParallelLouvainEmptyAndTrivial(t *testing.T) {
 	empty := gen.MatchedPairs(0)
-	res := must(Detect(empty, Options{Workers: 4, MaxLevels: 5, MaxLocalIterations: 5, Resolution: 1}))
+	res := must(Detector{}.Detect(empty, engine.Options{Workers: 4, MaxIterations: 5}))
 	if len(res.Labels) != 0 {
 		t.Errorf("labels = %v", res.Labels)
 	}

@@ -17,17 +17,13 @@ var (
 )
 
 // Sharded-execution metrics. The per-shard families are labeled by shard id,
-// so /metrics can attribute halo traffic and memory to individual devices.
-// The superstep count and barrier wait are engine.ShardLoop's.
+// so /metrics can attribute halo traffic and label flips to individual
+// devices; a run's per-shard cut, memory and community counts are in its
+// Result.ShardStats. The superstep count and barrier wait are
+// engine.ShardLoop's.
 var (
 	mShardHaloLabels = metrics.NewCounterVec("nulpa_shard_halo_labels_total",
 		"Changed ghost labels received at BSP superstep barriers, per shard.", "shard")
-	mShardCutEdges = metrics.NewGaugeVec("nulpa_shard_cut_edges",
-		"Boundary-cut arcs of the most recent sharded run, per shard.", "shard")
-	mShardMemBytes = metrics.NewGaugeVec("nulpa_shard_mem_bytes",
-		"Simulated device memory reserved by the most recent sharded run, per shard.", "shard")
-	mShardCommunities = metrics.NewGaugeVec("nulpa_shard_communities",
-		"Distinct labels among owned vertices at the end of the most recent sharded run, per shard.", "shard")
 	mShardMoves = metrics.NewCounterVec("nulpa_shard_label_flips_total",
 		"Gross label changes executed by the sharded backend, per shard.", "shard")
 )

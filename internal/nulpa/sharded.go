@@ -98,11 +98,6 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 		stat.DeviceBytes = run.bytes
 		run.stat = stat
 		res.DeviceBytes += run.bytes
-		if plan != nil {
-			lbl := strconv.Itoa(s)
-			mShardCutEdges.With(lbl).Set(float64(stat.CutArcs))
-			mShardMemBytes.With(lbl).Set(float64(dev.MemUsed()))
-		}
 	}
 
 	labelArrs := make([][]uint32, k)
@@ -183,10 +178,8 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 				count++
 			}
 		}
-		lbl := strconv.Itoa(s)
 		res.ShardStats[s].Communities = count
-		mShardCommunities.With(lbl).Set(float64(count))
-		mShardMoves.With(lbl).Add(res.ShardStats[s].Moves)
+		mShardMoves.With(strconv.Itoa(s)).Add(res.ShardStats[s].Moves)
 	}
 	return res, nil
 }

@@ -5,70 +5,55 @@
 // label-weight counting (std::map in NetworKit, a Go map here), a tolerance
 // of 1e-5 (the "threshold heuristic"), and an atomically updated count of
 // changed vertices.
+//
+// The package's one entry point is its Detector, registered with the engine
+// as "plp" and reached through engine.MustGet.
 package plp
 
 import (
 	"context"
-
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"nulpa/internal/engine"
 	"nulpa/internal/graph"
 	"nulpa/internal/telemetry"
 )
 
-// Options configure a PLP run.
-type Options struct {
-	// Context, when non-nil, cancels the run between iterations; the
-	// detector returns engine.ErrCanceled or engine.ErrDeadline.
-	Context context.Context
+func init() { engine.Register(Detector{}) }
 
-	// Tolerance θ: the run stops when fewer than θ·N vertices change in an
-	// iteration (NetworKit default 1e-5).
-	Tolerance float64
-	// MaxIterations caps iterations (NetworKit's updateThreshold loop is
-	// unbounded; a generous default guards pathological inputs).
-	MaxIterations int
-	// Workers bounds parallelism; 0 selects GOMAXPROCS.
-	Workers int
-	// Deterministic scans candidate labels in ascending order — the literal
-	// std::map scan order of NetworKit — instead of Go's randomized map
-	// order. With Workers = 1 this makes runs bit-identical; it is the mode
-	// engine-dispatched runs use.
-	Deterministic bool
-	// Profiler, when non-nil, receives each iteration's record as it
-	// completes.
-	Profiler *telemetry.Recorder
-}
+// Detector is PLP's one entry point, registered as "plp". MaxIterations
+// (0 means 100: NetworKit's updateThreshold loop is unbounded, a generous
+// cap guards pathological inputs), Tolerance θ (0 means NetworKit's 1e-5)
+// and Workers (0 means GOMAXPROCS) apply; Seed and BlockDim are ignored —
+// PLP draws no random numbers. It takes no Extra.
+type Detector struct{}
 
-// DefaultOptions returns NetworKit's defaults.
-func DefaultOptions() Options {
-	return Options{Tolerance: 1e-5, MaxIterations: 100}
-}
+// Name implements engine.Detector.
+func (Detector) Name() string { return "plp" }
 
-// Result reports a completed PLP run.
-type Result struct {
-	Labels     []uint32
-	Iterations int
-	Converged  bool
-	Duration   time.Duration
-	// Trace records per-iteration telemetry (moves = vertices updated).
-	Trace []telemetry.IterRecord
-}
-
-// Detect runs parallel label propagation on g.
-func Detect(g *graph.CSR, opt Options) (*Result, error) {
+// Detect runs parallel label propagation on g. The run stops when fewer
+// than θ·N vertices change in an iteration. Candidate labels are scanned in
+// ascending order — the literal std::map scan order of NetworKit — so with
+// one worker runs are bit-identical.
+func (Detector) Detect(g *graph.CSR, opt engine.Options) (*engine.Result, error) {
+	if err := engine.NoExtra("plp", opt.Extra); err != nil {
+		return nil, err
+	}
 	n := g.NumVertices()
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if opt.MaxIterations <= 0 {
-		opt.MaxIterations = 100
+	maxIter := opt.MaxIterations
+	if maxIter <= 0 {
+		maxIter = 100
+	}
+	tol := opt.Tolerance
+	if tol <= 0 {
+		tol = 1e-5
 	}
 	labels := make([]uint32, n)
 	for i := range labels {
@@ -83,14 +68,13 @@ func Detect(g *graph.CSR, opt Options) (*Result, error) {
 			active[i] = 1
 		}
 	}
-	theta := opt.Tolerance * float64(n)
+	theta := tol * float64(n)
 	if theta < 1 {
 		theta = 1 // NetworKit floors the threshold at one node
 	}
 
-	res := &Result{}
 	lr := engine.Loop(engine.LoopConfig{
-		MaxIterations: opt.MaxIterations,
+		MaxIterations: maxIter,
 		Threshold:     theta,
 		Ctx:           opt.Context,
 		Profiler:      opt.Profiler,
@@ -119,30 +103,17 @@ func Detect(g *graph.CSR, opt Options) (*Result, error) {
 					continue
 				}
 				cur := labels[v]
+				// The literal std::map scan: ascending label order, first
+				// strict maximum wins.
 				best, bestW := cur, -1.0
-				if opt.Deterministic {
-					// The literal std::map scan: ascending label order,
-					// first strict maximum wins.
-					sc.keys = sc.keys[:0]
-					for c := range acc {
-						sc.keys = append(sc.keys, c)
-					}
-					slices.Sort(sc.keys)
-					for _, c := range sc.keys {
-						if w := acc[c]; w > bestW {
-							best, bestW = c, w
-						}
-					}
-				} else {
-					// First strict maximum in map order. NetworKit scans its
-					// std::map and keeps the first heaviest label; Go's
-					// randomized map order stands in for that scan order and
-					// doubles as the tie-breaking randomness that keeps one
-					// label from cascading across communities in a sweep.
-					for c, w := range acc {
-						if w > bestW {
-							best, bestW = c, w
-						}
+				sc.keys = sc.keys[:0]
+				for c := range acc {
+					sc.keys = append(sc.keys, c)
+				}
+				slices.Sort(sc.keys)
+				for _, c := range sc.keys {
+					if w := acc[c]; w > bestW {
+						best, bestW = c, w
 					}
 				}
 				// Keep the current label when it ties the maximum
@@ -170,20 +141,12 @@ func Detect(g *graph.CSR, opt Options) (*Result, error) {
 			EdgeVisits: edges, ActiveVertices: processed,
 		}, Labels: labels}
 	})
-	if lr.Err != nil {
-		return nil, lr.Err
-	}
-	res.Iterations = lr.Iterations
-	res.Converged = lr.Converged
-	res.Trace = lr.Trace
-	res.Duration = lr.Duration
-	res.Labels = labels
-	return res, nil
+	return lr.Result(labels)
 }
 
 // scratch is the per-worker reusable state: the map accumulator (NetworKit's
 // per-call std::map, hoisted as NetworKit effectively does through the
-// allocator) and the sorted-key buffer of the deterministic scan.
+// allocator) and the sorted-key buffer of the ascending scan.
 type scratch struct {
 	acc  map[uint32]float64
 	keys []uint32

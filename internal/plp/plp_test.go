@@ -1,15 +1,17 @@
 package plp
 
 import (
+	"math"
 	"testing"
 
+	"nulpa/internal/engine"
 	"nulpa/internal/gen"
 	"nulpa/internal/quality"
 )
 
 func TestPlantedRecovery(t *testing.T) {
 	g, truth := gen.Planted(gen.PlantedConfig{N: 400, Communities: 8, DegIn: 14, DegOut: 0.5, Seed: 3})
-	res := must(Detect(g, DefaultOptions()))
+	res := must(Detector{}.Detect(g, engine.Options{}))
 	if !res.Converged {
 		t.Errorf("did not converge in %d iterations", res.Iterations)
 	}
@@ -20,9 +22,7 @@ func TestPlantedRecovery(t *testing.T) {
 
 func TestSingleWorkerMatchesQuality(t *testing.T) {
 	g, truth := gen.Planted(gen.PlantedConfig{N: 300, Communities: 6, DegIn: 12, DegOut: 0.5, Seed: 6})
-	opt := DefaultOptions()
-	opt.Workers = 1
-	res := must(Detect(g, opt))
+	res := must(Detector{}.Detect(g, engine.Options{Workers: 1}))
 	if nmi := quality.NMI(res.Labels, truth); nmi < 0.85 {
 		t.Errorf("workers=1: NMI = %.3f", nmi)
 	}
@@ -30,8 +30,8 @@ func TestSingleWorkerMatchesQuality(t *testing.T) {
 
 func TestToleranceStopsEarly(t *testing.T) {
 	g := gen.Web(gen.DefaultWeb(1500, 8, 11))
-	loose := must(Detect(g, Options{Tolerance: 0.5, MaxIterations: 100}))
-	tight := must(Detect(g, Options{Tolerance: 1e-6, MaxIterations: 100}))
+	loose := must(Detector{}.Detect(g, engine.Options{Tolerance: 0.5, MaxIterations: 100}))
+	tight := must(Detector{}.Detect(g, engine.Options{Tolerance: 1e-6, MaxIterations: 100}))
 	if loose.Iterations > tight.Iterations {
 		t.Errorf("loose tolerance ran longer (%d) than tight (%d)", loose.Iterations, tight.Iterations)
 	}
@@ -42,7 +42,9 @@ func TestToleranceStopsEarly(t *testing.T) {
 
 func TestMaxIterationsRespected(t *testing.T) {
 	g := gen.ErdosRenyi(400, 1600, 8)
-	res := must(Detect(g, Options{Tolerance: 0, MaxIterations: 3}))
+	// The smallest positive tolerance: θ·N floors at one vertex, so only the
+	// iteration cap can end the run early.
+	res := must(Detector{}.Detect(g, engine.Options{Tolerance: math.SmallestNonzeroFloat64, MaxIterations: 3}))
 	if res.Iterations > 3 {
 		t.Errorf("iterations = %d, want <= 3", res.Iterations)
 	}
@@ -50,7 +52,7 @@ func TestMaxIterationsRespected(t *testing.T) {
 
 func TestLabelsValid(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(9, 6, 5))
-	res := must(Detect(g, DefaultOptions()))
+	res := must(Detector{}.Detect(g, engine.Options{}))
 	for i, c := range res.Labels {
 		if int(c) >= g.NumVertices() {
 			t.Fatalf("labels[%d] = %d out of range", i, c)
@@ -60,7 +62,7 @@ func TestLabelsValid(t *testing.T) {
 
 func TestEmptyGraph(t *testing.T) {
 	g := gen.MatchedPairs(0)
-	res := must(Detect(g, DefaultOptions()))
+	res := must(Detector{}.Detect(g, engine.Options{}))
 	if len(res.Labels) != 0 || !res.Converged {
 		t.Errorf("empty graph: %+v", res)
 	}
@@ -68,7 +70,7 @@ func TestEmptyGraph(t *testing.T) {
 
 func TestIsolatedVerticesStable(t *testing.T) {
 	g := gen.MatchedPairs(10) // 5 pairs
-	res := must(Detect(g, DefaultOptions()))
+	res := must(Detector{}.Detect(g, engine.Options{}))
 	for v := 0; v+1 < 10; v += 2 {
 		if res.Labels[v] != res.Labels[v+1] {
 			t.Errorf("pair (%d,%d) not merged", v, v+1)

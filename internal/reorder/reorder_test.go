@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"nulpa/internal/engine"
 	"nulpa/internal/flpa"
 	"nulpa/internal/gen"
 	"nulpa/internal/graph"
@@ -30,7 +31,7 @@ func TestIdentity(t *testing.T) {
 
 func TestApplyPreservesStructure(t *testing.T) {
 	g := gen.Web(gen.DefaultWeb(500, 6, 3))
-	labels := must(flpa.Detect(g, flpa.DefaultOptions())).Labels
+	labels := must(flpa.Detector{}.Detect(g, engine.Options{})).Labels
 	p := ByCommunity(labels)
 	out, err := Apply(g, p)
 	if err != nil {
@@ -98,7 +99,7 @@ func TestMapLabelsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := must(flpa.Detect(rg, flpa.DefaultOptions()))
+	res := must(flpa.Detector{}.Detect(rg, engine.Options{}))
 	back := MapLabels(res.Labels, p)
 	// The partition on original numbering must match the planted structure
 	// as well as detection on the original graph does.

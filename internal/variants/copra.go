@@ -2,75 +2,61 @@ package variants
 
 import (
 	"context"
-
 	"sort"
-	"time"
 
 	"nulpa/internal/engine"
 	"nulpa/internal/graph"
 	"nulpa/internal/telemetry"
 )
 
-// COPRAOptions configure Community Overlap PRopagation (Gregory 2010).
-type COPRAOptions struct {
-	// Context, when non-nil, cancels the run between iterations; the
-	// detector returns engine.ErrCanceled or engine.ErrDeadline.
-	Context context.Context
+// copraMaxLabels is v, the per-vertex label capacity: a vertex belongs to
+// at most v communities, and labels with belonging coefficient below 1/v are
+// discarded each round. v = 2 behaves like near-disjoint detection, the fair
+// setting against plain LPA.
+const copraMaxLabels = 2
 
-	// MaxLabels is v, the per-vertex label capacity: a vertex can belong
-	// to at most v communities; labels with belonging coefficient below
-	// 1/v are discarded each round.
-	MaxLabels int
-	// MaxIterations caps propagation rounds.
-	MaxIterations int
-	// Profiler, when non-nil, receives each round's record as it completes.
-	Profiler *telemetry.Recorder
-}
-
-// DefaultCOPRAOptions returns the reference configuration (v = 2 behaves
-// like near-disjoint detection, the fair setting against plain LPA).
-func DefaultCOPRAOptions() COPRAOptions { return COPRAOptions{MaxLabels: 2, MaxIterations: 30} }
-
-// COPRAResult reports a completed COPRA run.
+// COPRAResult is the native detail of a COPRA run, carried in
+// engine.Result.Extra.
 type COPRAResult struct {
-	// Labels is the label with the highest belonging coefficient per
-	// vertex.
-	Labels []uint32
 	// Belonging is each vertex's label→coefficient map (coefficients sum
-	// to 1 per vertex).
-	Belonging  []map[uint32]float64
-	Iterations int
-	Converged  bool
-	Duration   time.Duration
-	// Trace records one telemetry record per round (moves = vertices whose
-	// dominant label changed).
-	Trace []telemetry.IterRecord
+	// to 1 per vertex); engine.Result.Labels holds each vertex's label of
+	// highest coefficient, renumbered.
+	Belonging []map[uint32]float64
 }
 
-// COPRA runs Community Overlap PRopagation: every vertex holds belonging
-// coefficients over labels; each round a vertex averages its neighbours'
-// coefficient vectors, discards labels below 1/v, renormalizes, and keeps at
-// most v labels. Terminates when the label universe stops shrinking and
-// per-vertex dominant labels are stable, or at MaxIterations.
-func COPRA(g *graph.CSR, opt COPRAOptions) (*COPRAResult, error) {
+// copraDetector is Community Overlap PRopagation (Gregory 2010),
+// registered as "copra". MaxIterations caps propagation rounds (0 means
+// 30); Tolerance, Seed, Workers and BlockDim are ignored (sequential and
+// deterministic). Each round's moves count the vertices whose dominant
+// label changed. It takes no Extra.
+type copraDetector struct{}
+
+func (copraDetector) Name() string { return "copra" }
+
+// Detect runs COPRA: every vertex holds belonging coefficients over
+// labels; each round a vertex averages its neighbours' coefficient vectors,
+// discards labels below 1/v, renormalizes, and keeps at most v labels.
+// Terminates when per-vertex dominant labels are stable across a round, or
+// at MaxIterations.
+func (copraDetector) Detect(g *graph.CSR, opt engine.Options) (*engine.Result, error) {
+	if err := engine.NoExtra("copra", opt.Extra); err != nil {
+		return nil, err
+	}
+	maxIter := opt.MaxIterations
+	if maxIter <= 0 {
+		maxIter = 30
+	}
 	n := g.NumVertices()
-	if opt.MaxLabels <= 0 {
-		opt.MaxLabels = 2
-	}
-	if opt.MaxIterations <= 0 {
-		opt.MaxIterations = 30
-	}
-	threshold := 1 / float64(opt.MaxLabels)
+	threshold := 1 / float64(copraMaxLabels)
 	cur := make([]map[uint32]float64, n)
 	next := make([]map[uint32]float64, n)
 	for v := 0; v < n; v++ {
 		cur[v] = map[uint32]float64{uint32(v): 1}
 		next[v] = map[uint32]float64{}
 	}
-	res := &COPRAResult{}
 	prevDominant := make([]uint32, n)
 	lr := engine.Loop(engine.LoopConfig{
-		MaxIterations: opt.MaxIterations,
+		MaxIterations: maxIter,
 		Threshold:     0,
 		Ctx:           opt.Context,
 		Profiler:      opt.Profiler,
@@ -113,7 +99,7 @@ func COPRA(g *graph.CSR, opt COPRAOptions) (*COPRAResult, error) {
 			for l := range out {
 				out[l] /= totalW
 			}
-			filterBelonging(out, threshold, opt.MaxLabels, uint32(v))
+			filterBelonging(out, threshold, copraMaxLabels, uint32(v))
 		}
 		cur, next = next, cur
 
@@ -141,16 +127,12 @@ func COPRA(g *graph.CSR, opt COPRAOptions) (*COPRAResult, error) {
 	if lr.Err != nil {
 		return nil, lr.Err
 	}
-	res.Iterations = lr.Iterations
-	res.Converged = lr.Converged
-	res.Trace = lr.Trace
 	labels := make([]uint32, n)
 	for v := 0; v < n; v++ {
 		labels[v] = dominantLabel(cur[v], uint32(v))
 	}
-	res.Labels = labels
-	res.Belonging = cur
-	res.Duration = lr.Duration
+	res, _ := lr.Result(labels)
+	res.Extra = &COPRAResult{Belonging: cur}
 	return res, nil
 }
 

@@ -2,71 +2,52 @@ package variants
 
 import (
 	"context"
-
 	"math"
 	"slices"
-	"time"
 
 	"nulpa/internal/engine"
 	"nulpa/internal/graph"
 	"nulpa/internal/telemetry"
 )
 
-// LabelRankOptions configure LabelRank (Xie & Szymanski 2013), the
-// deterministic stabilized label propagation over per-vertex label
-// distributions.
-type LabelRankOptions struct {
-	// Context, when non-nil, cancels the run between iterations; the
-	// detector returns engine.ErrCanceled or engine.ErrDeadline.
-	Context context.Context
+// LabelRank's published parameters.
+const (
+	// lrInflation is the inflation exponent: each round, distributions are
+	// raised to this power and renormalized, sharpening them (typical
+	// 1.5–2).
+	lrInflation = 2
+	// lrCutoff removes labels whose probability falls below it.
+	lrCutoff = 0.02
+	// lrConditionalQ: a vertex updates only if fewer than q of its
+	// neighbours share its dominant label (higher means update more often).
+	lrConditionalQ = 0.7
+)
 
-	// Inflation exponent: each round, distributions are raised to this
-	// power and renormalized, sharpening them (typical 1.5–2).
-	Inflation float64
-	// Cutoff removes labels whose probability falls below it (typical
-	// 0.1/avg-degree scale; 0.02 default).
-	Cutoff float64
-	// ConditionalQ: a vertex updates only if fewer than q of its
-	// neighbours share its dominant label set (fraction in [0,1]; higher
-	// means update more often).
-	ConditionalQ float64
-	// MaxIterations caps rounds.
-	MaxIterations int
-	// Profiler, when non-nil, receives each round's record as it completes.
-	Profiler *telemetry.Recorder
-}
+// labelRankDetector is LabelRank (Xie & Szymanski 2013), the deterministic
+// stabilized label propagation over per-vertex label distributions,
+// registered as "labelrank". MaxIterations caps rounds (0 means 30);
+// Tolerance, Seed, Workers and BlockDim are ignored (sequential and
+// deterministic). Each round's moves count the vertices whose distribution
+// was updated. It takes no Extra.
+type labelRankDetector struct{}
 
-// DefaultLabelRankOptions returns the reference configuration.
-func DefaultLabelRankOptions() LabelRankOptions {
-	return LabelRankOptions{Inflation: 2, Cutoff: 0.02, ConditionalQ: 0.7, MaxIterations: 30}
-}
+func (labelRankDetector) Name() string { return "labelrank" }
 
-// LabelRankResult reports a completed LabelRank run.
-type LabelRankResult struct {
-	Labels     []uint32
-	Iterations int
-	Converged  bool
-	Duration   time.Duration
-	// Trace records one telemetry record per round (moves = vertices whose
-	// distribution was updated).
-	Trace []telemetry.IterRecord
-}
-
-// LabelRank runs deterministic label propagation: every vertex holds a
-// probability distribution over labels, updated each round by averaging
-// neighbour distributions (propagation), sharpening with the inflation
-// operator, and truncating tiny entries (cutoff). The conditional-update
-// rule — skip vertices whose dominant label already agrees with at least q
-// of their neighbours — is LabelRank's stabilization trick and its
-// termination mechanism.
-func LabelRank(g *graph.CSR, opt LabelRankOptions) (*LabelRankResult, error) {
+// Detect runs LabelRank: every vertex holds a probability distribution over
+// labels, updated each round by averaging neighbour distributions
+// (propagation), sharpening with the inflation operator, and truncating
+// tiny entries (cutoff). The conditional-update rule — skip vertices whose
+// dominant label already agrees with at least q of their neighbours — is
+// LabelRank's stabilization trick and its termination mechanism.
+func (labelRankDetector) Detect(g *graph.CSR, opt engine.Options) (*engine.Result, error) {
+	if err := engine.NoExtra("labelrank", opt.Extra); err != nil {
+		return nil, err
+	}
+	maxIter := opt.MaxIterations
+	if maxIter <= 0 {
+		maxIter = 30
+	}
 	n := g.NumVertices()
-	if opt.Inflation <= 0 {
-		opt.Inflation = 2
-	}
-	if opt.MaxIterations <= 0 {
-		opt.MaxIterations = 30
-	}
 	cur := make([]map[uint32]float64, n)
 	next := make([]map[uint32]float64, n)
 	for v := 0; v < n; v++ {
@@ -86,10 +67,9 @@ func LabelRank(g *graph.CSR, opt LabelRankOptions) (*LabelRankResult, error) {
 	for v := range dominant {
 		dominant[v] = dominantLabel(cur[v], uint32(v))
 	}
-	res := &LabelRankResult{}
 	// Threshold 1: LabelRank stops when a round updates no distribution.
 	lr := engine.Loop(engine.LoopConfig{
-		MaxIterations: opt.MaxIterations,
+		MaxIterations: maxIter,
 		Threshold:     1,
 		Ctx:           opt.Context,
 		Profiler:      opt.Profiler,
@@ -110,7 +90,7 @@ func LabelRank(g *graph.CSR, opt LabelRankOptions) (*LabelRankResult, error) {
 					agree++
 				}
 			}
-			if float64(agree) >= opt.ConditionalQ*float64(len(ts)) && it > 0 {
+			if float64(agree) >= lrConditionalQ*float64(len(ts)) && it > 0 {
 				// Stable enough; copy distribution forward unchanged.
 				out := next[v]
 				clear(out)
@@ -130,11 +110,11 @@ func LabelRank(g *graph.CSR, opt LabelRankOptions) (*LabelRankResult, error) {
 			}
 			// Inflation + cutoff + renormalize.
 			for l, p := range out {
-				out[l] = math.Pow(p, opt.Inflation)
+				out[l] = math.Pow(p, lrInflation)
 			}
 			norm(out)
 			for l, p := range out {
-				if p < opt.Cutoff {
+				if p < lrCutoff {
 					delete(out, l)
 				}
 			}
@@ -152,15 +132,7 @@ func LabelRank(g *graph.CSR, opt LabelRankOptions) (*LabelRankResult, error) {
 			EdgeVisits: edges, ActiveVertices: active,
 		}, Labels: dominant}
 	})
-	if lr.Err != nil {
-		return nil, lr.Err
-	}
-	res.Iterations = lr.Iterations
-	res.Converged = lr.Converged
-	res.Trace = lr.Trace
-	res.Labels = dominant
-	res.Duration = lr.Duration
-	return res, nil
+	return lr.Result(dominant)
 }
 
 // norm renormalizes a distribution in place. The sum runs in sorted key

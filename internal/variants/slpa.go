@@ -7,73 +7,81 @@
 //
 // All three are overlapping-community methods; for comparison with the
 // disjoint algorithms each returns its dominant label per vertex.
+//
+// The package's entry points are its three unexported detectors, registered
+// with the engine as "slpa", "copra" and "labelrank" and reached through
+// engine.MustGet. The overlap structures ride in engine.Result.Extra as
+// *SLPAResult and *COPRAResult.
 package variants
 
 import (
 	"context"
-
 	"math/rand"
 	"slices"
-	"time"
 
 	"nulpa/internal/engine"
 	"nulpa/internal/graph"
 	"nulpa/internal/telemetry"
 )
 
-// SLPAOptions configure Speaker-Listener Label Propagation (Xie et al.).
-type SLPAOptions struct {
-	// Context, when non-nil, cancels the run between iterations; the
-	// detector returns engine.ErrCanceled or engine.ErrDeadline.
-	Context context.Context
-
-	// Iterations is the number of speaking rounds T (typically 20–100).
-	Iterations int
-	// Seed drives speaker label choices.
-	Seed int64
-	// Profiler, when non-nil, receives each round's record as it completes.
-	Profiler *telemetry.Recorder
+func init() {
+	engine.Register(slpaDetector{})
+	engine.Register(copraDetector{})
+	engine.Register(labelRankDetector{})
 }
 
-// DefaultSLPAOptions returns the reference configuration.
-func DefaultSLPAOptions() SLPAOptions { return SLPAOptions{Iterations: 30, Seed: 1} }
+// slpaRounds is SLPA's default number of speaking rounds T (typically
+// 20–100).
+const slpaRounds = 30
 
-// SLPAResult reports a completed SLPA run.
+// SLPAResult is the native detail of an SLPA run, carried in
+// engine.Result.Extra.
 type SLPAResult struct {
-	// Labels is the dominant memory entry per vertex.
+	// Labels is the dominant memory entry per vertex, in the memories' label
+	// ids (engine.Result.Labels is the same partition renumbered).
 	Labels []uint32
 	// Memory is each vertex's full label memory (counts per label), for
 	// overlapping-community post-processing.
 	Memory []map[uint32]int
-	// Iterations actually performed.
-	Iterations int
-	Duration   time.Duration
-	// Trace records one telemetry record per speaking round (moves = labels
-	// stored into listener memories).
-	Trace []telemetry.IterRecord
 }
 
-// SLPA runs Speaker-Listener Label Propagation: every vertex keeps a memory
-// of labels (initially its own id); in each round every listener collects
-// one label from each neighbour — the neighbour "speaks" a label drawn from
-// its memory with probability proportional to the label's frequency — and
-// stores the most popular label heard into its own memory.
-func SLPA(g *graph.CSR, opt SLPAOptions) (*SLPAResult, error) {
-	n := g.NumVertices()
-	if opt.Iterations <= 0 {
-		opt.Iterations = 30
+// slpaDetector is Speaker-Listener Label Propagation (Xie et al.),
+// registered as "slpa". MaxIterations is the number of speaking rounds T
+// (0 means slpaRounds) and Seed (0 means 1) drives the speakers' label
+// choices; Tolerance, Workers and BlockDim are ignored (sequential, no
+// convergence rule, so Converged is false). Each round's moves count the
+// labels stored into listener memories. It takes no Extra.
+type slpaDetector struct{}
+
+func (slpaDetector) Name() string { return "slpa" }
+
+// Detect runs SLPA: every vertex keeps a memory of labels (initially its
+// own id); in each round every listener collects one label from each
+// neighbour — the neighbour "speaks" a label drawn from its memory with
+// probability proportional to the label's frequency — and stores the most
+// popular label heard into its own memory.
+func (slpaDetector) Detect(g *graph.CSR, opt engine.Options) (*engine.Result, error) {
+	if err := engine.NoExtra("slpa", opt.Extra); err != nil {
+		return nil, err
 	}
-	rng := rand.New(rand.NewSource(opt.Seed))
+	rounds := opt.MaxIterations
+	if rounds <= 0 {
+		rounds = slpaRounds
+	}
+	seed := opt.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	n := g.NumVertices()
+	rng := rand.New(rand.NewSource(seed))
 	memory := make([]map[uint32]int, n)
 	memSize := make([]int, n)
 	for v := 0; v < n; v++ {
 		memory[v] = map[uint32]int{uint32(v): 1}
 		memSize[v] = 1
 	}
-	start := time.Now()
 	heard := map[uint32]int{}
 	var scratch []uint32
-	res := &SLPAResult{}
 	// The quality plane needs crisp labels each round; extracting dominants
 	// from the memories costs an extra pass, so only pay it when a quality
 	// observer is attached.
@@ -85,7 +93,7 @@ func SLPA(g *graph.CSR, opt SLPAOptions) (*SLPAResult, error) {
 	// Threshold 0: SLPA is a fixed-budget method with no convergence rule, so
 	// the loop always runs its full T rounds.
 	lr := engine.Loop(engine.LoopConfig{
-		MaxIterations: opt.Iterations,
+		MaxIterations: rounds,
 		Threshold:     0,
 		Ctx:           opt.Context,
 		Profiler:      opt.Profiler,
@@ -146,13 +154,10 @@ func SLPA(g *graph.CSR, opt SLPAOptions) (*SLPAResult, error) {
 	if lr.Err != nil {
 		return nil, lr.Err
 	}
-	res.Iterations = lr.Iterations
-	res.Trace = lr.Trace
 	labels := make([]uint32, n)
 	dominantMemory(memory, labels, &scratch)
-	res.Labels = labels
-	res.Memory = memory
-	res.Duration = time.Since(start)
+	res, _ := lr.Result(labels)
+	res.Extra = &SLPAResult{Labels: labels, Memory: memory}
 	return res, nil
 }
 

@@ -4,40 +4,41 @@ import (
 	"math/rand"
 	"testing"
 
+	"nulpa/internal/engine"
 	"nulpa/internal/gen"
 	"nulpa/internal/quality"
 )
 
 func TestSLPAPlantedRecovery(t *testing.T) {
 	g, truth := gen.Planted(gen.PlantedConfig{N: 300, Communities: 6, DegIn: 14, DegOut: 0.5, Seed: 3})
-	res := must(SLPA(g, DefaultSLPAOptions()))
+	res := must(slpaDetector{}.Detect(g, engine.Options{}))
 	if nmi := quality.NMI(res.Labels, truth); nmi < 0.8 {
 		t.Errorf("SLPA NMI = %.3f", nmi)
 	}
-	if res.Iterations != DefaultSLPAOptions().Iterations {
+	if res.Iterations != slpaRounds {
 		t.Errorf("iterations = %d", res.Iterations)
 	}
 }
 
 func TestSLPAMemoryGrows(t *testing.T) {
 	g := gen.Cycle(12)
-	opt := SLPAOptions{Iterations: 10, Seed: 2}
-	res := must(SLPA(g, opt))
+	opt := engine.Options{MaxIterations: 10, Seed: 2}
+	res := must(slpaDetector{}.Detect(g, opt)).Extra.(*SLPAResult)
 	for v, mem := range res.Memory {
 		total := 0
 		for _, c := range mem {
 			total += c
 		}
 		// Initial entry + one per iteration.
-		if total != 1+opt.Iterations {
-			t.Fatalf("vertex %d memory size %d, want %d", v, total, 1+opt.Iterations)
+		if total != 1+opt.MaxIterations {
+			t.Fatalf("vertex %d memory size %d, want %d", v, total, 1+opt.MaxIterations)
 		}
 	}
 }
 
 func TestSLPAOverlapThreshold(t *testing.T) {
 	g, _ := gen.Planted(gen.PlantedConfig{N: 100, Communities: 2, DegIn: 10, DegOut: 1, Seed: 5})
-	res := must(SLPA(g, DefaultSLPAOptions()))
+	res := must(slpaDetector{}.Detect(g, engine.Options{})).Extra.(*SLPAResult)
 	over := res.OverlapThreshold(0.2)
 	if len(over) != 100 {
 		t.Fatalf("overlap sets = %d", len(over))
@@ -68,14 +69,14 @@ func TestSLPAOverlapThreshold(t *testing.T) {
 
 func TestSLPADeterministicForSeed(t *testing.T) {
 	g, _ := gen.Planted(gen.PlantedConfig{N: 120, Communities: 3, DegIn: 8, DegOut: 1, Seed: 7})
-	a := must(SLPA(g, SLPAOptions{Iterations: 15, Seed: 9}))
-	b := must(SLPA(g, SLPAOptions{Iterations: 15, Seed: 9}))
+	a := must(slpaDetector{}.Detect(g, engine.Options{MaxIterations: 15, Seed: 9}))
+	b := must(slpaDetector{}.Detect(g, engine.Options{MaxIterations: 15, Seed: 9}))
 	for i := range a.Labels {
 		if a.Labels[i] != b.Labels[i] {
 			t.Fatal("same seed produced different labels")
 		}
 	}
-	c := must(SLPA(g, SLPAOptions{Iterations: 15, Seed: 10}))
+	c := must(slpaDetector{}.Detect(g, engine.Options{MaxIterations: 15, Seed: 10}))
 	same := true
 	for i := range a.Labels {
 		if a.Labels[i] != c.Labels[i] {
@@ -90,7 +91,7 @@ func TestSLPADeterministicForSeed(t *testing.T) {
 
 func TestCOPRAPlantedRecovery(t *testing.T) {
 	g, truth := gen.Planted(gen.PlantedConfig{N: 300, Communities: 6, DegIn: 14, DegOut: 0.5, Seed: 3})
-	res := must(COPRA(g, DefaultCOPRAOptions()))
+	res := must(copraDetector{}.Detect(g, engine.Options{}))
 	if nmi := quality.NMI(res.Labels, truth); nmi < 0.8 {
 		t.Errorf("COPRA NMI = %.3f", nmi)
 	}
@@ -98,7 +99,7 @@ func TestCOPRAPlantedRecovery(t *testing.T) {
 
 func TestCOPRABelongingNormalized(t *testing.T) {
 	g, _ := gen.Planted(gen.PlantedConfig{N: 150, Communities: 3, DegIn: 10, DegOut: 1, Seed: 5})
-	res := must(COPRA(g, COPRAOptions{MaxLabels: 3, MaxIterations: 10}))
+	res := must(copraDetector{}.Detect(g, engine.Options{MaxIterations: 10})).Extra.(*COPRAResult)
 	for v, b := range res.Belonging {
 		if len(b) == 0 || len(b) > 3 {
 			t.Fatalf("vertex %d has %d labels, want 1..3", v, len(b))
@@ -115,7 +116,7 @@ func TestCOPRABelongingNormalized(t *testing.T) {
 
 func TestCOPRAIsolatedVertex(t *testing.T) {
 	g := gen.MatchedPairs(6) // then vertex indices 0..5 all paired
-	res := must(COPRA(g, DefaultCOPRAOptions()))
+	res := must(copraDetector{}.Detect(g, engine.Options{}))
 	for v := 0; v+1 < 6; v += 2 {
 		if res.Labels[v] != res.Labels[v+1] {
 			t.Errorf("pair (%d,%d) not merged", v, v+1)
@@ -149,7 +150,7 @@ func TestFilterBelonging(t *testing.T) {
 
 func TestLabelRankPlantedRecovery(t *testing.T) {
 	g, truth := gen.Planted(gen.PlantedConfig{N: 300, Communities: 6, DegIn: 14, DegOut: 0.5, Seed: 3})
-	res := must(LabelRank(g, DefaultLabelRankOptions()))
+	res := must(labelRankDetector{}.Detect(g, engine.Options{}))
 	if nmi := quality.NMI(res.Labels, truth); nmi < 0.8 {
 		t.Errorf("LabelRank NMI = %.3f", nmi)
 	}
@@ -157,8 +158,8 @@ func TestLabelRankPlantedRecovery(t *testing.T) {
 
 func TestLabelRankDeterministic(t *testing.T) {
 	g, _ := gen.Planted(gen.PlantedConfig{N: 200, Communities: 4, DegIn: 10, DegOut: 1, Seed: 8})
-	a := must(LabelRank(g, DefaultLabelRankOptions()))
-	b := must(LabelRank(g, DefaultLabelRankOptions()))
+	a := must(labelRankDetector{}.Detect(g, engine.Options{}))
+	b := must(labelRankDetector{}.Detect(g, engine.Options{}))
 	for i := range a.Labels {
 		if a.Labels[i] != b.Labels[i] {
 			t.Fatal("LabelRank not deterministic")
@@ -168,7 +169,7 @@ func TestLabelRankDeterministic(t *testing.T) {
 
 func TestLabelRankConvergesOnCliques(t *testing.T) {
 	g, _ := gen.Planted(gen.PlantedConfig{N: 60, Communities: 2, DegIn: 20, DegOut: 0, Seed: 2})
-	res := must(LabelRank(g, DefaultLabelRankOptions()))
+	res := must(labelRankDetector{}.Detect(g, engine.Options{}))
 	if !res.Converged {
 		t.Errorf("did not converge in %d iterations", res.Iterations)
 	}
@@ -189,9 +190,9 @@ func TestDominantLabel(t *testing.T) {
 func TestVariantsOnNoisyGraphAllReasonable(t *testing.T) {
 	g, truth := gen.Planted(gen.PlantedConfig{N: 400, Communities: 8, DegIn: 12, DegOut: 2, Seed: 11})
 	for name, labels := range map[string][]uint32{
-		"slpa":      must(SLPA(g, DefaultSLPAOptions())).Labels,
-		"copra":     must(COPRA(g, DefaultCOPRAOptions())).Labels,
-		"labelrank": must(LabelRank(g, DefaultLabelRankOptions())).Labels,
+		"slpa":      must(slpaDetector{}.Detect(g, engine.Options{})).Labels,
+		"copra":     must(copraDetector{}.Detect(g, engine.Options{})).Labels,
+		"labelrank": must(labelRankDetector{}.Detect(g, engine.Options{})).Labels,
 	} {
 		if nmi := quality.NMI(labels, truth); nmi < 0.5 {
 			t.Errorf("%s: NMI = %.3f on noisy planted graph", name, nmi)
@@ -209,30 +210,6 @@ func TestSpeakDistribution(t *testing.T) {
 	}
 	if counts[1] < 1500 || counts[2] < 50 {
 		t.Errorf("speak distribution off: %v", counts)
-	}
-}
-
-func TestLabelRankAggressiveCutoff(t *testing.T) {
-	// A cutoff above every probability would empty the distribution; the
-	// dominant-label fallback must keep the algorithm well defined.
-	g := gen.Cycle(30)
-	res := must(LabelRank(g, LabelRankOptions{Inflation: 2, Cutoff: 0.95, ConditionalQ: 0.7, MaxIterations: 10}))
-	if len(res.Labels) != 30 {
-		t.Fatalf("labels = %d", len(res.Labels))
-	}
-	for _, c := range res.Labels {
-		if c >= 30 {
-			t.Fatalf("label %d out of range", c)
-		}
-	}
-}
-
-func TestCOPRAMaxLabelsOne(t *testing.T) {
-	// v = 1 degenerates COPRA to near-plain LPA; it must stay stable.
-	g, truth := gen.Planted(gen.PlantedConfig{N: 200, Communities: 4, DegIn: 12, DegOut: 0.5, Seed: 9})
-	res := must(COPRA(g, COPRAOptions{MaxLabels: 1, MaxIterations: 20}))
-	if nmi := quality.NMI(res.Labels, truth); nmi < 0.7 {
-		t.Errorf("COPRA v=1 NMI = %.3f", nmi)
 	}
 }
 

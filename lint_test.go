@@ -1,8 +1,10 @@
 package nulpabench
 
 import (
+	"bytes"
 	"errors"
 	"go/build"
+	"go/format"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -56,14 +58,8 @@ func modulePackages(t *testing.T) map[string][]string {
 		if err != nil || !d.IsDir() {
 			return err
 		}
-		name := d.Name()
-		if path != "." {
-			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-				return filepath.SkipDir
-			}
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
-				return filepath.SkipDir
-			}
+		if outsideModule(path, d) {
+			return filepath.SkipDir
 		}
 		p, err := build.ImportDir(path, 0)
 		var noGo *build.NoGoError
@@ -80,6 +76,55 @@ func modulePackages(t *testing.T) map[string][]string {
 		t.Fatal(err)
 	}
 	return pkgs
+}
+
+// outsideModule reports whether the walk should skip directory d at path:
+// testdata, directories starting with "." or "_", and nested modules.
+func outsideModule(path string, d fs.DirEntry) bool {
+	if path == "." {
+		return false
+	}
+	name := d.Name()
+	if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+		return true
+	}
+	_, err := os.Stat(filepath.Join(path, "go.mod"))
+	return err == nil
+}
+
+// TestGofmt requires every Go file of the module (the packages
+// modulePackages walks, tests included) to be gofmt-clean: byte-identical
+// to its go/format output.
+func TestGofmt(t *testing.T) {
+	checked := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && outsideModule(path, d):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		checked++
+		formatted, err := format.Source(src)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+		} else if !bytes.Equal(src, formatted) {
+			t.Errorf("%s is not gofmt-formatted (run gofmt -w %s)", path, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("found no Go files: not run from the module root?")
+	}
 }
 
 // TestImportLayering enforces the engine's import layering (DESIGN.md):
