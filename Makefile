@@ -1,15 +1,16 @@
 # Developer entry points. `make check` is the pre-commit gate: static vetting
 # plus the race-enabled short test suite (the telemetry layer's concurrent SM
-# reporting must stay race-clean) and the chaos suite. The multi-device
-# backend's tests (partition and halo construction, the BSP superstep loop,
-# shard conformance) skip nothing under -short, so `test` runs them under
-# -race already.
+# reporting must stay race-clean), the chaos suite and one iteration of every
+# microbenchmark (bench-smoke), so the benchmarks cannot rot. The
+# multi-device backend's tests (partition and halo construction, the BSP
+# superstep loop, shard conformance) skip nothing under -short, so `test`
+# runs them under -race already.
 
 GO ?= go
 
-.PHONY: check build vet lint test test-full bench bench-module-test chaos loc families
+.PHONY: check build vet lint test test-full bench bench-smoke bench-module-test chaos loc families
 
-check: vet lint test chaos
+check: vet lint test chaos bench-smoke
 
 build:
 	$(GO) build ./...
@@ -48,9 +49,17 @@ chaos:
 # kernels at 1 SM (BenchmarkVertexKernels: road, web and social), the health
 # monitor's enabled path, and the sharded set-up (partitioner and shard
 # build on a 65k social graph).
+BENCH_PKGS = ./internal/simt/ ./internal/nulpa/ ./internal/health/ \
+	./internal/partition/ ./internal/shard/
+
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/simt/ ./internal/nulpa/ \
-		./internal/health/ ./internal/partition/ ./internal/shard/
+	$(GO) test -bench . -benchmem -run '^$$' $(BENCH_PKGS)
+
+# One iteration of every benchmark in bench's packages: a benchmark that no
+# longer compiles or fails its own checks breaks check, not the next
+# measurement.
+bench-smoke:
+	$(GO) test -count=1 -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS)
 
 # Benchmark module tests: statistics, compare bounds, host scaling, spans and
 # a toy-scale smoke of every workload. benchmark/ is its own Go module, so

@@ -44,16 +44,11 @@ func NewCoalescedArena(kind ValueKind, slots int64) *CoalescedArena {
 	return a
 }
 
-// Bytes returns the arena's simulated memory footprint; the Next array makes
-// it strictly larger than the open-addressing arena.
-func (a *CoalescedArena) Bytes() int64 {
-	b := int64(len(a.Keys))*4 + int64(len(a.Next))*4
-	if a.Kind == Float32 {
-		b += int64(len(a.V32)) * 4
-	} else {
-		b += int64(len(a.V64)) * 8
-	}
-	return b
+// CoalescedArenaBytes is the simulated memory footprint of
+// NewCoalescedArena(kind, slots): the open-addressing arena's plus a 4-byte
+// Next link per slot, so strictly larger.
+func CoalescedArenaBytes(kind ValueKind, slots int64) int64 {
+	return ArenaBytes(kind, slots) + slots*4
 }
 
 // CoalescedTable is one vertex's coalesced-chaining table, used by pointer.

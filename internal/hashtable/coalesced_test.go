@@ -180,12 +180,14 @@ func TestOpenAddressingSharedConcurrent(t *testing.T) {
 }
 
 func TestCoalescedArenaBytes(t *testing.T) {
-	a := NewCoalescedArena(Float32, 100)
-	if a.Bytes() != 1200 { // keys + next + v32
-		t.Errorf("bytes = %d, want 1200", a.Bytes())
+	if b := CoalescedArenaBytes(Float32, 100); b != 1200 { // keys + next + v32
+		t.Errorf("bytes = %d, want 1200", b)
 	}
-	plain := NewArena(Float32, 100)
-	if a.Bytes() <= plain.Bytes() {
+	a := NewCoalescedArena(Float32, 100)
+	if got := int64(len(a.Keys))*4 + int64(len(a.Next))*4 + int64(len(a.V32))*4; got != CoalescedArenaBytes(Float32, 100) {
+		t.Errorf("coalesced arena holds %d bytes, estimate %d", got, CoalescedArenaBytes(Float32, 100))
+	}
+	if CoalescedArenaBytes(Float32, 100) <= ArenaBytes(Float32, 100) {
 		t.Error("coalesced arena should cost more memory than open addressing")
 	}
 }

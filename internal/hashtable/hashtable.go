@@ -216,16 +216,15 @@ func NewArena(kind ValueKind, slots int64) *Arena {
 	return a
 }
 
-// Bytes returns the simulated device-memory footprint of the arena —
-// the quantity the paper's Figure 5 reduces by choosing float32.
-func (a *Arena) Bytes() int64 {
-	b := int64(len(a.Keys)) * 4
-	if a.Kind == Float32 {
-		b += int64(len(a.V32)) * 4
-	} else {
-		b += int64(len(a.V64)) * 8
+// ArenaBytes is the simulated device-memory footprint of NewArena(kind,
+// slots) — the quantity the paper's Figure 5 reduces by choosing float32 —
+// known before anything is allocated: a 4-byte key and a kind-wide value
+// per slot.
+func ArenaBytes(kind ValueKind, slots int64) int64 {
+	if kind == Float32 {
+		return slots * (4 + 4)
 	}
-	return b
+	return slots * (4 + 8)
 }
 
 // Table is the hashtable view of one vertex: a window into the arena.

@@ -277,16 +277,19 @@ func TestStatsCounting(t *testing.T) {
 }
 
 func TestArenaBytes(t *testing.T) {
-	a32 := NewArena(Float32, 100)
-	a64 := NewArena(Float64, 100)
-	if a32.Bytes() != 800 {
-		t.Errorf("float32 arena bytes = %d, want 800", a32.Bytes())
+	if b := ArenaBytes(Float32, 100); b != 800 {
+		t.Errorf("float32 arena bytes = %d, want 800", b)
 	}
-	if a64.Bytes() != 1200 {
-		t.Errorf("float64 arena bytes = %d, want 1200", a64.Bytes())
+	if b := ArenaBytes(Float64, 100); b != 1200 {
+		t.Errorf("float64 arena bytes = %d, want 1200", b)
 	}
-	if a64.Bytes() <= a32.Bytes() {
-		t.Error("float64 arena not larger than float32")
+	// The estimate is what NewArena allocates.
+	a32, a64 := NewArena(Float32, 100), NewArena(Float64, 100)
+	if got := int64(len(a32.Keys))*4 + int64(len(a32.V32))*4; got != ArenaBytes(Float32, 100) {
+		t.Errorf("float32 arena holds %d bytes, estimate %d", got, ArenaBytes(Float32, 100))
+	}
+	if got := int64(len(a64.Keys))*4 + int64(len(a64.V64))*8; got != ArenaBytes(Float64, 100) {
+		t.Errorf("float64 arena holds %d bytes, estimate %d", got, ArenaBytes(Float64, 100))
 	}
 }
 

@@ -275,16 +275,18 @@ func newDeviceRun(g *graph.CSR, opt Options, dev *simt.Device, view runView) (*d
 	n := g.NumVertices()
 	arcs := g.NumArcs()
 
-	st := newRunState(g, opt, view.labels, dev.Prof != nil)
 	// Device memory: CSR (offsets, targets, weights), hashtable arena,
-	// labels, pruning flags, candidate buffer.
-	bytes := int64(len(g.Offsets))*8 + arcs*4 + arcs*4 + st.arena.bytes() + int64(n)*4*3
+	// labels, pruning flags, candidate buffer. It is reserved before any of
+	// it is allocated, so a graph that does not fit is refused before its
+	// largest allocation, the 2·arcs-slot arena.
+	bytes := int64(len(g.Offsets))*8 + arcs*4 + arcs*4 + arenaBytes(opt, 2*arcs) + int64(n)*4*3
 	if opt.CrossCheckEvery > 0 {
 		bytes += int64(n) * 4
 	}
 	if err := dev.Alloc(bytes); err != nil {
 		return nil, fmt.Errorf("nulpa: graph with %d arcs does not fit on device: %w", arcs, err)
 	}
+	st := newRunState(g, opt, view.labels, dev.Prof != nil)
 
 	limit := view.propagate
 	if limit <= 0 {

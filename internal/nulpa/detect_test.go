@@ -3,6 +3,7 @@ package nulpa
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"nulpa/internal/gen"
@@ -242,13 +243,23 @@ func TestHybridMethod(t *testing.T) {
 }
 
 func TestDeviceOOM(t *testing.T) {
-	g := gen.ErdosRenyi(1000, 5000, 1)
+	g := gen.ErdosRenyi(20000, 100000, 1)
 	opt := DefaultOptions()
 	opt.Device = simt.NewDevice(2)
-	opt.Device.MemBudget = 1024 // far too small
+	fits := detect(t, g, opt)
+	// One byte short of the run's estimate: the reservation fails before
+	// the run allocates its hashtable arena, so the refused attempt
+	// allocates far less than the arena alone would take.
+	opt.Device.MemBudget = fits.DeviceBytes - 1
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	_, err := Detect(g, opt)
+	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("expected out-of-memory error")
+	}
+	if grew, arena := after.TotalAlloc-before.TotalAlloc, hashtable.ArenaBytes(opt.ValueKind, 2*g.NumArcs()); grew >= uint64(arena) {
+		t.Errorf("refused run allocated %d bytes, the arena is %d: allocation preceded the reservation", grew, arena)
 	}
 	// Detect must wrap, not flatten, the device error so callers can
 	// distinguish OOM from other failures.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
+	"sync"
 
 	"nulpa/internal/engine"
 	"nulpa/internal/graph"
@@ -21,9 +22,9 @@ import (
 //     size-constrained LPA partitioner (or Options.ShardParts supplies one).
 //  2. internal/shard builds each shard's local CSR — owned rows plus ghost
 //     halo rows — and the global↔local remap.
-//  3. One deviceRun per shard executes the unchanged thread-per-vertex /
-//     block-per-vertex kernels over its owned rows, concurrently with its
-//     peers, under engine.ShardLoop.
+//  3. One deviceRun per shard, set up concurrently with its peers, executes
+//     the unchanged thread-per-vertex / block-per-vertex kernels over its
+//     owned rows, again concurrently with its peers, under engine.ShardLoop.
 //  4. At each superstep barrier, only ghost labels whose owner copy changed
 //     are exchanged, and the receiving shard's affected vertices are woken
 //     (pruning flags cleared).
@@ -62,16 +63,12 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 		sms = max(runtime.GOMAXPROCS(0)/k, 1)
 	}
 
-	res := &Result{}
-	runs := make([]*deviceRun, k)
-	defer func() {
-		for _, r := range runs {
-			if r != nil {
-				r.free()
-			}
-		}
-	}()
-	for s := range runs {
+	// setup creates shard s's device run. Shards are independent until the
+	// first barrier, so with K > 1 the K set-ups (each allocating its
+	// shard's hashtable arena and label arrays) run concurrently, one
+	// goroutine per device as in the supersteps; the single device sets up
+	// inline.
+	setup := func(s int) (*deviceRun, error) {
 		sopt := opt
 		if opt.ShardFaults != nil {
 			sopt.Faults = nil
@@ -94,10 +91,40 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		runs[s] = run
 		stat.DeviceBytes = run.bytes
 		run.stat = stat
-		res.DeviceBytes += run.bytes
+		return run, nil
+	}
+	runs := make([]*deviceRun, k)
+	defer func() {
+		for _, r := range runs {
+			if r != nil {
+				r.free()
+			}
+		}
+	}()
+	errs := make([]error, k)
+	if k == 1 {
+		runs[0], errs[0] = setup(0)
+	} else {
+		var wg sync.WaitGroup
+		for s := range runs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				runs[s], errs[s] = setup(s)
+			}()
+		}
+		wg.Wait()
+	}
+	// The first failing shard's error is the run's; the deferred free
+	// releases every reservation the other shards made.
+	res := &Result{}
+	for s, r := range runs {
+		if errs[s] != nil {
+			return nil, errs[s]
+		}
+		res.DeviceBytes += r.bytes
 	}
 
 	labelArrs := make([][]uint32, k)

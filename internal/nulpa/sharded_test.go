@@ -1,7 +1,9 @@
 package nulpa
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"runtime"
 	"slices"
 	"testing"
@@ -89,6 +91,33 @@ func TestShardedDeterministic(t *testing.T) {
 			first = res.Labels
 		} else if !slices.Equal(first, res.Labels) {
 			t.Fatalf("run %d labels differ from run 0", run)
+		}
+	}
+}
+
+func TestShardedLabelsPinned(t *testing.T) {
+	// The K = 2 labels on this graph, digested at the commit before the
+	// partitioner's active set and the concurrent shard set-up: a set-up
+	// change must leave every label where it was. Workers 1 is one SM per
+	// device and one partitioner goroutine; Workers 0 at GOMAXPROCS 2 is
+	// one SM per device and two partitioner and shard-build goroutines.
+	const want = 0xf99121439b9ed59e
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	g, _ := gen.Social(gen.DefaultSocial(8192, 16, 29))
+	for _, workers := range []int{1, 0} {
+		opt := DefaultShardedOptions()
+		opt.Shards = 2
+		opt.Workers = workers
+		res, err := Detect(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for _, c := range res.Labels {
+			h.Write(binary.LittleEndian.AppendUint32(nil, c))
+		}
+		if got := h.Sum64(); got != want {
+			t.Errorf("Workers %d: label digest %#016x, want %#016x", workers, got, uint64(want))
 		}
 	}
 }

@@ -23,11 +23,12 @@ func newAnyArena(opt Options, slots int64) anyArena {
 	return a
 }
 
-func (a anyArena) bytes() int64 {
-	if a.coal != nil {
-		return a.coal.Bytes()
+// arenaBytes is the device footprint newAnyArena(opt, slots) will have.
+func arenaBytes(opt Options, slots int64) int64 {
+	if opt.Coalesced {
+		return hashtable.CoalescedArenaBytes(opt.ValueKind, slots)
 	}
-	return a.open.Bytes()
+	return hashtable.ArenaBytes(opt.ValueKind, slots)
 }
 
 func (a anyArena) tableFor(offset int64, degree int) anyTable {

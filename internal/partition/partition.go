@@ -12,6 +12,19 @@
 // vertices in order on one goroutine, so the balance constraint holds
 // exactly at all times. Parallelism is across restarts, never within a
 // sweep, and the result does not depend on the worker count.
+//
+// A sweep evaluates only the active set — FLPA's rule of re-examining just
+// the vertices whose neighbourhood changed. Every vertex starts a restart
+// stale; evaluating it clears the flag unless its best part was full (a
+// capacity refusal), and a move marks every neighbour stale. Skipping a
+// clean vertex is exact. A decision reads the neighbours' parts (which fix
+// the touched order and the per-part weights), the vertex's own part, and,
+// only when another part is better, that part's size. A clean vertex was
+// last evaluated under the same neighbour parts and either found its own
+// part best or moved to the most connected part; either way it would stay,
+// whatever the sizes. So a sweep makes exactly the moves a full sweep
+// makes, in the same order, and the parts, sweep counts, convergence and
+// cut are those of evaluating every vertex every sweep.
 package partition
 
 import (
@@ -130,14 +143,7 @@ func bestRestart(g *graph.CSR, opt Options) (*Result, error) {
 		return res, nil
 	}
 
-	ideal := (n + k - 1) / k
-	// Capacity rounds up and always leaves at least one slot of slack over
-	// the ideal size: with parts exactly full no move can ever be admitted
-	// and refinement would freeze at the random initial assignment.
-	capacity := int(math.Ceil(float64(ideal) * (1 + opt.Imbalance)))
-	if capacity <= ideal {
-		capacity = ideal + 1
-	}
+	ideal, capacity := partSizes(n, k, opt.Imbalance)
 
 	// Restarts run concurrently, each on one goroutine, and are then
 	// selected in index order exactly as a sequential loop would: the
@@ -196,9 +202,19 @@ func bestRestart(g *graph.CSR, opt Options) (*Result, error) {
 	return best, nil
 }
 
+// partSizes returns the ideal part size ⌈n/k⌉ and the capacity of a part.
+// Capacity rounds up and always leaves at least one slot of slack over the
+// ideal size: with parts exactly full no move can ever be admitted and
+// refinement would freeze at the random initial assignment.
+func partSizes(n, k int, imbalance float64) (ideal, capacity int) {
+	ideal = (n + k - 1) / k
+	capacity = int(math.Ceil(float64(ideal) * (1 + imbalance)))
+	return ideal, max(capacity, ideal+1)
+}
+
 // refine runs one seeded assignment-plus-refinement pass: sequential
-// sweeps in vertex order, each vertex moving to its most connected part
-// while that part has room.
+// sweeps in vertex order over the stale vertices, each moving to its most
+// connected part while that part has room.
 func refine(g *graph.CSR, opt Options, seed int64, k, ideal, capacity int) (*Result, error) {
 	n := g.NumVertices()
 	ctx := opt.Context
@@ -217,6 +233,10 @@ func refine(g *graph.CSR, opt Options, seed int64, k, ideal, capacity int) (*Res
 	res := &Result{}
 	conn := make([]float64, k)
 	touched := make([]uint32, 0, 16)
+	stale := make([]bool, n)
+	for v := range stale {
+		stale[v] = true
+	}
 	for iter := 0; iter < opt.MaxIterations; iter++ {
 		moves := 0
 		for v := 0; v < n; v++ {
@@ -225,8 +245,19 @@ func refine(g *graph.CSR, opt Options, seed int64, k, ideal, capacity int) (*Res
 			if v%1024 == 0 && ctx.Err() != nil {
 				return nil, engine.CtxErr(ctx.Err())
 			}
-			if moveVertex(g, graph.Vertex(v), parts, sizes, conn, &touched, capacity) {
+			if !stale[v] {
+				continue
+			}
+			switch moveVertex(g, graph.Vertex(v), parts, sizes, conn, &touched, capacity) {
+			case stay:
+				stale[v] = false
+			case moved:
 				moves++
+				ts, _ := g.Neighbors(graph.Vertex(v))
+				for _, j := range ts {
+					stale[j] = true
+				}
+				stale[v] = false
 			}
 		}
 		res.Iterations = iter + 1
@@ -241,13 +272,25 @@ func refine(g *graph.CSR, opt Options, seed int64, k, ideal, capacity int) (*Res
 	return res, nil
 }
 
+// decision is moveVertex's outcome for one vertex.
+type decision uint8
+
+const (
+	// stay: v's own part is its most connected part.
+	stay decision = iota
+	// refused: a more connected part exists but is full.
+	refused
+	// moved: v moved to its most connected part.
+	moved
+)
+
 // moveVertex relocates v to its most connected part if the move reduces cut
 // and the destination part is below capacity.
 func moveVertex(g *graph.CSR, v graph.Vertex, parts []uint32, sizes []int,
-	conn []float64, touched *[]uint32, capacity int) bool {
+	conn []float64, touched *[]uint32, capacity int) decision {
 	ts, ws := g.Neighbors(v)
 	if len(ts) == 0 {
-		return false
+		return stay
 	}
 	*touched = (*touched)[:0]
 	for i, j := range ts {
@@ -271,11 +314,14 @@ func moveVertex(g *graph.CSR, v graph.Vertex, parts []uint32, sizes []int,
 	for _, p := range *touched {
 		conn[p] = 0
 	}
-	if best == cur || sizes[best] >= capacity {
-		return false
+	if best == cur {
+		return stay
+	}
+	if sizes[best] >= capacity {
+		return refused
 	}
 	sizes[best]++
 	sizes[cur]--
 	parts[v] = best
-	return true
+	return moved
 }

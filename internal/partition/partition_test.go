@@ -3,9 +3,11 @@ package partition
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -187,22 +189,44 @@ func TestPartitionDeadline(t *testing.T) {
 	}
 }
 
+// pollCanceled is a context whose Err turns context.Canceled on its
+// (after+1)th poll, so a cancel lands at a fixed point of the run whatever
+// the host's speed.
+type pollCanceled struct {
+	context.Context
+	polls atomic.Int64
+	after int64
+}
+
+func (c *pollCanceled) Err() error {
+	if c.polls.Add(1) > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
 func TestPartitionCanceledMidRun(t *testing.T) {
 	// With Tolerance 0 no restart converges, so four restarts of 1000
-	// sweeps each are still running on two goroutines when the context is
-	// canceled; Partition must return the typed error once they stop.
+	// sweeps each poll the context 20 times a sweep (every 1024 of 20k
+	// vertices) on two goroutines. The cancel lands on the 101st poll —
+	// mid-sweep, a few sweeps in — and Partition must return the typed
+	// error once the restarts stop.
 	g := gen.Road(gen.DefaultRoad(20000, 4))
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx := &pollCanceled{Context: context.Background(), after: 100}
 	opt := DefaultOptions(4)
 	opt.MaxIterations = 1000
 	opt.Tolerance = 0
 	opt.Restarts = 4
 	opt.Workers = 2
 	opt.Context = ctx
-	timer := time.AfterFunc(20*time.Millisecond, cancel)
-	defer timer.Stop()
 	if _, err := Partition(g, opt); !errors.Is(err, engine.ErrCanceled) {
 		t.Fatalf("err = %v, want engine.ErrCanceled", err)
+	}
+	// Each restart stops at its first poll past the cancel, which reads Err
+	// twice (the check and the typed error), so no run polls more than
+	// twice per restart after it.
+	if polls := ctx.polls.Load(); polls > ctx.after+2*int64(opt.Restarts) {
+		t.Errorf("%d polls for a cancel at poll %d: a restart kept sweeping", polls, ctx.after+1)
 	}
 }
 
@@ -311,6 +335,111 @@ func TestWeightedCutRespected(t *testing.T) {
 	}
 	if res.Parts[0] == res.Parts[10] {
 		t.Error("the two cliques share a part")
+	}
+}
+
+// referenceRefine is refine without the active set: every sweep evaluates
+// every vertex. It is the oracle the active-set refinement must reproduce.
+func referenceRefine(g *graph.CSR, opt Options, seed int64, k, ideal, capacity int) *Result {
+	n := g.NumVertices()
+	rng := rand.New(rand.NewSource(seed))
+	order := rng.Perm(n)
+	parts := make([]uint32, n)
+	sizes := make([]int, k)
+	for idx, v := range order {
+		p := uint32(min(idx/ideal, k-1))
+		parts[v] = p
+		sizes[p]++
+	}
+	res := &Result{}
+	conn := make([]float64, k)
+	touched := make([]uint32, 0, 16)
+	for iter := 0; iter < opt.MaxIterations; iter++ {
+		moves := 0
+		for v := 0; v < n; v++ {
+			if moveVertex(g, graph.Vertex(v), parts, sizes, conn, &touched, capacity) == moved {
+				moves++
+			}
+		}
+		res.Iterations = iter + 1
+		if float64(moves) < opt.Tolerance*float64(n) {
+			res.Converged = true
+			break
+		}
+	}
+	res.Parts = parts
+	res.CutWeight, res.CutFraction = quality.EdgeCut(g, parts)
+	return res
+}
+
+// reweighted copies g's arcs with pseudo-random integer weights in [1, 8]
+// (equal on both directions of an edge), adding a self-loop of the same
+// range on every seventh vertex.
+func reweighted(t *testing.T, g *graph.CSR, loops bool) *graph.CSR {
+	t.Helper()
+	var edges []graph.Edge
+	for u := 0; u < g.NumVertices(); u++ {
+		ts, _ := g.Neighbors(graph.Vertex(u))
+		for _, v := range ts {
+			if graph.Vertex(u) < v {
+				w := float32(1 + (uint64(u)*2654435761+uint64(v)*40503)%8)
+				edges = append(edges, graph.Edge{U: graph.Vertex(u), V: v, W: w})
+			}
+		}
+		if loops && u%7 == 0 {
+			edges = append(edges, graph.Edge{U: graph.Vertex(u), V: graph.Vertex(u), W: float32(1 + u%5)})
+		}
+	}
+	out, err := graph.FromEdges(edges, g.NumVertices(), graph.BuildOptions{Symmetrize: true, SumDuplicates: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func TestRefineMatchesFullSweep(t *testing.T) {
+	// The active set must make exactly the full sweep's moves: same parts,
+	// sweep count, convergence and cut for every graph, k, balance slack
+	// (Imbalance 0 leaves one slot of slack, so capacity refusals happen)
+	// and tolerance (0 never converges and runs every sweep).
+	social, _ := gen.Social(gen.DefaultSocial(3000, 12, 5))
+	graphs := []struct {
+		name string
+		g    *graph.CSR
+	}{
+		{"road", gen.Road(gen.DefaultRoad(3000, 4))},
+		{"web", gen.Web(gen.DefaultWeb(2500, 6, 3))},
+		{"social", social},
+		{"weighted", reweighted(t, gen.Web(gen.DefaultWeb(2000, 8, 9)), false)},
+		{"self-loop", reweighted(t, gen.Road(gen.DefaultRoad(2000, 6)), true)},
+	}
+	for _, tc := range graphs {
+		n := tc.g.NumVertices()
+		for _, k := range []int{2, 3, 5} {
+			for _, imbalance := range []float64{0, 0.1} {
+				for _, tol := range []float64{0, 0.001} {
+					opt := DefaultOptions(k)
+					opt.Imbalance = imbalance
+					opt.Tolerance = tol
+					opt.Context = context.Background()
+					ideal, capacity := partSizes(n, k, imbalance)
+					for seed := int64(1); seed <= 2; seed++ {
+						where := fmt.Sprintf("%s k=%d ε=%g tol=%g seed %d", tc.name, k, imbalance, tol, seed)
+						got, err := refine(tc.g, opt, seed, k, ideal, capacity)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := referenceRefine(tc.g, opt, seed, k, ideal, capacity)
+						if !slices.Equal(got.Parts, want.Parts) || got.Iterations != want.Iterations ||
+							got.Converged != want.Converged || got.CutWeight != want.CutWeight {
+							t.Fatalf("%s: %d sweeps (converged %v, cut %g), full sweep %d (converged %v, cut %g), parts equal %v",
+								where, got.Iterations, got.Converged, got.CutWeight,
+								want.Iterations, want.Converged, want.CutWeight, slices.Equal(got.Parts, want.Parts))
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

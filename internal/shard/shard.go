@@ -14,7 +14,10 @@ package shard
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"nulpa/internal/graph"
 )
@@ -101,18 +104,35 @@ func Build(g *graph.CSR, parts []uint32, k int) (*Plan, error) {
 		ownedBy[p] = append(ownedBy[p], graph.Vertex(v))
 	}
 
-	// ghostLocal is the one n-length scratch every shard shares: a
-	// vertex's ghost row in the shard being built (its cut-arc count while
-	// the ghosts are being found), NoVertex elsewhere. Each shard resets
-	// exactly the entries it set, so K shards cost O(n + arcs), not O(K·n).
-	ghostLocal := make([]graph.Vertex, n)
-	for v := range ghostLocal {
-		ghostLocal[v] = graph.NoVertex
-	}
+	// Shards are independent once ownership is fixed, so they are laid out
+	// on min(k, GOMAXPROCS) goroutines claiming shard indices in turn; the
+	// calling goroutine is one of them, so a single worker starts none.
+	// Each worker owns one n-length ghost scratch: a vertex's ghost row in
+	// the shard being built (its cut-arc count while the ghosts are being
+	// found), NoVertex elsewhere. A shard resets exactly the entries it set,
+	// so K shards cost O(workers·n + arcs), never O(K·n).
 	plan := &Plan{Shards: make([]*Shard, k), N: n}
-	for s := 0; s < k; s++ {
-		sh := buildShard(g, parts, s, ownedBy[s], ownerLocal, ghostLocal)
-		plan.Shards[s] = sh
+	var next atomic.Int64
+	work := func() {
+		ghostLocal := make([]graph.Vertex, n)
+		for v := range ghostLocal {
+			ghostLocal[v] = graph.NoVertex
+		}
+		for s := int(next.Add(1) - 1); s < k; s = int(next.Add(1) - 1) {
+			plan.Shards[s] = buildShard(g, parts, s, ownedBy[s], ownerLocal, ghostLocal)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(k, runtime.GOMAXPROCS(0)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, sh := range plan.Shards {
 		plan.CutArcs += sh.CutArcs
 	}
 	return plan, nil

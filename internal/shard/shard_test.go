@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -328,6 +329,10 @@ func referenceShard(t *testing.T, g *graph.CSR, parts []uint32, s int) *Shard {
 }
 
 func TestBuildMatchesReference(t *testing.T) {
+	// Two workers, so k = 3 and 5 lay shards out on a pool smaller than k
+	// and every worker reuses its ghost scratch across shards (under -race
+	// in make check).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	social, _ := gen.Social(gen.DefaultSocial(800, 8, 5))
 	// A hand-built graph with a self-loop, which is stored once and never
 	// crosses a shard boundary.
