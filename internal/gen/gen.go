@@ -105,10 +105,15 @@ func DefaultWeb(n, avgDegree int, seed int64) WebConfig {
 // Web generates a web-crawl-like graph with the copy model.
 func Web(cfg WebConfig) *graph.CSR {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	edges := make([]graph.Edge, 0, cfg.N*cfg.AvgDegree)
-	// adjacency so far, for copying; only out-links are recorded.
-	adj := make([][]graph.Vertex, cfg.N)
+	// Mean out-degree is about 1.14·AvgDegree (2% hubs at 8×), so a
+	// quarter of headroom keeps the edge list from being regrown.
+	edges := make([]graph.Edge, 0, cfg.N*cfg.AvgDegree*5/4)
+	// Pages are generated in id order and only append their own out-links,
+	// so page p's links are edges[first[p]:first[p+1]]: the copy step reads
+	// a prototype's links from the edge list itself.
+	first := make([]int, cfg.N+1)
 	for v := 1; v < cfg.N; v++ {
+		first[v] = len(edges)
 		lo := v - cfg.Window
 		if lo < 0 {
 			lo = 0
@@ -120,10 +125,11 @@ func Web(cfg WebConfig) *graph.CSR {
 			deg *= 8 // occasional hub page (link farm / index page)
 		}
 		proto := lo + rng.Intn(span)
+		links := first[proto+1] - first[proto]
 		for k := 0; k < deg; k++ {
 			var t graph.Vertex
-			if len(adj[proto]) > 0 && rng.Float64() < cfg.CopyProb {
-				t = adj[proto][rng.Intn(len(adj[proto]))]
+			if links > 0 && rng.Float64() < cfg.CopyProb {
+				t = edges[first[proto]+rng.Intn(links)].V
 			} else {
 				t = graph.Vertex(lo + rng.Intn(span))
 			}
@@ -131,7 +137,6 @@ func Web(cfg WebConfig) *graph.CSR {
 				continue
 			}
 			edges = append(edges, graph.Edge{U: graph.Vertex(v), V: t, W: 1})
-			adj[v] = append(adj[v], t)
 		}
 	}
 	return mustBuild(edges, cfg.N)

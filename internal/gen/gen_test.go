@@ -1,6 +1,9 @@
 package gen
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"nulpa/internal/graph"
@@ -307,5 +310,67 @@ func TestBarabasiAlbertSmall(t *testing.T) {
 	g2 := BarabasiAlbert(10, 0, 1) // m clamped to 1
 	if err := g2.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
+	}
+}
+
+// csrDigest is the FNV-64a hash of g's Offsets, Targets and Weights (bit
+// patterns), each value little-endian.
+func csrDigest(g *graph.CSR) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, o := range g.Offsets {
+		binary.LittleEndian.PutUint64(b[:], uint64(o))
+		h.Write(b[:])
+	}
+	for _, t := range g.Targets {
+		binary.LittleEndian.PutUint32(b[:4], uint32(t))
+		h.Write(b[:4])
+	}
+	for _, w := range g.Weights {
+		binary.LittleEndian.PutUint32(b[:4], math.Float32bits(w))
+		h.Write(b[:4])
+	}
+	return h.Sum64()
+}
+
+// TestGeneratorDigestsPinned pins the CSR each generator builds: the digests
+// were taken from the per-row comparison-sort builder and per-vertex link
+// lists the counting-sort FromEdges and the edge-list copy step replaced,
+// so a change to either that moves a single arc or weight fails here.
+func TestGeneratorDigestsPinned(t *testing.T) {
+	social, _ := Social(DefaultSocial(8192, 16, 101))
+	for _, c := range []struct {
+		name string
+		g    *graph.CSR
+		want uint64
+	}{
+		{"web 20000", Web(DefaultWeb(20000, 8, 5)), 0x742f0478fa2546bf},
+		{"road 50000", Road(DefaultRoad(50000, 101)), 0x378c0333efc06b02},
+		{"social 8192", social, 0xf6ab5da111278fab},
+		{"kmer 20000", KMer(DefaultKMer(20000, 101)), 0x203c82444f8da932},
+	} {
+		if got := csrDigest(c.g); got != c.want {
+			t.Errorf("%s: CSR digest %#016x, want %#016x", c.name, got, c.want)
+		}
+	}
+}
+
+// TestWebAllocs guards the web generator's allocation count: the copy step
+// reads a prototype's links from the edge list, so no allocation is made
+// per page.
+func TestWebAllocs(t *testing.T) {
+	cfg := DefaultWeb(20000, 8, 5)
+	if a := testing.AllocsPerRun(3, func() { Web(cfg) }); a > 20 {
+		t.Errorf("Web(DefaultWeb(20000, 8, 5)) made %.0f allocations, want <= 20", a)
+	}
+}
+
+// BenchmarkGenWeb generates the 20k-vertex web graph a served web job
+// builds, CSR included.
+func BenchmarkGenWeb(b *testing.B) {
+	cfg := DefaultWeb(20000, 8, 5)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Web(cfg)
 	}
 }

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Edge is a weighted directed arc used while assembling a graph.
 type Edge struct {
@@ -77,6 +74,12 @@ var MaxVertices = 1 << 28
 
 // FromEdges assembles an arbitrary arc list into a CSR with n vertices.
 // It is the single entry point used by all loaders and generators.
+//
+// Rows come out sorted by target in O(V+E) with a counting sort: the arcs
+// are bucketed by target, then the buckets are replayed in ascending target
+// order into their sources' rows. Within a row, parallel arcs therefore
+// keep their input order (an edge's reverse arc is emitted right after it),
+// and with SumDuplicates their weights are summed in that order.
 func FromEdges(edges []Edge, n int, opt BuildOptions) (*CSR, error) {
 	if n > MaxVertices {
 		return nil, fmt.Errorf("graph: %d vertices exceeds MaxVertices (%d)", n, MaxVertices)
@@ -89,54 +92,65 @@ func FromEdges(edges []Edge, n int, opt BuildOptions) (*CSR, error) {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range for %d vertices", e.U, e.V, n)
 		}
 	}
-	// Count arcs per source, including reverses when symmetrizing.
-	counts := make([]int64, n+1)
+	// Count arcs per source (offsets) and per target (bucket), including
+	// reverses when symmetrizing; both are prefix-summed in place.
+	offsets := make([]int64, n+1)
+	bucket := make([]int64, n+1)
 	arcs := int64(0)
 	for _, e := range edges {
-		if e.U == e.V {
-			if opt.DropSelfLoops {
-				continue
-			}
-			counts[e.U+1]++
-			arcs++
+		if e.U == e.V && opt.DropSelfLoops {
 			continue
 		}
-		counts[e.U+1]++
+		offsets[e.U+1]++
+		bucket[e.V+1]++
 		arcs++
-		if opt.Symmetrize {
-			counts[e.V+1]++
+		if opt.Symmetrize && e.U != e.V {
+			offsets[e.V+1]++
+			bucket[e.U+1]++
 			arcs++
 		}
 	}
-	offsets := counts // reuse: prefix sum in place
 	for i := 0; i < n; i++ {
 		offsets[i+1] += offsets[i]
+		bucket[i+1] += bucket[i]
 	}
-	targets := make([]Vertex, arcs)
-	weights := make([]float32, arcs)
-	cursor := make([]int64, n)
-	copy(cursor, offsets[:n])
-	put := func(u, v Vertex, w float32) {
-		p := cursor[u]
-		cursor[u]++
-		targets[p] = v
-		weights[p] = w
-	}
+	// Bucket the arcs by target in emission order. bucket[t] is the cursor
+	// of bucket t, so afterwards it holds the bucket's end, which is where
+	// bucket t+1 starts.
+	src := make([]Vertex, arcs)
+	srcW := make([]float32, arcs)
 	for _, e := range edges {
-		if e.U == e.V {
-			if opt.DropSelfLoops {
-				continue
-			}
-			put(e.U, e.V, e.W)
+		if e.U == e.V && opt.DropSelfLoops {
 			continue
 		}
-		put(e.U, e.V, e.W)
-		if opt.Symmetrize {
-			put(e.V, e.U, e.W)
+		p := bucket[e.V]
+		bucket[e.V]++
+		src[p], srcW[p] = e.U, e.W
+		if opt.Symmetrize && e.U != e.V {
+			p = bucket[e.U]
+			bucket[e.U]++
+			src[p], srcW[p] = e.V, e.W
 		}
 	}
+	// Replay the buckets in ascending target order into their sources'
+	// rows. offsets[u] is row u's cursor and ends at row u+1's start, so one
+	// shift restores the row starts.
+	targets := make([]Vertex, arcs)
+	weights := make([]float32, arcs)
+	lo := int64(0)
+	for t := 0; t < n; t++ {
+		hi := bucket[t]
+		for p := lo; p < hi; p++ {
+			u := src[p]
+			q := offsets[u]
+			offsets[u]++
+			targets[q], weights[q] = Vertex(t), srcW[p]
+		}
+		lo = hi
+	}
+	copy(offsets[1:], offsets[:n])
+	offsets[0] = 0
 	g := &CSR{Offsets: offsets, Targets: targets, Weights: weights}
-	g.sortAdjacency()
 	if opt.SumDuplicates {
 		g.dedupAdjacency()
 	}
@@ -144,38 +158,18 @@ func FromEdges(edges []Edge, n int, opt BuildOptions) (*CSR, error) {
 	return g, nil
 }
 
-// sortAdjacency sorts every neighbour list by target id, keeping weights
-// aligned.
-func (g *CSR) sortAdjacency() {
-	n := g.NumVertices()
-	for i := 0; i < n; i++ {
-		lo, hi := g.Offsets[i], g.Offsets[i+1]
-		ts, ws := g.Targets[lo:hi], g.Weights[lo:hi]
-		sort.Sort(&adjSorter{ts, ws})
-	}
-}
-
-type adjSorter struct {
-	t []Vertex
-	w []float32
-}
-
-func (s *adjSorter) Len() int           { return len(s.t) }
-func (s *adjSorter) Less(i, j int) bool { return s.t[i] < s.t[j] }
-func (s *adjSorter) Swap(i, j int) {
-	s.t[i], s.t[j] = s.t[j], s.t[i]
-	s.w[i], s.w[j] = s.w[j], s.w[i]
-}
-
 // dedupAdjacency merges runs of equal targets within each (sorted) neighbour
-// list, summing weights, and compacts the arrays.
+// list, summing weights in row order, and compacts the arrays in place.
 func (g *CSR) dedupAdjacency() {
 	n := g.NumVertices()
-	newOff := make([]int64, n+1)
 	out := int64(0)
+	hi := g.Offsets[0]
 	for i := 0; i < n; i++ {
-		lo, hi := g.Offsets[i], g.Offsets[i+1]
-		newOff[i] = out
+		// Row i spans [Offsets[i], Offsets[i+1]) as built; Offsets[i] is
+		// rewritten to the compacted start only after it has been read.
+		lo := hi
+		hi = g.Offsets[i+1]
+		g.Offsets[i] = out
 		for p := lo; p < hi; {
 			t := g.Targets[p]
 			w := g.Weights[p]
@@ -189,8 +183,7 @@ func (g *CSR) dedupAdjacency() {
 			out++
 		}
 	}
-	newOff[n] = out
-	g.Offsets = newOff
+	g.Offsets[n] = out
 	g.Targets = g.Targets[:out]
 	g.Weights = g.Weights[:out]
 }

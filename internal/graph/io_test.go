@@ -2,8 +2,13 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -162,6 +167,117 @@ func TestBinaryRejectsTruncated(t *testing.T) {
 	data := buf.Bytes()
 	if _, err := ReadBinary(bytes.NewReader(data[:len(data)/2])); err == nil {
 		t.Error("ReadBinary accepted truncated stream")
+	}
+}
+
+// TestWriteBinaryFixedBytes pins the encoding of a small graph: the 28-byte
+// header (magic, version, n, m as little-endian uint64s), then offsets,
+// targets and weights.
+func TestWriteBinaryFixedBytes(t *testing.T) {
+	g, err := FromEdges([]Edge{{0, 1, 1}, {1, 2, 2.5}}, 3, DefaultBuildOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	const want = "4e4c5047" + "0100000000000000" + "0300000000000000" + "0400000000000000" +
+		"0000000000000000" + "0100000000000000" + "0300000000000000" + "0400000000000000" +
+		"01000000" + "00000000" + "02000000" + "01000000" +
+		"0000803f" + "0000803f" + "00002040" + "00002040"
+	if got := hex.EncodeToString(buf.Bytes()); got != want {
+		t.Fatalf("encoding\n got %s\nwant %s", got, want)
+	}
+}
+
+// plainReader hides every method of its reader but Read, so ReadBinary
+// cannot learn the stream's length.
+type plainReader struct{ r io.Reader }
+
+func (p plainReader) Read(b []byte) (int, error) { return p.r.Read(b) }
+
+// TestBinaryRoundTripUnsized reads a graph whose arrays span many decode
+// chunks through a stream of unknown length (arrays grown by doubling) and
+// through a file (sized by Stat), and checks that a truncated file fails.
+func TestBinaryRoundTripUnsized(t *testing.T) {
+	g := randomGraph(t, 20000, 60000, 3)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadBinary(plainReader{bytes.NewReader(buf.Bytes())})
+	if err != nil {
+		t.Fatalf("ReadBinary: %v", err)
+	}
+	assertEqualGraphs(t, g, back)
+
+	path := filepath.Join(t.TempDir(), "g.bin")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if back, err = ReadBinaryFile(path); err != nil {
+		t.Fatalf("ReadBinaryFile: %v", err)
+	}
+	assertEqualGraphs(t, g, back)
+	if err := os.WriteFile(path, buf.Bytes()[:buf.Len()-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadBinaryFile(path); err == nil {
+		t.Error("ReadBinaryFile accepted a file one byte short")
+	}
+}
+
+// TestReadBinaryHostileHeaderAllocation feeds a 40-byte stream whose header
+// claims 2^27 vertices: ReadBinary must fail having allocated under 2 MB,
+// whether it can see the stream's length (bytes.Reader) or not.
+func TestReadBinaryHostileHeaderAllocation(t *testing.T) {
+	in := make([]byte, 40)
+	copy(in, "NLPG")
+	binary.LittleEndian.PutUint64(in[4:], 1)
+	binary.LittleEndian.PutUint64(in[12:], 1<<27)
+	binary.LittleEndian.PutUint64(in[20:], 0)
+	for name, r := range map[string]func() io.Reader{
+		"bytes.Reader": func() io.Reader { return bytes.NewReader(in) },
+		"plain reader": func() io.Reader { return plainReader{bytes.NewReader(in)} },
+	} {
+		r := r()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadBinary(r)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: ReadBinary accepted a 40-byte stream claiming 2^27 vertices", name)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 2<<20 {
+			t.Errorf("%s: ReadBinary allocated %d bytes before failing, want < 2 MB", name, d)
+		}
+	}
+}
+
+// BenchmarkReadBinary decodes a 100k-vertex, 1.6M-arc graph (13 MB) from
+// memory, as the benchmark's ingest and the CLI's binary loader do.
+func BenchmarkReadBinary(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	n := 100000
+	edges := make([]Edge, 8*n)
+	for i := range edges {
+		edges[i] = Edge{Vertex(rng.Intn(n)), Vertex(rng.Intn(n)), 1}
+	}
+	g, err := FromEdges(edges, n, DefaultBuildOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadBinary(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -595,14 +595,25 @@ func partitionByDegree(g *graph.CSR, switchDegree, limit int) (low, high []graph
 	if n > g.NumVertices() {
 		n = g.NumVertices()
 	}
+	// Count first so each list is allocated once at its exact length.
+	nLow, nHigh := 0, 0
 	for i := 0; i < n; i++ {
-		d := g.Degree(graph.Vertex(i))
-		if d == 0 {
-			continue
+		switch d := g.Degree(graph.Vertex(i)); {
+		case d == 0:
+		case d < switchDegree:
+			nLow++
+		default:
+			nHigh++
 		}
-		if d < switchDegree {
+	}
+	low = make([]graph.Vertex, 0, nLow)
+	high = make([]graph.Vertex, 0, nHigh)
+	for i := 0; i < n; i++ {
+		switch d := g.Degree(graph.Vertex(i)); {
+		case d == 0:
+		case d < switchDegree:
 			low = append(low, graph.Vertex(i))
-		} else {
+		default:
 			high = append(high, graph.Vertex(i))
 		}
 	}

@@ -371,6 +371,47 @@ func TestDirectBackendMatchesSIMTQuality(t *testing.T) {
 	}
 }
 
+// TestPartitionByDegreeExactLists checks the degree split against a direct
+// filter: same vertices in the same order, each list allocated at exactly
+// its length, isolated vertices and rows at or past limit left out.
+func TestPartitionByDegreeExactLists(t *testing.T) {
+	g := gen.Web(gen.DefaultWeb(3000, 8, 3))
+	edges := []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}}
+	withIsolated, err := graph.FromEdges(edges, 6, graph.DefaultBuildOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		g         *graph.CSR
+		sw, limit int
+	}{{g, 32, g.NumVertices()}, {g, 0, 2000}, {g, 1 << 30, 100}, {withIsolated, 2, 6}} {
+		low, high := partitionByDegree(c.g, c.sw, c.limit)
+		var wantLow, wantHigh []graph.Vertex
+		for v := 0; v < min(c.limit, c.g.NumVertices()); v++ {
+			switch d := c.g.Degree(graph.Vertex(v)); {
+			case d == 0:
+			case d < c.sw:
+				wantLow = append(wantLow, graph.Vertex(v))
+			default:
+				wantHigh = append(wantHigh, graph.Vertex(v))
+			}
+		}
+		for _, l := range []struct {
+			name      string
+			got, want []graph.Vertex
+		}{{"low", low, wantLow}, {"high", high, wantHigh}} {
+			if len(l.got) != len(l.want) || cap(l.got) != len(l.want) {
+				t.Fatalf("switch %d limit %d: %s list len %d cap %d, want %d", c.sw, c.limit, l.name, len(l.got), cap(l.got), len(l.want))
+			}
+			for i := range l.got {
+				if l.got[i] != l.want[i] {
+					t.Fatalf("switch %d limit %d: %s[%d] = %d, want %d", c.sw, c.limit, l.name, i, l.got[i], l.want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestStarGraphBlockKernel(t *testing.T) {
 	// Star with 4096 leaves: hub degree far above any block size, so the
 	// strided accumulate and neighbour wake-up paths get real coverage.

@@ -148,9 +148,10 @@ func bestRestart(g *graph.CSR, opt Options) (*Result, error) {
 	// Restarts run concurrently, each on one goroutine, and are then
 	// selected in index order exactly as a sequential loop would: the
 	// lowest cut wins, a tie goes to the lower index, and the first
-	// zero-cut restart ends the search. Restarts are claimed in index
-	// order, so once one reaches zero cut every unclaimed restart has a
-	// higher index and cannot be selected; none of them is started.
+	// zero-cut restart or error ends the search. Restarts are claimed in
+	// index order, so once one reaches zero cut or fails every unclaimed
+	// restart has a higher index and cannot be selected; none of them is
+	// started.
 	restarts := max(opt.Restarts, 1)
 	workers := opt.Workers
 	if workers <= 0 {
@@ -159,16 +160,16 @@ func bestRestart(g *graph.CSR, opt Options) (*Result, error) {
 	results := make([]*Result, restarts)
 	errs := make([]error, restarts)
 	var next atomic.Int64
-	var zeroCut atomic.Bool
+	var done atomic.Bool
 	work := func() {
-		for !zeroCut.Load() {
+		for !done.Load() {
 			r := int(next.Add(1) - 1)
 			if r >= restarts {
 				return
 			}
 			results[r], errs[r] = refine(g, opt, opt.Seed+int64(r), k, ideal, capacity)
-			if errs[r] == nil && results[r].CutWeight == 0 {
-				zeroCut.Store(true)
+			if errs[r] != nil || results[r].CutWeight == 0 {
+				done.Store(true)
 			}
 		}
 	}

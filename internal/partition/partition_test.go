@@ -230,6 +230,27 @@ func TestPartitionCanceledMidRun(t *testing.T) {
 	}
 }
 
+// TestPartitionCancelStopsClaiming runs the same canceled partition as
+// TestPartitionCanceledMidRun and checks that no restart is started after
+// the cancel: only the restart in flight on each worker polls past it, so
+// the polls stop at two per worker after the cancel, not two per restart.
+func TestPartitionCancelStopsClaiming(t *testing.T) {
+	g := gen.Road(gen.DefaultRoad(20000, 4))
+	ctx := &pollCanceled{Context: context.Background(), after: 100}
+	opt := DefaultOptions(4)
+	opt.MaxIterations = 1000
+	opt.Tolerance = 0
+	opt.Restarts = 4
+	opt.Workers = 2
+	opt.Context = ctx
+	if _, err := Partition(g, opt); !errors.Is(err, engine.ErrCanceled) {
+		t.Fatalf("err = %v, want engine.ErrCanceled", err)
+	}
+	if polls := ctx.polls.Load(); polls > ctx.after+2*int64(opt.Workers) {
+		t.Errorf("%d polls for a cancel at poll %d: a restart was started after the cancel", polls, ctx.after+1)
+	}
+}
+
 func TestInvalidOptions(t *testing.T) {
 	g := gen.Cycle(10)
 	if _, err := Partition(g, Options{Parts: 0}); err == nil {

@@ -40,15 +40,8 @@ func ModularityResolution(g *graph.CSR, labels []uint32, gamma float64) float64 
 	// Labels produced by the algorithms in this repository are vertex ids,
 	// so a dense slice accumulator applies; fall back to maps for arbitrary
 	// label universes.
-	dense := true
-	for _, c := range labels {
-		if int64(c) >= int64(n) {
-			dense = false
-			break
-		}
-	}
 	var q float64
-	if dense {
+	if denseLabels(labels) {
 		intra := make([]float64, n)
 		total := make([]float64, n)
 		for u := 0; u < n; u++ {
@@ -93,6 +86,17 @@ func ModularityResolution(g *graph.CSR, labels []uint32, gamma float64) float64 
 		q -= gamma * frac * frac
 	}
 	return q
+}
+
+// denseLabels reports whether every label is below len(labels), so that
+// per-community state fits a slice indexed by label.
+func denseLabels(labels []uint32) bool {
+	for _, c := range labels {
+		if int64(c) >= int64(len(labels)) {
+			return false
+		}
+	}
+	return true
 }
 
 // CommunitySizes returns the size of each community keyed by label.
@@ -190,14 +194,32 @@ type Summary struct {
 
 // Summarize computes a Summary of labels over g.
 func Summarize(g *graph.CSR, labels []uint32) Summary {
-	sizes := CommunitySizes(labels)
-	s := Summary{Communities: len(sizes), Modularity: Modularity(g, labels)}
-	if len(sizes) == 0 {
-		return s
+	s := Summary{Modularity: Modularity(g, labels)}
+	var all []int
+	if denseLabels(labels) {
+		// Count in a slice indexed by label (the same test Modularity
+		// makes); the map census is for arbitrary label universes.
+		counts := make([]int, len(labels))
+		for _, c := range labels {
+			counts[c]++
+		}
+		// Compact the non-empty sizes to the front of counts in place.
+		all = counts[:0]
+		for _, v := range counts {
+			if v > 0 {
+				all = append(all, v)
+			}
+		}
+	} else {
+		sizes := CommunitySizes(labels)
+		all = make([]int, 0, len(sizes))
+		for _, v := range sizes {
+			all = append(all, v)
+		}
 	}
-	all := make([]int, 0, len(sizes))
-	for _, v := range sizes {
-		all = append(all, v)
+	s.Communities = len(all)
+	if len(all) == 0 {
+		return s
 	}
 	sort.Ints(all)
 	s.Smallest = all[0]

@@ -272,6 +272,32 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestSummarizeDenseAndSparseAgree summarizes one partition under a dense
+// label universe (slice census) and a sparse one (map census): every census
+// field must be identical, and modularity equal up to summation order.
+func TestSummarizeDenseAndSparseAgree(t *testing.T) {
+	g := gen.ErdosRenyi(300, 1200, 16)
+	rng := rand.New(rand.NewSource(17))
+	dense := make([]uint32, 300)
+	sparse := make([]uint32, 300)
+	for i := range dense {
+		// Skewed sizes, with some labels in [0, 300) never used.
+		dense[i] = uint32(rng.Intn(1 + rng.Intn(40)))
+		sparse[i] = dense[i]*1_000_003 + 77
+	}
+	d, s := Summarize(g, dense), Summarize(g, sparse)
+	if math.Abs(d.Modularity-s.Modularity) > 1e-9 {
+		t.Errorf("modularity dense %v != sparse %v", d.Modularity, s.Modularity)
+	}
+	d.Modularity, s.Modularity = 0, 0
+	if d != s {
+		t.Errorf("dense summary %+v != sparse summary %+v", d, s)
+	}
+	if d.Communities != CountCommunities(dense) || d.Smallest < 1 || d.Largest < d.Median || d.Median < d.Smallest {
+		t.Errorf("dense summary %+v inconsistent (%d communities)", d, CountCommunities(dense))
+	}
+}
+
 func TestModularityDenseAndSparseAgree(t *testing.T) {
 	g := gen.ErdosRenyi(80, 300, 14)
 	rng := rand.New(rand.NewSource(15))
