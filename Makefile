@@ -46,12 +46,13 @@ chaos:
 
 # Microbenchmarks beside the zero-alloc guards: full ν-LPA runs with
 # telemetry off and on, the per-vertex hot paths of the thread and block
-# kernels at 1 SM (BenchmarkVertexKernels: road, web and social), the health
-# monitor's enabled path, the sharded set-up (partitioner and shard build on
-# a 65k social graph), and graph ingest (CSR assembly from an edge list,
-# binary decode of a 13 MB graph, and the 20k web generator a served job
-# runs).
-BENCH_PKGS = ./internal/simt/ ./internal/nulpa/ ./internal/health/ \
+# kernels at 1 SM (BenchmarkVertexKernels: road, web and social), the
+# hashtable alone (probing strategies, value widths, the max scan and the
+# fused per-vertex pick), the health monitor's enabled path, the sharded
+# set-up (partitioner and shard build on a 65k social graph), and graph
+# ingest (CSR assembly from an edge list, binary decode of a 13 MB graph,
+# and the 20k web generator a served job runs).
+BENCH_PKGS = ./internal/simt/ ./internal/nulpa/ ./internal/hashtable/ ./internal/health/ \
 	./internal/partition/ ./internal/shard/ ./internal/graph/ ./internal/gen/
 
 bench:

@@ -444,7 +444,10 @@ func Social(cfg SocialConfig) (*graph.CSR, []uint32) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := cfg.N
 	truth := make([]uint32, n)
-	var members [][]graph.Vertex
+	// Community c is the vertex range [comms[c].start, comms[c].start+size);
+	// every community but the last has at least MinComm members.
+	type community struct{ start, size int }
+	comms := make([]community, 0, n/max(cfg.MinComm, 1)+1)
 	// Power-law community sizes: size ~ MinComm / U^0.75, capped.
 	v := 0
 	for v < n {
@@ -459,16 +462,17 @@ func Social(cfg SocialConfig) (*graph.CSR, []uint32) {
 		if v+size > n {
 			size = n - v
 		}
-		c := uint32(len(members))
-		var ms []graph.Vertex
-		for i := 0; i < size; i++ {
+		c := uint32(len(comms))
+		comms = append(comms, community{v, size})
+		for end := v + size; v < end; v++ {
 			truth[v] = c
-			ms = append(ms, graph.Vertex(v))
-			v++
 		}
-		members = append(members, ms)
 	}
-	edges := make([]graph.Edge, 0, n*cfg.AvgDegree/2)
+	// A vertex emits 1+Intn(AvgDegree) edges, six times as many for the 2%
+	// that are hubs: 0.55·(AvgDegree+1) on average. 0.6·(AvgDegree+1) per
+	// vertex, plus one hub, leaves the list room to spare at any size the
+	// benchmarks generate, so it is never regrown.
+	edges := make([]graph.Edge, 0, n*(cfg.AvgDegree+1)*3/5+6*cfg.AvgDegree)
 	for u := 0; u < n; u++ {
 		// Heavy-tailed degree: geometric around half the average (each
 		// endpoint initiates half its edges), occasionally boosted.
@@ -476,13 +480,13 @@ func Social(cfg SocialConfig) (*graph.CSR, []uint32) {
 		if rng.Float64() < 0.02 {
 			deg *= 6 // hubs
 		}
-		ms := members[truth[u]]
+		cm := comms[truth[u]]
 		for k := 0; k < deg; k++ {
 			var t graph.Vertex
-			if rng.Float64() < cfg.Mu || len(ms) < 2 {
+			if rng.Float64() < cfg.Mu || cm.size < 2 {
 				t = graph.Vertex(rng.Intn(n))
 			} else {
-				t = ms[rng.Intn(len(ms))]
+				t = graph.Vertex(cm.start + rng.Intn(cm.size))
 			}
 			if t == graph.Vertex(u) {
 				continue

@@ -365,6 +365,17 @@ func TestWebAllocs(t *testing.T) {
 	}
 }
 
+// TestSocialAllocs guards the social generator's allocations at the size
+// the sharded benchmark workload generates: communities are vertex ranges,
+// not member lists, and the edge list is sized from the configuration, so
+// neither grows.
+func TestSocialAllocs(t *testing.T) {
+	cfg := DefaultSocial(65536, 32, 101)
+	if a := testing.AllocsPerRun(2, func() { Social(cfg) }); a > 20 {
+		t.Errorf("Social(DefaultSocial(65536, 32, 101)) made %.0f allocations, want <= 20", a)
+	}
+}
+
 // BenchmarkGenWeb generates the 20k-vertex web graph a served web job
 // builds, CSR included.
 func BenchmarkGenWeb(b *testing.B) {

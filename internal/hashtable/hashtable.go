@@ -236,7 +236,29 @@ type Table struct {
 	base    int64  // first slot of the window (2·O_i)
 	p1      uint32 // capacity; Mersenne 2^k − 1
 	p2      uint32 // secondary modulus; Mersenne 2^(k+1) − 1
+	r1      uint64 // reciprocals[k]: reduces probe positions mod p1
 	probing Probing
+}
+
+// reciprocals[m] is ⌈2^64 / (2^m − 1)⌉ mod 2^64. With it, rem reduces a
+// 32-bit value modulo the Mersenne number 2^m − 1 by two multiplications
+// instead of a division (Lemire, Kaser and Kurz, "Faster remainder by
+// direct computation", 2019). Every p1 and p2 is such a number, so 32
+// entries cover all tables. m = 1 wraps to 0, which is exact: x mod 1 = 0.
+var reciprocals = func() (r [33]uint64) {
+	for m := 1; m <= 32; m++ {
+		r[m] = ^uint64(0)/(1<<m-1) + 1
+	}
+	return r
+}()
+
+// rem returns x mod p, where p = 2^m − 1 > 0 and r = reciprocals[m].
+func rem(x uint64, p uint32, r uint64) uint64 {
+	if x>>32 != 0 {
+		return x % uint64(p)
+	}
+	hi, _ := bits.Mul64(r*x, uint64(p))
+	return hi
 }
 
 // NextPow2 returns the smallest power of two strictly greater than x.
@@ -259,7 +281,7 @@ func CapacityFor(degree int) uint32 {
 func (a *Arena) TableFor(offset int64, degree int, probing Probing) Table {
 	p1 := CapacityFor(degree)
 	p2 := 2*(p1+1) - 1
-	return Table{a: a, base: 2 * offset, p1: p1, p2: p2, probing: probing}
+	return Table{a: a, base: 2 * offset, p1: p1, p2: p2, r1: reciprocals[bits.Len32(p1)], probing: probing}
 }
 
 // Capacity returns p1, the number of usable slots.
@@ -271,45 +293,29 @@ func (t *Table) SecondaryModulus() uint32 { return t.p2 }
 // Clear empties slots [lane, capacity) in steps of stride — the parallel
 // hashtableClear of Algorithm 1. Use Clear(0, 1) from a single thread.
 func (t *Table) Clear(lane, stride int) {
-	for s := lane; s < int(t.p1); s += stride {
-		t.a.Keys[t.base+int64(s)] = EmptyKey
-		if t.a.Kind == Float32 {
-			t.a.V32[t.base+int64(s)] = 0
-		} else {
-			t.a.V64[t.base+int64(s)] = 0
-		}
+	keys := t.a.Keys[t.base : t.base+int64(t.p1)]
+	if t.a.Kind == Float32 {
+		clearSlots(keys, t.a.V32[t.base:t.base+int64(t.p1)], lane, stride)
+	} else {
+		clearSlots(keys, t.a.V64[t.base:t.base+int64(t.p1)], lane, stride)
 	}
 }
 
-// step returns the next probe increment given the current increment and the
-// key's secondary hash.
-func (t *Table) step(di uint64, k uint32) uint64 {
+// steps returns key k's probe increment δi before its first collision and
+// the recurrence after each one, δi ← δi<<shift + h2: linear keeps δi = 1,
+// quadratic doubles it, double hashing keeps δi = k mod p2 (1 if 0), and
+// quadratic-double is Algorithm 2's δi ← 2·δi + (k mod p2).
+func (t *Table) steps(k uint32) (di uint64, shift uint, h2 uint64) {
 	switch t.probing {
 	case Linear:
-		return 1
+		return 1, 0, 0
 	case Quadratic:
-		return 2 * di
+		return 1, 1, 0
 	case Double:
-		d := uint64(k % t.p2)
-		if d == 0 {
-			d = 1
-		}
-		return d
-	default: // QuadraticDouble, Algorithm 2 line "δi ← 2·δi + (k mod p2)"
-		return 2*di + uint64(k%t.p2)
+		return max(rem(uint64(k), t.p2, reciprocals[bits.Len32(t.p2)]), 1), 0, 0
+	default: // QuadraticDouble
+		return 1, 1, rem(uint64(k), t.p2, reciprocals[bits.Len32(t.p2)])
 	}
-}
-
-// initialStep returns δi before the first collision.
-func (t *Table) initialStep(k uint32) uint64 {
-	if t.probing == Double {
-		d := uint64(k % t.p2)
-		if d == 0 {
-			d = 1
-		}
-		return d
-	}
-	return 1
 }
 
 // Accumulate adds weight v to key k's slot, inserting the key if absent —
@@ -320,73 +326,90 @@ func (t *Table) initialStep(k uint32) uint64 {
 // table. Probe accounting goes to tl, which must have a single writer — the
 // calling goroutine; nil counts nothing.
 func (t *Table) Accumulate(k uint32, v float64, shared bool, tl *Tally) bool {
+	s := t.slot(k, shared, tl)
+	if s < 0 {
+		return false
+	}
+	if shared {
+		t.atomicAddValue(t.base+s, v)
+	} else {
+		t.addValue(t.base+s, v)
+	}
+	return true
+}
+
+// slot is Algorithm 2's probe for key k: it returns the window slot holding
+// k, claiming an empty one on the way, or -1 when the probe sequence and
+// the linear fallback found none. It counts the probes into tl.
+func (t *Table) slot(k uint32, shared bool, tl *Tally) int64 {
 	if t.p1 == 0 {
 		tl.miss(0, 0)
-		return false
+		return -1
 	}
 	maxRetries := t.a.MaxRetries
 	if maxRetries <= 0 {
 		maxRetries = DefaultMaxRetries
 	}
 	i := uint64(k)
-	di := t.initialStep(k)
+	var di, h2 uint64
+	var shift uint
 	for try := 0; try < maxRetries; try++ {
-		s := int64(i % uint64(t.p1))
-		if t.tryslot(s, k, v, shared) {
+		s := int64(rem(i, t.p1, t.r1))
+		if shared && t.claimShared(s, k) || !shared && claimPlain(t.a.Keys, t.base+s, k) {
 			tl.hit(int64(try)+1, int64(try))
-			return true
+			return s
+		}
+		if try == 0 {
+			di, shift, h2 = t.steps(k)
 		}
 		i += di
-		di = t.step(di, k)
+		di = di<<shift + h2
 	}
 	// Every slot of the bounded probe sequence after the first collided.
 	collisions := int64(maxRetries - 1)
 	if !t.a.LinearFallback {
 		tl.miss(int64(maxRetries), collisions)
-		return false
+		return -1
 	}
 	if tl != nil {
 		tl.Fallbacks++
 	}
 	// Full-circle linear probe: guaranteed to find k's slot or an empty one
 	// because capacity ≥ degree ≥ distinct keys.
-	s0 := int64(uint64(k) % uint64(t.p1))
+	s0 := int64(rem(uint64(k), t.p1, t.r1))
 	for off := int64(0); off < int64(t.p1); off++ {
 		s := s0 + off
 		if s >= int64(t.p1) {
 			s -= int64(t.p1)
 		}
-		if t.tryslot(s, k, v, shared) {
+		if shared && t.claimShared(s, k) || !shared && claimPlain(t.a.Keys, t.base+s, k) {
 			tl.hit(int64(maxRetries)+off+1, collisions)
-			return true
+			return s
 		}
 	}
 	tl.miss(int64(maxRetries)+int64(t.p1), collisions)
-	return false
+	return -1
 }
 
-// tryslot attempts to claim or update slot s for key k; returns true when
-// the value was accumulated.
-func (t *Table) tryslot(s int64, k uint32, v float64, shared bool) bool {
-	idx := t.base + s
-	if !shared {
-		cur := t.a.Keys[idx]
-		if cur == k || cur == EmptyKey {
-			if cur == EmptyKey {
-				t.a.Keys[idx] = k
-			}
-			t.addValue(idx, v)
-			return true
-		}
-		return false
+// claimPlain reports whether slot idx of keys holds key k, or was empty and
+// now does. It has a single writer; the probe loop inlines it.
+func claimPlain(keys []uint32, idx int64, k uint32) bool {
+	cur := keys[idx]
+	if cur == EmptyKey {
+		keys[idx] = k
+		return true
 	}
-	cur := simt.AtomicLoadUint32(t.a.Keys, int(idx))
+	return cur == k
+}
+
+// claimShared is claimPlain for window slot s with atomics, for a table
+// many lanes update at once.
+func (t *Table) claimShared(s int64, k uint32) bool {
+	idx := int(t.base + s)
+	cur := simt.AtomicLoadUint32(t.a.Keys, idx)
 	if cur == k || cur == EmptyKey {
-		old := simt.AtomicCASUint32(t.a.Keys, int(idx), EmptyKey, k)
-		if old == EmptyKey || old == k {
-			t.atomicAddValue(idx, v)
-			return true
-		}
+		old := simt.AtomicCASUint32(t.a.Keys, idx, EmptyKey, k)
+		return old == EmptyKey || old == k
 	}
 	return false
 }

@@ -491,21 +491,8 @@ func (st *runState) pick(i graph.Vertex, sm int) uint32 {
 	if !st.claim(i, sm) {
 		return hashtable.EmptyKey
 	}
-	tb := st.arena.tableFor(st.g.Offset(i), st.g.Degree(i))
-	tb.clear(0, 1)
-	tl := st.hashTally(sm)
 	ts, ws := st.g.Neighbors(i)
-	for idx, j := range ts {
-		if j == i {
-			continue
-		}
-		cj := simt.AtomicLoadUint32(st.labels, int(j))
-		tb.accumulate(cj, float64(ws[idx]), false, tl)
-	}
-	if c, _, ok := tb.best(); ok {
-		return c
-	}
-	return hashtable.EmptyKey
+	return st.arena.pick(i, st.g.Offset(i), ts, ws, st.labels, st.hashTally(sm))
 }
 
 // commit moves vertex i to candidate c on SM sm unless c is already its
@@ -792,16 +779,7 @@ func (k *blockKernel) run(p int, t *simt.Thread, lo, hi int, shared bool) {
 			v.tb.clear(lane, b)
 		}
 	case 2: // strided accumulation of neighbour labels
-		for lane := lo; lane < hi; lane++ {
-			for idx := lane; idx < len(v.ts); idx += b {
-				j := v.ts[idx]
-				if j == v.i {
-					continue
-				}
-				cj := simt.AtomicLoadUint32(k.labels, int(j))
-				v.tb.accumulate(cj, float64(v.ws[idx]), shared, v.tl)
-			}
-		}
+		v.tb.accumulateLanes(v.i, v.ts, v.ws, k.labels, lo, hi, b, shared, v.tl)
 	case 3: // max-reduce: fold each lane's strided maximum, in lane order
 		if hi == v.cap { // one slot per lane: lane order is slot order
 			v.fold(lo, 1)

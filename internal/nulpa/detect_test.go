@@ -589,3 +589,36 @@ func TestProfiledFoldAllocatesNothing(t *testing.T) {
 		t.Errorf("folded %d accumulates over 101 runs of 2 lanes, want %d", d, 2*101)
 	}
 }
+
+// TestProfiledPickAllocatesNothing pins the thread kernel's fused pick with
+// counting on — the per-vertex step of every profiled run — to zero
+// allocations.
+func TestProfiledPickAllocatesNothing(t *testing.T) {
+	g := gen.ErdosRenyi(200, 1200, 5)
+	opt := DefaultOptions()
+	opt.Profiler = telemetry.NewRecorder()
+	dev := simt.NewDevice(1)
+	r, err := newDeviceRun(g, opt, dev, runView{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.free()
+	st := r.st
+	dev.LaunchKernel1D(context.Background(), len(r.low), 32, r.tk) // sizes the tallies
+	i := r.low[0]
+	ts, ws := g.Neighbors(i)
+	tl := st.hashTally(0)
+	if tl == nil {
+		t.Fatal("a profiled run must count hashtable probes")
+	}
+	before := tl.Accumulates
+	allocs := testing.AllocsPerRun(100, func() {
+		st.arena.pick(i, g.Offset(i), ts, ws, st.labels, tl)
+	})
+	if allocs != 0 {
+		t.Errorf("profiled pick allocates %v per vertex, want 0", allocs)
+	}
+	if tl.Accumulates == before {
+		t.Error("profiled pick counted nothing: the guard is vacuous")
+	}
+}

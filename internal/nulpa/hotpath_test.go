@@ -20,7 +20,7 @@ func TestHotPathTablesUsePointerReceivers(t *testing.T) {
 	views := map[string]bool{"anyTable": true, "Table": true, "CoalescedTable": true}
 	fset := token.NewFileSet()
 	checked := 0
-	for _, path := range []string{"table.go", "../hashtable/hashtable.go", "../hashtable/coalesced.go"} {
+	for _, path := range []string{"table.go", "../hashtable/hashtable.go", "../hashtable/pick.go", "../hashtable/coalesced.go"} {
 		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,10 @@
 package nulpa
 
-import "nulpa/internal/hashtable"
+import (
+	"nulpa/internal/graph"
+	"nulpa/internal/hashtable"
+	"nulpa/internal/simt"
+)
 
 // anyArena and anyTable dispatch between the open-addressing hashtable (the
 // default) and the coalesced-chaining variant (appendix experiment) without
@@ -38,6 +42,27 @@ func (a anyArena) tableFor(offset int64, degree int) anyTable {
 	return anyTable{open: a.open.TableFor(offset, degree, a.probing)}
 }
 
+// pick clears the table of the vertex self at CSR offset offset,
+// accumulates the labels of its neighbours ts other than itself and returns
+// the most weighted one, or hashtable.EmptyKey when there is none, using
+// the paper's "strict" selection: the first label with the highest weight,
+// in hashtable slot order. Slot order is label-hash order, which differs
+// per vertex — this pseudo-random tie-break is load-bearing: a globally
+// consistent rule (e.g. always the smallest label) lets one label cascade
+// across community boundaries within a single asynchronous sweep and
+// collapse distinct communities.
+func (a anyArena) pick(self graph.Vertex, offset int64, ts []graph.Vertex, ws []float32, labels []uint32, tl *hashtable.Tally) uint32 {
+	if a.coal == nil {
+		tb := a.open.TableFor(offset, len(ts), a.probing)
+		return tb.Pick(self, ts, ws, labels, tl)
+	}
+	tb := a.tableFor(offset, len(ts))
+	tb.clear(0, 1)
+	tb.accumulateLanes(self, ts, ws, labels, 0, 1, 1, false, tl)
+	c, _, _ := tb.coal.MaxKey()
+	return c
+}
+
 type anyTable struct {
 	open   hashtable.Table
 	coal   hashtable.CoalescedTable
@@ -50,6 +75,24 @@ func (t *anyTable) clear(lane, stride int) {
 		return
 	}
 	t.open.Clear(lane, stride)
+}
+
+// accumulateLanes is a block's accumulate phase for lanes [lo, hi): lane L
+// adds the labels of neighbours ts[L], ts[L+stride], … other than self, in
+// lane order, counting the probes into tl (nil: not counting). shared
+// selects the atomic table path.
+func (t *anyTable) accumulateLanes(self graph.Vertex, ts []graph.Vertex, ws []float32, labels []uint32, lo, hi, stride int, shared bool, tl *hashtable.Tally) {
+	if !t.isCoal && !shared {
+		t.open.AccumulateLanes(self, ts, ws, labels, lo, hi, stride, tl)
+		return
+	}
+	for lane := lo; lane < hi; lane++ {
+		for x := lane; x < len(ts); x += stride {
+			if j := ts[x]; j != self {
+				t.accumulate(simt.AtomicLoadUint32(labels, int(j)), float64(ws[x]), shared, tl)
+			}
+		}
+	}
 }
 
 // accumulate adds v to label k's slot, counting the probes into tl (nil:
@@ -68,17 +111,4 @@ func (t *anyTable) BestStrided(lane, stride int) (uint32, float64, bool) {
 		return t.coal.MaxKeyStrided(lane, stride)
 	}
 	return t.open.MaxKeyStrided(lane, stride)
-}
-
-// best returns the most weighted label using the paper's "strict" selection:
-// the first label with the highest weight, in hashtable slot order. Slot
-// order is label-hash order, which differs per vertex — this pseudo-random
-// tie-break is load-bearing: a globally consistent rule (e.g. always the
-// smallest label) lets one label cascade across community boundaries within
-// a single asynchronous sweep and collapse distinct communities.
-func (t *anyTable) best() (uint32, float64, bool) {
-	if t.isCoal {
-		return t.coal.MaxKey()
-	}
-	return t.open.MaxKey()
 }
