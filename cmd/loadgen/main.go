@@ -23,6 +23,7 @@ import (
 	"syscall"
 	"time"
 
+	"nulpa/internal/httpapi"
 	"nulpa/internal/loadgen"
 )
 
@@ -32,7 +33,7 @@ func main() {
 		rate       = flag.Float64("rate", 100, "open-loop arrival rate, submissions/s")
 		jobs       = flag.Int("jobs", 200, "total submissions to fire")
 		algo       = flag.String("algo", "flpa", "detector algo for submitted jobs")
-		gen        = flag.String("gen", "er", "graph generator (er|ba|planted)")
+		gen        = flag.String("gen", "er", "graph generator: "+httpapi.Generators)
 		n          = flag.Int("n", 1000, "graph vertex count")
 		deg        = flag.Int("deg", 8, "graph average degree")
 		workers    = flag.Int("job-workers", 0, "per-job detector parallelism (0 = server default)")

@@ -3,8 +3,11 @@
 // and modularity. `-algo list` names every registered detector.
 //
 // The input graph comes either from a file (-graph, format by extension:
-// .mtx Matrix Market, .bin binary, otherwise edge list) or from a generator
-// (-gen web|social|rmat|road|kmer|er|planted|rgg with -n/-deg/-seed).
+// .mtx Matrix Market, .bin/.nlpg binary, .graph/.metis METIS, otherwise
+// edge list) or from a generator (-gen web|social|rmat|road|kmer|er|planted|rgg
+// with -n/-deg/-seed). -write-graph saves that graph in the format its
+// extension names instead of detecting, which converts between formats and
+// writes generated datasets to disk.
 //
 // With -serve the command instead starts the monitoring server
 // (internal/httpapi): detections run as jobs submitted over HTTP, and
@@ -16,6 +19,7 @@
 //	nulpa -gen web -n 100000 -deg 8
 //	nulpa -graph mygraph.mtx -algo louvain
 //	nulpa -gen social -n 65536 -algo nulpa-direct -pickless 4
+//	nulpa -gen road -n 1000000 -seed 7 -write-graph asia_osm_like.bin
 //	nulpa -serve :8080
 //	nulpa -serve :8080 -gen web -n 1000000 -algo nulpa
 package main
@@ -52,7 +56,8 @@ import (
 
 func main() {
 	var (
-		graphPath = flag.String("graph", "", "input graph file (.mtx, .bin, or edge list)")
+		graphPath = flag.String("graph", "", "input graph file, format by extension: "+graph.Formats)
+		graphOut  = flag.String("write-graph", "", "write the input graph to this file (format by extension: "+graph.Formats+") and exit without detecting")
 		genName   = flag.String("gen", "", "generator: "+httpapi.Generators)
 		n         = flag.Int("n", 100000, "generator vertex count (rmat: rounded to a power of two)")
 		deg       = flag.Int("deg", 8, "generator average degree parameter")
@@ -90,6 +95,19 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "nulpa: bad -log-format %q (text or json)\n", *logFormat)
 		os.Exit(2)
+	}
+
+	if *graphOut != "" {
+		g, err := loadGraph(*graphPath, *genName, *n, *deg, *seed)
+		if err == nil {
+			err = graph.WriteFile(*graphOut, g)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "nulpa: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Printf("wrote %s: %s\n", *graphOut, graph.ComputeStats(g))
+		return
 	}
 
 	if *serveAddr != "" {

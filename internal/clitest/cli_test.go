@@ -25,7 +25,7 @@ func TestMain(m *testing.M) {
 		panic(err)
 	}
 	binDir = dir
-	for _, tool := range []string{"nulpa", "bench", "graphgen"} {
+	for _, tool := range []string{"nulpa", "bench"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, tool), "nulpa/cmd/"+tool)
 		if out, err := cmd.CombinedOutput(); err != nil {
 			panic("building " + tool + ": " + err.Error() + "\n" + string(out))
@@ -365,18 +365,21 @@ func TestNulpaBadFlags(t *testing.T) {
 	}
 }
 
-func TestGraphgenFormatsAndReload(t *testing.T) {
+// TestWriteGraphFormatsAndReload writes a generated graph in every format
+// with -write-graph and loads each file back: the reload must report the
+// same graph statistics the writing run printed.
+func TestWriteGraphFormatsAndReload(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"g.txt", "g.bin", "g.mtx", "g.graph"} {
 		path := filepath.Join(dir, name)
-		out := mustRun(t, "graphgen", "-type", "road", "-n", "1000", "-o", path)
-		if !strings.Contains(out, "wrote "+path) {
-			t.Errorf("graphgen output: %s", out)
+		out := mustRun(t, "nulpa", "-gen", "road", "-n", "1000", "-write-graph", path)
+		stats, ok := strings.CutPrefix(strings.TrimSpace(out), "wrote "+path+": ")
+		if !ok || strings.Contains(out, "algo:") {
+			t.Fatalf("-write-graph output (want one wrote line, no detection):\n%s", out)
 		}
-		// The generated file must load back through the main tool.
 		out = mustRun(t, "nulpa", "-graph", path, "-algo", "flpa")
-		if !strings.Contains(out, "communities=") {
-			t.Errorf("reload of %s failed:\n%s", name, out)
+		if !strings.Contains(out, "graph: "+stats+"\n") || !strings.Contains(out, "communities=") {
+			t.Errorf("reload of %s does not match the written graph %q:\n%s", name, stats, out)
 		}
 	}
 }

@@ -209,46 +209,3 @@ func readChunked[T int64 | Vertex | float32](r io.Reader, buf []byte, count uint
 	}
 	return out, nil
 }
-
-// WriteBinaryFile writes g to path in binary format.
-func WriteBinaryFile(path string, g *CSR) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteBinary(f, g); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadBinaryFile loads a binary-format graph from path.
-func ReadBinaryFile(path string) (*CSR, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadBinary(f)
-}
-
-// ReadFile loads a graph from path, dispatching on the file extension:
-// ".mtx" → Matrix Market, ".bin"/".nlpg" → binary, ".graph"/".metis" →
-// METIS, anything else → edge list.
-func ReadFile(path string) (*CSR, error) {
-	switch {
-	case hasSuffix(path, ".mtx"):
-		return ReadMatrixMarketFile(path)
-	case hasSuffix(path, ".bin"), hasSuffix(path, ".nlpg"):
-		return ReadBinaryFile(path)
-	case hasSuffix(path, ".graph"), hasSuffix(path, ".metis"):
-		return ReadMETISFile(path)
-	default:
-		return ReadEdgeListFile(path, DefaultBuildOptions())
-	}
-}
-
-func hasSuffix(s, suf string) bool {
-	return len(s) >= len(suf) && s[len(s)-len(suf):] == suf
-}

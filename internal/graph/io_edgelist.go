@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 )
@@ -52,16 +51,6 @@ func ReadEdgeList(r io.Reader, n int, opt BuildOptions) (*CSR, error) {
 	return b.Build(n, opt)
 }
 
-// ReadEdgeListFile loads an edge list from path; see ReadEdgeList.
-func ReadEdgeListFile(path string, opt BuildOptions) (*CSR, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadEdgeList(f, 0, opt)
-}
-
 // WriteEdgeList writes g as "u v w" lines, emitting each undirected edge once
 // (u <= v).
 func WriteEdgeList(w io.Writer, g *CSR) error {
@@ -79,17 +68,4 @@ func WriteEdgeList(w io.Writer, g *CSR) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// WriteEdgeListFile writes g to path; see WriteEdgeList.
-func WriteEdgeListFile(path string, g *CSR) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteEdgeList(f, g); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 )
@@ -125,16 +124,6 @@ func ReadMETIS(r io.Reader) (*CSR, error) {
 		return nil, fmt.Errorf("graph: metis: header promised %d edges, found %d", m, g.NumEdges())
 	}
 	return g, nil
-}
-
-// ReadMETISFile loads a METIS graph from path.
-func ReadMETISFile(path string) (*CSR, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadMETIS(f)
 }
 
 // WriteMETIS writes g in METIS format with edge weights (fmt 001). Self

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 )
@@ -124,16 +123,6 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 		n = cols
 	}
 	return b.Build(n, DefaultBuildOptions())
-}
-
-// ReadMatrixMarketFile loads a Matrix Market file from path.
-func ReadMatrixMarketFile(path string) (*CSR, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadMatrixMarket(f)
 }
 
 // WriteMatrixMarket writes g as a symmetric real coordinate Matrix Market

@@ -216,15 +216,15 @@ func TestBinaryRoundTripUnsized(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if back, err = ReadBinaryFile(path); err != nil {
-		t.Fatalf("ReadBinaryFile: %v", err)
+	if back, err = ReadFile(path); err != nil {
+		t.Fatalf("ReadFile: %v", err)
 	}
 	assertEqualGraphs(t, g, back)
 	if err := os.WriteFile(path, buf.Bytes()[:buf.Len()-1], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadBinaryFile(path); err == nil {
-		t.Error("ReadBinaryFile accepted a file one byte short")
+	if _, err := ReadFile(path); err == nil {
+		t.Error("ReadFile accepted a binary file one byte short")
 	}
 }
 
@@ -281,19 +281,33 @@ func BenchmarkReadBinary(b *testing.B) {
 	}
 }
 
+// TestReadFileDispatch round-trips a graph through WriteFile and ReadFile
+// under every extension of the format table and one it does not name (an
+// edge list), checks that each file starts the way its format does, and
+// that Formats names every extension.
 func TestReadFileDispatch(t *testing.T) {
 	g := randomGraph(t, 15, 40, 2)
 	dir := t.TempDir()
-
-	binPath := filepath.Join(dir, "g.bin")
-	if err := WriteBinaryFile(binPath, g); err != nil {
-		t.Fatalf("WriteBinaryFile: %v", err)
+	prefix := map[string]string{
+		".txt": "0 ", ".mtx": "%%MatrixMarket", ".bin": "NLPG", ".nlpg": "NLPG",
+		".graph": "15 ", ".metis": "15 ",
 	}
-	elPath := filepath.Join(dir, "g.txt")
-	if err := WriteEdgeListFile(elPath, g); err != nil {
-		t.Fatalf("WriteEdgeListFile: %v", err)
+	for ext := range codecs {
+		if !strings.Contains(Formats, ext) {
+			t.Errorf("Formats %q does not name %s", Formats, ext)
+		}
+		if _, ok := prefix[ext]; !ok {
+			t.Errorf("no expected file prefix for %s", ext)
+		}
 	}
-	for _, p := range []string{binPath, elPath} {
+	for ext, want := range prefix {
+		p := filepath.Join(dir, "g"+ext)
+		if err := WriteFile(p, g); err != nil {
+			t.Fatalf("WriteFile(%s): %v", p, err)
+		}
+		if data, err := os.ReadFile(p); err != nil || !strings.HasPrefix(string(data), want) {
+			t.Errorf("%s does not start with %q (err %v)", p, want, err)
+		}
 		back, err := ReadFile(p)
 		if err != nil {
 			t.Fatalf("ReadFile(%s): %v", p, err)
@@ -302,6 +316,9 @@ func TestReadFileDispatch(t *testing.T) {
 	}
 	if _, err := ReadFile(filepath.Join(dir, "missing.bin")); err == nil {
 		t.Error("ReadFile accepted missing file")
+	}
+	if err := WriteFile(filepath.Join(dir, "no", "such", "dir.bin"), g); err == nil {
+		t.Error("WriteFile created a file in a missing directory")
 	}
 }
 

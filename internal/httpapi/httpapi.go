@@ -56,9 +56,9 @@ import (
 // parameters — the same surface as cmd/nulpa's -graph/-gen flags, which
 // delegate here.
 type GraphSpec struct {
-	// Path loads a graph file (.mtx, .bin, or edge list). When set, the
-	// generator fields are ignored. Only the in-process Server.Submit
-	// accepts it; POST /jobs refuses it with a 400.
+	// Path loads a graph file in the format its extension names
+	// (graph.Formats). When set, the generator fields are ignored. Only the
+	// in-process Server.Submit accepts it; POST /jobs refuses it with a 400.
 	Path string `json:"path,omitempty"`
 	// Gen selects a generator, one of Generators.
 	Gen string `json:"gen,omitempty"`

@@ -97,13 +97,9 @@ func TestPaperQualityOrdering(t *testing.T) {
 func TestPipelineGenerateSaveLoadDetect(t *testing.T) {
 	g, truth := gen.Planted(gen.PlantedConfig{N: 500, Communities: 10, DegIn: 12, DegOut: 0.5, Seed: 31})
 	dir := t.TempDir()
-	writers := map[string]func(string) error{
-		"g.bin": func(p string) error { return graph.WriteBinaryFile(p, g) },
-		"g.txt": func(p string) error { return graph.WriteEdgeListFile(p, g) },
-	}
-	for name, write := range writers {
+	for _, name := range []string{"g.bin", "g.txt", "g.mtx", "g.graph"} {
 		path := filepath.Join(dir, name)
-		if err := write(path); err != nil {
+		if err := graph.WriteFile(path, g); err != nil {
 			t.Fatalf("write %s: %v", name, err)
 		}
 		back, err := graph.ReadFile(path)

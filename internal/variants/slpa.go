@@ -3,7 +3,8 @@
 // compared LPA against — SLPA, COPRA, and LabelRank — where plain LPA
 // "emerged as the most efficient, delivering communities of comparable
 // quality". Having them here lets the repository reproduce that claim too:
-// see the fig-variants extension experiment and examples.
+// see the fig-variants extension experiment and
+// ExampleSLPAResult_OverlapThreshold.
 //
 // All three are overlapping-community methods; for comparison with the
 // disjoint algorithms each returns its dominant label per vertex.

@@ -41,11 +41,9 @@ var layerImports = map[string][]string{
 
 // layeringExempt are packages whose imports the registry cannot express:
 // engine/all blank-imports every algorithm so a registry consumer pulls them
-// all in with one import, and examples/overlap type-asserts Result.Extra to
-// the native variants.SLPAResult for the overlapping-membership API.
+// all in with one import.
 var layeringExempt = map[string]bool{
 	"nulpa/internal/engine/all": true,
-	"nulpa/examples/overlap":    true,
 }
 
 // modulePackages returns the production imports of every package of the
