@@ -28,6 +28,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("9999999999999999999 1\n")
 	f.Add("0 1 1e300\n")
 	f.Add("a b c\n")
+	f.Add("# Nodes: 9 Edges: 1\n0 1 1\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		boundVertices(t)
 		g, err := ReadEdgeList(strings.NewReader(in), 0, DefaultBuildOptions())

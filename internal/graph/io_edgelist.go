@@ -10,8 +10,10 @@ import (
 
 // ReadEdgeList parses a whitespace-separated edge list: one "u v" or "u v w"
 // per line. Lines starting with '#' or '%' are comments. Vertex ids are
-// non-negative integers; the graph is sized by the largest id seen (or n if
-// larger). The result honours opt (symmetrization, dedup, self loops).
+// non-negative integers; the graph is sized by the largest of n, the N of a
+// SNAP-style "# Nodes: N Edges: M" comment (WriteEdgeList's first line, so
+// trailing isolated vertices survive a round trip) and the largest id seen
+// plus one. The result honours opt (symmetrization, dedup, self loops).
 func ReadEdgeList(r io.Reader, n int, opt BuildOptions) (*CSR, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
@@ -21,6 +23,9 @@ func ReadEdgeList(r io.Reader, n int, opt BuildOptions) (*CSR, error) {
 		line++
 		text := strings.TrimSpace(sc.Text())
 		if text == "" || text[0] == '#' || text[0] == '%' {
+			if nodes, ok := nodesHeader(text); ok {
+				n = max(n, nodes)
+			}
 			continue
 		}
 		fields := strings.Fields(text)
@@ -51,11 +56,34 @@ func ReadEdgeList(r io.Reader, n int, opt BuildOptions) (*CSR, error) {
 	return b.Build(n, opt)
 }
 
-// WriteEdgeList writes g as "u v w" lines, emitting each undirected edge once
-// (u <= v).
+// nodesHeader returns N from a "# Nodes: N ..." comment line.
+func nodesHeader(comment string) (int, bool) {
+	fields := strings.Fields(comment)
+	if len(fields) < 3 || fields[0] != "#" || fields[1] != "Nodes:" {
+		return 0, false
+	}
+	nodes, err := strconv.ParseUint(fields[2], 10, 32)
+	return int(nodes), err == nil
+}
+
+// WriteEdgeList writes g as a "# Nodes: N Edges: M" header, which keeps
+// the vertex count, and then "u v w" lines, emitting each undirected edge
+// once (u <= v).
 func WriteEdgeList(w io.Writer, g *CSR) error {
 	bw := bufio.NewWriter(w)
 	n := g.NumVertices()
+	edges := 0
+	for u := 0; u < n; u++ {
+		ts, _ := g.Neighbors(Vertex(u))
+		for _, v := range ts {
+			if Vertex(u) <= v {
+				edges++
+			}
+		}
+	}
+	if _, err := fmt.Fprintf(bw, "# Nodes: %d Edges: %d\n", n, edges); err != nil {
+		return err
+	}
 	for u := 0; u < n; u++ {
 		ts, ws := g.Neighbors(Vertex(u))
 		for k, v := range ts {

@@ -289,7 +289,7 @@ func TestReadFileDispatch(t *testing.T) {
 	g := randomGraph(t, 15, 40, 2)
 	dir := t.TempDir()
 	prefix := map[string]string{
-		".txt": "0 ", ".mtx": "%%MatrixMarket", ".bin": "NLPG", ".nlpg": "NLPG",
+		".txt": "# Nodes:", ".mtx": "%%MatrixMarket", ".bin": "NLPG", ".nlpg": "NLPG",
 		".graph": "15 ", ".metis": "15 ",
 	}
 	for ext := range codecs {

@@ -18,7 +18,8 @@ import (
 const noNext = ^uint32(0)
 
 // CoalescedArena backs per-vertex coalesced-chaining tables: keys, values
-// and next-pointers, each 2·|E| slots.
+// and next-pointers, each 2·|E| slots in the paper's layout or one window's
+// worth (see Arena).
 type CoalescedArena struct {
 	Kind ValueKind
 	Keys []uint32
@@ -58,8 +59,10 @@ type CoalescedTable struct {
 	p1   uint32
 }
 
-// TableFor returns the coalesced table of a vertex with the given CSR offset
-// and degree; same window geometry as the open-addressing Table.
+// TableFor returns the coalesced table of a vertex of the given degree in
+// the window at slot 2·offset; same window geometry as the open-addressing
+// Table, and the base likewise never enters a slot choice or a chain link
+// (links are window slots).
 func (a *CoalescedArena) TableFor(offset int64, degree int) CoalescedTable {
 	return CoalescedTable{a: a, base: 2 * offset, p1: CapacityFor(degree)}
 }

@@ -1,13 +1,21 @@
 // Package hashtable implements the paper's per-vertex open-addressing
 // hashtable (§4.2, Algorithm 2, Figure 2).
 //
-// All per-vertex tables live in two flat "global memory" buffers — a keys
-// buffer and a values buffer, each 2·|E| words — and the table of vertex i is
-// the window starting at slot 2·O_i (twice its CSR offset) with capacity
-// p1 = nextPow2(D_i) − 1 slots, where D_i is the vertex degree and
-// nextPow2(x) is the smallest power of two strictly greater than x. Because
-// p1 ≥ D_i, a table always has room for every distinct neighbouring label,
-// and because 2^k ≤ 2·D_i the window always fits in the reserved 2·D_i slots.
+// In the paper all per-vertex tables live in two flat "global memory"
+// buffers — a keys buffer and a values buffer, each 2·|E| words — and the
+// table of vertex i is the window starting at slot 2·O_i (twice its CSR
+// offset) with capacity p1 = nextPow2(D_i) − 1 slots, where D_i is the
+// vertex degree and nextPow2(x) is the smallest power of two strictly
+// greater than x. Because p1 ≥ D_i, a table always has room for every
+// distinct neighbouring label, and because 2^k ≤ 2·D_i the window always
+// fits in the reserved 2·D_i slots.
+//
+// A window can sit at any offset of an Arena: probe positions are reduced
+// modulo the capacity and only then added to the window's base, so what a
+// table does never depends on where it sits. ArenaBytes gives the paper's
+// footprint for the device accounting; package nulpa backs it with one
+// window per simulated SM at offset 0, sized to the largest table the SM
+// has run, since a table is live only while its vertex runs.
 //
 // Collisions are resolved by open addressing with four strategies: linear
 // probing, quadratic probing (step doubling), double hashing (fixed step
@@ -182,8 +190,9 @@ func (t *Tally) Fold() StatsSnapshot {
 	return d
 }
 
-// Arena is the backing storage for every per-vertex table: the bufK / bufV
-// buffers of Algorithm 1, each sized 2·|E| slots.
+// Arena is backing storage for per-vertex tables: the bufK / bufV buffers
+// of Algorithm 1 when sized 2·|E| slots, or one SM's window when sized to
+// the largest table it runs.
 type Arena struct {
 	Kind ValueKind
 	Keys []uint32
@@ -201,7 +210,8 @@ type Arena struct {
 }
 
 // NewArena allocates backing storage for `slots` hashtable slots (2·|E| for
-// a full graph) with the given value width. Keys start empty and values 0.
+// the paper's layout) with the given value width. Keys start empty and
+// values 0.
 func NewArena(kind ValueKind, slots int64) *Arena {
 	a := &Arena{Kind: kind, MaxRetries: DefaultMaxRetries, LinearFallback: true}
 	a.Keys = make([]uint32, slots)
@@ -275,9 +285,11 @@ func CapacityFor(degree int) uint32 {
 	return NextPow2(uint32(degree)) - 1
 }
 
-// TableFor returns the table of a vertex whose CSR offset is offset and
-// whose degree is degree, using the given probing strategy. The window
-// occupies slots [2·offset, 2·offset+p1).
+// TableFor returns the table of a vertex of the given degree in the window
+// at slot 2·offset, using the given probing strategy: the window occupies
+// slots [2·offset, 2·offset+p1). The paper passes the vertex's CSR offset;
+// a window of its own at offset 0 behaves identically, as the base never
+// enters a probe position.
 func (a *Arena) TableFor(offset int64, degree int, probing Probing) Table {
 	p1 := CapacityFor(degree)
 	p2 := 2*(p1+1) - 1

@@ -570,7 +570,7 @@ func TestProfiledFoldAllocatesNothing(t *testing.T) {
 	dev.LaunchKernel1D(context.Background(), len(r.low), 32, r.tk) // ≥ 2 blocks: sizes tallies for both SMs
 	i := r.low[0]
 	lane := func(sm int) {
-		tb := st.arena.tableFor(g.Offset(i), g.Degree(i))
+		tb := st.window(sm, g.Degree(i)).tableFor(g.Degree(i))
 		tb.clear(0, 1)
 		tb.accumulate(7, 1, false, st.hashTally(sm))
 		st.tallies[sm].flips++
@@ -613,7 +613,7 @@ func TestProfiledPickAllocatesNothing(t *testing.T) {
 	}
 	before := tl.Accumulates
 	allocs := testing.AllocsPerRun(100, func() {
-		st.arena.pick(i, g.Offset(i), ts, ws, st.labels, tl)
+		st.window(0, len(ts)).pick(i, ts, ws, st.labels, tl)
 	})
 	if allocs != 0 {
 		t.Errorf("profiled pick allocates %v per vertex, want 0", allocs)

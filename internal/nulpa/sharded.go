@@ -64,10 +64,10 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 	}
 
 	// setup creates shard s's device run. Shards are independent until the
-	// first barrier, so with K > 1 the K set-ups (each allocating its
-	// shard's hashtable arena and label arrays) run concurrently, one
-	// goroutine per device as in the supersteps; the single device sets up
-	// inline.
+	// first barrier, so with K > 1 the K set-ups (each reserving its
+	// shard's device memory and allocating its label arrays) run
+	// concurrently, one goroutine per device as in the supersteps; the
+	// single device sets up inline.
 	setup := func(s int) (*deviceRun, error) {
 		sopt := opt
 		if opt.ShardFaults != nil {

@@ -27,8 +27,15 @@ func Modularity(g *graph.CSR, labels []uint32) float64 {
 
 // ModularityResolution computes generalized modularity with resolution γ:
 // Q(γ) = Σ_c [ σ_c/2m − γ·(Σ_c/2m)² ]. γ = 1 is classic modularity; larger
-// γ favours smaller communities.
+// γ favours smaller communities. The terms are added in ascending label
+// order, so Q is a deterministic function of the labelling.
 func ModularityResolution(g *graph.CSR, labels []uint32, gamma float64) float64 {
+	ranked, k := byLabel(labels)
+	return modularity(g, ranked, k, gamma)
+}
+
+// modularity is ModularityResolution over labels in [0, k).
+func modularity(g *graph.CSR, labels []uint32, k int, gamma float64) float64 {
 	if len(labels) != g.NumVertices() {
 		panic(fmt.Sprintf("quality: %d labels for %d vertices", len(labels), g.NumVertices()))
 	}
@@ -36,67 +43,62 @@ func ModularityResolution(g *graph.CSR, labels []uint32, gamma float64) float64 
 	if twoM == 0 {
 		return 0
 	}
-	n := g.NumVertices()
-	// Labels produced by the algorithms in this repository are vertex ids,
-	// so a dense slice accumulator applies; fall back to maps for arbitrary
-	// label universes.
-	var q float64
-	if denseLabels(labels) {
-		intra := make([]float64, n)
-		total := make([]float64, n)
-		for u := 0; u < n; u++ {
-			cu := labels[u]
-			ts, ws := g.Neighbors(graph.Vertex(u))
-			for k, v := range ts {
-				w := float64(ws[k])
-				total[cu] += w
-				if labels[v] == cu {
-					intra[cu] += w
-				}
-			}
-		}
-		for c := 0; c < n; c++ {
-			if total[c] == 0 {
-				continue
-			}
-			frac := total[c] / twoM
-			q += intra[c]/twoM - gamma*frac*frac
-		}
-		return q
-	}
-	intra := make(map[uint32]float64) // σ_c: intra-community arc weight (counts both arc directions)
-	total := make(map[uint32]float64) // Σ_c: arc weight incident to c
-	for u := 0; u < n; u++ {
+	intra := make([]float64, k) // σ_c: intra-community arc weight (counts both arc directions)
+	total := make([]float64, k) // Σ_c: arc weight incident to c
+	for u := range labels {
 		cu := labels[u]
 		ts, ws := g.Neighbors(graph.Vertex(u))
-		for k, v := range ts {
-			w := float64(ws[k])
+		for x, v := range ts {
+			w := float64(ws[x])
 			total[cu] += w
 			if labels[v] == cu {
 				intra[cu] += w
 			}
 		}
 	}
-	for c, sigma := range intra {
-		q += sigma / twoM
-		_ = c
-	}
-	for _, tot := range total {
-		frac := tot / twoM
-		q -= gamma * frac * frac
+	var q float64
+	for c := range total {
+		if total[c] == 0 {
+			continue
+		}
+		frac := total[c] / twoM
+		q += intra[c]/twoM - gamma*frac*frac
 	}
 	return q
 }
 
-// denseLabels reports whether every label is below len(labels), so that
-// per-community state fits a slice indexed by label.
-func denseLabels(labels []uint32) bool {
-	for _, c := range labels {
-		if int64(c) >= int64(len(labels)) {
-			return false
-		}
+// byLabel returns labels in a range [0, k) with k ≤ len(labels), so that
+// per-community state fits a slice of k entries indexed by label, keeping
+// label order. Labels that already fit — vertex ids or compressed labels,
+// as every detector here returns — come back as they are, with k = max
+// label + 1 (the community count, when compressed); any other universe is
+// renumbered by rank.
+func byLabel(labels []uint32) ([]uint32, int) {
+	if k, ok := labelRange(labels); ok {
+		return labels, k
 	}
-	return true
+	distinct := slices.Clone(labels)
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
+	ranked := make([]uint32, len(labels))
+	for i, c := range labels {
+		r, _ := slices.BinarySearch(distinct, c)
+		ranked[i] = uint32(r)
+	}
+	return ranked, len(distinct)
+}
+
+// labelRange returns k = max label + 1 (0 for no labels) in one pass and
+// reports whether k ≤ len(labels).
+func labelRange(labels []uint32) (k int, ok bool) {
+	if len(labels) == 0 {
+		return 0, true
+	}
+	var hi uint32
+	for _, c := range labels {
+		hi = max(hi, c)
+	}
+	return int(hi) + 1, int64(hi) < int64(len(labels))
 }
 
 // CommunitySizes returns the size of each community keyed by label.
@@ -194,26 +196,17 @@ type Summary struct {
 
 // Summarize computes a Summary of labels over g.
 func Summarize(g *graph.CSR, labels []uint32) Summary {
-	s := Summary{Modularity: Modularity(g, labels)}
-	var all []int
-	if denseLabels(labels) {
-		// Count in a slice indexed by label (the same test Modularity
-		// makes); the map census is for arbitrary label universes.
-		counts := make([]int, len(labels))
-		for _, c := range labels {
-			counts[c]++
-		}
-		// Compact the non-empty sizes to the front of counts in place.
-		all = counts[:0]
-		for _, v := range counts {
-			if v > 0 {
-				all = append(all, v)
-			}
-		}
-	} else {
-		sizes := CommunitySizes(labels)
-		all = make([]int, 0, len(sizes))
-		for _, v := range sizes {
+	ranked, k := byLabel(labels)
+	s := Summary{Modularity: modularity(g, ranked, k, 1)}
+	// Count in a slice indexed by label, then compact the non-empty sizes
+	// to its front in place.
+	counts := make([]int, k)
+	for _, c := range ranked {
+		counts[c]++
+	}
+	all := counts[:0]
+	for _, v := range counts {
+		if v > 0 {
 			all = append(all, v)
 		}
 	}
