@@ -19,7 +19,9 @@
 // Blocks are assigned to SMs statically — block b runs on SM b mod NumSMs,
 // mirroring the ID-based SM assignment the paper calls out — and the SMs run
 // concurrently as goroutines, so cross-block interleaving is asynchronous,
-// as on real hardware. Global-memory atomics (see atomics.go) are the only
+// as on real hardware. Each SM runs its blocks one at a time, in block
+// order, and every phase of a block back to back before its next block
+// starts: there is no grid-wide barrier between phases. Global-memory atomics (see atomics.go) are the only
 // safe cross-block communication, exactly as in CUDA.
 package simt
 
@@ -182,9 +184,12 @@ func (d *Device) MemUsed() int64 { return atomic.LoadInt64(&d.memUsed) }
 
 // Kernel is a lockstep phase kernel. The engine calls Phase(p, t) for every
 // lane of a block before any lane proceeds to phase p+1; see the package
-// comment for the exact semantics. Per-lane state that must survive across
-// phases belongs in arrays indexed by t.GlobalID(), which is how registers
-// spilled to local memory behave on hardware.
+// comment for the exact semantics. All phases of a block run back to back
+// on SM t.SM before that SM starts its next block, so per-lane state that
+// must survive across phases may live in per-SM storage indexed by
+// t.SM and t.Lane — one block's worth, reused block after block, as
+// registers are on hardware. State that must outlive the block belongs in
+// arrays indexed by t.GlobalID().
 type Kernel interface {
 	// NumPhases returns how many lockstep phases the kernel has. It is
 	// called once per launch.

@@ -194,6 +194,36 @@ func TestBlockToSMAssignment(t *testing.T) {
 	}
 }
 
+// TestBlockPhasesRunBackToBackPerSM pins the ordering per-SM kernel state
+// relies on: each SM runs its blocks in block order and every phase of a
+// block, lane 0 through the last, before it starts its next block.
+func TestBlockPhasesRunBackToBackPerSM(t *testing.T) {
+	const sms, grid, blockDim, phases = 3, 20, 4, 3
+	d := NewDevice(sms)
+	logs := make([][][3]int, sms) // per SM: (block, phase, lane) in run order
+	d.LaunchKernel(context.Background(), grid, blockDim, PhaseFunc{Phases: phases, F: func(p int, th *Thread) {
+		logs[th.SM] = append(logs[th.SM], [3]int{th.Block, p, th.Lane})
+	}})
+	for sm, log := range logs {
+		var want [][3]int
+		for b := sm; b < grid; b += sms {
+			for p := 0; p < phases; p++ {
+				for lane := 0; lane < blockDim; lane++ {
+					want = append(want, [3]int{b, p, lane})
+				}
+			}
+		}
+		if len(log) != len(want) {
+			t.Fatalf("SM %d ran %d lane-phases, want %d", sm, len(log), len(want))
+		}
+		for i := range want {
+			if log[i] != want[i] {
+				t.Fatalf("SM %d step %d ran (block, phase, lane) %v, want %v", sm, i, log[i], want[i])
+			}
+		}
+	}
+}
+
 func TestSharedMemoryBlockSum(t *testing.T) {
 	d := NewDevice(4)
 	grid, blockDim := 8, 64
