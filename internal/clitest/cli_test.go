@@ -437,7 +437,7 @@ func TestSMSFixesBaselineWorkers(t *testing.T) {
 func TestNulpaTraceTable(t *testing.T) {
 	out := mustRun(t, "nulpa", "-gen", "planted", "-n", "1000", "-deg", "10", "-trace")
 	// The table comes from telemetry.FormatIters — header columns plus the
-	// kernel summary that only the profiler hook can produce.
+	// kernel summary that only the profiler's launch records can produce.
 	for _, want := range []string{"iter", "moves", "deltaN", "t-kernel", "kernel", "launches", "SM busy"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("-trace output missing %q:\n%s", want, out)
@@ -450,46 +450,119 @@ func TestNulpaTraceTable(t *testing.T) {
 	}
 }
 
+// TestNulpaProfileWritesChromeTrace checks that -profile draws every
+// interval once: each iteration is one X slice (its span), each launch one
+// kernel span, each iteration record one counter triple, and on every row
+// any two slices are disjoint or nested, which Chrome needs to stack them.
+// A sharded run puts each shard's spans and each device's SMs on their own
+// rows. The single-device web run pins its counts: 4 iterations of 2
+// launches on 2 SMs.
 func TestNulpaProfileWritesChromeTrace(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "trace.json")
-	out := mustRun(t, "nulpa", "-gen", "planted", "-n", "1000", "-deg", "10", "-profile", path)
-	if !strings.Contains(out, "profile: wrote "+path) {
-		t.Errorf("missing profile confirmation:\n%s", out)
+	for _, tc := range []struct {
+		name            string
+		args            []string
+		iters, smSlices int // 0: not pinned
+	}{
+		{"nulpa", []string{"-gen", "web", "-n", "20000", "-sms", "2"}, 4, 16},
+		{"shards=1", []string{"-gen", "web", "-n", "20000", "-sms", "2", "-shards", "1"}, 0, 0},
+		{"shards=2", []string{"-gen", "social", "-n", "20000", "-shards", "2"}, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "trace.json")
+			out := mustRun(t, "nulpa", append(tc.args, "-profile", path)...)
+			if !strings.Contains(out, "profile: wrote "+path) {
+				t.Errorf("missing profile confirmation:\n%s", out)
+			}
+			var iters int
+			if _, err := fmt.Sscanf(out[strings.Index(out, "iterations: "):], "iterations: %d", &iters); err != nil {
+				t.Fatalf("no iteration count in output: %v\n%s", err, out)
+			}
+			smSlices := checkChromeTrace(t, path, iters)
+			if tc.iters > 0 && (iters != tc.iters || smSlices != tc.smSlices) {
+				t.Errorf("iterations = %d, per-SM slices = %d, want %d and %d", iters, smSlices, tc.iters, tc.smSlices)
+			}
+		})
 	}
+}
+
+// checkChromeTrace reads a -profile document of a run of iters iterations,
+// checks the properties TestNulpaProfileWritesChromeTrace lists, and
+// returns the number of per-SM slices.
+func checkChromeTrace(t *testing.T, path string, iters int) int {
+	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
 		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
-			Cat  string `json:"cat"`
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Cat  string         `json:"cat"`
+			Ts   float64        `json:"ts"`
+			Dur  float64        `json:"dur"`
+			Pid  int            `json:"pid"`
+			Tid  int            `json:"tid"`
+			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatalf("profile is not valid JSON: %v", err)
 	}
-	var slices, counters, meta int
-	runSpan := false
+	type slice struct{ lo, hi float64 }
+	rows := map[[2]int][]slice{}
+	launches := map[float64]bool{}
+	counters := map[string]int{}
+	var iterSlices, kernelSpans, smSlices, runSpans int
 	for _, ev := range doc.TraceEvents {
 		switch ev.Ph {
 		case "X":
-			slices++
-			runSpan = runSpan || ev.Cat == "span" && ev.Name == "run"
+			row := [2]int{ev.Pid, ev.Tid}
+			rows[row] = append(rows[row], slice{ev.Ts, ev.Ts + ev.Dur})
+			switch {
+			case ev.Cat == "kernel":
+				smSlices++
+				launches[ev.Args["launch"].(float64)] = true
+			case ev.Name == "iteration":
+				iterSlices++
+			case strings.HasPrefix(ev.Name, "kernel:"):
+				kernelSpans++
+			case ev.Name == "run":
+				runSpans++
+			}
 		case "C":
-			counters++
-		case "M":
-			meta++
+			counters[ev.Name]++
 		}
 	}
-	if slices == 0 || counters == 0 || meta == 0 {
-		t.Errorf("trace has slices=%d counters=%d metadata=%d, want all > 0", slices, counters, meta)
+	if iterSlices != iters {
+		t.Errorf("iteration slices = %d, want one per iteration (%d)", iterSlices, iters)
 	}
-	if !runSpan {
-		t.Error("profile has no slice for the run's root span")
+	if kernelSpans != len(launches) {
+		t.Errorf("kernel spans = %d, want one per launch (%d)", kernelSpans, len(launches))
 	}
+	if runSpans != 1 {
+		t.Errorf("run span slices = %d, want 1", runSpans)
+	}
+	for _, name := range []string{"labels", "pruning", "hashtable"} {
+		if counters[name] != iters {
+			t.Errorf("%q counters = %d, want one per iteration record (%d)", name, counters[name], iters)
+		}
+	}
+	// Slices within a nanosecond of each other's ends count as touching:
+	// timestamps are float microseconds.
+	const eps = 1e-3
+	for row, ss := range rows {
+		for i, a := range ss {
+			for _, b := range ss[i+1:] {
+				disjoint := a.hi <= b.lo+eps || b.hi <= a.lo+eps
+				nested := a.lo <= b.lo+eps && b.hi <= a.hi+eps || b.lo <= a.lo+eps && a.hi <= b.hi+eps
+				if !disjoint && !nested {
+					t.Errorf("row %v: slices [%.3f, %.3f] and [%.3f, %.3f] overlap without nesting", row, a.lo, a.hi, b.lo, b.hi)
+				}
+			}
+		}
+	}
+	return smSlices
 }
 
 func TestBenchJSONExport(t *testing.T) {

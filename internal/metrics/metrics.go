@@ -6,8 +6,8 @@
 // Where internal/telemetry records one run for offline inspection, this
 // package aggregates across every run in the process so a monitoring server
 // can observe convergence behaviour while detections are in flight. The two
-// layers share sources of truth: the simt Profiler hook and the atomics
-// contention counters feed both.
+// layers share sources of truth: a profiled simt launch's record and the
+// atomics contention counters feed both.
 //
 // The hot path is allocation-free: updating a Counter, Gauge, or Histogram
 // is a handful of atomic operations, and a family lookup (With) returns a

@@ -65,9 +65,8 @@ type Options struct {
 	// Workers sets the SM count of each fresh simulated device; 0 selects
 	// GOMAXPROCS (divided across the devices of a sharded run).
 	Workers int
-	// Profiler, when non-nil, receives device-level execution events
-	// (kernel launches, per-SM busy spans) and a copy of every
-	// per-iteration record. A run counts its work and hashtable probes —
+	// Profiler, when non-nil, receives one record per kernel launch (with
+	// its per-SM busy spans) and a copy of every per-iteration record. A run counts its work and hashtable probes —
 	// the records' EdgeVisits, ActiveVertices, Pruned and Hash* fields — if
 	// and only if it reports to a profiler: this one, or a profiler already
 	// on Device.

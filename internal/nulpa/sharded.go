@@ -86,6 +86,7 @@ func detectSharded(g *graph.CSR, opt Options) (*Result, error) {
 		}
 		if dev == nil {
 			dev = simt.NewDevice(sms)
+			dev.ID = s
 		}
 		run, err := newDeviceRun(sg, sopt, dev, view)
 		if err != nil {

@@ -54,10 +54,16 @@ type Device struct {
 	// 0 means unlimited.
 	MemBudget int64
 
-	// Prof, when non-nil, receives kernel-launch and per-SM execution
-	// events (see Profiler). A nil Prof costs one pointer test per launch
-	// and nothing per phase or lane.
-	Prof Profiler
+	// ID numbers the device among the devices that report to one profiler,
+	// as CUDA numbers the GPUs of a host: the sharded backend gives shard s
+	// device s, and a single device is 0. Each device draws its SMs on their
+	// own rows of a profile.
+	ID int
+
+	// Prof, when non-nil, receives one telemetry.Launch per kernel launch
+	// (see launch). A nil Prof costs one pointer test per launch and nothing
+	// per phase or lane.
+	Prof *telemetry.Recorder
 
 	// Faults, when non-nil, is consulted once per LaunchKernel call and may
 	// fail, stall, or livelock the launch (see fault.go).
@@ -71,36 +77,13 @@ type Device struct {
 	KernelsRun atomic.Int64
 }
 
-// Profiler receives execution events from a Device. KernelBegin is called
-// once per launch from the launching goroutine and returns a launch id;
-// SMSpan is called once per SM goroutine as it drains its blocks — possibly
-// concurrently, so implementations must be safe for concurrent use — and
-// KernelEnd is called after every block has finished. Events carry wall
-// times so a profiler can reconstruct the per-SM execution timeline. A
-// profiled launch also feeds the simt_* and nulpa_work_* metric families
-// itself (see metrics.go), whatever the profiler.
-type Profiler interface {
-	// KernelBegin announces a launch of kernel on a grid×blockDim grid
-	// executed by sms SM goroutines, returning an id for the later calls.
-	KernelBegin(kernel string, grid, blockDim, sms int) int
-	// SMSpan reports one SM's busy span: blocks executed, phase barriers
-	// crossed and lanes run between start and end.
-	SMSpan(launch, sm int, start, end time.Time, blocks, phases, lanes int64)
-	// KernelWork reports the launch's work ledger — what a TallyKernel's
-	// FoldTallies returned, zero for other kernels (see work.go) — once per
-	// launch, after the last SMSpan and before KernelEnd.
-	KernelWork(launch int, w telemetry.WorkCounts)
-	// KernelEnd reports the launch's overall wall span
-	// (cudaDeviceSynchronize returning).
-	KernelEnd(launch int, start, end time.Time)
-}
-
 // TallyKernel is the optional Kernel extension for kernels whose lanes
 // count into single-writer per-SM tallies (indexed by Thread.SM) instead of
 // shared atomics. launch() calls GrowTallies with the launch's SM count on
 // the launching goroutine before any block runs, and FoldTallies on the same
-// goroutine after the grid has joined — before KernelWork and KernelEnd — so
-// each shared total advances once per launch, whatever the lane count.
+// goroutine after the grid has joined, and the ledger it returns is the
+// launch record's Work, so each shared total advances once per launch,
+// whatever the lane count.
 type TallyKernel interface {
 	Kernel
 	// GrowTallies makes room for sms per-SM tallies.
@@ -117,9 +100,9 @@ type TallyKernel interface {
 // kernel's to set. The contract is that BlockPhase has exactly the effect of
 // Phase(p, t) called for lanes 0..BlockDim-1 in order, so a kernel may skip
 // lanes it knows to be idle. It returns the number of lanes it actually ran;
-// the launch feeds that count, clamped to [0, BlockDim], to the profiler's
-// SMSpan lanes. Every phase barrier still counts in SMSpan phases, whatever
-// the count.
+// the launch counts it, clamped to [0, BlockDim], in its SM's
+// telemetry.SMSpan Lanes. Every phase barrier still counts in the span's
+// Phases, whatever the count.
 type BlockPhaseKernel interface {
 	Kernel
 	BlockPhase(p int, t *Thread) (lanes int)
@@ -302,7 +285,10 @@ type stallSpec struct {
 	d  time.Duration
 }
 
-// launch runs the grid for LaunchKernel.
+// launch runs the grid for LaunchKernel. A profiled launch builds its whole
+// telemetry.Launch here: each SM goroutine writes only its own SMs slot, and
+// the launching goroutine hands the record to the device's profiler once
+// the grid has joined.
 func (d *Device) launch(ctx context.Context, gridDim, blockDim int, k Kernel, stall stallSpec) {
 	d.KernelsRun.Add(1)
 	phases := k.NumPhases()
@@ -316,7 +302,13 @@ func (d *Device) launch(ctx context.Context, gridDim, blockDim int, k Kernel, st
 	if tk != nil {
 		tk.GrowTallies(nSM)
 	}
-	pl := d.beginProfile(k, gridDim, blockDim, nSM)
+	prof := d.Prof
+	var l telemetry.Launch
+	if prof != nil {
+		l = telemetry.Launch{Kernel: KernelName(k), Device: d.ID, Grid: gridDim, BlockDim: blockDim,
+			SMs: make([]telemetry.SMSpan, nSM), Start: time.Now()}
+	}
+	spans := l.SMs
 	// Cancellation is observed at block granularity: a watcher goroutine
 	// flips an atomic flag the SM loops poll between blocks, so the hot path
 	// costs one atomic load per block and nothing per phase or lane.
@@ -349,7 +341,7 @@ func (d *Device) launch(ctx context.Context, gridDim, blockDim int, k Kernel, st
 				}
 			}
 			var smStart time.Time
-			if pl != nil {
+			if spans != nil {
 				smStart = time.Now()
 			}
 			var shared []uint64
@@ -380,18 +372,19 @@ func (d *Device) launch(ctx context.Context, gridDim, blockDim int, k Kernel, st
 				}
 				blocks++
 			}
-			if pl != nil {
-				pl.smSpan(sm, smStart, blocks, phasesRun, lanes)
+			if spans != nil {
+				spans[sm] = telemetry.SMSpan{SM: sm, Start: smStart, End: time.Now(),
+					Blocks: blocks, Phases: phasesRun, Lanes: lanes}
 			}
 		}(sm)
 	}
 	wg.Wait()
-	var work telemetry.WorkCounts
 	if tk != nil {
-		work = tk.FoldTallies()
+		l.Work = tk.FoldTallies()
 	}
-	if pl != nil {
-		pl.end(work)
+	if prof != nil {
+		l.End = time.Now()
+		report(prof, l)
 	}
 }
 

@@ -1,7 +1,6 @@
 package simt
 
 import (
-	"sync/atomic"
 	"time"
 
 	"nulpa/internal/metrics"
@@ -9,7 +8,7 @@ import (
 )
 
 // Metrics bridge: a profiled launch (Device.Prof non-nil) feeds the live
-// metrics plane itself, from the same values it hands the profiler, so the
+// metrics plane itself, from the launch record it hands the profiler, so the
 // two observability layers can never disagree about what the device did:
 //
 //	simt_kernel_launches_total{kernel}  launches per kernel
@@ -53,54 +52,28 @@ func init() {
 		func() float64 { return float64(floatAddRetries.Load()) })
 }
 
-// profiledLaunch is one profiled launch's bookkeeping: the profiler's
-// launch id and the SM busy time the occupancy gauge needs. An unprofiled
-// launch has none (a nil *profiledLaunch).
-type profiledLaunch struct {
-	prof   Profiler
-	kernel string
-	id     int
-	sms    int
-	start  time.Time
-	busy   atomic.Int64 // summed SM busy nanoseconds
-}
-
-// beginProfile announces a launch of k to the device's profiler and the
-// metrics plane, or returns nil when the device has no profiler.
-func (d *Device) beginProfile(k Kernel, grid, blockDim, sms int) *profiledLaunch {
-	if d.Prof == nil {
-		return nil
+// report hands a profiled launch's record to prof and adds it to the
+// metric families above. It runs on the launching goroutine after the grid
+// has joined.
+func report(prof *telemetry.Recorder, l telemetry.Launch) {
+	var busy time.Duration
+	var blocks, phases, lanes int64
+	for _, sm := range l.SMs {
+		busy += sm.Busy()
+		blocks += sm.Blocks
+		phases += sm.Phases
+		lanes += sm.Lanes
 	}
-	pl := &profiledLaunch{prof: d.Prof, kernel: KernelName(k), sms: sms}
-	pl.id = pl.prof.KernelBegin(pl.kernel, grid, blockDim, sms)
-	mKernelLaunches.With(pl.kernel).Inc()
-	pl.start = time.Now()
-	return pl
-}
-
-// smSpan reports one SM's busy span, which started at start and ends now.
-// SM goroutines call it concurrently.
-func (pl *profiledLaunch) smSpan(sm int, start time.Time, blocks, phases, lanes int64) {
-	end := time.Now()
-	pl.prof.SMSpan(pl.id, sm, start, end, blocks, phases, lanes)
-	busy := end.Sub(start)
-	pl.busy.Add(int64(busy))
+	mKernelLaunches.With(l.Kernel).Inc()
 	mSMBusy.Add(busy.Microseconds())
 	mBlocks.Add(blocks)
 	mPhases.Add(phases)
 	mLanes.Add(lanes)
-}
-
-// end reports the launch's work ledger and then its wall span, which ends
-// now. It runs on the launching goroutine after the grid has joined.
-func (pl *profiledLaunch) end(w telemetry.WorkCounts) {
-	pl.prof.KernelWork(pl.id, w)
-	exportWork(pl.kernel, w)
-	end := time.Now()
-	pl.prof.KernelEnd(pl.id, pl.start, end)
-	wall := end.Sub(pl.start)
-	mKernelSeconds.With(pl.kernel).Observe(wall.Seconds())
-	if wall > 0 && pl.sms > 0 {
-		mOccupancy.Set(float64(pl.busy.Load()) / (float64(wall) * float64(pl.sms)))
+	exportWork(l.Kernel, l.Work)
+	wall := l.End.Sub(l.Start)
+	mKernelSeconds.With(l.Kernel).Observe(wall.Seconds())
+	if wall > 0 && len(l.SMs) > 0 {
+		mOccupancy.Set(float64(busy) / (float64(wall) * float64(len(l.SMs))))
 	}
+	prof.RecordLaunch(l)
 }

@@ -6,59 +6,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"nulpa/internal/telemetry"
 )
-
-// captureProf records every Profiler callback for inspection.
-type captureProf struct {
-	mu     sync.Mutex
-	begins []struct {
-		kernel              string
-		grid, blockDim, sms int
-	}
-	spans []struct {
-		launch, sm            int
-		start, end            time.Time
-		blocks, phases, lanes int64
-	}
-	ends []struct {
-		launch     int
-		start, end time.Time
-	}
-}
-
-func (p *captureProf) KernelBegin(kernel string, grid, blockDim, sms int) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.begins = append(p.begins, struct {
-		kernel              string
-		grid, blockDim, sms int
-	}{kernel, grid, blockDim, sms})
-	return len(p.begins) - 1
-}
-
-func (p *captureProf) SMSpan(launch, sm int, start, end time.Time, blocks, phases, lanes int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.spans = append(p.spans, struct {
-		launch, sm            int
-		start, end            time.Time
-		blocks, phases, lanes int64
-	}{launch, sm, start, end, blocks, phases, lanes})
-}
-
-func (p *captureProf) KernelWork(int, telemetry.WorkCounts) {}
-
-func (p *captureProf) KernelEnd(launch int, start, end time.Time) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.ends = append(p.ends, struct {
-		launch     int
-		start, end time.Time
-	}{launch, start, end})
-}
 
 type namedTestKernel struct{ PhaseFunc }
 
@@ -67,48 +17,41 @@ func (namedTestKernel) KernelName() string { return "named-test" }
 func TestProfilerReceivesLaunchEvents(t *testing.T) {
 	const grid, blockDim, phases, sms = 10, 32, 3, 4
 	d := NewDevice(sms)
-	prof := &captureProf{}
-	d.Prof = prof
+	rec := telemetry.NewRecorder()
+	d.Prof = rec
 
 	k := namedTestKernel{PhaseFunc{Phases: phases, F: func(int, *Thread) {}}}
 	d.LaunchKernel(context.Background(), grid, blockDim, k)
 
-	if len(prof.begins) != 1 {
-		t.Fatalf("KernelBegin calls = %d, want 1", len(prof.begins))
+	ls := rec.Launches()
+	if len(ls) != 1 {
+		t.Fatalf("launches = %d, want 1", len(ls))
 	}
-	b := prof.begins[0]
-	if b.kernel != "named-test" {
-		t.Errorf("kernel name = %q, want named-test", b.kernel)
+	l := ls[0]
+	if l.Kernel != "named-test" {
+		t.Errorf("kernel name = %q, want named-test", l.Kernel)
 	}
-	if b.grid != grid || b.blockDim != blockDim || b.sms != sms {
-		t.Errorf("begin = %+v", b)
+	if l.ID != 0 || l.Grid != grid || l.BlockDim != blockDim || len(l.SMs) != sms {
+		t.Errorf("launch = id %d grid %d blockDim %d SMs %d", l.ID, l.Grid, l.BlockDim, len(l.SMs))
 	}
-	if len(prof.ends) != 1 || prof.ends[0].launch != 0 {
-		t.Fatalf("ends = %+v", prof.ends)
-	}
-	if prof.ends[0].end.Before(prof.ends[0].start) {
+	if l.End.Before(l.Start) {
 		t.Error("launch end before start")
 	}
 
-	if len(prof.spans) != sms {
-		t.Fatalf("SMSpan calls = %d, want %d", len(prof.spans), sms)
-	}
 	var blocks, phasesRun, lanes int64
-	seen := map[int]bool{}
-	for _, s := range prof.spans {
-		if s.launch != 0 {
-			t.Errorf("span launch id = %d", s.launch)
+	for sm, s := range l.SMs {
+		if s.SM != sm {
+			t.Errorf("slot %d holds SM %d's span", sm, s.SM)
 		}
-		if seen[s.sm] {
-			t.Errorf("SM %d reported twice", s.sm)
+		if s.End.Before(s.Start) {
+			t.Errorf("SM %d span end before start", sm)
 		}
-		seen[s.sm] = true
-		if s.end.Before(s.start) {
-			t.Errorf("SM %d span end before start", s.sm)
+		if s.Start.Before(l.Start) || s.End.After(l.End) {
+			t.Errorf("SM %d span outside the launch's wall span", sm)
 		}
-		blocks += s.blocks
-		phasesRun += s.phases
-		lanes += s.lanes
+		blocks += s.Blocks
+		phasesRun += s.Phases
+		lanes += s.Lanes
 	}
 	if blocks != grid {
 		t.Errorf("blocks across SMs = %d, want %d", blocks, grid)
@@ -123,14 +66,11 @@ func TestProfilerReceivesLaunchEvents(t *testing.T) {
 
 func TestProfilerSMCountClampedToGrid(t *testing.T) {
 	d := NewDevice(8)
-	prof := &captureProf{}
-	d.Prof = prof
+	rec := telemetry.NewRecorder()
+	d.Prof = rec
 	d.LaunchKernel(context.Background(), 3, 16, PhaseFunc{Phases: 1, F: func(int, *Thread) {}})
-	if got := prof.begins[0].sms; got != 3 {
-		t.Errorf("sms = %d, want 3 (clamped to grid)", got)
-	}
-	if len(prof.spans) != 3 {
-		t.Errorf("spans = %d, want 3", len(prof.spans))
+	if got := len(rec.Launches()[0].SMs); got != 3 {
+		t.Errorf("SM spans = %d, want 3 (clamped to grid)", got)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // TallyKernel. Their lanes count into single-writer per-SM tallies with
 // plain adds, and nothing is summed until the grid has joined:
 // FoldTallies then returns the launch's telemetry.WorkCounts, which a
-// profiled launch hands to Profiler.KernelWork and adds to the
+// profiled launch records as its telemetry.Launch's Work and adds to the
 // nulpa_work_*_total{kernel} families below. Kernels count only when the
 // device has a profiler, which keeps the unprofiled path free of even
 // those adds.

@@ -3,7 +3,6 @@ package simt
 import (
 	"context"
 	"testing"
-	"time"
 
 	"nulpa/internal/metrics"
 	"nulpa/internal/telemetry"
@@ -43,50 +42,28 @@ func (k *workKernel) FoldTallies() telemetry.WorkCounts {
 	return sum
 }
 
-// workCapture records KernelWork callbacks alongside the standard Profiler
-// hooks.
-type workCapture struct {
-	begins int
-	work   map[int]telemetry.WorkCounts
-}
-
-func (w *workCapture) KernelBegin(kernel string, grid, blockDim, sms int) int {
-	id := w.begins
-	w.begins++
-	return id
-}
-
-func (w *workCapture) SMSpan(launch, sm int, start, end time.Time, blocks, phases, lanes int64) {}
-func (w *workCapture) KernelEnd(launch int, start, end time.Time)                               {}
-
-func (w *workCapture) KernelWork(launch int, c telemetry.WorkCounts) {
-	if w.work == nil {
-		w.work = map[int]telemetry.WorkCounts{}
-	}
-	w.work[launch] = c
-}
-
 // TestWorkFlowsToProfiler pins the device seam: a TallyKernel's folded
-// ledger reaches the Profiler exactly once per launch, with the values the
-// lanes accumulated.
+// ledger reaches the Recorder exactly once per launch, as the launch
+// record's Work, with the values the lanes accumulated.
 func TestWorkFlowsToProfiler(t *testing.T) {
 	dev := NewDevice(2)
-	cap := &workCapture{}
-	dev.Prof = cap
+	rec := telemetry.NewRecorder()
+	dev.Prof = rec
 	k := &workKernel{name: "work-test"}
 	const grid, blockDim = 3, 8
 	dev.LaunchKernel(context.Background(), grid, blockDim, k)
-	if len(cap.work) != 1 {
-		t.Fatalf("KernelWork called %d times, want 1", len(cap.work))
+	ls := rec.Launches()
+	if len(ls) != 1 {
+		t.Fatalf("%d launch records, want 1", len(ls))
 	}
-	got := cap.work[0]
+	got := ls[0].Work
 	want := int64(grid * blockDim)
 	if got.EdgeVisits != want || got.ActiveVertices != want {
 		t.Errorf("work = %+v, want edgeVisits=activeVertices=%d", got, want)
 	}
 	// Reuse across launches reports per-launch deltas, not running totals.
 	dev.LaunchKernel(context.Background(), grid, blockDim, k)
-	if got := cap.work[1]; got.EdgeVisits != want {
+	if got := rec.Launches()[1].Work; got.EdgeVisits != want {
 		t.Errorf("second launch edgeVisits = %d, want %d (drain must reset)", got.EdgeVisits, want)
 	}
 	if k.folds != 2 {

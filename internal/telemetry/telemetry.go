@@ -1,17 +1,19 @@
 // Package telemetry is the observability layer for the ν-LPA system: a
-// near-zero-overhead-when-disabled recorder for device-level execution
-// events (kernel launches, per-SM busy spans) and per-iteration algorithm
-// records (ΔN decay, Pick-Less rounds, Cross-Check reverts, pruning,
-// hashtable probe deltas, partition quality), with two exporters — a human-readable summary
-// table and a Chrome trace-event JSON timeline loadable in chrome://tracing.
+// near-zero-overhead-when-disabled recorder for kernel launches (one
+// Launch record per launch, with one busy span per SM) and per-iteration
+// algorithm records (ΔN decay, Pick-Less rounds, Cross-Check reverts,
+// pruning, hashtable probe deltas, partition quality), with two exporters —
+// a human-readable summary table and a Chrome trace-event JSON timeline
+// loadable in chrome://tracing.
 //
 // Among the repository's packages it imports only trace (the spans the
-// Chrome export merges in) and quality (whose per-iteration snapshot is the
-// QualityRecord), both leaf layers, so every detector and device can depend
-// on it: internal/simt defines the Profiler hook interface that *Recorder
-// implements, and every algorithm package embeds IterRecord in its result
-// trace, so baselines and ν-LPA report through the same record type and a
-// table rendered from a run can never disagree with its exported trace.
+// Chrome export draws every interval from) and quality (whose
+// per-iteration snapshot is the QualityRecord), both leaf layers, so every
+// detector and device can depend on it: a simt.Device builds each launch's
+// record and hands it to its *Recorder in one RecordLaunch call, and every
+// algorithm package embeds IterRecord in its result trace, so baselines and
+// ν-LPA report through the same record type and a table rendered from a run
+// can never disagree with its exported trace.
 package telemetry
 
 import (
@@ -130,7 +132,12 @@ func (s SMSpan) Busy() time.Duration { return s.End.Sub(s.Start) }
 // Launch is one recorded kernel launch: overall wall span plus one SMSpan
 // per SM goroutine that executed blocks of the grid.
 type Launch struct {
-	ID         int
+	// ID is the launch's ordinal among the recorder's launches, set by
+	// RecordLaunch.
+	ID int
+	// Device is the launching device's ID; each device has its own SM rows
+	// in the Chrome export.
+	Device     int
 	Kernel     string
 	Grid       int
 	BlockDim   int
@@ -139,13 +146,6 @@ type Launch struct {
 	// Work is the launch's algorithmic work ledger, folded by kernels
 	// implementing the simt TallyKernel extension; zero otherwise.
 	Work WorkCounts
-}
-
-// iterEvent pairs an IterRecord with its wall-clock timestamp for the trace
-// timeline.
-type iterEvent struct {
-	rec IterRecord
-	at  time.Time
 }
 
 // IterSink observes a run's iteration stream as it is recorded. A sink
@@ -165,15 +165,14 @@ type IterSink interface {
 	ObserveSuperstep(iter int, durs []time.Duration, barrierWait time.Duration, exchanged int64)
 }
 
-// Recorder collects device events and iteration records for one or more
-// runs. It implements the simt.Profiler interface; attach it to a device via
-// nulpa.Options.Profiler (or simt.Device.Prof directly). All methods are
-// safe for concurrent use: SM goroutines report spans in parallel.
+// Recorder collects kernel launches and iteration records for one or more
+// runs; attach it to a device via nulpa.Options.Profiler (or
+// simt.Device.Prof directly). All methods are safe for concurrent use:
+// devices of a sharded run record their launches in parallel.
 type Recorder struct {
 	mu         sync.Mutex
-	base       time.Time
-	launches   []*Launch
-	iters      []iterEvent
+	launches   []Launch
+	iters      []IterRecord
 	sink       IterSink
 	qualityObs QualityObserver
 }
@@ -199,51 +198,25 @@ func (r *Recorder) RecordSuperstep(iter int, durs []time.Duration, barrierWait t
 	}
 }
 
-// NewRecorder returns an empty Recorder whose timeline starts now.
+// NewRecorder returns an empty Recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{base: time.Now()}
+	return &Recorder{}
 }
 
-// KernelBegin records the start of a kernel launch and returns its id.
-// sms is the number of SM goroutines the launch will run; their spans are
-// pre-sized so SMSpan can write without reallocating.
-func (r *Recorder) KernelBegin(kernel string, grid, blockDim, sms int) int {
-	l := &Launch{Kernel: kernel, Grid: grid, BlockDim: blockDim, SMs: make([]SMSpan, sms)}
+// RecordLaunch stores one finished launch, numbering it with the next
+// launch ID. The recorder owns l.SMs from then on.
+func (r *Recorder) RecordLaunch(l Launch) {
 	r.mu.Lock()
 	l.ID = len(r.launches)
 	r.launches = append(r.launches, l)
 	r.mu.Unlock()
-	return l.ID
 }
 
-// SMSpan records one SM's busy span for a launch. Distinct SMs of the same
-// launch write disjoint slots, so concurrent reports do not contend beyond
-// the id lookup.
-func (r *Recorder) SMSpan(launch, sm int, start, end time.Time, blocks, phases, lanes int64) {
-	r.mu.Lock()
-	l := r.launches[launch]
-	r.mu.Unlock()
-	if sm < 0 || sm >= len(l.SMs) {
-		return
-	}
-	l.SMs[sm] = SMSpan{SM: sm, Start: start, End: end, Blocks: blocks, Phases: phases, Lanes: lanes}
-}
-
-// KernelEnd records the overall wall span of a launch.
-func (r *Recorder) KernelEnd(launch int, start, end time.Time) {
-	r.mu.Lock()
-	l := r.launches[launch]
-	r.mu.Unlock()
-	l.Start, l.End = start, end
-}
-
-// RecordIteration appends an iteration record stamped with the current time.
-// Algorithm loops call it once per iteration, right after the iteration
-// completes.
+// RecordIteration appends an iteration record. Algorithm loops call it once
+// per iteration, right after the iteration completes.
 func (r *Recorder) RecordIteration(rec IterRecord) {
-	now := time.Now()
 	r.mu.Lock()
-	r.iters = append(r.iters, iterEvent{rec: rec, at: now})
+	r.iters = append(r.iters, rec)
 	s := r.sink
 	r.mu.Unlock()
 	if s != nil {
@@ -252,26 +225,18 @@ func (r *Recorder) RecordIteration(rec IterRecord) {
 }
 
 // Launches returns a copy of the recorded kernel launches in launch order.
+// Their SMs slices are the recorder's and must not be modified.
 func (r *Recorder) Launches() []Launch {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Launch, len(r.launches))
-	for i, l := range r.launches {
-		out[i] = *l
-		out[i].SMs = append([]SMSpan(nil), l.SMs...)
-	}
-	return out
+	return append([]Launch(nil), r.launches...)
 }
 
 // IterRecords returns a copy of the recorded iteration records in order.
 func (r *Recorder) IterRecords() []IterRecord {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]IterRecord, len(r.iters))
-	for i, ev := range r.iters {
-		out[i] = ev.rec
-	}
-	return out
+	return append([]IterRecord(nil), r.iters...)
 }
 
 // KernelSummary aggregates every launch of one kernel.

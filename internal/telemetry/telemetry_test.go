@@ -3,21 +3,26 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"nulpa/internal/trace"
 )
 
-// record populates a recorder with one launch over nSMs SMs and returns it.
+// recordLaunch records one launch of kernel over nSMs SMs.
 func recordLaunch(r *Recorder, kernel string, nSMs int, blocksPerSM int64) {
 	base := time.Now()
-	id := r.KernelBegin(kernel, nSMs*int(blocksPerSM), 32, nSMs)
-	for sm := 0; sm < nSMs; sm++ {
+	l := Launch{Kernel: kernel, Grid: nSMs * int(blocksPerSM), BlockDim: 32,
+		Start: base, End: base.Add(5 * time.Millisecond), SMs: make([]SMSpan, nSMs)}
+	for sm := range l.SMs {
 		start := base.Add(time.Duration(sm) * time.Millisecond)
-		r.SMSpan(id, sm, start, start.Add(2*time.Millisecond), blocksPerSM, blocksPerSM*3, blocksPerSM*3*32)
+		l.SMs[sm] = SMSpan{SM: sm, Start: start, End: start.Add(2 * time.Millisecond),
+			Blocks: blocksPerSM, Phases: blocksPerSM * 3, Lanes: blocksPerSM * 3 * 32}
 	}
-	r.KernelEnd(id, base, base.Add(5*time.Millisecond))
+	r.RecordLaunch(l)
 }
 
 func TestRecorderKernelAggregation(t *testing.T) {
@@ -63,28 +68,34 @@ func TestRecorderKernelAggregation(t *testing.T) {
 	}
 }
 
-func TestRecorderConcurrentSMSpans(t *testing.T) {
+// TestRecorderConcurrentLaunches: the devices of a sharded run record their
+// launches in parallel, and every launch gets its own ID.
+func TestRecorderConcurrentLaunches(t *testing.T) {
 	r := NewRecorder()
-	const nSMs = 16
-	id := r.KernelBegin("k", nSMs, 32, nSMs)
+	const devices = 16
 	var wg sync.WaitGroup
-	for sm := 0; sm < nSMs; sm++ {
+	for d := 0; d < devices; d++ {
 		wg.Add(1)
-		go func(sm int) {
+		go func(d int) {
 			defer wg.Done()
-			now := time.Now()
-			r.SMSpan(id, sm, now, now.Add(time.Millisecond), 1, 2, 64)
-		}(sm)
+			recordLaunch(r, "k", 2, int64(d+1))
+		}(d)
 	}
 	wg.Wait()
-	l := r.Launches()[0]
-	for sm, s := range l.SMs {
-		if s.SM != sm || s.Blocks != 1 {
-			t.Errorf("SM %d span = %+v", sm, s)
+	ids := map[int]bool{}
+	var blocks int64
+	for _, l := range r.Launches() {
+		ids[l.ID] = true
+		for _, s := range l.SMs {
+			blocks += s.Blocks
 		}
 	}
-	// Out-of-range SM reports must be dropped, not panic.
-	r.SMSpan(id, nSMs+5, time.Now(), time.Now(), 1, 1, 1)
+	if len(ids) != devices {
+		t.Errorf("distinct launch IDs = %d, want %d", len(ids), devices)
+	}
+	if blocks != 2*devices*(devices+1)/2 {
+		t.Errorf("blocks = %d, want %d", blocks, 2*devices*(devices+1)/2)
+	}
 }
 
 func TestFormatIters(t *testing.T) {
@@ -117,20 +128,46 @@ func TestSummaryEmptyWithoutLaunches(t *testing.T) {
 	}
 }
 
+// TestWriteChromeTrace checks the document's rows: each device's SMs on
+// their own rows, iterations drawn once (as spans), one counter triple per
+// iteration record that still has its span, stamped at the span's end, and
+// each span on the row of its shard.
 func TestWriteChromeTrace(t *testing.T) {
 	r := NewRecorder()
 	recordLaunch(r, "thread-per-vertex", 3, 2)
-	r.RecordIteration(IterRecord{Iter: 0, Moves: 50, DeltaN: 50, Pruned: 5,
+	base := r.Launches()[0].Start
+	l := Launch{Device: 1, Kernel: "thread-per-vertex", Grid: 2, BlockDim: 32,
+		Start: base, End: base.Add(time.Millisecond), SMs: make([]SMSpan, 2)}
+	for sm := range l.SMs {
+		l.SMs[sm] = SMSpan{SM: sm, Start: base, End: base.Add(time.Millisecond), Blocks: 1}
+	}
+	r.RecordLaunch(l)
+	// Iteration 0's span has left the ring; iteration 1's remains.
+	r.RecordIteration(IterRecord{Iter: 0, Moves: 80, DeltaN: 80, Duration: time.Millisecond})
+	r.RecordIteration(IterRecord{Iter: 1, Moves: 50, DeltaN: 50, Pruned: 5,
 		HashProbes: 100, Duration: time.Millisecond})
+	span := func(id, parent, name string, startUS, durUS int64, attrs map[string]any) trace.SpanData {
+		return trace.SpanData{Trace: "00000000000000aa", Span: id, Parent: parent, Name: name,
+			Start: base.Add(time.Duration(startUS) * time.Microsecond), DurationUS: float64(durUS), Attrs: attrs}
+	}
+	spans := []trace.SpanData{
+		span("01", "", "run", 0, 9000, nil),
+		span("02", "01", "iteration", 0, 8000, map[string]any{"iter": int64(1)}),
+		span("03", "02", "shard-iteration", 0, 6000, map[string]any{"shard": int64(0)}),
+		span("04", "02", "shard-iteration", 0, 5000, map[string]any{"shard": int64(1)}),
+		span("05", "03", "kernel:thread-per-vertex", 0, 5000, nil),
+		span("06", "04", "kernel:thread-per-vertex", 0, 1000, nil),
+	}
 
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, r, nil); err != nil {
+	if err := WriteChromeTrace(&buf, r, spans); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
 		TraceEvents []struct {
 			Name string         `json:"name"`
 			Ph   string         `json:"ph"`
+			Ts   float64        `json:"ts"`
 			Pid  int            `json:"pid"`
 			Tid  int            `json:"tid"`
 			Dur  float64        `json:"dur"`
@@ -146,39 +183,48 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 
 	smRows := map[int]string{}
-	slices := 0
-	counters := map[string]bool{}
-	iterSlices := 0
+	deviceSlices := map[int]int{}
+	counters := map[string][]float64{}
+	spanRows := map[string]int{}
+	var iterSlices int
 	for _, ev := range doc.TraceEvents {
 		switch {
-		case ev.Ph == "M" && ev.Name == "thread_name" && ev.Pid == 0:
+		case ev.Ph == "M" && ev.Name == "thread_name" && ev.Pid == devicePid:
 			smRows[ev.Tid] = ev.Args["name"].(string)
-		case ev.Ph == "X" && ev.Pid == 0:
-			slices++
+		case ev.Ph == "X" && ev.Pid == devicePid:
+			deviceSlices[ev.Tid]++
 			if ev.Dur <= 0 {
 				t.Errorf("kernel slice with dur %v", ev.Dur)
 			}
-		case ev.Ph == "X" && ev.Pid == 1:
-			iterSlices++
+		case ev.Ph == "X" && ev.Pid == tracePid:
+			spanRows[ev.Args["span"].(string)] = ev.Tid
+			if ev.Name == "iteration" {
+				iterSlices++
+			}
+		case ev.Ph == "X":
+			t.Errorf("X slice %q in process %d", ev.Name, ev.Pid)
 		case ev.Ph == "C":
-			counters[ev.Name] = true
+			counters[ev.Name] = append(counters[ev.Name], ev.Ts)
+			if ev.Name == "labels" && ev.Args["deltaN"] != float64(50) {
+				t.Errorf("labels counter %v, want iteration 1's deltaN 50", ev.Args)
+			}
 		}
 	}
-	if len(smRows) != 3 {
-		t.Errorf("SM thread rows = %d, want 3 (%v)", len(smRows), smRows)
+	if len(smRows) != 6 || smRows[0] != "device 0 SM 00" || smRows[5] != "device 1 SM 02" {
+		t.Errorf("SM rows = %v, want 3 per device", smRows)
 	}
-	if smRows[0] != "SM 00" || smRows[2] != "SM 02" {
-		t.Errorf("SM row names = %v", smRows)
-	}
-	if slices != 3 {
-		t.Errorf("kernel slices = %d, want 3 (one per SM span)", slices)
+	if want := map[int]int{0: 1, 1: 1, 2: 1, 3: 1, 4: 1}; !reflect.DeepEqual(deviceSlices, want) {
+		t.Errorf("SM slices per row = %v, want %v", deviceSlices, want)
 	}
 	if iterSlices != 1 {
-		t.Errorf("iteration slices = %d, want 1", iterSlices)
+		t.Errorf("iteration slices = %d, want 1 (its span)", iterSlices)
 	}
-	for _, want := range []string{"labels", "pruning", "hashtable"} {
-		if !counters[want] {
-			t.Errorf("missing counter series %q (have %v)", want, counters)
+	for _, name := range []string{"labels", "pruning", "hashtable"} {
+		if ts := counters[name]; len(ts) != 1 || ts[0] != 8000 {
+			t.Errorf("counter %q stamped at %v, want once at the iteration span's end (8000)", name, ts)
 		}
+	}
+	if want := map[string]int{"01": 0, "02": 0, "03": 1, "04": 2, "05": 1, "06": 2}; !reflect.DeepEqual(spanRows, want) {
+		t.Errorf("span rows = %v, want %v", spanRows, want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -12,8 +13,9 @@ import (
 )
 
 // goldenSpans builds a deterministic span tree that brackets the golden
-// recorder's timeline: a job span containing a detect span containing one
-// iteration span with a retry event.
+// recorder's timeline: a job span containing a detect span containing two
+// iteration spans, the first with a retry event. They are iterations 1 and
+// 2: iteration 0's span has left the ring, so its record has no counters.
 func goldenSpans() []trace.SpanData {
 	base := time.Date(2025, 1, 2, 3, 4, 5, 0, time.UTC)
 	at := func(us int64) time.Time { return base.Add(time.Duration(us) * time.Microsecond) }
@@ -21,10 +23,13 @@ func goldenSpans() []trace.SpanData {
 		// Completion order (innermost first), as the ring would hold them.
 		{Trace: "00000000000000aa", Span: "0000000000000003", Parent: "0000000000000002",
 			Name: "iteration", Start: at(5), DurationUS: 200,
-			Attrs: map[string]any{"iter": int64(0), "deltaN": int64(500)},
+			Attrs: map[string]any{"iter": int64(1)},
 			Events: []trace.EventData{
 				{Name: "retry", OffsetUS: 150, Attrs: map[string]any{"attempt": int64(1)}},
 			}},
+		{Trace: "00000000000000aa", Span: "0000000000000004", Parent: "0000000000000002",
+			Name: "iteration", Start: at(210), DurationUS: 100,
+			Attrs: map[string]any{"iter": int64(2)}},
 		{Trace: "00000000000000aa", Span: "0000000000000002", Parent: "0000000000000001",
 			Name: "detect", Start: at(2), DurationUS: 600,
 			Attrs: map[string]any{"detector": "nulpa"}},
@@ -34,9 +39,10 @@ func goldenSpans() []trace.SpanData {
 	}
 }
 
-// TestWriteUnifiedChromeTraceGolden pins the merged document: the profiler's
-// two processes plus the span process, span slices sorted parents-first, and
-// span events as thread-scoped instants. Regenerate deliberately with
+// TestWriteUnifiedChromeTraceGolden pins the merged document: the device
+// process, the counter process (one triple per iteration record that has
+// its span, stamped at the span's end), and the span process with slices
+// sorted parents-first and span events as thread-scoped instants. Regenerate deliberately with
 // `go test ./internal/telemetry -run UnifiedChromeTraceGolden -update`.
 func TestWriteUnifiedChromeTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
@@ -72,6 +78,7 @@ func TestWriteUnifiedChromeTraceGolden(t *testing.T) {
 	}
 	kernels, spans, instants := 0, 0, 0
 	var spanNames []string
+	var counterTs []float64
 	for _, ev := range doc.TraceEvents {
 		switch {
 		case ev.Ph == "X" && ev.Pid == devicePid:
@@ -81,13 +88,19 @@ func TestWriteUnifiedChromeTraceGolden(t *testing.T) {
 			spanNames = append(spanNames, ev.Name)
 		case ev.Ph == "i" && ev.Pid == tracePid:
 			instants++
+		case ev.Ph == "C" && ev.Name == "labels":
+			counterTs = append(counterTs, ev.Ts)
 		}
 	}
-	if kernels != 3 || spans != 3 || instants != 1 {
-		t.Errorf("kernels = %d (want 3), spans = %d (want 3), instants = %d (want 1)", kernels, spans, instants)
+	if kernels != 3 || spans != 4 || instants != 1 {
+		t.Errorf("kernels = %d (want 3), spans = %d (want 4), instants = %d (want 1)", kernels, spans, instants)
+	}
+	// Iterations 1 and 2 end at 205 and 310 µs; iteration 0 has no span.
+	if !reflect.DeepEqual(counterTs, []float64{205, 310}) {
+		t.Errorf("labels counters at %v, want [205 310]", counterTs)
 	}
 	// Containment order: job before detect before iteration.
-	wantOrder := []string{"job", "detect", "iteration"}
+	wantOrder := []string{"job", "detect", "iteration", "iteration"}
 	for i, name := range wantOrder {
 		if i >= len(spanNames) || spanNames[i] != name {
 			t.Errorf("span slice order = %v, want %v", spanNames, wantOrder)

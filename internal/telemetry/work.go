@@ -3,8 +3,8 @@ package telemetry
 // Work accounting: algorithmic work counters — the quantities a speed
 // optimisation actually changes, long before noisy wall-clock timings show
 // it. A WorkCounts is the one ledger type: a simt TallyKernel's FoldTallies
-// returns one per launch, the device hands it to the profiler
-// (Recorder.KernelWork) and to the nulpa_work_*_total metrics, and every
+// returns one per launch, the device records it as the Launch's Work and
+// adds it to the nulpa_work_*_total metrics, and every
 // detector's per-iteration records carry the same quantities (EdgeVisits,
 // Moves, ActiveVertices, HashProbes/HashCollisions on IterRecord), so the
 // per-kernel and per-iteration views are two projections of one accounting.
@@ -53,17 +53,6 @@ func TotalWork(recs []IterRecord) WorkCounts {
 		HashCollisions: r.HashCollisions,
 		ActiveVertices: r.ActiveVertices,
 	}
-}
-
-// KernelWork implements the simt Profiler hook: it attaches a launch's
-// algorithmic work ledger to the recorded Launch. Safe for concurrent use.
-func (r *Recorder) KernelWork(launch int, w WorkCounts) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if launch < 0 || launch >= len(r.launches) {
-		return
-	}
-	r.launches[launch].Work = w
 }
 
 // KernelWorkByName aggregates recorded per-launch work per kernel name, in

@@ -36,14 +36,9 @@ func TestRecorderKernelWork(t *testing.T) {
 	r := NewRecorder()
 	now := time.Now()
 	for i, k := range []string{"thread", "block", "thread"} {
-		id := r.KernelBegin(k, 1, 1, 1)
-		r.KernelWork(id, WorkCounts{EdgeVisits: int64(10 * (i + 1)), LabelFlips: 1, HashProbes: 2, ActiveVertices: 3})
-		r.KernelEnd(id, now, now.Add(time.Millisecond))
+		r.RecordLaunch(Launch{Kernel: k, Grid: 1, BlockDim: 1, Start: now, End: now.Add(time.Millisecond),
+			Work: WorkCounts{EdgeVisits: int64(10 * (i + 1)), LabelFlips: 1, HashProbes: 2, ActiveVertices: 3}})
 	}
-	// Out-of-range launches are dropped, not panicking.
-	one := WorkCounts{EdgeVisits: 1, LabelFlips: 1, HashProbes: 1, HashCollisions: 1, ActiveVertices: 1}
-	r.KernelWork(99, one)
-	r.KernelWork(-1, one)
 
 	byName := r.KernelWorkByName()
 	if got := byName["thread"].EdgeVisits; got != 40 {

@@ -18,7 +18,7 @@
 // every method a no-op, and Child on a context with no span is a single
 // context lookup. This mirrors the telemetry layer's
 // zero-alloc-when-disabled rule and is pinned by the same kind of guardrail
-// test (internal/bench).
+// test (alloc_guard_test.go).
 //
 // # Storage
 //
