@@ -450,6 +450,28 @@ func TestNulpaTraceTable(t *testing.T) {
 	}
 }
 
+// TestNulpaTraceSMRowsPerDevice checks that -trace's SM table has a row
+// per device SM: a 2-shard run at 2 SMs per device prints 4, device 0's
+// and device 1's SM 0 apart.
+func TestNulpaTraceSMRowsPerDevice(t *testing.T) {
+	out := mustRun(t, "nulpa", "-gen", "social", "-n", "20000", "-shards", "2", "-sms", "2", "-trace")
+	_, table, ok := strings.Cut(out, "device    SM")
+	if !ok {
+		t.Fatalf("-trace output has no SM table:\n%s", out)
+	}
+	var rows []string
+	for _, line := range strings.Split(table, "\n")[1:] {
+		f := strings.Fields(line)
+		if len(f) != 4 {
+			break
+		}
+		rows = append(rows, f[0]+"/"+f[1])
+	}
+	if want := []string{"0/0", "0/1", "1/0", "1/1"}; strings.Join(rows, " ") != strings.Join(want, " ") {
+		t.Errorf("SM rows (device/SM) %v, want %v:\n%s", rows, want, out)
+	}
+}
+
 // TestNulpaProfileWritesChromeTrace checks that -profile draws every
 // interval once: each iteration is one X slice (its span), each launch one
 // kernel span, each iteration record one counter triple, and on every row

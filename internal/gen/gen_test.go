@@ -336,9 +336,12 @@ func csrDigest(g *graph.CSR) uint64 {
 // TestGeneratorDigestsPinned pins the CSR each generator builds: the digests
 // were taken from the per-row comparison-sort builder and per-vertex link
 // lists the counting-sort FromEdges and the edge-list copy step replaced,
-// so a change to either that moves a single arc or weight fails here.
+// so a change to either that moves a single arc or weight fails here. The
+// last two are the web-simt and social-sharded benchmark inputs of seed 100,
+// large enough that FromEdges sorts them on several workers.
 func TestGeneratorDigestsPinned(t *testing.T) {
 	social, _ := Social(DefaultSocial(8192, 16, 101))
+	bigSocial, _ := Social(DefaultSocial(65536, 32, 100))
 	for _, c := range []struct {
 		name string
 		g    *graph.CSR
@@ -348,6 +351,8 @@ func TestGeneratorDigestsPinned(t *testing.T) {
 		{"road 50000", Road(DefaultRoad(50000, 101)), 0x378c0333efc06b02},
 		{"social 8192", social, 0xf6ab5da111278fab},
 		{"kmer 20000", KMer(DefaultKMer(20000, 101)), 0x203c82444f8da932},
+		{"web 200000", Web(DefaultWeb(200000, 8, 100)), 0x0e8e3eff9d4bc1b8},
+		{"social 65536", bigSocial, 0x0c287cc94604ed8a},
 	} {
 		if got := csrDigest(c.g); got != c.want {
 			t.Errorf("%s: CSR digest %#016x, want %#016x", c.name, got, c.want)

@@ -220,45 +220,3 @@ func (g *CSR) Validate() error {
 	}
 	return nil
 }
-
-// InducedSubgraph returns the subgraph induced by the given vertex set: the
-// vertices are renumbered densely in the order given, and only edges with
-// both endpoints in the set survive. The second return value maps new ids
-// back to the original ones.
-func InducedSubgraph(g *CSR, vertices []Vertex) (*CSR, []Vertex) {
-	newID := make(map[Vertex]Vertex, len(vertices))
-	for i, v := range vertices {
-		newID[v] = Vertex(i)
-	}
-	edges := make([]Edge, 0, len(vertices)*4)
-	for i, v := range vertices {
-		ts, ws := g.Neighbors(v)
-		for k, u := range ts {
-			nu, ok := newID[u]
-			if !ok || nu < Vertex(i) {
-				continue // outside the set, or already added from the other side
-			}
-			edges = append(edges, Edge{U: Vertex(i), V: nu, W: ws[k]})
-		}
-	}
-	keepLoops := BuildOptions{Symmetrize: true, DropSelfLoops: false, SumDuplicates: false}
-	sub, err := FromEdges(edges, len(vertices), keepLoops)
-	if err != nil {
-		// Inputs are derived from g, so FromEdges cannot fail.
-		panic(err)
-	}
-	old := append([]Vertex(nil), vertices...)
-	return sub, old
-}
-
-// CommunitySubgraph extracts the subgraph induced by all vertices with the
-// given label.
-func CommunitySubgraph(g *CSR, labels []uint32, c uint32) (*CSR, []Vertex) {
-	var members []Vertex
-	for v, l := range labels {
-		if l == c {
-			members = append(members, Vertex(v))
-		}
-	}
-	return InducedSubgraph(g, members)
-}

@@ -169,50 +169,6 @@ func TestNoSymmetrize(t *testing.T) {
 	}
 }
 
-func TestSymmetrizedInvolution(t *testing.T) {
-	g := triangle(t)
-	s := Symmetrized(g)
-	if err := s.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if s.NumArcs() != g.NumArcs() {
-		t.Errorf("Symmetrized changed arc count %d -> %d", g.NumArcs(), s.NumArcs())
-	}
-	for u := Vertex(0); u < 3; u++ {
-		tg, wg := g.Neighbors(u)
-		ts, ws := s.Neighbors(u)
-		if len(tg) != len(ts) {
-			t.Fatalf("vertex %d degree changed", u)
-		}
-		for k := range tg {
-			if tg[k] != ts[k] || wg[k] != ws[k] {
-				t.Errorf("vertex %d adjacency changed", u)
-			}
-		}
-	}
-}
-
-func TestSymmetrizedDirected(t *testing.T) {
-	opt := BuildOptions{Symmetrize: false, DropSelfLoops: false, SumDuplicates: false}
-	g, err := FromEdges([]Edge{{0, 1, 2}, {1, 0, 5}, {2, 0, 1}, {2, 2, 9}}, 3, opt)
-	if err != nil {
-		t.Fatalf("FromEdges: %v", err)
-	}
-	s := Symmetrized(g)
-	if err := s.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if w, ok := s.EdgeWeight(0, 1); !ok || w != 5 {
-		t.Errorf("EdgeWeight(0,1) = %g,%v want 5,true (max of directions)", w, ok)
-	}
-	if !s.HasEdge(0, 2) {
-		t.Error("reverse of (2,0) missing")
-	}
-	if s.HasEdge(2, 2) {
-		t.Error("self loop survived symmetrization")
-	}
-}
-
 func TestClone(t *testing.T) {
 	g := triangle(t)
 	c := g.Clone()
@@ -285,82 +241,27 @@ func TestRandomGraphInvariants(t *testing.T) {
 	}
 }
 
+// BenchmarkBuildFromEdges assembles random multigraphs of 8 and 16 edges
+// per vertex: the 10k case is below the parallel threshold and runs on one
+// worker, the 65k one (about the social benchmark graph's size) on up to
+// GOMAXPROCS.
 func BenchmarkBuildFromEdges(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	n := 10000
-	edges := make([]Edge, 8*n)
-	for i := range edges {
-		edges[i] = Edge{Vertex(rng.Intn(n)), Vertex(rng.Intn(n)), 1}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FromEdges(edges, n, DefaultBuildOptions()); err != nil {
-			b.Fatal(err)
+	for _, c := range []struct {
+		name   string
+		n, deg int
+	}{{"n=10k", 10000, 8}, {"n=65k", 65536, 16}} {
+		rng := rand.New(rand.NewSource(1))
+		edges := make([]Edge, c.deg*c.n)
+		for i := range edges {
+			edges[i] = Edge{Vertex(rng.Intn(c.n)), Vertex(rng.Intn(c.n)), 1}
 		}
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	// Two triangles joined by an edge; take the first triangle.
-	edges := []Edge{{0, 1, 1}, {1, 2, 2}, {0, 2, 3}, {3, 4, 1}, {4, 5, 1}, {3, 5, 1}, {2, 3, 9}}
-	g, err := FromEdges(edges, 6, DefaultBuildOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, old := InducedSubgraph(g, []Vertex{0, 1, 2})
-	if err := sub.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if sub.NumVertices() != 3 || sub.NumEdges() != 3 {
-		t.Fatalf("sub: n=%d m=%d", sub.NumVertices(), sub.NumEdges())
-	}
-	if len(old) != 3 || old[2] != 2 {
-		t.Errorf("old ids = %v", old)
-	}
-	// The bridge edge (2,3) must be gone, weights preserved.
-	if w, _ := sub.EdgeWeight(1, 2); w != 2 {
-		t.Errorf("weight(1,2) = %g, want 2", w)
-	}
-	if w, _ := sub.EdgeWeight(0, 2); w != 3 {
-		t.Errorf("weight(0,2) = %g, want 3", w)
-	}
-}
-
-func TestInducedSubgraphReorders(t *testing.T) {
-	g := triangle(t)
-	sub, old := InducedSubgraph(g, []Vertex{2, 0})
-	if sub.NumVertices() != 2 || sub.NumEdges() != 1 {
-		t.Fatalf("sub: n=%d m=%d", sub.NumVertices(), sub.NumEdges())
-	}
-	if old[0] != 2 || old[1] != 0 {
-		t.Errorf("old = %v", old)
-	}
-	if !sub.HasEdge(0, 1) {
-		t.Error("edge 2-0 lost")
-	}
-}
-
-func TestInducedSubgraphEmpty(t *testing.T) {
-	g := triangle(t)
-	sub, old := InducedSubgraph(g, nil)
-	if sub.NumVertices() != 0 || len(old) != 0 {
-		t.Errorf("empty selection gave n=%d", sub.NumVertices())
-	}
-}
-
-func TestCommunitySubgraph(t *testing.T) {
-	edges := []Edge{{0, 1, 1}, {1, 2, 1}, {0, 2, 1}, {3, 4, 1}}
-	g, err := FromEdges(edges, 5, DefaultBuildOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels := []uint32{7, 7, 7, 9, 9}
-	sub, old := CommunitySubgraph(g, labels, 7)
-	if sub.NumVertices() != 3 || sub.NumEdges() != 3 {
-		t.Fatalf("community 7: n=%d m=%d", sub.NumVertices(), sub.NumEdges())
-	}
-	if len(old) != 3 {
-		t.Errorf("old = %v", old)
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := FromEdges(edges, c.n, DefaultBuildOptions()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

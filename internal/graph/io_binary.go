@@ -37,8 +37,13 @@ const (
 	binaryChunk = 64 << 10
 )
 
-// WriteBinary serializes g in the repository's binary graph format.
+// WriteBinary serializes g in the repository's binary graph format. A
+// writer with a Grow method (*bytes.Buffer) is first grown once by the
+// file's exact size, so an in-memory encode does not double its way there.
 func WriteBinary(w io.Writer, g *CSR) error {
+	if gw, ok := w.(interface{ Grow(int) }); ok {
+		gw.Grow(headerBytes + 8*len(g.Offsets) + 4*len(g.Targets) + 4*len(g.Weights))
+	}
 	buf := make([]byte, binaryChunk)
 	copy(buf, binaryMagic[:])
 	binary.LittleEndian.PutUint64(buf[4:], binaryVersion)

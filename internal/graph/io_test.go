@@ -149,6 +149,23 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteBinaryGrowsOnce checks that encoding into a bytes.Buffer grows
+// it once, to the file's size give or take a page, not by doubling past it.
+func TestWriteBinaryGrowsOnce(t *testing.T) {
+	g := randomGraph(t, 20000, 60000, 3)
+	size := headerBytes + 8*(g.NumVertices()+1) + 8*int(g.NumArcs())
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != size {
+		t.Fatalf("wrote %d bytes, want %d", buf.Len(), size)
+	}
+	if buf.Cap() > size+8192 {
+		t.Errorf("buffer capacity %d for a %d-byte file", buf.Cap(), size)
+	}
+}
+
 func TestBinaryRejectsGarbage(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader([]byte("not a graph at all......"))); err == nil {
 		t.Error("ReadBinary accepted garbage")

@@ -48,9 +48,9 @@ func (r *Recorder) Summary() string {
 	}
 	sms := r.SMUtilization()
 	if len(sms) > 0 {
-		fmt.Fprintf(&b, "\n%5s %12s %10s\n", "SM", "busy", "blocks")
+		fmt.Fprintf(&b, "\n%6s %5s %12s %10s\n", "device", "SM", "busy", "blocks")
 		for _, s := range sms {
-			fmt.Fprintf(&b, "%5d %12v %10d\n", s.SM, s.Busy.Round(time.Microsecond), s.Blocks)
+			fmt.Fprintf(&b, "%6d %5d %12v %10d\n", s.Device, s.SM, s.Busy.Round(time.Microsecond), s.Blocks)
 		}
 	}
 	return b.String()

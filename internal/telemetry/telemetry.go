@@ -283,27 +283,38 @@ func (r *Recorder) KernelSummaries() []KernelSummary {
 	return out
 }
 
-// SMUtil is one SM's aggregate over every recorded launch.
+// SMUtil is one device SM's aggregate over every recorded launch.
 type SMUtil struct {
+	Device int
 	SM     int
 	Busy   time.Duration
 	Blocks int64
 }
 
-// SMUtilization aggregates busy time and blocks executed per SM across all
-// launches — the load-balance view of the ID-based block assignment.
+// SMUtilization aggregates busy time and blocks executed per device SM
+// across all launches — the load-balance view of the ID-based block
+// assignment. Rows are ordered by device, then SM.
 func (r *Recorder) SMUtilization() []SMUtil {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []SMUtil
+	var devices [][]SMUtil
 	for _, l := range r.launches {
-		for _, sm := range l.SMs {
-			for sm.SM >= len(out) {
-				out = append(out, SMUtil{SM: len(out)})
-			}
-			out[sm.SM].Busy += sm.Busy()
-			out[sm.SM].Blocks += sm.Blocks
+		for l.Device >= len(devices) {
+			devices = append(devices, nil)
 		}
+		rows := devices[l.Device]
+		for _, sm := range l.SMs {
+			for sm.SM >= len(rows) {
+				rows = append(rows, SMUtil{Device: l.Device, SM: len(rows)})
+			}
+			rows[sm.SM].Busy += sm.Busy()
+			rows[sm.SM].Blocks += sm.Blocks
+		}
+		devices[l.Device] = rows
+	}
+	var out []SMUtil
+	for _, rows := range devices {
+		out = append(out, rows...)
 	}
 	return out
 }
