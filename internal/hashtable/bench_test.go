@@ -34,25 +34,7 @@ func BenchmarkAccumulateProbing(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tb.Clear(0, 1)
 				for _, k := range keys {
-					tb.Accumulate(k, 1, false, nil)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkAccumulateShared(b *testing.B) {
-	const deg = 256
-	keys := benchKeys(deg)
-	for _, shared := range []bool{false, true} {
-		b.Run(fmt.Sprintf("shared=%v", shared), func(b *testing.B) {
-			a := NewArena(Float32, 2*deg)
-			tb := a.TableFor(0, deg, QuadraticDouble)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tb.Clear(0, 1)
-				for _, k := range keys {
-					tb.Accumulate(k, 1, shared, nil)
+					tb.Accumulate(k, 1, nil)
 				}
 			}
 		})
@@ -70,7 +52,7 @@ func BenchmarkAccumulateValueKind(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tb.Clear(0, 1)
 				for _, k := range keys {
-					tb.Accumulate(k, 1, false, nil)
+					tb.Accumulate(k, 1, nil)
 				}
 			}
 		})
@@ -82,7 +64,7 @@ func BenchmarkMaxKey(b *testing.B) {
 	a := NewArena(Float32, 2*deg)
 	tb := a.TableFor(0, deg, QuadraticDouble)
 	for _, k := range benchKeys(deg) {
-		tb.Accumulate(k, 1, false, nil)
+		tb.Accumulate(k, 1, nil)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -116,7 +98,7 @@ func BenchmarkPick(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tb.Clear(0, 1)
 				for x, j := range ts {
-					tb.Accumulate(labels[j], float64(ws[x]), false, nil)
+					tb.Accumulate(labels[j], float64(ws[x]), nil)
 				}
 				if _, _, ok := tb.MaxKey(); !ok {
 					b.Fatal("empty table")
@@ -135,7 +117,7 @@ func BenchmarkCoalescedAccumulate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tb.Clear(0, 1)
 		for _, k := range keys {
-			tb.Accumulate(k, 1, false, nil)
+			tb.Accumulate(k, 1, nil)
 		}
 	}
 }
@@ -167,7 +149,7 @@ func BenchmarkAccumulateCounted(b *testing.B) {
 				for pb.Next() {
 					tb.Clear(0, 1)
 					for _, k := range keys {
-						tb.Accumulate(k, 1, false, counter)
+						tb.Accumulate(k, 1, counter)
 					}
 				}
 				accumulates.Add(tl.Fold().Accumulates)

@@ -1,10 +1,6 @@
 package hashtable
 
-import (
-	"math"
-
-	"nulpa/internal/simt"
-)
+import "math"
 
 // Coalesced chaining (the appendix figure's comparison point): a hybrid of
 // separate chaining and open addressing. Every slot belongs to the flat
@@ -84,23 +80,15 @@ func (t *CoalescedTable) Clear(lane, stride int) {
 }
 
 // Accumulate adds weight v to key k, inserting it at the tail of its home
-// bucket's chain if absent. shared selects the atomic path. Every chain hop
-// counts as a probe and every hop past the home bucket as a collision; the
-// free-slot scan that extends a chain is not counted. Probe accounting goes
-// to tl as in Table.Accumulate.
-func (t *CoalescedTable) Accumulate(k uint32, v float64, shared bool, tl *Tally) bool {
+// bucket's chain if absent. Every chain hop counts as a probe and every hop
+// past the home bucket as a collision; the free-slot scan that extends a
+// chain is not counted. Probe accounting goes to tl as in Table.Accumulate.
+func (t *CoalescedTable) Accumulate(k uint32, v float64, tl *Tally) bool {
 	if t.p1 == 0 {
 		tl.miss(0, 0)
 		return false
 	}
 	s := int64(k % t.p1)
-	if shared {
-		return t.accumulateShared(s, k, v, tl)
-	}
-	return t.accumulatePlain(s, k, v, tl)
-}
-
-func (t *CoalescedTable) accumulatePlain(s int64, k uint32, v float64, tl *Tally) bool {
 	for hops := int64(0); hops <= int64(t.p1); hops++ {
 		idx := t.base + s
 		cur := t.a.Keys[idx]
@@ -149,84 +137,11 @@ func (t *CoalescedTable) findFreePlain(from int64) (int64, bool) {
 	return 0, false
 }
 
-func (t *CoalescedTable) accumulateShared(s int64, k uint32, v float64, tl *Tally) bool {
-	// Bounded by slots² in the worst contention case; in practice a few hops.
-	maxHops := 2*int64(t.p1) + 4
-	for hops := int64(0); hops <= maxHops; hops++ {
-		idx := t.base + s
-		old := simt.AtomicCASUint32(t.a.Keys, int(idx), EmptyKey, k)
-		if old == EmptyKey || old == k {
-			t.atomicAddValue(idx, v)
-			tl.hit(hops+1, hops)
-			return true
-		}
-		// Occupied by another key: follow or extend the chain.
-		next := simt.AtomicLoadUint32(t.a.Next, int(idx))
-		if next != noNext {
-			s = int64(next)
-			continue
-		}
-		free, ok := t.claimFreeShared(s, k)
-		if !ok {
-			tl.miss(hops+1, hops)
-			return false
-		}
-		// Link the claimed slot; on race, someone else extended the chain
-		// first — release our claim is impossible (slot holds k), so instead
-		// walk to the raced next and keep going; our claimed slot already
-		// holds k and will be found by the chain walk once linked. Simplest
-		// correct policy: try to link, and if the link CAS fails, continue
-		// the walk from the winner's next; our orphan slot keeps key k and
-		// gets the value via the eventual chain... to avoid orphan slots we
-		// retry linking at the chain's new tail.
-		tl.hit(hops+1, hops)
-		for {
-			oldNext := simt.AtomicCASUint32(t.a.Next, int(idx), noNext, uint32(free))
-			if oldNext == noNext {
-				t.atomicAddValue(t.base+free, v)
-				return true
-			}
-			// Chain grew under us: advance to its tail.
-			idx = t.base + int64(oldNext)
-			if k2 := simt.AtomicLoadUint32(t.a.Keys, int(idx)); k2 == k {
-				// The winner inserted our key; merge there and release ours.
-				t.atomicAddValue(idx, v)
-				simt.AtomicStoreUint32(t.a.Keys, int(t.base+free), EmptyKey)
-				return true
-			}
-		}
-	}
-	tl.miss(maxHops+1, maxHops)
-	return false
-}
-
-// claimFreeShared linearly scans for an empty slot and claims it with k.
-func (t *CoalescedTable) claimFreeShared(from int64, k uint32) (int64, bool) {
-	for off := int64(1); off <= int64(t.p1); off++ {
-		s := from + off
-		if s >= int64(t.p1) {
-			s -= int64(t.p1)
-		}
-		if simt.AtomicCASUint32(t.a.Keys, int(t.base+s), EmptyKey, k) == EmptyKey {
-			return s, true
-		}
-	}
-	return 0, false
-}
-
 func (t *CoalescedTable) addValue(idx int64, v float64) {
 	if t.a.Kind == Float32 {
 		t.a.V32[idx] = math.Float32bits(math.Float32frombits(t.a.V32[idx]) + float32(v))
 	} else {
 		t.a.V64[idx] = math.Float64bits(math.Float64frombits(t.a.V64[idx]) + v)
-	}
-}
-
-func (t *CoalescedTable) atomicAddValue(idx int64, v float64) {
-	if t.a.Kind == Float32 {
-		simt.AtomicAddFloat32Bits(t.a.V32, int(idx), float32(v))
-	} else {
-		simt.AtomicAddFloat64Bits(t.a.V64, int(idx), v)
 	}
 }
 

@@ -26,16 +26,18 @@
 // coprime with it (gcd(2^a−1, 2^b−1) = 2^gcd(a,b)−1 = 1 for consecutive a,b).
 //
 // Values are aggregated label weights stored as either float32 or float64
-// bit patterns (the paper's Figure 5 experiment), so the shared-table path
-// can use compare-and-swap atomics without unsafe tricks.
+// bit patterns (the paper's Figure 5 experiment), so one arena type holds
+// either width. A table has a single writer: a vertex's table is filled by
+// its own thread, or by its own block's lanes on one SM, in lane order, so
+// every slot claim and value add is a plain operation; only the neighbour
+// labels it reads, which other blocks move concurrently, are loaded
+// atomically.
 package hashtable
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-
-	"nulpa/internal/simt"
 )
 
 // EmptyKey marks an unoccupied slot (φ in Algorithm 2). Vertex ids are
@@ -331,29 +333,25 @@ func (t *Table) steps(k uint32) (di uint64, shift uint, h2 uint64) {
 }
 
 // Accumulate adds weight v to key k's slot, inserting the key if absent —
-// Algorithm 2. shared selects the atomic path (block-per-vertex kernels,
-// where many lanes update one table) versus the plain path (thread-per-
-// vertex kernels). It reports whether a slot was found; with the default
-// linear fallback enabled it can only return false for a zero-capacity
-// table. Probe accounting goes to tl, which must have a single writer — the
-// calling goroutine; nil counts nothing.
-func (t *Table) Accumulate(k uint32, v float64, shared bool, tl *Tally) bool {
-	s := t.slot(k, shared, tl)
+// Algorithm 2, one call per neighbour; the kernels use the fused
+// AccumulateLanes and Pick, which make the same decisions. It reports
+// whether a slot was found; with the default linear fallback enabled it can
+// only return false for a zero-capacity table. Probe accounting goes to tl,
+// which must have a single writer — the calling goroutine; nil counts
+// nothing.
+func (t *Table) Accumulate(k uint32, v float64, tl *Tally) bool {
+	s := t.slot(k, tl)
 	if s < 0 {
 		return false
 	}
-	if shared {
-		t.atomicAddValue(t.base+s, v)
-	} else {
-		t.addValue(t.base+s, v)
-	}
+	t.addValue(t.base+s, v)
 	return true
 }
 
 // slot is Algorithm 2's probe for key k: it returns the window slot holding
 // k, claiming an empty one on the way, or -1 when the probe sequence and
 // the linear fallback found none. It counts the probes into tl.
-func (t *Table) slot(k uint32, shared bool, tl *Tally) int64 {
+func (t *Table) slot(k uint32, tl *Tally) int64 {
 	if t.p1 == 0 {
 		tl.miss(0, 0)
 		return -1
@@ -367,7 +365,7 @@ func (t *Table) slot(k uint32, shared bool, tl *Tally) int64 {
 	var shift uint
 	for try := 0; try < maxRetries; try++ {
 		s := int64(rem(i, t.p1, t.r1))
-		if shared && t.claimShared(s, k) || !shared && claimPlain(t.a.Keys, t.base+s, k) {
+		if claimPlain(t.a.Keys, t.base+s, k) {
 			tl.hit(int64(try)+1, int64(try))
 			return s
 		}
@@ -394,7 +392,7 @@ func (t *Table) slot(k uint32, shared bool, tl *Tally) int64 {
 		if s >= int64(t.p1) {
 			s -= int64(t.p1)
 		}
-		if shared && t.claimShared(s, k) || !shared && claimPlain(t.a.Keys, t.base+s, k) {
+		if claimPlain(t.a.Keys, t.base+s, k) {
 			tl.hit(int64(maxRetries)+off+1, collisions)
 			return s
 		}
@@ -404,7 +402,7 @@ func (t *Table) slot(k uint32, shared bool, tl *Tally) int64 {
 }
 
 // claimPlain reports whether slot idx of keys holds key k, or was empty and
-// now does. It has a single writer; the probe loop inlines it.
+// now does. The probe loop inlines it.
 func claimPlain(keys []uint32, idx int64, k uint32) bool {
 	cur := keys[idx]
 	if cur == EmptyKey {
@@ -414,31 +412,11 @@ func claimPlain(keys []uint32, idx int64, k uint32) bool {
 	return cur == k
 }
 
-// claimShared is claimPlain for window slot s with atomics, for a table
-// many lanes update at once.
-func (t *Table) claimShared(s int64, k uint32) bool {
-	idx := int(t.base + s)
-	cur := simt.AtomicLoadUint32(t.a.Keys, idx)
-	if cur == k || cur == EmptyKey {
-		old := simt.AtomicCASUint32(t.a.Keys, idx, EmptyKey, k)
-		return old == EmptyKey || old == k
-	}
-	return false
-}
-
 func (t *Table) addValue(idx int64, v float64) {
 	if t.a.Kind == Float32 {
 		t.a.V32[idx] = math.Float32bits(math.Float32frombits(t.a.V32[idx]) + float32(v))
 	} else {
 		t.a.V64[idx] = math.Float64bits(math.Float64frombits(t.a.V64[idx]) + v)
-	}
-}
-
-func (t *Table) atomicAddValue(idx int64, v float64) {
-	if t.a.Kind == Float32 {
-		simt.AtomicAddFloat32Bits(t.a.V32, int(idx), float32(v))
-	} else {
-		simt.AtomicAddFloat64Bits(t.a.V64, int(idx), v)
 	}
 }
 

@@ -3,7 +3,6 @@ package hashtable
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -76,9 +75,9 @@ func TestAccumulateAndMaxSimple(t *testing.T) {
 			a := NewArena(kind, 64)
 			tb := a.TableFor(0, 8, pr) // capacity 15
 			tb.Clear(0, 1)
-			tb.Accumulate(3, 1, false, nil)
-			tb.Accumulate(5, 2, false, nil)
-			tb.Accumulate(3, 2, false, nil) // 3 -> 3.0 total
+			tb.Accumulate(3, 1, nil)
+			tb.Accumulate(5, 2, nil)
+			tb.Accumulate(3, 2, nil) // 3 -> 3.0 total
 			k, w, ok := tb.MaxKey()
 			if !ok || k != 3 || w != 3 {
 				t.Errorf("%v/%v: MaxKey = (%d,%g,%v), want (3,3,true)", kind, pr, k, w, ok)
@@ -101,7 +100,7 @@ func TestZeroCapacityTable(t *testing.T) {
 	if tb.Capacity() != 0 {
 		t.Fatalf("capacity = %d", tb.Capacity())
 	}
-	if tb.Accumulate(1, 1, false, nil) {
+	if tb.Accumulate(1, 1, nil) {
 		t.Error("Accumulate succeeded on zero-capacity table")
 	}
 }
@@ -109,8 +108,8 @@ func TestZeroCapacityTable(t *testing.T) {
 func TestClearStrided(t *testing.T) {
 	a := NewArena(Float32, 64)
 	tb := a.TableFor(0, 8, Linear)
-	tb.Accumulate(1, 5, false, nil)
-	tb.Accumulate(2, 5, false, nil)
+	tb.Accumulate(1, 5, nil)
+	tb.Accumulate(2, 5, nil)
 	// Strided clear as four lanes would do it.
 	for lane := 0; lane < 4; lane++ {
 		tb.Clear(lane, 4)
@@ -122,60 +121,56 @@ func TestClearStrided(t *testing.T) {
 
 // TestAccumulateMatchesMapOracle is the central property test: for random
 // multisets of (key, weight) pairs, accumulate-then-max must agree with a
-// map-based reference under every probing strategy, value kind, and both
-// shared and unshared paths.
+// map-based reference under every probing strategy and value kind.
 func TestAccumulateMatchesMapOracle(t *testing.T) {
 	for _, kind := range allKinds {
 		for _, pr := range allProbings {
-			for _, shared := range []bool{false, true} {
-				kind, pr, shared := kind, pr, shared
-				f := func(seed int64) bool {
-					rng := rand.New(rand.NewSource(seed))
-					deg := 1 + rng.Intn(40)
-					a := NewArena(kind, int64(2*64))
-					tb := a.TableFor(0, 64, pr) // capacity 127 > any deg
-					tb.Clear(0, 1)
-					oracle := map[uint32]float64{}
-					for i := 0; i < deg; i++ {
-						k := uint32(rng.Intn(16))
-						w := float64(1 + rng.Intn(4))
-						if !tb.Accumulate(k, w, shared, nil) {
-							return false
-						}
-						oracle[k] += w
-					}
-					var bestK uint32 = EmptyKey
-					bestW := math.Inf(-1)
-					for k, w := range oracle {
-						if w > bestW || (w == bestW && k < bestK) {
-							bestK, bestW = k, w
-						}
-					}
-					gotK, gotW, ok := maxKeyPreferLow(&tb)
-					if !ok || gotK != bestK || gotW != bestW {
+			f := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				deg := 1 + rng.Intn(40)
+				a := NewArena(kind, int64(2*64))
+				tb := a.TableFor(0, 64, pr) // capacity 127 > any deg
+				tb.Clear(0, 1)
+				oracle := map[uint32]float64{}
+				for i := 0; i < deg; i++ {
+					k := uint32(rng.Intn(16))
+					w := float64(1 + rng.Intn(4))
+					if !tb.Accumulate(k, w, nil) {
 						return false
 					}
-					// Every oracle key is present with the right total.
-					for k, w := range oracle {
-						found := false
-						for s := 0; s < tb.Capacity(); s++ {
-							if tb.Key(s) == k {
-								if tb.Value(s) != w {
-									return false
-								}
-								found = true
-								break
+					oracle[k] += w
+				}
+				var bestK uint32 = EmptyKey
+				bestW := math.Inf(-1)
+				for k, w := range oracle {
+					if w > bestW || (w == bestW && k < bestK) {
+						bestK, bestW = k, w
+					}
+				}
+				gotK, gotW, ok := maxKeyPreferLow(&tb)
+				if !ok || gotK != bestK || gotW != bestW {
+					return false
+				}
+				// Every oracle key is present with the right total.
+				for k, w := range oracle {
+					found := false
+					for s := 0; s < tb.Capacity(); s++ {
+						if tb.Key(s) == k {
+							if tb.Value(s) != w {
+								return false
 							}
-						}
-						if !found {
-							return false
+							found = true
+							break
 						}
 					}
-					return true
+					if !found {
+						return false
+					}
 				}
-				if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-					t.Errorf("kind=%v probing=%v shared=%v: %v", kind, pr, shared, err)
-				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+				t.Errorf("kind=%v probing=%v: %v", kind, pr, err)
 			}
 		}
 	}
@@ -209,7 +204,7 @@ func TestFullLoad(t *testing.T) {
 			tb := a.TableFor(0, deg, pr)
 			tb.Clear(0, 1)
 			for k := 0; k < deg; k++ {
-				if !tb.Accumulate(uint32(k*1009+7), 1, false, nil) {
+				if !tb.Accumulate(uint32(k*1009+7), 1, nil) {
 					t.Fatalf("probing=%v deg=%d: failed to place key %d", pr, deg, k)
 				}
 			}
@@ -242,7 +237,7 @@ func TestFailureWithoutFallback(t *testing.T) {
 	tb.Clear(0, 1)
 	failed := false
 	for k := uint32(0); k < 3; k++ {
-		if !tb.Accumulate(k*3, 1, false, tl) { // all keys hash to slot 0
+		if !tb.Accumulate(k*3, 1, tl) { // all keys hash to slot 0
 			failed = true
 		}
 	}
@@ -259,8 +254,8 @@ func TestStatsCounting(t *testing.T) {
 	tl := &Tally{}
 	tb := a.TableFor(0, 8, Linear)
 	tb.Clear(0, 1)
-	tb.Accumulate(0, 1, false, tl)
-	tb.Accumulate(15, 1, false, tl) // 15 mod 15 = 0: collides with key 0
+	tb.Accumulate(0, 1, tl)
+	tb.Accumulate(15, 1, tl) // 15 mod 15 = 0: collides with key 0
 	d := tl.Fold()
 	if d.Accumulates != 2 {
 		t.Errorf("Accumulates = %d, want 2", d.Accumulates)
@@ -300,8 +295,8 @@ func TestTablesDoNotOverlap(t *testing.T) {
 	t2 := a.TableFor(8, 8, Linear) // window [16,31)
 	t1.Clear(0, 1)
 	t2.Clear(0, 1)
-	t1.Accumulate(1, 10, false, nil)
-	t2.Accumulate(1, 20, false, nil)
+	t1.Accumulate(1, 10, nil)
+	t2.Accumulate(1, 20, nil)
 	_, w1, _ := t1.MaxKey()
 	_, w2, _ := t2.MaxKey()
 	if w1 != 10 || w2 != 20 {
@@ -316,7 +311,7 @@ func TestFloat32PrecisionBehaviour(t *testing.T) {
 	tb := a.TableFor(0, 2, Linear)
 	tb.Clear(0, 1)
 	for i := 0; i < 100000; i++ {
-		tb.Accumulate(1, 1, false, nil)
+		tb.Accumulate(1, 1, nil)
 	}
 	if _, w, _ := tb.MaxKey(); w != 100000 {
 		t.Errorf("float32 sum = %g, want 100000", w)
@@ -328,9 +323,9 @@ func TestMaxKeyStrided(t *testing.T) {
 	tb := a.TableFor(0, 8, Linear) // capacity 15
 	tb.Clear(0, 1)
 	// Keys land at slot = key mod 15.
-	tb.Accumulate(1, 5, false, nil)  // slot 1
-	tb.Accumulate(2, 9, false, nil)  // slot 2
-	tb.Accumulate(16, 7, false, nil) // slot 1 occupied? 16 mod 15 = 1 -> probes to 2... occupied -> 3
+	tb.Accumulate(1, 5, nil)  // slot 1
+	tb.Accumulate(2, 9, nil)  // slot 2
+	tb.Accumulate(16, 7, nil) // slot 1 occupied? 16 mod 15 = 1 -> probes to 2... occupied -> 3
 	// Combine per-lane partial maxima the way the block kernel does.
 	stride := 4
 	var bestK uint32 = EmptyKey
@@ -352,39 +347,5 @@ func TestMaxKeyStrided(t *testing.T) {
 	// A lane beyond capacity sees nothing.
 	if _, _, ok := tb.MaxKeyStrided(15, 16); ok {
 		t.Error("out-of-range lane found a key")
-	}
-}
-
-// TestSharedCollidingKeys forces the shared atomic path through real probe
-// chains: many distinct keys with identical home slots.
-func TestSharedCollidingKeys(t *testing.T) {
-	for _, pr := range allProbings {
-		a := NewArena(Float64, 2*64)
-		tb := a.TableFor(0, 64, pr) // capacity 127
-		tb.Clear(0, 1)
-		// Keys k, k+127, k+2*127... share home slots.
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < 20; i++ {
-					if !tb.Accumulate(uint32(5+127*i), 1, true, nil) {
-						t.Errorf("probing=%v: accumulate failed", pr)
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		var total float64
-		for s := 0; s < tb.Capacity(); s++ {
-			if tb.Key(s) != EmptyKey {
-				total += tb.Value(s)
-			}
-		}
-		if total != 80 {
-			t.Errorf("probing=%v: total = %g, want 80", pr, total)
-		}
 	}
 }

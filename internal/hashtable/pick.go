@@ -45,7 +45,7 @@ func add[W word](x W, v float64) (W, float64) {
 
 // AccumulateLanes is a block's plain accumulate phase for lanes [lo, hi):
 // lane L adds the label of every neighbour ts[L], ts[L+stride], … other
-// than self, in lane order — Accumulate(labels[j], ws[x], false, tl) per
+// than self, in lane order — Accumulate(labels[j], ws[x], tl) per
 // neighbour, with the same slots, sums and counts. The table must have a
 // single writer; labels are read atomically because other vertices' writers
 // move them concurrently.
@@ -54,7 +54,7 @@ func (t *Table) AccumulateLanes(self uint32, ts []uint32, ws []float32, labels [
 }
 
 // Pick is the thread-per-vertex kernel's step for one vertex in one
-// single-writer pass: Clear(0, 1), Accumulate(labels[j], ws[x], false, tl)
+// single-writer pass: Clear(0, 1), Accumulate(labels[j], ws[x], tl)
 // for every neighbour j = ts[x] other than self in order, then MaxKey. It
 // returns the first heaviest key in slot order, or EmptyKey when no label
 // was accumulated, and leaves the window and tl exactly as that sequence
@@ -100,7 +100,7 @@ func fillSlots[W word](t *Table, vals []W, self uint32, ts []uint32, ws []float3
 			s := int64(rem(uint64(k), t.p1, t.r1))
 			if len(keys) != 0 && claimPlain(keys, s, k) {
 				tl.hit(1, 0)
-			} else if s = t.slot(k, false, tl); s < 0 {
+			} else if s = t.slot(k, tl); s < 0 {
 				continue
 			}
 			var w float64

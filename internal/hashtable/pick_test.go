@@ -129,7 +129,7 @@ func TestPickMatchesStepwise(t *testing.T) {
 							tr.Clear(0, 1)
 							for x, j := range c.ts {
 								if j != c.self {
-									tr.Accumulate(c.labels[j], float64(c.ws[x]), false, &lr)
+									tr.Accumulate(c.labels[j], float64(c.ws[x]), &lr)
 								}
 							}
 							want, _, _ := tr.MaxKey()
@@ -212,7 +212,7 @@ func TestAccumulateLanesMatchesStepwise(t *testing.T) {
 						for lane := lo; lane < hi; lane++ {
 							for x := lane; x < len(c.ts); x += stride {
 								if j := c.ts[x]; j != c.self {
-									tr.Accumulate(c.labels[j], float64(c.ws[x]), false, &lr)
+									tr.Accumulate(c.labels[j], float64(c.ws[x]), &lr)
 								}
 							}
 						}
@@ -311,44 +311,51 @@ func refAccumulate(tb *Table, k uint32, v float64, tl *Tally) bool {
 	return false
 }
 
-// TestAccumulateMatchesReference pins Accumulate, on both the plain and the
-// atomic path, to refAccumulate under every probing, value kind and probe
-// budget: the same result, arena and tally after every call. Keys reach
+// TestAccumulateMatchesReference pins Accumulate to refAccumulate under
+// every probing, value kind and probe budget: the same result, arena and tally after every call. Keys reach
 // past 2^31 so a quadratic probe position outgrows 32 bits and wraps.
 func TestAccumulateMatchesReference(t *testing.T) {
 	for _, kind := range allKinds {
 		for _, pr := range allProbings {
 			for _, bg := range pickBudgets {
-				for _, shared := range []bool{false, true} {
-					name := fmt.Sprintf("%v/%v/retries%d/fallback=%v/shared=%v", kind, pr, bg.retries, bg.fallback, shared)
-					t.Run(name, func(t *testing.T) {
-						rng := rand.New(rand.NewSource(int64(len(name))))
-						var total StatsSnapshot
-						for trial := 0; trial < 100; trial++ {
-							c := randomPickCase(rng, pickWeights[rng.Intn(len(pickWeights))].ws)
-							if trial%2 == 1 {
-								for i := range c.labels {
-									c.labels[i] |= 1 << 31
-								}
+				name := fmt.Sprintf("%v/%v/retries%d/fallback=%v", kind, pr, bg.retries, bg.fallback)
+				t.Run(name, func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(len(name))))
+					var total StatsSnapshot
+					for trial := 0; trial < 100; trial++ {
+						c := randomPickCase(rng, pickWeights[rng.Intn(len(pickWeights))].ws)
+						if trial%2 == 1 {
+							for i := range c.labels {
+								c.labels[i] |= 1 << 31
 							}
-							ref, got := staleArenas(rng, kind, c, bg.retries, bg.fallback)
-							tr, tg := ref.TableFor(c.offset, len(c.ts), pr), got.TableFor(c.offset, len(c.ts), pr)
-							tr.Clear(0, 1)
-							tg.Clear(0, 1)
-							var lr, lg Tally
-							for x, j := range c.ts {
-								k, v := c.labels[j], float64(c.ws[x])
-								if refAccumulate(&tr, k, v, &lr) != tg.Accumulate(k, v, shared, &lg) || !sameArena(ref, got) || lr != lg {
-									t.Fatalf("trial %d, call %d (key %d): Accumulate departs from the reference", trial, x, k)
-								}
-							}
-							total = total.Add(lr.Fold())
-							lg.Fold()
 						}
-						checkBudgetExercised(t, bg.retries, bg.fallback, total)
-					})
-				}
+						ref, got := staleArenas(rng, kind, c, bg.retries, bg.fallback)
+						tr, tg := ref.TableFor(c.offset, len(c.ts), pr), got.TableFor(c.offset, len(c.ts), pr)
+						tr.Clear(0, 1)
+						tg.Clear(0, 1)
+						var lr, lg Tally
+						for x, j := range c.ts {
+							k, v := c.labels[j], float64(c.ws[x])
+							if refAccumulate(&tr, k, v, &lr) != tg.Accumulate(k, v, &lg) || !sameArena(ref, got) || lr != lg {
+								t.Fatalf("trial %d, call %d (key %d): Accumulate departs from the reference", trial, x, k)
+							}
+						}
+						total = total.Add(lr.Fold())
+						lg.Fold()
+					}
+					checkBudgetExercised(t, bg.retries, bg.fallback, total)
+				})
 			}
 		}
 	}
+}
+
+// homeKeys returns count keys that all hash to home slot h of a table of
+// capacity p1.
+func homeKeys(h, p1 uint32, count int) []uint32 {
+	keys := make([]uint32, count)
+	for i := range keys {
+		keys[i] = h + p1*uint32(i)
+	}
+	return keys
 }

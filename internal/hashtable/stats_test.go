@@ -137,13 +137,13 @@ func TestMetricsRideStatsGate(t *testing.T) {
 
 	off := NewArena(Float32, 64)
 	tb := off.TableFor(0, 8, QuadraticDouble)
-	tb.Accumulate(1, 1, false, nil)
+	tb.Accumulate(1, 1, nil)
 	c0 := countBefore()
 
 	on := NewArena(Float32, 64)
 	tl := &Tally{}
 	tb = on.TableFor(0, 8, QuadraticDouble)
-	if !tb.Accumulate(1, 1, false, tl) {
+	if !tb.Accumulate(1, 1, tl) {
 		t.Fatal("accumulate failed")
 	}
 	if got := countBefore(); got != c0 {
@@ -156,7 +156,7 @@ func TestMetricsRideStatsGate(t *testing.T) {
 
 	off2 := NewArena(Float32, 64)
 	tb = off2.TableFor(0, 8, QuadraticDouble)
-	tb.Accumulate(2, 1, false, nil)
+	tb.Accumulate(2, 1, nil)
 	if got := countBefore(); got != c0+1 {
 		t.Fatalf("probe histogram advanced without a Tally (count %d, want %d)", got, c0+1)
 	}

@@ -546,7 +546,8 @@ func (st *runState) move(i graph.Vertex, c uint32, sm int) {
 // crossCheck applies the Cross-Check to vertex i, counted on SM sm: a
 // change to community c is reverted unless the leader vertex c itself
 // belongs to c. The launch's work ledger counts a revert as a label flip
-// back; it does not touch the hashtable. It is the cross-check kernel's phase.
+// back; it does not touch the hashtable. It is the cross-check kernel's
+// phase for one lane.
 func (st *runState) crossCheck(i, sm int) {
 	cur := simt.AtomicLoadUint32(st.labels, i)
 	if cur == st.prev[i] {
@@ -641,15 +642,9 @@ func (k *threadKernel) NumPhases() int { return 2 }
 // KernelName implements simt.NamedKernel for profiling.
 func (k *threadKernel) KernelName() string { return "thread-per-vertex" }
 
-func (k *threadKernel) Phase(p int, t *simt.Thread) {
-	if gid := t.GlobalID(); gid < len(k.list) {
-		k.run(p, t, gid, gid+1)
-	}
-}
-
-// BlockPhase implements simt.BlockPhaseKernel: phase p for every listed
-// vertex of block t.Block. Lanes past the end of the list have no vertex,
-// so it returns BlockDim except on the last, partial block.
+// BlockPhase implements simt.Kernel: phase p for every listed vertex of
+// block t.Block, one lane each. Lanes past the end of the list have no
+// vertex, so it returns BlockDim except on the last, partial block.
 func (k *threadKernel) BlockPhase(p int, t *simt.Thread) int {
 	lo := t.Block * t.BlockDim
 	hi := min(lo+t.BlockDim, len(k.list))
@@ -690,16 +685,12 @@ func (k *threadKernel) run(p int, t *simt.Thread, lo, hi int) {
 // memory layout: word 0 = skip flag, word 1 = moved flag. The running best
 // lives in the per-SM block state cur, which lane 0 of phase 0 sets.
 //
-// Each phase has one body, run, over a range of lanes in lane order. Phase
-// (simt.Kernel) drives it for the one lane t.Lane on the atomic table path:
-// the GPU-faithful reference, in which any lane could race any other.
-// BlockPhase (simt.BlockPhaseKernel) drives it for a whole block's active
-// lanes on the plain path: a block runs all its lanes on one SM goroutine
-// and its vertex's table window is disjoint from every other vertex's, so
-// the table has a single writer and plain operations make the same
-// decisions, probes and sums as the atomic ones. Only lanes that can have
-// an effect run — a vertex of degree 40 on a 256-lane block does its work
-// in 40-odd lanes, not 256.
+// BlockPhase runs a phase for the block's active lanes in lane order. A
+// block runs all its lanes on one SM goroutine and its vertex's table
+// window is disjoint from every other vertex's, so the table has a single
+// writer and takes plain operations. Only lanes that can have an effect run
+// — a vertex of degree 40 on a 256-lane block does its work in 40-odd
+// lanes, not 256.
 type blockKernel struct {
 	*runState
 	list []graph.Vertex
@@ -737,27 +728,14 @@ func (k *blockKernel) GrowTallies(sms int) {
 	}
 }
 
-// Phase implements simt.Kernel: phase p for the one lane t, on the atomic
-// table path.
-func (k *blockKernel) Phase(p int, t *simt.Thread) {
-	if t.Block >= len(k.list) || (p > 0 && t.Shared[0] == 1) {
-		return
-	}
-	if t.Lane < activeLanes(p, t, &k.cur[t.SM]) {
-		k.run(p, t, t.Lane, t.Lane+1, true)
-	}
-}
-
-// BlockPhase implements simt.BlockPhaseKernel: phase p for lanes
-// 0..activeLanes-1 of block t.Block, on the plain table path. Every lane it
-// skips would have returned from Phase without an effect, so the result
-// equals Phase over all t.BlockDim lanes.
+// BlockPhase implements simt.Kernel: phase p for lanes 0..activeLanes-1 of
+// block t.Block; every lane it skips has no effect.
 func (k *blockKernel) BlockPhase(p int, t *simt.Thread) int {
 	if t.Block >= len(k.list) || (p > 0 && t.Shared[0] == 1) {
 		return 0 // pruned: every later phase is a no-op
 	}
 	n := activeLanes(p, t, &k.cur[t.SM])
-	k.run(p, t, 0, n, false)
+	k.run(p, t, n)
 	return n
 }
 
@@ -777,12 +755,12 @@ func activeLanes(p int, t *simt.Thread, v *blockVertex) int {
 	return min(v.deg, t.BlockDim) // phases 2 and 5: one lane per neighbour
 }
 
-// run is phase p for lanes [lo, hi) of block t.Block, in lane order, on SM
-// t.SM; shared selects the atomic table path. Lane L of a strided phase
-// handles indices L, L+BlockDim, L+2·BlockDim, …, so the block as a whole
-// visits a neighbourhood of degree > BlockDim in the order 0, B, 2B, …, 1,
-// B+1, … — the order that decides slot insertion and float sums.
-func (k *blockKernel) run(p int, t *simt.Thread, lo, hi int, shared bool) {
+// run is phase p for lanes [0, lanes) of block t.Block, in lane order, on
+// SM t.SM. Lane L of a strided phase handles indices L, L+BlockDim,
+// L+2·BlockDim, …, so the block as a whole visits a neighbourhood of degree
+// > BlockDim in the order 0, B, 2B, …, 1, B+1, … — the order that decides
+// slot insertion and float sums.
+func (k *blockKernel) run(p int, t *simt.Thread, lanes int) {
 	v, b := &k.cur[t.SM], t.BlockDim
 	switch p {
 	case 0: // lane 0 derives the block state and claims the vertex
@@ -797,21 +775,21 @@ func (k *blockKernel) run(p int, t *simt.Thread, lo, hi int, shared bool) {
 			t.Shared[0] = 1
 		}
 	case 1: // strided hashtable clear
-		if hi == v.cap { // one slot per lane: lanes [lo, hi) are slots [lo, hi)
-			v.tb.clear(lo, 1)
+		if lanes == v.cap { // one slot per lane
+			v.tb.clear(0, 1)
 			return
 		}
-		for lane := lo; lane < hi; lane++ {
+		for lane := range lanes {
 			v.tb.clear(lane, b)
 		}
 	case 2: // strided accumulation of neighbour labels
-		v.tb.accumulateLanes(v.i, v.ts, v.ws, k.labels, lo, hi, b, shared, v.tl)
+		v.tb.accumulateLanes(v.i, v.ts, v.ws, k.labels, 0, lanes, b, v.tl)
 	case 3: // max-reduce: fold each lane's strided maximum, in lane order
-		if hi == v.cap { // one slot per lane: lane order is slot order
-			v.fold(lo, 1)
+		if lanes == v.cap { // one slot per lane: lane order is slot order
+			v.fold(0, 1)
 			return
 		}
-		for lane := lo; lane < hi; lane++ {
+		for lane := range lanes {
 			v.fold(lane, b)
 		}
 	case 4: // lane 0 moves the vertex to the best label
@@ -821,7 +799,7 @@ func (k *blockKernel) run(p int, t *simt.Thread, lo, hi int, shared bool) {
 			t.Shared[1] = 1
 		}
 	case 5: // strided neighbour wake-up on move
-		for lane := lo; lane < hi; lane++ {
+		for lane := range lanes {
 			for idx := lane; idx < len(v.ts); idx += b {
 				simt.AtomicStoreUint32(k.processed, int(v.ts[idx]), 0)
 			}
@@ -853,9 +831,14 @@ func (k *crossCheckKernel) NumPhases() int { return 1 }
 // KernelName implements simt.NamedKernel for profiling.
 func (k *crossCheckKernel) KernelName() string { return "cross-check" }
 
-// Phase checks one vertex.
-func (k *crossCheckKernel) Phase(_ int, t *simt.Thread) {
-	if i := t.GlobalID(); i < len(k.labels) {
+// BlockPhase implements simt.Kernel: it checks the vertices of block
+// t.Block, one lane each, in lane order. Lanes past the last vertex have
+// none, so it returns BlockDim except on the last, partial block.
+func (k *crossCheckKernel) BlockPhase(_ int, t *simt.Thread) int {
+	lo := t.Block * t.BlockDim
+	hi := min(lo+t.BlockDim, len(k.labels))
+	for i := lo; i < hi; i++ {
 		k.crossCheck(i, t.SM)
 	}
+	return hi - lo
 }

@@ -572,7 +572,7 @@ func TestProfiledFoldAllocatesNothing(t *testing.T) {
 	lane := func(sm int) {
 		tb := st.window(sm, g.Degree(i)).tableFor(g.Degree(i))
 		tb.clear(0, 1)
-		tb.accumulate(7, 1, false, st.hashTally(sm))
+		tb.open.Accumulate(7, 1, st.hashTally(sm))
 		st.tallies[sm].flips++
 		st.tallies[sm].edges += int64(g.Degree(i))
 	}
@@ -620,5 +620,25 @@ func TestProfiledPickAllocatesNothing(t *testing.T) {
 	}
 	if tl.Accumulates == before {
 		t.Error("profiled pick counted nothing: the guard is vacuous")
+	}
+}
+
+// TestBlockKernelEmptyTableKeepsLabel: a vertex whose only arc is a self
+// loop accumulates nothing, so its block's max-reduce finds no candidate
+// and the vertex keeps its own label. The running best must start empty
+// and take only occupied slots — a zeroed best would read as label 0 with
+// weight 0.
+func TestBlockKernelEmptyTableKeepsLabel(t *testing.T) {
+	opts := graph.BuildOptions{Symmetrize: true, SumDuplicates: true}
+	g, err := graph.FromEdges([]graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 2, W: 1}}, 3, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bd := range []int{1, 32, 256} {
+		opt := DefaultOptions()
+		opt.SwitchDegree, opt.BlockDim, opt.Device = 0, bd, simt.NewDevice(1)
+		if res := detect(t, g, opt); res.Labels[2] != 2 {
+			t.Errorf("BlockDim %d: self-loop-only vertex 2 moved to label %d", bd, res.Labels[2])
+		}
 	}
 }

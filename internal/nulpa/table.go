@@ -84,7 +84,7 @@ func (w *window) pick(self graph.Vertex, ts []graph.Vertex, ws []float32, labels
 	}
 	tb := w.tableFor(len(ts))
 	tb.clear(0, 1)
-	tb.accumulateLanes(self, ts, ws, labels, 0, 1, 1, false, tl)
+	tb.accumulateLanes(self, ts, ws, labels, 0, 1, 1, tl)
 	c, _, _ := tb.coal.MaxKey()
 	return c
 }
@@ -105,29 +105,19 @@ func (t *anyTable) clear(lane, stride int) {
 
 // accumulateLanes is a block's accumulate phase for lanes [lo, hi): lane L
 // adds the labels of neighbours ts[L], ts[L+stride], … other than self, in
-// lane order, counting the probes into tl (nil: not counting). shared
-// selects the atomic table path.
-func (t *anyTable) accumulateLanes(self graph.Vertex, ts []graph.Vertex, ws []float32, labels []uint32, lo, hi, stride int, shared bool, tl *hashtable.Tally) {
-	if !t.isCoal && !shared {
+// lane order, counting the probes into tl (nil: not counting).
+func (t *anyTable) accumulateLanes(self graph.Vertex, ts []graph.Vertex, ws []float32, labels []uint32, lo, hi, stride int, tl *hashtable.Tally) {
+	if !t.isCoal {
 		t.open.AccumulateLanes(self, ts, ws, labels, lo, hi, stride, tl)
 		return
 	}
 	for lane := lo; lane < hi; lane++ {
 		for x := lane; x < len(ts); x += stride {
 			if j := ts[x]; j != self {
-				t.accumulate(simt.AtomicLoadUint32(labels, int(j)), float64(ws[x]), shared, tl)
+				t.coal.Accumulate(simt.AtomicLoadUint32(labels, int(j)), float64(ws[x]), tl)
 			}
 		}
 	}
-}
-
-// accumulate adds v to label k's slot, counting the probes into tl (nil:
-// not counting).
-func (t *anyTable) accumulate(k uint32, v float64, shared bool, tl *hashtable.Tally) bool {
-	if t.isCoal {
-		return t.coal.Accumulate(k, v, shared, tl)
-	}
-	return t.open.Accumulate(k, v, shared, tl)
 }
 
 // BestStrided returns the first label with the highest weight among slots

@@ -10,11 +10,9 @@ import (
 	"nulpa/internal/telemetry"
 )
 
-// countingBlockKernel is a BlockPhaseKernel whose BlockPhase returns
-// lanes(block, phase) and counts its calls. Its per-lane Phase fails the
-// test: a launch must never fall back to it.
+// countingBlockKernel is a Kernel whose BlockPhase returns lanes(block,
+// phase) and counts its calls.
 type countingBlockKernel struct {
-	t      *testing.T
 	phases int
 	lanes  func(block, phase int) int
 	calls  atomic.Int64
@@ -23,10 +21,6 @@ type countingBlockKernel struct {
 }
 
 func (k *countingBlockKernel) NumPhases() int { return k.phases }
-
-func (k *countingBlockKernel) Phase(int, *Thread) {
-	k.t.Error("Phase called on a BlockPhaseKernel")
-}
 
 func (k *countingBlockKernel) BlockPhase(p int, t *Thread) int {
 	k.calls.Add(1)
@@ -41,7 +35,7 @@ func (k *countingBlockKernel) BlockPhase(p int, t *Thread) int {
 
 func (k *countingBlockKernel) KernelName() string { return "block-phase-test" }
 
-// TestBlockPhaseLaneAccounting: a BlockPhaseKernel is called once per
+// TestBlockPhaseLaneAccounting: a kernel's BlockPhase is called once per
 // (block, phase); the profiler's SMSpan lanes and simt_lanes_total both sum
 // the counts it returns, while SMSpan phases still count every phase
 // barrier.
@@ -59,7 +53,7 @@ func TestBlockPhaseLaneAccounting(t *testing.T) {
 	rec := telemetry.NewRecorder()
 	d.Prof = rec
 	lanesBefore := mLanes.Value()
-	k := &countingBlockKernel{t: t, phases: phases, lanes: lanes}
+	k := &countingBlockKernel{phases: phases, lanes: lanes}
 	d.LaunchKernel(context.Background(), grid, blockDim, k)
 
 	if got := k.calls.Load(); got != grid*phases {
@@ -85,7 +79,7 @@ func TestBlockPhaseLaneCountClamped(t *testing.T) {
 	d := NewDevice(2)
 	rec := telemetry.NewRecorder()
 	d.Prof = rec
-	k := &countingBlockKernel{t: t, phases: 2, lanes: func(_, p int) int {
+	k := &countingBlockKernel{phases: 2, lanes: func(_, p int) int {
 		if p == 0 {
 			return blockDim + 100
 		}
@@ -107,7 +101,7 @@ func TestBlockPhaseCancelBetweenBlocks(t *testing.T) {
 	d := NewDevice(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	release := make(chan struct{})
-	k := &countingBlockKernel{t: t, phases: 2, lanes: func(int, int) int { return 1 }}
+	k := &countingBlockKernel{phases: 2, lanes: func(int, int) int { return 1 }}
 	k.hook = func(b, p int) {
 		if b == 0 && p == 0 {
 			cancel()
@@ -136,7 +130,7 @@ func TestBlockPhaseStallCompletes(t *testing.T) {
 	rec := telemetry.NewRecorder()
 	d.Prof = rec
 	d.Faults = &scriptInjector{faults: map[int64]LaunchFault{0: {Kind: FaultStall, Stall: 5 * time.Millisecond}}}
-	k := &countingBlockKernel{t: t, phases: 3, lanes: func(int, int) int { return 2 }}
+	k := &countingBlockKernel{phases: 3, lanes: func(int, int) int { return 2 }}
 	start := time.Now()
 	if err := d.LaunchKernel(context.Background(), 9, 16, k); err != nil {
 		t.Fatal(err)

@@ -1,28 +1,28 @@
 // Package simt is a software model of the SIMT execution hardware the paper
 // runs on (an NVIDIA A100): streaming multiprocessors (SMs), thread blocks,
-// warps of 32 lanes executing in lockstep, block-level synchronization,
-// shared memory, and global-memory atomics.
+// block-level synchronization and shared memory.
 //
 // # Execution model
 //
-// Kernels are expressed as a sequence of phases. Within a block, the engine
-// runs phase p for every lane — warp by warp, in lane order — before any lane
-// starts phase p+1. Phase boundaries therefore behave exactly like
-// __syncthreads(), and within a phase all lanes of a warp observe memory as
-// of the previous boundary's completion, i.e. lockstep. This is the property
-// that makes label swaps between symmetric vertices deterministic on a GPU
-// (both read each other's old label, then both write), and it is reproduced
-// here by construction, not by accident of goroutine scheduling. A kernel
-// implementing BlockPhaseKernel runs a block's whole phase in one call, with
-// the same effect, and may skip the lanes it knows to be idle.
+// Kernels are expressed as a sequence of phases, and the engine calls a
+// kernel once per block and phase: BlockPhase(p, t) runs phase p for the
+// lanes of block t.Block, in lane order, and every lane of the block
+// finishes phase p before any starts phase p+1. Phase boundaries therefore
+// behave exactly like __syncthreads(), and within a phase every lane
+// observes memory as of the previous boundary's completion, i.e. lockstep.
+// This is the property that makes label swaps between symmetric vertices
+// deterministic on a GPU (both read each other's old label, then both
+// write), and it is reproduced here by construction, not by accident of
+// goroutine scheduling. A kernel may skip the lanes it knows to be idle.
 //
 // Blocks are assigned to SMs statically — block b runs on SM b mod NumSMs,
 // mirroring the ID-based SM assignment the paper calls out — and the SMs run
 // concurrently as goroutines, so cross-block interleaving is asynchronous,
 // as on real hardware. Each SM runs its blocks one at a time, in block
 // order, and every phase of a block back to back before its next block
-// starts: there is no grid-wide barrier between phases. Global-memory atomics (see atomics.go) are the only
-// safe cross-block communication, exactly as in CUDA.
+// starts: there is no grid-wide barrier between phases. Blocks on different
+// SMs communicate only through global memory, with atomic loads and stores
+// (atomics.go), as in CUDA.
 package simt
 
 import (
@@ -37,10 +37,6 @@ import (
 	"nulpa/internal/telemetry"
 	"nulpa/internal/trace"
 )
-
-// WarpSize is the number of lanes that execute in lockstep, matching NVIDIA
-// hardware.
-const WarpSize = 32
 
 // Device models one GPU: a set of SMs that execute thread blocks, and a
 // global-memory capacity used to reproduce the paper's out-of-memory
@@ -91,21 +87,6 @@ type TallyKernel interface {
 	// FoldTallies folds and zeroes the per-SM tallies, returning the
 	// launch's work ledger.
 	FoldTallies() telemetry.WorkCounts
-}
-
-// BlockPhaseKernel is the optional Kernel extension for kernels that run a
-// whole block's phase in one call. launch() calls BlockPhase(p, t) once per
-// (block, phase) instead of Phase(p, t) once per lane; t carries the block's
-// coordinates with t.BlockDim the full launch width, and t.Lane is the
-// kernel's to set. The contract is that BlockPhase has exactly the effect of
-// Phase(p, t) called for lanes 0..BlockDim-1 in order, so a kernel may skip
-// lanes it knows to be idle. It returns the number of lanes it actually ran;
-// the launch counts it, clamped to [0, BlockDim], in its SM's
-// telemetry.SMSpan Lanes. Every phase barrier still counts in the span's
-// Phases, whatever the count.
-type BlockPhaseKernel interface {
-	Kernel
-	BlockPhase(p int, t *Thread) (lanes int)
 }
 
 // NamedKernel is implemented by kernels that report a stable name to
@@ -165,20 +146,26 @@ func (d *Device) Free(bytes int64) {
 // MemUsed reports the bytes currently reserved.
 func (d *Device) MemUsed() int64 { return atomic.LoadInt64(&d.memUsed) }
 
-// Kernel is a lockstep phase kernel. The engine calls Phase(p, t) for every
-// lane of a block before any lane proceeds to phase p+1; see the package
-// comment for the exact semantics. All phases of a block run back to back
-// on SM t.SM before that SM starts its next block, so per-lane state that
-// must survive across phases may live in per-SM storage indexed by
-// t.SM and t.Lane — one block's worth, reused block after block, as
-// registers are on hardware. State that must outlive the block belongs in
-// arrays indexed by t.GlobalID().
+// Kernel is a lockstep phase kernel. The engine calls BlockPhase(p, t) once
+// per block and phase; see the package comment for the exact semantics.
+// All phases of a block run back to back on SM t.SM before that SM starts
+// its next block, so per-lane state that must survive across phases may
+// live in per-SM storage indexed by t.SM and the lane — one block's worth,
+// reused block after block, as registers are on hardware. State that must
+// outlive the block belongs in arrays indexed by the global thread index
+// t.Block*t.BlockDim + lane.
 type Kernel interface {
 	// NumPhases returns how many lockstep phases the kernel has. It is
 	// called once per launch.
 	NumPhases() int
-	// Phase executes phase p for the lane described by t.
-	Phase(p int, t *Thread)
+	// BlockPhase runs phase p for the lanes of block t.Block, in lane
+	// order; t carries the block's coordinates with t.BlockDim the launch
+	// width, and t.Lane is the kernel's to set. A kernel may skip lanes it
+	// knows to be idle. It returns the number of lanes it actually ran;
+	// the launch counts it, clamped to [0, BlockDim], in its SM's
+	// telemetry.SMSpan Lanes. Every phase barrier still counts in the
+	// span's Phases, whatever the count.
+	BlockPhase(p int, t *Thread) (lanes int)
 }
 
 // SharedKernel is implemented by kernels that want block-shared memory. The
@@ -190,21 +177,15 @@ type SharedKernel interface {
 	SharedUint64s() int
 }
 
-// Thread describes one lane's coordinates during a phase call.
+// Thread describes a block's coordinates during a phase call.
 type Thread struct {
 	Block    int // block index within the grid
-	Lane     int // thread index within the block (threadIdx.x)
+	Lane     int // thread index within the block (threadIdx.x), set by the kernel
 	BlockDim int // threads per block
 	GridDim  int // blocks in the grid
 	SM       int // streaming multiprocessor executing the block
 	Shared   []uint64
 }
-
-// GlobalID returns the global thread index: Block*BlockDim + Lane.
-func (t *Thread) GlobalID() int { return t.Block*t.BlockDim + t.Lane }
-
-// Warp returns the warp index of the lane within its block.
-func (t *Thread) Warp() int { return t.Lane / WarpSize }
 
 // LaunchKernel runs kernel k on a grid of gridDim blocks of blockDim threads
 // under ctx and the device's fault injector, and blocks until every thread
@@ -254,7 +235,7 @@ func (d *Device) LaunchKernel(ctx context.Context, gridDim, blockDim int, k Kern
 			return finish(fmt.Errorf("%w: %s (%d×%d)", ErrKernelLaunch, KernelName(k), gridDim, blockDim))
 		case FaultLivelock:
 			d.KernelsRun.Add(1)
-			casRetries.Add(f.Spins)
+			livelockSpins.Add(f.Spins)
 			if ks != nil {
 				ks.Event("fault:livelock", map[string]any{"spins": f.Spins})
 			}
@@ -297,7 +278,6 @@ func (d *Device) launch(ctx context.Context, gridDim, blockDim int, k Kernel, st
 		sharedWords = sk.SharedUint64s()
 	}
 	nSM := min(d.NumSMs, gridDim)
-	bk, _ := k.(BlockPhaseKernel)
 	tk, _ := k.(TallyKernel)
 	if tk != nil {
 		tk.GrowTallies(nSM)
@@ -360,15 +340,7 @@ func (d *Device) launch(ctx context.Context, gridDim, blockDim int, k Kernel, st
 				t.Block = b
 				for p := 0; p < phases; p++ {
 					phasesRun++
-					if bk != nil {
-						lanes += int64(min(max(bk.BlockPhase(p, &t), 0), blockDim))
-						continue
-					}
-					for lane := 0; lane < blockDim; lane++ {
-						t.Lane = lane
-						k.Phase(p, &t)
-					}
-					lanes += int64(blockDim)
+					lanes += int64(min(max(k.BlockPhase(p, &t), 0), blockDim))
 				}
 				blocks++
 			}
@@ -389,8 +361,9 @@ func (d *Device) launch(ctx context.Context, gridDim, blockDim int, k Kernel, st
 }
 
 // LaunchKernel1D runs k with enough blocks of blockDim threads to cover
-// total threads; lanes beyond total still run (as on hardware) and must
-// bounds-check with GlobalID(). See LaunchKernel.
+// total threads; the last block's lanes beyond total still belong to the
+// grid (as on hardware), so the kernel must bounds-check its global thread
+// indices. See LaunchKernel.
 func (d *Device) LaunchKernel1D(ctx context.Context, total, blockDim int, k Kernel) error {
 	if total <= 0 {
 		return nil

@@ -2,6 +2,7 @@ package simt
 
 import (
 	"errors"
+	"sync/atomic"
 	"time"
 )
 
@@ -18,14 +19,20 @@ import (
 //     exercise deadline handling above, not to corrupt state.
 //   - FaultLivelock: the launch makes no forward progress because atomic
 //     CAS loops keep losing races (the paper's lockstep-swap pathology taken
-//     to its limit). The injected retries are charged to the process-wide
-//     contention counters — so the metrics plane sees the spike — and the
-//     launch fails with ErrLivelock, as a watchdog timeout would report it.
+//     to its limit). The injected spins are charged to livelockSpins, which
+//     the metrics plane exports as simt_cas_retries_total, so a dashboard
+//     sees the spike, and the launch fails with ErrLivelock, as a watchdog
+//     timeout would report it.
 //
 // Transient memory corruption (bit-flips in label arrays) is not a launch
 // fault: it is injected by the backend that owns the arrays, between
 // launches, where it can also checkpoint and validate them. See
 // internal/faults.
+
+// livelockSpins sums the synthetic CAS retries of every injected livelock,
+// process-wide. The simulated kernels have no CAS loop, so nothing else
+// charges it.
+var livelockSpins atomic.Int64
 
 // FaultKind enumerates the launch-level fault classes.
 type FaultKind int

@@ -26,7 +26,7 @@ func TestLaunchKernelNoFaultsRuns(t *testing.T) {
 	n := 512
 	out := make([]uint32, n)
 	k := PhaseFunc{Phases: 1, F: func(p int, th *Thread) {
-		if i := th.GlobalID(); i < n {
+		if i := th.Block*th.BlockDim + th.Lane; i < n {
 			out[i] = uint32(i)
 		}
 	}}
@@ -67,12 +67,12 @@ func TestLaunchKernelFailure(t *testing.T) {
 func TestLaunchKernelLivelock(t *testing.T) {
 	d := NewDevice(2)
 	d.Faults = &scriptInjector{faults: map[int64]LaunchFault{0: {Kind: FaultLivelock, Spins: 1000}}}
-	before := casRetries.Load()
+	before := livelockSpins.Load()
 	err := d.LaunchKernel(context.Background(), 2, 32, PhaseFunc{Phases: 1, F: func(int, *Thread) {}})
 	if !errors.Is(err, ErrLivelock) {
 		t.Fatalf("err = %v, want ErrLivelock", err)
 	}
-	if got := casRetries.Load() - before; got != 1000 {
+	if got := livelockSpins.Load() - before; got != 1000 {
 		t.Errorf("livelock charged %d CAS retries, want 1000", got)
 	}
 }

@@ -18,9 +18,9 @@ import (
 //	simt_sm_occupancy                   busy/(wall·SMs) of the last launch
 //	nulpa_work_*_total{kernel}          the launch's work ledger (work.go)
 //
-// Unprofiled launches update none of them. The atomics contention counters
-// (atomics.go) are always on and are exported directly as scrape-time
-// counters — one source of truth, no second accounting path.
+// Unprofiled launches update none of them. The livelock-fault spin counter
+// (fault.go) is always on and is exported directly as a scrape-time
+// counter — one source of truth, no second accounting path.
 
 var (
 	mKernelLaunches = metrics.NewCounterVec("simt_kernel_launches_total",
@@ -35,21 +35,15 @@ var (
 	mPhases = metrics.NewCounter("simt_warp_phases_total",
 		"Lockstep phase barriers crossed by profiled launches.")
 	mLanes = metrics.NewCounter("simt_lanes_total",
-		"Lanes executed by profiled launches; a block-phase kernel counts the lanes it ran, not its block width.")
+		"Lanes executed by profiled launches: the lanes each kernel ran, not its block width.")
 	mOccupancy = metrics.NewGauge("simt_sm_occupancy",
 		"SM occupancy of the most recent profiled launch: busy/(wall*SMs).")
 )
 
 func init() {
 	metrics.NewCounterFunc("simt_cas_retries_total",
-		"Lost atomicCAS races (retry loops), process-wide.",
-		func() float64 { return float64(casRetries.Load()) })
-	metrics.NewCounterFunc("simt_minmax_retries_total",
-		"Lost atomicMin/atomicMax races, process-wide.",
-		func() float64 { return float64(minMaxRetries.Load()) })
-	metrics.NewCounterFunc("simt_floatadd_retries_total",
-		"Lost float atomicAdd races, process-wide.",
-		func() float64 { return float64(floatAddRetries.Load()) })
+		"Synthetic CAS retries charged by injected livelock faults, process-wide.",
+		func() float64 { return float64(livelockSpins.Load()) })
 }
 
 // report hands a profiled launch's record to prof and adds it to the

@@ -2,7 +2,6 @@ package simt
 
 import (
 	"context"
-	"math"
 	"sync/atomic"
 	"testing"
 
@@ -19,8 +18,7 @@ func TestLaunchVectorAdd(t *testing.T) {
 		a[i], b[i] = float32(i), float32(2*i)
 	}
 	d.LaunchKernel1D(context.Background(), n, 128, PhaseFunc{Phases: 1, F: func(p int, th *Thread) {
-		i := th.GlobalID()
-		if i < n {
+		if i := th.Block*th.BlockDim + th.Lane; i < n {
 			c[i] = a[i] + b[i]
 		}
 	}})
@@ -39,94 +37,6 @@ func TestLaunchZeroIsNoop(t *testing.T) {
 	d.LaunchKernel1D(context.Background(), 0, 32, PhaseFunc{Phases: 1, F: func(int, *Thread) { called = true }})
 	if called {
 		t.Error("kernel ran with an empty launch")
-	}
-}
-
-func TestLaunchHistogramAtomics(t *testing.T) {
-	d := NewDevice(8)
-	n := 20000
-	bins := make([]uint32, 16)
-	d.LaunchKernel1D(context.Background(), n, 64, PhaseFunc{Phases: 1, F: func(p int, th *Thread) {
-		i := th.GlobalID()
-		if i < n {
-			AtomicAddUint32(bins, i%16, 1)
-		}
-	}})
-	var total uint32
-	for _, b := range bins {
-		total += b
-	}
-	if total != uint32(n) {
-		t.Fatalf("histogram total = %d, want %d", total, n)
-	}
-	if bins[0] != uint32((n+15)/16) {
-		t.Errorf("bins[0] = %d, want %d", bins[0], (n+15)/16)
-	}
-}
-
-func TestFloat32AtomicAdd(t *testing.T) {
-	d := NewDevice(8)
-	n := 10000
-	bits := make([]uint32, 1) // accumulator at index 0, initially +0.0
-	d.LaunchKernel1D(context.Background(), n, 32, PhaseFunc{Phases: 1, F: func(p int, th *Thread) {
-		if th.GlobalID() < n {
-			AtomicAddFloat32Bits(bits, 0, 1.0)
-		}
-	}})
-	got := math.Float32frombits(bits[0])
-	if got != float32(n) {
-		t.Fatalf("atomic float32 sum = %g, want %d", got, n)
-	}
-}
-
-func TestFloat64AtomicAdd(t *testing.T) {
-	d := NewDevice(8)
-	n := 10000
-	bits := make([]uint64, 1)
-	d.LaunchKernel1D(context.Background(), n, 32, PhaseFunc{Phases: 1, F: func(p int, th *Thread) {
-		if th.GlobalID() < n {
-			AtomicAddFloat64Bits(bits, 0, 0.5)
-		}
-	}})
-	got := math.Float64frombits(bits[0])
-	if got != float64(n)/2 {
-		t.Fatalf("atomic float64 sum = %g, want %g", got, float64(n)/2)
-	}
-}
-
-func TestAtomicCASSemantics(t *testing.T) {
-	p := []uint32{5}
-	if got := AtomicCASUint32(p, 0, 7, 9); got != 5 {
-		t.Errorf("CAS mismatch returned %d, want 5", got)
-	}
-	if p[0] != 5 {
-		t.Errorf("CAS mismatch modified value to %d", p[0])
-	}
-	if got := AtomicCASUint32(p, 0, 5, 9); got != 5 {
-		t.Errorf("CAS match returned %d, want old value 5", got)
-	}
-	if p[0] != 9 {
-		t.Errorf("CAS match stored %d, want 9", p[0])
-	}
-}
-
-func TestAtomicMinMax(t *testing.T) {
-	p := []uint32{10}
-	AtomicMinUint32(p, 0, 3)
-	if p[0] != 3 {
-		t.Errorf("min: got %d, want 3", p[0])
-	}
-	AtomicMinUint32(p, 0, 8)
-	if p[0] != 3 {
-		t.Errorf("min no-op: got %d, want 3", p[0])
-	}
-	AtomicMaxUint32(p, 0, 11)
-	if p[0] != 11 {
-		t.Errorf("max: got %d, want 11", p[0])
-	}
-	AtomicMaxUint32(p, 0, 2)
-	if p[0] != 11 {
-		t.Errorf("max no-op: got %d, want 11", p[0])
 	}
 }
 
@@ -233,7 +143,7 @@ func TestSharedMemoryBlockSum(t *testing.T) {
 		PhaseFunc: PhaseFunc{Phases: 2, F: func(p int, th *Thread) {
 			switch p {
 			case 0:
-				SharedAtomicAddUint64(th.Shared, 0, uint64(th.Lane))
+				th.Shared[0] += uint64(th.Lane)
 			case 1:
 				if th.Lane == 0 {
 					out[th.Block] = th.Shared[0]
@@ -287,10 +197,7 @@ func TestThreadCoordinates(t *testing.T) {
 		if th.BlockDim != blockDim || th.GridDim != grid {
 			t.Errorf("bad dims %d/%d", th.BlockDim, th.GridDim)
 		}
-		if th.Warp() != th.Lane/WarpSize {
-			t.Errorf("bad warp %d for lane %d", th.Warp(), th.Lane)
-		}
-		atomic.AddInt32(&seen[th.GlobalID()], 1)
+		atomic.AddInt32(&seen[th.Block*th.BlockDim+th.Lane], 1)
 	}})
 	for i, s := range seen {
 		if s != 1 {
@@ -354,7 +261,8 @@ func TestNewDeviceDefaults(t *testing.T) {
 	}
 }
 
-// PhaseFunc adapts a function to a multi-phase Kernel.
+// PhaseFunc adapts a per-lane function to a multi-phase Kernel: its
+// BlockPhase calls F for every lane of the block, in lane order.
 type PhaseFunc struct {
 	Phases int
 	F      func(p int, t *Thread)
@@ -363,8 +271,14 @@ type PhaseFunc struct {
 // NumPhases implements Kernel.
 func (k PhaseFunc) NumPhases() int { return k.Phases }
 
-// Phase implements Kernel.
-func (k PhaseFunc) Phase(p int, t *Thread) { k.F(p, t) }
+// BlockPhase implements Kernel.
+func (k PhaseFunc) BlockPhase(p int, t *Thread) int {
+	for lane := 0; lane < t.BlockDim; lane++ {
+		t.Lane = lane
+		k.F(p, t)
+	}
+	return t.BlockDim
+}
 
 // SharedPhaseFunc adapts a function to a SharedKernel.
 type SharedPhaseFunc struct {

@@ -20,11 +20,12 @@ type busyKernel struct {
 
 func (k *busyKernel) NumPhases() int { return k.phases }
 
-func (k *busyKernel) Phase(p int, t *simt.Thread) {
-	id := t.GlobalID()
-	if id < len(k.sink) {
+func (k *busyKernel) BlockPhase(p int, t *simt.Thread) int {
+	base := t.Block * t.BlockDim
+	for id := base; id < min(base+t.BlockDim, len(k.sink)); id++ {
 		k.sink[id]++
 	}
+	return t.BlockDim
 }
 
 // TestKernelPhaseHotPathNoTelemetryAllocs is the telemetry guardrail: with

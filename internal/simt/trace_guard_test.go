@@ -18,7 +18,7 @@ func TestLaunchKernelUntracedNoAllocRegression(t *testing.T) {
 	dev := NewDevice(1)
 	sink := make([]uint32, grid*blockDim)
 	k := PhaseFunc{Phases: 1, F: func(_ int, th *Thread) {
-		if id := th.GlobalID(); id < len(sink) {
+		if id := th.Block*th.BlockDim + th.Lane; id < len(sink) {
 			sink[id]++
 		}
 	}}

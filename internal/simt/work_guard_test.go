@@ -17,13 +17,14 @@ type workBusyKernel struct {
 	sms   []telemetry.WorkCounts
 }
 
-func (k *workBusyKernel) Phase(p int, t *simt.Thread) {
-	k.busyKernel.Phase(p, t)
+func (k *workBusyKernel) BlockPhase(p int, t *simt.Thread) int {
+	lanes := k.busyKernel.BlockPhase(p, t)
 	if k.count {
 		w := &k.sms[t.SM]
-		w.EdgeVisits++
-		w.ActiveVertices++
+		w.EdgeVisits += int64(lanes)
+		w.ActiveVertices += int64(lanes)
 	}
+	return lanes
 }
 
 func (k *workBusyKernel) GrowTallies(sms int) {

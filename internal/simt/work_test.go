@@ -20,10 +20,11 @@ type workKernel struct {
 func (k *workKernel) NumPhases() int     { return 1 }
 func (k *workKernel) KernelName() string { return k.name }
 
-func (k *workKernel) Phase(p int, t *Thread) {
+func (k *workKernel) BlockPhase(p int, t *Thread) int {
 	w := &k.sms[t.SM]
-	w.EdgeVisits++
-	w.ActiveVertices++
+	w.EdgeVisits += int64(t.BlockDim)
+	w.ActiveVertices += int64(t.BlockDim)
+	return t.BlockDim
 }
 
 func (k *workKernel) GrowTallies(sms int) {
