@@ -49,8 +49,13 @@ func add[W word](x W, v float64) (W, float64) {
 // neighbour, with the same slots, sums and counts. The table must have a
 // single writer; labels are read atomically because other vertices' writers
 // move them concurrently.
-func (t *Table) AccumulateLanes(self uint32, ts []uint32, ws []float32, labels []uint32, lo, hi, stride int, tl *Tally) {
-	t.fill(self, ts, ws, labels, lo, hi, stride, false, tl)
+//
+// It also returns the first heaviest key in slot order among the slots it
+// added to, kept as they fill, and whether that running max is exact (see
+// fillSlots). On a table that was empty before the call, an exact best is
+// MaxKey's key: the block kernel's max-reduce without a scan.
+func (t *Table) AccumulateLanes(self uint32, ts []uint32, ws []float32, labels []uint32, lo, hi, stride int, tl *Tally) (best uint32, exact bool) {
+	return t.fill(self, ts, ws, labels, lo, hi, stride, tl)
 }
 
 // Pick is the thread-per-vertex kernel's step for one vertex in one
@@ -61,7 +66,7 @@ func (t *Table) AccumulateLanes(self uint32, ts []uint32, ws []float32, labels [
 // does. Labels are read atomically, as in AccumulateLanes.
 func (t *Table) Pick(self uint32, ts []uint32, ws []float32, labels []uint32, tl *Tally) uint32 {
 	t.Clear(0, 1)
-	best, exact := t.fill(self, ts, ws, labels, 0, 1, 1, true, tl)
+	best, exact := t.fill(self, ts, ws, labels, 0, 1, 1, tl)
 	if !exact {
 		best, _, _ = t.MaxKey()
 	}
@@ -69,22 +74,23 @@ func (t *Table) Pick(self uint32, ts []uint32, ws []float32, labels []uint32, tl
 }
 
 // fill is fillSlots over the table's value words.
-func (t *Table) fill(self uint32, ts []uint32, ws []float32, labels []uint32, lo, hi, stride int, track bool, tl *Tally) (uint32, bool) {
+func (t *Table) fill(self uint32, ts []uint32, ws []float32, labels []uint32, lo, hi, stride int, tl *Tally) (uint32, bool) {
 	if t.a.Kind == Float32 {
-		return fillSlots(t, t.a.V32[t.base:t.base+int64(t.p1)], self, ts, ws, labels, lo, hi, stride, track, tl)
+		return fillSlots(t, t.a.V32[t.base:t.base+int64(t.p1)], self, ts, ws, labels, lo, hi, stride, tl)
 	}
-	return fillSlots(t, t.a.V64[t.base:t.base+int64(t.p1)], self, ts, ws, labels, lo, hi, stride, track, tl)
+	return fillSlots(t, t.a.V64[t.base:t.base+int64(t.p1)], self, ts, ws, labels, lo, hi, stride, tl)
 }
 
 // fillSlots adds the neighbour labels of lanes [lo, hi) to the window
-// whose values are vals, as AccumulateLanes describes. When track is set it also
-// returns the first heaviest key in slot order, kept as the slots fill, and
-// whether that running max is exact. It is exact while every added weight
-// is >= 0 (so not NaN) and every key is a label: a slot's sum then never
-// falls, so after an add to slot s the first heaviest slot is either the
-// previous one or s — s wins if strictly heavier, or equally heavy at a
-// lower slot. Otherwise only a MaxKey scan gives the answer.
-func fillSlots[W word](t *Table, vals []W, self uint32, ts []uint32, ws []float32, labels []uint32, lo, hi, stride int, track bool, tl *Tally) (best uint32, exact bool) {
+// whose values are vals, as AccumulateLanes describes. It also returns the
+// first heaviest key in slot order among the slots it added to, kept as
+// they fill, and whether that running max is exact. It is exact while
+// every added weight is >= 0 (so not NaN) and every key is a label: a
+// slot's sum then never falls, so after an add to slot s the first
+// heaviest slot is either the previous one or s — s wins if strictly
+// heavier, or equally heavy at a lower slot. Otherwise only a MaxKey scan
+// gives the answer.
+func fillSlots[W word](t *Table, vals []W, self uint32, ts []uint32, ws []float32, labels []uint32, lo, hi, stride int, tl *Tally) (best uint32, exact bool) {
 	keys := t.a.Keys[t.base : t.base+int64(t.p1)]
 	best, exact = EmptyKey, true
 	bestS, bestW := int64(0), -1.0 // any weight the max is exact for beats -1
@@ -105,11 +111,9 @@ func fillSlots[W word](t *Table, vals []W, self uint32, ts []uint32, ws []float3
 			}
 			var w float64
 			vals[s], w = add(vals[s], v)
-			if track {
-				exact = exact && v >= 0 && k != EmptyKey
-				if w > bestW || w == bestW && s < bestS {
-					best, bestS, bestW = k, s, w
-				}
+			exact = exact && v >= 0 && k != EmptyKey
+			if w > bestW || w == bestW && s < bestS {
+				best, bestS, bestW = k, s, w
 			}
 		}
 	}

@@ -232,6 +232,78 @@ func TestAccumulateLanesMatchesStepwise(t *testing.T) {
 	}
 }
 
+// TestAccumulateLanesTracksFold checks the running max AccumulateLanes
+// returns against the block kernel's max-reduce it stands in for: on a
+// cleared table of at most stride slots, each of lanes 0..capacity-1
+// takes MaxKeyStrided of its one slot and the lanes fold in lane order,
+// a later lane winning only if strictly heavier. Whenever the running max
+// is reported exact it must be the fold's key (EmptyKey for an empty
+// table). It must be reported exact exactly when every add that found a
+// slot had a weight >= 0 and a label key: a negative or NaN add can
+// lower or poison a slot, so those tables report inexact and the kernel
+// folds; a zero add leaves every slot's sum where it was, so zero-weight
+// tables stay exact and are checked against the fold like the rest.
+func TestAccumulateLanesTracksFold(t *testing.T) {
+	for _, kind := range allKinds {
+		for _, pr := range allProbings {
+			for _, wt := range pickWeights {
+				for _, bg := range pickBudgets {
+					name := fmt.Sprintf("%v/%v/%s/retries%d/fallback=%v", kind, pr, wt.name, bg.retries, bg.fallback)
+					t.Run(name, func(t *testing.T) {
+						rng := rand.New(rand.NewSource(int64(len(name))))
+						exacts, ties := 0, 0
+						for trial := 0; trial < 200; trial++ {
+							c := randomPickCase(rng, wt.ws)
+							ref, lanes := staleArenas(rng, kind, c, bg.retries, bg.fallback)
+							tr, tn := ref.TableFor(c.offset, len(c.ts), pr), lanes.TableFor(c.offset, len(c.ts), pr)
+							capacity := tn.Capacity()
+							stride := []int{capacity, capacity + 1, 64, 256}[rng.Intn(4)]
+							wantExact := true
+							tr.Clear(0, 1)
+							for x, j := range c.ts {
+								v := float64(c.ws[x])
+								if j != c.self && tr.Accumulate(c.labels[j], v, nil) && !(v >= 0 && c.labels[j] != EmptyKey) {
+									wantExact = false
+								}
+							}
+							tn.Clear(0, 1)
+							best, exact := tn.AccumulateLanes(c.self, c.ts, c.ws, c.labels, 0, min(len(c.ts), stride), stride, nil)
+							if exact != wantExact {
+								t.Fatalf("trial %d: exact = %v, want %v", trial, exact, wantExact)
+							}
+							fold, foldW, foldOK := EmptyKey, 0.0, false
+							for lane := range capacity {
+								if k, w, ok := tn.MaxKeyStrided(lane, stride); ok && (!foldOK || w > foldW) {
+									fold, foldW, foldOK = k, w, true
+								}
+							}
+							if !exact {
+								continue
+							}
+							exacts++
+							if best != fold {
+								t.Fatalf("trial %d: running max %d, lane-order fold %d", trial, best, fold)
+							}
+							heaviest := 0
+							for s := range capacity {
+								if tn.Key(s) != EmptyKey && tn.Value(s) == foldW {
+									heaviest++
+								}
+							}
+							if heaviest > 1 {
+								ties++
+							}
+						}
+						if wantSome := wt.name == "positive" || wt.name == "zero"; wantSome && ties < 20 {
+							t.Errorf("%d exact tables, %d with a tie for the heaviest slot: too few to pin the tie rule", exacts, ties)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
 // TestRemMatchesModulo checks the division-free reduction against % for
 // every Mersenne modulus a table can have, at the edges of the 32-bit range
 // and past it.

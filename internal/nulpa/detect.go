@@ -685,6 +685,13 @@ func (k *threadKernel) run(p int, t *simt.Thread, lo, hi int) {
 // memory layout: word 0 = skip flag, word 1 = moved flag. The running best
 // lives in the per-SM block state cur, which lane 0 of phase 0 sets.
 //
+// The accumulate phase also keeps the first heaviest slot as the slots
+// fill, as the thread kernel's Pick does. When the table has at most
+// BlockDim slots, each lane of the max-reduce owns one slot, so the
+// lane-order fold is a slot-order MaxKey; there, if that running max is
+// exact (no negative, NaN or non-label add), it is the fold's answer and
+// the max-reduce scans nothing. It still reports its lanes as active.
+//
 // BlockPhase runs a phase for the block's active lanes in lane order. A
 // block runs all its lanes on one SM goroutine and its vertex's table
 // window is disjoint from every other vertex's, so the table has a single
@@ -708,9 +715,10 @@ type blockVertex struct {
 	ws  []float32
 	tl  *hashtable.Tally
 
-	best   uint32 // running best label over the lanes reduced so far
-	bestW  float64
-	bestOK bool
+	best    uint32 // running best label over the lanes reduced so far
+	bestW   float64
+	bestOK  bool
+	tracked bool // phase 2's running max set best: phase 3 folds nothing
 }
 
 func (k *blockKernel) NumPhases() int     { return 6 }
@@ -782,9 +790,17 @@ func (k *blockKernel) run(p int, t *simt.Thread, lanes int) {
 		for lane := range lanes {
 			v.tb.clear(lane, b)
 		}
-	case 2: // strided accumulation of neighbour labels
-		v.tb.accumulateLanes(v.i, v.ts, v.ws, k.labels, 0, lanes, b, v.tl)
+	case 2: // strided accumulation of neighbour labels, keeping the running max
+		best, exact := v.tb.accumulateLanes(v.i, v.ts, v.ws, k.labels, 0, lanes, b, v.tl)
+		// With one slot per lane, phase 3's lane-order fold is a slot-order
+		// MaxKey, which an exact running max already is.
+		if v.tracked = exact && v.cap <= b; v.tracked {
+			v.best, v.bestOK = best, best != hashtable.EmptyKey
+		}
 	case 3: // max-reduce: fold each lane's strided maximum, in lane order
+		if v.tracked { // phase 2 kept the answer
+			return
+		}
 		if lanes == v.cap { // one slot per lane: lane order is slot order
 			v.fold(0, 1)
 			return

@@ -642,3 +642,23 @@ func TestBlockKernelEmptyTableKeepsLabel(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockKernelTieRule pins the block kernel's max-reduce on a tie: hub 0
+// of a six-leaf star sees labels 1..6 once each, and label k's home slot
+// in its 7-slot table is k. With one slot per lane (BlockDim 8, 256) or one
+// lane (BlockDim 1) the first slot in slot order wins, label 1; at
+// BlockDim 2, lane 0 (slots 0, 2, 4, 6) folds before lane 1 (1, 3, 5),
+// so lane 0's label 2 wins and lane 1's equally heavy label 1 cannot beat
+// it. The accumulate phase's running max is slot order, so it may stand in
+// for the fold only in the first case.
+func TestBlockKernelTieRule(t *testing.T) {
+	g := gen.Star(7)
+	for _, tc := range []struct{ bd, want int }{{1, 1}, {2, 2}, {8, 1}, {256, 1}} {
+		opt := DefaultOptions()
+		opt.SwitchDegree, opt.BlockDim, opt.Device = 0, tc.bd, simt.NewDevice(1)
+		opt.PickLessEvery, opt.MaxIterations = 0, 1
+		if res := detect(t, g, opt); res.Labels[0] != uint32(tc.want) {
+			t.Errorf("BlockDim %d: hub took label %d, want %d", tc.bd, res.Labels[0], tc.want)
+		}
+	}
+}

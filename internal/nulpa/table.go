@@ -105,11 +105,12 @@ func (t *anyTable) clear(lane, stride int) {
 
 // accumulateLanes is a block's accumulate phase for lanes [lo, hi): lane L
 // adds the labels of neighbours ts[L], ts[L+stride], … other than self, in
-// lane order, counting the probes into tl (nil: not counting).
-func (t *anyTable) accumulateLanes(self graph.Vertex, ts []graph.Vertex, ws []float32, labels []uint32, lo, hi, stride int, tl *hashtable.Tally) {
+// lane order, counting the probes into tl (nil: not counting). It returns
+// the open table's running max (hashtable.Table.AccumulateLanes); the
+// coalesced table keeps none and reports it inexact.
+func (t *anyTable) accumulateLanes(self graph.Vertex, ts []graph.Vertex, ws []float32, labels []uint32, lo, hi, stride int, tl *hashtable.Tally) (best uint32, exact bool) {
 	if !t.isCoal {
-		t.open.AccumulateLanes(self, ts, ws, labels, lo, hi, stride, tl)
-		return
+		return t.open.AccumulateLanes(self, ts, ws, labels, lo, hi, stride, tl)
 	}
 	for lane := lo; lane < hi; lane++ {
 		for x := lane; x < len(ts); x += stride {
@@ -118,6 +119,7 @@ func (t *anyTable) accumulateLanes(self graph.Vertex, ts []graph.Vertex, ws []fl
 			}
 		}
 	}
+	return hashtable.EmptyKey, false
 }
 
 // BestStrided returns the first label with the highest weight among slots

@@ -359,8 +359,10 @@ func TestWeightedCutRespected(t *testing.T) {
 	}
 }
 
-// referenceRefine is refine without the active set: every sweep evaluates
-// every vertex. It is the oracle the active-set refinement must reproduce.
+// referenceRefine is refine without the active set and with specMoveVertex
+// for moveVertex: every sweep evaluates every vertex by the first-touch
+// rule as a touched list states it. It is the oracle the active-set
+// refinement must reproduce.
 func referenceRefine(g *graph.CSR, opt Options, seed int64, k, ideal, capacity int) *Result {
 	n := g.NumVertices()
 	rng := rand.New(rand.NewSource(seed))
@@ -378,7 +380,7 @@ func referenceRefine(g *graph.CSR, opt Options, seed int64, k, ideal, capacity i
 	for iter := 0; iter < opt.MaxIterations; iter++ {
 		moves := 0
 		for v := 0; v < n; v++ {
-			if moveVertex(g, graph.Vertex(v), parts, sizes, conn, &touched, capacity) == moved {
+			if specMoveVertex(g, graph.Vertex(v), parts, sizes, conn, &touched, capacity) == moved {
 				moves++
 			}
 		}
@@ -465,17 +467,31 @@ func TestRefineMatchesFullSweep(t *testing.T) {
 }
 
 // BenchmarkPartition partitions the benchmark's 65k social graph with the
-// options the sharded backend uses: k=2, ε=0.1, 4 restarts.
+// options the sharded backend uses (ε=0.1, 4 restarts) at k=2, as
+// social-sharded runs it, and at k=4, and a 116k-vertex road graph at
+// k=16: tab-partition's k values, where a row is often shorter than k.
 func BenchmarkPartition(b *testing.B) {
-	g, _ := gen.Social(gen.DefaultSocial(65536, 32, 101))
-	opt := DefaultOptions(2)
-	opt.Imbalance = 0.1
-	opt.Restarts = 4
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Partition(g, opt); err != nil {
-			b.Fatal(err)
-		}
+	social, _ := gen.Social(gen.DefaultSocial(65536, 32, 101))
+	road := gen.Road(gen.DefaultRoad(100000, 101))
+	for _, bc := range []struct {
+		name string
+		g    *graph.CSR
+		k    int
+	}{
+		{"social-65k/k=2", social, 2},
+		{"social-65k/k=4", social, 4},
+		{"road-116k/k=16", road, 16},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			opt := DefaultOptions(bc.k)
+			opt.Imbalance = 0.1
+			opt.Restarts = 4
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Partition(bc.g, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

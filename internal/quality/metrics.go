@@ -85,16 +85,31 @@ func EdgeCut(g *graph.CSR, labels []uint32) (weight float64, fraction float64) {
 		panic(fmt.Sprintf("quality: %d labels for %d vertices", len(labels), g.NumVertices()))
 	}
 	twoM := g.TotalWeight()
+	// Each arc's weight goes to sums[1] if it crosses a boundary and to
+	// sums[0] if not, chosen without a branch: the cut sum receives the
+	// same additions in the same order as a guarded sum would, so its bits
+	// are the same.
+	var sums [2]float64
 	for u := 0; u < g.NumVertices(); u++ {
 		ts, ws := g.Neighbors(graph.Vertex(u))
+		lu := labels[u]
 		for k, v := range ts {
-			if labels[u] != labels[v] {
-				weight += float64(ws[k])
-			}
+			sums[crosses(lu, labels[v])] += float64(ws[k])
 		}
 	}
+	weight = sums[1]
 	if twoM > 0 {
 		fraction = weight / twoM
 	}
 	return weight, fraction
+}
+
+// crosses is 1 if labels a and b differ and 0 if not; the compiler turns
+// it into a set-on-condition, not a branch.
+func crosses(a, b uint32) int {
+	x := 0
+	if a != b {
+		x = 1
+	}
+	return x
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"nulpa/internal/gen"
+	"nulpa/internal/graph"
 )
 
 func TestARIIdentical(t *testing.T) {
@@ -107,6 +108,36 @@ func TestEdgeCut(t *testing.T) {
 	}
 	if w, _ := EdgeCut(g, make([]uint32, 8)); w != 0 {
 		t.Errorf("cut of single community = %v", w)
+	}
+
+	// Fractional weights from 10⁻⁶ to 10⁹ round as they sum, so the cut
+	// depends on the order of its additions: it must have the bits of the
+	// in-order float64 sum over the crossing arcs.
+	rng := rand.New(rand.NewSource(7))
+	var edges []graph.Edge
+	for range 4000 {
+		w := rng.Float32() * float32(math.Pow10(rng.Intn(16)-6))
+		edges = append(edges, graph.Edge{U: graph.Vertex(rng.Intn(500)), V: graph.Vertex(rng.Intn(500)), W: w})
+	}
+	wg, err := graph.FromEdges(edges, 500, graph.BuildOptions{Symmetrize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := make([]uint32, 500)
+	for i := range labels {
+		labels[i] = uint32(rng.Intn(5))
+	}
+	var want float64
+	for u := range 500 {
+		ts, ws := wg.Neighbors(graph.Vertex(u))
+		for x, v := range ts {
+			if labels[u] != labels[v] {
+				want += float64(ws[x])
+			}
+		}
+	}
+	if w, frac := EdgeCut(wg, labels); math.Float64bits(w) != math.Float64bits(want) || frac != want/wg.TotalWeight() {
+		t.Errorf("weighted cut = %v (fraction %v), in-order sum %v (fraction %v)", w, frac, want, want/wg.TotalWeight())
 	}
 }
 

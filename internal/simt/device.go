@@ -182,7 +182,6 @@ type Thread struct {
 	Block    int // block index within the grid
 	Lane     int // thread index within the block (threadIdx.x), set by the kernel
 	BlockDim int // threads per block
-	GridDim  int // blocks in the grid
 	SM       int // streaming multiprocessor executing the block
 	Shared   []uint64
 }
@@ -328,7 +327,7 @@ func (d *Device) launch(ctx context.Context, gridDim, blockDim int, k Kernel, st
 			if sharedWords > 0 {
 				shared = make([]uint64, sharedWords)
 			}
-			t := Thread{BlockDim: blockDim, GridDim: gridDim, SM: sm, Shared: shared}
+			t := Thread{BlockDim: blockDim, SM: sm, Shared: shared}
 			var blocks, lanes, phasesRun int64
 			for b := sm; b < gridDim; b += d.NumSMs {
 				if canceled.Load() {
