@@ -46,14 +46,15 @@ chaos:
 
 # Microbenchmarks beside the zero-alloc guards: full ν-LPA runs with
 # telemetry off and on, the per-vertex hot paths of the thread and block
-# kernels at 1 SM (BenchmarkVertexKernels: road, web and social), the
-# hashtable alone (probing strategies, value widths, the max scan and the
-# fused per-vertex pick), the health monitor's enabled path, the sharded
-# set-up (partitioner and shard build on a 65k social graph), graph
-# ingest (CSR assembly from an edge list, binary decode of a 13 MB graph,
-# and the 20k web generator a served job runs), and the quality read-outs
-# every run pays for (BenchmarkCompressLabels and BenchmarkSummarize on a
-# 465k-vertex road labelling).
+# kernels (BenchmarkVertexKernels: road, web and social at 1 SM, and road
+# at 2 SMs, where a move wakes vertices another SM claims), the hashtable
+# alone (probing strategies, value widths, the max scan, and the fused
+# per-vertex pick at degrees 2, 8 and 256), the health monitor's enabled
+# path, the sharded set-up (partitioner and shard build on a 65k social
+# graph), graph ingest (CSR assembly from an edge list, binary decode of a
+# 13 MB graph, and the 20k web generator a served job runs), and the
+# quality read-outs every run pays for (BenchmarkCompressLabels and
+# BenchmarkSummarize on a 465k-vertex road labelling).
 BENCH_PKGS = ./internal/simt/ ./internal/nulpa/ ./internal/hashtable/ ./internal/health/ \
 	./internal/partition/ ./internal/shard/ ./internal/graph/ ./internal/gen/ ./internal/quality/
 

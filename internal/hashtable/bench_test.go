@@ -74,37 +74,39 @@ func BenchmarkMaxKey(b *testing.B) {
 	}
 }
 
-// BenchmarkPick times one vertex's whole thread-kernel step over the same
-// degree-256 neighbourhood: the fused Pick against the Clear, Accumulate
-// and MaxKey sequence it computes.
+// BenchmarkPick times one vertex's whole thread-kernel step: the fused Pick
+// against the Clear, Accumulate and MaxKey sequence it computes. Degree 2
+// is a road vertex, where the step's fixed cost outweighs its arcs; degree
+// 8 a typical web vertex; degree 256 a neighbourhood of skewed labels.
 func BenchmarkPick(b *testing.B) {
-	const deg = 256
-	labels := benchKeys(deg)
-	ts, ws := make([]uint32, deg), make([]float32, deg)
-	for i := range ts {
-		ts[i], ws[i] = uint32(i), 1
-	}
-	const self = deg // not a neighbour: no self loop
-	for _, kind := range allKinds {
-		tb := NewArena(kind, 2*deg).TableFor(0, deg, QuadraticDouble)
-		b.Run("fused/"+kind.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if tb.Pick(self, ts, ws, labels, nil) == EmptyKey {
-					b.Fatal("empty table")
+	for _, deg := range []int{2, 8, 256} {
+		labels := benchKeys(deg)
+		ts, ws := make([]uint32, deg), make([]float32, deg)
+		for i := range ts {
+			ts[i], ws[i] = uint32(i), 1
+		}
+		self := uint32(deg) // not a neighbour: no self loop
+		for _, kind := range allKinds {
+			tb := NewArena(kind, 2*int64(deg)).TableFor(0, deg, QuadraticDouble)
+			b.Run(fmt.Sprintf("deg%d/fused/%v", deg, kind), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if tb.Pick(self, ts, ws, labels, nil) == EmptyKey {
+						b.Fatal("empty table")
+					}
 				}
-			}
-		})
-		b.Run("stepwise/"+kind.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tb.Clear(0, 1)
-				for x, j := range ts {
-					tb.Accumulate(labels[j], float64(ws[x]), nil)
+			})
+			b.Run(fmt.Sprintf("deg%d/stepwise/%v", deg, kind), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					tb.Clear(0, 1)
+					for x, j := range ts {
+						tb.Accumulate(labels[j], float64(ws[x]), nil)
+					}
+					if _, _, ok := tb.MaxKey(); !ok {
+						b.Fatal("empty table")
+					}
 				}
-				if _, _, ok := tb.MaxKey(); !ok {
-					b.Fatal("empty table")
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -55,7 +55,10 @@ func add[W word](x W, v float64) (W, float64) {
 // fillSlots). On a table that was empty before the call, an exact best is
 // MaxKey's key: the block kernel's max-reduce without a scan.
 func (t *Table) AccumulateLanes(self uint32, ts []uint32, ws []float32, labels []uint32, lo, hi, stride int, tl *Tally) (best uint32, exact bool) {
-	return t.fill(self, ts, ws, labels, lo, hi, stride, tl)
+	if t.a.Kind == Float32 {
+		return fillSlots(t, t.a.V32[t.base:t.base+int64(t.p1)], self, ts, ws, labels, lo, hi, stride, tl)
+	}
+	return fillSlots(t, t.a.V64[t.base:t.base+int64(t.p1)], self, ts, ws, labels, lo, hi, stride, tl)
 }
 
 // Pick is the thread-per-vertex kernel's step for one vertex in one
@@ -63,22 +66,26 @@ func (t *Table) AccumulateLanes(self uint32, ts []uint32, ws []float32, labels [
 // for every neighbour j = ts[x] other than self in order, then MaxKey. It
 // returns the first heaviest key in slot order, or EmptyKey when no label
 // was accumulated, and leaves the window and tl exactly as that sequence
-// does. Labels are read atomically, as in AccumulateLanes.
+// does. Labels are read atomically, as in AccumulateLanes. The clear and
+// the fill are called on the value words directly: at a road vertex's
+// degree, a call layer per step costs about as much as the arcs.
 func (t *Table) Pick(self uint32, ts []uint32, ws []float32, labels []uint32, tl *Tally) uint32 {
-	t.Clear(0, 1)
-	best, exact := t.fill(self, ts, ws, labels, 0, 1, 1, tl)
+	keys := t.a.Keys[t.base : t.base+int64(t.p1)]
+	var best uint32
+	var exact bool
+	if t.a.Kind == Float32 {
+		vals := t.a.V32[t.base : t.base+int64(t.p1)]
+		clearSlots(keys, vals, 0, 1)
+		best, exact = fillSlots(t, vals, self, ts, ws, labels, 0, 1, 1, tl)
+	} else {
+		vals := t.a.V64[t.base : t.base+int64(t.p1)]
+		clearSlots(keys, vals, 0, 1)
+		best, exact = fillSlots(t, vals, self, ts, ws, labels, 0, 1, 1, tl)
+	}
 	if !exact {
 		best, _, _ = t.MaxKey()
 	}
 	return best
-}
-
-// fill is fillSlots over the table's value words.
-func (t *Table) fill(self uint32, ts []uint32, ws []float32, labels []uint32, lo, hi, stride int, tl *Tally) (uint32, bool) {
-	if t.a.Kind == Float32 {
-		return fillSlots(t, t.a.V32[t.base:t.base+int64(t.p1)], self, ts, ws, labels, lo, hi, stride, tl)
-	}
-	return fillSlots(t, t.a.V64[t.base:t.base+int64(t.p1)], self, ts, ws, labels, lo, hi, stride, tl)
 }
 
 // fillSlots adds the neighbour labels of lanes [lo, hi) to the window

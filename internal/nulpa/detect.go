@@ -485,7 +485,9 @@ func (st *runState) endIter(opt *Options, rec IterStat) engine.IterOutcome {
 
 // claim is the pruning test for vertex i, counted on SM sm: it reports false
 // when i's processed flag says skip, and otherwise sets the flag and counts
-// i's edge scan.
+// i's edge scan. The flag store is sequentially consistent and precedes
+// every label read of i's scan: it is the claimer's half of the argument
+// that wake loses no wake-up.
 func (st *runState) claim(i graph.Vertex, sm int) bool {
 	if !st.noPrune {
 		if simt.AtomicLoadUint32(st.processed, int(i)) == 1 {
@@ -501,22 +503,12 @@ func (st *runState) claim(i graph.Vertex, sm int) bool {
 	return true
 }
 
-// pick is the candidate choice for vertex i (degree >= 1) on SM sm: unless
-// pruning skips i, it claims the vertex, accumulates its neighbours' labels
-// into i's hashtable and returns the most weighted one. It returns
-// hashtable.EmptyKey when i is skipped or no label qualifies. It is the
-// thread kernel's phase 0.
-func (st *runState) pick(i graph.Vertex, sm int) uint32 {
-	if !st.claim(i, sm) {
-		return hashtable.EmptyKey
-	}
-	ts, ws := st.g.Neighbors(i)
-	return st.window(sm, len(ts)).pick(i, ts, ws, st.labels, st.hashTally(sm))
-}
-
 // commit moves vertex i to candidate c on SM sm unless c is already its
 // label or the Pick-Less rule forbids the move, and reports whether i
 // moved. The caller then wakes i's neighbourhood; commit counts that scan.
+// The label store is sequentially consistent and precedes every flag read
+// of that wake: it is the mover's half of the argument that wake loses no
+// wake-up.
 func (st *runState) commit(i graph.Vertex, c uint32, sm int) bool {
 	cur := simt.AtomicLoadUint32(st.labels, int(i))
 	if c == cur || (st.pickless && c > cur) {
@@ -531,15 +523,22 @@ func (st *runState) commit(i graph.Vertex, c uint32, sm int) bool {
 	return true
 }
 
-// move commits pick's candidate c for vertex i and wakes i's neighbourhood.
-// It is the thread kernel's phase 1.
-func (st *runState) move(i graph.Vertex, c uint32, sm int) {
-	if c == hashtable.EmptyKey || !st.commit(i, c, sm) {
-		return
-	}
-	ts, _ := st.g.Neighbors(i)
-	for _, j := range ts {
-		simt.AtomicStoreUint32(st.processed, int(j), 0)
+// wake clears the pruning flag of every vertex in vs whose flag is set, so
+// each runs again; it stores only where it reads 1. Every wake-up goes
+// through it: a thread-kernel move, block-kernel phase 5, a ghost whose
+// label the halo exchange changed, and a Cross-Check revert.
+//
+// Skipping a clear flag loses no wake-up. A mover stores its new label
+// (commit) before it reads a neighbour's flag here, and a claimer stores
+// its flag (claim) before it reads labels, all sequentially consistent. So
+// a 0 that the mover reads was either there before the claim, and the
+// claimer then reads the new label, or written after it by another wake,
+// and the vertex runs again.
+func wake(processed []uint32, vs []graph.Vertex) {
+	for _, j := range vs {
+		if simt.AtomicLoadUint32(processed, int(j)) == 1 {
+			simt.AtomicStoreUint32(processed, int(j), 0)
+		}
 	}
 }
 
@@ -558,7 +557,7 @@ func (st *runState) crossCheck(i, sm int) {
 		simt.AtomicStoreUint32(st.labels, i, st.prev[i])
 		st.tallies[sm].reverts++
 		// The vertex changed again; let its neighbourhood reconsider.
-		simt.AtomicStoreUint32(st.processed, i, 0)
+		wake(st.processed, []graph.Vertex{graph.Vertex(i)})
 	}
 }
 
@@ -656,9 +655,13 @@ func (k *threadKernel) BlockPhase(p int, t *simt.Thread) int {
 }
 
 // run is phase p for list entries [lo, hi) of block t.Block, in order, on
-// SM t.SM. Phase 0 leaves each entry's candidate at its lane of the SM's
-// buffer and phase 1 reads it there: the SM runs both phases of a block
-// before its next one.
+// SM t.SM. Phase 0 claims each entry, accumulates its neighbours' labels
+// into its table and leaves the most weighted one (hashtable.EmptyKey when
+// the entry is pruned or no label qualifies) at its lane of the SM's
+// buffer. Phase 1 commits each candidate there and wakes the neighbourhood
+// of every vertex that moved: the SM runs both phases of a block before its
+// next one. Each phase is one loop that reads the run state once, so the
+// step of a vertex is its claim, its row, its table and its move.
 func (k *threadKernel) run(p int, t *simt.Thread, lo, hi int) {
 	sm, base := t.SM, t.Block*t.BlockDim
 	tl := &k.tallies[sm]
@@ -666,14 +669,25 @@ func (k *threadKernel) run(p int, t *simt.Thread, lo, hi int) {
 		tl.cand = make([]uint32, t.BlockDim)
 	}
 	list, cand := k.list[lo:hi], tl.cand[lo-base:hi-base]
+	offsets, targets := k.g.Offsets, k.g.Targets
 	if p == 0 {
+		weights, labels, w, htl := k.g.Weights, k.labels, &tl.win, k.hashTally(sm)
 		for x, i := range list {
-			cand[x] = k.pick(i, sm)
+			if !k.claim(i, sm) {
+				cand[x] = hashtable.EmptyKey
+				continue
+			}
+			a, b := offsets[i], offsets[i+1]
+			w.fit(int(b - a))
+			cand[x] = w.pick(i, targets[a:b], weights[a:b], labels, htl)
 		}
 		return
 	}
+	processed := k.processed
 	for x, i := range list {
-		k.move(i, cand[x], sm)
+		if c := cand[x]; c != hashtable.EmptyKey && k.commit(i, c, sm) {
+			wake(processed, targets[offsets[i]:offsets[i+1]])
+		}
 	}
 }
 
@@ -814,11 +828,9 @@ func (k *blockKernel) run(p int, t *simt.Thread, lanes int) {
 		if v.bestOK && k.commit(v.i, v.best, t.SM) {
 			t.Shared[1] = 1
 		}
-	case 5: // strided neighbour wake-up on move
-		for lane := range lanes {
-			for idx := lane; idx < len(v.ts); idx += b {
-				simt.AtomicStoreUint32(k.processed, int(v.ts[idx]), 0)
-			}
+	case 5: // neighbour wake-up on move: the lanes' strided shares are the row
+		if lanes > 0 {
+			wake(k.processed, v.ts)
 		}
 	}
 }

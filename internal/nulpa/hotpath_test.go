@@ -51,26 +51,31 @@ func TestHotPathTablesUsePointerReceivers(t *testing.T) {
 	}
 }
 
-// BenchmarkVertexKernels times a full Detect at 1 SM with default options,
-// which runs the per-vertex hot paths of both ν-LPA kernels: on a road graph
+// BenchmarkVertexKernels times a full Detect with default options, which
+// runs the per-vertex hot paths of both ν-LPA kernels: on a road graph
 // every vertex runs on the thread-per-vertex kernel, on a web graph the
 // thread and block kernels share the work, and on a social graph the
-// block-per-vertex kernel carries the hubs.
+// block-per-vertex kernel carries the hubs. Every case runs at 1 SM; the
+// road graph also runs at 2, where a move wakes neighbours that another SM
+// claims.
 func BenchmarkVertexKernels(b *testing.B) {
 	social, _ := gen.Social(gen.DefaultSocial(20000, 32, 101))
+	road := gen.Road(gen.DefaultRoad(50000, 101))
 	for _, bc := range []struct {
 		name string
 		g    *graph.CSR
+		sms  int
 	}{
-		{"road-50k", gen.Road(gen.DefaultRoad(50000, 101))},
-		{"web-20k", gen.Web(gen.DefaultWeb(20000, 8, 101))},
-		{"social-20k", social},
+		{"road-50k", road, 1},
+		{"road-50k/sms2", road, 2},
+		{"web-20k", gen.Web(gen.DefaultWeb(20000, 8, 101)), 1},
+		{"social-20k", social, 1},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				opt := DefaultOptions()
-				opt.Device = simt.NewDevice(1)
+				opt.Device = simt.NewDevice(bc.sms)
 				if _, err := Detect(bc.g, opt); err != nil {
 					b.Fatal(err)
 				}

@@ -247,7 +247,5 @@ func planShards(ctx context.Context, g *graph.CSR, opt Options, k int) (*shard.P
 // exactly the reverse arcs into owned rows, so the scan is minimal.
 func wakeGhostNeighbors(st *runState, ghost graph.Vertex) {
 	ts, _ := st.g.Neighbors(ghost)
-	for _, j := range ts {
-		simt.AtomicStoreUint32(st.processed, int(j), 0)
-	}
+	wake(st.processed, ts)
 }

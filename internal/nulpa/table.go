@@ -1,6 +1,8 @@
 package nulpa
 
 import (
+	"math/bits"
+
 	"nulpa/internal/graph"
 	"nulpa/internal/hashtable"
 	"nulpa/internal/simt"
@@ -23,6 +25,13 @@ import (
 // maximum degree would not (a star's hub at 8 SMs). A window is backed by
 // exactly its capacity's slots.
 //
+// An open window also keeps one table header per capacity class it holds:
+// tables[c] is Arena.TableFor(0, d, probing) for every degree d with
+// bits.Len(d) = c, whose capacity is 2^c − 1. A vertex indexes its header
+// by its degree, so the per-vertex step builds no table view. The headers
+// are rebuilt, into the same backing while it fits, only when the window
+// grows.
+//
 // window and anyTable dispatch between the open-addressing hashtable (the
 // default) and the coalesced-chaining variant (appendix experiment) without
 // interface allocations in the per-vertex hot path. Like both views, an
@@ -30,22 +39,34 @@ import (
 type window struct {
 	open      *hashtable.Arena
 	coal      *hashtable.CoalescedArena
-	capacity  int // usable slots: the largest table capacity grown to
+	tables    []hashtable.Table // open headers by class bits.Len(degree)
+	capacity  int               // usable slots: the largest table capacity grown to
 	kind      hashtable.ValueKind
 	probing   hashtable.Probing
 	coalesced bool
 }
 
 // fit grows w, if needed, to hold the table of a vertex of the given degree.
+// A capacity is 0 or 2^c − 1, so it holds a degree d's table, of capacity
+// nextPow2(d) − 1, exactly when d <= capacity.
 func (w *window) fit(degree int) {
-	capacity := int(hashtable.CapacityFor(degree))
-	if capacity <= w.capacity {
-		return
+	if degree > w.capacity {
+		w.grow(degree)
 	}
+}
+
+// grow backs w with a fresh window for a vertex of the given degree and,
+// on the open table, builds the header of every class up to its own.
+func (w *window) grow(degree int) {
+	capacity := int(hashtable.CapacityFor(degree))
 	if w.coalesced {
 		w.coal = hashtable.NewCoalescedArena(w.kind, int64(capacity))
 	} else {
 		w.open = hashtable.NewArena(w.kind, int64(capacity))
+		w.tables = w.tables[:0]
+		for c := range bits.Len(uint(degree)) + 1 {
+			w.tables = append(w.tables, w.open.TableFor(0, 1<<c-1, w.probing))
+		}
 	}
 	w.capacity = capacity
 }
@@ -65,7 +86,7 @@ func (w *window) tableFor(degree int) anyTable {
 	if w.coal != nil {
 		return anyTable{coal: w.coal.TableFor(0, degree), isCoal: true}
 	}
-	return anyTable{open: w.open.TableFor(0, degree, w.probing)}
+	return anyTable{open: w.tables[bits.Len(uint(degree))]}
 }
 
 // pick clears the table of vertex self in w, which must fit it, accumulates
@@ -79,8 +100,7 @@ func (w *window) tableFor(degree int) anyTable {
 // communities.
 func (w *window) pick(self graph.Vertex, ts []graph.Vertex, ws []float32, labels []uint32, tl *hashtable.Tally) uint32 {
 	if w.coal == nil {
-		tb := w.open.TableFor(0, len(ts), w.probing)
-		return tb.Pick(self, ts, ws, labels, tl)
+		return w.tables[bits.Len(uint(len(ts)))].Pick(self, ts, ws, labels, tl)
 	}
 	tb := w.tableFor(len(ts))
 	tb.clear(0, 1)

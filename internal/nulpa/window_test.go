@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -77,6 +79,73 @@ func TestWindowBytesWithinArena(t *testing.T) {
 					t.Errorf("max-degree sizing takes %d slots, within the %d-slot arena: the star does not test on-demand growth", eager, 2*arcs)
 				}
 			})
+		}
+	}
+}
+
+// TestWindowTableHeaders grows windows through random degree sequences —
+// 1, 2^k−1 and 2^k up to 5000, which start, fill and cross capacity classes
+// — and checks after each growth step that every header the window hands
+// out, for any degree it holds, is the table Arena.TableFor builds, field
+// for field, under every probing and value kind. The header set is one per
+// class the window holds, and the window stays backed by exactly its
+// capacity's slots. The coalesced window keeps building its tables from
+// CoalescedArena.TableFor and has no headers.
+func TestWindowTableHeaders(t *testing.T) {
+	var degrees []int
+	for k := 1; 1<<k <= 5000; k++ {
+		degrees = append(degrees, 1<<k-1, 1<<k)
+	}
+	degrees = append(degrees, 1, 5000)
+	rng := rand.New(rand.NewSource(1))
+	probings := []hashtable.Probing{hashtable.Linear, hashtable.Quadratic, hashtable.Double, hashtable.QuadraticDouble}
+	for _, kind := range []hashtable.ValueKind{hashtable.Float32, hashtable.Float64} {
+		for _, probing := range probings {
+			for _, coalesced := range []bool{false, true} {
+				name := fmt.Sprintf("%v/%v/coalesced=%v", kind, probing, coalesced)
+				t.Run(name, func(t *testing.T) {
+					for trial := 0; trial < 4; trial++ {
+						w := window{kind: kind, probing: probing, coalesced: coalesced}
+						seen := 0
+						for _, d := range rng.Perm(len(degrees)) {
+							d = degrees[d]
+							w.fit(d)
+							seen = max(seen, d)
+							checkWindowHeaders(t, &w, seen)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// checkWindowHeaders checks window w, grown for degrees up to seen, as
+// TestWindowTableHeaders describes.
+func checkWindowHeaders(t *testing.T, w *window, seen int) {
+	t.Helper()
+	if want := int(hashtable.CapacityFor(seen)); w.capacity != want {
+		t.Fatalf("window grown to degree %d has capacity %d, want %d", seen, w.capacity, want)
+	}
+	if w.coalesced {
+		if w.open != nil || w.tables != nil || len(w.coal.Keys) != w.capacity {
+			t.Fatalf("coalesced window of capacity %d: open %v, %d headers, %d slots", w.capacity, w.open != nil, len(w.tables), len(w.coal.Keys))
+		}
+	} else if w.coal != nil || len(w.open.Keys) != w.capacity || len(w.tables) != bits.Len(uint(w.capacity))+1 {
+		t.Fatalf("open window of capacity %d: coalesced %v, %d headers, %d slots", w.capacity, w.coal != nil, len(w.tables), len(w.open.Keys))
+	}
+	for c := 0; c <= bits.Len(uint(w.capacity)); c++ {
+		for _, d := range []int{1 << c >> 1, 1<<c - 1} { // class c's least and greatest degree
+			tb := w.tableFor(d)
+			if w.coalesced {
+				if want := w.coal.TableFor(0, d); !tb.isCoal || tb.coal != want {
+					t.Fatalf("capacity %d, degree %d: coalesced table %+v, want %+v", w.capacity, d, tb.coal, want)
+				}
+				continue
+			}
+			if want := w.open.TableFor(0, d, w.probing); tb.isCoal || tb.open != want || w.tables[c] != want {
+				t.Fatalf("capacity %d, degree %d: header %+v, want %+v", w.capacity, d, tb.open, want)
+			}
 		}
 	}
 }

@@ -101,6 +101,43 @@ func labelRange(labels []uint32) (k int, ok bool) {
 	return int(hi) + 1, int64(hi) < int64(len(labels))
 }
 
+// Unstable counts the vertices whose label is not among the heaviest labels
+// of their neighbours, by summed arc weight: the vertices at which LPA's own
+// stopping test fails. A label tied for heaviest counts as stable, and so
+// does a vertex with no neighbour other than itself. Self loops are ignored,
+// as the ν-LPA kernels ignore them.
+func Unstable(g *graph.CSR, labels []uint32) int {
+	if len(labels) != g.NumVertices() {
+		panic(fmt.Sprintf("quality: %d labels for %d vertices", len(labels), g.NumVertices()))
+	}
+	ranked, k := byLabel(labels)
+	sum := make([]float64, k) // weight of each label around the vertex in hand
+	mark := make([]int, k)    // u+1 where sum holds vertex u's weight
+	unstable := 0
+	for u, own := range ranked {
+		stamp := u + 1
+		ts, ws := g.Neighbors(graph.Vertex(u))
+		for x, v := range ts {
+			if c := ranked[v]; int(v) != u {
+				if mark[c] != stamp {
+					mark[c], sum[c] = stamp, 0
+				}
+				sum[c] += float64(ws[x])
+			}
+		}
+		heaviest, any := 0.0, false
+		for _, v := range ts {
+			if c := ranked[v]; int(v) != u && (!any || sum[c] > heaviest) {
+				heaviest, any = sum[c], true
+			}
+		}
+		if any && (mark[own] != stamp || sum[own] < heaviest) {
+			unstable++
+		}
+	}
+	return unstable
+}
+
 // CommunitySizes returns the size of each community keyed by label.
 func CommunitySizes(labels []uint32) map[uint32]int {
 	sizes := make(map[uint32]int)

@@ -338,3 +338,45 @@ func TestModularityResolution(t *testing.T) {
 		t.Errorf("Q(0)=%v != coverage %v", q0, Coverage(g, labels))
 	}
 }
+
+// TestUnstable counts the vertices whose label is not a heaviest label of
+// their neighbourhood, by summed weight.
+func TestUnstable(t *testing.T) {
+	e := func(u, v graph.Vertex, w float32) graph.Edge { return graph.Edge{U: u, V: v, W: w} }
+	path := []graph.Edge{e(0, 1, 1), e(1, 2, 3)}
+	square := []graph.Edge{e(0, 1, 1), e(1, 2, 1), e(2, 3, 1), e(3, 0, 1)}
+	// Vertex 0 has two light arcs into label 0 and one heavy arc into label
+	// 3; vertex 3's heavier arc to 4 holds it in label 3.
+	heavy := []graph.Edge{e(0, 1, 1), e(0, 2, 1), e(0, 3, 5), e(3, 4, 10)}
+	unit := []graph.Edge{e(0, 1, 1), e(0, 2, 1), e(0, 3, 1), e(3, 4, 1)}
+	for _, tc := range []struct {
+		name   string
+		edges  []graph.Edge
+		n      int
+		self   bool // keep self loops
+		labels []uint32
+		want   int
+	}{
+		{"path-end-stranded", path, 3, false, []uint32{0, 1, 1}, 1},
+		{"path-one-community", path, 3, false, []uint32{1, 1, 1}, 0},
+		{"exact-tie", square, 4, false, []uint32{0, 0, 1, 1}, 0},
+		{"weight-beats-count", heavy, 5, false, []uint32{0, 0, 0, 3, 3}, 1},
+		{"count-by-unit-weight", unit, 5, false, []uint32{0, 0, 0, 3, 3}, 0},
+		{"isolated", []graph.Edge{e(0, 1, 1)}, 3, false, []uint32{0, 0, 2}, 0},
+		{"self-loop-ignored", []graph.Edge{e(0, 0, 10), e(0, 1, 1)}, 2, true, []uint32{0, 1}, 2},
+		{"self-loop-only", []graph.Edge{e(0, 0, 1)}, 1, true, []uint32{0}, 0},
+		{"sparse-labels", path, 3, false, []uint32{7, 1 << 30, 1 << 30}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := graph.DefaultBuildOptions()
+			opts.DropSelfLoops = !tc.self
+			g, err := graph.FromEdges(tc.edges, tc.n, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := Unstable(g, tc.labels); got != tc.want {
+				t.Errorf("Unstable(%v) = %d, want %d", tc.labels, got, tc.want)
+			}
+		})
+	}
+}
