@@ -23,10 +23,11 @@ vet:
 
 # Import layering: algorithm packages meet only through the engine registry.
 # Tree hygiene: no non-Go artifacts under internal/ or cmd/. Formatting: every
-# Go file of the module is gofmt-clean. All three are Go tests in
+# Go file of the module is gofmt-clean. No orphans: every library package is
+# imported by another package of the module. All four are Go tests in
 # lint_test.go at the module root.
 lint:
-	$(GO) test -count=1 -run 'TestImportLayering|TestSourceTree|TestGofmt' .
+	$(GO) test -count=1 -run 'TestImportLayering|TestSourceTree|TestGofmt|TestNoOrphanPackages' .
 
 test:
 	$(GO) test -race -short ./...

@@ -90,10 +90,12 @@ func (w instrumented) Detect(g *graph.CSR, opt Options) (*Result, error) {
 		opt.Profiler.SetQualityObserver(qt)
 		defer opt.Profiler.SetQualityObserver(nil)
 	}
+	// Deferred, so a detector panic that the caller recovers (the
+	// scheduler's runTask does) does not leave the gauge one run higher.
 	mActiveRuns.Add(1)
+	defer mActiveRuns.Add(-1)
 	start := time.Now()
 	res, err := w.d.Detect(g, opt)
-	mActiveRuns.Add(-1)
 	mRunSeconds.With(name).Observe(time.Since(start).Seconds())
 	if err != nil {
 		span.SetString("error", err.Error())

@@ -68,3 +68,36 @@ func TestRegisterInstrumentsDetector(t *testing.T) {
 		t.Errorf("engine_active_runs = %g after run, want %g", got, activeBefore)
 	}
 }
+
+type panicDetector struct{}
+
+func (panicDetector) Name() string { return "test-metrics-panic" }
+func (panicDetector) Detect(*graph.CSR, Options) (*Result, error) {
+	panic("detector blew up")
+}
+
+// TestActiveRunsBalancedAfterPanic: a detector panic that the caller
+// recovers, as the scheduler's runTask does, leaves engine_active_runs
+// where it was.
+func TestActiveRunsBalancedAfterPanic(t *testing.T) {
+	Register(panicDetector{})
+	d, _ := Get("test-metrics-panic")
+	b := graph.NewBuilder(2)
+	b.AddUnitEdge(0, 1)
+	g, err := b.Build(2, graph.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	activeBefore := mActiveRuns.Value()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Detect did not panic")
+			}
+		}()
+		d.Detect(g, Options{})
+	}()
+	if got := mActiveRuns.Value(); got != activeBefore {
+		t.Errorf("engine_active_runs = %g after a recovered panic, want %g", got, activeBefore)
+	}
+}

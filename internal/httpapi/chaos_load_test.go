@@ -25,7 +25,9 @@ import (
 //   - graceful drain: after BeginDrain, submissions shed with 503 while
 //     status reads keep serving;
 //   - bounded goroutines: the storm does not leak runners;
-//   - no deadlock: the scheduler's admitted and completed counts meet.
+//   - no deadlock: the scheduler's admitted and completed counts meet;
+//   - balanced ledger: /metrics counts every submitted job finished and
+//     no job, task or Detect call still open (checkLedger).
 func TestChaosUnderLoadStorm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos storm runs in the chaos suite, not -short")
@@ -149,6 +151,7 @@ func TestChaosUnderLoadStorm(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+	checkLedger(t, ts.URL)
 	t.Logf("storm: %d admitted, %d shed, scheduler %+v",
 		len(ids), sheds.Load(), srv.SchedulerStats())
 }

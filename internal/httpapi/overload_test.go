@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -71,6 +72,61 @@ func waitRunning(t *testing.T, url string, want int) {
 			t.Fatalf("never reached %d running jobs: %s", want, body)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// ledgerFamilies are the job-ledger series checkLedger reads from /metrics.
+var ledgerFamilies = []string{
+	"httpapi_jobs_submitted_total", "httpapi_jobs_finished_total",
+	"httpapi_jobs_active", "sched_queue_depth", "sched_running", "engine_active_runs",
+}
+
+// checkLedger scrapes GET /metrics, the surface a client sees, until the
+// job ledger balances: every submitted job finished, and nothing is active,
+// queued, running or inside a Detect call. Each family is summed over its
+// labels, exemplar suffixes cut off. A family with no # TYPE line fails the
+// test rather than reading 0, so a renamed series cannot pass as balanced.
+func checkLedger(t *testing.T, url string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, body := get(t, url+"/metrics")
+		sums := map[string]float64{} // keyed by the families the # TYPE lines name
+		for _, line := range strings.Split(body, "\n") {
+			if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+				name, _, _ := strings.Cut(rest, " ")
+				sums[name] = 0
+				continue
+			}
+			line, _, _ = strings.Cut(line, " # ") // an exemplar follows the value
+			name, _, _ := strings.Cut(line, " ")
+			name, _, _ = strings.Cut(name, "{")
+			if _, ok := sums[name]; ok {
+				v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+				if err != nil {
+					t.Fatalf("/metrics sample %q: %v", line, err)
+				}
+				sums[name] += v
+			}
+		}
+		balanced := sums["httpapi_jobs_submitted_total"] == sums["httpapi_jobs_finished_total"]
+		for i, f := range ledgerFamilies {
+			v, ok := sums[f]
+			if !ok {
+				t.Fatalf("/metrics has no ledger family %s", f)
+			}
+			balanced = balanced && (i < 2 || v == 0) // the first two are the counters
+		}
+		if balanced {
+			return
+		}
+		if time.Now().After(deadline) {
+			for _, f := range ledgerFamilies {
+				t.Errorf("%s = %g", f, sums[f])
+			}
+			t.Fatal("job ledger does not balance")
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 
@@ -142,6 +198,7 @@ func TestOverloadExactAdmission(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	checkLedger(t, ts.URL)
 }
 
 // TestDrainRefusesSubmissions: once BeginDrain is called, POST /jobs is shed
@@ -261,6 +318,7 @@ func TestCoalesceAndCacheOverHTTP(t *testing.T) {
 	if hit.Communities != fin1.Communities {
 		t.Fatalf("cache hit communities = %d, primary %d", hit.Communities, fin1.Communities)
 	}
+	checkLedger(t, ts.URL)
 }
 
 // TestPriorityDispatchOverHTTP: with one worker busy, a high-priority

@@ -46,12 +46,12 @@ var layeringExempt = map[string]bool{
 	"nulpa/internal/engine/all": true,
 }
 
-// modulePackages returns the production imports of every package of the
-// module, keyed by import path. Like `go list ./...`, it skips testdata,
-// directories starting with "." or "_", and nested modules (benchmark/).
-func modulePackages(t *testing.T) map[string][]string {
+// modulePackages returns every package of the module, keyed by import
+// path. Like `go list ./...`, it skips testdata, directories starting with
+// "." or "_", and nested modules (benchmark/).
+func modulePackages(t *testing.T) map[string]*build.Package {
 	t.Helper()
-	pkgs := map[string][]string{}
+	pkgs := map[string]*build.Package{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
@@ -67,7 +67,7 @@ func modulePackages(t *testing.T) map[string][]string {
 		if err != nil {
 			return err
 		}
-		pkgs[filepath.ToSlash(filepath.Join("nulpa", path))] = p.Imports
+		pkgs[filepath.ToSlash(filepath.Join("nulpa", path))] = p
 		return nil
 	})
 	if err != nil {
@@ -137,12 +137,12 @@ func TestImportLayering(t *testing.T) {
 	if len(pkgs) == 0 || pkgs["nulpa/internal/engine"] == nil {
 		t.Fatalf("found %d packages, none of them nulpa/internal/engine: not run from the module root?", len(pkgs))
 	}
-	for pkg, imports := range pkgs {
+	for pkg, p := range pkgs {
 		if layeringExempt[pkg] {
 			continue
 		}
 		allowed, leaf := layerImports[pkg]
-		for _, imp := range imports {
+		for _, imp := range p.Imports {
 			if leaf && strings.HasPrefix(imp, "nulpa/") && !slices.Contains(allowed, imp) {
 				t.Errorf("%s imports %s (%s may import only %s among nulpa packages)",
 					pkg, imp, filepath.Base(pkg), strings.Join(allowed, ", "))
@@ -156,6 +156,24 @@ func TestImportLayering(t *testing.T) {
 			case imp != "nulpa/internal/nulpa":
 				t.Errorf("%s imports algorithm package %s directly (use the engine registry; only nulpa/internal/nulpa is allowed, for its Options type)", pkg, imp)
 			}
+		}
+	}
+}
+
+// TestNoOrphanPackages: every library package of the module (a non-main
+// package with non-test Go files) is a production import of some other
+// package of the module. A package only its own tests reach is dead code.
+func TestNoOrphanPackages(t *testing.T) {
+	pkgs := modulePackages(t)
+	imported := map[string]bool{}
+	for _, p := range pkgs {
+		for _, imp := range p.Imports {
+			imported[imp] = true
+		}
+	}
+	for pkg, p := range pkgs {
+		if p.Name != "main" && len(p.GoFiles) > 0 && !imported[pkg] {
+			t.Errorf("%s is imported by no other package of the module (delete it or use it)", pkg)
 		}
 	}
 }
