@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"log/slog"
 	"time"
 
@@ -60,7 +61,7 @@ type instrumented struct {
 
 func (w instrumented) Name() string { return w.d.Name() }
 
-func (w instrumented) Detect(g *graph.CSR, opt Options) (*Result, error) {
+func (w instrumented) Detect(g *graph.CSR, opt Options) (res *Result, err error) {
 	name := w.d.Name()
 	// When the caller's context carries a trace (an httpapi job's root span,
 	// cmd/nulpa's run span), the whole Detect call becomes a "detect" child
@@ -90,47 +91,53 @@ func (w instrumented) Detect(g *graph.CSR, opt Options) (*Result, error) {
 		opt.Profiler.SetQualityObserver(qt)
 		defer opt.Profiler.SetQualityObserver(nil)
 	}
-	// Deferred, so a detector panic that the caller recovers (the
-	// scheduler's runTask does) does not leave the gauge one run higher.
 	mActiveRuns.Add(1)
-	defer mActiveRuns.Add(-1)
 	start := time.Now()
-	res, err := w.d.Detect(g, opt)
-	mRunSeconds.With(name).Observe(time.Since(start).Seconds())
-	if err != nil {
-		span.SetString("error", err.Error())
+	// One deferred function records every outcome. A detector panic is
+	// recorded as a failed run, with its span ended, and then goes on to a
+	// caller that recovers it (the scheduler's runTask does).
+	defer func() {
+		mActiveRuns.Add(-1)
+		mRunSeconds.With(name).Observe(time.Since(start).Seconds())
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("panic: %v", p)
+			defer panic(p)
+		}
+		if err != nil {
+			span.SetString("error", err.Error())
+			span.End()
+			// Interruptions are the caller's doing, not detector failures:
+			// their own family keeps error-rate alerts meaningful.
+			if IsInterrupt(err) {
+				mRunsCanceled.With(name).Inc()
+			} else {
+				mRunErrors.With(name).Inc()
+				slog.Warn("detector run failed",
+					"detector", name, "trace", trace.IDFromContext(ctx), "error", err)
+			}
+			return
+		}
+		if res != nil {
+			span.SetInt("iterations", int64(res.Iterations))
+			span.SetInt("communities", int64(res.Communities))
+			span.SetBool("converged", res.Converged)
+			if qt != nil {
+				fs := qt.Final()
+				res.Quality = &fs
+				span.SetFloat("modularity", fs.Modularity)
+				span.SetFloat("qualityDrift", fs.Drift)
+				mQFinal.With(name).Observe(fs.Modularity)
+				mQFinalDrift.Observe(fs.Drift)
+				mQFinalByDetector.With(name).Set(fs.Modularity)
+			}
+		}
 		span.End()
-		// Interruptions are the caller's doing, not detector failures; they
-		// get their own family so error-rate alerts stay meaningful.
-		if IsInterrupt(err) {
-			mRunsCanceled.With(name).Inc()
-		} else {
-			mRunErrors.With(name).Inc()
-			slog.Warn("detector run failed",
-				"detector", name, "trace", trace.IDFromContext(ctx), "error", err)
+		mRuns.With(name).Inc()
+		if res != nil && res.Converged {
+			mConverged.With(name).Inc()
 		}
-		return res, err
-	}
-	if res != nil {
-		span.SetInt("iterations", int64(res.Iterations))
-		span.SetInt("communities", int64(res.Communities))
-		span.SetBool("converged", res.Converged)
-		if qt != nil {
-			fs := qt.Final()
-			res.Quality = &fs
-			span.SetFloat("modularity", fs.Modularity)
-			span.SetFloat("qualityDrift", fs.Drift)
-			mQFinal.With(name).Observe(fs.Modularity)
-			mQFinalDrift.Observe(fs.Drift)
-			mQFinalByDetector.With(name).Set(fs.Modularity)
-		}
-	}
-	span.End()
-	mRuns.With(name).Inc()
-	if res != nil && res.Converged {
-		mConverged.With(name).Inc()
-	}
-	return res, nil
+	}()
+	return w.d.Detect(g, opt)
 }
 
 // Unwrap returns the detector underneath the registry's metrics decoration —

@@ -7,6 +7,7 @@ import (
 
 	"nulpa/internal/graph"
 	"nulpa/internal/telemetry"
+	"nulpa/internal/trace"
 )
 
 func TestLoopFeedsMetrics(t *testing.T) {
@@ -78,7 +79,9 @@ func (panicDetector) Detect(*graph.CSR, Options) (*Result, error) {
 
 // TestActiveRunsBalancedAfterPanic: a detector panic that the caller
 // recovers, as the scheduler's runTask does, leaves engine_active_runs
-// where it was.
+// where it was, and leaves the run's evidence: the detect span ended with
+// the panic as its error, and the run counted in engine_run_seconds and
+// engine_run_errors_total.
 func TestActiveRunsBalancedAfterPanic(t *testing.T) {
 	Register(panicDetector{})
 	d, _ := Get("test-metrics-panic")
@@ -88,16 +91,40 @@ func TestActiveRunsBalancedAfterPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := trace.New(0)
+	tr.SetEnabled(true)
+	ctx, root := tr.Root(context.Background(), "run")
 	activeBefore := mActiveRuns.Value()
+	secondsBefore := mRunSeconds.With("test-metrics-panic").Count()
+	errorsBefore := mRunErrors.With("test-metrics-panic").Value()
 	func() {
 		defer func() {
-			if recover() == nil {
-				t.Fatal("Detect did not panic")
+			if r := recover(); r != "detector blew up" {
+				t.Fatalf("Detect recovered %v, want the detector's panic", r)
 			}
 		}()
-		d.Detect(g, Options{})
+		d.Detect(g, Options{Context: ctx})
 	}()
+	root.End()
 	if got := mActiveRuns.Value(); got != activeBefore {
 		t.Errorf("engine_active_runs = %g after a recovered panic, want %g", got, activeBefore)
+	}
+	if got := mRunSeconds.With("test-metrics-panic").Count(); got != secondsBefore+1 {
+		t.Errorf("engine_run_seconds count = %d after a panic, want %d", got, secondsBefore+1)
+	}
+	if got := mRunErrors.With("test-metrics-panic").Value(); got != errorsBefore+1 {
+		t.Errorf("engine_run_errors_total = %d after a panic, want %d", got, errorsBefore+1)
+	}
+	var detect *trace.SpanData
+	for _, s := range tr.TraceSpans(root.TraceID()) {
+		if s.Name == "detect" {
+			detect = &s
+		}
+	}
+	if detect == nil {
+		t.Fatal("no detect span published after a panic")
+	}
+	if got := detect.Attrs["error"]; got != "panic: detector blew up" {
+		t.Errorf("detect span error = %v, want %q", got, "panic: detector blew up")
 	}
 }

@@ -335,10 +335,13 @@ func csrDigest(g *graph.CSR) uint64 {
 
 // TestGeneratorDigestsPinned pins the CSR each generator builds: the digests
 // were taken from the per-row comparison-sort builder and per-vertex link
-// lists the counting-sort FromEdges and the edge-list copy step replaced,
-// so a change to either that moves a single arc or weight fails here. The
-// last two are the web-simt and social-sharded benchmark inputs of seed 100,
-// large enough that FromEdges sorts them on several workers.
+// lists that FromEdges and the edge-list copy step replaced, and held by
+// every builder since, so a change to either that moves a single arc or
+// weight fails here. "web 200000" and "social 65536" are the web-simt and
+// social-sharded benchmark inputs of seed 100, large enough that FromEdges
+// builds them on several workers. "web 500000" emits 4.57M edges, more than
+// 2²², and its digest was taken from the target-bucket counting sort that
+// the source-bucket build replaced.
 func TestGeneratorDigestsPinned(t *testing.T) {
 	social, _ := Social(DefaultSocial(8192, 16, 101))
 	bigSocial, _ := Social(DefaultSocial(65536, 32, 100))
@@ -353,6 +356,7 @@ func TestGeneratorDigestsPinned(t *testing.T) {
 		{"kmer 20000", KMer(DefaultKMer(20000, 101)), 0x203c82444f8da932},
 		{"web 200000", Web(DefaultWeb(200000, 8, 100)), 0x0e8e3eff9d4bc1b8},
 		{"social 65536", bigSocial, 0x0c287cc94604ed8a},
+		{"web 500000", Web(DefaultWeb(500000, 8, 100)), 0x6df9faa4811ee423},
 	} {
 		if got := csrDigest(c.g); got != c.want {
 			t.Errorf("%s: CSR digest %#016x, want %#016x", c.name, got, c.want)

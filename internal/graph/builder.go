@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -80,41 +81,43 @@ var MaxVertices = 1 << 28
 // FromEdges assembles an arbitrary arc list into a CSR with n vertices.
 // It is the single entry point used by all loaders and generators.
 //
-// Rows come out sorted by target in O(V+E) with a counting sort: the arcs
-// are bucketed by target, then the buckets are replayed in ascending target
-// order into their sources' rows. Within a row, parallel arcs therefore
-// keep their input order (an edge's reverse arc is emitted right after it),
-// and with SumDuplicates their weights are summed in that order.
+// The arcs are bucketed by source straight into the CSR's rows, so every row
+// holds its arcs in input order (an edge's reverse arc sits in its target's
+// row at the edge's input position). Each row is then sorted by target with
+// a stable sort while it is in cache. Within a row, parallel arcs therefore
+// keep their input order, and with SumDuplicates their weights are summed in
+// that order.
 //
-// m edges over n vertices are sorted by
+// m edges over n vertices are built by
 // min(GOMAXPROCS, m/parallelEdges, maxBuildWorkers, 1+m/n) workers, at least
 // one. Each extra worker holds a histogram of n counters, so the last cap
 // keeps those histograms no larger than the edge list. One worker runs the
 // passes on the calling goroutine alone.
 //
 // The graph is the same at every worker count. Worker c counts a contiguous
-// chunk of the edges, and its cursor in bucket t starts after every arc of
-// the lower buckets and of the lower chunks' arcs in t, so the buckets hold
-// the arcs in input order. Each worker then replays an
-// ascending range of targets, with its own cursor per row placed after the
-// arcs of the lower ranges, so every row is filled in ascending target
-// order. Duplicates are merged per row range, each row's weights summed in
-// row order, and TotalWeight is one in-order sum over the result.
+// chunk of the edges per source row, and its cursor in row u starts after
+// the lower chunks' arcs in u, so the scatter leaves every row in input
+// order. Each worker then sorts, and with SumDuplicates merges, a range of
+// rows of about equal arcs, each row's weights summed in row order, and
+// TotalWeight is one in-order sum over the result.
 func FromEdges(edges []Edge, n int, opt BuildOptions) (*CSR, error) {
 	return fromEdges(edges, n, opt, buildWorkers(len(edges), n))
 }
 
 const (
 	// parallelEdges is the fewest input edges that earn a build worker, so
-	// an input below twice this is sorted on the calling goroutine alone.
+	// an input below twice this is built on the calling goroutine alone.
 	parallelEdges = 1 << 17
 	// maxBuildWorkers caps a build's workers, which bounds the histogram
 	// memory and sizes csrBuild's per-worker arrays. Builds above 2 workers
 	// have been checked for correctness but their speed is unmeasured.
 	maxBuildWorkers = 8
+	// shortRow is the longest row sorted by insertion; longer rows go to
+	// sortLong.
+	shortRow = 64
 )
 
-// buildWorkers is how many workers FromEdges sorts m edges over n vertices
+// buildWorkers is how many workers FromEdges builds m edges over n vertices
 // with, by the rule in its doc comment.
 func buildWorkers(m, n int) int {
 	return max(1, min(runtime.GOMAXPROCS(0), m/parallelEdges, maxBuildWorkers, 1+m/max(n, 1)))
@@ -127,7 +130,7 @@ func fromEdges(edges []Edge, n int, opt BuildOptions, p int) (*CSR, error) {
 	}
 	b := csrBuild{edges: edges, n: n, p: p, opt: opt}
 	b.offsets = make([]int64, n+1)
-	b.hist = make([]int64, p*n)
+	b.hist = make([]int64, (p-1)*n)
 	for w := 0; w < p; w++ {
 		b.chunk[w+1] = (w + 1) * len(edges) / p
 		b.bad[w] = -1
@@ -141,35 +144,28 @@ func fromEdges(edges []Edge, n int, opt BuildOptions, p int) (*CSR, error) {
 	return g, nil
 }
 
-// csrBuild is one FromEdges call's state. Worker w owns chunk w of the
-// edges, range w of the targets and range w of the rows; the passes between
-// barriers touch disjoint memory, and the steps at a barrier run alone.
+// csrBuild is one FromEdges call's state. Worker w owns chunk w of the edges
+// and range w of the rows; the passes between barriers touch disjoint
+// memory, and the steps at a barrier run alone.
 type csrBuild struct {
 	edges []Edge
 	n, p  int
 	opt   BuildOptions
 	err   error
 
-	// hist is p histograms of n counters, worker w's at [w·n, (w+1)·n):
-	// first chunk w's per-target arc counts, then its cursors into the
-	// buckets. After the scatter the last one holds every bucket's end, and
-	// the others count, then place, range w's arcs per row.
+	// hist is the first p−1 chunks' per-row arc counts, then cursors, chunk
+	// w's at [w·n, (w+1)·n).
 	hist []int64
-	// offsets counts, then places, the last range's arcs per row, and ends
-	// as the row starts.
+	// offsets is the last chunk's histogram, and ends as the row starts.
 	offsets []int64
-	// src and srcW are the arcs' sources and weights bucketed by target.
-	src  []Vertex
-	srcW []float32
-	arcs int64
 
 	targets []Vertex
 	weights []float32
 
-	// chunk bounds the edge chunks, span the target ranges and rows the
-	// row ranges; row range w starts at arc cut[w] before the merge.
-	chunk, span, rows [maxBuildWorkers + 1]int
-	cut               [maxBuildWorkers + 1]int64
+	// chunk bounds the edge chunks and rows the row ranges; row range w
+	// starts at arc cut[w] before the merge.
+	chunk, rows [maxBuildWorkers + 1]int
+	cut         [maxBuildWorkers + 1]int64
 	// bad is the index of chunk w's first invalid edge, or -1; kept is
 	// the arcs row range w keeps after merging its duplicates.
 	bad  [maxBuildWorkers]int
@@ -219,7 +215,7 @@ func (b *csrBuild) run() {
 func (b *csrBuild) work(w int) {
 	b.count(w)
 	if b.arrive() {
-		b.placeBuckets()
+		b.place()
 		b.release()
 	}
 	if b.err != nil {
@@ -227,23 +223,13 @@ func (b *csrBuild) work(w int) {
 	}
 	b.scatter(w)
 	if b.arrive() {
-		b.splitTargets()
-		b.release()
-	}
-	b.countRows(w)
-	if b.arrive() {
-		b.placeRows()
-		b.release()
-	}
-	b.replay(w)
-	if b.arrive() {
 		b.finishRows()
 		b.release()
 	}
+	b.sortRows(w)
 	if !b.opt.SumDuplicates {
 		return
 	}
-	b.merge(w)
 	if b.arrive() {
 		b.join()
 		b.release()
@@ -282,10 +268,18 @@ func (b *csrBuild) release() {
 	b.bar.cond.Broadcast()
 }
 
-// count validates chunk w and counts its arcs per target. It stops at the
-// chunk's first invalid edge.
+// rowCounts is chunk w's per-row counters, later its row cursors.
+func (b *csrBuild) rowCounts(w int) []int64 {
+	if w == b.p-1 {
+		return b.offsets[:b.n]
+	}
+	return b.hist[w*b.n : (w+1)*b.n]
+}
+
+// count validates chunk w and counts its arcs per source row. It stops at
+// the chunk's first invalid edge.
 func (b *csrBuild) count(w int) {
-	h := b.hist[w*b.n : (w+1)*b.n]
+	h := b.rowCounts(w)
 	sym, drop := b.opt.Symmetrize, b.opt.DropSelfLoops
 	for i := b.chunk[w]; i < b.chunk[w+1]; i++ {
 		e := b.edges[i]
@@ -296,17 +290,17 @@ func (b *csrBuild) count(w int) {
 		if e.U == e.V && drop {
 			continue
 		}
-		h[e.V]++
+		h[e.U]++
 		if sym && e.U != e.V {
-			h[e.U]++
+			h[e.V]++
 		}
 	}
 }
 
-// placeBuckets reports the first invalid edge, or turns the per-chunk
-// counts into cursors: chunk c's cursor in bucket t starts after every arc
-// of the lower buckets and of the lower chunks in t.
-func (b *csrBuild) placeBuckets() {
+// place reports the first invalid edge, or turns the per-chunk counts into
+// cursors: chunk c's cursor in row u starts after every arc of the lower
+// rows and of the lower chunks in u.
+func (b *csrBuild) place() {
 	for _, i := range b.bad[:b.p] {
 		if i < 0 {
 			continue
@@ -320,85 +314,8 @@ func (b *csrBuild) placeBuckets() {
 		return
 	}
 	at := int64(0)
-	for t := 0; t < b.n; t++ {
-		for c := t; c < len(b.hist); c += b.n {
-			k := b.hist[c]
-			b.hist[c] = at
-			at += k
-		}
-	}
-	b.arcs = at
-	b.src = make([]Vertex, at)
-	b.srcW = make([]float32, at)
-}
-
-// scatter buckets chunk w's arcs by target in input order.
-func (b *csrBuild) scatter(w int) {
-	h := b.hist[w*b.n : (w+1)*b.n]
-	src, srcW := b.src, b.srcW
-	sym, drop := b.opt.Symmetrize, b.opt.DropSelfLoops
-	for _, e := range b.edges[b.chunk[w]:b.chunk[w+1]] {
-		if e.U == e.V && drop {
-			continue
-		}
-		p := h[e.V]
-		h[e.V]++
-		src[p], srcW[p] = e.U, e.W
-		if sym && e.U != e.V {
-			p = h[e.U]
-			h[e.U]++
-			src[p], srcW[p] = e.V, e.W
-		}
-	}
-}
-
-// bucketEnds is bucket t's end at index t; it is the last chunk's cursors
-// once every chunk is scattered.
-func (b *csrBuild) bucketEnds() []int64 { return b.hist[(b.p-1)*b.n:] }
-
-// bucketStart is where bucket t starts, t <= n.
-func (b *csrBuild) bucketStart(t int) int64 {
-	if t == 0 {
-		return 0
-	}
-	return b.bucketEnds()[t-1]
-}
-
-// splitTargets cuts the targets into p ranges of about equal arcs.
-func (b *csrBuild) splitTargets() {
-	ends := b.bucketEnds()
-	b.span[b.p] = b.n
-	for r := 1; r < b.p; r++ {
-		goal := int64(r) * b.arcs / int64(b.p)
-		b.span[r] = sort.Search(b.n, func(t int) bool { return ends[t] >= goal })
-	}
-}
-
-// rowCounts is target range r's per-row counters, later its row cursors.
-func (b *csrBuild) rowCounts(r int) []int64 {
-	if r == b.p-1 {
-		return b.offsets[:b.n]
-	}
-	return b.hist[r*b.n : (r+1)*b.n]
-}
-
-// countRows counts target range r's arcs per source row.
-func (b *csrBuild) countRows(r int) {
-	cnt := b.rowCounts(r)
-	if r < b.p-1 {
-		clear(cnt)
-	}
-	for _, u := range b.src[b.bucketStart(b.span[r]):b.bucketStart(b.span[r+1])] {
-		cnt[u]++
-	}
-}
-
-// placeRows turns the per-range row counts into cursors: a row holds range
-// 0's arcs first, then range 1's, and so on.
-func (b *csrBuild) placeRows() {
-	at := int64(0)
 	for u := 0; u < b.n; u++ {
-		for c := u; c < len(b.hist)-b.n; c += b.n {
+		for c := u; c < len(b.hist); c += b.n {
 			k := b.hist[c]
 			b.hist[c] = at
 			at += k
@@ -407,42 +324,39 @@ func (b *csrBuild) placeRows() {
 		b.offsets[u] = at
 		at += k
 	}
-	b.targets = make([]Vertex, b.arcs)
-	b.weights = make([]float32, b.arcs)
+	b.targets = make([]Vertex, at)
+	b.weights = make([]float32, at)
 }
 
-// replay places target range r's buckets, in ascending target order, into
-// their sources' rows.
-func (b *csrBuild) replay(r int) {
-	cur := b.rowCounts(r)
-	ends := b.bucketEnds()
-	src, srcW := b.src, b.srcW
+// scatter writes chunk w's arcs into their sources' rows in input order.
+func (b *csrBuild) scatter(w int) {
+	cur := b.rowCounts(w)
 	targets, weights := b.targets, b.weights
-	lo := b.bucketStart(b.span[r])
-	for t := b.span[r]; t < b.span[r+1]; t++ {
-		hi := ends[t]
-		for p := lo; p < hi; p++ {
-			u := src[p]
-			q := cur[u]
-			cur[u]++
-			targets[q], weights[q] = Vertex(t), srcW[p]
+	sym, drop := b.opt.Symmetrize, b.opt.DropSelfLoops
+	for _, e := range b.edges[b.chunk[w]:b.chunk[w+1]] {
+		if e.U == e.V && drop {
+			continue
 		}
-		lo = hi
+		q := cur[e.U]
+		cur[e.U]++
+		targets[q], weights[q] = e.V, e.W
+		if sym && e.U != e.V {
+			q = cur[e.V]
+			cur[e.V]++
+			targets[q], weights[q] = e.U, e.W
+		}
 	}
 }
 
-// finishRows restores the row starts: the last range's cursor in row u
-// ended at row u+1's start. With SumDuplicates it also cuts the rows into p
-// ranges of about equal arcs for merging.
+// finishRows restores the row starts: the last chunk's cursor in row u
+// ended at row u+1's start. It then cuts the rows into p ranges of about
+// equal arcs for sorting.
 func (b *csrBuild) finishRows() {
 	copy(b.offsets[1:], b.offsets[:b.n])
 	b.offsets[0] = 0
-	if !b.opt.SumDuplicates {
-		return
-	}
 	b.rows[b.p] = b.n
 	for r := 1; r < b.p; r++ {
-		goal := int64(r) * b.arcs / int64(b.p)
+		goal := int64(r) * b.offsets[b.n] / int64(b.p)
 		b.rows[r] = sort.Search(b.n, func(u int) bool { return b.offsets[u] >= goal })
 	}
 	for r := 0; r <= b.p; r++ {
@@ -450,10 +364,13 @@ func (b *csrBuild) finishRows() {
 	}
 }
 
-// merge merges the runs of equal targets in row range r's rows, summing
-// their weights in row order, and compacts the range in place from its
-// first arc.
-func (b *csrBuild) merge(r int) {
+// sortRows stably sorts row range r's rows by target, one row at a time so
+// that each is sorted while it is in cache. With SumDuplicates it merges
+// each row's runs of equal targets, summing their weights in row order,
+// and compacts the range in place from its first arc.
+func (b *csrBuild) sortRows(r int) {
+	var keys []uint64
+	var kw []float32
 	offsets, targets, weights := b.offsets, b.targets, b.weights
 	out := b.cut[r]
 	hi := out
@@ -467,20 +384,95 @@ func (b *csrBuild) merge(r int) {
 			hi = offsets[i+1]
 		}
 		offsets[i] = out
-		for p := lo; p < hi; {
-			t := targets[p]
-			w := weights[p]
-			p++
-			for p < hi && targets[p] == t {
-				w += weights[p]
-				p++
+		ts, ws := targets[lo:hi], weights[lo:hi]
+		// Insertion keeps equal targets in row order and costs one shift
+		// per inversion, so it sorts only short rows.
+		if len(ts) > shortRow {
+			keys, kw = sortLong(ts, ws, keys, kw)
+		} else {
+			for j := 1; j < len(ts); j++ {
+				t, w := ts[j], ws[j]
+				at := j
+				for ; at > 0 && ts[at-1] > t; at-- {
+					ts[at], ws[at] = ts[at-1], ws[at-1]
+				}
+				ts[at], ws[at] = t, w
 			}
-			targets[out] = t
-			weights[out] = w
+		}
+		if !b.opt.SumDuplicates {
+			out = hi
+			continue
+		}
+		for p := 0; p < len(ts); {
+			t, w := ts[p], ws[p]
+			for p++; p < len(ts) && ts[p] == t; p++ {
+				w += ws[p]
+			}
+			targets[out], weights[out] = t, w
 			out++
 		}
 	}
 	b.kept[r] = out - b.cut[r]
+}
+
+// sortLong stably sorts a row longer than shortRow by target, carrying its
+// weights. Rows often end in a sorted run (the reverse arcs of edges given
+// in source order), so only the arcs before that run are sorted, by
+// slices.Sort over the keys target<<32 | position, and then merged with it.
+// keys and kw are scratch that it grows at least twofold and returns. A
+// row of 2³² or more arcs, whose positions do not fit in a key, is sorted by
+// sort.Stable instead.
+func sortLong(ts []Vertex, ws []float32, keys []uint64, kw []float32) ([]uint64, []float32) {
+	if int64(len(ts)) >= 1<<32 {
+		sort.Stable(rowSorter{ts, ws})
+		return keys, kw
+	}
+	run := len(ts) - 1
+	for run > 0 && ts[run-1] <= ts[run] {
+		run--
+	}
+	if run == 0 {
+		return keys, kw
+	}
+	if run > len(keys) {
+		size := max(run, 2*len(keys))
+		keys, kw = make([]uint64, size), make([]float32, size)
+	}
+	k, w := keys[:run], kw[:run]
+	for j, t := range ts[:run] {
+		k[j] = uint64(t)<<32 | uint64(j)
+	}
+	slices.Sort(k)
+	for j, key := range k {
+		w[j] = ws[uint32(key)]
+	}
+	// Merge the sorted head, now in k and w, with the run, taking the head's
+	// arc first among equal targets; a write never passes the run's next
+	// unread arc.
+	j, at := run, 0
+	for i := range k {
+		t := Vertex(k[i] >> 32)
+		for ; j < len(ts) && ts[j] < t; j++ {
+			ts[at], ws[at] = ts[j], ws[j]
+			at++
+		}
+		ts[at], ws[at] = t, w[i]
+		at++
+	}
+	return keys, kw
+}
+
+// rowSorter sorts a row by target, carrying its weights, for sort.Stable.
+type rowSorter struct {
+	t []Vertex
+	w []float32
+}
+
+func (s rowSorter) Len() int           { return len(s.t) }
+func (s rowSorter) Less(i, j int) bool { return s.t[i] < s.t[j] }
+func (s rowSorter) Swap(i, j int) {
+	s.t[i], s.t[j] = s.t[j], s.t[i]
+	s.w[i], s.w[j] = s.w[j], s.w[i]
 }
 
 // join moves each merged row range down behind the one before it and

@@ -8,13 +8,12 @@ import (
 	"testing"
 )
 
-// referenceFromEdges is the per-row comparison-sort builder FromEdges
-// replaced: place the arcs row by row in emission order, sort each row by
-// target, then merge duplicates. With stable set the rows are sorted
-// stably, so parallel arcs keep their input order, which is the order
-// FromEdges' counting sort guarantees; otherwise the sort is sort.Sort, as
-// the replaced builder used, and parallel arcs come out in whatever order it
-// leaves them.
+// referenceFromEdges is the first, per-row comparison-sort builder: place
+// the arcs row by row in emission order, sort each row by target with the
+// builder's rowSorter, then merge duplicates. With stable set the rows are
+// sorted stably, so parallel arcs keep their input order, which is the
+// order FromEdges guarantees; otherwise the sort is sort.Sort, as that
+// builder used, and parallel arcs come out in whatever order it leaves them.
 func referenceFromEdges(edges []Edge, n int, opt BuildOptions, stable bool) *CSR {
 	counts := make([]int64, n+1)
 	for _, e := range edges {
@@ -46,7 +45,7 @@ func referenceFromEdges(edges []Edge, n int, opt BuildOptions, stable bool) *CSR
 		}
 	}
 	for i := 0; i < n; i++ {
-		s := &refSorter{targets[counts[i]:counts[i+1]], weights[counts[i]:counts[i+1]]}
+		s := rowSorter{targets[counts[i]:counts[i+1]], weights[counts[i]:counts[i+1]]}
 		if stable {
 			sort.Stable(s)
 		} else {
@@ -75,18 +74,6 @@ func referenceFromEdges(edges []Edge, n int, opt BuildOptions, stable bool) *CSR
 	g = &CSR{Offsets: newOff, Targets: targets[:out], Weights: weights[:out]}
 	g.RecomputeTotalWeight()
 	return g
-}
-
-type refSorter struct {
-	t []Vertex
-	w []float32
-}
-
-func (s *refSorter) Len() int           { return len(s.t) }
-func (s *refSorter) Less(i, j int) bool { return s.t[i] < s.t[j] }
-func (s *refSorter) Swap(i, j int) {
-	s.t[i], s.t[j] = s.t[j], s.t[i]
-	s.w[i], s.w[j] = s.w[j], s.w[i]
 }
 
 // fuzzEdges decodes a fuzz input into a vertex count in [1, 16] and a
@@ -397,13 +384,14 @@ func TestFromEdgesRebuildIdentity(t *testing.T) {
 }
 
 // TestFromEdgesWorkersAllocs bounds a build's allocations at forced worker
-// counts 1 to maxBuildWorkers. One worker makes seven: offsets, histograms,
-// the two bucket arrays, targets, weights and the CSR. More workers add the
-// shared state, one goroutine closure per extra worker and at most two of
-// the runtime's own goroutine and wait records, so workers or histograms set
-// up once per pass instead of once per build fail it. The fewest mallocs
-// over ten warm builds are taken; testing.AllocsPerRun is not used because
-// it runs at GOMAXPROCS 1.
+// counts 1 to maxBuildWorkers. One worker makes four: offsets, targets,
+// weights and the CSR. More workers add the histograms, the shared state,
+// one goroutine closure per extra worker and at most two of the runtime's
+// own goroutine and wait records, so workers or histograms set up once per
+// pass instead of once per build fail it. The input's rows are all short,
+// so no worker allocates a sort buffer. The fewest mallocs over ten warm
+// builds are taken; testing.AllocsPerRun is not used because it runs at
+// GOMAXPROCS 1.
 func TestFromEdgesWorkersAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	edges := make([]Edge, 20000)
@@ -423,12 +411,48 @@ func TestFromEdgesWorkersAllocs(t *testing.T) {
 				fewest = min(fewest, after.Mallocs-before.Mallocs)
 			}
 		}
-		want := uint64(7)
+		want := uint64(4)
 		if p > 1 {
-			want += 1 + uint64(p-1) + 2
+			want += 2 + uint64(p-1) + 2
 		}
 		if fewest > want {
 			t.Errorf("%d workers: %d allocations per build, want at most %d", p, fewest, want)
+		}
+	}
+}
+
+// TestFromEdgesBytes bounds the bytes a build allocates at p = 1 and 2
+// workers: the CSR's own 8 bytes per arc before merging, 8·(p+1)·(n+1)
+// bytes for the offsets and histograms, and 64 KiB for the rest. Scratch
+// that copies the arcs once more, such as target buckets, fails it. The
+// fewest bytes over several warm builds are taken, so that allocations by
+// other goroutines do not count.
+func TestFromEdgesBytes(t *testing.T) {
+	const n, m = 5000, 40000
+	rng := rand.New(rand.NewSource(9))
+	edges := make([]Edge, m)
+	arcs := uint64(0)
+	for i := range edges {
+		edges[i] = Edge{Vertex(rng.Intn(n)), Vertex(rng.Intn(n)), 1}
+		if edges[i].U != edges[i].V {
+			arcs += 2
+		}
+	}
+	for _, p := range []int{1, 2} {
+		fewest := uint64(math.MaxUint64)
+		for run := 0; run <= 5; run++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := fromEdges(edges, n, DefaultBuildOptions(), p); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if run > 0 {
+				fewest = min(fewest, after.TotalAlloc-before.TotalAlloc)
+			}
+		}
+		if want := 8*arcs + 8*uint64(p+1)*(n+1) + 64<<10; fewest > want {
+			t.Errorf("%d workers: %d bytes per build of %d arcs, want at most %d", p, fewest, arcs, want)
 		}
 	}
 }

@@ -241,21 +241,23 @@ func TestRandomGraphInvariants(t *testing.T) {
 	}
 }
 
-// BenchmarkBuildFromEdges assembles random multigraphs of 8 and 16 edges
-// per vertex: the 10k case is below the parallel threshold and runs on one
-// worker, the 65k one (about the social benchmark graph's size) on up to
-// GOMAXPROCS.
+// BenchmarkBuildFromEdges assembles random multigraphs of 8, 16 and 4
+// edges per vertex: the 10k case is below the parallel threshold and runs on
+// one worker, the 65k one (about the social benchmark graph's size) on up to
+// GOMAXPROCS. The 400k case's offsets and histograms alone exceed a 2 MiB
+// L2, so its per-row scatter misses cache where the smaller ones hit.
 func BenchmarkBuildFromEdges(b *testing.B) {
 	for _, c := range []struct {
 		name   string
 		n, deg int
-	}{{"n=10k", 10000, 8}, {"n=65k", 65536, 16}} {
+	}{{"n=10k", 10000, 8}, {"n=65k", 65536, 16}, {"n=400k", 400000, 4}} {
 		rng := rand.New(rand.NewSource(1))
 		edges := make([]Edge, c.deg*c.n)
 		for i := range edges {
 			edges[i] = Edge{Vertex(rng.Intn(c.n)), Vertex(rng.Intn(c.n)), 1}
 		}
 		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := FromEdges(edges, c.n, DefaultBuildOptions()); err != nil {
 					b.Fatal(err)
