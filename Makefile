@@ -24,10 +24,12 @@ vet:
 # Import layering: algorithm packages meet only through the engine registry.
 # Tree hygiene: no non-Go artifacts under internal/ or cmd/. Formatting: every
 # Go file of the module is gofmt-clean. No orphans: every library package is
-# imported by another package of the module. All four are Go tests in
-# lint_test.go at the module root.
+# imported by another package of the module. No test-only exports: every
+# exported identifier and method under internal/ has a production user, here
+# or in benchmark/, unless lint_test.go's allowlist keeps it with a reason.
+# All five are Go tests in lint_test.go at the module root.
 lint:
-	$(GO) test -count=1 -run 'TestImportLayering|TestSourceTree|TestGofmt|TestNoOrphanPackages' .
+	$(GO) test -count=1 -run 'TestImportLayering|TestSourceTree|TestGofmt|TestNoOrphanPackages|TestExportsUsed' .
 
 test:
 	$(GO) test -race -short ./...

@@ -253,22 +253,9 @@ func main() {
 	// is exactly the run one wants to inspect frame by frame and span by
 	// span.
 	if mon != nil {
-		reason := "request"
-		switch {
-		case err != nil && errors.Is(err, engine.ErrDeadline):
-			reason = "deadline"
-		case err != nil && errors.Is(err, engine.ErrCanceled):
-			reason = "canceled"
-		case err != nil:
-			reason = "fault"
-		default:
-			if nres, ok := res.Extra.(*nulpa.Result); ok && nres.Degraded {
-				reason = "degraded"
-				mon.RecordEvent("fallback:direct", "simt backend degraded to direct")
-			}
-		}
-		if err != nil {
-			mon.RecordEvent(reason, err.Error())
+		reason := httpapi.RecordOutcome(mon, err, res)
+		if reason == "" {
+			reason = "request"
 		}
 		mon.Close()
 		if *flightOut != "" {

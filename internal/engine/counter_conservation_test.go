@@ -58,7 +58,19 @@ type pinnedCounts struct {
 	hist    *[2]int64
 	stats   hashtable.StatsSnapshot
 	iters   [][9]int64
-	kernels map[string]telemetry.WorkCounts
+	kernels map[string]kernelWork
+}
+
+// kernelWork is the five counters pinned per kernel, projected from the
+// kernel's summed launch records: a label flip is a move or a Cross-Check
+// revert.
+type kernelWork struct {
+	EdgeVisits, LabelFlips, HashProbes, HashCollisions, ActiveVertices int64
+}
+
+func projectKernel(w telemetry.IterRecord) kernelWork {
+	return kernelWork{EdgeVisits: w.EdgeVisits, LabelFlips: w.Moves + w.Reverts,
+		HashProbes: w.HashProbes, HashCollisions: w.HashCollisions, ActiveVertices: w.ActiveVertices}
 }
 
 var pinnedConservation = map[string]pinnedCounts{
@@ -76,7 +88,7 @@ var pinnedConservation = map[string]pinnedCounts{
 			{3915, 318, 35, 0, 35, 3562, 5215, 1653, 0},
 			{2546, 206, 29, 0, 29, 2243, 3337, 1094, 0},
 		},
-		kernels: map[string]telemetry.WorkCounts{
+		kernels: map[string]kernelWork{
 			"thread-per-vertex": {EdgeVisits: 57284, LabelFlips: 1422, HashProbes: 71530, HashCollisions: 28899, ActiveVertices: 3911},
 		},
 	},
@@ -94,7 +106,7 @@ var pinnedConservation = map[string]pinnedCounts{
 			{3678, 302, 30, 0, 30, 3360, 5065, 1705, 0},
 			{2210, 181, 18, 0, 18, 2039, 3009, 970, 0},
 		},
-		kernels: map[string]telemetry.WorkCounts{
+		kernels: map[string]kernelWork{
 			"cross-check":       {EdgeVisits: 0, LabelFlips: 94, HashProbes: 0, HashCollisions: 0, ActiveVertices: 0},
 			"thread-per-vertex": {EdgeVisits: 55428, LabelFlips: 1331, HashProbes: 70142, HashCollisions: 28413, ActiveVertices: 3820},
 		},
@@ -112,7 +124,7 @@ var pinnedConservation = map[string]pinnedCounts{
 			{4400, 356, 39, 0, 39, 3960, 6035, 2075, 0},
 			{2727, 221, 22, 0, 22, 2491, 3670, 1179, 0},
 		},
-		kernels: map[string]telemetry.WorkCounts{
+		kernels: map[string]kernelWork{
 			"thread-per-vertex": {EdgeVisits: 58234, LabelFlips: 1431, HashProbes: 56574, HashCollisions: 13600, ActiveVertices: 3973},
 		},
 	},
@@ -132,7 +144,7 @@ var pinnedConservation = map[string]pinnedCounts{
 			{1861, 163, 6, 0, 6, 1805, 2360, 555, 0},
 			{529, 43, 3, 0, 3, 498, 637, 139, 0},
 		},
-		kernels: map[string]telemetry.WorkCounts{
+		kernels: map[string]kernelWork{
 			"thread-per-vertex": {EdgeVisits: 61684, LabelFlips: 1518, HashProbes: 75143, HashCollisions: 29224, ActiveVertices: 4218},
 		},
 	},
@@ -150,7 +162,7 @@ var pinnedConservation = map[string]pinnedCounts{
 			{4177, 360, 21, 0, 21, 3962, 5140, 1178, 0},
 			{1801, 144, 11, 0, 11, 1678, 2152, 474, 0},
 		},
-		kernels: map[string]telemetry.WorkCounts{
+		kernels: map[string]kernelWork{
 			"thread-per-vertex": {EdgeVisits: 57125, LabelFlips: 1377, HashProbes: 68035, HashCollisions: 25225, ActiveVertices: 3920},
 		},
 	},
@@ -170,7 +182,7 @@ var pinnedConservation = map[string]pinnedCounts{
 			{1375, 116, 9, 0, 9, 1288, 1347, 59, 0},
 			{685, 58, 7, 0, 7, 633, 687, 54, 0},
 		},
-		kernels: map[string]telemetry.WorkCounts{
+		kernels: map[string]kernelWork{
 			"block-per-vertex":  {EdgeVisits: 1541, LabelFlips: 1, HashProbes: 1602, HashCollisions: 95, ActiveVertices: 38},
 			"thread-per-vertex": {EdgeVisits: 35855, LabelFlips: 882, HashProbes: 36725, HashCollisions: 8440, ActiveVertices: 2840},
 		},
@@ -191,7 +203,7 @@ var pinnedConservation = map[string]pinnedCounts{
 			{1424, 116, 9, 0, 9, 1341, 1407, 66, 0},
 			{810, 61, 9, 0, 9, 735, 800, 65, 0},
 		},
-		kernels: map[string]telemetry.WorkCounts{
+		kernels: map[string]kernelWork{
 			"block-per-vertex":  {EdgeVisits: 1477, LabelFlips: 1, HashProbes: 1531, HashCollisions: 88, ActiveVertices: 36},
 			"cross-check":       {EdgeVisits: 0, LabelFlips: 56, HashProbes: 0, HashCollisions: 0, ActiveVertices: 0},
 			"thread-per-vertex": {EdgeVisits: 35351, LabelFlips: 868, HashProbes: 36171, HashCollisions: 8252, ActiveVertices: 2791},
@@ -212,7 +224,7 @@ var pinnedConservation = map[string]pinnedCounts{
 			{1342, 111, 9, 0, 9, 1255, 1286, 31, 0},
 			{685, 58, 7, 0, 7, 633, 670, 37, 0},
 		},
-		kernels: map[string]telemetry.WorkCounts{
+		kernels: map[string]kernelWork{
 			"block-per-vertex":  {EdgeVisits: 1578, LabelFlips: 1, HashProbes: 1606, HashCollisions: 62, ActiveVertices: 39},
 			"thread-per-vertex": {EdgeVisits: 35597, LabelFlips: 881, HashProbes: 29033, HashCollisions: 1109, ActiveVertices: 2814},
 		},
@@ -231,7 +243,7 @@ var pinnedConservation = map[string]pinnedCounts{
 			{2101, 167, 25, 0, 25, 1880, 1999, 119, 0},
 			{1707, 137, 23, 0, 23, 1542, 1647, 105, 0},
 		},
-		kernels: map[string]telemetry.WorkCounts{
+		kernels: map[string]kernelWork{
 			"thread-per-vertex": {EdgeVisits: 35359, LabelFlips: 861, HashProbes: 36554, HashCollisions: 8581, ActiveVertices: 2694},
 		},
 	},
@@ -249,7 +261,7 @@ var pinnedConservation = map[string]pinnedCounts{
 			{2595, 211, 23, 0, 23, 2397, 2528, 131, 0},
 			{1565, 124, 12, 0, 12, 1471, 1545, 74, 0},
 		},
-		kernels: map[string]telemetry.WorkCounts{
+		kernels: map[string]kernelWork{
 			"block-per-vertex":  {EdgeVisits: 1734, LabelFlips: 1, HashProbes: 1749, HashCollisions: 49, ActiveVertices: 43},
 			"thread-per-vertex": {EdgeVisits: 32923, LabelFlips: 811, HashProbes: 34353, HashCollisions: 8333, ActiveVertices: 2611},
 		},
@@ -269,8 +281,8 @@ func labelDigest(labels []uint32) uint64 {
 // reported.
 type conservationRun struct {
 	res     *nulpa.Result
-	kernels map[string]telemetry.WorkCounts
-	hist    [2]int64 // hashtable_probe_length count and sum delta
+	kernels map[string]telemetry.IterRecord // summed launch records, by kernel
+	hist    [2]int64                        // hashtable_probe_length count and sum delta
 }
 
 func detectConserved(t *testing.T, name string, extra any, gname string, workers int) conservationRun {
@@ -292,9 +304,13 @@ func detectConserved(t *testing.T, name string, extra any, gname string, workers
 		t.Fatal(err)
 	}
 	checkPartition(t, g, res)
+	kernels := map[string]telemetry.IterRecord{}
+	for _, k := range rec.KernelSummaries() {
+		kernels[k.Kernel] = k.Work
+	}
 	return conservationRun{
 		res:     res.Extra.(*nulpa.Result),
-		kernels: rec.KernelWorkByName(),
+		kernels: kernels,
 		hist:    [2]int64{h.Count() - c0, int64(h.Sum() - s0)},
 	}
 }
@@ -308,7 +324,7 @@ func hashStats(r conservationRun) hashtable.StatsSnapshot {
 }
 
 // checkSurfacesAgree asserts the cross-surface identities: the per-kernel
-// ledger sums to the IterRecords (a Cross-Check revert is a ledger flip),
+// launch records sum to the IterRecords on every counter a kernel tallies,
 // and the histogram counts one observation of each successful accumulate's
 // probe length.
 func checkSurfacesAgree(t *testing.T, r conservationRun) {
@@ -318,14 +334,16 @@ func checkSurfacesAgree(t *testing.T, r conservationRun) {
 		t.Errorf("histogram count/sum delta %v, want Accumulates−Failures %d / Probes %d",
 			r.hist, st.Accumulates-st.Failures, st.Probes)
 	}
-	var ledger telemetry.WorkCounts
+	var kernels telemetry.IterRecord
 	for _, w := range r.kernels {
-		ledger = ledger.Add(w)
+		kernels = kernels.Add(w)
 	}
-	iter := telemetry.TotalWork(r.res.Trace)
-	iter.LabelFlips += telemetry.Sum(r.res.Trace).Reverts
-	if ledger != iter {
-		t.Errorf("Σ per-kernel ledger %+v, Σ IterRecord %+v", ledger, iter)
+	counts := func(r telemetry.IterRecord) [9]int64 {
+		return [9]int64{r.Moves, r.Reverts, r.EdgeVisits, r.ActiveVertices, r.HashAccumulates,
+			r.HashProbes, r.HashCollisions, r.HashFallbacks, r.HashFailures}
+	}
+	if k, i := counts(kernels), counts(telemetry.Sum(r.res.Trace)); k != i {
+		t.Errorf("Σ per-kernel records %v, Σ IterRecord %v (moves, reverts, edges, active, hash accumulates, probes, collisions, fallbacks, failures)", k, i)
 	}
 }
 
@@ -365,8 +383,8 @@ func TestCounterConservationPinned(t *testing.T) {
 					t.Errorf("ledger kernels %v, want %v", r.kernels, want.kernels)
 				}
 				for k, w := range want.kernels {
-					if r.kernels[k] != w {
-						t.Errorf("ledger %q = %+v, want %+v", k, r.kernels[k], w)
+					if got := projectKernel(r.kernels[k]); got != w {
+						t.Errorf("ledger %q = %+v, want %+v", k, got, w)
 					}
 				}
 				checkSurfacesAgree(t, r)

@@ -139,12 +139,3 @@ func (w instrumented) Detect(g *graph.CSR, opt Options) (res *Result, err error)
 	}()
 	return w.d.Detect(g, opt)
 }
-
-// Unwrap returns the detector underneath the registry's metrics decoration —
-// for tests that need the registered implementation itself.
-func Unwrap(d Detector) Detector {
-	if w, ok := d.(instrumented); ok {
-		return w.d
-	}
-	return d
-}

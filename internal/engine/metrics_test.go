@@ -41,17 +41,18 @@ func TestRegisterInstrumentsDetector(t *testing.T) {
 	if !ok {
 		t.Fatal("detector not registered")
 	}
-	if _, ok := d.(instrumented); !ok {
+	w, ok := d.(instrumented)
+	if !ok {
 		t.Fatalf("Get returned %T, want the instrumented wrapper", d)
 	}
-	if _, ok := Unwrap(d).(fakeDetector); !ok {
-		t.Fatalf("Unwrap returned %T, want fakeDetector", Unwrap(d))
+	if _, ok := w.d.(fakeDetector); !ok {
+		t.Fatalf("the wrapper decorates %T, want fakeDetector", w.d)
 	}
 
 	runsBefore := mRuns.With("test-metrics").Value()
 	activeBefore := mActiveRuns.Value()
 	b := graph.NewBuilder(2)
-	b.AddUnitEdge(0, 1)
+	b.AddEdge(0, 1, 1)
 	g, err := b.Build(2, graph.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +87,7 @@ func TestActiveRunsBalancedAfterPanic(t *testing.T) {
 	Register(panicDetector{})
 	d, _ := Get("test-metrics-panic")
 	b := graph.NewBuilder(2)
-	b.AddUnitEdge(0, 1)
+	b.AddEdge(0, 1, 1)
 	g, err := b.Build(2, graph.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)

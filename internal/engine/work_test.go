@@ -32,12 +32,12 @@ func TestWorkConformance(t *testing.T) {
 				if len(res.Trace) == 0 {
 					t.Fatal("result carries no iteration trace")
 				}
-				work := telemetry.TotalWork(res.Trace)
+				work := telemetry.Sum(res.Trace)
 				if work.EdgeVisits <= 0 {
 					t.Errorf("EdgeVisits = %d, want > 0", work.EdgeVisits)
 				}
-				if work.LabelFlips <= 0 {
-					t.Errorf("LabelFlips = %d, want > 0", work.LabelFlips)
+				if work.Moves <= 0 {
+					t.Errorf("Moves = %d, want > 0", work.Moves)
 				}
 				if work.ActiveVertices <= 0 {
 					t.Errorf("ActiveVertices = %d, want > 0", work.ActiveVertices)
@@ -47,9 +47,9 @@ func TestWorkConformance(t *testing.T) {
 				// and above by nothing; but a detector visiting fewer arcs than
 				// it flipped labels is double-counting flips or undercounting
 				// visits.
-				if work.EdgeVisits < work.LabelFlips {
-					t.Errorf("EdgeVisits (%d) < LabelFlips (%d): counters inconsistent",
-						work.EdgeVisits, work.LabelFlips)
+				if work.EdgeVisits < work.Moves {
+					t.Errorf("EdgeVisits (%d) < Moves (%d): counters inconsistent",
+						work.EdgeVisits, work.Moves)
 				}
 			})
 		}

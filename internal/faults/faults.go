@@ -143,17 +143,6 @@ func ParseSpec(text string) (Spec, error) {
 var mInjected = metrics.NewCounterVec("faults_injected_total",
 	"Faults injected, per kind.", "kind")
 
-// Counts is a snapshot of one injector's activity.
-type Counts struct {
-	KernelFails int64
-	Stalls      int64
-	Livelocks   int64
-	BitFlips    int64
-}
-
-// Total sums the counters.
-func (c Counts) Total() int64 { return c.KernelFails + c.Stalls + c.Livelocks + c.BitFlips }
-
 // Injector produces the fault schedule of one run. It is safe for concurrent
 // use and implements simt.FaultInjector. Create a fresh Injector per run so
 // the schedule restarts from the seed; the zero Injector (and a nil
@@ -163,11 +152,6 @@ type Injector struct {
 	// corruptCalls orders CorruptLabels decisions; launch-level decisions
 	// are ordered by the device's launch ordinal instead.
 	corruptCalls atomic.Int64
-
-	kernelFails atomic.Int64
-	stalls      atomic.Int64
-	livelocks   atomic.Int64
-	bitFlips    atomic.Int64
 }
 
 // New returns an Injector for spec (defaults applied). nil is returned for a
@@ -180,27 +164,6 @@ func New(spec Spec) *Injector {
 	return &Injector{spec: spec.withDefaults()}
 }
 
-// Spec returns the injector's (defaulted) configuration.
-func (in *Injector) Spec() Spec {
-	if in == nil {
-		return Spec{}
-	}
-	return in.spec
-}
-
-// Counts snapshots the injector's activity so far.
-func (in *Injector) Counts() Counts {
-	if in == nil {
-		return Counts{}
-	}
-	return Counts{
-		KernelFails: in.kernelFails.Load(),
-		Stalls:      in.stalls.Load(),
-		Livelocks:   in.livelocks.Load(),
-		BitFlips:    in.bitFlips.Load(),
-	}
-}
-
 // LaunchFault implements simt.FaultInjector: a deterministic verdict for the
 // launch-th kernel launch of the device. At most one fault fires per launch;
 // kernel failure outranks livelock outranks stall, so compound rates stay
@@ -210,17 +173,14 @@ func (in *Injector) LaunchFault(kernel string, launch int64) simt.LaunchFault {
 		return simt.LaunchFault{}
 	}
 	if in.roll(siteKernelFail, launch) < in.spec.KernelFailRate {
-		in.kernelFails.Add(1)
 		mInjected.With("kernel-fail").Inc()
 		return simt.LaunchFault{Kind: simt.FaultLaunchFail}
 	}
 	if in.roll(siteLivelock, launch) < in.spec.LivelockRate {
-		in.livelocks.Add(1)
 		mInjected.With("livelock").Inc()
 		return simt.LaunchFault{Kind: simt.FaultLivelock, Spins: in.spec.LivelockSpins}
 	}
 	if in.roll(siteStall, launch) < in.spec.StallRate {
-		in.stalls.Add(1)
 		mInjected.With("stall").Inc()
 		return simt.LaunchFault{Kind: simt.FaultStall, Stall: in.spec.Stall}
 	}
@@ -252,7 +212,6 @@ func (in *Injector) CorruptLabels(labels []uint32) int {
 		flips++
 	}
 	if flips > 0 {
-		in.bitFlips.Add(int64(flips))
 		mInjected.With("bit-flip").Add(int64(flips))
 	}
 	return flips

@@ -65,9 +65,6 @@ func TestNewNilForDisabledSpec(t *testing.T) {
 	if n := in.CorruptLabels(make([]uint32, 8)); n != 0 {
 		t.Errorf("nil.CorruptLabels = %d", n)
 	}
-	if c := in.Counts(); c.Total() != 0 {
-		t.Errorf("nil.Counts = %+v", c)
-	}
 }
 
 // TestLaunchFaultDeterministic pins the core property: the fault schedule is
@@ -99,6 +96,7 @@ func TestLaunchFaultDeterministic(t *testing.T) {
 
 func TestLaunchFaultRates(t *testing.T) {
 	in := New(Spec{KernelFailRate: 0.5, Seed: 3})
+	before := mInjected.With("kernel-fail").Value()
 	fails := 0
 	const trials = 2000
 	for launch := int64(0); launch < trials; launch++ {
@@ -109,13 +107,14 @@ func TestLaunchFaultRates(t *testing.T) {
 	if fails < trials*4/10 || fails > trials*6/10 {
 		t.Errorf("rate 0.5: %d/%d kernel fails", fails, trials)
 	}
-	if c := in.Counts(); c.KernelFails != int64(fails) || c.Total() != int64(fails) {
-		t.Errorf("Counts = %+v, want KernelFails=%d", c, fails)
+	if got := mInjected.With("kernel-fail").Value() - before; got != int64(fails) {
+		t.Errorf("faults_injected_total{kernel-fail} grew by %d, want %d", got, fails)
 	}
 }
 
 func TestCorruptLabelsFlipsBits(t *testing.T) {
 	in := New(Spec{BitFlipRate: 0.9, Seed: 5})
+	before := mInjected.With("bit-flip").Value()
 	labels := make([]uint32, 64)
 	orig := append([]uint32(nil), labels...)
 	total := 0
@@ -134,8 +133,8 @@ func TestCorruptLabelsFlipsBits(t *testing.T) {
 	if diff == 0 {
 		t.Error("flips reported but no label changed")
 	}
-	if c := in.Counts(); c.BitFlips != int64(total) {
-		t.Errorf("Counts.BitFlips = %d, want %d", c.BitFlips, total)
+	if got := mInjected.With("bit-flip").Value() - before; got != int64(total) {
+		t.Errorf("faults_injected_total{bit-flip} grew by %d, want %d", got, total)
 	}
 }
 
@@ -151,11 +150,11 @@ func TestCorruptLabelsCapped(t *testing.T) {
 
 func TestDefaultsApplied(t *testing.T) {
 	in := New(Spec{StallRate: 1, Seed: 1})
-	if got := in.Spec().Stall; got != 2*time.Millisecond {
+	if got := in.spec.Stall; got != 2*time.Millisecond {
 		t.Errorf("default Stall = %v, want 2ms", got)
 	}
 	in2 := New(Spec{LivelockRate: 1, Seed: 1})
-	if got := in2.Spec().LivelockSpins; got != 1<<16 {
+	if got := in2.spec.LivelockSpins; got != 1<<16 {
 		t.Errorf("default LivelockSpins = %d, want %d", got, 1<<16)
 	}
 	f := in2.LaunchFault("k", 0)

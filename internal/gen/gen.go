@@ -496,43 +496,3 @@ func Social(cfg SocialConfig) (*graph.CSR, []uint32) {
 	}
 	return mustBuild(edges, n), truth
 }
-
-// BarabasiAlbert generates a preferential-attachment graph: each new vertex
-// attaches m edges to existing vertices with probability proportional to
-// their current degree, yielding the classic power-law degree distribution.
-func BarabasiAlbert(n, m int, seed int64) *graph.CSR {
-	if m < 1 {
-		m = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	// The repeated-endpoints list gives degree-proportional sampling in O(1).
-	endpoints := make([]graph.Vertex, 0, 2*n*m)
-	edges := make([]graph.Edge, 0, n*m)
-	start := m + 1
-	if start > n {
-		start = n
-	}
-	// Seed clique among the first start vertices.
-	for i := 0; i < start; i++ {
-		for j := i + 1; j < start; j++ {
-			edges = append(edges, graph.Edge{U: graph.Vertex(i), V: graph.Vertex(j), W: 1})
-			endpoints = append(endpoints, graph.Vertex(i), graph.Vertex(j))
-		}
-	}
-	for v := start; v < n; v++ {
-		for k := 0; k < m; k++ {
-			var t graph.Vertex
-			if len(endpoints) == 0 {
-				t = graph.Vertex(rng.Intn(v))
-			} else {
-				t = endpoints[rng.Intn(len(endpoints))]
-			}
-			if t == graph.Vertex(v) {
-				continue
-			}
-			edges = append(edges, graph.Edge{U: graph.Vertex(v), V: t, W: 1})
-			endpoints = append(endpoints, graph.Vertex(v), t)
-		}
-	}
-	return mustBuild(edges, n)
-}

@@ -282,37 +282,6 @@ func TestSocial(t *testing.T) {
 	}
 }
 
-func TestBarabasiAlbert(t *testing.T) {
-	g := BarabasiAlbert(2000, 4, 17)
-	if err := g.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	st := graph.ComputeStats(g)
-	// Average degree ~ 2m.
-	if st.AvgDegree < 5 || st.AvgDegree > 11 {
-		t.Errorf("BA avg degree %.1f, want ~8", st.AvgDegree)
-	}
-	// Power law: early vertices accumulate high degree.
-	if float64(st.MaxDegree) < 6*st.AvgDegree {
-		t.Errorf("BA not skewed: max %d avg %.1f", st.MaxDegree, st.AvgDegree)
-	}
-	// Connected by construction.
-	if graph.LargestComponent(g) != 2000 {
-		t.Error("BA graph not connected")
-	}
-}
-
-func TestBarabasiAlbertSmall(t *testing.T) {
-	g := BarabasiAlbert(3, 5, 1) // m >= n: degenerate but must not panic
-	if err := g.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	g2 := BarabasiAlbert(10, 0, 1) // m clamped to 1
-	if err := g2.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-}
-
 // csrDigest is the FNV-64a hash of g's Offsets, Targets and Weights (bit
 // patterns), each value little-endian.
 func csrDigest(g *graph.CSR) uint64 {

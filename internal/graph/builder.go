@@ -57,9 +57,6 @@ func (b *Builder) AddEdge(u, v Vertex, w float32) {
 	}
 }
 
-// AddUnitEdge records the arc (u,v) with weight 1.
-func (b *Builder) AddUnitEdge(u, v Vertex) { b.AddEdge(u, v, 1) }
-
 // NumEdges returns the number of arcs recorded so far.
 func (b *Builder) NumEdges() int { return len(b.edges) }
 

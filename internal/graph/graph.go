@@ -76,10 +76,6 @@ func (g *CSR) Degree(i Vertex) int {
 	return int(g.Offsets[i+1] - g.Offsets[i])
 }
 
-// Offset returns the index into Targets/Weights at which vertex i's
-// adjacency begins. This is the O_i used to locate per-vertex hashtables.
-func (g *CSR) Offset(i Vertex) int64 { return g.Offsets[i] }
-
 // Neighbors returns the adjacency slices of vertex i. The returned slices
 // alias the graph's storage and must not be modified.
 func (g *CSR) Neighbors(i Vertex) ([]Vertex, []float32) {
@@ -111,17 +107,6 @@ func (g *CSR) RecomputeTotalWeight() {
 	g.totalWeight = t
 }
 
-// MaxDegree returns the largest vertex degree, or 0 for an empty graph.
-func (g *CSR) MaxDegree() int {
-	maxd := 0
-	for i := 0; i < g.NumVertices(); i++ {
-		if d := g.Degree(Vertex(i)); d > maxd {
-			maxd = d
-		}
-	}
-	return maxd
-}
-
 // AvgDegree returns the mean vertex degree (arcs per vertex).
 func (g *CSR) AvgDegree() float64 {
 	n := g.NumVertices()
@@ -148,17 +133,6 @@ func (g *CSR) EdgeWeight(u, v Vertex) (float32, bool) {
 		return ws[k], true
 	}
 	return 0, false
-}
-
-// Clone returns a deep copy of the graph.
-func (g *CSR) Clone() *CSR {
-	c := &CSR{
-		Offsets:     append([]int64(nil), g.Offsets...),
-		Targets:     append([]Vertex(nil), g.Targets...),
-		Weights:     append([]float32(nil), g.Weights...),
-		totalWeight: g.totalWeight,
-	}
-	return c
 }
 
 // ErrInvalidGraph is wrapped by all Validate failures.

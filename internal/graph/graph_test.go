@@ -169,18 +169,6 @@ func TestNoSymmetrize(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	g := triangle(t)
-	c := g.Clone()
-	c.Weights[0] = 99
-	if g.Weights[0] == 99 {
-		t.Error("Clone shares weight storage")
-	}
-	if c.TotalWeight() != g.TotalWeight() {
-		t.Error("Clone lost cached total weight")
-	}
-}
-
 func TestValidateCatchesBadOffsets(t *testing.T) {
 	g := triangle(t)
 	g.Offsets[1] = 100

@@ -80,23 +80,3 @@ func ConnectedComponents(g *CSR) ([]uint32, int) {
 	}
 	return comp, count
 }
-
-// LargestComponent returns the vertex count of the largest connected
-// component.
-func LargestComponent(g *CSR) int {
-	comp, count := ConnectedComponents(g)
-	if count == 0 {
-		return 0
-	}
-	sizes := make([]int, count)
-	for _, c := range comp {
-		sizes[c]++
-	}
-	best := 0
-	for _, s := range sizes {
-		if s > best {
-			best = s
-		}
-	}
-	return best
-}

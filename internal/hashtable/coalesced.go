@@ -63,9 +63,6 @@ func (a *CoalescedArena) TableFor(offset int64, degree int) CoalescedTable {
 	return CoalescedTable{a: a, base: 2 * offset, p1: CapacityFor(degree)}
 }
 
-// Capacity returns the number of usable slots.
-func (t *CoalescedTable) Capacity() int { return int(t.p1) }
-
 // Clear empties slots [lane, capacity) in steps of stride.
 func (t *CoalescedTable) Clear(lane, stride int) {
 	for s := lane; s < int(t.p1); s += stride {

@@ -47,7 +47,7 @@ func TestCoalescedChainCollisions(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		found := false
-		for s := 0; s < tb.Capacity(); s++ {
+		for s := 0; s < int(tb.p1); s++ {
 			if tb.Key(s) == uint32(15*i) && tb.Value(s) == float64(i+1) {
 				found = true
 			}

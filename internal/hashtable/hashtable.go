@@ -96,26 +96,15 @@ func (k ValueKind) String() string {
 	return "float"
 }
 
-// StatsSnapshot is one fold's hashtable counts, or a sum of folds. The
-// per-iteration record carries each field as a Hash* counter (enforced by
-// reflection tests), and a run's totals are the sum of its records.
+// StatsSnapshot is one fold's hashtable counts. The launch and iteration
+// records carry each field as a Hash* counter (enforced by reflection
+// tests), and a run's totals are the sum of its records.
 type StatsSnapshot struct {
 	Accumulates int64 // accumulate calls
 	Probes      int64 // slots inspected, including the first
 	Collisions  int64 // probes beyond the first
 	Fallbacks   int64 // accumulates that exhausted MaxRetries and fell back to linear scan
 	Failures    int64 // accumulates that found no slot at all
-}
-
-// Add returns the per-field sum a + b.
-func (a StatsSnapshot) Add(b StatsSnapshot) StatsSnapshot {
-	return StatsSnapshot{
-		Accumulates: a.Accumulates + b.Accumulates,
-		Probes:      a.Probes + b.Probes,
-		Collisions:  a.Collisions + b.Collisions,
-		Fallbacks:   a.Fallbacks + b.Fallbacks,
-		Failures:    a.Failures + b.Failures,
-	}
 }
 
 // Tally is single-writer probe accounting: one per SM or per worker, written
@@ -297,9 +286,6 @@ func (a *Arena) TableFor(offset int64, degree int, probing Probing) Table {
 	p2 := 2*(p1+1) - 1
 	return Table{a: a, base: 2 * offset, p1: p1, p2: p2, r1: reciprocals[bits.Len32(p1)], probing: probing}
 }
-
-// Capacity returns p1, the number of usable slots.
-func (t *Table) Capacity() int { return int(t.p1) }
 
 // SecondaryModulus returns p2 (exported for tests and diagnostics).
 func (t *Table) SecondaryModulus() uint32 { return t.p2 }

@@ -37,7 +37,7 @@ func TestSecondaryModulusCoprime(t *testing.T) {
 	a := NewArena(Float32, 1024)
 	for d := 1; d < 300; d++ {
 		tb := a.TableFor(0, d, QuadraticDouble)
-		p1, p2 := uint32(tb.Capacity()), tb.SecondaryModulus()
+		p1, p2 := uint32(int(tb.p1)), tb.SecondaryModulus()
 		if p2 <= p1 {
 			t.Fatalf("degree %d: p2=%d <= p1=%d", d, p2, p1)
 		}
@@ -97,8 +97,8 @@ func TestMaxKeyEmpty(t *testing.T) {
 func TestZeroCapacityTable(t *testing.T) {
 	a := NewArena(Float32, 8)
 	tb := a.TableFor(0, 0, QuadraticDouble)
-	if tb.Capacity() != 0 {
-		t.Fatalf("capacity = %d", tb.Capacity())
+	if int(tb.p1) != 0 {
+		t.Fatalf("capacity = %d", int(tb.p1))
 	}
 	if tb.Accumulate(1, 1, nil) {
 		t.Error("Accumulate succeeded on zero-capacity table")
@@ -154,7 +154,7 @@ func TestAccumulateMatchesMapOracle(t *testing.T) {
 				// Every oracle key is present with the right total.
 				for k, w := range oracle {
 					found := false
-					for s := 0; s < tb.Capacity(); s++ {
+					for s := 0; s < int(tb.p1); s++ {
 						if tb.Key(s) == k {
 							if tb.Value(s) != w {
 								return false
@@ -181,7 +181,7 @@ func TestAccumulateMatchesMapOracle(t *testing.T) {
 // map oracle.
 func maxKeyPreferLow(t *Table) (key uint32, weight float64, ok bool) {
 	key = EmptyKey
-	for s := 0; s < t.Capacity(); s++ {
+	for s := 0; s < int(t.p1); s++ {
 		k := t.Key(s)
 		if k == EmptyKey {
 			continue
@@ -210,7 +210,7 @@ func TestFullLoad(t *testing.T) {
 			}
 			// All placed exactly once.
 			seen := map[uint32]bool{}
-			for s := 0; s < tb.Capacity(); s++ {
+			for s := 0; s < int(tb.p1); s++ {
 				if k := tb.Key(s); k != EmptyKey {
 					if seen[k] {
 						t.Fatalf("probing=%v: duplicate key %d", pr, k)

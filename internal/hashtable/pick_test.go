@@ -140,7 +140,7 @@ func TestPickMatchesStepwise(t *testing.T) {
 							if !sameArena(ref, fused) {
 								t.Fatalf("trial %d: arenas differ after Pick", trial)
 							}
-							total = total.Add(StatsSnapshot{Fallbacks: lr.Fallbacks, Failures: lr.Failures, Collisions: lr.Collisions})
+							addBudget(&total, &lr)
 							if !sameTallies(&lr, &lf) {
 								t.Fatalf("trial %d: tallies differ: %+v vs %+v", trial, lr, lf)
 							}
@@ -155,6 +155,13 @@ func TestPickMatchesStepwise(t *testing.T) {
 
 // checkBudgetExercised fails a differential test whose streams never hit
 // what its probe budget is there to reach.
+// addBudget adds the counts checkBudgetExercised reads from tl to total.
+func addBudget(total *StatsSnapshot, tl *Tally) {
+	total.Collisions += tl.Collisions
+	total.Fallbacks += tl.Fallbacks
+	total.Failures += tl.Failures
+}
+
 func checkBudgetExercised(t *testing.T, retries int, fallback bool, total StatsSnapshot) {
 	t.Helper()
 	switch {
@@ -190,7 +197,7 @@ func TestAccumulateLanesMatchesStepwise(t *testing.T) {
 						// per-lane block clear hands the last lane its slot.
 						from := 0
 						if stride == 1 {
-							from = rng.Intn(tn.Capacity() + 1)
+							from = rng.Intn(int(tn.p1) + 1)
 							tn.Clear(from, 1)
 						} else {
 							for lane := lo; lane < hi; lane++ {
@@ -199,7 +206,7 @@ func TestAccumulateLanesMatchesStepwise(t *testing.T) {
 						}
 						for s := range lanes.Keys {
 							w := s - 2*int(c.offset)
-							cleared := w >= from && w < tn.Capacity() && w%stride >= lo && w%stride < hi
+							cleared := w >= from && w < int(tn.p1) && w%stride >= lo && w%stride < hi
 							stale := ref.Keys[s] == lanes.Keys[s] && slotBits(ref, s) == slotBits(lanes, s)
 							if cleared && (lanes.Keys[s] != EmptyKey || slotBits(lanes, s) != 0) || !cleared && !stale {
 								t.Fatalf("trial %d: Clear lanes [%d, %d) of %d left slot %d wrong", trial, lo, hi, stride, s)
@@ -220,7 +227,7 @@ func TestAccumulateLanesMatchesStepwise(t *testing.T) {
 						if !sameArena(ref, lanes) {
 							t.Fatalf("trial %d: arenas differ after AccumulateLanes", trial)
 						}
-						total = total.Add(StatsSnapshot{Fallbacks: lr.Fallbacks, Failures: lr.Failures, Collisions: lr.Collisions})
+						addBudget(&total, &lr)
 						if !sameTallies(&lr, &ll) {
 							t.Fatalf("trial %d: tallies differ: %+v vs %+v", trial, lr, ll)
 						}
@@ -256,7 +263,7 @@ func TestAccumulateLanesTracksFold(t *testing.T) {
 							c := randomPickCase(rng, wt.ws)
 							ref, lanes := staleArenas(rng, kind, c, bg.retries, bg.fallback)
 							tr, tn := ref.TableFor(c.offset, len(c.ts), pr), lanes.TableFor(c.offset, len(c.ts), pr)
-							capacity := tn.Capacity()
+							capacity := int(tn.p1)
 							stride := []int{capacity, capacity + 1, 64, 256}[rng.Intn(4)]
 							wantExact := true
 							tr.Clear(0, 1)
@@ -412,7 +419,8 @@ func TestAccumulateMatchesReference(t *testing.T) {
 								t.Fatalf("trial %d, call %d (key %d): Accumulate departs from the reference", trial, x, k)
 							}
 						}
-						total = total.Add(lr.Fold())
+						addBudget(&total, &lr)
+						lr.Fold()
 						lg.Fold()
 					}
 					checkBudgetExercised(t, bg.retries, bg.fallback, total)

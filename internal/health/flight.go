@@ -4,13 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"reflect"
-	"sort"
-	"strings"
 	"time"
 
 	"nulpa/internal/metrics"
-	"nulpa/internal/telemetry"
 	"nulpa/internal/trace"
 )
 
@@ -131,47 +127,4 @@ func DecodeFlight(data []byte) (*FlightBundle, error) {
 		return nil, fmt.Errorf("flight: %w", err)
 	}
 	return &b, nil
-}
-
-// SchemaDescriptor is the machine-checkable statement of the bundle layout:
-// JSON field names per object, derived from struct tags so the descriptor
-// cannot drift from the encoder. Frame lists the embedded iteration record's
-// keys beside its own; Quality is the frame's nested "quality" object.
-// TestFlightSchemaGolden compares it against
-// testdata/flight_schema.golden.json.
-type SchemaDescriptor struct {
-	Schema  int      `json:"schema"`
-	Bundle  []string `json:"bundle"`
-	Frame   []string `json:"frame"`
-	Event   []string `json:"event"`
-	Quality []string `json:"quality"`
-}
-
-// Schema returns this build's flight-bundle schema descriptor.
-func Schema() SchemaDescriptor {
-	return SchemaDescriptor{
-		Schema:  FlightSchema,
-		Bundle:  jsonFields(reflect.TypeOf(FlightBundle{})),
-		Frame:   jsonFields(reflect.TypeOf(Frame{})),
-		Event:   jsonFields(reflect.TypeOf(Event{})),
-		Quality: jsonFields(reflect.TypeOf(telemetry.QualityRecord{})),
-	}
-}
-
-// jsonFields lists t's JSON keys, recursing into untagged embedded structs
-// the way encoding/json promotes their fields.
-func jsonFields(t reflect.Type) []string {
-	var out []string
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
-		switch {
-		case f.Anonymous && name == "":
-			out = append(out, jsonFields(f.Type)...)
-		case name != "" && name != "-":
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

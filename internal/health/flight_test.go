@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -94,16 +96,16 @@ func TestFlightValidateRejects(t *testing.T) {
 // TestFlightSchemaGolden pins the bundle layout: renaming or dropping a JSON
 // field fails here. Additions require updating the golden deliberately.
 func TestFlightSchemaGolden(t *testing.T) {
-	got, err := json.MarshalIndent(Schema(), "", "  ")
+	got, err := json.MarshalIndent(schema(), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join("testdata", "flight_schema.golden.json")
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (the golden is Schema() as indented JSON)", err)
+		t.Fatalf("%v (the golden is schema() as indented JSON)", err)
 	}
-	var g, w SchemaDescriptor
+	var g, w schemaDescriptor
 	if err := json.Unmarshal(got, &g); err != nil {
 		t.Fatal(err)
 	}
@@ -128,4 +130,47 @@ func TestFlightDuringRun(t *testing.T) {
 	if b.Reason != "request" || len(b.Frames) != 1 {
 		t.Fatalf("live capture: %+v", b)
 	}
+}
+
+// schemaDescriptor is the machine-checkable statement of the bundle layout:
+// JSON field names per object, derived from struct tags so the descriptor
+// cannot drift from the encoder. Frame lists the embedded iteration record's
+// keys beside its own; Quality is the frame's nested "quality" object.
+// TestFlightSchemaGolden compares it against
+// testdata/flight_schema.golden.json.
+type schemaDescriptor struct {
+	Schema  int      `json:"schema"`
+	Bundle  []string `json:"bundle"`
+	Frame   []string `json:"frame"`
+	Event   []string `json:"event"`
+	Quality []string `json:"quality"`
+}
+
+// schema returns this build's flight-bundle schema descriptor.
+func schema() schemaDescriptor {
+	return schemaDescriptor{
+		Schema:  FlightSchema,
+		Bundle:  jsonFields(reflect.TypeOf(FlightBundle{})),
+		Frame:   jsonFields(reflect.TypeOf(Frame{})),
+		Event:   jsonFields(reflect.TypeOf(Event{})),
+		Quality: jsonFields(reflect.TypeOf(telemetry.QualityRecord{})),
+	}
+}
+
+// jsonFields lists t's JSON keys, recursing into untagged embedded structs
+// the way encoding/json promotes their fields.
+func jsonFields(t reflect.Type) []string {
+	var out []string
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		switch {
+		case f.Anonymous && name == "":
+			out = append(out, jsonFields(f.Type)...)
+		case name != "" && name != "-":
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
 }

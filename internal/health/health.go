@@ -572,47 +572,6 @@ func (m *Monitor) lastFrames(n int) []Frame {
 	return out
 }
 
-// Frames returns the retained frame ring, oldest first.
-func (m *Monitor) Frames() []Frame {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastFrames(len(m.frames))
-}
-
-// Events returns the annotation track in order.
-func (m *Monitor) Events() []Event {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Event(nil), m.events...)
-}
-
-// State returns the current verdict.
-func (m *Monitor) State() State {
-	if m == nil {
-		return ""
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.state
-}
-
-// Total returns the number of frames ever observed (the ring retains only
-// the last ringSize of them).
-func (m *Monitor) Total() int {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.total
-}
-
 // Subscribe registers a live frame consumer. It returns the frames already
 // observed (catch-up, oldest first) and a Subscription whose channel carries
 // every subsequent frame in order; the channel closes when the run ends

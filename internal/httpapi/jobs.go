@@ -437,14 +437,8 @@ func (j *job) finish(state JobState, err error, res *engine.Result, mod float64)
 	// terminal state, so a client that sees the job fail always fetches the
 	// fault post-mortem, never a fresh on-request bundle.
 	var flight *health.FlightBundle
-	reason := flightReason(state, err, res)
+	reason := RecordOutcome(j.health, err, res)
 	if reason != "" {
-		switch reason {
-		case "degraded":
-			j.health.RecordEvent("fallback:direct", "simt backend degraded to direct")
-		default:
-			j.health.RecordEvent(reason, err.Error())
-		}
 		flight = j.health.Flight(reason)
 	}
 	j.mu.Lock()
@@ -602,28 +596,33 @@ func (s *jobStore) noteFinished() {
 	}
 }
 
-// flightReason decides whether a finishing job warrants a post-mortem
-// capture: a fault or deadline always does, as does a run that completed only
-// by degrading to the fallback backend. User cancellation and clean finishes
-// do not (an operator can still request a bundle via /jobs/{id}/flight).
-func flightReason(state JobState, err error, res *engine.Result) string {
-	if err != nil {
-		switch {
-		case errors.Is(err, engine.ErrDeadline):
-			return "deadline"
-		case errors.Is(err, engine.ErrCanceled):
-			return ""
-		case state == JobFailed:
-			return "fault"
-		}
+// RecordOutcome classifies a finished run, a served job or a one-shot CLI
+// run, for its post-mortem. It returns the flight capture reason: "deadline"
+// or "fault" for a run that failed, with the error recorded on mon as an
+// event of that name, and "degraded" for a run that completed only by
+// falling back to the direct configuration, recorded as a fallback:direct
+// event. A clean finish, a cancellation or a scheduler stop returns "" and
+// records nothing: none warrants a capture of its own.
+func RecordOutcome(mon *health.Monitor, err error, res *engine.Result) string {
+	var reason string
+	switch {
+	case errors.Is(err, engine.ErrDeadline):
+		reason = "deadline"
+	case engine.IsInterrupt(err) || errors.Is(err, sched.ErrStopped):
 		return ""
-	}
-	if res != nil {
+	case err != nil:
+		reason = "fault"
+	case res != nil:
 		if nres, ok := res.Extra.(*nulpa.Result); ok && nres.Degraded {
+			mon.RecordEvent("fallback:direct", "simt backend degraded to direct")
 			return "degraded"
 		}
+		return ""
+	default:
+		return ""
 	}
-	return ""
+	mon.RecordEvent(reason, err.Error())
+	return reason
 }
 
 // cancelAll requests cancellation of every live job (server shutdown path).

@@ -25,7 +25,7 @@ import (
 func detectAll(t *testing.T, g *graph.CSR) map[string][]uint32 {
 	t.Helper()
 	out := map[string][]uint32{}
-	res, err := nulpa.Detect(g, nulpa.DirectOptions())
+	res, err := nulpa.Detector{Direct: true}.Detect(g, engine.Options{})
 	if err != nil {
 		t.Fatalf("nulpa: %v", err)
 	}

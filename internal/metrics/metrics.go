@@ -180,37 +180,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Quantile estimates the q-quantile (q in [0,1]) by linear interpolation
-// within the containing bucket. Observations in the +Inf bucket are credited
-// to the last finite bound. Returns 0 for an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i := range h.counts {
-		c := float64(h.counts[i].Load())
-		if cum+c < rank {
-			cum += c
-			continue
-		}
-		if i >= len(h.bounds) {
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		if c == 0 {
-			return h.bounds[i]
-		}
-		return lo + (h.bounds[i]-lo)*(rank-cum)/c
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // ExpBuckets returns n ascending bucket bounds start, start·factor,
 // start·factor², … — the exponential bucketing every histogram here uses.
 func ExpBuckets(start, factor float64, n int) []float64 {

@@ -117,9 +117,7 @@ type runState struct {
 	processed  []uint32 // vertex pruning flags: 1 = skip
 	pickless   bool
 	crosscheck bool
-	noPrune    bool  // DisablePruning: skip the processed-flag fast path
-	deltaN     int64 // label changes this iteration, folded from the tallies
-	reverts    int64 // Cross-Check reverts this iteration, folded from the tallies
+	noPrune    bool // DisablePruning: skip the processed-flag fast path
 
 	// Per-SM state. Lanes on SM s write only tallies[s]: its hashtable
 	// window, its candidate buffer, and its counters with plain adds;
@@ -127,15 +125,13 @@ type runState struct {
 	// joined, so no lane ever contends on a shared counter. count gates the
 	// work and hashtable counters: set if and only if the run reports to a
 	// profiler.
-	// iterEdges, iterActive and iterHash sum the iteration's folds for the
-	// IterRecord, and listed is the number of vertices the run processes
-	// when none is pruned, so Pruned = listed − iterActive.
-	tallies    []smTally
-	count      bool
-	iterEdges  int64
-	iterActive int64
-	iterHash   hashtable.StatsSnapshot
-	listed     int64
+	// iter sums the iteration's launch records, and listed is the number
+	// of vertices the run processes when none is pruned, so Pruned =
+	// listed − iter.ActiveVertices.
+	tallies []smTally
+	count   bool
+	iter    telemetry.IterRecord
+	listed  int64
 }
 
 // newRunState allocates the state of a run over g: the label array (a copy
@@ -204,27 +200,26 @@ func (st *runState) window(sm, degree int) *window {
 }
 
 // FoldTallies implements simt.TallyKernel: it moves every per-SM tally into
-// the iteration's totals — deltaN, reverts, the work and hashtable sums —
-// and the hashtable metrics, zeroes it, and returns the launch's work
-// ledger, in which a Cross-Check revert counts as a label flip back.
-// Callers must have joined every goroutine that counts.
-func (st *runState) FoldTallies() telemetry.WorkCounts {
-	var w telemetry.WorkCounts
+// the launch's record, and the hashtable counts also into the hashtable
+// metrics, zeroes the tallies, adds the record to the iteration's and
+// returns it. Callers must have joined every goroutine that counts.
+func (st *runState) FoldTallies() telemetry.IterRecord {
+	var w telemetry.IterRecord
 	for i := range st.tallies {
 		tl := &st.tallies[i]
-		st.deltaN += tl.flips
-		st.reverts += tl.reverts
-		w.LabelFlips += tl.flips + tl.reverts
+		w.Moves += tl.flips
+		w.Reverts += tl.reverts
 		w.EdgeVisits += tl.edges
 		w.ActiveVertices += tl.active
 		tl.flips, tl.reverts, tl.edges, tl.active = 0, 0, 0, 0
 		d := tl.hash.Fold()
-		st.iterHash = st.iterHash.Add(d)
+		w.HashAccumulates += d.Accumulates
 		w.HashProbes += d.Probes
 		w.HashCollisions += d.Collisions
+		w.HashFallbacks += d.Fallbacks
+		w.HashFailures += d.Failures
 	}
-	st.iterEdges += w.EdgeVisits
-	st.iterActive += w.ActiveVertices
+	st.iter = st.iter.Add(w)
 	return w
 }
 
@@ -367,7 +362,7 @@ func (r *deviceRun) iterate(ctx context.Context, iter int) engine.IterOutcome {
 	// corrupted label array roll back to the checkpoint and retry with
 	// exponential backoff, up to maxAttempts consecutive attempts. rec
 	// collects the device's own record fields: kernel times and retries.
-	var rec IterStat
+	var rec telemetry.IterRecord
 	for attempt := 0; ; attempt++ {
 		st.beginIter(&opt, iter)
 		err := func() error {
@@ -441,34 +436,23 @@ func (r *deviceRun) iterate(ctx context.Context, iter int) engine.IterOutcome {
 func (st *runState) beginIter(opt *Options, iter int) {
 	st.pickless = opt.PickLessEvery > 0 && iter%opt.PickLessEvery == 0
 	st.crosscheck = opt.CrossCheckEvery > 0 && iter%opt.CrossCheckEvery == 0
-	st.deltaN, st.reverts = 0, 0
-	st.iterEdges, st.iterActive = 0, 0
-	st.iterHash = hashtable.StatsSnapshot{}
+	st.iter = telemetry.IterRecord{}
 	if st.crosscheck {
 		copy(st.prev, st.labels)
 	}
 }
 
-// endIter closes an iteration whose counters have been folded and returns
+// endIter closes an iteration whose launches have been folded and returns
 // its outcome. rec carries the device's own record fields (kernel times,
-// retries); endIter fills in the rest.
-func (st *runState) endIter(opt *Options, rec IterStat) engine.IterOutcome {
-	gross, reverts := st.deltaN, st.reverts
-	delta := gross - reverts
+// retries); endIter adds the launches' counts and fills in the rest.
+func (st *runState) endIter(opt *Options, rec telemetry.IterRecord) engine.IterOutcome {
+	rec = rec.Add(st.iter)
 	rec.PickLess = st.pickless
 	rec.CrossCheck = st.crosscheck
-	rec.Moves = gross
-	rec.Reverts = reverts
+	delta := rec.Moves - rec.Reverts
 	rec.DeltaN = delta
 	if st.count {
-		rec.EdgeVisits = st.iterEdges
-		rec.ActiveVertices = st.iterActive
-		rec.Pruned = st.listed - st.iterActive
-		rec.HashAccumulates = st.iterHash.Accumulates
-		rec.HashProbes = st.iterHash.Probes
-		rec.HashCollisions = st.iterHash.Collisions
-		rec.HashFallbacks = st.iterHash.Fallbacks
-		rec.HashFailures = st.iterHash.Failures
+		rec.Pruned = st.listed - rec.ActiveVertices
 	}
 	return engine.IterOutcome{
 		Record: rec,
@@ -544,9 +528,9 @@ func wake(processed []uint32, vs []graph.Vertex) {
 
 // crossCheck applies the Cross-Check to vertex i, counted on SM sm: a
 // change to community c is reverted unless the leader vertex c itself
-// belongs to c. The launch's work ledger counts a revert as a label flip
-// back; it does not touch the hashtable. It is the cross-check kernel's
-// phase for one lane.
+// belongs to c. The launch's record counts the revert in Reverts; it does
+// not touch the hashtable. It is the cross-check kernel's phase for one
+// lane.
 func (st *runState) crossCheck(i, sm int) {
 	cur := simt.AtomicLoadUint32(st.labels, i)
 	if cur == st.prev[i] {

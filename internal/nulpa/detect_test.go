@@ -38,7 +38,7 @@ func checkLabelsValid(t *testing.T, g *graph.CSR, labels []uint32) {
 // configs names the two presets the configuration-neutral tests run under: the
 // paper's default launch shape and the direct configuration.
 func configs() map[string]Options {
-	return map[string]Options{"default": DefaultOptions(), "direct": DirectOptions()}
+	return map[string]Options{"default": DefaultOptions(), "direct": asDirect(DefaultOptions())}
 }
 
 func TestDetectPlantedRecovery(t *testing.T) {
@@ -360,7 +360,7 @@ func TestDirectBackendMatchesSIMTQuality(t *testing.T) {
 	optS := DefaultOptions()
 	optS.Device = simt.NewDevice(4)
 	rs := detect(t, g, optS)
-	rd := detect(t, g, DirectOptions())
+	rd := detect(t, g, asDirect(DefaultOptions()))
 	qs := quality.Modularity(g, rs.Labels)
 	qd := quality.Modularity(g, rd.Labels)
 	if qs < 0.2 || qd < 0.2 {
@@ -549,8 +549,8 @@ func TestWeightedPickLess(t *testing.T) {
 }
 
 // TestProfiledFoldAllocatesNothing pins the per-launch fold of a profiled
-// run — per-SM hashtable tallies into the iteration's sums and the probe-length
-// histogram, flips into deltaN, edge visits into the launch's ledger — to
+// run — per-SM tallies into the launch's record and the iteration's, and
+// hashtable tallies into the probe-length histogram — to
 // zero allocations, so the cost of counting stays a few plain adds per lane
 // and a fixed fold per launch.
 func TestProfiledFoldAllocatesNothing(t *testing.T) {
@@ -576,7 +576,7 @@ func TestProfiledFoldAllocatesNothing(t *testing.T) {
 		st.tallies[sm].flips++
 		st.tallies[sm].edges += int64(g.Degree(i))
 	}
-	before := st.iterHash.Accumulates
+	before := st.iter.HashAccumulates
 	allocs := testing.AllocsPerRun(100, func() {
 		lane(0)
 		lane(1)
@@ -585,7 +585,7 @@ func TestProfiledFoldAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("profiled fold allocates %v per launch, want 0", allocs)
 	}
-	if d := st.iterHash.Accumulates - before; d != 2*101 {
+	if d := st.iter.HashAccumulates - before; d != 2*101 {
 		t.Errorf("folded %d accumulates over 101 runs of 2 lanes, want %d", d, 2*101)
 	}
 }

@@ -18,7 +18,7 @@ func init() {
 // are compared against each other in the figure experiments.
 type Detector struct {
 	// Direct makes this the "nulpa-direct" detector: it runs in the direct
-	// configuration (see DirectOptions), whatever SwitchDegree, BlockDim
+	// configuration (see asDirect), whatever SwitchDegree, BlockDim
 	// and Shards the options carry.
 	Direct bool
 	// Sharded makes this the "nulpa-sharded" detector: its defaults are

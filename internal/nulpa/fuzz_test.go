@@ -216,7 +216,7 @@ func TestDetectMatchesSpecOnHubs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := g.MaxDegree(); d <= 256 {
+	if d := graph.ComputeStats(g).MaxDegree; d <= 256 {
 		t.Fatalf("max degree %d: no hub wraps its strided lanes at BlockDim 256", d)
 	}
 	for _, v := range specVariants {

@@ -8,8 +8,8 @@
 // Every run executes on simulated GPUs (package simt), preserving lockstep
 // semantics — the community-swap pathology only exists under lockstep.
 // Options.Shards sets the device count: one device (the paper's setting) is
-// the single-shard case of the multi-device BSP run. DirectOptions selects
-// the direct configuration of that same run — one device, every vertex on
+// the single-shard case of the multi-device BSP run. The nulpa-direct
+// detector runs the direct configuration of that same run — one device, every vertex on
 // the thread-per-vertex kernel in 1024-vertex blocks — used to time ν-LPA
 // against CPU baselines and as the recovery ladder's last rung.
 package nulpa
@@ -132,27 +132,20 @@ func DefaultShardedOptions() Options {
 	return opt
 }
 
-// DirectOptions returns the paper configuration in the direct
-// configuration, the one the nulpa-direct detector runs: one device, every
-// non-isolated vertex on the thread-per-vertex kernel (SwitchDegree =
-// math.MaxInt) and 1024-vertex blocks. A block picks a candidate
-// for each of its vertices against a pre-move snapshot, then moves them all,
-// so Pick-Less iterations cannot cascade one small label across a community
-// in a single pass, and blocks run concurrently on the device's Workers SMs.
-func DirectOptions() Options { return asDirect(DefaultOptions()) }
-
-// asDirect returns opt in the direct configuration: its launch shape and
-// device count are replaced, every other field is kept.
+// asDirect returns opt in the direct configuration, the one the
+// nulpa-direct detector runs: one device, every non-isolated vertex on the
+// thread-per-vertex kernel (SwitchDegree = math.MaxInt) and 1024-vertex
+// blocks. A block picks a candidate for each of its vertices against a
+// pre-move snapshot, then moves them all, so Pick-Less iterations cannot
+// cascade one small label across a community in a single pass, and blocks
+// run concurrently on the device's Workers SMs. Its launch shape and device
+// count are replaced, every other field is kept.
 func asDirect(opt Options) Options {
 	opt.SwitchDegree = math.MaxInt
 	opt.BlockDim = 1024
 	opt.Shards = 0
 	return opt
 }
-
-// IterStat is one iteration's diagnostic record — the shared telemetry
-// record type, so ν-LPA traces are directly comparable with the baselines'.
-type IterStat = telemetry.IterRecord
 
 // Result reports a completed ν-LPA run. Its run totals are sums of the
 // trace: moves are Σ DeltaN, Cross-Check reverts Σ Reverts, fault-recovery
@@ -168,8 +161,8 @@ type Result struct {
 	// community swaps).
 	Converged bool
 	// Trace records per-iteration diagnostics (always populated; one entry
-	// per iteration).
-	Trace []IterStat
+	// per iteration), in the record type the baselines report too.
+	Trace []telemetry.IterRecord
 	// Duration is the wall time of the propagation loop (excluding graph
 	// loading, including kernel launches).
 	Duration time.Duration

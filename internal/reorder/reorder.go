@@ -20,16 +20,6 @@ type Permutation struct {
 	OldID []graph.Vertex
 }
 
-// Identity returns the identity permutation on n vertices.
-func Identity(n int) Permutation {
-	p := Permutation{NewID: make([]graph.Vertex, n), OldID: make([]graph.Vertex, n)}
-	for i := 0; i < n; i++ {
-		p.NewID[i] = graph.Vertex(i)
-		p.OldID[i] = graph.Vertex(i)
-	}
-	return p
-}
-
 // ByCommunity builds the LLP-style ordering: vertices sorted by community
 // label (communities by ascending minimum member, so the ordering is stable
 // and deterministic), members by ascending old id.
@@ -51,25 +41,6 @@ func ByCommunity(labels []uint32) Permutation {
 		ci, cj := labels[order[i]], labels[order[j]]
 		if ci != cj {
 			return minMember[ci] < minMember[cj]
-		}
-		return order[i] < order[j]
-	})
-	return fromOrder(order)
-}
-
-// ByDegree builds a degree-descending ordering (ties by old id) — the
-// standard GPU layout trick that groups the high-degree block-kernel
-// vertices together.
-func ByDegree(g *graph.CSR) Permutation {
-	n := g.NumVertices()
-	order := make([]graph.Vertex, n)
-	for i := range order {
-		order[i] = graph.Vertex(i)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		di, dj := g.Degree(order[i]), g.Degree(order[j])
-		if di != dj {
-			return di > dj
 		}
 		return order[i] < order[j]
 	})
@@ -110,17 +81,6 @@ func Apply(g *graph.CSR, p Permutation) (*graph.CSR, error) {
 		sortAdjRange(targets, weights, base, offsets[newV+1])
 	}
 	return graph.New(offsets, targets, weights), nil
-}
-
-// MapLabels translates a label array computed on the reordered graph back
-// to the original vertex numbering. Labels that are vertex ids (as in LPA)
-// are translated through the permutation too.
-func MapLabels(labels []uint32, p Permutation) []uint32 {
-	out := make([]uint32, len(labels))
-	for newV, l := range labels {
-		out[p.OldID[newV]] = uint32(p.OldID[l])
-	}
-	return out
 }
 
 // GapCost measures layout locality: the mean absolute id distance between

@@ -11,8 +11,10 @@ import (
 	"nulpa/internal/quality"
 )
 
+// TestIdentity: Apply under the identity permutation leaves the graph
+// unchanged.
 func TestIdentity(t *testing.T) {
-	p := Identity(5)
+	p := fromOrder([]graph.Vertex{0, 1, 2, 3, 4})
 	g := gen.Cycle(5)
 	out, err := Apply(g, p)
 	if err != nil {
@@ -82,25 +84,24 @@ func TestByCommunityGroupsContiguously(t *testing.T) {
 	}
 }
 
-func TestByDegreeDescending(t *testing.T) {
-	g := gen.Web(gen.DefaultWeb(300, 6, 8))
-	p := ByDegree(g)
-	for newV := 1; newV < g.NumVertices(); newV++ {
-		if g.Degree(p.OldID[newV-1]) < g.Degree(p.OldID[newV]) {
-			t.Fatal("degree order violated")
-		}
-	}
-}
-
+// TestMapLabelsRoundTrip detects on a renumbered graph and maps the labels
+// back through the permutation, vertex ids and label values alike.
 func TestMapLabelsRoundTrip(t *testing.T) {
 	g, truth := gen.Planted(gen.PlantedConfig{N: 200, Communities: 4, DegIn: 10, DegOut: 0.5, Seed: 6})
-	p := ByDegree(g)
+	order := make([]graph.Vertex, g.NumVertices())
+	for i := range order {
+		order[i] = graph.Vertex(len(order) - 1 - i)
+	}
+	p := fromOrder(order)
 	rg, err := Apply(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := must(flpa.Detector{}.Detect(rg, engine.Options{}))
-	back := MapLabels(res.Labels, p)
+	back := make([]uint32, len(res.Labels))
+	for newV, l := range res.Labels {
+		back[p.OldID[newV]] = uint32(p.OldID[l])
+	}
 	// The partition on original numbering must match the planted structure
 	// as well as detection on the original graph does.
 	if nmi := quality.NMI(back, truth); nmi < 0.85 {
@@ -147,7 +148,7 @@ func TestGapCostImprovesWithCommunityOrder(t *testing.T) {
 
 func TestApplySizeMismatch(t *testing.T) {
 	g := gen.Cycle(5)
-	if _, err := Apply(g, Identity(4)); err == nil {
+	if _, err := Apply(g, fromOrder([]graph.Vertex{0, 1, 2, 3})); err == nil {
 		t.Error("size mismatch accepted")
 	}
 }

@@ -376,18 +376,6 @@ func (s *Scheduler) retryAfterLocked() time.Duration {
 	return ra
 }
 
-// RetryAfter is the current backoff hint (exported for the drain-refusal
-// path, which sheds before reaching Submit).
-func (s *Scheduler) RetryAfter() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ra := s.retryAfterLocked()
-	if ra <= 0 {
-		ra = time.Second
-	}
-	return ra
-}
-
 // BeginDrain stops admission: every subsequent Submit sheds with reason
 // "draining". Queued tasks still dispatch (cancel their contexts to flush
 // the queue quickly) and running tasks finish.
@@ -395,13 +383,6 @@ func (s *Scheduler) BeginDrain() {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
-}
-
-// Draining reports whether BeginDrain has been called.
-func (s *Scheduler) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
 }
 
 // Stop drains admission, resolves every still-queued task with ErrStopped

@@ -405,8 +405,11 @@ func TestDrainingSheds(t *testing.T) {
 	if !errors.As(err, &se) || se.Reason != ReasonDraining {
 		t.Fatalf("err = %v, want draining shed", err)
 	}
-	if !s.Draining() {
-		t.Fatalf("Draining() = false after BeginDrain")
+	s.mu.Lock()
+	draining := s.draining
+	s.mu.Unlock()
+	if !draining {
+		t.Fatalf("draining = false after BeginDrain")
 	}
 }
 

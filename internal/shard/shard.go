@@ -52,21 +52,6 @@ type Shard struct {
 	CutArcs int64
 }
 
-// NumLocal returns the local CSR's vertex count (owned + ghosts).
-func (s *Shard) NumLocal() int { return len(s.GlobalID) }
-
-// LocalOf maps a global vertex id to this shard's local id. The second
-// return value reports whether the vertex appears in the shard at all
-// (owned or ghost). Both halves of GlobalID ascend, so it is two binary
-// searches.
-func (s *Shard) LocalOf(global graph.Vertex) (graph.Vertex, bool) {
-	if i, ok := slices.BinarySearch(s.GlobalID[:s.Owned], global); ok {
-		return graph.Vertex(i), true
-	}
-	i, ok := slices.BinarySearch(s.GlobalID[s.Owned:], global)
-	return graph.Vertex(s.Owned + i), ok
-}
-
 // Plan is a complete sharding of one graph.
 type Plan struct {
 	// Shards holds one view per part, indexed by part id.
@@ -235,7 +220,7 @@ type ExchangeStats struct {
 // is invoked with the receiving shard and the ghost's local id so the caller
 // can re-activate the owned vertices that observe it.
 //
-// labels[s] must be shard s's local label array (length NumLocal). The
+// labels[s] must be shard s's local label array (length len(GlobalID)). The
 // exchange is sequential and deterministic: shards ascending, ghosts in
 // local order.
 func (p *Plan) Exchange(labels [][]uint32, wake func(shard int, ghost graph.Vertex)) ExchangeStats {

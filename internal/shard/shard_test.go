@@ -35,7 +35,7 @@ func TestRemapRoundTrip(t *testing.T) {
 	// local → global → local is the identity on every shard.
 	for _, sh := range plan.Shards {
 		for l, gid := range sh.GlobalID {
-			back, ok := sh.LocalOf(gid)
+			back, ok := localOf(sh, gid)
 			if !ok || back != graph.Vertex(l) {
 				t.Fatalf("shard %d: local %d → global %d → local %d (ok=%v)",
 					sh.Index, l, gid, back, ok)
@@ -48,7 +48,7 @@ func TestRemapRoundTrip(t *testing.T) {
 	ownedCount := 0
 	for v := 0; v < g.NumVertices(); v++ {
 		sh := plan.Shards[parts[v]]
-		l, ok := sh.LocalOf(graph.Vertex(v))
+		l, ok := localOf(sh, graph.Vertex(v))
 		if !ok || int(l) >= sh.Owned {
 			t.Fatalf("vertex %d not owned by its shard %d (local %d, owned %d)",
 				v, parts[v], l, sh.Owned)
@@ -134,7 +134,7 @@ func TestExchangePropagatesChangedLabels(t *testing.T) {
 	// no-op: ghost copies already match their owners.
 	labels := make([][]uint32, len(plan.Shards))
 	for s, sh := range plan.Shards {
-		labels[s] = make([]uint32, sh.NumLocal())
+		labels[s] = make([]uint32, len(sh.GlobalID))
 		for l, gid := range sh.GlobalID {
 			labels[s][l] = gid
 		}
@@ -196,7 +196,7 @@ func TestZeroBoundaryExchange(t *testing.T) {
 		if len(sh.Ghosts) != 0 || sh.CutArcs != 0 {
 			t.Fatalf("shard %d: %d ghosts, %d cut arcs, want none", sh.Index, len(sh.Ghosts), sh.CutArcs)
 		}
-		if sh.NumLocal() != sh.Owned {
+		if len(sh.GlobalID) != sh.Owned {
 			t.Fatalf("shard %d has ghost rows in a disconnected split", sh.Index)
 		}
 		if err := sh.Local.Validate(); err != nil {
@@ -217,7 +217,7 @@ func TestGatherReassemblesOwners(t *testing.T) {
 	plan, _ := planOf(t, g, 3)
 	labels := make([][]uint32, len(plan.Shards))
 	for s, sh := range plan.Shards {
-		labels[s] = make([]uint32, sh.NumLocal())
+		labels[s] = make([]uint32, len(sh.GlobalID))
 		for l := range labels[s] {
 			// Owners hold global id + 1; ghosts hold junk that Gather must ignore.
 			if l < sh.Owned {
@@ -416,4 +416,15 @@ func BenchmarkShardBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// localOf maps a global vertex id to sh's local id, and reports whether the
+// vertex appears in the shard at all (owned or ghost). Both halves of
+// GlobalID ascend, so it is two binary searches.
+func localOf(sh *Shard, global graph.Vertex) (graph.Vertex, bool) {
+	if i, ok := slices.BinarySearch(sh.GlobalID[:sh.Owned], global); ok {
+		return graph.Vertex(i), true
+	}
+	i, ok := slices.BinarySearch(sh.GlobalID[sh.Owned:], global)
+	return graph.Vertex(sh.Owned + i), ok
 }

@@ -77,7 +77,7 @@ type Device struct {
 // count into single-writer per-SM tallies (indexed by Thread.SM) instead of
 // shared atomics. launch() calls GrowTallies with the launch's SM count on
 // the launching goroutine before any block runs, and FoldTallies on the same
-// goroutine after the grid has joined, and the ledger it returns is the
+// goroutine after the grid has joined, and the counts it returns are the
 // launch record's Work, so each shared total advances once per launch,
 // whatever the lane count.
 type TallyKernel interface {
@@ -85,8 +85,8 @@ type TallyKernel interface {
 	// GrowTallies makes room for sms per-SM tallies.
 	GrowTallies(sms int)
 	// FoldTallies folds and zeroes the per-SM tallies, returning the
-	// launch's work ledger.
-	FoldTallies() telemetry.WorkCounts
+	// launch's counts: a record with only its counters set.
+	FoldTallies() telemetry.IterRecord
 }
 
 // NamedKernel is implemented by kernels that report a stable name to

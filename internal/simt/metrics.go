@@ -16,7 +16,7 @@ import (
 //	simt_sm_busy_microseconds_total     summed SM busy time
 //	simt_blocks_total / simt_warp_phases_total / simt_lanes_total
 //	simt_sm_occupancy                   busy/(wall·SMs) of the last launch
-//	nulpa_work_*_total{kernel}          the launch's work ledger (work.go)
+//	nulpa_work_*_total{kernel}          the launch's counts (work.go)
 //
 // Unprofiled launches update none of them. The livelock-fault spin counter
 // (fault.go) is always on and is exported directly as a scrape-time

@@ -9,11 +9,11 @@ import (
 // label flips, hashtable probes/collisions, active vertices — implement
 // TallyKernel. Their lanes count into single-writer per-SM tallies with
 // plain adds, and nothing is summed until the grid has joined:
-// FoldTallies then returns the launch's telemetry.WorkCounts, which a
-// profiled launch records as its telemetry.Launch's Work and adds to the
-// nulpa_work_*_total{kernel} families below. Kernels count only when the
-// device has a profiler, which keeps the unprofiled path free of even
-// those adds.
+// FoldTallies then returns the launch's counts as a telemetry.IterRecord,
+// which a profiled launch records as its telemetry.Launch's Work and adds
+// to the nulpa_work_*_total{kernel} families below. Kernels count only
+// when the device has a profiler, which keeps the unprofiled path free of
+// even those adds.
 
 // CacheLine is the padding that keeps per-SM tallies written by different
 // SM goroutines off each other's cache lines: a full line of trailing
@@ -33,11 +33,12 @@ var (
 		"Vertices processed (frontier occupancy) by profiled kernel launches, per kernel.", "kernel")
 )
 
-// exportWork adds one launch's work ledger to the nulpa_work_*_total
-// families under kernel.
-func exportWork(kernel string, w telemetry.WorkCounts) {
+// exportWork adds one launch's counts to the nulpa_work_*_total families
+// under kernel. A label flip is a move or a Cross-Check revert, which
+// flips a label back.
+func exportWork(kernel string, w telemetry.IterRecord) {
 	mWorkEdgeVisits.With(kernel).Add(w.EdgeVisits)
-	mWorkLabelFlips.With(kernel).Add(w.LabelFlips)
+	mWorkLabelFlips.With(kernel).Add(w.Moves + w.Reverts)
 	mWorkHashProbes.With(kernel).Add(w.HashProbes)
 	mWorkHashCollisions.With(kernel).Add(w.HashCollisions)
 	mWorkActive.With(kernel).Add(w.ActiveVertices)

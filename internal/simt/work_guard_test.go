@@ -14,7 +14,7 @@ import (
 type workBusyKernel struct {
 	busyKernel
 	count bool
-	sms   []telemetry.WorkCounts
+	sms   []telemetry.IterRecord
 }
 
 func (k *workBusyKernel) BlockPhase(p int, t *simt.Thread) int {
@@ -29,15 +29,15 @@ func (k *workBusyKernel) BlockPhase(p int, t *simt.Thread) int {
 
 func (k *workBusyKernel) GrowTallies(sms int) {
 	if sms > len(k.sms) {
-		k.sms = make([]telemetry.WorkCounts, sms)
+		k.sms = make([]telemetry.IterRecord, sms)
 	}
 }
 
-func (k *workBusyKernel) FoldTallies() telemetry.WorkCounts {
-	var sum telemetry.WorkCounts
+func (k *workBusyKernel) FoldTallies() telemetry.IterRecord {
+	var sum telemetry.IterRecord
 	for i := range k.sms {
 		sum = sum.Add(k.sms[i])
-		k.sms[i] = telemetry.WorkCounts{}
+		k.sms[i] = telemetry.IterRecord{}
 	}
 	return sum
 }
@@ -75,13 +75,13 @@ func TestWorkCountingDisabledNoAllocs(t *testing.T) {
 	dev.Prof = rec
 	defer func() { dev.Prof = nil }()
 	dev.LaunchKernel(context.Background(), grid, blockDim, counting)
-	work := rec.KernelWorkByName()
+	work := rec.KernelSummaries()
 	if len(work) == 0 {
 		t.Fatal("no kernel work recorded with Recorder attached")
 	}
-	for _, w := range work {
-		if w.EdgeVisits <= 0 {
-			t.Errorf("recorded kernel work has EdgeVisits %d, want > 0", w.EdgeVisits)
+	for _, s := range work {
+		if s.Work.EdgeVisits <= 0 {
+			t.Errorf("recorded kernel work has EdgeVisits %d, want > 0", s.Work.EdgeVisits)
 		}
 	}
 }

@@ -8,13 +8,15 @@ import (
 	"nulpa/internal/telemetry"
 )
 
-// workKernel counts one edge visit per lane into its SM's tally and returns
-// the sums from FoldTallies — the minimal TallyKernel. folds counts the
-// FoldTallies calls, which must happen once per launch.
+// workKernel counts one edge visit per lane, and moves and reverts per
+// block, into its SM's tally and returns the sums from FoldTallies — the
+// minimal TallyKernel. folds counts the FoldTallies calls, which must
+// happen once per launch.
 type workKernel struct {
-	name  string
-	sms   []telemetry.WorkCounts
-	folds int
+	name           string
+	moves, reverts int64
+	sms            []telemetry.IterRecord
+	folds          int
 }
 
 func (k *workKernel) NumPhases() int     { return 1 }
@@ -24,21 +26,23 @@ func (k *workKernel) BlockPhase(p int, t *Thread) int {
 	w := &k.sms[t.SM]
 	w.EdgeVisits += int64(t.BlockDim)
 	w.ActiveVertices += int64(t.BlockDim)
+	w.Moves += k.moves
+	w.Reverts += k.reverts
 	return t.BlockDim
 }
 
 func (k *workKernel) GrowTallies(sms int) {
 	if sms > len(k.sms) {
-		k.sms = make([]telemetry.WorkCounts, sms)
+		k.sms = make([]telemetry.IterRecord, sms)
 	}
 }
 
-func (k *workKernel) FoldTallies() telemetry.WorkCounts {
+func (k *workKernel) FoldTallies() telemetry.IterRecord {
 	k.folds++
-	var sum telemetry.WorkCounts
+	var sum telemetry.IterRecord
 	for i := range k.sms {
 		sum = sum.Add(k.sms[i])
-		k.sms[i] = telemetry.WorkCounts{}
+		k.sms[i] = telemetry.IterRecord{}
 	}
 	return sum
 }
@@ -86,11 +90,19 @@ func TestMetricsProfilerWorkExport(t *testing.T) {
 	if got := mWorkActive.With("export-test").Value() - activeBefore; got != 42 {
 		t.Errorf("nulpa_work_active_vertices_total{export-test} grew by %d, want 42", got)
 	}
+	// A Cross-Check revert flips a label back, so the flips family counts
+	// reverts beside moves: 6 blocks of 1 move and 2 reverts each.
+	flipsBefore := mWorkLabelFlips.With("export-test").Value()
+	dev.LaunchKernel(context.Background(), 6, 7, &workKernel{name: "export-test", moves: 1, reverts: 2})
+	if got := mWorkLabelFlips.With("export-test").Value() - flipsBefore; got != 18 {
+		t.Errorf("nulpa_work_label_flips_total{export-test} grew by %d, want 18 (Moves 6 + Reverts 12)", got)
+	}
+	before = mWorkEdgeVisits.With("export-test").Value()
 	// An unprofiled launch counts nothing.
 	dev.Prof = nil
 	dev.LaunchKernel(context.Background(), 6, 7, &workKernel{name: "export-test"})
-	if got := mWorkEdgeVisits.With("export-test").Value() - before; got != 42 {
-		t.Errorf("unprofiled launch leaked %d extra edge visits", got-42)
+	if got := mWorkEdgeVisits.With("export-test").Value() - before; got != 0 {
+		t.Errorf("unprofiled launch leaked %d edge visits", got)
 	}
 }
 

@@ -44,7 +44,7 @@ func (r *Recorder) Summary() string {
 			k.Kernel, k.Launches,
 			k.Total.Round(time.Microsecond), k.SMBusy.Round(time.Microsecond),
 			k.Blocks, k.Phases,
-			k.Work.EdgeVisits, k.Work.LabelFlips, k.Work.HashProbes, k.Work.ActiveVertices)
+			k.Work.EdgeVisits, k.Work.Moves+k.Work.Reverts, k.Work.HashProbes, k.Work.ActiveVertices)
 	}
 	sms := r.SMUtilization()
 	if len(sms) > 0 {

@@ -13,7 +13,11 @@
 // record and hands it to its *Recorder in one RecordLaunch call, and every
 // algorithm package embeds IterRecord in its result trace, so baselines and
 // ν-LPA report through the same record type and a table rendered from a run
-// can never disagree with its exported trace.
+// can never disagree with its exported trace. The counts are one record
+// from SM tally to run total: a launch's counts (Launch.Work) are an
+// IterRecord carrying only counters, an iteration's record is the sum of
+// its launches' plus the fields only the loop knows, and a run's totals
+// are Sum of its trace.
 package telemetry
 
 import (
@@ -25,7 +29,10 @@ import (
 // the one per-iteration record every consumer (result trace, profiler,
 // health monitor, spans, exporters) reads. ν-LPA populates every field;
 // baselines populate the subset that exists in their execution model (FLPA
-// maps queue generations to iterations) and leave the rest zero.
+// maps queue generations to iterations) and leave the rest zero. It is
+// also a kernel launch's counts (Launch.Work), where only the counters a
+// kernel tallies are set: Moves, Reverts, EdgeVisits, ActiveVertices and
+// Hash*.
 //
 // The work and hashtable fields (Pruned, EdgeVisits, ActiveVertices, Hash*)
 // are counted under one rule on every ν-LPA backend: if and only if the run
@@ -143,9 +150,11 @@ type Launch struct {
 	BlockDim   int
 	Start, End time.Time
 	SMs        []SMSpan
-	// Work is the launch's algorithmic work ledger, folded by kernels
-	// implementing the simt TallyKernel extension; zero otherwise.
-	Work WorkCounts
+	// Work is the launch's counts, folded by kernels implementing the simt
+	// TallyKernel extension; zero otherwise. A launch record carries only
+	// counters: its iteration's record is the sum of its launches' plus
+	// the fields only the loop knows (Iter, flags, ΔN, Pruned, times).
+	Work IterRecord
 }
 
 // IterSink observes a run's iteration stream as it is recorded. A sink
@@ -251,8 +260,8 @@ type KernelSummary struct {
 	Blocks int64
 	Phases int64
 	Lanes  int64
-	// Work is the summed algorithmic work ledger of the launches.
-	Work WorkCounts
+	// Work is the summed counts of the launches.
+	Work IterRecord
 }
 
 // KernelSummaries aggregates launches per kernel name, in first-launch

@@ -2,53 +2,47 @@ package telemetry
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
 
-func TestWorkCountsLedger(t *testing.T) {
-	w := WorkCounts{EdgeVisits: 10, LabelFlips: 2, HashProbes: 30, HashCollisions: 4, ActiveVertices: 5}
-	sum := w.Add(w)
-	if sum.EdgeVisits != 20 || sum.ActiveVertices != 10 {
-		t.Errorf("Add = %+v, want field-wise doubling", sum)
-	}
-	if !(WorkCounts{}).IsZero() || w.IsZero() {
-		t.Error("IsZero misclassifies")
-	}
-}
-
-func TestTotalWorkProjectsTrace(t *testing.T) {
-	recs := []IterRecord{
-		{Moves: 3, EdgeVisits: 100, HashProbes: 40, ActiveVertices: 50},
-		{Moves: 1, EdgeVisits: 60, HashCollisions: 2, ActiveVertices: 20},
-	}
-	w := TotalWork(recs)
-	want := WorkCounts{EdgeVisits: 160, LabelFlips: 4, HashProbes: 40, HashCollisions: 2, ActiveVertices: 70}
-	if w != want {
-		t.Errorf("TotalWork = %+v, want %+v (Moves must project onto LabelFlips)", w, want)
-	}
-	if !TotalWork(nil).IsZero() {
-		t.Error("TotalWork(nil) is not zero")
-	}
-}
-
+// TestRecorderKernelWork checks the per-kernel view of the launch records:
+// KernelSummaries sums each kernel's launches, and Summary's flips column is
+// Moves + Reverts, since a Cross-Check revert flips a label back.
 func TestRecorderKernelWork(t *testing.T) {
 	r := NewRecorder()
 	now := time.Now()
-	for i, k := range []string{"thread", "block", "thread"} {
-		r.RecordLaunch(Launch{Kernel: k, Grid: 1, BlockDim: 1, Start: now, End: now.Add(time.Millisecond),
-			Work: WorkCounts{EdgeVisits: int64(10 * (i + 1)), LabelFlips: 1, HashProbes: 2, ActiveVertices: 3}})
+	for i, k := range []string{"thread", "cross", "thread"} {
+		w := IterRecord{EdgeVisits: int64(10 * (i + 1)), Moves: 1, HashProbes: 2, ActiveVertices: 3}
+		if k == "cross" {
+			w = IterRecord{Reverts: 5}
+		}
+		r.RecordLaunch(Launch{Kernel: k, Grid: 1, BlockDim: 1, Start: now, End: now.Add(time.Millisecond), Work: w})
 	}
 
-	byName := r.KernelWorkByName()
-	if got := byName["thread"].EdgeVisits; got != 40 {
-		t.Errorf("thread edge visits = %d, want 40 (launches 1 and 3 summed)", got)
+	byName := map[string]IterRecord{}
+	for _, s := range r.KernelSummaries() {
+		byName[s.Kernel] = s.Work
 	}
-	if got := byName["block"].EdgeVisits; got != 20 {
-		t.Errorf("block edge visits = %d, want 20", got)
+	if got := byName["thread"]; got.EdgeVisits != 40 || got.ActiveVertices != 6 || got.Moves != 2 {
+		t.Errorf("thread work = %+v, want launches 1 and 3 summed (40 edges, 6 active, 2 moves)", got)
 	}
-	if got := byName["thread"].ActiveVertices; got != 6 {
-		t.Errorf("thread active vertices = %d, want 6", got)
+	if got := byName["cross"].Reverts; got != 5 {
+		t.Errorf("cross reverts = %d, want 5", got)
+	}
+
+	// Columns: kernel launches total busy blocks phases edges flips probes active.
+	flips := map[string]string{}
+	for _, line := range strings.Split(r.Summary(), "\n")[1:] {
+		f := strings.Fields(line)
+		if len(f) != 10 {
+			break
+		}
+		flips[f[0]] = f[7]
+	}
+	if flips["thread"] != "2" || flips["cross"] != "5" {
+		t.Errorf("Summary flips column = %v, want thread 2 (moves), cross 5 (reverts)", flips)
 	}
 }
 

@@ -268,9 +268,6 @@ func NewID() string { return SpanID(defaultTracer.newID()).String() }
 // truncate traces already started: their children keep recording.
 func (t *Tracer) SetEnabled(on bool) { t.enabled.Store(on) }
 
-// Enabled reports whether new root spans are being created.
-func (t *Tracer) Enabled() bool { return t.enabled.Load() }
-
 // Root starts a new trace: a parentless span under a fresh trace id. With
 // the tracer disabled it returns (ctx, nil) without allocating.
 func (t *Tracer) Root(ctx context.Context, name string) (context.Context, *Span) {
@@ -329,13 +326,4 @@ func (t *Tracer) Stats() (recorded, dropped uint64) {
 		d = h - c
 	}
 	return h, d
-}
-
-// Reset empties the ring buffer and zeroes the counters (test isolation for
-// the shared Default tracer). The enabled setting persists.
-func (t *Tracer) Reset() {
-	t.head.Store(0)
-	for i := range t.ring {
-		t.ring[i].Store(nil)
-	}
 }
