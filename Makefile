@@ -71,15 +71,17 @@ bench-smoke:
 	$(GO) test -count=1 -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS)
 
 # Short coverage-guided fuzzing, about 10 s each: the CSR builder
-# (FuzzFromEdges: the reference builders and 1-4 workers), the binary
-# decoder, the ν-LPA kernels against their sequential spec
-# (FuzzDetectMatchesSpec: nulpa at 1 SM, the direct configuration and
-# nulpa-sharded at one shard), and the partitioner's one-pass move rule
-# against its touched-list spec (FuzzMoveVertexMatchesSpec). A failing
-# input is saved under the package's testdata/fuzz/ and becomes a seed of
-# every later `go test`.
+# (FuzzFromEdges: the reference builders and 1-4 workers), the web
+# generator's own CSR build against FromEdges on its edge list
+# (FuzzWebMatchesEdgeList), the binary decoder, the ν-LPA kernels against
+# their sequential spec (FuzzDetectMatchesSpec: nulpa at 1 SM, the direct
+# configuration and nulpa-sharded at one shard), and the partitioner's
+# one-pass move rule against its touched-list spec
+# (FuzzMoveVertexMatchesSpec). A failing input is saved under the package's
+# testdata/fuzz/ and becomes a seed of every later `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFromEdges$$' -fuzztime 10s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz '^FuzzWebMatchesEdgeList$$' -fuzztime 10s ./internal/gen/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzDetectMatchesSpec$$' -fuzztime 10s ./internal/nulpa/
 	$(GO) test -run '^$$' -fuzz '^FuzzMoveVertexMatchesSpec$$' -fuzztime 10s ./internal/partition/

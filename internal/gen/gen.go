@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"nulpa/internal/graph"
 )
@@ -104,20 +105,23 @@ func DefaultWeb(n, avgDegree int, seed int64) WebConfig {
 
 // Web generates a web-crawl-like graph with the copy model.
 func Web(cfg WebConfig) *graph.CSR {
+	// Checked before the link list and its offsets are allocated: at a size
+	// FromEdges would refuse they alone can exhaust memory.
+	if cfg.N > graph.MaxVertices {
+		panic(fmt.Sprintf("gen: internal error: graph: %d vertices exceeds MaxVertices (%d)", cfg.N, graph.MaxVertices))
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	// Mean out-degree is about 1.14·AvgDegree (2% hubs at 8×), so a
-	// quarter of headroom keeps the edge list from being regrown.
-	edges := make([]graph.Edge, 0, cfg.N*cfg.AvgDegree*5/4)
+	// quarter of headroom keeps the link list from being regrown.
+	links := make([]graph.Vertex, 0, cfg.N*cfg.AvgDegree*5/4)
 	// Pages are generated in id order and only append their own out-links,
-	// so page p's links are edges[first[p]:first[p+1]]: the copy step reads
-	// a prototype's links from the edge list itself.
+	// so page p's links are links[first[p]:first[p+1]]: the copy step reads
+	// a prototype's links from the link list itself. Every link points to a
+	// lower id, a random one inside the window or a prototype's.
 	first := make([]int, cfg.N+1)
 	for v := 1; v < cfg.N; v++ {
-		first[v] = len(edges)
-		lo := v - cfg.Window
-		if lo < 0 {
-			lo = 0
-		}
+		first[v] = len(links)
+		lo := max(v-cfg.Window, 0)
 		span := v - lo
 		// Out-degree: geometric-ish heavy tail around AvgDegree.
 		deg := 1 + rng.Intn(2*cfg.AvgDegree-1)
@@ -125,21 +129,83 @@ func Web(cfg WebConfig) *graph.CSR {
 			deg *= 8 // occasional hub page (link farm / index page)
 		}
 		proto := lo + rng.Intn(span)
-		links := first[proto+1] - first[proto]
+		copied := links[first[proto]:first[proto+1]]
 		for k := 0; k < deg; k++ {
-			var t graph.Vertex
-			if links > 0 && rng.Float64() < cfg.CopyProb {
-				t = edges[first[proto]+rng.Intn(links)].V
+			if len(copied) > 0 && rng.Float64() < cfg.CopyProb {
+				links = append(links, copied[rng.Intn(len(copied))])
 			} else {
-				t = graph.Vertex(lo + rng.Intn(span))
+				links = append(links, graph.Vertex(lo+rng.Intn(span)))
 			}
-			if t == graph.Vertex(v) {
-				continue
-			}
-			edges = append(edges, graph.Edge{U: graph.Vertex(v), V: t, W: 1})
 		}
 	}
-	return mustBuild(edges, cfg.N)
+	first[cfg.N] = len(links)
+	return webCSR(links, first)
+}
+
+// webCSR builds the undirected, deduplicated CSR that FromEdges builds from
+// the edges (v, t, 1) for every link t of every page v, where page v's links
+// are links[first[v]:first[v+1]] and all lower than v. It sorts each page's
+// links in place and reuses first as row cursors.
+//
+// Row v holds v's distinct links, then the pages above v that link to it,
+// each weighted by its multiplicity, so one pass in ascending v writes
+// every row in order: v's own links at the row start, and v at the cursor
+// of each row it links to, after every lower linking page. The weights are
+// counts, which float32 holds exactly, so they equal FromEdges' sums of
+// unit weights.
+func webCSR(links []graph.Vertex, first []int) *graph.CSR {
+	n := len(first) - 1
+	offsets := make([]int64, n+1)
+	for v := 0; v < n; v++ {
+		ts := links[first[v]:first[v+1]]
+		sortLinks(ts)
+		for i, t := range ts {
+			if i == 0 || t != ts[i-1] {
+				offsets[v+1]++
+				offsets[t+1]++
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		offsets[v+1] += offsets[v]
+	}
+	targets := make([]graph.Vertex, offsets[n])
+	weights := make([]float32, offsets[n])
+	for v := 0; v < n; v++ {
+		ts := links[first[v]:first[v+1]]
+		at := offsets[v]
+		for i := 0; i < len(ts); {
+			t, j := ts[i], i+1
+			for j < len(ts) && ts[j] == t {
+				j++
+			}
+			w := float32(j - i)
+			targets[at], weights[at] = t, w
+			at++
+			// t < v, so first[t] is already row t's cursor.
+			targets[first[t]], weights[first[t]] = graph.Vertex(v), w
+			first[t]++
+			i = j
+		}
+		first[v] = int(at)
+	}
+	return graph.New(offsets, targets, weights)
+}
+
+// sortLinks sorts one page's links: insertion for the short lists of most
+// pages, slices.Sort for hub pages' lists.
+func sortLinks(ts []graph.Vertex) {
+	if len(ts) > 32 {
+		slices.Sort(ts)
+		return
+	}
+	for j := 1; j < len(ts); j++ {
+		t, at := ts[j], j
+		for ; at > 0 && ts[at-1] > t; at-- {
+			ts[at] = ts[at-1]
+		}
+		ts[at] = t
+	}
 }
 
 // RoadConfig parameterizes the road-network generator standing in for the

@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"nulpa/internal/graph"
@@ -305,12 +308,14 @@ func csrDigest(g *graph.CSR) uint64 {
 // TestGeneratorDigestsPinned pins the CSR each generator builds: the digests
 // were taken from the per-row comparison-sort builder and per-vertex link
 // lists that FromEdges and the edge-list copy step replaced, and held by
-// every builder since, so a change to either that moves a single arc or
-// weight fails here. "web 200000" and "social 65536" are the web-simt and
-// social-sharded benchmark inputs of seed 100, large enough that FromEdges
-// builds them on several workers. "web 500000" emits 4.57M edges, more than
-// 2²², and its digest was taken from the target-bucket counting sort that
-// the source-bucket build replaced.
+// every builder since. They now hold across FromEdges' source-bucket build
+// for the other generators and Web's own build from its link lists
+// (webCSR), so a change to a builder or a generator that moves a single
+// arc or weight fails here. "web 200000" and "social 65536" are the
+// web-simt and social-sharded benchmark inputs of seed 100; FromEdges
+// builds social 65536 on several workers. "web 500000" has 4.57M links,
+// more than 2²², and its digest was taken from the target-bucket counting
+// sort that the source-bucket build replaced.
 func TestGeneratorDigestsPinned(t *testing.T) {
 	social, _ := Social(DefaultSocial(8192, 16, 101))
 	bigSocial, _ := Social(DefaultSocial(65536, 32, 100))
@@ -334,13 +339,136 @@ func TestGeneratorDigestsPinned(t *testing.T) {
 }
 
 // TestWebAllocs guards the web generator's allocation count: the copy step
-// reads a prototype's links from the edge list, so no allocation is made
-// per page.
+// reads a prototype's links from the link list, and the CSR is built from
+// that list, so no allocation is made per page.
 func TestWebAllocs(t *testing.T) {
 	cfg := DefaultWeb(20000, 8, 5)
-	if a := testing.AllocsPerRun(3, func() { Web(cfg) }); a > 20 {
-		t.Errorf("Web(DefaultWeb(20000, 8, 5)) made %.0f allocations, want <= 20", a)
+	if a := testing.AllocsPerRun(3, func() { Web(cfg) }); a > 10 {
+		t.Errorf("Web(DefaultWeb(20000, 8, 5)) made %.0f allocations, want <= 10", a)
 	}
+}
+
+// TestWebBytes bounds the bytes a web build allocates: 4 bytes per link
+// for the link list, the CSR's 8 bytes per arc, 24 bytes per vertex for the
+// link and row offsets and the link list's headroom, and 64 KiB for the
+// rest. An edge list beside the links, or arcs built before their
+// duplicates merge, fails it. The fewest bytes over several warm builds are
+// taken, so that allocations by other goroutines do not count.
+func TestWebBytes(t *testing.T) {
+	cfg := DefaultWeb(20000, 8, 5)
+	_, links := referenceWeb(cfg)
+	fewest := uint64(math.MaxUint64)
+	arcs := 0
+	for run := 0; run <= 5; run++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g := Web(cfg)
+		runtime.ReadMemStats(&after)
+		if run > 0 {
+			fewest = min(fewest, after.TotalAlloc-before.TotalAlloc)
+		}
+		arcs = len(g.Targets)
+	}
+	if want := uint64(4*links+8*arcs+24*(cfg.N+1)) + 64<<10; fewest > want {
+		t.Errorf("%d bytes per build of %d links and %d arcs, want at most %d", fewest, links, arcs, want)
+	}
+}
+
+// TestWebRefusesBeforeAllocating checks that Web refuses more than
+// graph.MaxVertices pages with FromEdges' error, before it allocates
+// anything sized by the page count.
+func TestWebRefusesBeforeAllocating(t *testing.T) {
+	defer func(m int) { graph.MaxVertices = m }(graph.MaxVertices)
+	graph.MaxVertices = 1000
+	const n = 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := func() (p any) {
+		defer func() { p = recover() }()
+		Web(DefaultWeb(n, 1, 1))
+		return nil
+	}()
+	runtime.ReadMemStats(&after)
+	if want := "gen: internal error: graph: 1048576 vertices exceeds MaxVertices (1000)"; got != want {
+		t.Fatalf("Web panicked with %v, want %q", got, want)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
+		t.Errorf("Web allocated %d bytes before refusing %d pages, want at most 1 MiB", b, n)
+	}
+}
+
+// referenceWeb is Web through the general builder: the same copy model
+// appends the edge (v, t, 1) for every link t of page v, copying from a
+// prototype's edges, and graph.FromEdges assembles them. It also returns
+// the number of links.
+func referenceWeb(cfg WebConfig) (*graph.CSR, int) {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	var edges []graph.Edge
+	first := make([]int, cfg.N+1)
+	for v := 1; v < cfg.N; v++ {
+		first[v] = len(edges)
+		lo := max(v-cfg.Window, 0)
+		span := v - lo
+		deg := 1 + rng.Intn(2*cfg.AvgDegree-1)
+		if rng.Float64() < 0.02 {
+			deg *= 8
+		}
+		proto := lo + rng.Intn(span)
+		links := first[proto+1] - first[proto]
+		for k := 0; k < deg; k++ {
+			var t graph.Vertex
+			if links > 0 && rng.Float64() < cfg.CopyProb {
+				t = edges[first[proto]+rng.Intn(links)].V
+			} else {
+				t = graph.Vertex(lo + rng.Intn(span))
+			}
+			edges = append(edges, graph.Edge{U: graph.Vertex(v), V: t, W: 1})
+		}
+	}
+	g, err := graph.FromEdges(edges, cfg.N, graph.DefaultBuildOptions())
+	if err != nil {
+		panic(err)
+	}
+	return g, len(edges)
+}
+
+// FuzzWebMatchesEdgeList checks Web's CSR against referenceWeb's, bit for
+// bit, and that Web's arrays are allocated at their exact size. The seeds
+// run every n of {0, 1, 2, 3, 17, 2000} at every degree of {1, 2, 8, 1024}
+// (1024 makes hub pages of thousands of links) under three seeds. Fuzzed
+// inputs keep n ≤ 4000 and n·deg ≤ 2²¹.
+func FuzzWebMatchesEdgeList(f *testing.F) {
+	for _, n := range []uint16{0, 1, 2, 3, 17, 2000} {
+		for _, deg := range []uint16{1, 2, 8, 1024} {
+			for seed := int64(1); seed <= 3; seed++ {
+				f.Add(n, deg, seed)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, n16, deg16 uint16, seed int64) {
+		n := int(n16) % 4001
+		deg := max(1, min(int(deg16), 1024, (1<<21)/max(n, 1)))
+		cfg := DefaultWeb(n, deg, seed)
+		g := Web(cfg)
+		want, _ := referenceWeb(cfg)
+		if !slices.Equal(g.Offsets, want.Offsets) || !slices.Equal(g.Targets, want.Targets) {
+			t.Fatalf("%+v: rows differ from the edge-list build", cfg)
+		}
+		if len(g.Weights) != len(want.Weights) {
+			t.Fatalf("%+v: %d weights, want %d", cfg, len(g.Weights), len(want.Weights))
+		}
+		for i, w := range g.Weights {
+			if math.Float32bits(w) != math.Float32bits(want.Weights[i]) {
+				t.Fatalf("%+v: weight %d is %v, want %v", cfg, i, w, want.Weights[i])
+			}
+		}
+		if math.Float64bits(g.TotalWeight()) != math.Float64bits(want.TotalWeight()) {
+			t.Fatalf("%+v: total weight %v, want %v", cfg, g.TotalWeight(), want.TotalWeight())
+		}
+		if cap(g.Targets) != len(g.Targets) || cap(g.Weights) != len(g.Weights) {
+			t.Fatalf("%+v: %d arcs in arrays of capacity %d and %d", cfg, len(g.Targets), cap(g.Targets), cap(g.Weights))
+		}
+	})
 }
 
 // TestSocialAllocs guards the social generator's allocations at the size
@@ -354,12 +482,22 @@ func TestSocialAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkGenWeb generates the 20k-vertex web graph a served web job
-// builds, CSR included.
+// BenchmarkGenWeb generates, CSR included, the 20k-vertex web graph a
+// served web job builds and the 200k-vertex one the web-simt benchmark
+// workload detects on.
 func BenchmarkGenWeb(b *testing.B) {
-	cfg := DefaultWeb(20000, 8, 5)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Web(cfg)
+	for _, c := range []struct {
+		name string
+		cfg  WebConfig
+	}{
+		{"n=20k", DefaultWeb(20000, 8, 5)},
+		{"n=200k", DefaultWeb(200000, 8, 100)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Web(c.cfg)
+			}
+		})
 	}
 }
